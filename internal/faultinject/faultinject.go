@@ -28,9 +28,10 @@ import (
 	"time"
 )
 
-// Named CP phases, in execution order. System.CP and Aggregate.CommitCP
-// call Injector.EnterPhase with each in turn; a plan's CrashPhase names one
-// of them.
+// Named CP phases, in execution order at depth 1. System.CP (the first two)
+// and the flush stage, Aggregate.commitSealed (the rest), call
+// Injector.EnterPhase with each in turn; a plan's CrashPhase names one of
+// them.
 const (
 	PhaseAlloc       = "alloc"        // phase 1: write allocation + COW frees
 	PhaseDelayedFree = "delayed_free" // phase 1.5: delayed-free reclaim
@@ -43,12 +44,14 @@ const (
 	PhaseCommit      = "commit"       // CP superblock commit (crash = clean CP)
 )
 
-// Pipelined-CP phases (Tunables.Pipeline). Under overlapped checkpoints a
+// Depth-2 phases (Tunables.Pipeline). Under overlapped checkpoints a
 // boundary allocates the open generation while the sealed one flushes, so
 // the overlap window has its own crash points: a crash during overlap_alloc
 // fires before the in-flight generation commits, one during overlap_flush
-// fires mid-commit of the sealed banks. Kept out of CPPhases so the classic
-// crash matrix — and its pinned reference bands — are unchanged.
+// fires as its reclaim starts, ahead of the flush-stage phases above. A
+// depth-2 boundary with nothing in flight enters alloc instead, and never
+// delayed_free. Kept out of CPPhases so the depth-1 crash matrix — and its
+// pinned reference bands — are unchanged.
 const (
 	PhaseOverlapAlloc = "overlap_alloc" // open-gen allocation, sealed gen in flight
 	PhaseOverlapFlush = "overlap_flush" // sealed-gen flush, overlapping the alloc

@@ -248,8 +248,8 @@ func (s *Store) SetInjector(inj *faultinject.Injector) {
 	s.inj = inj
 }
 
-// BeginGeneration advances the store's CP generation; CommitCP calls it
-// once per CP before any TopAA save, so a crash that drops this CP's saves
+// BeginGeneration advances the store's CP generation; the CP's flush stage
+// (wafl's Aggregate.commitSealed) calls it once per CP before any TopAA save, so a crash that drops this CP's saves
 // leaves the previous generation detectably stale.
 func (s *Store) BeginGeneration() {
 	s.mu.Lock()

@@ -74,9 +74,8 @@ func (a *sysActuator) SetKnob(name string, v float64) (float64, bool) {
 		if b < 0 {
 			return 0, false
 		}
-		// Both reclaim sites (classic CP phase 1.5 and the pipelined
-		// sealed-queue drain) read s.tun; the aggregate copy is kept
-		// coherent for anything constructed later from it.
+		// The reclaim stage reads s.tun at both depths; the aggregate copy
+		// is kept coherent for anything constructed later from it.
 		s.tun.DelayedFreeBudgetPerCP = b
 		s.Agg.tun.DelayedFreeBudgetPerCP = b
 		return float64(b), true

@@ -48,8 +48,8 @@ type Aggregate struct {
 	// fragMarks tracks per-space picked-quality baselines between
 	// allocation-quality scans (see fragscan.go).
 	fragMarks map[string]fragMark
-	// cpOrd is the ordinal of the CP currently being built (CPs committed
-	// + 1 while System.CP runs); pick-provenance records carry it.
+	// cpOrd is the ordinal the generation being allocated will commit as
+	// (set by System.CP); pick-provenance records carry it.
 	cpOrd uint64
 	// pickRings collects every provenance ring this aggregate's spaces
 	// record into, in registration order, for the picks.* metric views.
@@ -251,19 +251,24 @@ type CPStats struct {
 	TopAABlocks int
 }
 
-// CommitCP ends the current consistency point: it flushes each group's
-// writes as tetrises (charging the device models), applies the batched AA
-// score updates to every cache, writes back dirty bitmap-metafile pages,
-// and persists the TopAA metafiles (§3.3, §3.4).
+// commitSealed is the flush stage of a consistency point: it flushes each
+// group's sealed writes as tetrises (charging the device models), folds the
+// sealed AA score deltas into every cache, writes back dirty
+// bitmap-metafile pages, and persists the TopAA metafiles (§3.3, §3.4). The
+// open banks stay untouched, so at depth 2 the allocator keeps running.
 //
 // The per-group flush + delta fold fans out over the work pool: each
-// group's devices, tetris stats, cache, and delta map are group-local, so
+// group's devices, tetris stats, cache, and delta banks are group-local, so
 // the items are independent and every counter merges to the same total at
 // any worker count. The aggregate-wide steps — TopAA saves, the shared
 // physical-bitmap write-back — run serially after the barrier, in group
 // order. Per-volume CP work (delta fold + virtual-bitmap write-back) fans
 // out the same way, since each volume owns its bitmap and HBPS.
-func (ag *Aggregate) CommitCP() CPStats {
+//
+// idleFoldRows makes every cache-enabled space emit its cp.fold.* trace
+// row even when its bank is empty — the depth-1 stream's shape; a depth-2
+// generation reports only the spaces it touched.
+func (ag *Aggregate) commitSealed(idleFoldRows bool) CPStats {
 	var st CPStats
 	workers := ag.workers()
 
@@ -275,9 +280,9 @@ func (ag *Aggregate) CommitCP() CPStats {
 	busy := make([]time.Duration, len(ag.groups))
 	parallel.ForEachObs(workers, len(ag.groups), ag.pobs, func(i int) {
 		g := ag.groups[i]
-		busy[i] = g.flushCP()
+		busy[i] = g.flushSealed()
 		ag.st.Emit("cp.flush", i, "group", busy[i], 0)
-		g.applyCPDeltas()
+		g.foldSealed(idleFoldRows)
 	})
 	ag.faults.EnterPhase(faultinject.PhaseTopAAGroups)
 	for i, g := range ag.groups {
@@ -293,11 +298,11 @@ func (ag *Aggregate) CommitCP() CPStats {
 	}
 	if ag.pool != nil {
 		ag.faults.EnterPhase(faultinject.PhasePool)
-		poolBusy := ag.pool.flushCP()
+		poolBusy := ag.pool.flushSealed()
 		st.DeviceBusy += poolBusy
 		busy = append(busy, poolBusy) // the object store flushes alongside the groups
 		ag.st.Emit("cp.flush", poolShard, "pool", poolBusy, 0)
-		ag.pool.space.applyCPDeltas()
+		ag.pool.space.foldSealed(idleFoldRows)
 		ag.store.SaveAgnostic(poolTopAAKey, ag.pool.space.cache)
 		st.TopAABlocks += 2
 		ag.st.Emit("cp.topaa", poolShard, "pool", 0, 2)
@@ -311,72 +316,7 @@ func (ag *Aggregate) CommitCP() CPStats {
 	volPages := make([]int, len(ag.vols))
 	parallel.ForEachObs(workers, len(ag.vols), ag.pobs, func(i int) {
 		v := ag.vols[i]
-		v.space.applyCPDeltas()
-		volPages[i] = v.bm.Flush()
-	})
-	ag.faults.EnterPhase(faultinject.PhaseTopAAVols)
-	for i, v := range ag.vols {
-		ag.store.SaveAgnostic(v.Name, v.space.cache)
-		st.TopAABlocks += 2
-		st.MetafilePagesVols += volPages[i]
-		ag.st.Emit("cp.metafile", i, "volume", 0, int64(volPages[i]))
-		ag.st.Emit("cp.topaa", i, "volume", 0, 2)
-	}
-	ag.faults.EnterPhase(faultinject.PhaseCommit)
-	ag.cpTot.add(st)
-	return st
-}
-
-// CommitPipelinedCP commits the SEALED generation of a pipelined CP: the
-// flush banks sealCP captured one generation ago are flushed and folded
-// with exactly the classic phase structure (so the crash matrix's phase
-// hooks cover the pipelined path too), while the open generation's deltas,
-// writes, and queues stay untouched and the allocator keeps running.
-func (ag *Aggregate) CommitPipelinedCP() CPStats {
-	var st CPStats
-	workers := ag.workers()
-
-	ag.store.BeginGeneration()
-
-	ag.faults.EnterPhase(faultinject.PhaseFlush)
-	busy := make([]time.Duration, len(ag.groups))
-	parallel.ForEachObs(workers, len(ag.groups), ag.pobs, func(i int) {
-		g := ag.groups[i]
-		busy[i] = g.flushSealedCP()
-		ag.st.Emit("cp.flush", i, "group", busy[i], 0)
-		g.applyFlushDeltas()
-	})
-	ag.faults.EnterPhase(faultinject.PhaseTopAAGroups)
-	for i, g := range ag.groups {
-		st.DeviceBusy += busy[i]
-		if err := ag.store.SaveRAIDAware(topaaGroupKey(g.Index), g.cache); err != nil {
-			ag.st.Emit("cp.topaa", g.Index, "save_error", 0, 0)
-			continue
-		}
-		st.TopAABlocks++
-		ag.st.Emit("cp.topaa", g.Index, "group", 0, 1)
-	}
-	if ag.pool != nil {
-		ag.faults.EnterPhase(faultinject.PhasePool)
-		poolBusy := ag.pool.flushSealedCP()
-		st.DeviceBusy += poolBusy
-		busy = append(busy, poolBusy)
-		ag.st.Emit("cp.flush", poolShard, "pool", poolBusy, 0)
-		ag.pool.space.applyFlushDeltas()
-		ag.store.SaveAgnostic(poolTopAAKey, ag.pool.space.cache)
-		st.TopAABlocks += 2
-		ag.st.Emit("cp.topaa", poolShard, "pool", 0, 2)
-	}
-	st.FlushWall = parallel.Makespan(busy, workers)
-	ag.faults.EnterPhase(faultinject.PhaseBitmapAgg)
-	st.MetafilePagesAggregate = ag.bm.Flush()
-	ag.st.Emit("cp.metafile", -1, "aggregate", 0, int64(st.MetafilePagesAggregate))
-
-	ag.faults.EnterPhase(faultinject.PhaseVolFold)
-	volPages := make([]int, len(ag.vols))
-	parallel.ForEachObs(workers, len(ag.vols), ag.pobs, func(i int) {
-		v := ag.vols[i]
-		v.space.applyFlushDeltas()
+		v.space.foldSealed(idleFoldRows)
 		volPages[i] = v.bm.Flush()
 	})
 	ag.faults.EnterPhase(faultinject.PhaseTopAAVols)

@@ -3,7 +3,7 @@ package wafl
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"waflfs/internal/aa"
@@ -43,19 +43,18 @@ type agnosticSpace struct {
 	deltas map[aa.ID]int64
 	rng    *rand.Rand
 
-	// flushDeltas is the sealed generation's delta bank when CPs are
-	// pipelined: sealCPDeltas swaps the open map here, new writes keep
-	// accumulating into a fresh deltas map, and applyFlushDeltas folds the
-	// sealed bank into the HBPS when the in-flight generation commits. Nil
-	// or empty on the classic path.
+	// flushDeltas is the sealed generation's delta bank (see pipeline.go):
+	// sealCPDeltas swaps the open map here, new writes keep accumulating
+	// into the other map, and foldSealed folds the bank into the HBPS when
+	// the sealed generation commits. Empty between commits; Remount nils it.
 	flushDeltas map[aa.ID]int64
 
 	// delayed, when non-nil, queues frees per AA with HBPS-tracked scores
-	// instead of applying them immediately; see delayedfree.go. Under
-	// pipelined CPs delayedSealed holds the previous generation's queue:
-	// frees landing mid-flush go to delayed (the open generation) while the
-	// in-flight flush reclaims only from delayedSealed, crediting each free
-	// to the CP it logically belongs to.
+	// instead of applying them immediately; see delayedfree.go. At depth 2
+	// delayedSealed holds the previous generation's queue: frees landing
+	// mid-flush go to delayed (the open generation) while the in-flight
+	// flush reclaims only from delayedSealed, crediting each free to the CP
+	// it logically belongs to. Depth 1 never creates it.
 	delayed       *delayedFrees
 	delayedSealed *delayedFrees
 
@@ -79,7 +78,7 @@ type agnosticSpace struct {
 	// lat is the per-volume modeled op-latency histogram feeding the SLO
 	// latency SLI (vol.<name>.lat_ns; nil for the pool). Reads observe
 	// their modeled device+CPU cost per op; writes observe their share of
-	// the CP's modeled cost at commit (see System.CP).
+	// the CP's modeled cost at commit (see attributeWrites).
 	lat *obs.Histogram
 
 	// Allocation-decision provenance and watchdog hooks (nil when off;
@@ -415,68 +414,39 @@ func (s *agnosticSpace) free(v block.VBN) {
 	s.as.noteFree(s.topo.AAOf(v), s.deltas)
 }
 
-// applyCPDeltas flushes the batched score updates into the HBPS at the CP
-// boundary. HBPS stores no per-AA scores, so the previous score is derived
-// from the authoritative bitmap count minus the pending delta. Updates are
-// applied in AA order: the HBPS pop order breaks score ties by insertion
-// sequence, so folding the deltas in map-iteration order would make
-// allocation decisions vary run to run.
-func (s *agnosticSpace) applyCPDeltas() {
-	// Fold the shard ledgers into the shared delta map first (shard-index
-	// order, IDs sorted within each shard) so the HBPS updates below see
-	// totals identical at any worker width.
-	s.as.fold(s.deltas)
-	if !s.cacheEnabled {
-		for id := range s.deltas {
-			delete(s.deltas, id)
-		}
-		return
-	}
-	var folds int64
-	for _, id := range sortedIDs(s.deltas) {
-		d := s.deltas[id]
-		if d == 0 {
-			delete(s.deltas, id)
-			continue
-		}
-		newScore := s.aaScore(id)
-		old := int64(newScore) - d
-		if old < 0 {
-			panic(fmt.Sprintf("wafl: %s AA %d delta %d implies negative old score", s.name, id, d))
-		}
-		s.cache.Update(id, uint32(old), newScore)
-		s.cacheOps++
-		folds++
-		delete(s.deltas, id)
-	}
-	s.st.Emit("cp.fold.virt", s.shard, "hbps_updates", 0, folds)
-}
-
-// sealCPDeltas closes the open generation's ledger for a pipelined CP:
-// shard ledgers fold into the shared map (same deterministic order as the
-// classic fold), then the whole map swaps into the flush bank and a fresh
-// open map takes its place. New writes accumulate into the fresh map while
-// the sealed bank waits for applyFlushDeltas at the generation's commit.
+// sealCPDeltas closes the open generation's ledger: shard ledgers fold into
+// the shared map (shard-index order, IDs sorted within each shard, so the
+// totals are identical at any worker width), then the map swaps with the
+// flush bank — empty here, since the previous generation's fold drained it.
+// New writes accumulate into the other map while the sealed bank waits for
+// foldSealed at the generation's commit.
 func (s *agnosticSpace) sealCPDeltas() {
 	s.as.fold(s.deltas)
-	s.flushDeltas = s.deltas
-	s.deltas = make(map[aa.ID]int64)
+	if s.flushDeltas == nil {
+		s.flushDeltas = make(map[aa.ID]int64)
+	}
+	s.deltas, s.flushDeltas = s.flushDeltas, s.deltas
+	if s.sh != nil {
+		s.sh.AdvanceGen()
+	}
 }
 
-// applyFlushDeltas folds the sealed generation's delta bank into the HBPS
-// when its flush commits. The HBPS stores no per-AA scores, so the current
+// foldSealed folds the sealed generation's delta bank into the HBPS when
+// its flush commits. The HBPS stores no per-AA scores, so the current
 // listed score is derived from the authoritative bitmap count minus every
-// delta the cache has not seen (open ledgers + open map); subtracting the
-// sealed delta from that gives the score the entry was listed at. Both are
-// provably non-negative — a violation means ledger corruption.
-func (s *agnosticSpace) applyFlushDeltas() {
-	if len(s.flushDeltas) == 0 {
+// delta the cache has not seen (open ledgers + open map — none at depth 1,
+// where the seal was a moment ago); subtracting the sealed delta from that
+// gives the score the entry was listed at. Both are provably non-negative —
+// a violation means ledger corruption. Updates are applied in AA order: the
+// HBPS pop order breaks score ties by insertion sequence, so folding in
+// map-iteration order would make allocation decisions vary run to run.
+// idleRow as for Group.foldSealed.
+func (s *agnosticSpace) foldSealed(idleRow bool) {
+	if !s.cacheEnabled {
+		clear(s.flushDeltas)
 		return
 	}
-	if !s.cacheEnabled {
-		for id := range s.flushDeltas {
-			delete(s.flushDeltas, id)
-		}
+	if len(s.flushDeltas) == 0 && !idleRow {
 		return
 	}
 	var folds int64
@@ -486,8 +456,7 @@ func (s *agnosticSpace) applyFlushDeltas() {
 		if d == 0 {
 			continue
 		}
-		open := s.as.pending(id, s.deltas)
-		cur := int64(s.aaScore(id)) - open
+		cur := int64(s.aaScore(id)) - s.as.pending(id, s.deltas)
 		old := cur - d
 		if cur < 0 || old < 0 {
 			panic(fmt.Sprintf("wafl: %s AA %d sealed delta %d implies negative score (cur %d)", s.name, id, d, cur))
@@ -506,7 +475,7 @@ func sortedIDs[V any](m map[aa.ID]V) []aa.ID {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -536,7 +505,7 @@ func (s *agnosticSpace) resetMetrics() {
 	s.pickedScoreSum, s.pickedCount = 0, 0
 	s.cacheOps, s.replenishes = 0, 0
 	s.as.resetCounters()
-	// Note: reset only between CPs (System.CP snapshots scannedBlocks at
-	// CP start, and sweeps happen only inside CP).
+	// Note: reset only between CPs (the alloc stage snapshots scannedBlocks
+	// at its start, and sweeps happen only inside it).
 	s.scannedBlocks, s.allocatedBlocks = 0, 0
 }

@@ -24,15 +24,16 @@ type CleanStats struct {
 // cleaning of cache-provided AAs yields the best return on investment.
 //
 // Cleaning is physical-only: relocated blocks keep their virtual VBNs, as
-// block virtualization within a FlexVol permits. The pass must run between
-// consistency points (no writes buffered), and requires the RAID-aware
-// cache to be enabled. Relocation writes are charged at the next CP like
+// block virtualization within a FlexVol permits. The pass must run at a CP
+// boundary (no writes buffered, no generation in flight — it re-inserts the
+// cleaned AAs at their bitmap scores, which a sealed delta would then fold
+// on top of), and requires the RAID-aware cache to be enabled. Relocation writes are charged at the next CP like
 // any other allocation; relocation reads are charged immediately.
 func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 	if !g.cacheEnabled {
 		panic("wafl: segment cleaning requires the RAID-aware AA cache")
 	}
-	if s.pendingBlocks > 0 {
+	if !s.atBoundary() {
 		panic("wafl: segment cleaning must run at a CP boundary")
 	}
 	var st CleanStats

@@ -66,6 +66,54 @@ func TestCleanerRequiresCPBoundary(t *testing.T) {
 	s.CleanBestAAs(s.Agg.groups[0], 1)
 }
 
+// A sealed generation in flight is not a boundary either: the cleaner
+// re-inserts cleaned AAs at their fresh bitmap score and clears only the
+// open ledger, so the sealed delta would fold on top at the next flush and
+// leave a cached score above the AA's capacity. Before atBoundary() the
+// cleaner only looked at the dirty buffer and this sequence ended with
+// Scrub reporting a cached score of 781 for a 768-block AA.
+func TestCleanerRefusesGenerationInFlight(t *testing.T) {
+	tun := DefaultTunables()
+	tun.Pipeline = true
+	tun.CPEveryOps = 1 << 30
+	s := NewSystem(testSpecs(), []VolSpec{{Name: "v", Blocks: 12 * aa.RAIDAgnosticBlocks}}, tun, 1)
+	lun := s.Agg.Vols()[0].CreateLUN("l", 360000)
+	for lba := uint64(0); lba < 360000; lba++ {
+		s.Write(lun, lba, 1)
+		if s.pendingBlocks >= 8192 {
+			s.CP()
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	round := func() {
+		for i := 0; i < 4096; i++ {
+			s.Write(lun, uint64(rng.Intn(360000)), 1)
+		}
+		s.CP()
+	}
+	for i := 0; i < 6; i++ {
+		round()
+	}
+	if !s.InFlight() {
+		t.Fatal("no generation in flight after a depth-2 CP")
+	}
+	for _, g := range s.Agg.Groups() {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rg%d: cleaning with a generation in flight did not panic", g.Index)
+				}
+			}()
+			s.CleanBestAAs(g, 24)
+		}()
+	}
+	round()
+	s.Drain()
+	if rep := s.Agg.Scrub(); !rep.Clean() {
+		t.Fatalf("scrub: %v", rep)
+	}
+}
+
 func TestCleanerRequiresCache(t *testing.T) {
 	tun := Tunables{AggregateCacheEnabled: false, VolCacheEnabled: true}
 	s := testSystem(t, tun)

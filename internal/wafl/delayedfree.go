@@ -83,9 +83,9 @@ func (d *delayedFrees) pop() (aa.ID, []block.VBN, bool) {
 
 // absorb moves every queued free from o into d, in AA order so HBPS
 // insertion sequence — and hence reclamation order — stays deterministic.
-// Used at pipelined generation handoff: the sealed queue absorbs whatever
-// the previous sealed generation's budget left behind (the carryover), and
-// scores stay HBPS-consistent because each AA updates by its whole bulk.
+// Used at the depth-2 generation handoff: the sealed queue, still holding
+// whatever its budget left behind (the carryover), absorbs the open one,
+// and scores stay HBPS-consistent because each AA updates by its whole bulk.
 func (d *delayedFrees) absorb(o *delayedFrees) {
 	for _, id := range sortedIDs(o.pending) {
 		vs := o.pending[id]
@@ -117,43 +117,25 @@ func (v *FlexVol) PendingFrees() int {
 	return n
 }
 
-// reclaimSealedFrees applies queued frees from the SEALED generation's
-// queue, best-AA-first, until the budget is exhausted (budget <= 0 means
-// unlimited). Unlike reclaimDelayedFrees it credits the score drops to the
-// sealed flushDeltas bank — the frees belong to the committing CP, not the
-// open one — so the flush-time cache fold settles them with the rest of the
-// generation. Whatever the budget leaves behind stays in the sealed queue
-// and is carried into the next generation at the following seal (absorb).
-func (s *agnosticSpace) reclaimSealedFrees(budget int) (freed, aas int) {
-	if s.delayedSealed == nil {
-		return 0, 0
-	}
-	for s.delayedSealed.count > 0 && (budget <= 0 || freed < budget) {
-		id, vs, ok := s.delayedSealed.pop()
-		if !ok {
-			break
-		}
-		for _, v := range vs {
-			if !s.bm.Clear(v) {
-				panic(fmt.Sprintf("wafl: delayed free of unallocated %v in %s", v, s.name))
-			}
-			s.flushDeltas[id]++
-			freed++
-		}
-		aas++
-	}
-	return freed, aas
-}
-
 // reclaimDelayedFrees applies queued frees, best-AA-first, until the budget
 // is exhausted (budget <= 0 means unlimited). Whole AAs are processed at a
-// time; it returns blocks freed and AAs processed.
-func (s *agnosticSpace) reclaimDelayedFrees(budget int) (freed, aas int) {
-	if s.delayed == nil {
+// time; it returns blocks freed and AAs processed. The open queue credits
+// its score drops to the open ledgers; the sealed queue credits the sealed
+// flushDeltas bank — its frees belong to the committing CP, not the open
+// one — so the flush-time cache fold settles them with the rest of the
+// generation. Whatever the budget leaves behind stays queued; a sealed
+// leftover is carried into the next generation at the following seal
+// (absorb).
+func (s *agnosticSpace) reclaimDelayedFrees(sealed bool, budget int) (freed, aas int) {
+	q := s.delayed
+	if sealed {
+		q = s.delayedSealed
+	}
+	if q == nil {
 		return 0, 0
 	}
-	for s.delayed.count > 0 && (budget <= 0 || freed < budget) {
-		id, vs, ok := s.delayed.pop()
+	for q.count > 0 && (budget <= 0 || freed < budget) {
+		id, vs, ok := q.pop()
 		if !ok {
 			break
 		}
@@ -161,7 +143,11 @@ func (s *agnosticSpace) reclaimDelayedFrees(budget int) (freed, aas int) {
 			if !s.bm.Clear(v) {
 				panic(fmt.Sprintf("wafl: delayed free of unallocated %v in %s", v, s.name))
 			}
-			s.as.noteFree(id, s.deltas)
+			if sealed {
+				s.flushDeltas[id]++
+			} else {
+				s.as.noteFree(id, s.deltas)
+			}
 			freed++
 		}
 		aas++

@@ -64,7 +64,7 @@ func (ag *Aggregate) allocateFromMedia(media aa.Media, n int, match bool) []bloc
 // referent — active image and snapshots — is repointed. Must run at a CP
 // boundary. Returns the number of blocks demoted.
 func (s *System) Demote(l *LUN, select_ func(lba uint64) bool) int {
-	if s.pendingBlocks > 0 {
+	if !s.atBoundary() {
 		panic("wafl: Demote must run at a CP boundary")
 	}
 	reverse := s.buildReverseMap()

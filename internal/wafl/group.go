@@ -65,11 +65,11 @@ type Group struct {
 	// cpWrites collects the physical VBNs allocated since the last CP.
 	cpWrites []block.VBN
 
-	// Pipelined-CP double buffering (see system.go cpPipelined): at seal,
-	// deltas/cpWrites/pendingCS swap into these banks while the open
-	// generation keeps accumulating into fresh ones; the banks flush and
-	// fold when the sealed generation commits. Nil/empty on the classic
-	// path.
+	// Flush banks (see pipeline.go): at seal, deltas/cpWrites/pendingCS swap
+	// into these while the open side keeps accumulating; the banks flush
+	// and fold when the sealed generation commits — at once at depth 1, a
+	// boundary later at depth 2 — and are empty in between. Remount nils
+	// them.
 	flushDeltas map[aa.ID]int64
 	flushWrites []block.VBN
 	flushCS     []uint64
@@ -569,60 +569,33 @@ func (g *Group) free(bm *bitmap.Bitmap, v block.VBN, trim bool) {
 	}
 }
 
-// flushCP classifies this CP's writes into tetrises, charges the device
-// models (data chains first, then any queued out-of-band AZCS checksum
-// writes), and returns the time the flush kept the group's devices busy.
-func (g *Group) flushCP() time.Duration {
-	if len(g.cpWrites) == 0 && len(g.pendingCS) == 0 {
-		return 0
-	}
-	var busy time.Duration
-	tetrises := raid.BuildTetrises(g.geo, g.cpWrites)
-	g.cpWrites = g.cpWrites[:0]
-	for i := range tetrises {
-		t := &tetrises[i]
-		g.raidStats.Add(t)
-		for _, c := range t.Chains {
-			busy += g.chargeChain(c)
-		}
-		// Parity devices rewrite one block per touched stripe; for
-		// AA-directed writes these are contiguous runs.
-		if g.geo.ParityDevices > 0 && t.StripesTouched > 0 {
-			busy += g.parity.WriteChain(t.Tetris*block.StripesPerTetris, uint64(t.ParityWriteBlocks))
-			if t.ParityReadBlocks > 0 {
-				busy += g.parity.Read(uint64(t.ParityReadBlocks))
-			}
-		}
-	}
-	for _, cs := range g.pendingCS {
-		for d := range g.devices {
-			g.azcsRandomWrites++
-			busy += g.devices[d].WriteChain(cs, 1)
-		}
-	}
-	g.pendingCS = g.pendingCS[:0]
-	g.deviceBusy += busy
-	return busy
-}
-
-// sealCP closes the open generation for a pipelined CP: shard ledgers fold
-// into the shared delta map (the classic deterministic order), then the
-// delta map, the CP's write set, and the queued AZCS checksum positions all
-// swap into the flush banks while fresh open structures take their place.
+// sealCP closes the open generation: shard ledgers fold into the shared
+// delta map (shard-index order, IDs sorted within each shard, so the merged
+// totals are identical at any worker width), then the delta map, the write
+// set, and the queued AZCS checksum positions swap with the flush banks.
+// The banks are empty here — the previous generation's flush drained them —
+// so the swap hands the open side their retained capacity instead of
+// reallocating it every CP.
 func (g *Group) sealCP() {
 	g.as.fold(g.deltas)
-	g.flushDeltas = g.deltas
-	g.deltas = make(map[aa.ID]int64)
-	g.flushWrites = g.cpWrites
-	g.cpWrites = nil
-	g.flushCS = g.pendingCS
-	g.pendingCS = nil
+	if g.flushDeltas == nil {
+		g.flushDeltas = make(map[aa.ID]int64)
+	}
+	g.deltas, g.flushDeltas = g.flushDeltas, g.deltas
+	g.cpWrites, g.flushWrites = g.flushWrites[:0], g.cpWrites
+	g.pendingCS, g.flushCS = g.flushCS[:0], g.pendingCS
+	if g.sh != nil {
+		// Held shard batches carry the generation they were staged under,
+		// which the depth-2 watchdog pins against the current one.
+		g.sh.AdvanceGen()
+	}
 }
 
-// flushSealedCP is flushCP over the sealed generation's banks: it charges
-// the device models for the writes sealed one generation ago while the open
-// generation keeps allocating.
-func (g *Group) flushSealedCP() time.Duration {
+// flushSealed classifies the sealed generation's writes into tetrises,
+// charges the device models (data chains first, then any queued out-of-band
+// AZCS checksum writes), and returns the time the flush kept the group's
+// devices busy.
+func (g *Group) flushSealed() time.Duration {
 	if len(g.flushWrites) == 0 && len(g.flushCS) == 0 {
 		return 0
 	}
@@ -635,6 +608,8 @@ func (g *Group) flushSealedCP() time.Duration {
 		for _, c := range t.Chains {
 			busy += g.chargeChain(c)
 		}
+		// Parity devices rewrite one block per touched stripe; for
+		// AA-directed writes these are contiguous runs.
 		if g.geo.ParityDevices > 0 && t.StripesTouched > 0 {
 			busy += g.parity.WriteChain(t.Tetris*block.StripesPerTetris, uint64(t.ParityWriteBlocks))
 			if t.ParityReadBlocks > 0 {
@@ -678,7 +653,7 @@ func (g *Group) chargeChain(c raid.Chain) time.Duration {
 // region boundaries (§3.2.4, Fig. 4 B vs C): the straddled regions' data is
 // split across AAs written at different times, so their shared checksum
 // block must be updated with a separate random write. The writes are issued
-// by flushCP after the CP's data chains.
+// by flushSealed after the CP's data chains.
 func (g *Group) queueAZCSBoundaries(id aa.ID) {
 	from, to := g.topo.StripeRange(id)
 	if to == from {
@@ -696,57 +671,23 @@ func (g *Group) queueAZCSBoundaries(id aa.ID) {
 	}
 }
 
-// applyCPDeltas folds the batched score changes into the AA cache at the CP
-// boundary (§3.3).
-func (g *Group) applyCPDeltas() {
-	// Fold the shard ledgers into the shared delta map first: shard-index
-	// order, IDs sorted within each shard, so the merged totals — and the
-	// heap updates below — are identical at any worker width.
-	g.as.fold(g.deltas)
+// foldSealed folds the sealed generation's batched score changes into the
+// AA cache when its flush commits (§3.3). Deltas the fold cannot apply yet —
+// the allocator's in-flight AA, or an AA a seed-only cache does not track —
+// merge back into the open map, so finishAA / the background fill settle
+// them. idleRow also emits the trace row when the bank is empty (the depth-1
+// stream has one row per group per CP; depth 2 only reports groups with
+// deltas).
+func (g *Group) foldSealed(idleRow bool) {
 	if !g.cacheEnabled {
-		for id := range g.deltas {
-			delete(g.deltas, id)
-		}
+		clear(g.flushDeltas)
+		return
+	}
+	if len(g.flushDeltas) == 0 && !idleRow {
 		return
 	}
 	// Sorted order keeps the heap's tie-break (insertion sequence) — and
 	// hence pick order — identical run to run.
-	var folds int64
-	for _, id := range sortedIDs(g.deltas) {
-		d := g.deltas[id]
-		if g.curValid && id == g.curAA {
-			continue // still held by the allocator; folded in at finishAA
-		}
-		if !g.cache.Tracked(id) {
-			continue // seed-only cache: background fill will insert it
-		}
-		s := int64(g.cache.Score(id)) + d
-		if s < 0 {
-			s = 0
-		}
-		g.cache.Update(id, uint64(s))
-		g.cacheOps++
-		folds++
-		delete(g.deltas, id)
-	}
-	g.st.Emit("cp.fold.phys", g.Index, "heap_updates", 0, folds)
-}
-
-// applyFlushDeltas folds the sealed generation's delta bank into the AA
-// cache when its flush commits. Deltas the fold cannot apply yet — the
-// allocator's in-flight AA, or an AA a seed-only cache does not track —
-// merge back into the open map, so finishAA / the background fill settle
-// them exactly as they settle classic deltas.
-func (g *Group) applyFlushDeltas() {
-	if len(g.flushDeltas) == 0 {
-		return
-	}
-	if !g.cacheEnabled {
-		for id := range g.flushDeltas {
-			delete(g.flushDeltas, id)
-		}
-		return
-	}
 	var folds int64
 	for _, id := range sortedIDs(g.flushDeltas) {
 		d := g.flushDeltas[id]

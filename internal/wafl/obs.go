@@ -131,7 +131,7 @@ func (o *ObsOptions) normalized() ObsOptions {
 // kept clear of volume indexes (volumes may be added after the pool).
 const poolShard = 1 << 20
 
-// cpTotals accumulates the CPStats of every CommitCP — the single write
+// cpTotals accumulates the CPStats of every commitSealed — the single write
 // point the cp.* registry metrics read through.
 type cpTotals struct {
 	cps         uint64
@@ -304,7 +304,7 @@ func (ag *Aggregate) initObs() {
 		return uint64(ag.AllocPickWall(ag.workers()))
 	})
 
-	// SLO engine: System.CP calls Evaluate after the tsdb Sample for the
+	// SLO engine: the CP tail calls Evaluate after the tsdb Sample for the
 	// same CP, so CSV/live rows see the slo.* counters with a one-CP lag.
 	// The counters are registered unconditionally (nil engine reads 0) so
 	// the metric set does not depend on arming.
@@ -405,8 +405,8 @@ func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, prefix string, shard in
 		// series (Config.HistBuckets) for windowed burn-rate queries.
 		sp.lat = ag.reg.Histogram(prefix+"lat_ns", obs.LatencyBuckets)
 		// Per-stage latency attribution: always-on accumulators whose sum
-		// equals the histogram's observed total exactly (see System.CP and
-		// System.Read), surfaced as vol.<name>.attr.<stage>_ns counters and
+		// equals the histogram's observed total exactly (see attributeWrites
+		// and System.Read), surfaced as vol.<name>.attr.<stage>_ns counters and
 		// hence tsdb series — the "where do the nanoseconds go" profile.
 		for _, stage := range optrace.Stages() {
 			stage := stage
@@ -485,6 +485,111 @@ func (s *System) registerSystemObs() {
 	reg.VolatileCounterFunc("cp.pipeline.serial_wall_ns", func() uint64 { return uint64(s.pipe.serialWall) })
 }
 
+// attributeWrites feeds the write-side observers for one committed
+// generation: the latency SLI, the per-stage attribution accumulators, and
+// the pending write traces. Every block the generation committed shares its
+// worker-invariant modeled cost (device time, metafile CPU, the alloc
+// stage's virtual-scan and cache CPU carried in gen, the fold's cache CPU)
+// evenly, on top of the per-op base CPU charge. FlushWall is deliberately
+// excluded: it varies with worker width, and the SLO engine requires
+// invariant inputs.
+//
+// The per-block share is split by stage in the same proportions as the CP
+// cost it came from, with the device stage absorbing the integer rounding
+// remainder: the stages then sum to perBlock exactly, so the attribution
+// accumulators reconcile with the histogram total to the nanosecond
+// (optrace.attr_coverage == 1.0). The float64 scaling is deterministic —
+// IEEE ops on worker-invariant integers. gBusy is the per-group device busy
+// snapshotted before the flush (nil when no trace is pending).
+func (s *System) attributeWrites(gen cpGen, deviceBusy, metaNS, foldCache time.Duration, gBusy []time.Duration) {
+	if gen.totalBlocks == 0 {
+		return
+	}
+	cacheCPU := gen.allocCache + foldCache
+	cpCost := deviceBusy + metaNS + gen.allocScan + cacheCPU
+	cpPer := uint64(cpCost) / gen.totalBlocks
+	base := uint64(s.tun.CPUBasePerOp)
+	perBlock := base + cpPer
+	var metaPer, scanPer, cachePer, devPer uint64
+	if cpCost > 0 {
+		fc := float64(cpPer) / float64(cpCost)
+		metaPer = uint64(fc * float64(metaNS))
+		scanPer = uint64(fc * float64(gen.allocScan))
+		cachePer = uint64(fc * float64(cacheCPU))
+		devPer = cpPer - metaPer - scanPer - cachePer
+	}
+	for _, v := range s.Agg.vols {
+		if n := gen.volBlocks[v]; n > 0 {
+			sp := v.space
+			sp.lat.ObserveN(perBlock, n)
+			sp.attr[optrace.StageBase] += n * base
+			sp.attr[optrace.StageDevice] += n * devPer
+			sp.attr[optrace.StageMetafile] += n * metaPer
+			sp.attr[optrace.StageScan] += n * scanPer
+			sp.attr[optrace.StageCache] += n * cachePer
+		}
+	}
+	// Record the pending write traces: one per sampled (volume, CP) batch,
+	// span durations from the same stage split the accumulators used, plus
+	// a zero-duration allocator annotation (pick provenance, stall/refill
+	// activity) and per-group flush leaf spans scaled to the op's device
+	// share.
+	for _, v := range s.Agg.vols {
+		c := gen.cands[v]
+		if c == nil || gen.volBlocks[v] == 0 {
+			continue
+		}
+		sp := v.space
+		rec, slow := sp.tr.Decide(c.sampled, perBlock)
+		if !rec {
+			continue
+		}
+		var flushTotal time.Duration
+		for gi, g := range s.Agg.groups {
+			flushTotal += g.deviceBusy - gBusy[gi]
+		}
+		var leaves []optrace.Span
+		if devPer > 0 && flushTotal > 0 {
+			for gi, g := range s.Agg.groups {
+				if d := g.deviceBusy - gBusy[gi]; d > 0 {
+					leaves = append(leaves, optrace.Span{
+						Name:  fmt.Sprintf("rg%d", g.Index),
+						DurNS: uint64(float64(devPer) * float64(d) / float64(flushTotal)),
+					})
+				}
+			}
+		}
+		pk := sp.lastPick
+		alloc := optrace.Span{
+			Name: "alloc",
+			Detail: fmt.Sprintf("aa=%d score=%d runner_up=%d reason=%s stalls=%d refills=%d",
+				pk.aa, pk.score, pk.runner, pk.reason,
+				sp.as.stalls-c.stalls0, sp.replenishes-c.replenishes0),
+		}
+		if d := sp.as.stallBusy - c.stallBusy0; d > 0 {
+			alloc.Children = append(alloc.Children, optrace.Span{
+				Name: "stall", Detail: fmt.Sprintf("busy_ns=%d", d)})
+		}
+		if d := sp.as.refillBusy - c.refillBusy0; d > 0 {
+			alloc.Children = append(alloc.Children, optrace.Span{
+				Name: "refill", Detail: fmt.Sprintf("busy_ns=%d", d)})
+		}
+		sp.tr.Add(optrace.Trace{
+			ID: c.id, Kind: optrace.KindWrite.String(), Seq: c.seq, CP: s.c.CPs,
+			AtNS:  int64(s.c.DeviceBusy + s.c.CPUTime),
+			LatNS: perBlock, Blocks: gen.volBlocks[v], Slow: slow,
+			Spans: []optrace.Span{
+				{Name: optrace.StageBase.String(), DurNS: base},
+				alloc,
+				{Name: optrace.StageDevice.String(), DurNS: devPer, Children: leaves},
+				{Name: optrace.StageMetafile.String(), DurNS: metaPer},
+				{Name: optrace.StageScan.String(), DurNS: scanPer},
+				{Name: optrace.StageCache.String(), DurNS: cachePer},
+			},
+		})
+	}
+}
+
 // CountersFromSnapshot reconstructs the cumulative Counters from a registry
 // snapshot. The derived-view equivalence test asserts this equals
 // System.Counters() exactly — the registry and the struct can never drift
@@ -505,7 +610,7 @@ func CountersFromSnapshot(snap obs.Snapshot) Counters {
 }
 
 // CPStatsFromRegistry reconstructs the cumulative CP totals from the
-// registry — the sum of every CPStats CommitCP has returned.
+// registry — the sum of every CPStats a committed generation returned.
 func CPStatsFromRegistry(reg *obs.Registry) CPStats {
 	snap := reg.Snapshot()
 	return CPStats{

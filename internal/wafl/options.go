@@ -123,11 +123,12 @@ type Tunables struct {
 	// Pipeline overlaps consecutive consistency points the way production
 	// WAFL does: writes allocate into CP n+1 while CP n flushes, so the
 	// modeled sustained-write wall per generation is max(alloc, flush)
-	// instead of their sum. Delta ledgers are double-buffered (sealed
-	// generation vs open generation) and delayed frees carry a second,
-	// sealed queue so frees landing mid-flush credit the correct CP (see
-	// system.go cpPipelined and DESIGN.md §12). False keeps the classic
-	// stop-the-world CP byte-for-byte.
+	// instead of their sum. It is the depth of the one CP engine
+	// (pipeline.go, DESIGN.md §12): false is depth 1, the stop-the-world CP
+	// that seals and flushes what it just allocated; true is depth 2, where
+	// a boundary flushes the generation sealed one boundary earlier and
+	// delayed frees carry a second, sealed queue so frees landing mid-flush
+	// credit the correct CP.
 	Pipeline bool
 
 	// Obs configures the observability layer (metric export, CP-phase

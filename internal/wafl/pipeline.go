@@ -2,6 +2,7 @@ package wafl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,30 +13,35 @@ import (
 	"waflfs/internal/parallel"
 )
 
-// Pipelined consistency points (Tunables.Pipeline). Production WAFL never
-// stops the world for a CP: while CP n's dirty data drains to disk, the
-// frontend keeps accepting writes that allocate into CP n+1. This file
-// models that overlap on the deterministic clock. Each CP boundary:
+// The consistency-point engine. There is one CP, made of six stages:
 //
-//  1. allocates the pending writes into the OPEN generation (the classic
-//     phase-1 mechanics, byte for byte),
-//  2. if a generation is in flight, commits it — flush, cache fold,
-//     metafile write-back — from the SEALED banks (CommitPipelinedCP),
-//  3. seals the open generation: delta ledgers, write sets, AZCS queues,
-//     pool banks, and delayed-free queues all swap into the flush banks
-//     while fresh open structures take their place,
-//  4. charges the modeled wall max(alloc_open, flush_sealed) instead of
-//     their sum — the overlap win the cp.pipeline.* metrics expose.
+//	alloc     dirty blocks get their dual VBNs, old versions are freed (COW)
+//	reclaim   queued delayed frees are applied, most-pending-AA-first
+//	seal      the open banks (delta ledgers, write sets, AZCS queues, pool
+//	          blocks) swap into the flush banks
+//	flush     the sealed banks commit: tetris flush, delta fold, TopAA,
+//	          bitmap write-back (Aggregate.commitSealed)
+//	attribute the committed generation's cost feeds the write-side latency
+//	          SLI, per-stage attribution and op traces (attributeWrites)
+//	tail      modeled clock, watchdogs, CSV, tsdb, SLO, control
+//
+// and two depths (Tunables.Pipeline), which differ only in WHICH generation
+// a boundary flushes. At depth 1 — the stop-the-world CP — a boundary seals
+// what it just allocated and flushes it. At depth 2 a boundary flushes the
+// generation sealed at the PREVIOUS boundary while (on the modeled clock)
+// its own allocation runs, the way production WAFL never stops the world:
+// the boundary's wall is max(alloc, flush) instead of their sum, and the
+// last generation stays in flight until the next boundary or Drain.
 //
 // Every measured counter stays worker-count invariant; only the modeled
 // walls (alloc via parallel.Makespan, flush via CPStats.FlushWall) vary
-// with Tunables.Workers, exactly like the classic FlushWall. The final
-// generation stays in flight until the next boundary — callers reading
-// artifacts (snapshots, refcount checks, benches) must Drain() first.
+// with Tunables.Workers. Callers reading artifacts of a depth-2 system
+// (snapshots, refcount checks, benches, remounts) must Drain() first.
 
-// pipeCand is a pending write-trace candidate carried from a generation's
-// alloc phase to its flush — the pipelined analogue of CP()'s writeCand.
-type pipeCand struct {
+// writeCand is a pending write-trace candidate, carried from a generation's
+// alloc stage to its flush. The blocks a volume commits in one CP share one
+// modeled latency, so one candidate per (volume, CP) stands for the batch.
+type writeCand struct {
 	id, seq      uint64
 	sampled      bool
 	stalls0      uint64
@@ -44,28 +50,24 @@ type pipeCand struct {
 	refillBusy0  time.Duration
 }
 
-// pipeGen is the metadata of a sealed generation, captured at seal so its
-// flush can attribute latency and traces to the CP the writes belong to.
-type pipeGen struct {
-	// ord is the CP ordinal this generation commits as.
-	ord         uint64
+// cpGen is what the alloc stage records about a generation so that its
+// flush — one boundary later at depth 2 — can attribute latency and traces
+// to the CP the writes belong to.
+type cpGen struct {
 	volBlocks   map[*FlexVol]uint64
 	totalBlocks uint64
-	cands       map[*FlexVol]*pipeCand
-	// allocScan/allocCache are the CPU charges of the generation's alloc
-	// phase, carried here so the flush-time latency SLI covers the whole
-	// generation cost.
+	cands       map[*FlexVol]*writeCand
+	// allocScan/allocCache are the CPU charges of the alloc stage, carried
+	// so the flush-time latency SLI covers the whole generation cost.
 	allocScan  time.Duration
 	allocCache time.Duration
-	// allocWall is the modeled wall-clock of the alloc phase.
-	allocWall time.Duration
 }
 
-// cpPipeline is the System's pipelined-CP state plus the cp.pipeline.*
-// accumulators. Zero-valued (and untouched) when Pipeline is off.
+// cpPipeline is the System's sealed-generation state plus the
+// cp.pipeline.* accumulators, which only depth 2 advances.
 type cpPipeline struct {
 	inFlight bool
-	gen      pipeGen
+	gen      cpGen
 
 	// generations counts sealed generations (worker-invariant).
 	generations uint64
@@ -102,7 +104,7 @@ func (p PipelineStats) OverlapGain() float64 {
 	return float64(p.SerialWall) / float64(p.PipelinedWall)
 }
 
-// PipelineStats returns the pipelined-CP accounting.
+// PipelineStats returns the pipelined-CP accounting (zero at depth 1).
 func (s *System) PipelineStats() PipelineStats {
 	return PipelineStats{
 		Generations:   s.pipe.generations,
@@ -114,30 +116,136 @@ func (s *System) PipelineStats() PipelineStats {
 }
 
 // InFlight reports whether a sealed generation is still awaiting its flush
-// (Drain commits it).
+// (Drain commits it). Always false between depth-1 boundaries.
 func (s *System) InFlight() bool { return s.pipe.inFlight }
 
-// cpPipelined is the pipelined CP boundary (see the file comment for the
-// stage order). It returns the CPStats of the generation that COMMITTED at
-// this boundary — zero at the first boundary, when nothing was in flight.
-func (s *System) cpPipelined() CPStats {
-	cacheOpsBefore := s.cacheOps()
-	scanBefore := s.virtScanBlocks()
-	ord := s.c.CPs + 1
-	if s.pipe.inFlight {
-		ord = s.c.CPs + 2 // the in-flight generation commits first
+// atBoundary reports whether the system is quiesced: no dirty blocks
+// buffered and no sealed generation awaiting its flush. Operations that
+// mutate block ownership outside a CP (snapshots, punches, tiering,
+// cleaning, demotion) require it — with a generation in flight their score
+// changes would race the sealed delta bank.
+func (s *System) atBoundary() bool { return s.pendingBlocks == 0 && !s.pipe.inFlight }
+
+// CP runs one consistency-point boundary: dirty blocks get their dual VBNs
+// (virtual from each volume's HBPS-guided allocator, physical from the
+// tetris round-robin over RAID groups), previous block versions are freed
+// (COW), tetrises are flushed, caches updated, metafiles written back. It
+// returns the CPStats of the generation that COMMITTED at this boundary: at
+// depth 1 the one just written, at depth 2 the one sealed a boundary ago —
+// zero at the first boundary, when nothing was in flight.
+func (s *System) CP() CPStats {
+	overlap := s.pipe.inFlight // depth 2 only: depth 1 never leaves a generation behind
+	s.Agg.cpOrd = s.c.CPs + 1  // provenance records carry the CP being built
+	phase := faultinject.PhaseAlloc
+	if overlap {
+		s.Agg.cpOrd++ // the in-flight generation commits first
+		phase = faultinject.PhaseOverlapAlloc
 	}
-	s.Agg.cpOrd = ord
 	s.Agg.st.BeginCP()
 	s.Agg.faults.BeginCP()
-	if s.pipe.inFlight {
-		s.Agg.faults.EnterPhase(faultinject.PhaseOverlapAlloc)
-	} else {
-		s.Agg.faults.EnterPhase(faultinject.PhaseAlloc)
+	s.Agg.faults.EnterPhase(phase)
+	gen := s.allocGeneration()
+
+	if !s.tun.Pipeline {
+		// Depth 1: reclaim into the open banks, then seal and flush the
+		// generation just allocated. Reclaim draws from the long-lived open
+		// queue — routing it through the sealed queue would re-insert AAs in
+		// sorted order and change which ones a finite budget reaches.
+		s.Agg.faults.EnterPhase(faultinject.PhaseDelayedFree)
+		s.reclaimDelayed(false)
+		s.sealGeneration(gen)
+		st := s.flushGeneration(true)
+		s.cpWall += st.FlushWall
+		s.tail()
+		return st
 	}
 
-	// Open-generation allocation: identical mechanics to classic phase 1
-	// (sorted LUN order, trace candidates, dual-VBN assignment, COW frees).
+	// Depth 2: commit the generation sealed a boundary ago while (logically)
+	// the allocation above was running, then seal the new one behind it. The
+	// sealed delayed-free queue absorbs the open one, including whatever the
+	// budget left behind.
+	var st CPStats
+	if overlap {
+		st = s.commitInFlight()
+	}
+	for _, v := range s.Agg.vols {
+		if sp := v.space; sp.delayed != nil {
+			if sp.delayedSealed == nil {
+				sp.delayedSealed = newDelayedFrees()
+			}
+			sp.delayedSealed.absorb(sp.delayed)
+		}
+	}
+	s.sealGeneration(gen)
+	s.pipe.generations++
+	s.chargeOverlap(s.allocWall(gen), st.FlushWall)
+	if overlap {
+		s.tail()
+	}
+	return st
+}
+
+// Drain commits the in-flight generation of a depth-2 System, with no new
+// allocation to overlap it — a quiesce point. No-op (zero CPStats) when
+// nothing is in flight, which at depth 1 is always. Callers must Drain
+// before reading artifacts that assume all CPs have committed: snapshots at
+// a boundary, refcount checks, bench counters, remounts.
+func (s *System) Drain() CPStats {
+	if !s.pipe.inFlight {
+		return CPStats{}
+	}
+	s.Agg.cpOrd = s.c.CPs + 1
+	s.Agg.st.BeginCP()
+	s.Agg.faults.BeginCP()
+	st := s.commitInFlight()
+	s.chargeOverlap(0, st.FlushWall)
+	s.tail()
+	return st
+}
+
+// commitInFlight is the depth-2 flush of the generation sealed a boundary
+// ago: its delayed frees reclaim into the sealed banks, which then commit.
+func (s *System) commitInFlight() CPStats {
+	s.Agg.faults.EnterPhase(faultinject.PhaseOverlapFlush)
+	s.reclaimDelayed(true)
+	return s.flushGeneration(false)
+}
+
+// chargeOverlap books one depth-2 boundary's modeled wall: max(alloc,
+// flush), not their sum — the overlap win the cp.pipeline.* metrics expose.
+func (s *System) chargeOverlap(allocWall, flushWall time.Duration) {
+	wall := max(allocWall, flushWall)
+	s.cpWall += wall
+	s.pipe.allocWall += allocWall
+	s.pipe.flushWall += flushWall
+	s.pipe.pipedWall += wall
+	s.pipe.serialWall += allocWall + flushWall
+}
+
+// allocWall is the modeled wall-clock of a generation's alloc stage: each
+// volume's allocation work (its blocks at the base per-op cost) is
+// volume-local, so it fans out over the work pool the way the flush fans
+// out over groups.
+func (s *System) allocWall(gen cpGen) time.Duration {
+	volBusy := make([]time.Duration, 0, len(s.Agg.vols))
+	for _, v := range s.Agg.vols {
+		if n := gen.volBlocks[v]; n > 0 {
+			volBusy = append(volBusy, time.Duration(n)*s.tun.CPUBasePerOp)
+		}
+	}
+	return parallel.Makespan(volBusy, s.Agg.workers())
+}
+
+// allocGeneration is the alloc stage: write allocation + COW frees, volume
+// by volume, into the open banks. Its CPU (virtual-bitmap sweep, cache
+// picks) is charged here and carried in the returned cpGen.
+func (s *System) allocGeneration() cpGen {
+	cacheOpsBefore := s.cacheOps()
+	scanBefore := s.virtScanBlocks()
+	// The pending map is iterated in sorted (volume, LUN) order: map order
+	// would assign VBNs to LUNs differently run to run whenever more than
+	// one LUN is dirty, leaking nondeterminism into every downstream read
+	// and free.
 	luns := make([]*LUN, 0, len(s.pending))
 	for l := range s.pending {
 		luns = append(luns, l)
@@ -148,9 +256,10 @@ func (s *System) cpPipelined() CPStats {
 		}
 		return luns[i].Name < luns[j].Name
 	})
-	volBlocks := make(map[*FlexVol]uint64, len(s.Agg.vols))
-	var totalBlocks uint64
-	cands := make(map[*FlexVol]*pipeCand)
+	gen := cpGen{
+		volBlocks: make(map[*FlexVol]uint64, len(s.Agg.vols)),
+		cands:     make(map[*FlexVol]*writeCand),
+	}
 	for _, l := range luns {
 		dirty := s.pending[l]
 		n := len(dirty)
@@ -158,10 +267,14 @@ func (s *System) cpPipelined() CPStats {
 			continue
 		}
 		vol := l.vol
+		// Op tracing: Begin draws the volume's deterministic write sequence
+		// number before its first allocation; while the volume allocates,
+		// the sampled trace ID rides along in curTID so its pick-provenance
+		// records cross-reference the trace.
 		if sp := vol.space; sp.tr != nil {
-			if _, ok := cands[vol]; !ok {
+			if _, ok := gen.cands[vol]; !ok {
 				id, seq, smp := sp.tr.Begin(optrace.KindWrite)
-				cands[vol] = &pipeCand{
+				gen.cands[vol] = &writeCand{
 					id: id, seq: seq, sampled: smp,
 					stalls0: sp.as.stalls, replenishes0: sp.replenishes,
 					stallBusy0: sp.as.stallBusy, refillBusy0: sp.as.refillBusy,
@@ -171,8 +284,8 @@ func (s *System) cpPipelined() CPStats {
 				}
 			}
 		}
-		volBlocks[vol] += uint64(n)
-		totalBlocks += uint64(n)
+		gen.volBlocks[vol] += uint64(n)
+		gen.totalBlocks += uint64(n)
 		virt := vol.space.allocate(n)
 		var phys []block.VBN
 		if s.tun.FlashPool {
@@ -186,15 +299,18 @@ func (s *System) cpPipelined() CPStats {
 		if len(phys) < n {
 			panic("wafl: aggregate out of physical space")
 		}
+		// Deterministic iteration: sort the dirty LBAs.
 		lbas := make([]uint64, 0, n)
 		for lba := range dirty {
 			lbas = append(lbas, lba)
 		}
-		sortUint64s(lbas)
+		slices.Sort(lbas)
 		for i, lba := range lbas {
 			vol.refNew(virt[i])
 			old, wasWritten := l.install(lba, blockPtr{virt: virt[i], phys: phys[i]})
 			if wasWritten {
+				// COW: drop the active image's reference; the old pair is
+				// freed unless a snapshot still holds it.
 				s.unref(vol, old)
 			}
 		}
@@ -204,116 +320,58 @@ func (s *System) cpPipelined() CPStats {
 	}
 	s.pendingBlocks = 0
 	s.opsSinceCP = 0
-	for vol := range cands {
+	for vol := range gen.cands {
 		vol.space.curTID = 0
 	}
-
-	// Charge the alloc phase's CPU now (worker-invariant), but carry the
-	// amounts in the generation so its flush-time SLI covers them.
-	allocScan := time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan
-	allocCache := time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
-	s.c.CPUTime += allocScan + allocCache
-	s.c.CacheCPUTime += allocCache
-
-	// Modeled alloc wall: each volume's allocation work (its blocks at the
-	// base per-op cost) is volume-local, so it fans out over the work pool
-	// the way the flush fans out over groups.
-	volBusy := make([]time.Duration, 0, len(s.Agg.vols))
-	for _, v := range s.Agg.vols {
-		if n := volBlocks[v]; n > 0 {
-			volBusy = append(volBusy, time.Duration(n)*s.tun.CPUBasePerOp)
-		}
-	}
-	allocWall := parallel.Makespan(volBusy, s.Agg.workers())
-
-	// Commit the in-flight generation while (logically) the allocation
-	// above was running — the overlap the wall accounting below models.
-	var st CPStats
-	var flushWall time.Duration
-	committed := s.pipe.inFlight
-	if committed {
-		st = s.flushGeneration()
-		flushWall = st.FlushWall
-	}
-
-	// Seal the generation just allocated; it flushes at the next boundary.
-	s.sealGeneration(pipeGen{
-		ord: s.c.CPs + 1, volBlocks: volBlocks, totalBlocks: totalBlocks,
-		cands: cands, allocScan: allocScan, allocCache: allocCache,
-		allocWall: allocWall,
-	})
-
-	// The boundary's modeled wall is max(alloc, flush), not their sum.
-	wall := allocWall
-	if flushWall > wall {
-		wall = flushWall
-	}
-	s.cpWall += wall
-	s.pipe.allocWall += allocWall
-	s.pipe.flushWall += flushWall
-	s.pipe.pipedWall += wall
-	s.pipe.serialWall += allocWall + flushWall
-
-	if committed {
-		s.pipeTail()
-	}
-	return st
+	gen.allocScan = time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan
+	gen.allocCache = time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
+	s.c.CPUTime += gen.allocScan + gen.allocCache
+	s.c.CacheCPUTime += gen.allocCache
+	return gen
 }
 
-// sealGeneration swaps every open bank into the flush banks: group and
-// space delta ledgers (shard ledgers folded first, classic order), write
-// sets, AZCS queues, the pool's tiered-block bank, and the delayed-free
-// queues (the sealed queue absorbs the open one — including any budget
-// carryover already waiting there). Shard staging generations advance so
-// the watchdog can pin held batches to the generation they predate.
-func (s *System) sealGeneration(gen pipeGen) {
-	for _, g := range s.Agg.groups {
-		g.sealCP()
-		if g.sh != nil {
-			g.sh.AdvanceGen()
-		}
-	}
+// reclaimDelayed is the reclaim stage: every volume applies queued delayed
+// frees under the per-CP budget — from the open queue into the open banks
+// (depth 1, before the seal), or from the sealed queue into the sealed
+// banks (depth 2: the frees belong to the committing generation).
+func (s *System) reclaimDelayed(sealed bool) {
 	for _, v := range s.Agg.vols {
-		sp := v.space
-		sp.sealCPDeltas()
-		if sp.delayed != nil {
-			if sp.delayedSealed == nil {
-				sp.delayedSealed = newDelayedFrees()
-			}
-			sp.delayedSealed.absorb(sp.delayed)
-		}
-		if sp.sh != nil {
-			sp.sh.AdvanceGen()
-		}
-	}
-	if p := s.Agg.pool; p != nil {
-		p.sealCP()
-		p.space.sealCPDeltas()
-		if p.space.sh != nil {
-			p.space.sh.AdvanceGen()
-		}
-	}
-	s.pipe.gen = gen
-	s.pipe.inFlight = true
-	s.pipe.generations++
-}
-
-// flushGeneration commits the sealed generation: sealed delayed frees are
-// reclaimed into the flush banks, the banks flush and fold with the classic
-// phase structure, and the generation's latency SLI and write traces are
-// attributed using the metadata captured at seal plus the flush-measured
-// costs — so attr coverage reconciles exactly, as on the classic path.
-func (s *System) flushGeneration() CPStats {
-	gen := s.pipe.gen
-	s.Agg.faults.EnterPhase(faultinject.PhaseOverlapFlush)
-	for _, v := range s.Agg.vols {
-		freed, aas := v.space.reclaimSealedFrees(s.tun.DelayedFreeBudgetPerCP)
+		freed, aas := v.space.reclaimDelayedFrees(sealed, s.tun.DelayedFreeBudgetPerCP)
 		if freed > 0 {
 			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "reclaim", 0, int64(freed))
 			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "aas_processed", 0, int64(aas))
 		}
 	}
+}
 
+// sealGeneration is the seal stage: every open bank swaps into its flush
+// bank — group and space delta ledgers (shard ledgers folded first), write
+// sets, AZCS queues, the pool's tiered-block count.
+func (s *System) sealGeneration(gen cpGen) {
+	for _, g := range s.Agg.groups {
+		g.sealCP()
+	}
+	for _, v := range s.Agg.vols {
+		v.space.sealCPDeltas()
+	}
+	if p := s.Agg.pool; p != nil {
+		p.flushBlocks += p.cpBlocks
+		p.cpBlocks = 0
+		p.space.sealCPDeltas()
+	}
+	s.pipe.gen = gen
+	s.pipe.inFlight = true
+}
+
+// flushGeneration is the flush stage: the sealed banks commit, the System
+// counters absorb the commit's cost, and the generation's latency SLI and
+// write traces are attributed from the metadata captured at alloc plus the
+// costs measured here. idleFoldRows is the depth-1 trace shape (see
+// Aggregate.commitSealed).
+func (s *System) flushGeneration(idleFoldRows bool) CPStats {
+	gen := s.pipe.gen
+	// When traces are pending, snapshot per-group device busy so their
+	// flush-time deltas can become device leaf spans.
 	var gBusy []time.Duration
 	if len(gen.cands) > 0 {
 		gBusy = make([]time.Duration, len(s.Agg.groups))
@@ -322,130 +380,27 @@ func (s *System) flushGeneration() CPStats {
 		}
 	}
 	cacheOpsBefore := s.cacheOps()
-	st := s.Agg.CommitPipelinedCP()
+	st := s.Agg.commitSealed(idleFoldRows)
 	s.c.CPs++
 	s.c.DeviceBusy += st.DeviceBusy
 	pages := uint64(st.MetafilePagesAggregate + st.MetafilePagesVols)
 	s.c.MetafilePages += pages
 	s.c.TopAABlocks += uint64(st.TopAABlocks)
 	metaNS := time.Duration(pages) * s.tun.CPUPerMetafilePage
-	s.c.CPUTime += metaNS
 	foldCache := time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
-	s.c.CPUTime += foldCache
+	s.c.CPUTime += metaNS + foldCache
 	s.c.CacheCPUTime += foldCache
-
-	// Latency SLI for the committed generation: same worker-invariant cost
-	// split as the classic CP, with the alloc-phase CPU carried over from
-	// seal time and the fold CPU measured here.
-	if gen.totalBlocks > 0 {
-		cpCost := st.DeviceBusy + metaNS + gen.allocScan + gen.allocCache + foldCache
-		cpPer := uint64(cpCost) / gen.totalBlocks
-		base := uint64(s.tun.CPUBasePerOp)
-		perBlock := base + cpPer
-		var metaPer, scanPer, cachePer, devPer uint64
-		if cpCost > 0 {
-			fc := float64(cpPer) / float64(cpCost)
-			metaPer = uint64(fc * float64(metaNS))
-			scanPer = uint64(fc * float64(gen.allocScan))
-			cachePer = uint64(fc * float64(gen.allocCache+foldCache))
-			devPer = cpPer - metaPer - scanPer - cachePer
-		}
-		for _, v := range s.Agg.vols {
-			if n := gen.volBlocks[v]; n > 0 {
-				sp := v.space
-				sp.lat.ObserveN(perBlock, n)
-				sp.attr[optrace.StageBase] += n * base
-				sp.attr[optrace.StageDevice] += n * devPer
-				sp.attr[optrace.StageMetafile] += n * metaPer
-				sp.attr[optrace.StageScan] += n * scanPer
-				sp.attr[optrace.StageCache] += n * cachePer
-			}
-		}
-		for _, v := range s.Agg.vols {
-			c := gen.cands[v]
-			if c == nil || gen.volBlocks[v] == 0 {
-				continue
-			}
-			sp := v.space
-			rec, slow := sp.tr.Decide(c.sampled, perBlock)
-			if !rec {
-				continue
-			}
-			var flushTotal time.Duration
-			for gi, g := range s.Agg.groups {
-				flushTotal += g.deviceBusy - gBusy[gi]
-			}
-			var leaves []optrace.Span
-			if devPer > 0 && flushTotal > 0 {
-				for gi, g := range s.Agg.groups {
-					if d := g.deviceBusy - gBusy[gi]; d > 0 {
-						leaves = append(leaves, optrace.Span{
-							Name:  fmt.Sprintf("rg%d", g.Index),
-							DurNS: uint64(float64(devPer) * float64(d) / float64(flushTotal)),
-						})
-					}
-				}
-			}
-			pk := sp.lastPick
-			alloc := optrace.Span{
-				Name: "alloc",
-				Detail: fmt.Sprintf("aa=%d score=%d runner_up=%d reason=%s stalls=%d refills=%d",
-					pk.aa, pk.score, pk.runner, pk.reason,
-					sp.as.stalls-c.stalls0, sp.replenishes-c.replenishes0),
-			}
-			if d := sp.as.stallBusy - c.stallBusy0; d > 0 {
-				alloc.Children = append(alloc.Children, optrace.Span{
-					Name: "stall", Detail: fmt.Sprintf("busy_ns=%d", d)})
-			}
-			if d := sp.as.refillBusy - c.refillBusy0; d > 0 {
-				alloc.Children = append(alloc.Children, optrace.Span{
-					Name: "refill", Detail: fmt.Sprintf("busy_ns=%d", d)})
-			}
-			sp.tr.Add(optrace.Trace{
-				ID: c.id, Kind: optrace.KindWrite.String(), Seq: c.seq, CP: s.c.CPs,
-				AtNS:  int64(s.c.DeviceBusy + s.c.CPUTime),
-				LatNS: perBlock, Blocks: gen.volBlocks[v], Slow: slow,
-				Spans: []optrace.Span{
-					{Name: optrace.StageBase.String(), DurNS: base},
-					alloc,
-					{Name: optrace.StageDevice.String(), DurNS: devPer, Children: leaves},
-					{Name: optrace.StageMetafile.String(), DurNS: metaPer},
-					{Name: optrace.StageScan.String(), DurNS: scanPer},
-					{Name: optrace.StageCache.String(), DurNS: cachePer},
-				},
-			})
-		}
-	}
-	s.pipe.gen = pipeGen{}
+	s.attributeWrites(gen, st.DeviceBusy, metaNS, foldCache, gBusy)
+	s.pipe.gen = cpGen{}
 	s.pipe.inFlight = false
 	return st
 }
 
-// Drain commits the in-flight generation of a pipelined System, with no
-// new allocation to overlap it — a quiesce point. No-op (zero CPStats)
-// when nothing is in flight, including on the classic path. Callers must
-// Drain before reading artifacts that assume all CPs have committed:
-// snapshots at a boundary, refcount checks, bench counters, remounts.
-func (s *System) Drain() CPStats {
-	if !s.pipe.inFlight {
-		return CPStats{}
-	}
-	s.Agg.cpOrd = s.c.CPs + 1
-	s.Agg.st.BeginCP()
-	s.Agg.faults.BeginCP()
-	st := s.flushGeneration()
-	s.cpWall += st.FlushWall
-	s.pipe.flushWall += st.FlushWall
-	s.pipe.pipedWall += st.FlushWall
-	s.pipe.serialWall += st.FlushWall
-	s.pipeTail()
-	return st
-}
-
-// pipeTail is the classic CP tail (modeled-clock advance, watchdogs, CSV,
-// live publish, frag scan, tsdb sample, SLO evaluation), run once per
-// COMMITTED generation so the per-CP streams stay one row per CP ordinal.
-func (s *System) pipeTail() {
+// tail runs once per COMMITTED generation, so the per-CP streams stay one
+// row per CP ordinal: it advances the tracer's modeled clock by the
+// worker-invariant time accrued since the last commit, then records the
+// per-CP metric row and evaluates the SLO and control portfolios.
+func (s *System) tail() {
 	tot := s.c.DeviceBusy + s.c.CPUTime
 	s.Agg.st.Advance(tot - s.obsMark)
 	s.obsMark = tot
@@ -453,17 +408,29 @@ func (s *System) pipeTail() {
 	if rec := s.Agg.obsOpts.CSV; rec != nil {
 		rec.Record(s.Agg.obsOpts.Name, s.c.CPs, s.Agg.reg.Snapshot())
 	}
-	if l := s.Agg.obsOpts.Live; l != nil {
+	if l := s.Agg.obsOpts.Live; l != nil { // guard: don't snapshot when unused
 		l.Publish(s.Agg.obsOpts.Name, s.Agg.reg.Snapshot())
 	}
 	s.maybeFragScan()
 	if ts := s.Agg.obsOpts.TSDB; ts != nil {
+		// Sample every registered metric into the per-CP time-series ring,
+		// stamped with the worker-invariant modeled clock. StableSnapshot
+		// excludes volatile metrics, so the stored series are byte-identical
+		// across worker widths.
 		ts.Sample(s.Agg.obsOpts.Name, s.c.CPs, tot, s.Agg.reg.StableSnapshot())
 	}
 	if e := s.Agg.sloEng; e != nil {
+		// Evaluate the SLO portfolio against the series sampled above. The
+		// alert state for this CP lands in the store immediately; the
+		// slo.* scalar counters appear in CSV/live rows at the next CP.
 		e.Evaluate(s.c.CPs, tot)
 	}
 	if c := s.Agg.ctl; c != nil {
+		// Close the loop: the controller reads the series sampled above
+		// (including the alert states the SLO engine just wrote) and
+		// actuates knobs that take effect from the next CP on. Inputs and
+		// knob trajectory are worker-invariant, so the actuation stream is
+		// byte-identical at any worker width.
 		c.Evaluate(s.c.CPs, tot)
 	}
 }

@@ -1,6 +1,7 @@
 package wafl
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,10 +11,12 @@ import (
 	"waflfs/internal/obs/optrace"
 )
 
-func pipelinedSystem(t *testing.T, budget int) (*System, *LUN) {
+// depthSystem builds a filled, quiesced system at CP depth 1 (pipeline
+// false) or 2.
+func depthSystem(t *testing.T, pipeline bool, budget int) (*System, *LUN) {
 	t.Helper()
 	tun := DefaultTunables()
-	tun.Pipeline = true
+	tun.Pipeline = pipeline
 	tun.DelayedVirtFrees = true
 	tun.DelayedFreeBudgetPerCP = budget
 	tun.CPEveryOps = 128
@@ -28,37 +31,93 @@ func pipelinedSystem(t *testing.T, budget int) (*System, *LUN) {
 	return s, lun
 }
 
-// A pipelined run ends with one generation in flight; Drain commits it and
-// restores every boundary invariant (bitmaps, refcounts, scrub).
+// banksAtRest fails the test if any flush bank still holds something.
+func banksAtRest(t *testing.T, s *System) {
+	t.Helper()
+	for _, g := range s.Agg.groups {
+		if len(g.flushDeltas) > 0 || len(g.flushWrites) > 0 || len(g.flushCS) > 0 {
+			t.Fatalf("rg%d flush banks not empty: %d deltas, %d writes, %d checksums",
+				g.Index, len(g.flushDeltas), len(g.flushWrites), len(g.flushCS))
+		}
+	}
+	for _, v := range s.Agg.vols {
+		if len(v.space.flushDeltas) > 0 {
+			t.Fatalf("volume %q: %d sealed deltas at rest", v.Name, len(v.space.flushDeltas))
+		}
+	}
+	if p := s.Agg.pool; p != nil {
+		if p.flushBlocks > 0 || len(p.space.flushDeltas) > 0 {
+			t.Fatalf("pool flush banks not empty: %d blocks, %d deltas", p.flushBlocks, len(p.space.flushDeltas))
+		}
+	}
+}
+
+// Both depths end quiesced with every flush bank empty. Depth 1 is there
+// after every CP(), which returns the generation it just wrote; a depth-2
+// run ends with one generation in flight (its first CP commits nothing) and
+// Drain commits it and restores every boundary invariant (bitmaps,
+// refcounts, scrub).
 func TestPipelinedDrainRestoresInvariants(t *testing.T) {
-	s, lun := pipelinedSystem(t, 0)
-	vol := s.Agg.Vols()[0]
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 10000; i++ {
-		s.Write(lun, uint64(rng.Intn(50000)), 1)
-	}
-	s.CP()
-	if !s.InFlight() {
-		t.Fatal("no generation in flight after pipelined CP")
-	}
-	st := s.Drain()
-	if st.DeviceBusy == 0 {
-		t.Fatal("Drain committed nothing")
-	}
-	if s.InFlight() {
-		t.Fatal("still in flight after Drain")
-	}
-	if vol.PendingFrees() != 0 {
-		t.Fatalf("pending frees after unlimited-budget Drain: %d", vol.PendingFrees())
-	}
-	if err := vol.CheckRefcounts(); err != nil {
-		t.Fatal(err)
-	}
-	if rep := s.Agg.Scrub(); !rep.Clean() {
-		t.Fatalf("scrub after Drain: %v", rep)
-	}
-	if g := s.PipelineStats(); g.Generations == 0 || g.PipelinedWall == 0 {
-		t.Fatalf("pipeline stats empty: %+v", g)
+	for _, pipeline := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipeline=%v", pipeline), func(t *testing.T) {
+			s, lun := depthSystem(t, pipeline, 0)
+			// An object pool, so every kind of flush bank exists.
+			s.Agg.AddObjectPool(PoolSpec{Blocks: 2 * aa.RAIDAgnosticBlocks})
+			vol := s.Agg.Vols()[0]
+			if n := s.TierOut(lun, func(lba uint64) bool { return lba < 3000 }); n != 3000 {
+				t.Fatalf("tiered %d blocks", n)
+			}
+			rng := rand.New(rand.NewSource(7))
+			var st CPStats
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 100; i++ { // under CPEveryOps: CP only when the test says so
+					s.Write(lun, uint64(rng.Intn(50000)), 1)
+				}
+				st = s.CP()
+				if pipeline {
+					if !s.InFlight() {
+						t.Fatal("no generation in flight after a depth-2 CP")
+					}
+					if round == 0 && st.DeviceBusy != 0 {
+						t.Fatalf("first depth-2 boundary committed something: %+v", st)
+					}
+					continue
+				}
+				if s.InFlight() {
+					t.Fatal("generation in flight after a depth-1 CP")
+				}
+				if st.DeviceBusy == 0 {
+					t.Fatalf("depth-1 CP %d returned empty CPStats", round)
+				}
+				banksAtRest(t, s)
+			}
+			if st = s.Drain(); (st.DeviceBusy != 0) != pipeline {
+				t.Fatalf("Drain committed %+v at pipeline=%v", st, pipeline)
+			}
+			if s.InFlight() {
+				t.Fatal("still in flight after Drain")
+			}
+			banksAtRest(t, s)
+			if vol.PendingFrees() != 0 {
+				t.Fatalf("pending frees after unlimited-budget Drain: %d", vol.PendingFrees())
+			}
+			if err := vol.CheckRefcounts(); err != nil {
+				t.Fatal(err)
+			}
+			if rep := s.Agg.Scrub(); !rep.Clean() {
+				t.Fatalf("scrub after Drain: %v", rep)
+			}
+			g := s.PipelineStats()
+			if pipeline && (g.Generations == 0 || g.PipelinedWall == 0) {
+				t.Fatalf("pipeline stats empty: %+v", g)
+			}
+			if !pipeline && g != (PipelineStats{}) {
+				t.Fatalf("depth 1 touched the pipeline stats: %+v", g)
+			}
+			if n, _ := s.Registry().Value("watchdog.violations"); n != 0 {
+				t.Fatalf("watchdog violations: %v", s.Agg.WatchdogViolations())
+			}
+		})
 	}
 }
 
@@ -240,7 +299,7 @@ func TestPipelineOverlapGain(t *testing.T) {
 // queue at every flush; the next seal's absorb must carry them over with
 // HBPS scores intact, and the backlog still fully drains.
 func TestPipelinedDelayedFreeCarryover(t *testing.T) {
-	s, lun := pipelinedSystem(t, 256)
+	s, lun := depthSystem(t, true, 256)
 	vol := s.Agg.Vols()[0]
 	freed, err := s.PunchHoles(lun, func(lba uint64) bool { return lba < 8000 })
 	if err != nil || freed != 8000 {
@@ -374,7 +433,7 @@ func TestWatchdogGenTamperFires(t *testing.T) {
 }
 
 func TestWatchdogDFGenTamperFires(t *testing.T) {
-	s, lun := pipelinedSystem(t, 256)
+	s, lun := depthSystem(t, true, 256)
 	vol := s.Agg.Vols()[0]
 	if _, err := s.PunchHoles(lun, func(lba uint64) bool { return lba < 4000 }); err != nil {
 		t.Fatal(err)
@@ -393,7 +452,7 @@ func TestWatchdogDFGenTamperFires(t *testing.T) {
 	sp.delayedSealed.count--
 
 	// Conservation across generations: a sealed free double-counted.
-	s2, lun2 := pipelinedSystem(t, 256)
+	s2, lun2 := depthSystem(t, true, 256)
 	if _, err := s2.PunchHoles(lun2, func(lba uint64) bool { return lba < 4000 }); err != nil {
 		t.Fatal(err)
 	}

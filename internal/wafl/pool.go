@@ -53,10 +53,9 @@ type Pool struct {
 	spec  PoolSpec
 	space *agnosticSpace
 
-	cpBlocks int // blocks written (tiered out) since the last CP
-	// flushBlocks is the sealed generation's bank under pipelined CPs:
-	// sealCP swaps cpBlocks here and flushSealedCP ships it while the open
-	// generation keeps accumulating.
+	cpBlocks int // blocks written (tiered out) since the last seal
+	// flushBlocks is the sealed generation's bank: the seal stage moves
+	// cpBlocks here and flushSealed ships it.
 	flushBlocks int
 
 	puts, gets    uint64
@@ -127,28 +126,8 @@ func (p *Pool) read(n uint64) time.Duration {
 	return d
 }
 
-// flushCP ships the CP's tiered blocks as objects.
-func (p *Pool) flushCP() time.Duration {
-	if p.cpBlocks == 0 {
-		return 0
-	}
-	objects := (uint64(p.cpBlocks) + p.spec.ObjectBlocks - 1) / p.spec.ObjectBlocks
-	d := time.Duration(objects)*p.spec.PutLatency + time.Duration(p.cpBlocks)*p.spec.PerBlock
-	p.puts += objects
-	p.blocksTiered += uint64(p.cpBlocks)
-	p.cpBlocks = 0
-	p.busy += d
-	return d
-}
-
-// sealCP moves the open generation's tiered blocks into the flush bank.
-func (p *Pool) sealCP() {
-	p.flushBlocks += p.cpBlocks
-	p.cpBlocks = 0
-}
-
-// flushSealedCP ships the sealed generation's tiered blocks as objects.
-func (p *Pool) flushSealedCP() time.Duration {
+// flushSealed ships the sealed generation's tiered blocks as objects.
+func (p *Pool) flushSealed() time.Duration {
 	if p.flushBlocks == 0 {
 		return 0
 	}
@@ -172,7 +151,7 @@ func (s *System) TierOut(l *LUN, select_ func(lba uint64) bool) int {
 	if pool == nil {
 		panic("wafl: TierOut without an object pool")
 	}
-	if s.pendingBlocks > 0 || s.pipe.inFlight {
+	if !s.atBoundary() {
 		panic("wafl: TierOut must run at a CP boundary")
 	}
 	// Collect distinct physical blocks to move (a snapshot-shared block

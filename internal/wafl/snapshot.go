@@ -97,7 +97,7 @@ func (sn *Snapshot) Blocks() int {
 // writes pending or a pipelined generation in flight it returns
 // ErrCPInProgress. The operation copies only pointers; no data blocks move.
 func (s *System) CreateSnapshot(l *LUN, name string) (*Snapshot, error) {
-	if s.pendingBlocks > 0 || s.pipe.inFlight {
+	if !s.atBoundary() {
 		return nil, ErrCPInProgress
 	}
 	if l.snaps == nil {
@@ -135,7 +135,7 @@ func (l *LUN) SnapshotNames() []string {
 // actually freed. Must run at a CP boundary; returns ErrCPInProgress with
 // writes pending or a pipelined generation in flight.
 func (s *System) DeleteSnapshot(l *LUN, name string) (int, error) {
-	if s.pendingBlocks > 0 || s.pipe.inFlight {
+	if !s.atBoundary() {
 		return 0, ErrCPInProgress
 	}
 	sn, ok := l.snaps[name]
@@ -158,7 +158,7 @@ func (s *System) DeleteSnapshot(l *LUN, name string) (int, error) {
 // Must run at a CP boundary; returns ErrCPInProgress with writes pending or
 // a pipelined generation in flight.
 func (s *System) RestoreSnapshot(l *LUN, name string) error {
-	if s.pendingBlocks > 0 || s.pipe.inFlight {
+	if !s.atBoundary() {
 		return ErrCPInProgress
 	}
 	sn, ok := l.snaps[name]

@@ -2,13 +2,12 @@ package wafl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"waflfs/internal/aa"
 	"waflfs/internal/block"
 	"waflfs/internal/device"
-	"waflfs/internal/faultinject"
 	"waflfs/internal/obs/optrace"
 )
 
@@ -31,12 +30,11 @@ type System struct {
 	// cpWall accumulates the modeled flush wall-clock (CPStats.FlushWall)
 	// across CPs. Kept out of Counters: it is the one quantity that is
 	// *supposed* to shrink with Tunables.Workers, while every Counters field
-	// stays worker-count invariant. Under Tunables.Pipeline each boundary
-	// contributes max(alloc wall, flush wall) instead of the flush wall
-	// alone (see pipeline.go).
+	// stays worker-count invariant. At depth 2 each boundary contributes
+	// max(alloc wall, flush wall) instead of the flush wall alone (see
+	// pipeline.go).
 	cpWall time.Duration
-	// pipe is the pipelined-CP state (Tunables.Pipeline; see pipeline.go).
-	// Zero-valued and untouched on the classic path.
+	// pipe is the CP engine's sealed-generation state (see pipeline.go).
 	pipe cpPipeline
 	// obsMark is the (DeviceBusy + CPUTime) total already folded into the
 	// tracer's modeled clock; both terms are worker-count invariant, so
@@ -190,7 +188,7 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 		perDev[devKey{g, d}] = append(perDev[devKey{g, d}], dbn)
 	}
 	// Pool blocks: one range GET per contiguous VBN run.
-	sortVBNs(poolRun)
+	slices.Sort(poolRun)
 	for i := 0; i < len(poolRun); {
 		j := i + 1
 		for j < len(poolRun) && poolRun[j] == poolRun[j-1]+1 {
@@ -204,7 +202,7 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 		i = j
 	}
 	for key, dbns := range perDev {
-		sortUint64s(dbns)
+		slices.Sort(dbns)
 		for i := 0; i < len(dbns); {
 			j := i + 1
 			for j < len(dbns) && dbns[j] == dbns[j-1]+1 {
@@ -265,286 +263,6 @@ type devKey struct {
 	d int
 }
 
-func sortVBNs(xs []block.VBN) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
-// CP commits the current consistency point: dirty blocks get their dual
-// VBNs (virtual from each volume's HBPS-guided allocator, physical from the
-// tetris round-robin over RAID groups), previous block versions are freed
-// (COW), tetrises are flushed, caches updated, metafiles written back.
-func (s *System) CP() CPStats {
-	if s.tun.Pipeline {
-		return s.cpPipelined()
-	}
-	cacheOpsBefore := s.cacheOps()
-	scanBefore := s.virtScanBlocks()
-	s.Agg.cpOrd = s.c.CPs + 1 // provenance records carry the CP being built
-	s.Agg.st.BeginCP()
-	s.Agg.faults.BeginCP()
-	s.Agg.faults.EnterPhase(faultinject.PhaseAlloc)
-
-	// Phase 1: write allocation + COW frees, volume by volume. The pending
-	// map is iterated in sorted (volume, LUN) order: map order would assign
-	// VBNs to LUNs differently run to run whenever more than one LUN is
-	// dirty, leaking nondeterminism into every downstream read and free.
-	luns := make([]*LUN, 0, len(s.pending))
-	for l := range s.pending {
-		luns = append(luns, l)
-	}
-	sort.Slice(luns, func(i, j int) bool {
-		if luns[i].vol.Name != luns[j].vol.Name {
-			return luns[i].vol.Name < luns[j].vol.Name
-		}
-		return luns[i].Name < luns[j].Name
-	})
-	volBlocks := make(map[*FlexVol]uint64, len(s.Agg.vols))
-	var totalBlocks uint64
-	// Op tracing, write side: the blocks a volume commits this CP share one
-	// modeled latency (the SLI below), so one trace candidate per (volume,
-	// CP) stands for the whole batch. Begin draws the volume's deterministic
-	// write sequence number before its first allocation; while the volume
-	// allocates, the sampled trace ID rides along in curTID so its
-	// pick-provenance records cross-reference the trace.
-	type writeCand struct {
-		id, seq      uint64
-		sampled      bool
-		stalls0      uint64
-		replenishes0 uint64
-		stallBusy0   time.Duration
-		refillBusy0  time.Duration
-	}
-	cands := make(map[*FlexVol]*writeCand)
-	for _, l := range luns {
-		dirty := s.pending[l]
-		n := len(dirty)
-		if n == 0 {
-			continue
-		}
-		vol := l.vol
-		if sp := vol.space; sp.tr != nil {
-			if _, ok := cands[vol]; !ok {
-				id, seq, smp := sp.tr.Begin(optrace.KindWrite)
-				cands[vol] = &writeCand{
-					id: id, seq: seq, sampled: smp,
-					stalls0: sp.as.stalls, replenishes0: sp.replenishes,
-					stallBusy0: sp.as.stallBusy, refillBusy0: sp.as.refillBusy,
-				}
-				if smp {
-					sp.curTID = id
-				}
-			}
-		}
-		volBlocks[vol] += uint64(n)
-		totalBlocks += uint64(n)
-		virt := vol.space.allocate(n)
-		var phys []block.VBN
-		if s.tun.FlashPool {
-			phys = s.Agg.AllocatePhysicalPreferring(aa.MediaSSD, n)
-		} else {
-			phys = s.Agg.AllocatePhysical(n)
-		}
-		if len(virt) < n {
-			panic(fmt.Sprintf("wafl: volume %q out of virtual space", vol.Name))
-		}
-		if len(phys) < n {
-			panic("wafl: aggregate out of physical space")
-		}
-		// Deterministic iteration: sort the dirty LBAs.
-		lbas := make([]uint64, 0, n)
-		for lba := range dirty {
-			lbas = append(lbas, lba)
-		}
-		sortUint64s(lbas)
-		for i, lba := range lbas {
-			vol.refNew(virt[i])
-			old, wasWritten := l.install(lba, blockPtr{virt: virt[i], phys: phys[i]})
-			if wasWritten {
-				// COW: drop the active image's reference; the old pair is
-				// freed unless a snapshot still holds it.
-				s.unref(vol, old)
-			}
-		}
-		s.c.BlocksWritten += uint64(n)
-		s.Agg.st.Emit("cp.alloc", vol.space.shard, l.Name, 0, int64(n))
-		delete(s.pending, l)
-	}
-	s.pendingBlocks = 0
-	s.opsSinceCP = 0
-	for vol := range cands {
-		vol.space.curTID = 0
-	}
-
-	// Phase 1.5: apply queued delayed frees, most-pending-AA-first.
-	s.Agg.faults.EnterPhase(faultinject.PhaseDelayedFree)
-	for _, v := range s.Agg.vols {
-		freed, aas := v.space.reclaimDelayedFrees(s.tun.DelayedFreeBudgetPerCP)
-		if freed > 0 {
-			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "reclaim", 0, int64(freed))
-			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "aas_processed", 0, int64(aas))
-		}
-	}
-
-	// Phase 2: flush. When traces are pending, snapshot per-group device
-	// busy so their flush-time deltas can become device leaf spans.
-	var gBusy []time.Duration
-	if len(cands) > 0 {
-		gBusy = make([]time.Duration, len(s.Agg.groups))
-		for i, g := range s.Agg.groups {
-			gBusy[i] = g.deviceBusy
-		}
-	}
-	st := s.Agg.CommitCP()
-	s.c.CPs++
-	s.c.DeviceBusy += st.DeviceBusy
-	pages := uint64(st.MetafilePagesAggregate + st.MetafilePagesVols)
-	s.c.MetafilePages += pages
-	s.c.TopAABlocks += uint64(st.TopAABlocks)
-	s.c.CPUTime += time.Duration(pages) * s.tun.CPUPerMetafilePage
-	scanCPU := time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan
-	s.c.CPUTime += scanCPU
-	cacheCPU := time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
-	s.c.CPUTime += cacheCPU
-	s.c.CacheCPUTime += cacheCPU
-	s.cpWall += st.FlushWall
-
-	// Latency SLI, write side: every block committed this CP shares the
-	// CP's worker-invariant modeled cost (device time, metafile and
-	// virtual-scan CPU, cache CPU) evenly, on top of the per-op base CPU
-	// charge. FlushWall is deliberately excluded: it varies with worker
-	// width, and the SLO engine requires invariant inputs.
-	//
-	// The per-block share is split by stage in the same proportions as the
-	// CP cost it came from, with the device stage absorbing the integer
-	// rounding remainder: the stages then sum to perBlock exactly, so the
-	// attribution accumulators reconcile with the histogram total to the
-	// nanosecond (optrace.attr_coverage == 1.0). The float64 scaling is
-	// deterministic — IEEE ops on worker-invariant integers.
-	var perBlock uint64
-	if totalBlocks > 0 {
-		metaNS := time.Duration(pages) * s.tun.CPUPerMetafilePage
-		cpCost := st.DeviceBusy + metaNS + scanCPU + cacheCPU
-		cpPer := uint64(cpCost) / totalBlocks
-		base := uint64(s.tun.CPUBasePerOp)
-		perBlock = base + cpPer
-		var metaPer, scanPer, cachePer, devPer uint64
-		if cpCost > 0 {
-			fc := float64(cpPer) / float64(cpCost)
-			metaPer = uint64(fc * float64(metaNS))
-			scanPer = uint64(fc * float64(scanCPU))
-			cachePer = uint64(fc * float64(cacheCPU))
-			devPer = cpPer - metaPer - scanPer - cachePer
-		}
-		for _, v := range s.Agg.vols {
-			if n := volBlocks[v]; n > 0 {
-				sp := v.space
-				sp.lat.ObserveN(perBlock, n)
-				sp.attr[optrace.StageBase] += n * base
-				sp.attr[optrace.StageDevice] += n * devPer
-				sp.attr[optrace.StageMetafile] += n * metaPer
-				sp.attr[optrace.StageScan] += n * scanPer
-				sp.attr[optrace.StageCache] += n * cachePer
-			}
-		}
-		// Record the pending write traces: one per sampled (volume, CP)
-		// batch, span durations from the same stage split the accumulators
-		// used, plus a zero-duration allocator annotation (pick provenance,
-		// stall/refill activity) and per-group flush leaf spans scaled to
-		// the op's device share.
-		for _, v := range s.Agg.vols {
-			c := cands[v]
-			if c == nil || volBlocks[v] == 0 {
-				continue
-			}
-			sp := v.space
-			rec, slow := sp.tr.Decide(c.sampled, perBlock)
-			if !rec {
-				continue
-			}
-			var flushTotal time.Duration
-			for gi, g := range s.Agg.groups {
-				flushTotal += g.deviceBusy - gBusy[gi]
-			}
-			var leaves []optrace.Span
-			if devPer > 0 && flushTotal > 0 {
-				for gi, g := range s.Agg.groups {
-					if d := g.deviceBusy - gBusy[gi]; d > 0 {
-						leaves = append(leaves, optrace.Span{
-							Name:  fmt.Sprintf("rg%d", g.Index),
-							DurNS: uint64(float64(devPer) * float64(d) / float64(flushTotal)),
-						})
-					}
-				}
-			}
-			pk := sp.lastPick
-			alloc := optrace.Span{
-				Name: "alloc",
-				Detail: fmt.Sprintf("aa=%d score=%d runner_up=%d reason=%s stalls=%d refills=%d",
-					pk.aa, pk.score, pk.runner, pk.reason,
-					sp.as.stalls-c.stalls0, sp.replenishes-c.replenishes0),
-			}
-			if d := sp.as.stallBusy - c.stallBusy0; d > 0 {
-				alloc.Children = append(alloc.Children, optrace.Span{
-					Name: "stall", Detail: fmt.Sprintf("busy_ns=%d", d)})
-			}
-			if d := sp.as.refillBusy - c.refillBusy0; d > 0 {
-				alloc.Children = append(alloc.Children, optrace.Span{
-					Name: "refill", Detail: fmt.Sprintf("busy_ns=%d", d)})
-			}
-			sp.tr.Add(optrace.Trace{
-				ID: c.id, Kind: optrace.KindWrite.String(), Seq: c.seq, CP: s.c.CPs,
-				AtNS:  int64(s.c.DeviceBusy + s.c.CPUTime),
-				LatNS: perBlock, Blocks: volBlocks[v], Slow: slow,
-				Spans: []optrace.Span{
-					{Name: optrace.StageBase.String(), DurNS: base},
-					alloc,
-					{Name: optrace.StageDevice.String(), DurNS: devPer, Children: leaves},
-					{Name: optrace.StageMetafile.String(), DurNS: metaPer},
-					{Name: optrace.StageScan.String(), DurNS: scanPer},
-					{Name: optrace.StageCache.String(), DurNS: cachePer},
-				},
-			})
-		}
-	}
-
-	// Advance the tracer's modeled clock by the worker-invariant time this
-	// CP (and the client ops since the last one) accrued, then record the
-	// per-CP metric row.
-	tot := s.c.DeviceBusy + s.c.CPUTime
-	s.Agg.st.Advance(tot - s.obsMark)
-	s.obsMark = tot
-	s.runWatchdogs()
-	if rec := s.Agg.obsOpts.CSV; rec != nil {
-		rec.Record(s.Agg.obsOpts.Name, s.c.CPs, s.Agg.reg.Snapshot())
-	}
-	if l := s.Agg.obsOpts.Live; l != nil { // guard: don't snapshot when unused
-		l.Publish(s.Agg.obsOpts.Name, s.Agg.reg.Snapshot())
-	}
-	s.maybeFragScan()
-	if ts := s.Agg.obsOpts.TSDB; ts != nil {
-		// Sample every registered metric into the per-CP time-series ring,
-		// stamped with the worker-invariant modeled clock. StableSnapshot
-		// excludes volatile metrics, so the stored series are byte-identical
-		// across worker widths.
-		ts.Sample(s.Agg.obsOpts.Name, s.c.CPs, tot, s.Agg.reg.StableSnapshot())
-	}
-	if e := s.Agg.sloEng; e != nil {
-		// Evaluate the SLO portfolio against the series sampled above. The
-		// alert state for this CP lands in the store immediately; the
-		// slo.* scalar counters appear in CSV/live rows at the next CP.
-		e.Evaluate(s.c.CPs, tot)
-	}
-	if c := s.Agg.ctl; c != nil {
-		// Close the loop: the controller reads the series sampled above
-		// (including the alert states the SLO engine just wrote) and
-		// actuates knobs that take effect from the next CP on. Inputs and
-		// knob trajectory are worker-invariant, so the actuation stream is
-		// byte-identical at any worker width.
-		c.Evaluate(s.c.CPs, tot)
-	}
-	return st
-}
-
 // CPFlushWall returns the cumulative modeled wall-clock of CP flush phases:
 // each CP contributes the makespan of its per-group (and pool) flush times
 // over Tunables.Workers rather than their serial sum. Compare runs with
@@ -568,7 +286,7 @@ func (s *System) virtScanBlocks() uint64 {
 // ErrCPInProgress; the score updates batch into the next CP as usual.
 // Returns the number of blocks freed.
 func (s *System) PunchHoles(l *LUN, select_ func(lba uint64) bool) (int, error) {
-	if s.pendingBlocks > 0 || s.pipe.inFlight {
+	if !s.atBoundary() {
 		return 0, ErrCPInProgress
 	}
 	freed := 0
@@ -635,10 +353,6 @@ func (s *System) WriteAmplification() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-func sortUint64s(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
 // ResetMetrics zeroes the measurement counters of every group and volume

@@ -35,7 +35,7 @@ import (
 //     after the CP-boundary fold every ledger is empty — a stale merge
 //     leaves residue or a score mismatch, and this class catches both.
 //
-//   - Generation states (Pipeline): the double-buffered flush banks must
+//   - Generation states (depth 2, Tunables.Pipeline): the flush banks must
 //     be empty whenever no generation is in flight (a leftover sealed
 //     delta or write set means a generation was dropped mid-commit), an
 //     in-flight generation's sealed write set must still be allocated in
@@ -380,9 +380,10 @@ func (w *watchdogState) checkDFQueue(vol, gen string, d *delayedFrees) {
 	}
 }
 
-// runWatchdogs executes the per-CP monitors. Called at the end of
-// System.CP, after CommitCP has folded the pending deltas, so cached
-// scores are fresh except for the cursor-held AAs the checks skip.
+// runWatchdogs executes the per-CP monitors. Called from the CP tail, after
+// the flush stage has folded the sealed deltas, so cached scores are fresh
+// except for the cursor-held AAs the checks skip (and, at depth 2, the open
+// generation's deltas, which pendingDelta accounts for).
 func (s *System) runWatchdogs() {
 	w := &s.Agg.wd
 	if !w.enabled {
@@ -422,8 +423,9 @@ func (s *System) runWatchdogs() {
 		w.sampleSpace(ag.pool.space)
 		w.sampleShardsSpace(ag.pool.space)
 	}
-	// The generation monitors run only under pipelining so the classic
-	// path's watchdog.* streams keep their exact pre-pipeline shape.
+	// The generation monitors run only at depth 2 — at depth 1 the banks
+	// are trivially empty here — so the depth-1 watchdog.* streams keep
+	// their exact pre-pipeline shape.
 	if s.tun.Pipeline {
 		w.checkGenStates(s)
 		for _, v := range ag.vols {

@@ -16,6 +16,10 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race -short ./...
+# The two-clock benchmark harness is its own module (benchmark/go.mod) and
+# does not ride the commands above; vet and test it here so an internal
+# rename that breaks it fails tier-1 instead of the benchmark run.
+(cd benchmark && go vet ./... && go test ./...)
 
 # Fuzz smoke: a few seconds per TopAA decoder, enough to execute the seed
 # corpus plus fresh mutations under the fuzzer's instrumentation.
