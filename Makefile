@@ -6,7 +6,7 @@ SCALE ?= 1.0
 # `make bench-artifact` never clobbers a committed baseline by accident.
 BENCH ?= $(shell go run ./cmd/benchdiff -print-next)
 
-.PHONY: all build test verify bench benchpick bench-artifact bench-diff live slo trace pipeline control
+.PHONY: all build test verify bench benchpick bench-artifact bench-diff bench-host bench-host-compare live slo trace pipeline control
 
 all: build
 
@@ -45,6 +45,22 @@ bench-artifact:
 bench-diff:
 	go run ./cmd/waflbench -bench-json /tmp/BENCH_new.json -pipeline -control default -scale $(SCALE)
 	go run ./cmd/benchdiff -dir . /tmp/BENCH_new.json
+
+# Host-clock before/after pair (benchmark/README.md): run bench-host once per
+# side, each in a checkout of the commit it measures, then compare the two
+# results files. Five runs per workload give -compare a run-to-run spread.
+# The benchmark runs with benchmark/ as its working directory, so -out and a
+# relative A or B are resolved from there; give the other checkout's file by
+# absolute path.
+#   make bench-host LABEL=parent        (in a checkout of the parent commit)
+#   make bench-host LABEL=change
+#   make bench-host-compare A=/path/to/parent/benchmark/out/parent/results.json B=out/change/results.json
+LABEL ?= host
+bench-host:
+	sh benchmark/run.sh -repeat 5 -out out/$(LABEL)
+
+bench-host-compare:
+	sh benchmark/run.sh -compare $(A) $(B)
 
 # Pipelined-CP gate both ways: the overlap benchmark must clear its 1.3x
 # floor with byte-identical final states (and fire no SLO alert), and a

@@ -57,11 +57,23 @@ type Topology interface {
 }
 
 // Score computes the AA score — the number of free blocks in the AA — by
-// consulting the bitmap (§3.3).
+// consulting the bitmap (§3.3). The package's own two topologies are scored
+// without materialising their segment lists: a mount walk scores every AA of
+// every space, and a slice per AA was most of what it allocated.
 func Score(t Topology, bm *bitmap.Bitmap, id ID) uint64 {
 	var s uint64
-	for _, seg := range t.Segments(id) {
-		s += bm.CountFree(seg)
+	switch t := t.(type) {
+	case *Linear:
+		s = bm.CountFree(t.Segment(id))
+	case *Striped:
+		from, to := t.StripeRange(id)
+		for d := 0; d < t.geo.DataDevices; d++ {
+			s += bm.CountFree(t.geo.DeviceSegment(d, from, to))
+		}
+	default:
+		for _, seg := range t.Segments(id) {
+			s += bm.CountFree(seg)
+		}
 	}
 	return s
 }
@@ -72,8 +84,16 @@ func Score(t Topology, bm *bitmap.Bitmap, id ID) uint64 {
 // nominal AA size.
 func Capacity(t Topology, id ID) uint64 {
 	var n uint64
-	for _, seg := range t.Segments(id) {
-		n += seg.Len()
+	switch t := t.(type) {
+	case *Linear:
+		n = t.Segment(id).Len()
+	case *Striped:
+		from, to := t.StripeRange(id)
+		n = (to - from) * uint64(t.geo.DataDevices)
+	default:
+		for _, seg := range t.Segments(id) {
+			n += seg.Len()
+		}
 	}
 	return n
 }
@@ -132,7 +152,11 @@ func (l *Linear) AAOf(v block.VBN) ID {
 }
 
 // Segments implements Topology.
-func (l *Linear) Segments(id ID) []block.Range {
+func (l *Linear) Segments(id ID) []block.Range { return []block.Range{l.Segment(id)} }
+
+// Segment returns the one VBN range composing AA id, without the slice
+// Segments wraps it in: the allocation cursor asks once per block.
+func (l *Linear) Segment(id ID) block.Range {
 	if int(id) >= l.NumAAs() {
 		panic(fmt.Sprintf("aa: AA %d outside topology (%d AAs)", id, l.NumAAs()))
 	}
@@ -141,7 +165,7 @@ func (l *Linear) Segments(id ID) []block.Range {
 	if end > l.space.End {
 		end = l.space.End
 	}
-	return []block.Range{block.R(start, end)}
+	return block.R(start, end)
 }
 
 // BlocksPerAA implements Topology.

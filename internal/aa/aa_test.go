@@ -1,6 +1,7 @@
 package aa
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -243,6 +244,36 @@ func TestScoreAllParallelMatchesSequential(t *testing.T) {
 	for i := range seq {
 		if seq[i] != par[i] {
 			t.Fatalf("linear AA %d: %d != %d", i, seq[i], par[i])
+		}
+	}
+}
+
+// opaque hides a topology's concrete type, so Score and Capacity take the
+// generic Segments path instead of their Linear/Striped shortcuts.
+type opaque struct{ Topology }
+
+// The shortcuts must agree with the segment lists they skip, truncated final
+// AAs and unaligned spaces included.
+func TestScoreShortcutsMatchSegments(t *testing.T) {
+	geo := raid.Geometry{DataDevices: 5, ParityDevices: 2, BlocksPerDevice: 1000, StartVBN: 300}
+	topos := []Topology{
+		NewStriped(geo, 64), // 1000 stripes: the last AA is truncated
+		NewLinear(block.R(300, 5300), 512),
+		NewLinearDefault(block.R(0, 3*RAIDAgnosticBlocks+17)),
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, topo := range topos {
+		bm := bitmap.New(uint64(topo.Space().End))
+		for i := 0; i < int(topo.Space().Len())/3; i++ {
+			bm.Set(topo.Space().Start + block.VBN(rng.Int63n(int64(topo.Space().Len()))))
+		}
+		for id := 0; id < topo.NumAAs(); id++ {
+			if got, want := Score(topo, bm, ID(id)), Score(opaque{topo}, bm, ID(id)); got != want {
+				t.Fatalf("%T AA %d: Score %d, via Segments %d", topo, id, got, want)
+			}
+			if got, want := Capacity(topo, ID(id)), Capacity(opaque{topo}, ID(id)); got != want {
+				t.Fatalf("%T AA %d: Capacity %d, via Segments %d", topo, id, got, want)
+			}
 		}
 	}
 }

@@ -14,11 +14,7 @@ import (
 func ScoresObs(t Topology, bm *bitmap.Bitmap, workers int, po *parallel.Obs, scored *obs.Counter) []uint64 {
 	scores := make([]uint64, t.NumAAs())
 	parallel.ForEachObs(workers, len(scores), po, func(id int) {
-		var s uint64
-		for _, seg := range t.Segments(ID(id)) {
-			s += bm.CountFree(seg)
-		}
-		scores[id] = s
+		scores[id] = Score(t, bm, ID(id))
 	})
 	scored.Add(uint64(len(scores)))
 	return scores

@@ -22,6 +22,7 @@ package bitmap
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"waflfs/internal/block"
@@ -41,10 +42,16 @@ type Bitmap struct {
 	words []uint64
 	used  uint64
 
+	// pageUsed counts the allocated blocks of each metafile page, maintained
+	// with every bit change, so range counts sum whole pages instead of
+	// popcounting their 512 words.
+	pageUsed []uint32
+
 	// dirty marks metafile pages (4KiB blocks of the bitmap itself) whose
-	// contents changed since the last Flush. The page index of VBN v is
-	// v / 32768.
-	dirty map[uint64]struct{}
+	// contents changed since the last Flush, one bit per page; ndirty counts
+	// the set bits. The page index of VBN v is v / 32768.
+	dirty  []uint64
+	ndirty int
 
 	// Counters for the experiment harnesses.
 	totalDirtied uint64 // pages ever marked dirty (including re-dirtying after flush)
@@ -57,12 +64,10 @@ type Bitmap struct {
 
 // New creates a bitmap covering n blocks, all free.
 func New(n uint64) *Bitmap {
-	nw := (n + wordBits - 1) / wordBits
-	return &Bitmap{
-		nbits: n,
-		words: make([]uint64, nw),
-		dirty: make(map[uint64]struct{}),
-	}
+	b := &Bitmap{nbits: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
+	b.pageUsed = make([]uint32, b.Pages())
+	b.dirty = make([]uint64, (b.Pages()+wordBits-1)/wordBits)
+	return b
 }
 
 // Size returns the number of blocks tracked.
@@ -91,10 +96,11 @@ func (b *Bitmap) Test(v block.VBN) bool {
 	return b.words[uint64(v)/wordBits]&(1<<(uint64(v)%wordBits)) != 0
 }
 
-func (b *Bitmap) markDirty(v block.VBN) {
-	page := v.BitmapBlock()
-	if _, ok := b.dirty[page]; !ok {
-		b.dirty[page] = struct{}{}
+func (b *Bitmap) markDirty(page uint64) {
+	w, m := page/wordBits, uint64(1)<<(page%wordBits)
+	if b.dirty[w]&m == 0 {
+		b.dirty[w] |= m
+		b.ndirty++
 		b.totalDirtied++
 	}
 }
@@ -110,7 +116,8 @@ func (b *Bitmap) Set(v block.VBN) bool {
 	}
 	b.words[w] |= m
 	b.used++
-	b.markDirty(v)
+	b.pageUsed[w/wordsPerPage]++
+	b.markDirty(w / wordsPerPage)
 	return true
 }
 
@@ -123,7 +130,8 @@ func (b *Bitmap) Clear(v block.VBN) bool {
 	}
 	b.words[w] &^= m
 	b.used--
-	b.markDirty(v)
+	b.pageUsed[w/wordsPerPage]--
+	b.markDirty(w / wordsPerPage)
 	return true
 }
 
@@ -141,7 +149,7 @@ func (b *Bitmap) ClearRange(r block.Range) uint64 {
 }
 
 // bulk applies one bit value across r word-at-a-time, maintaining the used
-// count and dirty-page set from the per-word change masks.
+// counts and dirty-page set from the per-word change masks.
 func (b *Bitmap) bulk(r block.Range, set bool) uint64 {
 	r = b.clampRange(r)
 	if r.Len() == 0 {
@@ -158,19 +166,21 @@ func (b *Bitmap) bulk(r block.Range, set bool) uint64 {
 		if end < hi {
 			mask &= maskUpto(end - lo)
 		}
-		var delta uint64
+		var n uint64
 		if set {
-			delta = mask &^ b.words[w] // bits that flip 0->1
+			n = uint64(bits.OnesCount64(mask &^ b.words[w])) // bits that flip 0->1
 			b.words[w] |= mask
-			b.used += uint64(bits.OnesCount64(delta))
+			b.used += n
+			b.pageUsed[w/wordsPerPage] += uint32(n)
 		} else {
-			delta = mask & b.words[w] // bits that flip 1->0
+			n = uint64(bits.OnesCount64(mask & b.words[w])) // bits that flip 1->0
 			b.words[w] &^= mask
-			b.used -= uint64(bits.OnesCount64(delta))
+			b.used -= n
+			b.pageUsed[w/wordsPerPage] -= uint32(n)
 		}
-		if delta != 0 {
-			changed += uint64(bits.OnesCount64(delta))
-			b.markDirty(block.VBN(lo))
+		if n != 0 {
+			changed += n
+			b.markDirty(w / wordsPerPage)
 		}
 	}
 	return changed
@@ -187,23 +197,53 @@ func (b *Bitmap) clampRange(r block.Range) block.Range {
 	return r
 }
 
-// CountUsed returns the number of allocated blocks in r, using word-level
-// popcount. This is the primitive behind AA score computation.
+// CountUsed returns the number of allocated blocks in r. This is the
+// primitive behind AA score computation: whole metafile pages inside r are
+// summed from their per-page counts, only the ragged ends are popcounted a
+// word at a time, and a range covering the whole bitmap costs nothing. (The
+// modeled cost of reading those pages is ChargeScan's, not this function's.)
 func (b *Bitmap) CountUsed(r block.Range) uint64 {
 	r = b.clampRange(r)
 	if r.Len() == 0 {
 		return 0
 	}
 	start, end := uint64(r.Start), uint64(r.End)
+	if start == 0 && end == b.nbits {
+		return b.used
+	}
+	// Whole pages are [first, last); the bitmap's final page counts as whole
+	// when r runs to the end, however few bits it holds.
+	first := (start + block.BitsPerBitmapBlock - 1) / block.BitsPerBitmapBlock
+	last := end / block.BitsPerBitmapBlock
+	if end == b.nbits {
+		last = b.Pages()
+	}
+	if first >= last {
+		return b.popcount(start, end)
+	}
+	n := b.popcount(start, first*block.BitsPerBitmapBlock)
+	for _, u := range b.pageUsed[first:last] {
+		n += uint64(u)
+	}
+	if tail := last * block.BitsPerBitmapBlock; tail < end {
+		n += b.popcount(tail, end)
+	}
+	return n
+}
+
+// popcount counts the allocated blocks in [start, end) a word at a time.
+func (b *Bitmap) popcount(start, end uint64) uint64 {
+	if start >= end {
+		return 0
+	}
 	firstWord, lastWord := start/wordBits, (end-1)/wordBits
-	var n uint64
 	if firstWord == lastWord {
 		mask := maskRange(start%wordBits, (end-1)%wordBits+1)
 		return uint64(bits.OnesCount64(b.words[firstWord] & mask))
 	}
-	n += uint64(bits.OnesCount64(b.words[firstWord] & maskFrom(start%wordBits)))
-	for w := firstWord + 1; w < lastWord; w++ {
-		n += uint64(bits.OnesCount64(b.words[w]))
+	n := uint64(bits.OnesCount64(b.words[firstWord] & maskFrom(start%wordBits)))
+	for _, w := range b.words[firstWord+1 : lastWord] {
+		n += uint64(bits.OnesCount64(w))
 	}
 	n += uint64(bits.OnesCount64(b.words[lastWord] & maskUpto((end-1)%wordBits+1)))
 	return n
@@ -351,13 +391,15 @@ func (b *Bitmap) FreeWord(start block.VBN, n uint) uint64 {
 // DirtyPages returns the number of metafile pages modified since the last
 // Flush. This is the per-CP metafile write I/O the paper's RAID-agnostic AA
 // selection minimizes (§2.5).
-func (b *Bitmap) DirtyPages() int { return len(b.dirty) }
+func (b *Bitmap) DirtyPages() int { return b.ndirty }
 
-// DirtyPageList returns the sorted-unspecified set of dirty page indices.
+// DirtyPageList returns the dirty page indices in ascending order.
 func (b *Bitmap) DirtyPageList() []uint64 {
-	out := make([]uint64, 0, len(b.dirty))
-	for p := range b.dirty {
-		out = append(out, p)
+	out := make([]uint64, 0, b.ndirty)
+	for w, word := range b.dirty {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, uint64(w)*wordBits+uint64(bits.TrailingZeros64(word)))
+		}
 	}
 	return out
 }
@@ -365,10 +407,11 @@ func (b *Bitmap) DirtyPageList() []uint64 {
 // Flush simulates writing all dirty metafile pages back to storage at a CP
 // boundary. It returns the number of pages written and resets the dirty set.
 func (b *Bitmap) Flush() int {
-	n := len(b.dirty)
+	n := b.ndirty
 	b.totalFlushed += uint64(n)
 	if n > 0 {
-		b.dirty = make(map[uint64]struct{})
+		clear(b.dirty)
+		b.ndirty = 0
 	}
 	return n
 }
@@ -412,31 +455,33 @@ func (b *Bitmap) Grow(n uint64) {
 		return
 	}
 	oldPages := b.Pages()
-	nw := (n + wordBits - 1) / wordBits
-	for uint64(len(b.words)) < nw {
-		b.words = append(b.words, 0)
-	}
 	b.nbits = n
+	b.words = grown(b.words, (n+wordBits-1)/wordBits)
+	b.pageUsed = grown(b.pageUsed, b.Pages())
+	b.dirty = grown(b.dirty, (b.Pages()+wordBits-1)/wordBits)
 	for p := oldPages; p < b.Pages(); p++ {
-		if _, ok := b.dirty[p]; !ok {
-			b.dirty[p] = struct{}{}
-			b.totalDirtied++
-		}
+		b.markDirty(p)
 	}
+}
+
+// grown returns s extended with zeroes to length n.
+func grown[T any](s []T, n uint64) []T {
+	if uint64(len(s)) >= n {
+		return s
+	}
+	return append(s, make([]T, n-uint64(len(s)))...)
 }
 
 // Clone returns a deep copy of the bitmap including dirty state. It exists
 // so experiments can snapshot an aged file system and replay different
 // policies against identical fragmentation.
 func (b *Bitmap) Clone() *Bitmap {
-	nb := &Bitmap{
-		nbits: b.nbits,
-		words: append([]uint64(nil), b.words...),
-		used:  b.used,
-		dirty: make(map[uint64]struct{}, len(b.dirty)),
+	return &Bitmap{
+		nbits:    b.nbits,
+		words:    slices.Clone(b.words),
+		used:     b.used,
+		pageUsed: slices.Clone(b.pageUsed),
+		dirty:    slices.Clone(b.dirty),
+		ndirty:   b.ndirty,
 	}
-	for p := range b.dirty {
-		nb.dirty[p] = struct{}{}
-	}
-	return nb
 }

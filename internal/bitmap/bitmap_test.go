@@ -535,3 +535,90 @@ func TestForEachFreeRunMatchesFreeRuns(t *testing.T) {
 		}
 	}
 }
+
+// Property: CountUsed, which sums per-page counts and popcounts only the
+// ragged ends, equals a popcount of the reference bits over whole-bitmap,
+// page-aligned, ragged and clamped ranges, after any mix of the mutators
+// that maintain the per-page counts — Set, Clear, SetRange, ClearRange,
+// Grow — and across Clone.
+func TestCountUsedPageSummaryMatchesPopcount(t *testing.T) {
+	const page = block.BitsPerBitmapBlock
+	rng := rand.New(rand.NewSource(7))
+	n := uint64(3*page + 777) // a ragged final page
+	b := New(n)
+	ref := make([]bool, n)
+	setRef := func(r block.Range, val bool) {
+		for v := uint64(r.Start); v < uint64(r.End) && v < n; v++ {
+			ref[v] = val
+		}
+	}
+	check := func(step int, bm *Bitmap) {
+		t.Helper()
+		ranges := []block.Range{
+			block.R(0, block.VBN(n)),               // whole bitmap
+			block.R(0, block.VBN(n+5000)),          // clamped past the end
+			block.R(page, block.VBN(n)),            // aligned start, runs to the ragged end
+			block.R(page+1, 2*page+1),              // one page's worth, misaligned
+			block.R(block.VBN(n)-10, block.VBN(n)), // inside the final page
+		}
+		for p := uint64(0); p*page < n; p++ { // every single page, as a 32k AA would ask
+			ranges = append(ranges, block.R(block.VBN(p*page), block.VBN((p+1)*page)))
+		}
+		for i := 0; i < 8; i++ { // aligned multi-page and arbitrary ragged ranges
+			lo, hi := uint64(rng.Int63n(int64(n))), uint64(rng.Int63n(int64(n+page)))
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			ranges = append(ranges, block.R(block.VBN(lo), block.VBN(hi)),
+				block.R(block.VBN(lo/page*page), block.VBN((hi/page+1)*page)))
+		}
+		for _, r := range ranges {
+			var want uint64
+			for v := uint64(r.Start); v < uint64(r.End) && v < n; v++ {
+				if ref[v] {
+					want++
+				}
+			}
+			if got := bm.CountUsed(r); got != want {
+				t.Fatalf("step %d: CountUsed(%v) = %d, popcount reference %d", step, r, got, want)
+			}
+			if got := bm.CountFree(r); got != bm.clampRange(r).Len()-want {
+				t.Fatalf("step %d: CountFree(%v) = %d, reference %d", step, r, got, bm.clampRange(r).Len()-want)
+			}
+		}
+	}
+	for step := 0; step < 300; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4:
+			for i := 0; i < 200; i++ {
+				v := block.VBN(rng.Int63n(int64(n)))
+				b.Set(v)
+				ref[v] = true
+			}
+		case op < 7:
+			for i := 0; i < 200; i++ {
+				v := block.VBN(rng.Int63n(int64(n)))
+				b.Clear(v)
+				ref[v] = false
+			}
+		case op < 9:
+			lo := rng.Int63n(int64(n))
+			r := block.R(block.VBN(lo), block.VBN(lo+rng.Int63n(2*page)))
+			val := op == 7
+			if val {
+				b.SetRange(r)
+			} else {
+				b.ClearRange(r)
+			}
+			setRef(r, val)
+		default:
+			n += uint64(rng.Int63n(page / 2))
+			b.Grow(n)
+			ref = append(ref, make([]bool, n-uint64(len(ref)))...)
+		}
+		check(step, b)
+		if step%50 == 49 {
+			check(step, b.Clone())
+		}
+	}
+}

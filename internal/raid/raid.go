@@ -18,7 +18,7 @@ package raid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"waflfs/internal/block"
 )
@@ -161,89 +161,120 @@ type TetrisIO struct {
 // parity devices are written in stripe-contiguous runs.)
 func (t *TetrisIO) WriteIOs() int { return len(t.Chains) }
 
-// BuildTetrises classifies a CP's writes to one RAID group. vbns is the set
-// of physical VBNs being written (in any order, duplicates not allowed); the
-// result is ordered by tetris index. The tetris boundary is
-// block.StripesPerTetris consecutive stripes.
-func BuildTetrises(g Geometry, vbns []block.VBN) []TetrisIO {
+// TetrisBuilder classifies a CP's writes to one RAID group into tetrises,
+// keeping its sort keys, result slice and chain storage between calls so a
+// steady-state CP allocates nothing here. A builder belongs to one caller at
+// a time (each wafl.Group owns one: groups flush concurrently); the zero
+// value is ready to use.
+type TetrisBuilder struct {
+	// keys holds one packed (tetris, device, stripe-within-tetris) word per
+	// block; sorted, it is already in the result's order.
+	keys []uint64
+	out  []TetrisIO
+	// chains backs every TetrisIO.Chains of the last Build.
+	chains []Chain
+}
+
+// Key layout: tetris index above, then the device, then the stripe within
+// the tetris. The limits are far beyond any real geometry (a million data
+// devices of 64 PiB each) and checked in Build.
+const (
+	keyOffBits     = 6 // log2(block.StripesPerTetris)
+	keyDevBits     = 20
+	keyOffMask     = 1<<keyOffBits - 1
+	keyDevMask     = 1<<keyDevBits - 1
+	keyTetrisShift = keyDevBits + keyOffBits
+
+	// Both fail to compile unless 1<<keyOffBits == block.StripesPerTetris.
+	_ = uint(block.StripesPerTetris - 1<<keyOffBits)
+	_ = uint(1<<keyOffBits - block.StripesPerTetris)
+)
+
+// extendsChain reports whether sorted key k continues the write chain prev
+// ends: the next stripe on the same device of the same tetris. Adjacent keys
+// differ by one otherwise only where the stripe offset wraps to zero.
+func extendsChain(prev, k uint64) bool { return k == prev+1 && k&keyOffMask != 0 }
+
+// Build classifies vbns — the physical VBNs being written, in any order,
+// duplicates not allowed — into tetrises ordered by tetris index, each with
+// its chains ordered by device then DBN. The tetris boundary is
+// block.StripesPerTetris consecutive stripes. The result and everything it
+// points to are valid only until the next Build on the same builder.
+func (b *TetrisBuilder) Build(g Geometry, vbns []block.VBN) []TetrisIO {
 	if len(vbns) == 0 {
 		return nil
 	}
-	sorted := append([]block.VBN(nil), vbns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
-	// Group blocks by tetris.
-	type coord struct {
-		device int
-		dbn    uint64
+	if g.DataDevices > keyDevMask+1 || g.BlocksPerDevice > 1<<(64-keyDevBits) {
+		panic(fmt.Sprintf("raid: geometry %d x %d exceeds the tetris builder's key layout", g.DataDevices, g.BlocksPerDevice))
 	}
-	byTetris := make(map[uint64][]coord)
-	for i, v := range sorted {
-		if i > 0 && v == sorted[i-1] {
-			panic(fmt.Sprintf("raid: duplicate VBN %d in tetris build", uint64(v)))
-		}
+	keys := slices.Grow(b.keys[:0], len(vbns))
+	for _, v := range vbns {
 		d, dbn := g.Locate(v)
-		byTetris[dbn/block.StripesPerTetris] = append(byTetris[dbn/block.StripesPerTetris], coord{d, dbn})
+		keys = append(keys, dbn>>keyOffBits<<keyTetrisShift|uint64(d)<<keyOffBits|dbn&keyOffMask)
 	}
+	slices.Sort(keys)
+	b.keys = keys
 
-	tetrisIDs := make([]uint64, 0, len(byTetris))
-	for id := range byTetris {
-		tetrisIDs = append(tetrisIDs, id)
-	}
-	sort.Slice(tetrisIDs, func(i, j int) bool { return tetrisIDs[i] < tetrisIDs[j] })
-
-	out := make([]TetrisIO, 0, len(tetrisIDs))
-	for _, id := range tetrisIDs {
-		coords := byTetris[id]
-		io := TetrisIO{Tetris: id, BlocksWritten: len(coords)}
-
-		// Stripe fill counts.
-		stripeFill := make(map[uint64]int)
-		for _, c := range coords {
-			stripeFill[c.dbn]++
+	// Size the result exactly, so that Chains can be sliced out of b.chains
+	// while it fills without it moving underneath them.
+	tetrises, chains := 1, 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i]>>keyTetrisShift != keys[i-1]>>keyTetrisShift {
+			tetrises++
 		}
-		io.StripesTouched = len(stripeFill)
-		for _, k := range stripeFill {
-			if k == g.DataDevices {
+		if !extendsChain(keys[i-1], keys[i]) {
+			chains++
+		}
+	}
+	b.out = slices.Grow(b.out[:0], tetrises)
+	b.chains = slices.Grow(b.chains[:0], chains)
+
+	for i := 0; i < len(keys); {
+		id := keys[i] >> keyTetrisShift
+		io := TetrisIO{Tetris: id}
+		// fill[s] counts the blocks written to stripe s of this tetris.
+		var fill [block.StripesPerTetris]int
+		first := len(b.chains)
+		j := i
+		for ; j < len(keys) && keys[j]>>keyTetrisShift == id; j++ {
+			k := keys[j]
+			d, off := int(k>>keyOffBits&keyDevMask), k&keyOffMask
+			fill[off]++
+			switch {
+			case j > 0 && k == keys[j-1]:
+				panic(fmt.Sprintf("raid: duplicate VBN %d in tetris build", uint64(g.VBNOf(d, id<<keyOffBits|off))))
+			case j > 0 && extendsChain(keys[j-1], k):
+				b.chains[len(b.chains)-1].Len++
+			default:
+				b.chains = append(b.chains, Chain{Device: d, Start: id<<keyOffBits | off, Len: 1})
+			}
+		}
+		io.BlocksWritten = j - i
+		io.Chains = b.chains[first:len(b.chains):len(b.chains)]
+		for _, k := range fill {
+			switch k {
+			case 0:
+				continue
+			case g.DataDevices:
 				io.FullStripes++
-			} else {
+			default:
 				// Cheaper of subtractive (k old data + P old parity) and
 				// additive (D-k untouched data) parity computation.
-				sub := k + g.ParityDevices
-				add := g.DataDevices - k
-				if add < sub {
-					io.ParityReadBlocks += add
-				} else {
-					io.ParityReadBlocks += sub
-				}
+				io.ParityReadBlocks += min(k+g.ParityDevices, g.DataDevices-k)
 			}
+			io.StripesTouched++
 		}
 		io.PartialStripes = io.StripesTouched - io.FullStripes
 		io.ParityWriteBlocks = io.StripesTouched * g.ParityDevices
-
-		// Per-device chains: sort by (device, dbn) and split runs.
-		sort.Slice(coords, func(i, j int) bool {
-			if coords[i].device != coords[j].device {
-				return coords[i].device < coords[j].device
-			}
-			return coords[i].dbn < coords[j].dbn
-		})
-		for i := 0; i < len(coords); {
-			j := i + 1
-			for j < len(coords) && coords[j].device == coords[i].device &&
-				coords[j].dbn == coords[j-1].dbn+1 {
-				j++
-			}
-			io.Chains = append(io.Chains, Chain{
-				Device: coords[i].device,
-				Start:  coords[i].dbn,
-				Len:    uint64(j - i),
-			})
-			i = j
-		}
-		out = append(out, io)
+		b.out = append(b.out, io)
+		i = j
 	}
-	return out
+	return b.out
+}
+
+// BuildTetrises is Build on a fresh builder: the caller owns the result.
+func BuildTetrises(g Geometry, vbns []block.VBN) []TetrisIO {
+	return new(TetrisBuilder).Build(g, vbns)
 }
 
 // XORParity computes the byte-wise XOR parity of equal-length chunks — the

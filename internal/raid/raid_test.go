@@ -2,6 +2,8 @@ package raid
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -285,20 +287,148 @@ func TestStatsFullStripeFraction(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildTetrises(b *testing.B) {
-	g := Geometry{DataDevices: 14, ParityDevices: 2, BlocksPerDevice: 1 << 20, StartVBN: 0}
-	rng := rand.New(rand.NewSource(3))
+// referenceTetrises is the classification written the obvious way — a map
+// per grouping, a sort per tetris — that TetrisBuilder must reproduce.
+func referenceTetrises(g Geometry, vbns []block.VBN) []TetrisIO {
+	type coord struct {
+		device int
+		dbn    uint64
+	}
+	byTetris := map[uint64][]coord{}
+	for _, v := range vbns {
+		d, dbn := g.Locate(v)
+		byTetris[dbn/block.StripesPerTetris] = append(byTetris[dbn/block.StripesPerTetris], coord{d, dbn})
+	}
+	var ids []uint64
+	for id := range byTetris {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var out []TetrisIO
+	for _, id := range ids {
+		coords := byTetris[id]
+		io := TetrisIO{Tetris: id, BlocksWritten: len(coords)}
+		fill := map[uint64]int{}
+		for _, c := range coords {
+			fill[c.dbn]++
+		}
+		io.StripesTouched = len(fill)
+		for _, k := range fill {
+			if k == g.DataDevices {
+				io.FullStripes++
+			} else {
+				io.ParityReadBlocks += min(k+g.ParityDevices, g.DataDevices-k)
+			}
+		}
+		io.PartialStripes = io.StripesTouched - io.FullStripes
+		io.ParityWriteBlocks = io.StripesTouched * g.ParityDevices
+		sort.Slice(coords, func(i, j int) bool {
+			if coords[i].device != coords[j].device {
+				return coords[i].device < coords[j].device
+			}
+			return coords[i].dbn < coords[j].dbn
+		})
+		for i := 0; i < len(coords); {
+			j := i + 1
+			for j < len(coords) && coords[j].device == coords[i].device && coords[j].dbn == coords[j-1].dbn+1 {
+				j++
+			}
+			io.Chains = append(io.Chains, Chain{Device: coords[i].device, Start: coords[i].dbn, Len: uint64(j - i)})
+			i = j
+		}
+		out = append(out, io)
+	}
+	return out
+}
+
+// randomWrites draws n distinct VBNs of g: a mix of whole-stripe runs (what an
+// AA-directed CP produces) and scattered single blocks, in random order.
+func randomWrites(g Geometry, rng *rand.Rand, n int) []block.VBN {
 	seen := map[block.VBN]bool{}
 	var vbns []block.VBN
-	for len(vbns) < 4096 {
-		v := block.VBN(rng.Intn(int(g.Blocks())))
+	add := func(v block.VBN) {
 		if !seen[v] {
 			seen[v] = true
 			vbns = append(vbns, v)
 		}
 	}
+	for len(vbns) < n {
+		if rng.Intn(2) == 0 {
+			s := uint64(rng.Int63n(int64(g.BlocksPerDevice)))
+			for ; s < g.BlocksPerDevice && rng.Intn(8) != 0; s++ {
+				for d := 0; d < g.DataDevices; d++ {
+					add(g.VBNOf(d, s))
+				}
+			}
+		} else {
+			add(g.VBNRange().Start + block.VBN(rng.Int63n(int64(g.Blocks()))))
+		}
+	}
+	rng.Shuffle(len(vbns), func(i, j int) { vbns[i], vbns[j] = vbns[j], vbns[i] })
+	return vbns
+}
+
+// A builder reused across calls must classify each input exactly as a fresh
+// one does (nothing of the previous call may leak into the next), both must
+// match the reference, and what BuildTetrises returned earlier must not be
+// disturbed by later calls: its results are the caller's, not the builder's.
+func TestTetrisBuilderReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	geos := []Geometry{
+		testGeo(),
+		{DataDevices: 1, ParityDevices: 0, BlocksPerDevice: 300, StartVBN: 0},
+		{DataDevices: 14, ParityDevices: 2, BlocksPerDevice: 1 << 12, StartVBN: 77},
+	}
+	var tb TetrisBuilder
+	var held, heldCopy []TetrisIO
+	for round := 0; round < 200; round++ {
+		g := geos[rng.Intn(len(geos))]
+		vbns := randomWrites(g, rng, rng.Intn(int(min(g.Blocks(), 3000))))
+		fresh := BuildTetrises(g, vbns)
+		reused := tb.Build(g, vbns)
+		if want := referenceTetrises(g, vbns); !reflect.DeepEqual(fresh, want) {
+			t.Fatalf("round %d (%d blocks): fresh build differs from the reference", round, len(vbns))
+		}
+		if len(fresh) != len(reused) || (len(fresh) > 0 && !reflect.DeepEqual(fresh, reused)) {
+			t.Fatalf("round %d (%d blocks): reused builder differs from a fresh one", round, len(vbns))
+		}
+		if !reflect.DeepEqual(held, heldCopy) {
+			t.Fatalf("round %d: an earlier BuildTetrises result changed under later calls", round)
+		}
+		if round%7 == 0 {
+			held = fresh
+			heldCopy = make([]TetrisIO, len(fresh))
+			for i, io := range fresh {
+				heldCopy[i] = io
+				heldCopy[i].Chains = append([]Chain(nil), io.Chains...)
+			}
+		}
+	}
+}
+
+func benchWrites() (Geometry, []block.VBN) {
+	g := Geometry{DataDevices: 14, ParityDevices: 2, BlocksPerDevice: 1 << 20, StartVBN: 0}
+	return g, randomWrites(g, rand.New(rand.NewSource(3)), 4096)
+}
+
+// BenchmarkBuildTetrises is the one-shot wrapper: a fresh builder per call.
+func BenchmarkBuildTetrises(b *testing.B) {
+	g, vbns := benchWrites()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = BuildTetrises(g, vbns)
+	}
+}
+
+// BenchmarkTetrisBuilder is what a Group pays per CP: one builder reused, so
+// after the first call the classification allocates nothing.
+func BenchmarkTetrisBuilder(b *testing.B) {
+	g, vbns := benchWrites()
+	var tb TetrisBuilder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = tb.Build(g, vbns)
 	}
 }

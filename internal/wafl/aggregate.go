@@ -160,9 +160,9 @@ func (ag *Aggregate) AddVolume(spec VolSpec) *FlexVol {
 			panic(fmt.Sprintf("wafl: duplicate volume %q", spec.Name))
 		}
 	}
-	v := newFlexVol(spec, ag.tun, ag.rng)
+	v := newFlexVol(len(ag.vols), spec, ag.tun, ag.rng)
 	ag.vols = append(ag.vols, v)
-	ag.registerSpaceObs(v.space, "vol."+v.Name+".", len(ag.vols)-1)
+	ag.registerSpaceObs(v.space, "vol."+v.Name+".", v.index)
 	return v
 }
 
@@ -180,12 +180,12 @@ func (ag *Aggregate) groupOf(v block.VBN) *Group {
 // tetris-sized turns round-robin over the eligible RAID groups, so that
 // writes reach all groups (maximizing bandwidth, §3.3.1) while groups whose
 // best AA is heavily fragmented contribute fewer blocks per turn — the
-// write bias of §4.2. It returns fewer than n only when the aggregate is
-// out of space.
-func (ag *Aggregate) AllocatePhysical(n int) []block.VBN {
-	out := make([]block.VBN, 0, n)
+// write bias of §4.2. The VBNs are appended to dst; fewer than n are appended
+// only when the aggregate is out of space.
+func (ag *Aggregate) AllocatePhysical(dst []block.VBN, n int) []block.VBN {
+	out, stop := dst, len(dst)+n
 	useThreshold := true
-	for len(out) < n {
+	for len(out) < stop {
 		// A round may legitimately yield zero blocks (a heavily fragmented
 		// AA can have tetrises with no free blocks at all); the aggregate
 		// is only exhausted when every group reports it cannot proceed.
@@ -197,12 +197,12 @@ func (ag *Aggregate) AllocatePhysical(n int) []block.VBN {
 				skipped = true
 				continue
 			}
-			vbns, more := g.allocateTetris(ag.bm, n-len(out))
-			out = append(out, vbns...)
+			var more bool
+			out, more = g.allocateTetris(ag.bm, out, stop-len(out))
 			if more {
 				anyAlive = true
 			}
-			if len(out) >= n {
+			if len(out) >= stop {
 				break
 			}
 		}
@@ -459,7 +459,7 @@ func (ms *MountStats) note(o MountOutcome) {
 // bitmap metafiles otherwise.
 //
 // Both rebuild passes fan out over the work pool: every group and every
-// agnostic space owns its cache, cursor, and delta map, the TopAA store is
+// agnostic space owns its cache, cursor, and delta ledgers, the TopAA store is
 // thread-safe, and bitmap scans only read bit words while charging an
 // atomic counter. Fallback walks additionally shard their own popcount
 // work (aa.ScoreAllParallel), so a single damaged space still spreads its
@@ -489,10 +489,10 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		g := ag.groups[i]
 		g.curValid = false
 		g.cpWrites = g.cpWrites[:0]
-		g.deltas = make(map[aa.ID]int64)
-		g.flushDeltas = nil
-		g.flushWrites = nil
-		g.flushCS = nil
+		g.deltas.clear()
+		g.flushDeltas.clear()
+		g.flushWrites = g.flushWrites[:0]
+		g.flushCS = g.flushCS[:0]
 		outcome := MountBitmapWalk
 		rebuilt := false
 		if useTopAA {
@@ -559,8 +559,8 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 	parallel.ForEachObs(workers, len(spaces), ag.pobs, func(i int) {
 		sp := spaces[i]
 		sp.curValid = false
-		sp.deltas = make(map[aa.ID]int64)
-		sp.flushDeltas = nil
+		sp.deltas.clear()
+		sp.flushDeltas.clear()
 		outcome := MountBitmapWalk
 		rebuilt := false
 		if useTopAA {
@@ -624,7 +624,7 @@ func (ag *Aggregate) CompleteBackgroundFill() uint64 {
 				g.cache.Insert(aa.ID(id), scores[id])
 				// The bitmap score already reflects any deltas that were
 				// pending while the AA was untracked.
-				delete(g.deltas, aa.ID(id))
+				g.deltas.delete(aa.ID(id))
 				inserted++
 			}
 		}
@@ -645,8 +645,8 @@ func (ag *Aggregate) RepairTopAA() int {
 		scores := aa.ScoreAllParallelObs(g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
 		g.cache = heapcache.NewFromScores(scores)
 		g.seedOnly = false
-		g.deltas = make(map[aa.ID]int64)
-		g.flushDeltas = nil
+		g.deltas.clear()
+		g.flushDeltas.clear()
 		err := ag.store.SaveRAIDAware(topaaGroupKey(g.Index), g.cache)
 		// Rebuild the shard queues around the repaired cache after the save,
 		// so the metafile holds the complete score set.

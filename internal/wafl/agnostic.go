@@ -40,14 +40,14 @@ type agnosticSpace struct {
 	curValid bool
 	cursor   block.VBN
 
-	deltas map[aa.ID]int64
+	deltas *deltaLedger
 	rng    *rand.Rand
 
 	// flushDeltas is the sealed generation's delta bank (see pipeline.go):
-	// sealCPDeltas swaps the open map here, new writes keep accumulating
-	// into the other map, and foldSealed folds the bank into the HBPS when
-	// the sealed generation commits. Empty between commits; Remount nils it.
-	flushDeltas map[aa.ID]int64
+	// sealCPDeltas swaps the open ledger here, new writes keep accumulating
+	// into the other one, and foldSealed folds the bank into the HBPS when
+	// the sealed generation commits. Empty between commits and after Remount.
+	flushDeltas *deltaLedger
 
 	// delayed, when non-nil, queues frees per AA with HBPS-tracked scores
 	// instead of applying them immediately; see delayedfree.go. At depth 2
@@ -111,14 +111,16 @@ type pickNote struct {
 }
 
 func newAgnosticSpace(name string, space block.Range, bm *bitmap.Bitmap, tun Tunables, enabled bool, rng *rand.Rand) *agnosticSpace {
+	topo := aa.NewLinearDefault(space)
 	s := &agnosticSpace{
 		name:         name,
-		topo:         aa.NewLinearDefault(space),
+		topo:         topo,
 		bm:           bm,
 		cacheEnabled: enabled,
 		workers:      tun.Workers,
-		as:           newAllocState(tun),
-		deltas:       make(map[aa.ID]int64),
+		as:           newAllocState(tun, topo.NumAAs()),
+		deltas:       newDeltaLedger(topo.NumAAs()),
+		flushDeltas:  newDeltaLedger(topo.NumAAs()),
 		rng:          rng,
 	}
 	s.cache = hbps.New(hbps.DefaultConfig())
@@ -142,13 +144,13 @@ func (s *agnosticSpace) resetShardCache() {
 	}
 }
 
-// pendingDelta is the total pending score delta for id: the shared map
+// pendingDelta is the total pending score delta for id: the shared ledger
 // plus every shard ledger plus the sealed flush bank (the quantity the
 // scrub invariant subtracts). Including the sealed bank keeps the scrub
 // and watchdog invariants valid mid-pipeline: a sealed delta is still a
 // bitmap mutation the cache has not yet seen.
 func (s *agnosticSpace) pendingDelta(id aa.ID) int64 {
-	return s.as.pending(id, s.deltas) + s.flushDeltas[id]
+	return s.as.pending(id, s.deltas) + s.flushDeltas.get(id)
 }
 
 func (s *agnosticSpace) aaScore(id aa.ID) uint32 {
@@ -242,7 +244,7 @@ func (s *agnosticSpace) pick() bool {
 	}
 	s.curAA = id
 	s.curValid = true
-	seg := s.topo.Segments(id)[0]
+	seg := s.topo.Segment(id)
 	s.cursor = seg.Start
 	s.pickedScoreSum += float64(s.aaScore(id)) / float64(seg.Len())
 	s.pickedCount++
@@ -315,7 +317,7 @@ func (s *agnosticSpace) pickSharded() bool {
 	as.curShard = shard
 	s.curAA = id
 	s.curValid = true
-	seg := s.topo.Segments(id)[0]
+	seg := s.topo.Segment(id)
 	s.cursor = seg.Start
 	s.pickedScoreSum += float64(s.aaScore(id)) / float64(seg.Len())
 	s.pickedCount++
@@ -352,12 +354,8 @@ func (s *agnosticSpace) stageShard(shard int) int {
 func (s *agnosticSpace) replenish() {
 	s.replenishes++
 	s.bm.ChargeScan(s.topo.Space())
-	for id := range s.deltas {
-		delete(s.deltas, id)
-	}
-	for id := range s.flushDeltas {
-		delete(s.flushDeltas, id)
-	}
+	s.deltas.clear()
+	s.flushDeltas.clear()
 	s.as.clearLedgers()
 	scores := aa.ScoresObs(s.topo, s.bm, s.workers, s.pobs, s.scored)
 	s.cache.Replenish(func(yield func(aa.ID, uint32)) {
@@ -368,13 +366,14 @@ func (s *agnosticSpace) replenish() {
 	s.cacheOps += uint64(s.topo.NumAAs())
 }
 
-// allocate assigns up to n free VBNs, consuming the current AA sequentially
-// and moving to the next best AA as each drains ("the write allocator picks
-// an AA and then assigns all free VBNs from the AA in sequential order",
-// §3.1). It returns fewer than n only when the space is out of free blocks.
-func (s *agnosticSpace) allocate(n int) []block.VBN {
-	out := make([]block.VBN, 0, n)
-	for len(out) < n {
+// allocate appends up to n free VBNs to dst, consuming the current AA
+// sequentially and moving to the next best AA as each drains ("the write
+// allocator picks an AA and then assigns all free VBNs from the AA in
+// sequential order", §3.1). It appends fewer than n only when the space is
+// out of free blocks.
+func (s *agnosticSpace) allocate(dst []block.VBN, n int) []block.VBN {
+	out, stop := dst, len(dst)+n
+	for len(out) < stop {
 		if !s.curValid {
 			if s.bm.CountFree(s.topo.Space()) == 0 {
 				return out
@@ -383,7 +382,7 @@ func (s *agnosticSpace) allocate(n int) []block.VBN {
 				return out
 			}
 		}
-		seg := s.topo.Segments(s.curAA)[0]
+		seg := s.topo.Segment(s.curAA)
 		v, ok := s.bm.NextFree(s.cursor, seg)
 		if !ok {
 			s.scannedBlocks += uint64(seg.End - s.cursor)
@@ -415,16 +414,13 @@ func (s *agnosticSpace) free(v block.VBN) {
 }
 
 // sealCPDeltas closes the open generation's ledger: shard ledgers fold into
-// the shared map (shard-index order, IDs sorted within each shard, so the
-// totals are identical at any worker width), then the map swaps with the
-// flush bank — empty here, since the previous generation's fold drained it.
-// New writes accumulate into the other map while the sealed bank waits for
+// the shared one (shard-index order, ascending IDs within each shard, so the
+// totals are identical at any worker width), then it swaps with the flush
+// bank — empty here, since the previous generation's fold drained it. New
+// writes accumulate into the other ledger while the sealed bank waits for
 // foldSealed at the generation's commit.
 func (s *agnosticSpace) sealCPDeltas() {
 	s.as.fold(s.deltas)
-	if s.flushDeltas == nil {
-		s.flushDeltas = make(map[aa.ID]int64)
-	}
 	s.deltas, s.flushDeltas = s.flushDeltas, s.deltas
 	if s.sh != nil {
 		s.sh.AdvanceGen()
@@ -434,27 +430,25 @@ func (s *agnosticSpace) sealCPDeltas() {
 // foldSealed folds the sealed generation's delta bank into the HBPS when
 // its flush commits. The HBPS stores no per-AA scores, so the current
 // listed score is derived from the authoritative bitmap count minus every
-// delta the cache has not seen (open ledgers + open map — none at depth 1,
+// delta the cache has not seen (shard ledgers + open ledger — none at depth 1,
 // where the seal was a moment ago); subtracting the sealed delta from that
 // gives the score the entry was listed at. Both are provably non-negative —
 // a violation means ledger corruption. Updates are applied in AA order: the
-// HBPS pop order breaks score ties by insertion sequence, so folding in
-// map-iteration order would make allocation decisions vary run to run.
-// idleRow as for Group.foldSealed.
+// HBPS pop order breaks score ties by insertion sequence, so folding in any
+// other order would change allocation decisions. An entry whose delta came
+// to zero moves no score and costs nothing. idleRow as for Group.foldSealed.
 func (s *agnosticSpace) foldSealed(idleRow bool) {
 	if !s.cacheEnabled {
-		clear(s.flushDeltas)
+		s.flushDeltas.clear()
 		return
 	}
-	if len(s.flushDeltas) == 0 && !idleRow {
+	if s.flushDeltas.len() == 0 && !idleRow {
 		return
 	}
 	var folds int64
-	for _, id := range sortedIDs(s.flushDeltas) {
-		d := s.flushDeltas[id]
-		delete(s.flushDeltas, id)
+	s.flushDeltas.drain(func(id aa.ID, d int64) {
 		if d == 0 {
-			continue
+			return
 		}
 		cur := int64(s.aaScore(id)) - s.as.pending(id, s.deltas)
 		old := cur - d
@@ -464,12 +458,12 @@ func (s *agnosticSpace) foldSealed(idleRow bool) {
 		s.cache.Update(id, uint32(old), uint32(cur))
 		s.cacheOps++
 		folds++
-	}
+	})
 	s.st.Emit("cp.fold.virt", s.shard, "hbps_updates", 0, folds)
 }
 
-// sortedIDs returns the map's keys in ascending AA order, so cache updates
-// derived from delta maps are applied deterministically.
+// sortedIDs returns the map's keys in ascending AA order, so the delayed-free
+// queues hand their AAs to the HBPS deterministically.
 func sortedIDs[V any](m map[aa.ID]V) []aa.ID {
 	ids := make([]aa.ID, 0, len(m))
 	for id := range m {

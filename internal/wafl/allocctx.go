@@ -13,10 +13,10 @@ import (
 // With AllocShards > 1 every space (RAID group or virtual space) routes its
 // picks through per-shard queues (heapcache.Sharded / hbps.Sharded) and
 // accumulates its score deltas in per-shard ledgers instead of the shared
-// delta map. The shard for each pick is seq % shards — a fixed assignment
+// delta ledger. The shard for each pick is seq % shards — a fixed assignment
 // keyed by (space, pick sequence), independent of the Workers knob — so the
 // pick stream, every staged batch, and every folded delta are bit-identical
-// at any worker width. Ledgers fold into the shared delta map in
+// at any worker width. Ledgers fold into the shared delta ledger in
 // shard-index order (IDs sorted within a shard) when the CP seals the
 // generation (sealCP / sealCPDeltas), so the flush-time fold observes
 // exactly the totals the unsharded path would have accumulated.
@@ -41,10 +41,10 @@ type allocState struct {
 	curShard int    // shard of the in-flight pick (noteAlloc target)
 
 	// ledgers[s] holds shard s's pending score deltas (frees positive,
-	// allocations negative), folded into the shared delta map at CP
-	// boundaries. Classic mode (shards == 1 via AllocShards ≤ 1) bypasses
-	// the ledgers entirely — deltas go straight to the shared map.
-	ledgers []map[aa.ID]int64
+	// allocations negative), folded into the shared delta ledger at CP
+	// boundaries. Classic mode (shards == 1 via AllocShards ≤ 1) has no
+	// shard ledgers — deltas go straight to the shared one.
+	ledgers []*deltaLedger
 
 	pickBusy   []time.Duration // modeled shard-local pick time
 	refillBusy time.Duration   // pipelined staging (hidden behind picks)
@@ -58,7 +58,9 @@ type allocState struct {
 	folds      uint64 // ledger entries folded at CP boundaries
 }
 
-func newAllocState(tun Tunables) *allocState {
+// newAllocState sizes the shard ledgers for a space of numAAs allocation
+// areas.
+func newAllocState(tun Tunables, numAAs int) *allocState {
 	n := tun.AllocShards
 	if n < 1 {
 		n = 1
@@ -71,11 +73,13 @@ func newAllocState(tun Tunables) *allocState {
 		shards:   n,
 		batch:    b,
 		opCost:   tun.CPUPerCacheOp,
-		ledgers:  make([]map[aa.ID]int64, n),
 		pickBusy: make([]time.Duration, n),
 	}
-	for i := range as.ledgers {
-		as.ledgers[i] = make(map[aa.ID]int64)
+	if as.sharded() {
+		as.ledgers = make([]*deltaLedger, n)
+		for i := range as.ledgers {
+			as.ledgers[i] = newDeltaLedger(numAAs)
+		}
 	}
 	return as
 }
@@ -95,69 +99,57 @@ func (as *allocState) nextShard() int {
 // note records one score delta: shard-local ledger when striped (the
 // in-flight pick's shard for allocations; id-keyed for frees so a block
 // freed between CPs lands in a deterministic ledger regardless of which
-// pick is in flight), shared map otherwise.
-func (as *allocState) noteAlloc(id aa.ID, deltas map[aa.ID]int64) {
+// pick is in flight), shared ledger otherwise.
+func (as *allocState) noteAlloc(id aa.ID, deltas *deltaLedger) {
 	if as.sharded() {
-		as.ledgers[as.curShard][id]--
-		return
+		deltas = as.ledgers[as.curShard]
 	}
-	deltas[id]--
+	deltas.add(id, -1)
 }
 
-func (as *allocState) noteFree(id aa.ID, deltas map[aa.ID]int64) {
+func (as *allocState) noteFree(id aa.ID, deltas *deltaLedger) {
 	if as.sharded() {
-		as.ledgers[int(uint64(id)%uint64(as.shards))][id]++
-		return
+		deltas = as.ledgers[int(uint64(id)%uint64(as.shards))]
 	}
-	deltas[id]++
+	deltas.add(id, 1)
 }
 
-// pending returns the total pending delta for id: the shared map plus
+// pending returns the total pending delta for id: the shared ledger plus
 // every shard ledger. This is the quantity the scrub/watchdog invariant
 // uses — cachedScore == bitmapScore − pending — and it holds mid-CP for
 // staged entries exactly because bitmap and delta mutations move together.
-func (as *allocState) pending(id aa.ID, deltas map[aa.ID]int64) int64 {
-	d := deltas[id]
-	if as.sharded() {
-		for _, l := range as.ledgers {
-			d += l[id]
-		}
+func (as *allocState) pending(id aa.ID, deltas *deltaLedger) int64 {
+	d := deltas.get(id)
+	for _, l := range as.ledgers {
+		d += l.get(id)
 	}
 	return d
 }
 
 // clearPending discards every pending delta for id (the score was just
 // recomputed from the bitmap, e.g. finishAA or a cleaning pass).
-func (as *allocState) clearPending(id aa.ID, deltas map[aa.ID]int64) {
-	delete(deltas, id)
-	if as.sharded() {
-		for _, l := range as.ledgers {
-			delete(l, id)
-		}
+func (as *allocState) clearPending(id aa.ID, deltas *deltaLedger) {
+	deltas.delete(id)
+	for _, l := range as.ledgers {
+		l.delete(id)
 	}
 }
 
-// fold merges every shard ledger into the shared delta map and empties the
-// ledgers: shard-index order, IDs sorted within each shard, so the merged
-// map is identical at any worker width. Returns entries folded.
-func (as *allocState) fold(deltas map[aa.ID]int64) int {
-	if !as.sharded() {
-		return 0
-	}
+// fold merges every shard ledger into the shared delta ledger and empties
+// them: shard-index order, ascending IDs within each shard, so the merged
+// ledger is identical at any worker width. A sum that comes to zero leaves
+// no entry behind. Returns entries folded.
+func (as *allocState) fold(deltas *deltaLedger) int {
 	n := 0
-	for s, l := range as.ledgers {
-		if len(l) == 0 {
-			continue
-		}
-		for _, id := range sortedIDs(l) {
-			if d := deltas[id] + l[id]; d == 0 {
-				delete(deltas, id)
+	for _, l := range as.ledgers {
+		l.drain(func(id aa.ID, d int64) {
+			if deltas.get(id)+d == 0 {
+				deltas.delete(id)
 			} else {
-				deltas[id] = d
+				deltas.add(id, d)
 			}
 			n++
-		}
-		as.ledgers[s] = make(map[aa.ID]int64)
+		})
 	}
 	as.folds += uint64(n)
 	return n
@@ -176,11 +168,8 @@ func (as *allocState) resetCounters() {
 // clearLedgers drops all ledger state (remount, repair, replenish — paths
 // that rebuild scores from the bitmap and discard pending deltas).
 func (as *allocState) clearLedgers() {
-	if !as.sharded() {
-		return
-	}
-	for i := range as.ledgers {
-		as.ledgers[i] = make(map[aa.ID]int64)
+	for _, l := range as.ledgers {
+		l.clear()
 	}
 }
 
@@ -188,15 +177,10 @@ func (as *allocState) clearLedgers() {
 // post-fold watchdog: a depth-1 CP seals (folding the ledgers) and flushes
 // without allocating in between, so every ledger must be empty after it.
 func (as *allocState) residue() (shard int, id aa.ID, d int64, ok bool) {
-	if !as.sharded() {
-		return 0, 0, 0, false
-	}
 	for s, l := range as.ledgers {
-		if len(l) == 0 {
-			continue
+		if id, d, ok := l.first(); ok {
+			return s, id, d, true
 		}
-		ids := sortedIDs(l)
-		return s, ids[0], l[ids[0]], true
 	}
 	return 0, 0, 0, false
 }

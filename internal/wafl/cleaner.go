@@ -65,7 +65,7 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 		// Read the live data (charged per contiguous run), then rewrite it
 		// through the normal allocator, which now cannot pick this AA.
 		s.chargeRelocationReads(g, e.ID)
-		newPhys := s.Agg.AllocatePhysical(len(used))
+		newPhys := s.Agg.AllocatePhysical(nil, len(used))
 		if len(newPhys) < len(used) {
 			panic("wafl: aggregate out of space during segment cleaning")
 		}

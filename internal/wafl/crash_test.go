@@ -220,7 +220,7 @@ func TestScrubDetectsDivergence(t *testing.T) {
 	// HBPS: pretend a delta exists that the bitmap never saw (large enough
 	// to cross a histogram bin boundary).
 	sp := s.Agg.vols[0].space
-	sp.deltas[aa.ID(0)] += 4096
+	sp.deltas.add(aa.ID(0), 4096)
 	rep = s.Agg.Scrub()
 	if rep.Clean() {
 		t.Fatal("scrub missed an HBPS divergence")
@@ -228,7 +228,7 @@ func TestScrubDetectsDivergence(t *testing.T) {
 	if div := rep.Divergent(); div[0].Space != "v" {
 		t.Fatalf("divergence attributed to %q, want %q", div[0].Space, "v")
 	}
-	delete(sp.deltas, aa.ID(0))
+	sp.deltas.delete(aa.ID(0))
 	if rep := s.Agg.Scrub(); !rep.Clean() {
 		t.Fatalf("scrub not clean after restore: %s", rep)
 	}

@@ -144,7 +144,7 @@ func (s *agnosticSpace) reclaimDelayedFrees(sealed bool, budget int) (freed, aas
 				panic(fmt.Sprintf("wafl: delayed free of unallocated %v in %s", v, s.name))
 			}
 			if sealed {
-				s.flushDeltas[id]++
+				s.flushDeltas.add(id, 1)
 			} else {
 				s.as.noteFree(id, s.deltas)
 			}

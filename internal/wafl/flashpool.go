@@ -21,31 +21,31 @@ import (
 // AllocatePhysicalPreferring allocates like AllocatePhysical but tries
 // groups of the preferred media first, spilling to the remaining groups
 // only for whatever those could not supply.
-func (ag *Aggregate) AllocatePhysicalPreferring(media aa.Media, n int) []block.VBN {
-	out := ag.allocateFromMedia(media, n, true)
-	if len(out) < n {
-		out = append(out, ag.allocateFromMedia(media, n-len(out), false)...)
+func (ag *Aggregate) AllocatePhysicalPreferring(dst []block.VBN, media aa.Media, n int) []block.VBN {
+	out := ag.allocateFromMedia(dst, media, n, true)
+	if got := len(out) - len(dst); got < n {
+		out = ag.allocateFromMedia(out, media, n-got, false)
 	}
 	return out
 }
 
 // allocateFromMedia runs the tetris round-robin restricted to groups whose
-// media matches (or doesn't, when match is false).
-func (ag *Aggregate) allocateFromMedia(media aa.Media, n int, match bool) []block.VBN {
-	out := make([]block.VBN, 0, n)
-	for len(out) < n {
+// media matches (or doesn't, when match is false), appending to dst.
+func (ag *Aggregate) allocateFromMedia(dst []block.VBN, media aa.Media, n int, match bool) []block.VBN {
+	out, stop := dst, len(dst)+n
+	for len(out) < stop {
 		anyAlive := false
 		for i := range ag.groups {
 			g := ag.groups[(ag.nextRR+i)%len(ag.groups)]
 			if (g.Spec.Media == media) != match {
 				continue
 			}
-			vbns, more := g.allocateTetris(ag.bm, n-len(out))
-			out = append(out, vbns...)
+			var more bool
+			out, more = g.allocateTetris(ag.bm, out, stop-len(out))
 			if more {
 				anyAlive = true
 			}
-			if len(out) >= n {
+			if len(out) >= stop {
 				break
 			}
 		}
@@ -89,7 +89,7 @@ func (s *System) Demote(l *LUN, select_ func(lba uint64) bool) int {
 	if len(move) == 0 {
 		return 0
 	}
-	newVBNs := s.Agg.allocateFromMedia(aa.MediaHDD, len(move), true)
+	newVBNs := s.Agg.allocateFromMedia(nil, aa.MediaHDD, len(move), true)
 	if len(newVBNs) < len(move) {
 		panic("wafl: HDD tier out of space during demotion")
 	}

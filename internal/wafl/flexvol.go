@@ -13,25 +13,30 @@ import (
 // AA cache; data blocks additionally occupy physical VBNs in the aggregate.
 type FlexVol struct {
 	Name string
+	// index is the volume's position in Aggregate.vols: per-generation CP
+	// bookkeeping is a slice indexed by it.
+	index int
 
 	bm    *bitmap.Bitmap
 	space *agnosticSpace
 	luns  map[string]*LUN
 	// rc counts references (active image + snapshots) per written pair,
-	// keyed by virtual VBN; see snapshot.go.
-	rc map[block.VBN]int32
+	// keyed by virtual VBN; see snapshot.go and reftable.go.
+	rc *refTable
 }
 
-func newFlexVol(spec VolSpec, tun Tunables, rng *rand.Rand) *FlexVol {
+func newFlexVol(index int, spec VolSpec, tun Tunables, rng *rand.Rand) *FlexVol {
 	if spec.Blocks == 0 {
 		panic("wafl: zero-size FlexVol")
 	}
 	bm := bitmap.New(spec.Blocks)
 	v := &FlexVol{
 		Name:  spec.Name,
+		index: index,
 		bm:    bm,
 		space: newAgnosticSpace(spec.Name, block.R(0, block.VBN(spec.Blocks)), bm, tun, tun.VolCacheEnabled, rng),
 		luns:  make(map[string]*LUN),
+		rc:    newRefTable(spec.Blocks),
 	}
 	if tun.DelayedVirtFrees {
 		v.space.delayed = newDelayedFrees()
@@ -57,7 +62,7 @@ func (v *FlexVol) CreateLUN(name string, blocks uint64) *LUN {
 	if _, dup := v.luns[name]; dup {
 		panic(fmt.Sprintf("wafl: duplicate LUN %q in %s", name, v.Name))
 	}
-	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks)}
+	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks), dirty: make([]uint64, (blocks+63)/64)}
 	for i := range l.blocks {
 		l.blocks[i] = blockPtr{virt: block.InvalidVBN, phys: block.InvalidVBN}
 	}
@@ -85,6 +90,12 @@ type LUN struct {
 	vol    *FlexVol
 	blocks []blockPtr
 	snaps  map[string]*Snapshot
+
+	// The LUN's share of the write buffer: dirty has one bit per logical
+	// block written since the last CP's alloc stage, dirtyLBAs lists those
+	// blocks once each in arrival order (see System.Write).
+	dirty     []uint64
+	dirtyLBAs []uint64
 }
 
 // Blocks returns the LUN's logical size in blocks.

@@ -61,18 +61,22 @@ type Group struct {
 
 	// deltas accumulates per-AA free-count changes since the last CP
 	// (allocations negative, frees positive).
-	deltas map[aa.ID]int64
+	deltas *deltaLedger
 	// cpWrites collects the physical VBNs allocated since the last CP.
 	cpWrites []block.VBN
 
 	// Flush banks (see pipeline.go): at seal, deltas/cpWrites/pendingCS swap
 	// into these while the open side keeps accumulating; the banks flush
 	// and fold when the sealed generation commits — at once at depth 1, a
-	// boundary later at depth 2 — and are empty in between. Remount nils
+	// boundary later at depth 2 — and are empty in between. Remount empties
 	// them.
-	flushDeltas map[aa.ID]int64
+	flushDeltas *deltaLedger
 	flushWrites []block.VBN
 	flushCS     []uint64
+
+	// tb classifies the sealed writes into tetrises. It is the group's own
+	// because groups flush concurrently (commitSealed fans out over them).
+	tb raid.TetrisBuilder
 
 	raidStats *raid.Stats
 	rng       *rand.Rand
@@ -136,8 +140,9 @@ func buildGroup(index int, spec GroupSpec, startVBN block.VBN, tun Tunables, rng
 		topo:         topo,
 		cacheEnabled: tun.AggregateCacheEnabled,
 		azcs:         spec.AZCS,
-		deltas:       make(map[aa.ID]int64),
-		as:           newAllocState(tun),
+		deltas:       newDeltaLedger(topo.NumAAs()),
+		flushDeltas:  newDeltaLedger(topo.NumAAs()),
+		as:           newAllocState(tun, topo.NumAAs()),
 		raidStats:    raid.NewStats(geo),
 		rng:          rng,
 	}
@@ -202,12 +207,12 @@ func (g *Group) restageShards() {
 	}
 }
 
-// pendingDelta is the total pending score delta for id: the shared map
+// pendingDelta is the total pending score delta for id: the shared ledger
 // plus every shard ledger plus the sealed flush bank (the quantity the
 // scrub invariant subtracts). Including the sealed bank keeps the scrub
 // and watchdog invariants valid mid-pipeline.
 func (g *Group) pendingDelta(id aa.ID) int64 {
-	return g.as.pending(id, g.deltas) + g.flushDeltas[id]
+	return g.as.pending(id, g.deltas) + g.flushDeltas.get(id)
 }
 
 func (g *Group) buildDevices() {
@@ -504,22 +509,23 @@ func (g *Group) finishAA(bm *bitmap.Bitmap) {
 		g.scored.Inc()
 		g.cacheOps++
 		g.as.clearPending(g.curAA, g.deltas) // the fresh score already reflects them
-		delete(g.flushDeltas, g.curAA)       // ditto for a sealed delta mid-pipeline
+		g.flushDeltas.delete(g.curAA)        // ditto for a sealed delta mid-pipeline
 	}
 	g.curValid = false
 }
 
-// allocateTetris assigns up to max free physical VBNs from the next tetris
-// of the current AA, stripe-major (stripe by stripe across devices, which
-// yields full stripes and per-device chains). It returns the VBNs assigned;
-// an empty result with more==false means the group is exhausted for now.
-func (g *Group) allocateTetris(bm *bitmap.Bitmap, max int) (vbns []block.VBN, more bool) {
+// allocateTetris appends to dst up to max free physical VBNs from the next
+// tetris of the current AA, stripe-major (stripe by stripe across devices,
+// which yields full stripes and per-device chains), and returns the extended
+// slice; nothing appended with more==false means the group is exhausted for
+// now.
+func (g *Group) allocateTetris(bm *bitmap.Bitmap, dst []block.VBN, max int) (out []block.VBN, more bool) {
 	if max <= 0 {
-		return nil, true
+		return dst, true
 	}
 	for !g.curValid {
 		if !g.pickAA(bm) {
-			return nil, false
+			return dst, false
 		}
 	}
 	// One tetris: up to StripesPerTetris stripes from the cursor.
@@ -527,29 +533,30 @@ func (g *Group) allocateTetris(bm *bitmap.Bitmap, max int) (vbns []block.VBN, mo
 	if end > g.curEnd {
 		end = g.curEnd
 	}
-	for s := g.curStripe; s < end && len(vbns) < max; s++ {
+	out, stop := dst, len(dst)+max
+	for s := g.curStripe; s < end && len(out) < stop; s++ {
 		for d := 0; d < g.geo.DataDevices; d++ {
-			if len(vbns) >= max {
+			if len(out) >= stop {
 				// Mid-stripe stop: resume at this stripe next call.
 				end = s
 				break
 			}
 			v := g.geo.VBNOf(d, s)
 			if bm.Set(v) {
-				vbns = append(vbns, v)
+				out = append(out, v)
 				g.as.noteAlloc(g.curAA, g.deltas)
 			}
 		}
 	}
 	g.curStripe = end
-	if len(vbns) > 0 {
+	if len(out) > len(dst) {
 		g.curWrote = true
 	}
 	if g.curStripe >= g.curEnd {
 		g.finishAA(bm)
 	}
-	g.cpWrites = append(g.cpWrites, vbns...)
-	return vbns, true
+	g.cpWrites = append(g.cpWrites, out[len(dst):]...)
+	return out, true
 }
 
 // free returns a physical VBN in this group to the free pool.
@@ -570,17 +577,14 @@ func (g *Group) free(bm *bitmap.Bitmap, v block.VBN, trim bool) {
 }
 
 // sealCP closes the open generation: shard ledgers fold into the shared
-// delta map (shard-index order, IDs sorted within each shard, so the merged
-// totals are identical at any worker width), then the delta map, the write
-// set, and the queued AZCS checksum positions swap with the flush banks.
-// The banks are empty here — the previous generation's flush drained them —
-// so the swap hands the open side their retained capacity instead of
+// delta ledger (shard-index order, ascending IDs within each shard, so the
+// merged totals are identical at any worker width), then the ledger, the
+// write set, and the queued AZCS checksum positions swap with the flush
+// banks. The banks are empty here — the previous generation's flush drained
+// them — so the swap hands the open side their retained capacity instead of
 // reallocating it every CP.
 func (g *Group) sealCP() {
 	g.as.fold(g.deltas)
-	if g.flushDeltas == nil {
-		g.flushDeltas = make(map[aa.ID]int64)
-	}
 	g.deltas, g.flushDeltas = g.flushDeltas, g.deltas
 	g.cpWrites, g.flushWrites = g.flushWrites[:0], g.cpWrites
 	g.pendingCS, g.flushCS = g.flushCS[:0], g.pendingCS
@@ -600,7 +604,7 @@ func (g *Group) flushSealed() time.Duration {
 		return 0
 	}
 	var busy time.Duration
-	tetrises := raid.BuildTetrises(g.geo, g.flushWrites)
+	tetrises := g.tb.Build(g.geo, g.flushWrites)
 	g.flushWrites = g.flushWrites[:0]
 	for i := range tetrises {
 		t := &tetrises[i]
@@ -674,27 +678,27 @@ func (g *Group) queueAZCSBoundaries(id aa.ID) {
 // foldSealed folds the sealed generation's batched score changes into the
 // AA cache when its flush commits (§3.3). Deltas the fold cannot apply yet —
 // the allocator's in-flight AA, or an AA a seed-only cache does not track —
-// merge back into the open map, so finishAA / the background fill settle
+// merge back into the open ledger, so finishAA / the background fill settle
 // them. idleRow also emits the trace row when the bank is empty (the depth-1
 // stream has one row per group per CP; depth 2 only reports groups with
 // deltas).
 func (g *Group) foldSealed(idleRow bool) {
 	if !g.cacheEnabled {
-		clear(g.flushDeltas)
+		g.flushDeltas.clear()
 		return
 	}
-	if len(g.flushDeltas) == 0 && !idleRow {
+	if g.flushDeltas.len() == 0 && !idleRow {
 		return
 	}
-	// Sorted order keeps the heap's tie-break (insertion sequence) — and
-	// hence pick order — identical run to run.
+	// AA order keeps the heap's tie-break (insertion sequence) — and hence
+	// pick order — identical run to run. Every entry present is an update,
+	// a zero delta included: an AA allocated from and freed into in one CP
+	// is re-scored (and charged) like any other.
 	var folds int64
-	for _, id := range sortedIDs(g.flushDeltas) {
-		d := g.flushDeltas[id]
-		delete(g.flushDeltas, id)
+	g.flushDeltas.drain(func(id aa.ID, d int64) {
 		if (g.curValid && id == g.curAA) || !g.cache.Tracked(id) {
-			g.deltas[id] += d
-			continue
+			g.deltas.add(id, d)
+			return
 		}
 		s := int64(g.cache.Score(id)) + d
 		if s < 0 {
@@ -703,7 +707,7 @@ func (g *Group) foldSealed(idleRow bool) {
 		g.cache.Update(id, uint64(s))
 		g.cacheOps++
 		folds++
-	}
+	})
 	g.st.Emit("cp.fold.phys", g.Index, "heap_updates", 0, folds)
 }
 

@@ -501,7 +501,7 @@ func (s *System) registerSystemObs() {
 // (optrace.attr_coverage == 1.0). The float64 scaling is deterministic —
 // IEEE ops on worker-invariant integers. gBusy is the per-group device busy
 // snapshotted before the flush (nil when no trace is pending).
-func (s *System) attributeWrites(gen cpGen, deviceBusy, metaNS, foldCache time.Duration, gBusy []time.Duration) {
+func (s *System) attributeWrites(gen *cpGen, deviceBusy, metaNS, foldCache time.Duration, gBusy []time.Duration) {
 	if gen.totalBlocks == 0 {
 		return
 	}
@@ -519,7 +519,7 @@ func (s *System) attributeWrites(gen cpGen, deviceBusy, metaNS, foldCache time.D
 		devPer = cpPer - metaPer - scanPer - cachePer
 	}
 	for _, v := range s.Agg.vols {
-		if n := gen.volBlocks[v]; n > 0 {
+		if n := gen.blocks(v); n > 0 {
 			sp := v.space
 			sp.lat.ObserveN(perBlock, n)
 			sp.attr[optrace.StageBase] += n * base
@@ -535,10 +535,10 @@ func (s *System) attributeWrites(gen cpGen, deviceBusy, metaNS, foldCache time.D
 	// activity) and per-group flush leaf spans scaled to the op's device
 	// share.
 	for _, v := range s.Agg.vols {
-		c := gen.cands[v]
-		if c == nil || gen.volBlocks[v] == 0 {
+		if gen.blocks(v) == 0 || !gen.cands[v.index].armed {
 			continue
 		}
+		c := &gen.cands[v.index]
 		sp := v.space
 		rec, slow := sp.tr.Decide(c.sampled, perBlock)
 		if !rec {
@@ -577,7 +577,7 @@ func (s *System) attributeWrites(gen cpGen, deviceBusy, metaNS, foldCache time.D
 		sp.tr.Add(optrace.Trace{
 			ID: c.id, Kind: optrace.KindWrite.String(), Seq: c.seq, CP: s.c.CPs,
 			AtNS:  int64(s.c.DeviceBusy + s.c.CPUTime),
-			LatNS: perBlock, Blocks: gen.volBlocks[v], Slow: slow,
+			LatNS: perBlock, Blocks: gen.blocks(v), Slow: slow,
 			Spans: []optrace.Span{
 				{Name: optrace.StageBase.String(), DurNS: base},
 				alloc,

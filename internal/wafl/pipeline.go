@@ -1,9 +1,9 @@
 package wafl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"waflfs/internal/aa"
@@ -42,6 +42,7 @@ import (
 // alloc stage to its flush. The blocks a volume commits in one CP share one
 // modeled latency, so one candidate per (volume, CP) stands for the batch.
 type writeCand struct {
+	armed        bool // the volume is tracing and wrote in this generation
 	id, seq      uint64
 	sampled      bool
 	stalls0      uint64
@@ -52,22 +53,49 @@ type writeCand struct {
 
 // cpGen is what the alloc stage records about a generation so that its
 // flush — one boundary later at depth 2 — can attribute latency and traces
-// to the CP the writes belong to.
+// to the CP the writes belong to. volBlocks and cands are indexed by
+// FlexVol.index and cover the volumes that existed when the generation was
+// allocated.
 type cpGen struct {
-	volBlocks   map[*FlexVol]uint64
+	volBlocks   []uint64
 	totalBlocks uint64
-	cands       map[*FlexVol]*writeCand
+	cands       []writeCand
+	// traced counts the cands in use (writeCand.armed).
+	traced int
 	// allocScan/allocCache are the CPU charges of the alloc stage, carried
 	// so the flush-time latency SLI covers the whole generation cost.
 	allocScan  time.Duration
 	allocCache time.Duration
 }
 
+// reset empties the record for a generation over nvols volumes, keeping its
+// storage.
+func (gen *cpGen) reset(nvols int) {
+	volBlocks, cands := gen.volBlocks[:0], gen.cands[:0]
+	*gen = cpGen{
+		volBlocks: append(volBlocks, make([]uint64, nvols)...),
+		cands:     append(cands, make([]writeCand, nvols)...),
+	}
+}
+
+// blocks returns how many blocks volume v wrote in the generation.
+func (gen *cpGen) blocks(v *FlexVol) uint64 {
+	if v.index < len(gen.volBlocks) {
+		return gen.volBlocks[v.index]
+	}
+	return 0 // the volume was added after the generation was allocated
+}
+
 // cpPipeline is the System's sealed-generation state plus the
 // cp.pipeline.* accumulators, which only depth 2 advances.
 type cpPipeline struct {
 	inFlight bool
-	gen      cpGen
+	// gen is the sealed generation's record; open is the one the alloc stage
+	// fills. The seal swaps them, like every other bank, so the two records
+	// alive at depth 2 reuse each other's storage CP after CP.
+	gen, open *cpGen
+	// volBusy is allocWall's scratch.
+	volBusy []time.Duration
 
 	// generations counts sealed generations (worker-invariant).
 	generations uint64
@@ -153,7 +181,7 @@ func (s *System) CP() CPStats {
 		// sorted order and change which ones a finite budget reaches.
 		s.Agg.faults.EnterPhase(faultinject.PhaseDelayedFree)
 		s.reclaimDelayed(false)
-		s.sealGeneration(gen)
+		s.sealGeneration()
 		st := s.flushGeneration(true)
 		s.cpWall += st.FlushWall
 		s.tail()
@@ -176,7 +204,7 @@ func (s *System) CP() CPStats {
 			sp.delayedSealed.absorb(sp.delayed)
 		}
 	}
-	s.sealGeneration(gen)
+	s.sealGeneration()
 	s.pipe.generations++
 	s.chargeOverlap(s.allocWall(gen), st.FlushWall)
 	if overlap {
@@ -226,86 +254,73 @@ func (s *System) chargeOverlap(allocWall, flushWall time.Duration) {
 // volume's allocation work (its blocks at the base per-op cost) is
 // volume-local, so it fans out over the work pool the way the flush fans
 // out over groups.
-func (s *System) allocWall(gen cpGen) time.Duration {
-	volBusy := make([]time.Duration, 0, len(s.Agg.vols))
-	for _, v := range s.Agg.vols {
-		if n := gen.volBlocks[v]; n > 0 {
+func (s *System) allocWall(gen *cpGen) time.Duration {
+	volBusy := s.pipe.volBusy[:0]
+	for _, n := range gen.volBlocks {
+		if n > 0 {
 			volBusy = append(volBusy, time.Duration(n)*s.tun.CPUBasePerOp)
 		}
 	}
+	s.pipe.volBusy = volBusy
 	return parallel.Makespan(volBusy, s.Agg.workers())
 }
 
 // allocGeneration is the alloc stage: write allocation + COW frees, volume
 // by volume, into the open banks. Its CPU (virtual-bitmap sweep, cache
-// picks) is charged here and carried in the returned cpGen.
-func (s *System) allocGeneration() cpGen {
+// picks) is charged here and carried in the returned record (the open one,
+// which the seal stage makes the sealed one).
+func (s *System) allocGeneration() *cpGen {
 	cacheOpsBefore := s.cacheOps()
 	scanBefore := s.virtScanBlocks()
-	// The pending map is iterated in sorted (volume, LUN) order: map order
-	// would assign VBNs to LUNs differently run to run whenever more than
-	// one LUN is dirty, leaking nondeterminism into every downstream read
-	// and free.
-	luns := make([]*LUN, 0, len(s.pending))
-	for l := range s.pending {
-		luns = append(luns, l)
-	}
-	sort.Slice(luns, func(i, j int) bool {
-		if luns[i].vol.Name != luns[j].vol.Name {
-			return luns[i].vol.Name < luns[j].vol.Name
-		}
-		return luns[i].Name < luns[j].Name
+	// LUNs allocate in (volume, LUN) name order, whatever order they were
+	// first written in: the order VBNs are handed out decides every
+	// downstream read and free.
+	slices.SortFunc(s.dirtyLUNs, func(a, b *LUN) int {
+		return cmp.Or(cmp.Compare(a.vol.Name, b.vol.Name), cmp.Compare(a.Name, b.Name))
 	})
-	gen := cpGen{
-		volBlocks: make(map[*FlexVol]uint64, len(s.Agg.vols)),
-		cands:     make(map[*FlexVol]*writeCand),
-	}
-	for _, l := range luns {
-		dirty := s.pending[l]
-		n := len(dirty)
-		if n == 0 {
-			continue
-		}
+	gen := s.pipe.open
+	gen.reset(len(s.Agg.vols))
+	for _, l := range s.dirtyLUNs {
+		n := len(l.dirtyLBAs)
 		vol := l.vol
 		// Op tracing: Begin draws the volume's deterministic write sequence
 		// number before its first allocation; while the volume allocates,
 		// the sampled trace ID rides along in curTID so its pick-provenance
 		// records cross-reference the trace.
 		if sp := vol.space; sp.tr != nil {
-			if _, ok := gen.cands[vol]; !ok {
+			if c := &gen.cands[vol.index]; !c.armed {
 				id, seq, smp := sp.tr.Begin(optrace.KindWrite)
-				gen.cands[vol] = &writeCand{
-					id: id, seq: seq, sampled: smp,
+				*c = writeCand{
+					armed: true, id: id, seq: seq, sampled: smp,
 					stalls0: sp.as.stalls, replenishes0: sp.replenishes,
 					stallBusy0: sp.as.stallBusy, refillBusy0: sp.as.refillBusy,
 				}
+				gen.traced++
 				if smp {
 					sp.curTID = id
 				}
 			}
 		}
-		gen.volBlocks[vol] += uint64(n)
+		gen.volBlocks[vol.index] += uint64(n)
 		gen.totalBlocks += uint64(n)
-		virt := vol.space.allocate(n)
+		virt := vol.space.allocate(s.virtBuf[:0], n)
 		var phys []block.VBN
 		if s.tun.FlashPool {
-			phys = s.Agg.AllocatePhysicalPreferring(aa.MediaSSD, n)
+			phys = s.Agg.AllocatePhysicalPreferring(s.physBuf[:0], aa.MediaSSD, n)
 		} else {
-			phys = s.Agg.AllocatePhysical(n)
+			phys = s.Agg.AllocatePhysical(s.physBuf[:0], n)
 		}
+		s.virtBuf, s.physBuf = virt, phys
 		if len(virt) < n {
 			panic(fmt.Sprintf("wafl: volume %q out of virtual space", vol.Name))
 		}
 		if len(phys) < n {
 			panic("wafl: aggregate out of physical space")
 		}
-		// Deterministic iteration: sort the dirty LBAs.
-		lbas := make([]uint64, 0, n)
-		for lba := range dirty {
-			lbas = append(lbas, lba)
-		}
-		slices.Sort(lbas)
-		for i, lba := range lbas {
+		// Blocks take their VBNs in ascending LBA order.
+		slices.Sort(l.dirtyLBAs)
+		for i, lba := range l.dirtyLBAs {
+			l.dirty[lba/64] &^= 1 << (lba % 64)
 			vol.refNew(virt[i])
 			old, wasWritten := l.install(lba, blockPtr{virt: virt[i], phys: phys[i]})
 			if wasWritten {
@@ -314,14 +329,17 @@ func (s *System) allocGeneration() cpGen {
 				s.unref(vol, old)
 			}
 		}
+		l.dirtyLBAs = l.dirtyLBAs[:0]
 		s.c.BlocksWritten += uint64(n)
 		s.Agg.st.Emit("cp.alloc", vol.space.shard, l.Name, 0, int64(n))
-		delete(s.pending, l)
 	}
+	s.dirtyLUNs = s.dirtyLUNs[:0]
 	s.pendingBlocks = 0
 	s.opsSinceCP = 0
-	for vol := range gen.cands {
-		vol.space.curTID = 0
+	if gen.traced > 0 {
+		for _, v := range s.Agg.vols {
+			v.space.curTID = 0
+		}
 	}
 	gen.allocScan = time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan
 	gen.allocCache = time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
@@ -346,8 +364,8 @@ func (s *System) reclaimDelayed(sealed bool) {
 
 // sealGeneration is the seal stage: every open bank swaps into its flush
 // bank — group and space delta ledgers (shard ledgers folded first), write
-// sets, AZCS queues, the pool's tiered-block count.
-func (s *System) sealGeneration(gen cpGen) {
+// sets, AZCS queues, the pool's tiered-block count, the generation record.
+func (s *System) sealGeneration() {
 	for _, g := range s.Agg.groups {
 		g.sealCP()
 	}
@@ -359,7 +377,7 @@ func (s *System) sealGeneration(gen cpGen) {
 		p.cpBlocks = 0
 		p.space.sealCPDeltas()
 	}
-	s.pipe.gen = gen
+	s.pipe.gen, s.pipe.open = s.pipe.open, s.pipe.gen
 	s.pipe.inFlight = true
 }
 
@@ -373,7 +391,7 @@ func (s *System) flushGeneration(idleFoldRows bool) CPStats {
 	// When traces are pending, snapshot per-group device busy so their
 	// flush-time deltas can become device leaf spans.
 	var gBusy []time.Duration
-	if len(gen.cands) > 0 {
+	if gen.traced > 0 {
 		gBusy = make([]time.Duration, len(s.Agg.groups))
 		for i, g := range s.Agg.groups {
 			gBusy[i] = g.deviceBusy
@@ -391,7 +409,6 @@ func (s *System) flushGeneration(idleFoldRows bool) CPStats {
 	s.c.CPUTime += metaNS + foldCache
 	s.c.CacheCPUTime += foldCache
 	s.attributeWrites(gen, st.DeviceBusy, metaNS, foldCache, gBusy)
-	s.pipe.gen = cpGen{}
 	s.pipe.inFlight = false
 	return st
 }

@@ -35,19 +35,19 @@ func depthSystem(t *testing.T, pipeline bool, budget int) (*System, *LUN) {
 func banksAtRest(t *testing.T, s *System) {
 	t.Helper()
 	for _, g := range s.Agg.groups {
-		if len(g.flushDeltas) > 0 || len(g.flushWrites) > 0 || len(g.flushCS) > 0 {
+		if g.flushDeltas.len() > 0 || len(g.flushWrites) > 0 || len(g.flushCS) > 0 {
 			t.Fatalf("rg%d flush banks not empty: %d deltas, %d writes, %d checksums",
-				g.Index, len(g.flushDeltas), len(g.flushWrites), len(g.flushCS))
+				g.Index, g.flushDeltas.len(), len(g.flushWrites), len(g.flushCS))
 		}
 	}
 	for _, v := range s.Agg.vols {
-		if len(v.space.flushDeltas) > 0 {
-			t.Fatalf("volume %q: %d sealed deltas at rest", v.Name, len(v.space.flushDeltas))
+		if v.space.flushDeltas.len() > 0 {
+			t.Fatalf("volume %q: %d sealed deltas at rest", v.Name, v.space.flushDeltas.len())
 		}
 	}
 	if p := s.Agg.pool; p != nil {
-		if p.flushBlocks > 0 || len(p.space.flushDeltas) > 0 {
-			t.Fatalf("pool flush banks not empty: %d blocks, %d deltas", p.flushBlocks, len(p.space.flushDeltas))
+		if p.flushBlocks > 0 || p.space.flushDeltas.len() > 0 {
+			t.Fatalf("pool flush banks not empty: %d blocks, %d deltas", p.flushBlocks, p.space.flushDeltas.len())
 		}
 	}
 }
@@ -367,12 +367,12 @@ func TestWatchdogGenTamperFires(t *testing.T) {
 	s.CP()
 	s.Drain()
 	g := s.Agg.groups[0]
-	g.flushDeltas = map[aa.ID]int64{3: 1} // dropped-generation residue
+	g.flushDeltas.add(aa.ID(3), 1) // dropped-generation residue
 	s.runWatchdogs()
 	if viol(s, "watchdog.gen_violations") == 0 {
 		t.Error("sealed-bank residue did not fire gen_violations")
 	}
-	g.flushDeltas = nil
+	g.flushDeltas.clear()
 
 	// In-flight sealed write freed under the generation's feet.
 	s, lun = mk()

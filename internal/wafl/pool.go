@@ -172,7 +172,7 @@ func (s *System) TierOut(l *LUN, select_ func(lba uint64) bool) int {
 	if len(move) == 0 {
 		return 0
 	}
-	newVBNs := pool.space.allocate(len(move))
+	newVBNs := pool.space.allocate(nil, len(move))
 	if len(newVBNs) < len(move) {
 		panic("wafl: object pool out of space during tiering")
 	}

@@ -259,16 +259,16 @@ func TestShardedWatchdogCatchesLedgerResidue(t *testing.T) {
 	s.CP()
 
 	g := s.Agg.groups[0]
-	g.as.ledgers[1][aa.ID(0)] = 5
+	g.as.ledgers[1].add(aa.ID(0), 5)
 	s.runWatchdogs()
 	n, _ := s.Registry().Value("watchdog.ledger_violations")
 	if n == 0 {
 		t.Error("group ledger residue not flagged after the CP fold")
 	}
-	delete(g.as.ledgers[1], aa.ID(0))
+	g.as.ledgers[1].delete(aa.ID(0))
 
 	sp := s.Agg.Vols()[0].space
-	sp.as.ledgers[2][aa.ID(1)] = -2
+	sp.as.ledgers[2].add(aa.ID(1), -2)
 	s.runWatchdogs()
 	if n2, _ := s.Registry().Value("watchdog.ledger_violations"); n2 <= n {
 		t.Error("space ledger residue not flagged after the CP fold")

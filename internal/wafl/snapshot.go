@@ -28,47 +28,21 @@ var ErrCPInProgress = errors.New("wafl: operation requires a CP boundary")
 // A COW overwrite or hole punch drops the active reference; the pair's
 // storage is freed only when the last reference goes.
 
-// refcounts lives in the FlexVol, keyed by virtual VBN (each pair is
-// uniquely identified by its virtual address within the volume).
-func (v *FlexVol) refs() map[block.VBN]int32 {
-	if v.rc == nil {
-		v.rc = make(map[block.VBN]int32)
-	}
-	return v.rc
-}
+// The counts live in the FlexVol's refTable, keyed by virtual VBN (each pair
+// is uniquely identified by its virtual address within the volume).
 
 // refNew registers a freshly allocated pair with one reference.
-func (v *FlexVol) refNew(virt block.VBN) {
-	rc := v.refs()
-	if _, dup := rc[virt]; dup {
-		panic(fmt.Sprintf("wafl: virtual %v already referenced", virt))
-	}
-	rc[virt] = 1
-}
+func (v *FlexVol) refNew(virt block.VBN) { v.rc.refNew(virt) }
 
 // ref adds a reference to an existing pair.
-func (v *FlexVol) ref(virt block.VBN) {
-	rc := v.refs()
-	n, ok := rc[virt]
-	if !ok {
-		panic(fmt.Sprintf("wafl: ref of unknown virtual %v", virt))
-	}
-	rc[virt] = n + 1
-}
+func (v *FlexVol) ref(virt block.VBN) { v.rc.ref(virt) }
 
 // unref drops one reference; when the last goes, both VBNs are freed and
 // the function reports true.
 func (s *System) unref(v *FlexVol, p blockPtr) bool {
-	rc := v.refs()
-	n, ok := rc[p.virt]
-	if !ok {
-		panic(fmt.Sprintf("wafl: unref of unknown virtual %v", p.virt))
-	}
-	if n > 1 {
-		rc[p.virt] = n - 1
+	if !v.rc.unref(p.virt) {
 		return false
 	}
-	delete(rc, p.virt)
 	v.space.free(p.virt)
 	s.Agg.FreePhysical(p.phys)
 	s.c.BlocksFreed++
@@ -186,38 +160,46 @@ func (s *System) RestoreSnapshot(l *LUN, name string) error {
 // active LUN images and snapshots, and every reference points at an
 // allocated pair. Tests call this after snapshot workloads.
 func (v *FlexVol) CheckRefcounts() error {
-	census := make(map[block.VBN]int32)
+	census := newRefTable(v.bm.Size())
+	count := func(blocks []blockPtr) {
+		for _, p := range blocks {
+			if p.virt == block.InvalidVBN {
+				continue
+			}
+			if census.get(p.virt) == 0 {
+				census.refNew(p.virt)
+			} else {
+				census.ref(p.virt)
+			}
+		}
+	}
 	for _, l := range v.luns {
-		for _, p := range l.blocks {
-			if p.virt != block.InvalidVBN {
-				census[p.virt]++
-			}
-		}
+		count(l.blocks)
 		for _, sn := range l.snaps {
-			for _, p := range sn.blocks {
-				if p.virt != block.InvalidVBN {
-					census[p.virt]++
-				}
-			}
+			count(sn.blocks)
 		}
 	}
-	rc := v.refs()
-	if len(census) != len(rc) {
-		return fmt.Errorf("refcount census %d entries, rc map %d", len(census), len(rc))
+	if census.Len() != v.rc.Len() {
+		return fmt.Errorf("refcount census %d entries, rc table %d", census.Len(), v.rc.Len())
 	}
-	for virt, n := range census {
-		if rc[virt] != n {
-			return fmt.Errorf("virtual %v: rc %d, census %d", virt, rc[virt], n)
+	var err error
+	census.each(func(virt block.VBN, n uint16) {
+		switch {
+		case err != nil:
+		case v.rc.get(virt) != n:
+			err = fmt.Errorf("virtual %v: rc %d, census %d", virt, v.rc.get(virt), n)
+		case !v.bm.Test(virt):
+			err = fmt.Errorf("virtual %v referenced but not allocated", virt)
 		}
-		if !v.bm.Test(virt) {
-			return fmt.Errorf("virtual %v referenced but not allocated", virt)
-		}
+	})
+	if err != nil {
+		return err
 	}
 	// Blocks queued for delayed free are still allocated in the bitmap but
 	// referenced by nobody.
-	if uint64(len(census)+v.PendingFrees()) != v.bm.Used() {
+	if uint64(census.Len()+v.PendingFrees()) != v.bm.Used() {
 		return fmt.Errorf("census %d + pending %d blocks, bitmap used %d",
-			len(census), v.PendingFrees(), v.bm.Used())
+			census.Len(), v.PendingFrees(), v.bm.Used())
 	}
 	return nil
 }

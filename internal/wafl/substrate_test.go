@@ -1,0 +1,246 @@
+package wafl
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"waflfs/internal/aa"
+	"waflfs/internal/block"
+)
+
+// Differential tests of the dense substrate (reftable.go, ledger.go) against
+// the hash maps it replaced.
+
+// recovered runs fn and returns what it panicked with ("" if it returned).
+func recovered(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// refModel is the map-backed refcount table as FlexVol had it, panics
+// included.
+type refModel map[block.VBN]int32
+
+func (m refModel) refNew(v block.VBN) {
+	if _, dup := m[v]; dup {
+		panic(fmt.Sprintf("wafl: virtual %v already referenced", v))
+	}
+	m[v] = 1
+}
+
+func (m refModel) ref(v block.VBN) {
+	if _, ok := m[v]; !ok {
+		panic(fmt.Sprintf("wafl: ref of unknown virtual %v", v))
+	}
+	m[v]++
+}
+
+func (m refModel) unref(v block.VBN) bool {
+	n, ok := m[v]
+	if !ok {
+		panic(fmt.Sprintf("wafl: unref of unknown virtual %v", v))
+	}
+	if n > 1 {
+		m[v] = n - 1
+		return false
+	}
+	delete(m, v)
+	return true
+}
+
+// FuzzRefTable drives one op sequence through the paged table and the map:
+// same counts, same Len, same panics (message and all), a page held exactly
+// while its range has a live count, and released pages reused before any new
+// one is made.
+func FuzzRefTable(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0})
+	f.Add([]byte{0, 1, 0, 0, 17, 0, 0, 33, 0, 2, 1, 0, 2, 17, 0, 2, 33, 0, 0, 49, 0})
+	f.Add([]byte{1, 5, 5, 2, 5, 5, 0, 5, 5, 0, 5, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const space = 3*refPageSize + 100 // four pages, the last one short
+		tab, ref := newRefTable(space), refModel{}
+		peakPages := 0
+		for ; len(data) >= 3; data = data[3:] {
+			// Sixteen VBNs per page (pairs, spread over its width; the short
+			// last page folds them onto its 100), so that short inputs fill,
+			// empty and refill pages.
+			page, slot := block.VBN(data[1]%4), block.VBN(data[2]%8)*(refPageSize/8)+block.VBN(data[2]>>3%2)
+			v := page<<refPageShift | slot
+			if v >= space {
+				v = page<<refPageShift | slot%100
+			}
+			var got, want string
+			var gotLast, wantLast bool
+			switch data[0] % 3 {
+			case 0:
+				got, want = recovered(func() { tab.refNew(v) }), recovered(func() { ref.refNew(v) })
+			case 1:
+				got, want = recovered(func() { tab.ref(v) }), recovered(func() { ref.ref(v) })
+			case 2:
+				got = recovered(func() { gotLast = tab.unref(v) })
+				want = recovered(func() { wantLast = ref.unref(v) })
+			}
+			if got != want || gotLast != wantLast {
+				t.Fatalf("op %d on %v: table panic %q last %v, map panic %q last %v", data[0]%3, v, got, gotLast, want, wantLast)
+			}
+			if tab.Len() != len(ref) {
+				t.Fatalf("Len %d, map holds %d", tab.Len(), len(ref))
+			}
+			if int32(tab.get(v)) != ref[v] {
+				t.Fatalf("count of %v: table %d, map %d", v, tab.get(v), ref[v])
+			}
+			var perPage [space>>refPageShift + 1]int
+			for rv := range ref {
+				perPage[rv>>refPageShift]++
+			}
+			held := 0
+			for i, p := range tab.dir {
+				if (p != nil) != (perPage[i] > 0) || int(tab.live[i]) != perPage[i] {
+					t.Fatalf("page %d: held %v with live count %d, map has %d entries there", i, p != nil, tab.live[i], perPage[i])
+				}
+				if p != nil {
+					held++
+				}
+			}
+			peakPages = max(peakPages, held)
+			if held+len(tab.free) != peakPages {
+				t.Fatalf("%d pages held + %d free, but at most %d were ever needed at once: a released page was not reused", held, len(tab.free), peakPages)
+			}
+		}
+		seen := 0
+		tab.each(func(v block.VBN, n uint16) {
+			if int32(n) != ref[v] {
+				t.Fatalf("each: %v has %d, map %d", v, n, ref[v])
+			}
+			seen++
+		})
+		if seen != len(ref) {
+			t.Fatalf("each visited %d entries, map holds %d", seen, len(ref))
+		}
+	})
+}
+
+// A 16-bit counter must refuse its 65536th reference, not wrap to zero.
+func TestRefTableOverflowPanics(t *testing.T) {
+	tab := newRefTable(10)
+	tab.refNew(7)
+	for i := 1; i < math.MaxUint16; i++ {
+		tab.ref(7)
+	}
+	if msg := recovered(func() { tab.ref(7) }); msg == "" {
+		t.Fatal("reference 65536 did not panic")
+	}
+	if got := tab.get(7); got != math.MaxUint16 {
+		t.Fatalf("count after the refused reference = %d", got)
+	}
+}
+
+// TestDeltaLedgerMatchesMap drives random add / delete / get / swap / drain /
+// clear sequences through two ledgers (an open and a sealed bank, as every
+// space has) and two maps. Entries whose value is zero but which are present
+// must survive in both and come out of the drain.
+func TestDeltaLedgerMatchesMap(t *testing.T) {
+	const numAAs = 200
+	rng := rand.New(rand.NewSource(21))
+	open, sealed := newDeltaLedger(numAAs), newDeltaLedger(numAAs)
+	mOpen, mSealed := map[aa.ID]int64{}, map[aa.ID]int64{}
+	check := func(step int, l *deltaLedger, m map[aa.ID]int64) {
+		t.Helper()
+		if l.len() != len(m) {
+			t.Fatalf("step %d: len %d, map %d", step, l.len(), len(m))
+		}
+		for id := aa.ID(0); id < numAAs; id++ {
+			d, ok := m[id]
+			if l.has(id) != ok || l.get(id) != d {
+				t.Fatalf("step %d AA %d: ledger (%v, %d), map (%v, %d)", step, id, l.has(id), l.get(id), ok, d)
+			}
+		}
+		if id, d, ok := l.first(); ok != (len(m) > 0) || (ok && (id != slices.Min(sortedIDs(m)) || d != m[id])) {
+			t.Fatalf("step %d: first() = (%d, %d, %v) against map %v", step, id, d, ok, m)
+		}
+	}
+	presentZeroDrained := 0
+	for step := 0; step < 5000; step++ {
+		id := aa.ID(rng.Intn(numAAs))
+		switch op := rng.Intn(100); {
+		case op < 55: // allocations and frees come in ones
+			d := int64(1 - 2*rng.Intn(2))
+			open.add(id, d)
+			mOpen[id] += d
+		case op < 65:
+			sealed.add(id, 1) // reclaim credits the sealed bank directly
+			mSealed[id]++
+		case op < 80:
+			open.delete(id)
+			delete(mOpen, id)
+			sealed.delete(id)
+			delete(mSealed, id)
+		case op < 88: // seal
+			open, sealed = sealed, open
+			mOpen, mSealed = mSealed, mOpen
+		case op < 96: // fold: ascending order, every present entry once
+			want := sortedIDs(mSealed)
+			var got []aa.ID
+			sealed.drain(func(id aa.ID, d int64) {
+				if d != mSealed[id] {
+					t.Fatalf("step %d: drained AA %d = %d, map %d", step, id, d, mSealed[id])
+				}
+				if d == 0 {
+					presentZeroDrained++
+				}
+				got = append(got, id)
+				open.add(id, d) // what foldSealed does with an untracked AA
+				mOpen[id] += d
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: drained %v, map keys %v", step, got, want)
+			}
+			clear(mSealed)
+		default:
+			open.clear()
+			clear(mOpen)
+		}
+		check(step, open, mOpen)
+		check(step, sealed, mSealed)
+	}
+	if presentZeroDrained == 0 {
+		t.Fatal("the sequence never drained a present entry with delta zero")
+	}
+}
+
+// BenchmarkRefTable is the COW churn the alloc stage puts on the table: per
+// block one refNew of a fresh VBN and one unref of a random old one.
+func BenchmarkRefTable(b *testing.B) {
+	const space, live = 1 << 20, 1 << 19
+	tab := newRefTable(space)
+	rng := rand.New(rand.NewSource(1))
+	held := make([]block.VBN, 0, live)
+	next := block.VBN(0)
+	fresh := func() block.VBN { // the allocator hands out ascending free VBNs
+		for tab.get(next) != 0 {
+			next = (next + 1) % space
+		}
+		return next
+	}
+	for len(held) < live {
+		v := fresh()
+		tab.refNew(v)
+		held = append(held, v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := rng.Intn(live)
+		tab.unref(held[k])
+		held[k] = fresh()
+		tab.refNew(held[k])
+	}
+}

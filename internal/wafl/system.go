@@ -1,9 +1,9 @@
 package wafl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"waflfs/internal/block"
@@ -20,11 +20,20 @@ type System struct {
 	Agg *Aggregate
 	tun Tunables
 
-	// pending holds the coalesced dirty blocks of the current CP, per LUN.
-	pending map[*LUN]map[uint64]struct{}
+	// dirtyLUNs lists the LUNs holding dirty blocks for the current CP; the
+	// coalesced blocks themselves sit in each LUN's dirty bitset and LBA
+	// list (see LUN).
+	dirtyLUNs []*LUN
 	// pendingBlocks counts dirty (lun, lba) pairs across the buffer.
 	pendingBlocks int
 	opsSinceCP    int
+
+	// Scratch reused from call to call: the alloc stage's VBN lists and
+	// Read's per-op block runs and device-leaf durations.
+	virtBuf, physBuf []block.VBN
+	poolRun          []block.VBN
+	readRuns         []readRun
+	readLeaves       []readLeaf
 
 	c Counters
 	// cpWall accumulates the modeled flush wall-clock (CPStats.FlushWall)
@@ -93,11 +102,8 @@ func NewSystem(specs []GroupSpec, vols []VolSpec, tun Tunables, seed int64) *Sys
 	for _, vs := range vols {
 		ag.AddVolume(vs)
 	}
-	s := &System{
-		Agg:     ag,
-		tun:     ag.tun,
-		pending: make(map[*LUN]map[uint64]struct{}),
-	}
+	s := &System{Agg: ag, tun: ag.tun}
+	s.pipe.gen, s.pipe.open = new(cpGen), new(cpGen)
 	s.act.s = s
 	s.registerSystemObs()
 	if o := &ag.obsOpts; o.Control != nil && o.TSDB != nil {
@@ -125,14 +131,13 @@ func (s *System) Write(l *LUN, lba uint64, nblocks int) {
 	if lba+uint64(nblocks) > l.Blocks() {
 		panic(fmt.Sprintf("wafl: write [%d,%d) beyond LUN %q size %d", lba, lba+uint64(nblocks), l.Name, l.Blocks()))
 	}
-	m, ok := s.pending[l]
-	if !ok {
-		m = make(map[uint64]struct{})
-		s.pending[l] = m
-	}
-	for i := 0; i < nblocks; i++ {
-		if _, dup := m[lba+uint64(i)]; !dup {
-			m[lba+uint64(i)] = struct{}{}
+	for b := lba; b < lba+uint64(nblocks); b++ {
+		if w, m := b/64, uint64(1)<<(b%64); l.dirty[w]&m == 0 {
+			if len(l.dirtyLBAs) == 0 {
+				s.dirtyLUNs = append(s.dirtyLUNs, l)
+			}
+			l.dirty[w] |= m
+			l.dirtyLBAs = append(l.dirtyLBAs, b)
 			s.pendingBlocks++
 		}
 	}
@@ -165,15 +170,12 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 	// cost.
 	sp := l.vol.space
 	tid, seq, sampled := sp.tr.Begin(optrace.KindRead)
-	var leafBusy map[string]time.Duration
-	if sp.tr != nil {
-		leafBusy = make(map[string]time.Duration)
-	}
+	tracing := sp.tr != nil
+	leaves := s.readLeaves[:0]
 	// Gather the op's physical blocks and coalesce per device, exactly as a
 	// RAID read engine does: striped sequential data becomes one contiguous
 	// DBN chain per device.
-	var poolRun []block.VBN
-	perDev := make(map[devKey][]uint64)
+	poolRun, runs := s.poolRun[:0], s.readRuns[:0]
 	for i := 0; i < nblocks; i++ {
 		p := l.Phys(lba + uint64(i))
 		if p == block.InvalidVBN {
@@ -185,7 +187,7 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 		}
 		g := s.Agg.groupOf(p)
 		d, dbn := g.geo.Locate(p)
-		perDev[devKey{g, d}] = append(perDev[devKey{g, d}], dbn)
+		runs = append(runs, readRun{group: g.Index, dev: d, dbn: dbn})
 	}
 	// Pool blocks: one range GET per contiguous VBN run.
 	slices.Sort(poolRun)
@@ -196,34 +198,43 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 		}
 		d := s.Agg.pool.read(uint64(j - i))
 		s.c.DeviceBusy += d
-		if leafBusy != nil {
-			leafBusy["pool"] += d
+		if tracing {
+			if len(leaves) == 0 {
+				leaves = append(leaves, readLeaf{group: -1})
+			}
+			leaves[0].busy += d
 		}
 		i = j
 	}
-	for key, dbns := range perDev {
-		slices.Sort(dbns)
-		for i := 0; i < len(dbns); {
-			j := i + 1
-			for j < len(dbns) && dbns[j] == dbns[j-1]+1 {
-				j++
-			}
-			start, n := dbns[i], uint64(j-i)
-			var d time.Duration
-			if key.g.azcs {
-				diskStart := device.DataToDiskDBN(start)
-				diskLen := device.DataToDiskDBN(start+n-1) - diskStart + 1
-				d = key.g.devices[key.d].Read(diskLen)
-			} else {
-				d = key.g.devices[key.d].Read(n)
-			}
-			s.c.DeviceBusy += d
-			if leafBusy != nil {
-				leafBusy[fmt.Sprintf("rg%d.dev%d", key.g.Index, key.d)] += d
-			}
-			i = j
+	// Group blocks: sorted by (group, device, DBN), each device's blocks are
+	// adjacent and ascending, so one pass splits them into contiguous runs.
+	// Per-device charges are independent, so the order across devices is
+	// free; within a device it must ascend.
+	slices.SortFunc(runs, readRun.compare)
+	for i := 0; i < len(runs); {
+		j := i + 1
+		for j < len(runs) && runs[j].group == runs[i].group && runs[j].dev == runs[i].dev && runs[j].dbn == runs[j-1].dbn+1 {
+			j++
 		}
+		g, start, n := s.Agg.groups[runs[i].group], runs[i].dbn, uint64(j-i)
+		var d time.Duration
+		if g.azcs {
+			diskStart := device.DataToDiskDBN(start)
+			diskLen := device.DataToDiskDBN(start+n-1) - diskStart + 1
+			d = g.devices[runs[i].dev].Read(diskLen)
+		} else {
+			d = g.devices[runs[i].dev].Read(n)
+		}
+		s.c.DeviceBusy += d
+		if tracing {
+			if k := len(leaves) - 1; k < 0 || leaves[k].group != runs[i].group || leaves[k].dev != runs[i].dev {
+				leaves = append(leaves, readLeaf{group: runs[i].group, dev: runs[i].dev})
+			}
+			leaves[len(leaves)-1].busy += d
+		}
+		i = j
 	}
+	s.poolRun, s.readRuns, s.readLeaves = poolRun, runs, leaves
 	// Latency SLI: a read op's modeled latency is its base CPU charge plus
 	// the device time it just accrued — both worker-invariant. The same two
 	// quantities feed the attribution accumulators, so per-stage attributed
@@ -234,33 +245,46 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 	sp.attr[optrace.StageBase] += uint64(s.tun.CPUBasePerOp)
 	sp.attr[optrace.StageDevice] += uint64(delta)
 	if rec, slow := sp.tr.Decide(sampled, lat); rec {
-		// perDev map iteration above is order-free (per-device totals are
-		// independent); the trace's leaf spans sort by label so the recorded
-		// tree is deterministic.
-		labels := make([]string, 0, len(leafBusy))
-		for lb := range leafBusy {
-			labels = append(labels, lb)
+		// Only a recorded op pays for its labels. The trace's leaf spans sort
+		// by label, as they always have.
+		spans := make([]optrace.Span, len(leaves))
+		for i, lf := range leaves {
+			spans[i] = optrace.Span{Name: lf.label(), DurNS: uint64(lf.busy)}
 		}
-		sort.Strings(labels)
-		leaves := make([]optrace.Span, 0, len(labels))
-		for _, lb := range labels {
-			leaves = append(leaves, optrace.Span{Name: lb, DurNS: uint64(leafBusy[lb])})
-		}
+		slices.SortFunc(spans, func(a, b optrace.Span) int { return cmp.Compare(a.Name, b.Name) })
 		sp.tr.Add(optrace.Trace{
 			ID: tid, Kind: optrace.KindRead.String(), Seq: seq, CP: s.c.CPs,
 			AtNS: int64(s.c.DeviceBusy + s.c.CPUTime), LatNS: lat, Slow: slow,
 			Spans: []optrace.Span{
 				{Name: optrace.StageBase.String(), DurNS: uint64(s.tun.CPUBasePerOp)},
-				{Name: optrace.StageDevice.String(), DurNS: uint64(delta), Children: leaves},
+				{Name: optrace.StageDevice.String(), DurNS: uint64(delta), Children: spans},
 			},
 		})
 	}
 }
 
-// devKey identifies one data device for read coalescing.
-type devKey struct {
-	g *Group
-	d int
+// readRun is one physical block of a read, located on its data device.
+type readRun struct {
+	group, dev int
+	dbn        uint64
+}
+
+func (a readRun) compare(b readRun) int {
+	return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.dev, b.dev), cmp.Compare(a.dbn, b.dbn))
+}
+
+// readLeaf accumulates the device time one read spent on one data device
+// (group -1: the object pool), for the op trace's leaf spans.
+type readLeaf struct {
+	group, dev int
+	busy       time.Duration
+}
+
+func (lf readLeaf) label() string {
+	if lf.group < 0 {
+		return "pool"
+	}
+	return fmt.Sprintf("rg%d.dev%d", lf.group, lf.dev)
 }
 
 // CPFlushWall returns the cumulative modeled wall-clock of CP flush phases:

@@ -31,7 +31,7 @@ import (
 //
 //   - Shard-ledger consistency (AllocShards > 1): every entry held in a
 //     shard queue mid-CP satisfies frozenScore == bitmapScore − pending
-//     (pending spans the shared delta map plus every shard ledger), and
+//     (pending spans the shared delta ledger plus every shard ledger), and
 //     after the CP-boundary fold every ledger is empty — a stale merge
 //     leaves residue or a score mismatch, and this class catches both.
 //
@@ -311,10 +311,10 @@ func (w *watchdogState) checkGenStates(s *System) {
 	for _, g := range ag.groups {
 		w.checks.Inc()
 		w.genChk.Inc()
-		if !inFlight && (len(g.flushDeltas) > 0 || len(g.flushWrites) > 0 || len(g.flushCS) > 0) {
+		if !inFlight && (g.flushDeltas.len() > 0 || len(g.flushWrites) > 0 || len(g.flushCS) > 0) {
 			w.violate(w.genViol,
 				"rg%d: sealed bank not empty with no generation in flight (%d deltas, %d writes, %d checksums)",
-				g.Index, len(g.flushDeltas), len(g.flushWrites), len(g.flushCS))
+				g.Index, g.flushDeltas.len(), len(g.flushWrites), len(g.flushCS))
 		}
 		if inFlight && len(g.flushWrites) > 0 {
 			stride := len(g.flushWrites) / w.sample
@@ -345,8 +345,8 @@ func (w *watchdogState) checkGenStates(s *System) {
 	for _, sp := range spaces {
 		w.checks.Inc()
 		w.genChk.Inc()
-		if !inFlight && len(sp.flushDeltas) > 0 {
-			w.violate(w.genViol, "%s: %d sealed deltas with no generation in flight", sp.name, len(sp.flushDeltas))
+		if !inFlight && sp.flushDeltas.len() > 0 {
+			w.violate(w.genViol, "%s: %d sealed deltas with no generation in flight", sp.name, sp.flushDeltas.len())
 		}
 		if sp.sh != nil {
 			cur := sp.sh.Gen()
@@ -393,7 +393,7 @@ func (s *System) runWatchdogs() {
 	for _, v := range ag.vols {
 		w.checks.Inc()
 		w.consChecks.Inc()
-		want := uint64(len(v.rc))
+		want := uint64(v.rc.Len())
 		delayed := uint64(0)
 		if v.space.delayed != nil {
 			delayed = uint64(v.space.delayed.count)
@@ -408,7 +408,7 @@ func (s *System) runWatchdogs() {
 		if got := v.bm.Used(); got != want {
 			w.violate(w.consViol,
 				"volume %q: bitmap used %d, refcounted %d + delayed %d — free blocks not conserved",
-				v.Name, got, len(v.rc), delayed)
+				v.Name, got, v.rc.Len(), delayed)
 		}
 	}
 	for _, g := range ag.groups {

@@ -114,7 +114,7 @@ func TestWatchdogFiresOnHBPSCorruption(t *testing.T) {
 		t.Fatal("HBPS list is empty")
 	}
 	id, _ := sp.cache.ListedAt(l - 1)
-	real := sp.aaScore(id) - uint32(sp.deltas[id])
+	real := sp.aaScore(id) - uint32(sp.deltas.get(id))
 	// Move the item far enough that its bin changes; it stays listed.
 	sp.cache.Update(id, real, real/2+1)
 

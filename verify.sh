@@ -6,7 +6,7 @@
 # every concurrency-bearing code path still executes under the detector.
 set -eux
 
-fmt=$(gofmt -l cmd internal)
+fmt=$(gofmt -l cmd internal examples ./*.go)
 if [ -n "$fmt" ]; then
     echo "gofmt needed on: $fmt" >&2
     exit 1
@@ -37,6 +37,10 @@ go test -run '^$' -fuzz '^FuzzParseOptrace$' -fuzztime 5s ./internal/obs/optrace
 # Control-policy parser fuzzer: any accepted clause string must round-trip
 # through its canonical formatting to an identical portfolio.
 go test -run '^$' -fuzz '^FuzzParseControlPolicy$' -fuzztime 5s ./internal/control
+
+# Refcount-table fuzzer: random refNew/ref/unref sequences through the paged
+# table and a map reference must agree on counts, panics and page reuse.
+go test -run '^$' -fuzz '^FuzzRefTable$' -fuzztime 5s ./internal/wafl
 
 # Observability smoke test: a small bench run must serve /metrics (the bench
 # self-checks the endpoint and exits nonzero if it cannot fetch it) and
