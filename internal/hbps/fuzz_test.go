@@ -92,89 +92,6 @@ func FuzzOperations(f *testing.F) {
 	})
 }
 
-// FuzzShardedOps drives an arbitrary op tape over an HBPS wrapped by a
-// Sharded striper, covering the mutation paths the striped refill adds:
-// PopBest↔Stage interleavings, re-listing of held IDs by bin-migrating
-// updates, dup-skip on stage, and standby-batch swaps. A model of tracked
-// scores keeps mutations well-formed (HBPS requires true old scores); the
-// combined invariants are checked after every op.
-func FuzzShardedOps(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 20, 0, 30, 4, 0, 4, 1, 1, 5, 5, 0, 3, 0})
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 4, 0, 4, 1, 4, 2, 5, 2, 2, 1})
-	f.Add([]byte{0, 63, 1, 62, 4, 0, 6, 0, 1, 2, 5, 1, 4, 2})
-	f.Fuzz(func(t *testing.T, tape []byte) {
-		const numIDs, shards, batch = 32, 3, 4
-		h := New(Config{MaxScore: 64, BinWidth: 8, ListCap: 12})
-		sh := NewSharded(h, shards, batch)
-		model := map[aa.ID]uint32{}
-		for i := 0; i+1 < len(tape); i += 2 {
-			op, arg := tape[i]%7, tape[i+1]
-			id := aa.ID(arg % numIDs)
-			switch op {
-			case 0: // track a new ID
-				if _, ok := model[id]; ok {
-					continue
-				}
-				s := uint32(arg) % 65
-				h.Track(id, s)
-				model[id] = s
-			case 1: // update a tracked ID (held or not — the CP fold does both)
-				old, ok := model[id]
-				if !ok {
-					continue
-				}
-				ns := (old + uint32(arg)*7) % 65
-				h.Update(id, old, ns)
-				model[id] = ns
-			case 2: // untrack (never a held ID — the wafl layer never does)
-				old, ok := model[id]
-				if !ok || sh.Holds(id) {
-					continue
-				}
-				h.Untrack(id, old)
-				delete(model, id)
-			case 3: // classic pop off the shared list
-				if got, ok := h.PopBest(); ok {
-					if _, tracked := model[got]; !tracked {
-						t.Fatalf("popped untracked id %d", got)
-					}
-				}
-			case 4: // shard-local pick, with a stall refill when dry
-				shard := int(arg) % shards
-				if _, ok := sh.Pop(shard); !ok {
-					sh.Stage(shard, nil)
-					if got, ok := sh.Pop(shard); ok {
-						if _, tracked := model[got]; !tracked {
-							t.Fatalf("shard pick of untracked id %d", got)
-						}
-					}
-				}
-			case 5: // pipelined refill
-				shard := int(arg) % shards
-				if sh.Low(shard) {
-					sh.Stage(shard, nil)
-				}
-			case 6: // refill with a skip predicate (the cursor AA)
-				shard := int(arg) % shards
-				sh.Stage(shard, func(x aa.ID) bool { return x == id })
-			}
-			sh.CheckInvariants()
-			if h.Total() != uint64(len(model)) {
-				t.Fatalf("total %d != model %d", h.Total(), len(model))
-			}
-		}
-		census := make([]uint32, h.NumBins())
-		for _, s := range model {
-			census[h.Bin(s)]++
-		}
-		for b := range census {
-			if h.BinCount(b) != census[b] {
-				t.Fatalf("bin %d: %d != %d", b, h.BinCount(b), census[b])
-			}
-		}
-	})
-}
-
 // FuzzLoad asserts that arbitrary bytes never panic the page decoder: they
 // either load cleanly or return an error (the mount fallback path).
 func FuzzLoad(f *testing.F) {

@@ -306,6 +306,16 @@ func (h *HBPS) PopBest() (aa.ID, bool) {
 	return id, true
 }
 
+// GiveBack and IDOf make an HBPS the backing structure of a shardq.Queue.
+// PopBest leaves the item histogram-tracked, exactly like a direct pick, so
+// a staged ID needs nothing to be given back: a flush leaves it
+// tracked-but-unlisted — the state a consumed pop leaves — and the next
+// replenish or bin migration re-lists it.
+func (h *HBPS) GiveBack(aa.ID) {}
+
+// IDOf returns id: the list's entries are AA IDs.
+func (h *HBPS) IDOf(id aa.ID) aa.ID { return id }
+
 // worstListedBin returns the highest-index bin with a list segment, or -1.
 func (h *HBPS) worstListedBin() int {
 	for b := h.numBins - 1; b >= 0; b-- {

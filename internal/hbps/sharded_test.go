@@ -4,17 +4,38 @@ import (
 	"testing"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/shardq"
 )
 
-func newShardedHBPS(t *testing.T, n int, shards, batch int) (*HBPS, *Sharded) {
+// The staging protocol itself is tested once, over both backings, in
+// internal/shardq; the cases here pin what staging means to an HBPS: held
+// IDs stay histogram-tracked but unlisted, and an ID the CP fold re-lists
+// while a shard holds it is never queued twice.
+//
+// TestShardedHBPSStageSkipPredicate is gone with the predicate it tested:
+// Stage took a "skip the in-flight cursor AA" callback that no caller could
+// make fire (a pick only runs once the cursor is invalid). The duplicate
+// skip it shared code with is TestShardedHBPSStageSkipsHeldDuplicates below.
+
+func newShardedHBPS(t *testing.T, n int, shards, batch int) (*HBPS, *shardq.Queue[aa.ID]) {
 	t.Helper()
 	h := New(Config{MaxScore: 1024, BinWidth: 64, ListCap: 256})
 	for i := 0; i < n; i++ {
 		h.Track(aa.ID(i), uint32(1000-i))
 	}
-	s := NewSharded(h, shards, batch)
-	s.CheckInvariants()
+	s := shardq.New[aa.ID](h, shards, batch)
+	checkShardedHBPS(t, h, s)
 	return h, s
+}
+
+func checkShardedHBPS(t *testing.T, h *HBPS, s *shardq.Queue[aa.ID]) {
+	t.Helper()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestShardedHBPSInitialStaging(t *testing.T) {
@@ -34,40 +55,43 @@ func TestShardedHBPSInitialStaging(t *testing.T) {
 	if h.Total() != 64 {
 		t.Fatalf("histogram total %d, want 64 (pops keep tracking)", h.Total())
 	}
+	// A flush gives nothing back — the IDs never left the histogram — and
+	// leaves them unlisted until a replenish.
+	if n := s.FlushAll(); n != 32 || h.ListLen() != 32 || h.Total() != 64 {
+		t.Fatalf("flush returned %d, list %d, total %d; want 32, 32, 64", n, h.ListLen(), h.Total())
+	}
 }
 
 func TestShardedHBPSPopSwapStall(t *testing.T) {
-	_, s := newShardedHBPS(t, 64, 2, 4)
+	h, s := newShardedHBPS(t, 64, 2, 4)
 	if s.Low(0) {
 		t.Fatal("full queue reported low")
 	}
-	s.Pop(0)
-	s.Pop(0)
+	s.Pop(0, nil)
+	s.Pop(0, nil)
 	if !s.Low(0) {
 		t.Fatal("half-drained queue not reported low")
 	}
-	if n := s.Stage(0, nil); n != 4 {
+	if n := s.Stage(0); n != 4 {
 		t.Fatalf("staged %d, want 4", n)
 	}
-	s.Pop(0)
-	s.Pop(0)
+	s.Pop(0, nil)
+	s.Pop(0, nil)
 	before := s.Metrics().Swaps
-	if _, ok := s.Pop(0); !ok {
-		t.Fatal("pop after drain failed despite standby batch")
+	if _, p, ok := s.Pop(0, nil); !ok || p.Stalls != 0 {
+		t.Fatalf("pop after drain = %v,%+v, want the standby batch and no stall", ok, p)
 	}
 	if s.Metrics().Swaps != before+1 {
 		t.Fatalf("swaps %d, want %d", s.Metrics().Swaps, before+1)
 	}
-	// Exhaust shard 1 completely: stall.
-	for {
-		if _, ok := s.Pop(1); !ok {
-			break
-		}
+	// Drain shard 1's queue (no standby): the next pop stalls and restages.
+	for i := 0; i < 4; i++ {
+		s.Pop(1, nil)
 	}
-	if _, ok := s.Pop(1); ok {
-		t.Fatal("pop succeeded on exhausted shard")
+	if _, p, ok := s.Pop(1, nil); !ok || p.Stalls != 1 || p.Staged != 4 {
+		t.Fatalf("pop on a dry shard = %v,%+v, want one stall staging 4", ok, p)
 	}
-	s.CheckInvariants()
+	checkShardedHBPS(t, h, s)
 }
 
 // A CP-boundary fold can re-list an ID a shard still holds (bin migration
@@ -80,7 +104,7 @@ func TestShardedHBPSStageSkipsHeldDuplicates(t *testing.T) {
 	if h.ListLen() != 0 {
 		t.Fatalf("setup: list still has %d", h.ListLen())
 	}
-	s.Pop(0) // consume the front so the queue is mid-CP realistic
+	s.Pop(0, nil) // consume the front so the queue is mid-CP realistic
 	// Re-list a still-held ID via a bin-migrating Update, as the CP fold
 	// would do after frees raised its score into another bin.
 	heldID := aa.ID(5)
@@ -93,7 +117,7 @@ func TestShardedHBPSStageSkipsHeldDuplicates(t *testing.T) {
 		t.Fatalf("setup: AA %d not re-listed by Update", heldID)
 	}
 	before := s.Metrics().DupSkips
-	if n := s.Stage(0, nil); n != 0 {
+	if n := s.Stage(0); n != 0 {
 		t.Fatalf("staged %d IDs, want 0 — only the duplicate was listed", n)
 	}
 	if s.Metrics().DupSkips != before+1 {
@@ -102,32 +126,5 @@ func TestShardedHBPSStageSkipsHeldDuplicates(t *testing.T) {
 	if h.Listed(heldID) {
 		t.Fatal("duplicate still listed after skip")
 	}
-	s.CheckInvariants()
-}
-
-func TestShardedHBPSStageSkipPredicate(t *testing.T) {
-	h, s := newShardedHBPS(t, 8, 1, 8)
-	// Everything is held after construction; re-list two IDs, one of which
-	// the predicate (modelling the in-flight cursor AA) excludes.
-	for _, id := range []aa.ID{6, 7} {
-		old := uint32(1000 - int(id))
-		// Pop them out of held first so they are legitimate restage fodder.
-		for {
-			got, ok := s.Pop(0)
-			if !ok {
-				break
-			}
-			_ = got
-		}
-		h.Update(id, old, old-300)
-	}
-	if h.ListLen() == 0 {
-		t.Fatal("setup: nothing listed")
-	}
-	cursor := aa.ID(6)
-	s.Stage(0, func(id aa.ID) bool { return id == cursor })
-	if s.Holds(cursor) {
-		t.Fatal("skip predicate ignored: cursor AA staged")
-	}
-	s.CheckInvariants()
+	checkShardedHBPS(t, h, s)
 }

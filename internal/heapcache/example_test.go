@@ -3,12 +3,11 @@ package heapcache_test
 import (
 	"fmt"
 
-	"waflfs/internal/aa"
 	"waflfs/internal/heapcache"
 )
 
 // Example shows the RAID-aware AA cache: heapify all AA scores, serve the
-// best to the write allocator, and apply the CP's batched deltas.
+// best to the write allocator, and fold the CP's batched score changes.
 func Example() {
 	// A tiny RAID group with four AAs, scored from the bitmap.
 	c := heapcache.NewFromScores([]uint64{1200, 4096, 37, 2048})
@@ -17,9 +16,9 @@ func Example() {
 	fmt.Printf("write to AA %d (%d free blocks)\n", best.ID, best.Score)
 
 	// The allocator drained it; at the CP boundary it returns with its new
-	// score while frees elsewhere arrive as batched deltas.
+	// score while frees elsewhere arrive as batched score updates.
 	c.Insert(best.ID, 0)
-	c.ApplyDeltas(map[aa.ID]int64{2: +500})
+	c.Update(2, c.Score(2)+500)
 
 	for _, e := range c.TopK(2) {
 		fmt.Printf("AA %d: %d\n", e.ID, e.Score)

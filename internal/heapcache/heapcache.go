@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/shardq"
 )
 
 // Entry pairs an allocation area with its score (free-block count).
@@ -202,21 +203,30 @@ func (c *Cache) remove(i int) {
 	}
 }
 
-// ApplyDeltas applies a batch of score deltas (allocations negative, frees
-// positive) and rebalances, as happens at the end of each consistency
-// point. AAs not yet tracked are ignored (they will be inserted by the
-// background rebuild with their then-current score).
-func (c *Cache) ApplyDeltas(deltas map[aa.ID]int64) {
-	for id, d := range deltas {
-		if !c.Tracked(id) {
-			continue
+// GiveBack and IDOf make a Cache the backing structure of a shardq.Queue. A
+// staged entry is popped out of the heap, so its score is frozen at stage
+// time; a flush re-inserts it at that score. The wafl layer's CP fold skips
+// untracked IDs without deleting their pending deltas, which preserves the
+// scrub invariant for every held entry (bitmap and delta mutations always
+// move together):
+//
+//	frozenScore == bitmapScore - pendingDelta
+func (c *Cache) GiveBack(e Entry) { c.Insert(e.ID, e.Score) }
+
+// IDOf returns the entry's AA.
+func (c *Cache) IDOf(e Entry) aa.ID { return e.ID }
+
+// BestWith returns the best entry across the heap and the entries q holds —
+// the true best AA while part of the heap is staged into q. The held set is
+// bounded by 2×batch×shards, so the scan stays cheap.
+func (c *Cache) BestWith(q *shardq.Queue[Entry]) (Entry, bool) {
+	best, ok := c.Best()
+	q.Each(func(_ int, e Entry) {
+		if !ok || higher(e, best) {
+			best, ok = e, true
 		}
-		s := int64(c.Score(id)) + d
-		if s < 0 {
-			s = 0
-		}
-		c.Update(id, uint64(s))
-	}
+	})
+	return best, ok
 }
 
 // TopK returns the k highest-scoring entries in descending score order

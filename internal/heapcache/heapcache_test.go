@@ -128,28 +128,6 @@ func TestUntrackedPanics(t *testing.T) {
 	}
 }
 
-func TestApplyDeltas(t *testing.T) {
-	c := NewFromScores([]uint64{100, 200, 300})
-	c.ApplyDeltas(map[aa.ID]int64{
-		0: +50,  // freed blocks
-		2: -250, // allocated blocks
-		1: -300, // clamps at zero
-	})
-	if c.Score(0) != 150 || c.Score(2) != 50 || c.Score(1) != 0 {
-		t.Fatalf("scores = %d %d %d", c.Score(0), c.Score(1), c.Score(2))
-	}
-	if best, _ := c.Best(); best.ID != 0 {
-		t.Fatalf("Best = %+v", best)
-	}
-	// Deltas for untracked AAs are ignored.
-	c2 := New(5)
-	c2.Insert(0, 10)
-	c2.ApplyDeltas(map[aa.ID]int64{4: 100})
-	if c2.Tracked(4) {
-		t.Fatal("delta inserted untracked AA")
-	}
-}
-
 func TestTopK(t *testing.T) {
 	scores := make([]uint64, 100)
 	rng := rand.New(rand.NewSource(5))

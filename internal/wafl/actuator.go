@@ -49,11 +49,7 @@ func (a *sysActuator) Knob(name string) (float64, bool) {
 	case control.KnobDelayedBudget:
 		return float64(s.tun.DelayedFreeBudgetPerCP), true
 	case control.KnobAllocBatch:
-		b := s.tun.AllocBatch
-		if b <= 0 {
-			b = defaultAllocBatch
-		}
-		return float64(b), true
+		return float64(s.tun.allocBatch()), true
 	case control.KnobFragEvery:
 		fe := s.Agg.obsOpts.FragEvery
 		if fe < 1 {
@@ -84,16 +80,18 @@ func (a *sysActuator) SetKnob(name string, v float64) (float64, bool) {
 		if b < 1 {
 			return 0, false
 		}
+		// The pick queues own the batch size: each stages batches of b from
+		// its next Stage on (inert at depth 0, where nothing is staged).
 		s.tun.AllocBatch = b
 		s.Agg.tun.AllocBatch = b
 		for _, g := range s.Agg.groups {
-			g.as.batch = b
+			g.q.SetBatch(b)
 		}
 		for _, vol := range s.Agg.vols {
-			vol.space.as.batch = b
+			vol.space.q.SetBatch(b)
 		}
 		if s.Agg.pool != nil {
-			s.Agg.pool.space.as.batch = b
+			s.Agg.pool.space.q.SetBatch(b)
 		}
 		return float64(b), true
 	case control.KnobFragEvery:

@@ -534,9 +534,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			g.seedOnly = false
 			groupStats[i].inserts += uint64(len(scores))
 		}
-		// The cache object was replaced (or rebuilt): the shard queues hold
-		// pointers into the old one and all pre-crash ledger state is gone.
-		g.resetShardCache()
+		resetPicks(g.as, g.q, g.cache)
 		groupStats[i].outcome = outcome
 		ag.st.Emit("mount.group", i, outcome.String(), 0, int64(groupStats[i].inserts))
 	})
@@ -580,7 +578,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			sp.replenish()
 			spaceStats[i].inserts += uint64(sp.topo.NumAAs())
 		}
-		sp.resetShardCache()
+		resetPicks(sp.as, sp.q, sp.cache)
 		spaceStats[i].outcome = outcome
 		ag.st.Emit("mount.space", sp.shard, outcome.String(), 0, int64(spaceStats[i].inserts))
 	})
@@ -617,7 +615,7 @@ func (ag *Aggregate) CompleteBackgroundFill() uint64 {
 			if g.curValid && aa.ID(id) == g.curAA {
 				continue // held by the allocator; reinserted at finishAA
 			}
-			if g.sh != nil && g.sh.Holds(aa.ID(id)) {
+			if g.q.Holds(aa.ID(id)) {
 				continue // staged in a shard queue at its frozen seed score
 			}
 			if !g.cache.Tracked(aa.ID(id)) {
@@ -648,9 +646,9 @@ func (ag *Aggregate) RepairTopAA() int {
 		g.deltas.clear()
 		g.flushDeltas.clear()
 		err := ag.store.SaveRAIDAware(topaaGroupKey(g.Index), g.cache)
-		// Rebuild the shard queues around the repaired cache after the save,
-		// so the metafile holds the complete score set.
-		g.resetShardCache()
+		// Rebind the pick queue to the repaired cache after the save, so the
+		// metafile holds the complete score set.
+		resetPicks(g.as, g.q, g.cache)
 		if err != nil {
 			// Bitmap-derived scores always fit the encoding; an error here
 			// would mean the topology itself is unencodable, which the
@@ -672,7 +670,7 @@ func (ag *Aggregate) RepairTopAA() int {
 	for i, sp := range spaces {
 		sp.replenish()
 		ag.store.SaveAgnostic(names[i], sp.cache)
-		sp.resetShardCache()
+		resetPicks(sp.as, sp.q, sp.cache)
 		repaired++
 	}
 	return repaired

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"time"
 
 	"waflfs/internal/aa"
 	"waflfs/internal/bitmap"
 	"waflfs/internal/block"
 	"waflfs/internal/hbps"
 	"waflfs/internal/obs"
-	"waflfs/internal/obs/optrace"
-	"waflfs/internal/obs/picks"
 	"waflfs/internal/parallel"
+	"waflfs/internal/shardq"
 )
 
 // agnosticSpace is the allocation machinery shared by every RAID-agnostic
@@ -29,10 +27,10 @@ type agnosticSpace struct {
 	cacheEnabled bool
 	workers      int // fan-out knob for replenish walks (Tunables.Workers)
 
-	// Striped allocator hot path (AllocShards > 1, see allocctx.go): sh
-	// stripes the HBPS list into per-shard pick queues; as holds the shard
-	// ledgers and the modeled busy vectors. sh is nil on the classic path.
-	sh *hbps.Sharded
+	// The pick path (allocctx.go): q stages the HBPS list's front into
+	// per-shard batches — at depth 0, AllocShards ≤ 1, it is the list's own
+	// PopBest — and as holds the shard ledgers and the modeled busy vectors.
+	q  *shardq.Queue[aa.ID]
 	as *allocState
 
 	// Allocation cursor within the current AA.
@@ -81,33 +79,12 @@ type agnosticSpace struct {
 	// the CP's modeled cost at commit (see attributeWrites).
 	lat *obs.Histogram
 
-	// Allocation-decision provenance and watchdog hooks (nil when off;
-	// set by Aggregate.registerSpaceObs). cpNow points at the aggregate's
-	// current CP ordinal; wdCursor rotates the watchdog's listed-AA sample
-	// window across the HBPS list.
-	pr       *picks.Ring
-	cpNow    *uint64
-	wd       *watchdogState
+	// Pick provenance, watchdog and op-trace state (obs.go; nil/zero when
+	// off, set by Aggregate.registerSpaceObs). wdCursor rotates the
+	// watchdog's listed-AA sample window across the HBPS list.
+	pickSink
+	opSink
 	wdCursor int
-
-	// Op tracing (nil/zero when off; set by Aggregate.registerSpaceObs).
-	// tr is the volume's optrace ring; curTID is the trace ID of the
-	// sampled op currently allocating (0 otherwise), stamped into pick
-	// provenance records; lastPick snapshots the most recent pick decision
-	// for the trace's alloc annotation span; attr accumulates per-stage
-	// attributed nanoseconds that reconcile exactly with lat's total.
-	tr       *optrace.Ring
-	curTID   uint64
-	lastPick pickNote
-	attr     [optrace.NumStages]uint64
-}
-
-// pickNote is the last pick decision, kept for optrace span annotation.
-type pickNote struct {
-	aa     uint32
-	score  int64
-	runner int64
-	reason picks.Reason
 }
 
 func newAgnosticSpace(name string, space block.Range, bm *bitmap.Bitmap, tun Tunables, enabled bool, rng *rand.Rand) *agnosticSpace {
@@ -128,20 +105,8 @@ func newAgnosticSpace(name string, space block.Range, bm *bitmap.Bitmap, tun Tun
 	for id := 0; id < s.topo.NumAAs(); id++ {
 		s.cache.Track(aa.ID(id), s.aaScore(aa.ID(id)))
 	}
-	s.resetShardCache()
+	s.q = shardq.New[aa.ID](s.cache, s.as.queueDepth(enabled), tun.allocBatch())
 	return s
-}
-
-// resetShardCache (re)builds the shard queues around the current HBPS
-// object and drops all ledger state. Called wherever the cache is replaced
-// or rebuilt wholesale (fresh build, remount, repair).
-func (s *agnosticSpace) resetShardCache() {
-	s.as.clearLedgers()
-	if s.as.sharded() && s.cacheEnabled {
-		s.sh = hbps.NewSharded(s.cache, s.as.shards, s.as.batch)
-	} else {
-		s.sh = nil
-	}
 }
 
 // pendingDelta is the total pending score delta for id: the shared ledger
@@ -157,192 +122,59 @@ func (s *agnosticSpace) aaScore(id aa.ID) uint32 {
 	return uint32(aa.Score(s.topo, s.bm, id))
 }
 
-// pick selects the next AA: HBPS pop when enabled (replenishing from a
-// bitmap walk if the list has run dry), uniformly random otherwise.
+// pick selects the next AA: the HBPS list's front when enabled, uniformly
+// random otherwise. A cached pick pops the pick's fixed shard (seq%shards,
+// worker-independent, so the pick stream is bit-identical at any worker
+// width), running the background bitmap rescan first if the list itself has
+// run dry, then stages the shard's next batch ahead of exhaustion so refills
+// hide behind ongoing picks. At queue depth 0 the pop is the list's own
+// PopBest and nothing is ever staged.
 func (s *agnosticSpace) pick() bool {
-	if s.sh != nil {
-		return s.pickSharded()
-	}
-	var id aa.ID
+	var (
+		id    aa.ID
+		score uint32
+		p     shardq.Popped
+		ok    bool
+		shard int
+	)
+	claimed := -1
 	if s.cacheEnabled {
-		reason := picks.HBPSBin
-		wdOn := s.wd != nil && s.wd.enabled
-		frontBin := -1
-		if wdOn { // capture the claimed bin before the pop unlists the item
-			if _, b, ok := s.cache.PeekBestBin(); ok {
-				frontBin = b
+		shard = s.as.nextShard()
+		claimed = s.claimedBin()
+		id, p, ok = s.q.Pop(shard, func() {
+			if s.cache.NeedsReplenish() {
+				s.st.Emit("alloc.virt", s.shard, "list_dry", 0, 0)
+				s.replenish()
+				claimed = s.claimedBin()
 			}
-		}
-		got, ok := s.cache.PopBest()
+		})
+		s.cacheOps += uint64(p.Staged)
+		s.as.notePop(shard, p, ok)
 		if !ok {
-			s.st.Emit("alloc.virt", s.shard, "list_dry", 0, 0)
-			s.replenish()
-			reason = picks.Refill
-			if wdOn {
-				frontBin = -1
-				if _, b, peeked := s.cache.PeekBestBin(); peeked {
-					frontBin = b
-				}
-			}
-			if got, ok = s.cache.PopBest(); !ok {
-				return false
-			}
-		}
-		s.cacheOps++
-		s.as.picks++
-		s.as.pickBusy[0] += s.as.opCost // shared critical section: one vector
-		id = got
-		if s.st != nil { // score recomputation is pure popcount; skip when off
-			s.st.Emit("alloc.virt", s.shard, "hbps_pop", 0, int64(s.aaScore(id)))
-		}
-		if wdOn {
-			s.wd.pickCheckSpace(s, id, frontBin)
-		}
-		if s.pr != nil || s.tr != nil {
-			runner := int64(-1)
-			if _, bin, ok := s.cache.PeekBestBin(); ok {
-				// HBPS has no runner-up score; record the next listed AA's
-				// bin floor as the guaranteed lower bound.
-				runner = int64(s.cache.BinFloor(bin))
-			}
-			score := int64(s.aaScore(id))
-			s.lastPick = pickNote{aa: uint32(id), score: score, runner: runner, reason: reason}
-			if s.pr != nil {
-				s.pr.Record(*s.cpNow, uint32(id), score, runner, s.cache.ListLen(), reason, s.curTID)
-			}
-		}
-	} else {
-		n := s.topo.NumAAs()
-		found := false
-		for try := 0; try < 16 && !found; try++ {
-			id = aa.ID(s.rng.Intn(n))
-			found = s.aaScore(id) > 0
-		}
-		if !found {
-			start := s.rng.Intn(n)
-			for off := 0; off < n; off++ {
-				id = aa.ID((start + off) % n)
-				if s.aaScore(id) > 0 {
-					found = true
-					break
-				}
-			}
-		}
-		if !found {
 			return false
 		}
-		if s.st != nil {
-			s.st.Emit("alloc.virt", s.shard, "random_pick", 0, int64(s.aaScore(id)))
+		s.cacheOps++
+		score = s.aaScore(id)
+	} else {
+		var sc uint64
+		id, sc, ok = pickRandom(s.rng, s.topo.NumAAs(), func(id aa.ID) uint64 {
+			return uint64(s.aaScore(id))
+		})
+		if !ok {
+			return false
 		}
-		if s.pr != nil || s.tr != nil {
-			score := int64(s.aaScore(id))
-			s.lastPick = pickNote{aa: uint32(id), score: score, runner: -1, reason: picks.BitmapFallback}
-			if s.pr != nil {
-				s.pr.Record(*s.cpNow, uint32(id), score, -1, 0, picks.BitmapFallback, s.curTID)
-			}
-		}
+		score = uint32(sc)
 	}
+	s.observePick(shard, id, score, p, claimed)
+	s.cacheOps += stageAhead(s.as, s.q, shard)
+	s.as.curShard = shard
 	s.curAA = id
 	s.curValid = true
 	seg := s.topo.Segment(id)
 	s.cursor = seg.Start
-	s.pickedScoreSum += float64(s.aaScore(id)) / float64(seg.Len())
+	s.pickedScoreSum += float64(score) / float64(seg.Len())
 	s.pickedCount++
 	return true
-}
-
-// pickSharded is the striped pick path: pop the fixed shard's queue front,
-// staging ahead of exhaustion so refills — including the background bitmap
-// rescan when the shared list runs dry — hide behind ongoing picks. The
-// shard assignment is seq%shards, worker-independent, so the pick stream
-// is bit-identical at any worker width.
-func (s *agnosticSpace) pickSharded() bool {
-	as := s.as
-	shard := as.nextShard()
-	reason := picks.ShardLocal
-	id, ok := s.sh.Pop(shard)
-	if !ok {
-		// Stall: queue and standby batch are both dry. Refill synchronously;
-		// this cost serializes, unlike pipelined staging.
-		reason = picks.Refill
-		as.stalls++
-		n := s.stageShard(shard)
-		as.stallBusy += time.Duration(n+1) * as.opCost
-		if id, ok = s.sh.Pop(shard); !ok {
-			// The shared list is dry, but other shards may still hoard IDs
-			// (shards × batch can exceed the space's AA count). Rebalance:
-			// drop every held ID back to tracked-but-unlisted and restage —
-			// the replenish inside stageShard re-lists them.
-			if s.sh.HeldCount() > 0 {
-				n = s.sh.FlushAll()
-				n += s.stageShard(shard)
-				as.stallBusy += time.Duration(n) * as.opCost
-				id, ok = s.sh.Pop(shard)
-			}
-			if !ok {
-				return false
-			}
-		}
-	}
-	s.cacheOps++
-	as.picks++
-	if reason == picks.ShardLocal {
-		as.localPicks++
-	}
-	as.pickBusy[shard] += as.opCost
-	if s.st != nil { // score recomputation is pure popcount; skip when off
-		s.st.Emit("alloc.virt", s.shard, "shard_pop", 0, int64(s.aaScore(id)))
-	}
-	if s.wd != nil && s.wd.enabled {
-		// The staged near-best window spans shards×batch list positions, so
-		// there is no single claimed bin to verify; the non-negative-score
-		// floor still holds (claimed < 0 skips the bin comparison).
-		s.wd.pickCheckSpace(s, id, -1)
-	}
-	if s.pr != nil || s.tr != nil {
-		score := int64(s.aaScore(id))
-		s.lastPick = pickNote{aa: uint32(id), score: score, runner: -1, reason: reason}
-		if s.pr != nil {
-			s.pr.Record(*s.cpNow, uint32(id), score, -1, s.sh.Len(shard)+s.cache.ListLen(), reason, s.curTID)
-		}
-	}
-	// Pipelined refill: stage the next batch while the current one still
-	// serves picks, so the eventual drain swaps in without stalling.
-	if s.sh.Low(shard) {
-		n := s.sh.Stage(shard, s.stageSkip)
-		s.cacheOps += uint64(n)
-		as.staged += uint64(n)
-		as.refillBusy += time.Duration(n) * as.opCost
-	}
-	as.curShard = shard
-	s.curAA = id
-	s.curValid = true
-	seg := s.topo.Segment(id)
-	s.cursor = seg.Start
-	s.pickedScoreSum += float64(s.aaScore(id)) / float64(seg.Len())
-	s.pickedCount++
-	return true
-}
-
-// stageSkip keeps the in-flight cursor AA out of the shard queues: the CP
-// fold or a replenish may re-list it mid-consumption, and queueing it would
-// double-pick it.
-func (s *agnosticSpace) stageSkip(id aa.ID) bool {
-	return s.curValid && id == s.curAA
-}
-
-// stageShard refills the shard's standby batch off the shared list, running
-// the background bitmap rescan first when the list itself has run dry — the
-// rescan is part of the staged refill, so on the pipelined path its latency
-// hides behind ongoing picks too. Returns entries staged.
-func (s *agnosticSpace) stageShard(shard int) int {
-	if s.cache.NeedsReplenish() {
-		s.st.Emit("alloc.virt", s.shard, "list_dry", 0, 0)
-		s.replenish()
-	}
-	n := s.sh.Stage(shard, s.stageSkip)
-	s.cacheOps += uint64(n)
-	return n
 }
 
 // replenish rebuilds the HBPS from a full bitmap walk — the background scan
@@ -422,9 +254,7 @@ func (s *agnosticSpace) free(v block.VBN) {
 func (s *agnosticSpace) sealCPDeltas() {
 	s.as.fold(s.deltas)
 	s.deltas, s.flushDeltas = s.flushDeltas, s.deltas
-	if s.sh != nil {
-		s.sh.AdvanceGen()
-	}
+	s.q.AdvanceGen()
 }
 
 // foldSealed folds the sealed generation's delta bank into the HBPS when

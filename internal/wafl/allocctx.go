@@ -6,35 +6,47 @@ import (
 
 	"waflfs/internal/aa"
 	"waflfs/internal/parallel"
+	"waflfs/internal/shardq"
 )
 
-// Per-worker allocation contexts (the striped allocator hot path).
+// Allocation contexts: what one space's pick path charges and where its
+// score deltas accumulate.
 //
-// With AllocShards > 1 every space (RAID group or virtual space) routes its
-// picks through per-shard queues (heapcache.Sharded / hbps.Sharded) and
-// accumulates its score deltas in per-shard ledgers instead of the shared
-// delta ledger. The shard for each pick is seq % shards — a fixed assignment
-// keyed by (space, pick sequence), independent of the Workers knob — so the
-// pick stream, every staged batch, and every folded delta are bit-identical
-// at any worker width. Ledgers fold into the shared delta ledger in
-// shard-index order (IDs sorted within a shard) when the CP seals the
-// generation (sealCP / sealCPDeltas), so the flush-time fold observes
-// exactly the totals the unsharded path would have accumulated.
+// Every cached space picks through one staging queue (internal/shardq,
+// DESIGN.md §9) whose depth is Tunables.AllocShards: at depth 0 (AllocShards
+// ≤ 1) a pick is the cache's own PopBest — the paper's direct pick — and
+// score deltas go straight to the shared delta ledger. With AllocShards > 1
+// picks come out of per-shard batches staged off the shared heap/HBPS and
+// deltas accumulate in per-shard ledgers. The shard for each pick is
+// seq % shards — a fixed assignment keyed by (space, pick sequence),
+// independent of the Workers knob — so the pick stream, every staged batch,
+// and every folded delta are bit-identical at any worker width. Ledgers fold
+// into the shared delta ledger in shard-index order (ascending IDs within a
+// shard) when the CP seals the generation (sealCP / sealCPDeltas), so the
+// flush-time fold observes exactly the totals the direct path would have
+// accumulated.
 //
 // Contention is modeled, not measured: picks execute serially on the CP
 // thread (like FlushWall's flush tasks), and each shard's pick time
 // accrues to a per-shard busy vector. AllocPickWall schedules those
 // vectors over W workers via parallel.Makespan — shard-local picks
 // parallelize, synchronous stall refills serialize, and pipelined staging
-// is hidden behind ongoing picks. The classic path charges all picks to a
-// single vector, which is what makes the shared-vs-striped walls
-// comparable. One pick's critical section and one staging move both cost
-// CPUPerCacheOp, the same unit the cache-maintenance accounting uses.
+// is hidden behind ongoing picks. Depth 0 charges all picks to a single
+// vector, which is what makes the shared-vs-striped walls comparable. One
+// pick's critical section and one staging move both cost CPUPerCacheOp, the
+// same unit the cache-maintenance accounting uses.
 const defaultAllocBatch = 8
+
+// allocBatch resolves the AllocBatch knob.
+func (t Tunables) allocBatch() int {
+	if t.AllocBatch <= 0 {
+		return defaultAllocBatch
+	}
+	return t.AllocBatch
+}
 
 type allocState struct {
 	shards int
-	batch  int
 	opCost time.Duration
 
 	seq      uint64 // picks issued; shard = seq % shards
@@ -42,8 +54,8 @@ type allocState struct {
 
 	// ledgers[s] holds shard s's pending score deltas (frees positive,
 	// allocations negative), folded into the shared delta ledger at CP
-	// boundaries. Classic mode (shards == 1 via AllocShards ≤ 1) has no
-	// shard ledgers — deltas go straight to the shared one.
+	// boundaries. AllocShards ≤ 1 has no shard ledgers — deltas go straight
+	// to the shared one.
 	ledgers []*deltaLedger
 
 	pickBusy   []time.Duration // modeled shard-local pick time
@@ -61,21 +73,13 @@ type allocState struct {
 // newAllocState sizes the shard ledgers for a space of numAAs allocation
 // areas.
 func newAllocState(tun Tunables, numAAs int) *allocState {
-	n := tun.AllocShards
-	if n < 1 {
-		n = 1
-	}
-	b := tun.AllocBatch
-	if b <= 0 {
-		b = defaultAllocBatch
-	}
+	n := max(tun.AllocShards, 1)
 	as := &allocState{
 		shards:   n,
-		batch:    b,
 		opCost:   tun.CPUPerCacheOp,
 		pickBusy: make([]time.Duration, n),
 	}
-	if as.sharded() {
+	if n > 1 {
 		as.ledgers = make([]*deltaLedger, n)
 		for i := range as.ledgers {
 			as.ledgers[i] = newDeltaLedger(numAAs)
@@ -84,8 +88,14 @@ func newAllocState(tun Tunables, numAAs int) *allocState {
 	return as
 }
 
-// sharded reports whether the striped pick path is active.
-func (as *allocState) sharded() bool { return as.shards > 1 }
+// queueDepth is the depth of the space's staging queue: the stripe width
+// when striped and cached, else 0 (the direct pick).
+func (as *allocState) queueDepth(cached bool) int {
+	if cached && as.shards > 1 {
+		return as.shards
+	}
+	return 0
+}
 
 // nextShard returns the fixed shard for the next pick and advances the
 // sequence. Keyed by pick ordinal only, so any worker width replays the
@@ -96,19 +106,58 @@ func (as *allocState) nextShard() int {
 	return s
 }
 
+// notePop charges what one Pop observed: the synchronous refills it waited
+// for — a stall and one op per staging round plus one per entry moved either
+// way, all zero at depth 0 — and, when served, the pick's own critical
+// section on its shard's vector.
+func (as *allocState) notePop(shard int, p shardq.Popped, served bool) {
+	as.stalls += uint64(p.Stalls)
+	as.stallBusy += time.Duration(p.Stalls+p.Staged+p.Flushed) * as.opCost
+	if served {
+		as.picks++
+		if p.Held && !p.Refilled {
+			as.localPicks++
+		}
+		as.pickBusy[shard] += as.opCost
+	}
+}
+
+// stageAhead is the pipelined refill after a pick: a shard running low
+// stages its next batch now, so the eventual drain swaps a ready batch in
+// instead of stalling. The time is charged as hidden behind ongoing picks;
+// the caller charges the returned entry count as cache ops.
+func stageAhead[E any](as *allocState, q *shardq.Queue[E], shard int) uint64 {
+	if !q.Low(shard) {
+		return 0
+	}
+	n := q.Stage(shard)
+	as.staged += uint64(n)
+	as.refillBusy += time.Duration(n) * as.opCost
+	return uint64(n)
+}
+
+// resetPicks rebinds a space's pick queue to its current cache object and
+// drops all shard-ledger state. Called wherever the cache is replaced or
+// rebuilt wholesale (remount, repair): what the queue held belonged to the
+// old object, and pre-crash deltas are gone.
+func resetPicks[E any](as *allocState, q *shardq.Queue[E], cache shardq.Backing[E]) {
+	as.clearLedgers()
+	q.Reset(cache)
+}
+
 // note records one score delta: shard-local ledger when striped (the
 // in-flight pick's shard for allocations; id-keyed for frees so a block
 // freed between CPs lands in a deterministic ledger regardless of which
 // pick is in flight), shared ledger otherwise.
 func (as *allocState) noteAlloc(id aa.ID, deltas *deltaLedger) {
-	if as.sharded() {
+	if len(as.ledgers) > 0 {
 		deltas = as.ledgers[as.curShard]
 	}
 	deltas.add(id, -1)
 }
 
 func (as *allocState) noteFree(id aa.ID, deltas *deltaLedger) {
-	if as.sharded() {
+	if len(as.ledgers) > 0 {
 		deltas = as.ledgers[int(uint64(id)%uint64(as.shards))]
 	}
 	deltas.add(id, 1)
@@ -198,7 +247,7 @@ func (as *allocState) busyTotal() time.Duration {
 type AllocProfile struct {
 	// Space names the profiled space ("rg<N>", "vol.<name>", "pool").
 	Space string
-	// Shards is the stripe width (1 = classic shared path).
+	// Shards is the stripe width (1 = the direct pick, queue depth 0).
 	Shards int
 	// Picks counts all picks; LocalPicks the shard-local subset.
 	Picks, LocalPicks uint64
@@ -247,7 +296,7 @@ func (ag *Aggregate) AllocProfiles() []AllocProfile {
 // at the given worker width: every space's per-shard busy vectors schedule
 // over the workers (parallel.Makespan's deterministic greedy order, the
 // same model FlushWall uses), and synchronous stalls — which contend on
-// the shared structures — serialize on top. The classic path charges all
+// the shared structures — serialize on top. Depth 0 charges all
 // picks to one vector per space, so shared-vs-striped walls compare
 // directly. Pipelined staging time is excluded: it is the latency the
 // refill pipeline hides behind ongoing picks.

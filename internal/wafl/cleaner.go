@@ -46,9 +46,7 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 	g.finishAA(s.Agg.bm)
 	// Likewise entries staged in shard queues: flush them back so the heap
 	// pops the true best AAs for cleaning; the queues restage at the end.
-	if g.sh != nil {
-		g.sh.FlushAll()
-	}
+	g.q.FlushAll()
 
 	cleaned := make([]aa.ID, 0, maxAAs)
 	for len(cleaned) < maxAAs {
@@ -91,9 +89,10 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 		g.cache.Insert(id, aa.Score(g.topo, s.Agg.bm, id))
 		g.as.clearPending(id, g.deltas)
 	}
-	if g.sh != nil {
-		g.restageShards()
-	}
+	// Relocation writes mid-pass may have staged entries again; Restage
+	// returns them first so the fresh batches see every AA. Ledger state is
+	// untouched: frees noted since the last CP are still pending there.
+	g.q.Restage()
 	return st
 }
 

@@ -144,3 +144,50 @@ func TestControlOffEquivalence(t *testing.T) {
 		t.Error("Control=nil wrote control series")
 	}
 }
+
+// The alloc_batch knob takes effect on the live pick queues, from their next
+// staging move — not at the next remount or cleaning pass. Observed from
+// outside the queue: with 4 shards a RAID group's queues hold at most
+// 4×2×batch entries, so its heap can only fall below NumAAs−1−4×2×8 once
+// batches larger than the original 8 are being staged.
+func TestAllocBatchKnobIsLive(t *testing.T) {
+	tun := DefaultTunables()
+	tun.AllocShards = 4
+	tun.CPEveryOps = 1 << 30
+	s := NewSystem(testSpecs(), []VolSpec{{Name: "v", Blocks: 8 * aa.RAIDAgnosticBlocks}}, tun, 5)
+	lun := s.Agg.Vols()[0].CreateLUN("l", 150000)
+	g := s.Agg.Groups()[0]
+	floor := g.Topology().NumAAs() - 1 - 4*2*defaultAllocBatch
+	minHeap := func(from, to uint64) int {
+		low := g.Cache().Len()
+		for lba := from; lba < to; lba += 4 {
+			s.Write(lun, lba, 4)
+			if s.pendingBlocks >= 1024 {
+				s.CP()
+				low = min(low, g.Cache().Len())
+			}
+		}
+		return low
+	}
+	if low := minHeap(0, 50000); low < floor {
+		t.Fatalf("rg0 heap fell to %d at batch %d, below the %d its queues can leave", low, defaultAllocBatch, floor)
+	}
+	if v, ok := s.Actuator().SetKnob(control.KnobAllocBatch, 16); !ok || v != 16 {
+		t.Fatalf("SetKnob(alloc_batch, 16) = %v,%v", v, ok)
+	}
+	if low := minHeap(50000, 150000); low >= floor {
+		t.Errorf("rg0 heap never fell below %d (reached %d): no queue staged more than the old %d-entry batches",
+			floor, low, defaultAllocBatch)
+	}
+	// At queue depth 0 the knob is accepted and inert: nothing is staged.
+	s0 := NewSystem(testSpecs(), []VolSpec{{Name: "v", Blocks: 8 * aa.RAIDAgnosticBlocks}}, DefaultTunables(), 5)
+	s0.Actuator().SetKnob(control.KnobAllocBatch, 16)
+	l0 := s0.Agg.Vols()[0].CreateLUN("l", 8000)
+	for lba := uint64(0); lba < 8000; lba += 4 {
+		s0.Write(l0, lba, 4)
+	}
+	s0.CP()
+	if n, _ := s0.Registry().Value("rg0.alloc.staged_entries"); n != 0 || s0.Agg.groups[0].q.HeldCount() != 0 {
+		t.Errorf("depth-0 queue staged %d entries, holds %d", n, s0.Agg.groups[0].q.HeldCount())
+	}
+}

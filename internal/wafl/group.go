@@ -11,8 +11,8 @@ import (
 	"waflfs/internal/device"
 	"waflfs/internal/heapcache"
 	"waflfs/internal/obs"
-	"waflfs/internal/obs/picks"
 	"waflfs/internal/raid"
+	"waflfs/internal/shardq"
 )
 
 // Device abstracts the per-drive cost models in package device.
@@ -41,10 +41,10 @@ type Group struct {
 	cacheEnabled bool
 	seedOnly     bool // cache holds only a TopAA seed; background fill pending
 
-	// Striped allocator hot path (AllocShards > 1, see allocctx.go): sh
-	// stripes the heap into per-shard pick queues; as holds the shard
-	// ledgers and the modeled busy vectors. sh is nil on the classic path.
-	sh *heapcache.Sharded
+	// The pick path (allocctx.go): q stages the heap's best AAs into
+	// per-shard batches — at depth 0, AllocShards ≤ 1, it is the heap's own
+	// PopBest — and as holds the shard ledgers and the modeled busy vectors.
+	q  *shardq.Queue[heapcache.Entry]
 	as *allocState
 
 	devices []Device // data devices, index-aligned with geometry
@@ -95,16 +95,11 @@ type Group struct {
 	deviceBusy       time.Duration // busy time charged during CP flushes
 
 	// Observability handles (nil-safe; set by Aggregate.registerGroupObs).
+	// wdCursor rotates the watchdog's score-sample window across the
+	// group's AAs.
 	st     *obs.SysTracer
 	scored *obs.Counter
-
-	// Allocation-decision provenance and watchdog hooks (nil when off;
-	// set by Aggregate.registerGroupObs). cpNow points at the aggregate's
-	// current CP ordinal so pick records carry it; wdCursor rotates the
-	// watchdog's score-sample window across the group's AAs.
-	pr       *picks.Ring
-	cpNow    *uint64
-	wd       *watchdogState
+	pickSink
 	wdCursor int
 }
 
@@ -175,36 +170,8 @@ func buildGroup(index int, spec GroupSpec, startVBN block.VBN, tun Tunables, rng
 		scores[id] = aaBlockCount(topo, aa.ID(id))
 	}
 	g.cache = heapcache.NewFromScores(scores)
-	g.resetShardCache()
+	g.q = shardq.New[heapcache.Entry](g.cache, g.as.queueDepth(g.cacheEnabled), tun.allocBatch())
 	return g
-}
-
-// resetShardCache (re)builds the shard queues around the current cache
-// object and drops all ledger state. Called wherever the cache is replaced
-// wholesale (fresh build, remount, repair) — the Sharded wrapper holds a
-// pointer to the shared heap and must never outlive it.
-func (g *Group) resetShardCache() {
-	g.as.clearLedgers()
-	if g.as.sharded() && g.cacheEnabled {
-		g.sh = heapcache.NewSharded(g.cache, g.as.shards, g.as.batch)
-	} else {
-		g.sh = nil
-	}
-}
-
-// restageShards rebuilds the shard queues from the current shared heap
-// WITHOUT touching ledger state — for passes that flushed the queues to
-// operate on the complete heap (segment cleaning) while frees noted since
-// the last CP are still pending in the ledgers.
-func (g *Group) restageShards() {
-	if g.as.sharded() && g.cacheEnabled {
-		if g.sh != nil {
-			// Relocation writes mid-pass may have re-staged entries into the
-			// old wrapper; return them so the rebuild tracks every AA.
-			g.sh.FlushAll()
-		}
-		g.sh = heapcache.NewSharded(g.cache, g.as.shards, g.as.batch)
-	}
 }
 
 // pendingDelta is the total pending score delta for id: the shared ledger
@@ -288,23 +255,6 @@ func (g *Group) WriteAmplification() float64 {
 	return s / float64(len(g.ssds))
 }
 
-// bestScore returns the best available AA score for eligibility decisions:
-// the held AA's last known score, or the cache top. With the striped path
-// active the best entry may sit in a shard queue rather than the shared
-// heap, so the scan spans both.
-func (g *Group) bestScore() (uint64, bool) {
-	if g.sh != nil {
-		if e, ok := g.sh.Best(); ok {
-			return e.Score, true
-		}
-		return 0, false
-	}
-	if e, ok := g.cache.Best(); ok {
-		return e.Score, true
-	}
-	return 0, false
-}
-
 // eligible reports whether the allocator should write to this group given
 // the fragmentation-bias threshold (§3.3.1).
 func (g *Group) eligible(minFraction float64) bool {
@@ -314,182 +264,96 @@ func (g *Group) eligible(minFraction float64) bool {
 	if g.curValid {
 		return true // keep filling the AA we already committed to
 	}
-	s, ok := g.bestScore()
-	if !ok {
-		return false
-	}
-	return float64(s) >= minFraction*float64(g.topo.BlocksPerAA())
+	// The best entry may sit in a shard queue rather than the shared heap.
+	e, ok := g.cache.BestWith(g.q)
+	return ok && float64(e.Score) >= minFraction*float64(g.topo.BlocksPerAA())
 }
 
 // pickAA selects the next AA to fill: the cache's best when enabled,
-// uniformly random otherwise (the paper's baseline).
+// uniformly random otherwise (the paper's baseline). A cached pick pops the
+// pick's fixed shard — seq%shards, worker-independent, and every queue
+// mutation happens in pick order, so the pick stream is bit-identical at any
+// worker width — then stages the shard's next batch ahead of exhaustion so
+// refills hide behind ongoing picks. At queue depth 0 the pop is the heap's
+// own PopBest and nothing is ever staged.
 func (g *Group) pickAA(bm *bitmap.Bitmap) bool {
-	if g.sh != nil {
-		return g.pickAASharded(bm)
-	}
-	var id aa.ID
-	var score uint64
+	var (
+		e     heapcache.Entry
+		p     shardq.Popped
+		ok    bool
+		shard int
+	)
 	if g.cacheEnabled {
-		e, ok := g.cache.PopBest()
-		if !ok {
-			g.st.Emit("alloc.phys", g.Index, "cache_empty", 0, 0)
-			return false
+		shard = g.as.nextShard()
+		e, p, ok = g.q.Pop(shard, nil)
+		label := "cache_empty"
+		if ok && p.Held && e.Score == 0 {
+			// A held front with no free blocks is only the shard-local view.
+			// Return every shard's stock to the shared heap and restage, so
+			// an AA whose score rose since staging — or a free AA hoarded by
+			// another shard — is found before the group is declared full.
+			g.cache.Insert(e.ID, 0)
+			g.cacheOps++
+			e, p, ok = g.q.Rebalance(shard, p)
+			label = "cache_exhausted"
 		}
-		g.cacheOps++
-		g.as.picks++
-		g.as.pickBusy[0] += g.as.opCost // shared critical section: one vector
-		if e.Score == 0 {
+		g.cacheOps += uint64(p.Staged + p.Flushed)
+		// A pop straight off the shared heap was a critical section on it
+		// whatever it found; a held front that turned out empty was not.
+		served := ok && (e.Score > 0 || !p.Held)
+		g.as.notePop(shard, p, served)
+		if served {
+			g.cacheOps++
+		}
+		if ok && e.Score == 0 {
 			// Even the best AA has no free blocks: the group is full.
 			g.cache.Insert(e.ID, 0)
 			g.cacheOps++
-			g.st.Emit("alloc.phys", g.Index, "cache_exhausted", 0, 0)
+			ok, label = false, "cache_exhausted"
+		}
+		if !ok {
+			g.st.Emit("alloc.phys", g.Index, label, 0, 0)
 			return false
-		}
-		id, score = e.ID, e.Score
-		g.st.Emit("alloc.phys", g.Index, "cache_hit", 0, int64(score))
-		if g.wd != nil && g.wd.enabled {
-			g.wd.pickCheckGroup(g, bm, id, score)
-		}
-		if g.pr != nil {
-			runner := int64(-1)
-			if e2, ok := g.cache.Best(); ok { // best remaining after the pop
-				runner = int64(e2.Score)
-			}
-			g.pr.Record(*g.cpNow, uint32(id), int64(score), runner, g.cache.Len(), picks.HeapTop, 0)
 		}
 	} else {
-		// Random selection; retry a bounded number of times to find an AA
-		// with any free space, then fall back to a linear sweep.
-		n := g.topo.NumAAs()
-		found := false
-		for try := 0; try < 16 && !found; try++ {
-			id = aa.ID(g.rng.Intn(n))
-			score = aa.Score(g.topo, bm, id)
+		e.ID, e.Score, ok = pickRandom(g.rng, g.topo.NumAAs(), func(id aa.ID) uint64 {
 			g.scored.Inc()
-			found = score > 0
-		}
-		if !found {
-			start := g.rng.Intn(n)
-			for off := 0; off < n; off++ {
-				id = aa.ID((start + off) % n)
-				score = aa.Score(g.topo, bm, id)
-				g.scored.Inc()
-				if score > 0 {
-					found = true
-					break
-				}
-			}
-		}
-		if !found {
+			return aa.Score(g.topo, bm, id)
+		})
+		if !ok {
 			return false
 		}
-		g.st.Emit("alloc.phys", g.Index, "random_pick", 0, int64(score))
-		if g.pr != nil {
-			g.pr.Record(*g.cpNow, uint32(id), int64(score), -1, 0, picks.BitmapFallback, 0)
-		}
 	}
-	g.curAA = id
+	g.observePick(bm, shard, e, p)
+	g.cacheOps += stageAhead(g.as, g.q, shard)
+	g.as.curShard = shard
+	g.curAA = e.ID
 	g.curValid = true
 	g.curWrote = false
-	g.curStripe, g.curEnd = g.topo.StripeRange(id)
-	g.pickedScoreSum += float64(score) / float64(aaBlockCount(g.topo, id))
+	g.curStripe, g.curEnd = g.topo.StripeRange(e.ID)
+	g.pickedScoreSum += float64(e.Score) / float64(aaBlockCount(g.topo, e.ID))
 	g.pickedCount++
 	return true
 }
 
-// pickAASharded is the striped pick path: pop the fixed shard's queue
-// front, staging the next batch ahead of exhaustion so refills hide behind
-// ongoing picks. The shard assignment is seq%shards — worker-independent —
-// and every queue/stage mutation happens in pick order, so the pick stream
-// is bit-identical at any worker width.
-func (g *Group) pickAASharded(bm *bitmap.Bitmap) bool {
-	as := g.as
-	shard := as.nextShard()
-	reason := picks.ShardLocal
-	e, ok := g.sh.Pop(shard)
-	if !ok {
-		// Stall: queue and standby batch are both dry. Refill synchronously
-		// from the shared heap; this cost serializes (every worker would
-		// contend on the shared structure), unlike pipelined staging.
-		reason = picks.Refill
-		as.stalls++
-		n := g.sh.Stage(shard)
-		g.cacheOps += uint64(n)
-		as.stallBusy += time.Duration(n+1) * as.opCost
-		if e, ok = g.sh.Pop(shard); !ok {
-			// The shared heap is dry, but other shards may still hoard
-			// free AAs (shards × batch can exceed the group's AA count).
-			// Rebalance: return every shard's stock and restage this one.
-			if g.sh.HeldCount() > 0 {
-				n = g.sh.FlushAll() + g.sh.Stage(shard)
-				g.cacheOps += uint64(n)
-				as.stallBusy += time.Duration(n) * as.opCost
-				e, ok = g.sh.Pop(shard)
-			}
-			if !ok {
-				g.st.Emit("alloc.phys", g.Index, "cache_empty", 0, 0)
-				return false
-			}
+// pickRandom is the paper's baseline pick: a bounded number of uniformly
+// random probes for an AA with any free space, then a linear sweep from a
+// random start.
+func pickRandom(rng *rand.Rand, n int, score func(aa.ID) uint64) (aa.ID, uint64, bool) {
+	for try := 0; try < 16; try++ {
+		id := aa.ID(rng.Intn(n))
+		if s := score(id); s > 0 {
+			return id, s, true
 		}
 	}
-	if e.Score == 0 {
-		// The shard's front is empty — but that is only the shard-local
-		// view. Return every shard's stock to the shared heap and restage,
-		// so an AA whose score rose since staging — or a free AA hoarded by
-		// another shard — is found before the group is declared full (the
-		// classic path's cache_exhausted).
-		g.cache.Insert(e.ID, 0)
-		n := g.sh.FlushAll() + 1
-		n += g.sh.Stage(shard)
-		g.cacheOps += uint64(n)
-		as.stallBusy += time.Duration(n) * as.opCost
-		as.stalls++
-		reason = picks.Refill
-		if e, ok = g.sh.Pop(shard); !ok || e.Score == 0 {
-			if ok {
-				g.cache.Insert(e.ID, 0)
-				g.cacheOps++
-			}
-			g.st.Emit("alloc.phys", g.Index, "cache_exhausted", 0, 0)
-			return false
+	start := rng.Intn(n)
+	for off := 0; off < n; off++ {
+		id := aa.ID((start + off) % n)
+		if s := score(id); s > 0 {
+			return id, s, true
 		}
 	}
-	id, score := e.ID, e.Score
-	g.cacheOps++
-	as.picks++
-	if reason == picks.ShardLocal {
-		as.localPicks++
-	}
-	as.pickBusy[shard] += as.opCost
-	g.st.Emit("alloc.phys", g.Index, "shard_hit", 0, int64(score))
-	if g.wd != nil && g.wd.enabled {
-		g.wd.pickCheckGroup(g, bm, id, score)
-	}
-	if g.pr != nil {
-		runner := int64(-1)
-		if e2, ok := g.sh.Peek(shard); ok {
-			runner = int64(e2.Score)
-		} else if e2, ok := g.cache.Best(); ok {
-			runner = int64(e2.Score)
-		}
-		g.pr.Record(*g.cpNow, uint32(id), int64(score), runner, g.sh.Len(shard)+g.cache.Len(), reason, 0)
-	}
-	// Pipelined refill: the shard is running low, so stage the next batch
-	// now — the eventual drain swaps a ready batch in instead of stalling.
-	if g.sh.Low(shard) {
-		n := g.sh.Stage(shard)
-		g.cacheOps += uint64(n)
-		as.staged += uint64(n)
-		as.refillBusy += time.Duration(n) * as.opCost
-	}
-	as.curShard = shard
-	g.curAA = id
-	g.curValid = true
-	g.curWrote = false
-	g.curStripe, g.curEnd = g.topo.StripeRange(id)
-	g.pickedScoreSum += float64(score) / float64(aaBlockCount(g.topo, id))
-	g.pickedCount++
-	return true
+	return 0, 0, false
 }
 
 // aaBlockCount returns the capacity of AA id, accounting for a truncated
@@ -588,11 +452,9 @@ func (g *Group) sealCP() {
 	g.deltas, g.flushDeltas = g.flushDeltas, g.deltas
 	g.cpWrites, g.flushWrites = g.flushWrites[:0], g.cpWrites
 	g.pendingCS, g.flushCS = g.flushCS[:0], g.pendingCS
-	if g.sh != nil {
-		// Held shard batches carry the generation they were staged under,
-		// which the depth-2 watchdog pins against the current one.
-		g.sh.AdvanceGen()
-	}
+	// Held shard batches carry the generation they were staged under, which
+	// the depth-2 watchdog pins against the current one.
+	g.q.AdvanceGen()
 }
 
 // flushSealed classifies the sealed generation's writes into tetrises,

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"time"
 
+	"waflfs/internal/aa"
+	"waflfs/internal/bitmap"
 	"waflfs/internal/control"
+	"waflfs/internal/heapcache"
 	"waflfs/internal/obs"
 	"waflfs/internal/obs/fragscan"
 	"waflfs/internal/obs/optrace"
@@ -13,6 +16,7 @@ import (
 	"waflfs/internal/obs/slo"
 	"waflfs/internal/obs/tsdb"
 	"waflfs/internal/parallel"
+	"waflfs/internal/shardq"
 )
 
 // Observability wiring. Every Aggregate owns a private obs.Registry holding
@@ -444,9 +448,131 @@ func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, prefix string, shard in
 	}
 }
 
+// pickSink is where a space's one pick site reports (nil when off; set by
+// registerGroupObs/registerSpaceObs): the pick-provenance ring, the
+// aggregate's current CP ordinal its records carry, and the watchdog's
+// pick-quality floor. The trace label, the provenance reason and the
+// runner-up all follow from what the queue's Pop observed — where the entry
+// came from and whether a synchronous refill ran — so the allocator itself
+// carries no reporting state.
+type pickSink struct {
+	pr    *picks.Ring
+	cpNow *uint64
+	wd    *watchdogState
+}
+
+// opSink is a volume's op-trace state (zero when off; set by
+// registerSpaceObs): tr is the volume's optrace ring; curTID is the trace ID
+// of the sampled op currently allocating (0 otherwise), stamped into pick
+// provenance records; lastPick snapshots the most recent pick decision for
+// the trace's alloc annotation span; attr accumulates per-stage attributed
+// nanoseconds that reconcile exactly with lat's total.
+type opSink struct {
+	tr       *optrace.Ring
+	curTID   uint64
+	lastPick pickNote
+	attr     [optrace.NumStages]uint64
+}
+
+// pickNote is the last pick decision, kept for optrace span annotation.
+type pickNote struct {
+	aa     uint32
+	score  int64
+	runner int64
+	reason picks.Reason
+}
+
+// pickReason names a cached pick from what its Pop observed: direct is the
+// cache's own reason for an entry straight off the shared structure.
+func pickReason(p shardq.Popped, direct picks.Reason) picks.Reason {
+	switch {
+	case p.Refilled:
+		return picks.Refill
+	case p.Held:
+		return picks.ShardLocal
+	}
+	return direct
+}
+
+// observePick reports one pick of RAID group g: the trace event, the
+// watchdog's pick floor and the provenance record. A cached pick's runner-up
+// is the shard's next held entry, else the heap's next-best after the pop.
+func (g *Group) observePick(bm *bitmap.Bitmap, shard int, e heapcache.Entry, p shardq.Popped) {
+	label, reason := "random_pick", picks.BitmapFallback
+	if g.cacheEnabled {
+		label, reason = "cache_hit", pickReason(p, picks.HeapTop)
+		if p.Held {
+			label = "shard_hit"
+		}
+	}
+	g.st.Emit("alloc.phys", g.Index, label, 0, int64(e.Score))
+	if g.cacheEnabled && g.wd != nil && g.wd.enabled {
+		g.wd.pickCheckGroup(g, bm, e.ID, e.Score)
+	}
+	if g.pr == nil {
+		return
+	}
+	runner, depth := int64(-1), 0
+	if g.cacheEnabled {
+		depth = g.q.Len(shard) + g.cache.Len()
+		if e2, ok := g.q.Peek(shard); ok {
+			runner = int64(e2.Score)
+		} else if e2, ok := g.cache.Best(); ok {
+			runner = int64(e2.Score)
+		}
+	}
+	g.pr.Record(*g.cpNow, uint32(e.ID), int64(e.Score), runner, depth, reason, 0)
+}
+
+// claimedBin is the bin the list's front is filed under — what the pick
+// watchdog holds a pop straight off the list to — or -1 with the watchdog
+// off. The pick reads it before the pop unlists the item.
+func (s *agnosticSpace) claimedBin() int {
+	if s.wd != nil && s.wd.enabled {
+		if _, b, ok := s.cache.PeekBestBin(); ok {
+			return b
+		}
+	}
+	return -1
+}
+
+// observePick reports one pick of the space. claimed is claimedBin() as of
+// the pop; a held ID was staged out of a near-best window spanning
+// shards×batch list positions, so it has no single claimed bin to verify
+// (the non-negative-score floor still holds) and no runner-up. HBPS keeps no
+// scores: a direct pop's runner-up is the next listed AA's bin floor, the
+// guaranteed lower bound.
+func (s *agnosticSpace) observePick(shard int, id aa.ID, score uint32, p shardq.Popped, claimed int) {
+	label, reason := "random_pick", picks.BitmapFallback
+	if s.cacheEnabled {
+		label, reason = "hbps_pop", pickReason(p, picks.HBPSBin)
+		if p.Held {
+			label, claimed = "shard_pop", -1
+		}
+	}
+	s.st.Emit("alloc.virt", s.shard, label, 0, int64(score))
+	if s.cacheEnabled && s.wd != nil && s.wd.enabled {
+		s.wd.pickCheckSpace(s, id, claimed)
+	}
+	if s.pr == nil && s.tr == nil {
+		return
+	}
+	runner, depth := int64(-1), 0
+	if s.cacheEnabled {
+		depth = s.q.Len(shard) + s.cache.ListLen()
+		if _, bin, ok := s.cache.PeekBestBin(); ok && !p.Held {
+			runner = int64(s.cache.BinFloor(bin))
+		}
+	}
+	s.lastPick = pickNote{aa: uint32(id), score: int64(score), runner: runner, reason: reason}
+	if s.pr != nil {
+		s.pr.Record(*s.cpNow, uint32(id), int64(score), runner, depth, reason, s.curTID)
+	}
+}
+
 // registerAllocObs exposes one space's striped-allocator counters under
 // <prefix>alloc.*. All are worker-invariant (the busy vectors are modeled on
-// the CP thread); the classic path keeps them registered but near-zero —
+// the CP thread); queue depth 0 keeps them registered but near-zero —
 // pick_busy_ns then equals picks × CPUPerCacheOp on one vector.
 func (ag *Aggregate) registerAllocObs(prefix string, as *allocState) {
 	ag.reg.CounterFunc(prefix+"alloc.picks", func() uint64 { return as.picks })

@@ -109,15 +109,18 @@ type Tunables struct {
 	// CPStats.FlushWall shrinks as workers increase.
 	Workers int
 
-	// AllocShards stripes the allocation hot path into per-worker shard
-	// queues fed from the shared heap/HBPS in bounded batches, with
-	// per-shard delta ledgers folded deterministically at CP boundaries
-	// (see allocctx.go). 0 or 1 keeps the classic shared pick path —
-	// including every modeled cost and metric byte-for-byte — so the knob
-	// is an opt-in for the striped allocator experiments.
+	// AllocShards is the depth of the staging queue every cached space
+	// picks through (internal/shardq, allocctx.go). 0 or 1 is depth 0: a
+	// pick is the heap's or HBPS's own PopBest, nothing is ever staged, and
+	// score deltas go straight to the shared ledger (TestCPEngineGolden
+	// holds 1 to the digest recorded for 0). Above 1 the hot path is
+	// striped into that many per-worker shard queues fed from the shared
+	// structure in bounded batches, with per-shard delta ledgers folded
+	// deterministically at CP boundaries.
 	AllocShards int
 	// AllocBatch bounds each shard queue and standby batch; 0 selects 8.
-	// Larger batches stage less often but widen the near-best window.
+	// Larger batches stage less often but widen the near-best window. The
+	// alloc_batch control knob changes it live; inert at depth 0.
 	AllocBatch int
 
 	// Pipeline overlaps consecutive consistency points the way production

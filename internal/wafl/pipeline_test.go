@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/heapcache"
 	"waflfs/internal/obs/optrace"
 )
 
@@ -410,14 +411,15 @@ func TestWatchdogGenTamperFires(t *testing.T) {
 	s.CP()
 	tampered = false
 	for _, g := range s.Agg.groups {
-		if g.sh != nil && g.sh.TamperHeldGen() {
+		if g.q.Tamper(func(_ *heapcache.Entry, gen *uint64) { *gen = g.q.Gen() + 1 }) {
 			tampered = true
 			break
 		}
 	}
 	if !tampered {
 		for _, v := range s.Agg.vols {
-			if v.space.sh != nil && v.space.sh.TamperHeldGen() {
+			q := v.space.q
+			if q.Tamper(func(_ *aa.ID, gen *uint64) { *gen = q.Gen() + 1 }) {
 				tampered = true
 				break
 			}

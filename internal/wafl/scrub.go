@@ -129,29 +129,24 @@ func (ag *Aggregate) scrubGroup(g *Group) SpaceScrub {
 		}
 		s.Checked++
 	}
-	held := 0
-	if g.sh != nil {
-		// Striped path: entries staged in shard queues are untracked in the
-		// shared heap but obey the same invariant at their frozen scores.
-		divergence := ""
-		g.sh.Each(func(shard int, e heapcache.Entry) {
-			if divergence != "" {
-				return
-			}
-			want := int64(aa.Score(g.topo, ag.bm, e.ID)) - g.pendingDelta(e.ID)
-			if int64(e.Score) != want {
-				divergence = fmt.Sprintf("shard %d AA %d: staged score %d, bitmap-derived %d",
-					shard, e.ID, e.Score, want)
-				return
-			}
-			s.Checked++
-		})
-		if divergence != "" {
-			s.Divergence = divergence
-			return s
+	// Entries staged in shard queues are untracked in the shared heap but
+	// obey the same invariant at their frozen scores.
+	g.q.Each(func(shard int, e heapcache.Entry) {
+		if s.Divergence != "" {
+			return
 		}
-		held = g.sh.HeldCount()
+		want := int64(aa.Score(g.topo, ag.bm, e.ID)) - g.pendingDelta(e.ID)
+		if int64(e.Score) != want {
+			s.Divergence = fmt.Sprintf("shard %d AA %d: staged score %d, bitmap-derived %d",
+				shard, e.ID, e.Score, want)
+			return
+		}
+		s.Checked++
+	})
+	if s.Divergence != "" {
+		return s
 	}
+	held := g.q.HeldCount()
 	if !g.seedOnly {
 		wantLen := g.topo.NumAAs() - held
 		if g.curValid {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/heapcache"
 	"waflfs/internal/obs"
 	"waflfs/internal/obs/picks"
 )
@@ -127,8 +128,8 @@ func TestShardedSerialEquivalence(t *testing.T) {
 // strict watchdogs and mid-workload scrubs hold. The shared structures must
 // never be bypassed into the bitmap fallback.
 func TestShardedRefillUnderPressure(t *testing.T) {
-	// No remount in this run: remount rebuilds the Sharded wrappers, which
-	// would zero the swap counters this test asserts on.
+	// No remount in this run: a remount drops whatever the pick queues held,
+	// and this test wants every staged batch to be consumed or swapped in.
 	tun := DefaultTunables()
 	tun.AllocShards = 4
 	tun.AllocBatch = 2
@@ -174,9 +175,7 @@ func TestShardedRefillUnderPressure(t *testing.T) {
 	}
 	var swaps uint64
 	for _, g := range s.Agg.groups {
-		if g.sh != nil {
-			swaps += g.sh.Metrics().Swaps
-		}
+		swaps += g.q.Metrics().Swaps
 	}
 	if swaps == 0 {
 		t.Errorf("standby batches never swapped in (swaps=%d)", swaps)
@@ -227,7 +226,7 @@ func TestShardedWatchdogCatchesTamperedHeldScore(t *testing.T) {
 
 	tampered := false
 	for _, g := range s.Agg.groups {
-		if g.sh != nil && g.sh.TamperHeldScore(3) {
+		if g.q.Tamper(func(e *heapcache.Entry, _ *uint64) { e.Score += 3 }) {
 			tampered = true
 			break
 		}

@@ -69,7 +69,7 @@ func checkConsistency(t *testing.T, s *System) {
 				continue
 			}
 			if !g.cache.Tracked(aid) {
-				if g.sh != nil && g.sh.Holds(aid) {
+				if g.q.Holds(aid) {
 					// Staged in a shard queue at its frozen score; the scrub
 					// verifies it against the bitmap net of pending deltas.
 					continue

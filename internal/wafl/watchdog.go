@@ -7,6 +7,7 @@ import (
 	"waflfs/internal/bitmap"
 	"waflfs/internal/heapcache"
 	"waflfs/internal/obs"
+	"waflfs/internal/shardq"
 )
 
 // Online invariant watchdogs: cheap per-CP monitors that keep the
@@ -241,12 +242,14 @@ func (w *watchdogState) sampleSpace(sp *agnosticSpace) {
 // RAID group: every entry held in a shard queue must satisfy the frozen-
 // score invariant against the bitmap, and — since runWatchdogs executes
 // after the CP fold — every shard ledger must be empty. The held set is
-// bounded by 2×batch×shards, so the full scan stays O(held) per CP.
+// bounded by 2×batch×shards, so the full scan stays O(held) per CP. A space
+// without shard ledgers (or without a cache) has nothing to check and bumps
+// no counter.
 func (w *watchdogState) sampleShardsGroup(ag *Aggregate, g *Group) {
-	if g.sh == nil {
+	if !g.cacheEnabled || len(g.as.ledgers) == 0 {
 		return
 	}
-	g.sh.Each(func(shard int, e heapcache.Entry) {
+	g.q.Each(func(shard int, e heapcache.Entry) {
 		w.checks.Inc()
 		w.ledgerChk.Inc()
 		want := int64(aa.Score(g.topo, ag.bm, e.ID)) - g.pendingDelta(e.ID)
@@ -270,10 +273,10 @@ func (w *watchdogState) sampleShardsGroup(ag *Aggregate, g *Group) {
 // floor — bitmap-derived score net of pending deltas must be non-negative —
 // plus the post-fold empty-ledger requirement.
 func (w *watchdogState) sampleShardsSpace(sp *agnosticSpace) {
-	if sp.sh == nil {
+	if !sp.cacheEnabled || len(sp.as.ledgers) == 0 {
 		return
 	}
-	sp.sh.Each(func(shard int, id aa.ID) {
+	sp.q.Each(func(shard int, id aa.ID) {
 		w.checks.Inc()
 		w.ledgerChk.Inc()
 		if want := int64(sp.aaScore(id)) - sp.pendingDelta(id); want < 0 {
@@ -300,14 +303,6 @@ func (w *watchdogState) sampleShardsSpace(sp *agnosticSpace) {
 func (w *watchdogState) checkGenStates(s *System) {
 	ag := s.Agg
 	inFlight := s.pipe.inFlight
-	heldCheck := func(name string, shard int, gen, cur uint64) {
-		w.checks.Inc()
-		w.genChk.Inc()
-		if gen > cur {
-			w.violate(w.genViol, "%s shard %d: held batch stamped gen %d, current gen %d — staging from the future",
-				name, shard, gen, cur)
-		}
-	}
 	for _, g := range ag.groups {
 		w.checks.Inc()
 		w.genChk.Inc()
@@ -329,11 +324,7 @@ func (w *watchdogState) checkGenStates(s *System) {
 				}
 			}
 		}
-		if g.sh != nil {
-			name := fmt.Sprintf("rg%d", g.Index)
-			cur := g.sh.Gen()
-			g.sh.HeldGens(func(shard int, gen uint64) { heldCheck(name, shard, gen, cur) })
-		}
+		checkHeldGens(w, g.q, g.label)
 	}
 	spaces := make([]*agnosticSpace, 0, len(ag.vols)+1)
 	for _, v := range ag.vols {
@@ -348,12 +339,27 @@ func (w *watchdogState) checkGenStates(s *System) {
 		if !inFlight && sp.flushDeltas.len() > 0 {
 			w.violate(w.genViol, "%s: %d sealed deltas with no generation in flight", sp.name, sp.flushDeltas.len())
 		}
-		if sp.sh != nil {
-			cur := sp.sh.Gen()
-			sp.sh.HeldGens(func(shard int, gen uint64) { heldCheck(sp.name, shard, gen, cur) })
-		}
+		checkHeldGens(w, sp.q, sp.label)
 	}
 }
+
+// checkHeldGens verifies that no batch a pick queue holds is stamped with a
+// generation newer than the queue's current one. label names the space, and
+// is only called on a violation.
+func checkHeldGens[E any](w *watchdogState, q *shardq.Queue[E], label func() string) {
+	cur := q.Gen()
+	q.HeldGens(func(shard int, gen uint64) {
+		w.checks.Inc()
+		w.genChk.Inc()
+		if gen > cur {
+			w.violate(w.genViol, "%s shard %d: held batch stamped gen %d, current gen %d — staging from the future",
+				label(), shard, gen, cur)
+		}
+	})
+}
+
+func (g *Group) label() string          { return topaaGroupKey(g.Index) }
+func (sp *agnosticSpace) label() string { return sp.name }
 
 // checkDFQueue verifies one delayed-free queue's self-consistency across
 // the generation handoff: its count must equal its queued blocks and its

@@ -12,6 +12,23 @@ if [ -n "$fmt" ]; then
     exit 1
 fi
 
+# Structural gate, one pick path (DESIGN.md §9): the allocator reports through
+# the pick observer in internal/wafl/obs.go, so group.go and agnostic.go must
+# not import the op tracer or the pick-provenance ring, and neither the second
+# pick bodies nor the two wrappers they ran over may come back. CHANGES.md,
+# ROADMAP.md and the per-PR ISSUE.md tell the history and are exempt;
+# benchmark/ is read-only to non-benchmark PRs.
+if grep -n 'waflfs/internal/obs/optrace\|waflfs/internal/obs/picks' internal/wafl/group.go internal/wafl/agnostic.go; then
+    echo "internal/wafl/group.go and agnostic.go must not import obs/optrace or obs/picks" >&2
+    exit 1
+fi
+if grep -rn -e 'pickAASharded' -e 'pickSharded' -e 'heapcache\.Sharded' -e 'hbps\.Sharded' \
+    cmd internal examples ./*.go ./*.md Makefile \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
+    echo "the second pick path is back (see the matches above)" >&2
+    exit 1
+fi
+
 go build ./...
 go vet ./...
 go test ./...
@@ -25,9 +42,10 @@ go test -race -short ./...
 # corpus plus fresh mutations under the fuzzer's instrumentation.
 go test -run '^$' -fuzz '^FuzzLoadRAIDAware$' -fuzztime 5s ./internal/topaa
 go test -run '^$' -fuzz '^FuzzLoadAgnostic$' -fuzztime 5s ./internal/topaa
-# Sharded-HBPS op-sequence fuzzer: random stage/pop/free/flush interleavings
-# must preserve the tracked-set and no-duplicate-pick invariants.
-go test -run '^$' -fuzz '^FuzzShardedOps$' -fuzztime 5s ./internal/hbps
+# Staging-queue op-sequence fuzzer: random stage/pop/update/flush/restage
+# interleavings over a heap and over an HBPS must never hold an AA twice,
+# leave a held heap entry tracked, or lose an HBPS-tracked AA.
+go test -run '^$' -fuzz '^FuzzQueueOps$' -fuzztime 5s ./internal/shardq
 # SLO-spec parser fuzzer: any accepted spec string must round-trip through
 # its canonical formatting to an identical portfolio.
 go test -run '^$' -fuzz '^FuzzParseSLOSpec$' -fuzztime 5s ./internal/obs/slo
