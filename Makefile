@@ -32,10 +32,9 @@ benchpick:
 
 # Regenerate the benchmark artifact at full scale into the next unused
 # BENCH_<n>.json and gate it against the newest previously committed one.
-# -pipeline keeps the cp.pipeline.* / crash.pipeline.* families in every
-# artifact from BENCH_9 on, and -control the control.* families from
-# BENCH_10 on: dropping either would read as missing metrics against the
-# committed baseline.
+# -pipeline and -control default keep the cp.pipeline.* / crash.pipeline.*
+# and control.* families in the artifact: dropping either would read as
+# missing metrics against the committed baseline.
 bench-artifact:
 	go run ./cmd/waflbench -bench-json $(BENCH) -pipeline -control default -scale $(SCALE)
 	go run ./cmd/benchdiff -dir . $(BENCH)

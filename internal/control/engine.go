@@ -2,12 +2,10 @@ package control
 
 import (
 	"math"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"waflfs/internal/obs/rule"
 	"waflfs/internal/obs/tsdb"
 )
 
@@ -16,7 +14,7 @@ import (
 // Hold consecutive breaches fire the knob (acted), and Hold consecutive
 // calm evaluations step back down one level — so a signal oscillating
 // around its threshold cannot flap the knob every CP.
-type State int
+type State = rule.State[stateNames]
 
 const (
 	StateOK State = iota
@@ -24,22 +22,9 @@ const (
 	StateActed
 )
 
-func (s State) String() string {
-	switch s {
-	case StateArmed:
-		return "armed"
-	case StateActed:
-		return "acted"
-	default:
-		return "ok"
-	}
-}
+type stateNames struct{}
 
-// MarshalJSON renders the state as its name so status documents read
-// "acted" instead of 2.
-func (s State) MarshalJSON() ([]byte, error) {
-	return []byte(strconv.Quote(s.String())), nil
-}
+func (stateNames) Names() [3]string { return [3]string{"ok", "armed", "acted"} }
 
 // KnobSpec is an Actuator's metadata for one knob: hard clamps and the
 // largest absolute change one actuation may apply. Policy min/max narrow
@@ -61,22 +46,10 @@ type Actuator interface {
 	SetKnob(name string, v float64) (float64, bool)
 }
 
-// ExemplarSource resolves a space name ("<sys>.vol.<name>") to a
-// representative trace, exactly as in the SLO engine; optrace's Recorder
-// implements it. Actuation records on volume-scoped signals then link
-// straight to a worst-op trace in /debug/optrace.
-type ExemplarSource interface {
-	Exemplar(space string) (id, latNS uint64, ok bool)
-}
-
-// Transition is one state-machine edge, stamped with the modeled clock.
-type Transition struct {
-	CP       uint64        `json:"cp"`
-	At       time.Duration `json:"at_ns"`
-	Instance string        `json:"instance"`
-	From     State         `json:"from"`
-	To       State         `json:"to"`
-}
+// Transition is one state-machine edge, stamped with the modeled clock. The
+// controller links its actuation records, not its transitions, to exemplar
+// traces, so the exemplar fields stay zero and out of /debug/control.
+type Transition = rule.Transition[State]
 
 // ActuationRecord is the full provenance of one actuation decision —
 // fired or suppressed — kept in a bounded per-engine ring.
@@ -101,50 +74,34 @@ type ActuationRecord struct {
 	ExemplarLatNS uint64 `json:"exemplar_lat_ns,omitempty"`
 }
 
-// maxTransitions and maxRecords bound the per-engine logs.
-const (
-	maxTransitions = 128
-	maxRecords     = 128
-)
-
 // flapWindow is how many trailing transitions of one instance must
 // alternate armed↔acted (with no ok between) to flag it as flapping.
 const flapWindow = 4
 
 // instance is one live rule: a policy bound to a concrete signal series.
 type instance struct {
-	pol    *Policy
-	name   string // policy name, plus ".<captures>" for wildcard signals
-	series string // full series name under "<sys>."
-	space  string // "vol.<name>" when extractable from the signal; exemplar key
-
-	state  State
-	streak int // consecutive breach evals since the last fire/calm
-	calm   int // consecutive calm evals toward the next downgrade
-
-	sinceCP   uint64
+	// Name is the policy name, plus ".<captures>" for wildcard signals; Space
+	// the "vol.<name>" extractable from the signal, if any. Streak counts
+	// consecutive breach evals since the last fire/calm, Calm consecutive
+	// calm evals toward the next downgrade.
+	rule.Inst[State]
+	pol       *Policy
+	series    string // full series name under "<sys>."
 	lastValue float64
 }
 
 // Engine evaluates a policy portfolio for one system (arm) against its
-// tsdb store and actuator. All methods are nil-safe; evaluation is
-// deterministic given the store contents and the knob trajectory, which
-// the engine itself drives — so the actuation stream is byte-identical at
-// any worker width.
+// tsdb store and actuator, on the shared rule scaffold. All methods are
+// nil-safe; evaluation is deterministic given the store contents and the knob
+// trajectory, which the engine itself drives — so the actuation stream is
+// byte-identical at any worker width.
 type Engine struct {
-	mu    sync.Mutex
-	sys   string
-	store *tsdb.Store
-	act   Actuator
-	pols  []Policy
+	rule.Core[State, *instance]
+	act  Actuator
+	pols []Policy
 
-	insts   []*instance
-	instKey int // store.NumSeries() at last expansion
-
-	evals, acts, suppr, trans uint64
-	translog                  []Transition
-	records                   []ActuationRecord
-	exem                      ExemplarSource
+	acts, suppr uint64
+	records     rule.Ring[ActuationRecord]
 	// knobCache is the knob values as of the last Evaluate. Status reads
 	// it instead of the live actuator so HTTP handlers never race the CP
 	// thread's knob mutations.
@@ -152,42 +109,27 @@ type Engine struct {
 }
 
 // NewEngine builds an engine for one system. Returns nil when there is
-// nothing to do (no policies, store, or actuator), which every method
-// tolerates.
+// nothing to do (no policies or no store), which every method tolerates; an
+// engine without an actuator evaluates nothing until setActuator binds one.
 func NewEngine(sys string, pols []Policy, store *tsdb.Store, act Actuator) *Engine {
-	if len(pols) == 0 || store == nil || act == nil {
+	if len(pols) == 0 || store == nil {
 		return nil
 	}
-	e := &Engine{sys: sys, store: store, act: act, pols: append([]Policy(nil), pols...)}
-	for i := range e.pols {
-		e.pols[i].normalize()
-	}
-	e.instKey = -1 // force expansion on first Evaluate
+	e := &Engine{act: act, pols: rule.Normalized(pols, (*Policy).normalize)}
+	e.Init(sys, store)
 	return e
 }
 
-// SetExemplarSource wires a trace exemplar source: subsequent actuation
-// records on volume-scoped signals carry a representative trace ID.
-// Nil-safe.
-func (e *Engine) SetExemplarSource(src ExemplarSource) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.exem = src
-	e.mu.Unlock()
-}
-
-// setActuator rebinds the knob surface — used when a system is re-armed
-// (fresh System, same store) so instance state survives while actuation
+// setActuator binds the knob surface — again when a system is re-armed
+// (fresh System, same store), so instance state survives while actuation
 // lands on the live knobs.
 func (e *Engine) setActuator(act Actuator) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
+	e.Mu.Lock()
 	e.act = act
-	e.mu.Unlock()
+	e.Mu.Unlock()
 }
 
 // matchSignal matches a policy signal pattern against a series suffix
@@ -225,16 +167,10 @@ func spaceOf(suffix string) string {
 }
 
 // expand resolves signal patterns against the store's current series list.
-// Called whenever the series count changes (series are only ever added);
-// existing instances keep their state across expansions.
-func (e *Engine) expand() {
-	old := make(map[string]*instance, len(e.insts))
-	for _, in := range e.insts {
-		old[in.name] = in
-	}
-	e.insts = e.insts[:0]
-	sysPrefix := e.sys + "."
-	names := e.store.SeriesWithPrefix(sysPrefix)
+func (e *Engine) expand() []*instance {
+	var out []*instance
+	sysPrefix := e.Sys + "."
+	names := e.Store.SeriesWithPrefix(sysPrefix)
 	for i := range e.pols {
 		pol := &e.pols[i]
 		for _, series := range names {
@@ -243,19 +179,15 @@ func (e *Engine) expand() {
 			if !ok {
 				continue
 			}
-			name := pol.Name
+			in := &instance{pol: pol, series: series}
+			in.Name, in.Space = pol.Name, spaceOf(suffix)
 			if len(caps) > 0 {
-				name += "." + strings.Join(caps, ".")
+				in.Name += "." + strings.Join(caps, ".")
 			}
-			in := &instance{pol: pol, name: name, series: series, space: spaceOf(suffix)}
-			if prev, ok := old[in.name]; ok {
-				in.state, in.streak, in.calm = prev.state, prev.streak, prev.calm
-				in.sinceCP = prev.sinceCP
-			}
-			e.insts = append(e.insts, in)
+			out = append(out, in)
 		}
 	}
-	sort.Slice(e.insts, func(i, j int) bool { return e.insts[i].name < e.insts[j].name })
+	return out
 }
 
 // Evaluate runs every policy instance against the signal values at (cp,
@@ -268,58 +200,60 @@ func (e *Engine) Evaluate(cp uint64, at time.Duration) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := e.store.NumSeries(); n != e.instKey {
-		e.expand()
-		e.instKey = n
+	e.Mu.Lock()
+	defer e.Mu.Unlock()
+	if e.act == nil {
+		return
 	}
-	for _, in := range e.insts {
+	if e.Stale() {
+		e.Adopt(e.expand())
+	}
+	for _, in := range e.Insts {
 		e.evalInstance(in, cp, at)
 	}
 	e.knobCache = e.knobCache[:0]
 	for _, k := range e.act.Knobs() {
 		if v, ok := e.act.Knob(k.Name); ok {
-			e.store.Observe(e.sys+".control.knob."+k.Name, cp, at, v)
+			e.Store.Observe(e.Sys+".control.knob."+k.Name, cp, at, v)
 			e.knobCache = append(e.knobCache, KnobStatus{KnobSpec: k, Value: v})
 		}
 	}
 }
 
 func (e *Engine) evalInstance(in *instance, cp uint64, at time.Duration) {
-	e.evals++
-	v, _ := e.store.ValueAt(in.series, cp)
+	e.Evals++
+	v, _ := e.Store.ValueAt(in.series, cp)
 	in.lastValue = v
 	breach := (in.pol.Op == ">" && v > in.pol.Value) ||
 		(in.pol.Op == "<" && v < in.pol.Value)
 	if breach {
-		in.calm = 0
-		in.streak++
-		if in.state == StateOK {
-			e.transition(in, cp, at, StateArmed)
+		in.Calm = 0
+		in.Streak++
+		if in.State == StateOK {
+			e.Transit(in, cp, at, StateArmed)
 		}
-		if in.streak >= in.pol.Hold {
+		if in.Streak >= in.pol.Hold {
 			// The hold streak resets on every attempt, fired or suppressed,
 			// so re-fires are rate-limited to one per Hold breaches — the
 			// temporal half of the step-size limit.
 			e.actuate(in, cp, at, v)
-			in.streak = 0
+			in.Streak = 0
 		}
 	} else {
-		in.streak = 0
-		if in.state != StateOK {
-			in.calm++
-			if in.calm >= in.pol.Hold {
-				e.transition(in, cp, at, in.state-1)
-				in.calm = 0
+		in.Streak = 0
+		if in.State != StateOK {
+			in.Calm++
+			if in.Calm >= in.pol.Hold {
+				e.Transit(in, cp, at, in.State-1)
+				in.Calm = 0
 			}
 		} else {
-			in.calm = 0
+			in.Calm = 0
 		}
 	}
-	base := e.sys + ".control." + in.name
-	e.store.Observe(base+".state", cp, at, float64(in.state))
-	e.store.Observe(base+".signal", cp, at, v)
+	base := e.Sys + ".control." + in.Name
+	e.Store.Observe(base+".state", cp, at, float64(in.State))
+	e.Store.Observe(base+".signal", cp, at, v)
 }
 
 func (e *Engine) knobSpec(name string) (KnobSpec, bool) {
@@ -338,14 +272,10 @@ func (e *Engine) knobSpec(name string) (KnobSpec, bool) {
 // ActuationRecord.
 func (e *Engine) actuate(in *instance, cp uint64, at time.Duration, v float64) {
 	rec := ActuationRecord{
-		CP: cp, At: at, Policy: in.pol.String(), Instance: in.name,
+		CP: cp, At: at, Policy: in.pol.String(), Instance: in.Name,
 		Signal: in.series, Value: v, Knob: in.pol.Action,
 	}
-	if e.exem != nil && in.space != "" {
-		if id, lat, ok := e.exem.Exemplar(e.sys + "." + in.space); ok {
-			rec.ExemplarTrace, rec.ExemplarLatNS = id, lat
-		}
-	}
+	rec.ExemplarTrace, rec.ExemplarLatNS = e.Exemplar(in.Space)
 	old, ok := e.act.Knob(in.pol.Action)
 	if !ok {
 		rec.Reason = "no_knob"
@@ -389,44 +319,24 @@ func (e *Engine) actuate(in *instance, cp uint64, at time.Duration, v float64) {
 	}
 	rec.New, rec.Fired, rec.Reason = applied, true, "applied"
 	e.acts++
-	e.pushRecord(rec)
-	if in.state != StateActed {
-		e.transition(in, cp, at, StateActed)
+	e.records.Push(rec)
+	if in.State != StateActed {
+		e.Transit(in, cp, at, StateActed)
 	}
 }
 
 func (e *Engine) suppress(rec ActuationRecord) {
 	e.suppr++
-	e.pushRecord(rec)
-}
-
-func (e *Engine) pushRecord(rec ActuationRecord) {
-	if len(e.records) >= maxRecords {
-		copy(e.records, e.records[1:])
-		e.records = e.records[:maxRecords-1]
-	}
-	e.records = append(e.records, rec)
-}
-
-func (e *Engine) transition(in *instance, cp uint64, at time.Duration, to State) {
-	tr := Transition{CP: cp, At: at, Instance: in.name, From: in.state, To: to}
-	if len(e.translog) >= maxTransitions {
-		copy(e.translog, e.translog[1:])
-		e.translog = e.translog[:maxTransitions-1]
-	}
-	e.translog = append(e.translog, tr)
-	e.trans++
-	in.state = to
-	in.sinceCP = cp
+	e.records.Push(rec)
 }
 
 // flapping reports whether an instance's trailing transitions alternate
 // armed↔acted with no ok between — the signature of a knob-chasing
 // oscillation the hysteresis failed to damp (wafltop -snapshot exits
 // nonzero on it).
-func (e *Engine) flapping(name string) bool {
+func flapping(log []Transition, name string) bool {
 	var tos []State
-	for _, tr := range e.translog {
+	for _, tr := range log {
 		if tr.Instance == name {
 			tos = append(tos, tr.To)
 		}
@@ -446,21 +356,26 @@ func (e *Engine) flapping(name string) bool {
 	return true
 }
 
+// core is the scaffold of a possibly nil engine: Go promotes the embedded
+// methods, but not their nil-safety, so the exported accessors go through it.
+func (e *Engine) core() *rule.Core[State, *instance] {
+	if e == nil {
+		return nil
+	}
+	return &e.Core
+}
+
+// SetExemplarSource wires a trace exemplar source: subsequent actuation
+// records on volume-scoped signals carry a representative trace ID.
+// Nil-safe.
+func (e *Engine) SetExemplarSource(src rule.ExemplarSource) { e.core().SetExemplarSource(src) }
+
 // Counter accessors feed the control.* registry metrics; all nil-safe.
 
-func (e *Engine) Evaluations() uint64 { return e.counter(func(e *Engine) uint64 { return e.evals }) }
-func (e *Engine) Actuations() uint64  { return e.counter(func(e *Engine) uint64 { return e.acts }) }
-func (e *Engine) Suppressed() uint64  { return e.counter(func(e *Engine) uint64 { return e.suppr }) }
-func (e *Engine) Transitions() uint64 { return e.counter(func(e *Engine) uint64 { return e.trans }) }
-
-func (e *Engine) counter(f func(*Engine) uint64) uint64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return f(e)
-}
+func (e *Engine) Evaluations() uint64 { return e.core().Read(func() uint64 { return e.Evals }) }
+func (e *Engine) Actuations() uint64  { return e.core().Read(func() uint64 { return e.acts }) }
+func (e *Engine) Suppressed() uint64  { return e.core().Read(func() uint64 { return e.suppr }) }
+func (e *Engine) Transitions() uint64 { return e.core().Read(func() uint64 { return e.Trans }) }
 
 // InstanceStatus is the reported state of one policy instance.
 type InstanceStatus struct {
@@ -507,23 +422,23 @@ func (e *Engine) Status() SystemStatus {
 	if e == nil {
 		return SystemStatus{}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.Mu.Lock()
+	defer e.Mu.Unlock()
 	st := SystemStatus{
-		System:      e.sys,
-		Evaluations: e.evals,
+		System:      e.Sys,
+		Evaluations: e.Evals,
 		Actuations:  e.acts,
 		Suppressed:  e.suppr,
-		Records:     append([]ActuationRecord(nil), e.records...),
-		Transitions: append([]Transition(nil), e.translog...),
+		Records:     e.records.Snapshot(),
+		Transitions: e.TransitionLog(),
 	}
 	st.Knobs = append(st.Knobs, e.knobCache...)
-	for _, in := range e.insts {
+	for _, in := range e.Insts {
 		st.Instances = append(st.Instances, InstanceStatus{
-			Name: in.name, Policy: in.pol.Name, Signal: in.series,
-			State: in.state.String(), SinceCP: in.sinceCP,
-			Value: in.lastValue, Streak: in.streak,
-			Flapping: e.flapping(in.name),
+			Name: in.Name, Policy: in.pol.Name, Signal: in.series,
+			State: in.State.String(), SinceCP: in.SinceCP,
+			Value: in.lastValue, Streak: in.Streak,
+			Flapping: flapping(st.Transitions, in.Name),
 		})
 	}
 	return st

@@ -270,13 +270,13 @@ func TestSetTotalsAndWriteJSON(t *testing.T) {
 		t.Fatal("nil set")
 	}
 	storeA, storeB := testStore(), testStore()
-	ea := set.Engine("a", storeA, newFakeActuator())
-	eb := set.Engine("b", storeB, newFakeActuator())
+	ea := Bind(set, "a", storeA, newFakeActuator())
+	eb := Bind(set, "b", storeB, newFakeActuator())
 	if ea == nil || eb == nil {
 		t.Fatal("nil engines")
 	}
 	// Same sys+store rebinds, preserving the engine.
-	if again := set.Engine("a", storeA, newFakeActuator()); again != ea {
+	if again := Bind(set, "a", storeA, newFakeActuator()); again != ea {
 		t.Fatal("re-arm replaced engine despite same store")
 	}
 	ea.Evaluate(1, 1*ms)
@@ -327,7 +327,7 @@ func TestEngineNilSafety(t *testing.T) {
 		t.Fatal("engine with no policies")
 	}
 	var s *Set
-	if s.Engine("w", testStore(), newFakeActuator()) != nil {
+	if Bind(s, "w", testStore(), newFakeActuator()) != nil {
 		t.Fatal("nil set produced engine")
 	}
 	if tot := s.Totals(); tot.Systems != 0 {

@@ -15,9 +15,10 @@ package control
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
+
+	"waflfs/internal/obs/rule"
 )
 
 // Knob names the controller may actuate. The Actuator implementation
@@ -115,38 +116,6 @@ var reservedNames = map[string]bool{
 	"transitions": true, "knob": true,
 }
 
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.', r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func validPattern(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.', r == '-', r == '*':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
 // normalize fills unset optional fields with defaults.
 func (p *Policy) normalize() {
 	if p.Name == "" {
@@ -161,13 +130,13 @@ func (p *Policy) normalize() {
 }
 
 func (p *Policy) validate() error {
-	if !validName(p.Name) {
+	if !rule.ValidName(p.Name) {
 		return fmt.Errorf("invalid name %q", p.Name)
 	}
 	if reservedNames[p.Name] {
 		return fmt.Errorf("name %q is reserved", p.Name)
 	}
-	if !validPattern(p.Signal) {
+	if !rule.ValidPattern(p.Signal) {
 		return fmt.Errorf("invalid signal %q", p.Signal)
 	}
 	for _, seg := range strings.Split(p.Signal, ".") {
@@ -181,7 +150,7 @@ func (p *Policy) validate() error {
 	if p.Op != ">" && p.Op != "<" {
 		return fmt.Errorf("op %q must be > or <", p.Op)
 	}
-	if !finite(p.Value) {
+	if !rule.Finite(p.Value) {
 		return fmt.Errorf("value %v must be finite", p.Value)
 	}
 	if p.Hold < 1 {
@@ -190,10 +159,10 @@ func (p *Policy) validate() error {
 	if !knownAction(p.Action) {
 		return fmt.Errorf("unknown action %q", p.Action)
 	}
-	if p.Step.Amount == 0 || !finite(p.Step.Amount) {
+	if p.Step.Amount == 0 || !rule.Finite(p.Step.Amount) {
 		return fmt.Errorf("step must be a nonzero finite amount")
 	}
-	if !finite(p.Min) || !finite(p.Max) || p.Min < 0 || p.Max < 0 {
+	if !rule.Finite(p.Min) || !rule.Finite(p.Max) || p.Min < 0 || p.Max < 0 {
 		return fmt.Errorf("min/max must be finite and >= 0")
 	}
 	if p.Min != 0 && p.Max != 0 && p.Min > p.Max {
@@ -221,57 +190,22 @@ func DefaultPolicies() []Policy {
 	}
 }
 
-// ParsePolicies parses a waflbench-style policy string: clauses separated
-// by ';', each either the literal "default" (expanding DefaultPolicies) or
-// a comma-separated list of key=value fields:
+// ParsePolicies parses a waflbench-style policy string in the shared clause
+// grammar (internal/obs/rule): clauses separated by ';', each either the
+// literal "default" (expanding DefaultPolicies) or a comma-separated list of
+// key=value fields:
 //
 //	name=shed,signal=slo.latency.vol.*.burn_fast,op=>,value=2.0,hold=3,
 //	action=delayed_budget,step=-25%,min=256
 //
 // Policy names must be unique across the whole string.
 func ParsePolicies(input string) ([]Policy, error) {
-	var out []Policy
-	for _, clause := range strings.Split(input, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if clause == "default" {
-			out = append(out, DefaultPolicies()...)
-			continue
-		}
-		p, err := parseClause(clause)
-		if err != nil {
-			return nil, fmt.Errorf("control: clause %q: %w", clause, err)
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("control: empty policy")
-	}
-	seen := make(map[string]bool, len(out))
-	for _, p := range out {
-		if seen[p.Name] {
-			return nil, fmt.Errorf("control: duplicate policy name %q", p.Name)
-		}
-		seen[p.Name] = true
-	}
-	return out, nil
+	return rule.Parse("control", input, DefaultPolicies, parseClause)
 }
 
 func parseClause(clause string) (Policy, error) {
 	var p Policy
-	for _, field := range strings.Split(clause, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return p, fmt.Errorf("field %q is not key=value", field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
+	err := rule.Fields(clause, func(key, val string) (err error) {
 		switch key {
 		case "name":
 			p.Name = val
@@ -292,17 +226,15 @@ func parseClause(clause string) (Policy, error) {
 		case "max":
 			p.Max, err = strconv.ParseFloat(val, 64)
 		default:
-			return p, fmt.Errorf("unknown key %q", key)
+			err = fmt.Errorf("unknown key %q", key)
 		}
-		if err != nil {
-			return p, fmt.Errorf("field %q: %w", field, err)
-		}
-	}
-	p.normalize()
-	if err := p.validate(); err != nil {
+		return err
+	})
+	if err != nil {
 		return p, err
 	}
-	return p, nil
+	p.normalize()
+	return p, p.validate()
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -321,12 +253,9 @@ func (p Policy) String() string {
 	return b.String()
 }
 
+// RuleName is the name a portfolio must hold uniquely.
+func (p Policy) RuleName() string { return p.Name }
+
 // FormatPolicies renders policies in the canonical form accepted by
 // ParsePolicies.
-func FormatPolicies(pols []Policy) string {
-	parts := make([]string, len(pols))
-	for i, p := range pols {
-		parts[i] = p.String()
-	}
-	return strings.Join(parts, ";")
-}
+func FormatPolicies(pols []Policy) string { return rule.Format(pols) }

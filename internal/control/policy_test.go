@@ -87,6 +87,7 @@ func TestParsePoliciesErrors(t *testing.T) {
 		"nan value":        "name=x,signal=a.b,value=NaN,action=frag_every,step=+1",
 		"inf step":         "name=x,signal=a.b,value=1,action=frag_every,step=+Inf",
 		"zero hold":        "name=x,signal=a.b,value=1,hold=-1,action=frag_every,step=+1",
+		"repeated key":     "name=x,signal=a.b,value=1,value=2,action=frag_every,step=+1",
 		"dup names":        "name=x,signal=a.b,value=1,action=frag_every,step=+1;name=x,signal=c.d,value=1,action=frag_every,step=+1",
 	}
 	for label, in := range cases {

@@ -1,80 +1,34 @@
 package control
 
 import (
-	"encoding/json"
-	"io"
-	"sort"
-	"sync"
-
+	"waflfs/internal/obs/rule"
 	"waflfs/internal/obs/tsdb"
 )
 
 // Set holds one policy portfolio and the engines it has spawned, one per
-// system (arm). A Set is shared across every arm of an experiment run so
-// artifact gates can split actuation totals by arm-name prefix. All
-// methods are nil-safe.
-type Set struct {
-	mu      sync.Mutex
-	pols    []Policy
-	engines map[string]*Engine
-	order   []string
-}
+// system (arm); see rule.Set. /debug/control serves its WriteJSON. Engines
+// are armed through Bind, which supplies the knob surface.
+type Set = rule.Set[Policy, *Engine, Totals, SystemStatus]
 
-// NewSet builds a set from a portfolio; policies are normalized in place.
+// NewSet builds a set from a portfolio; a copy of it is normalized. An empty
+// portfolio yields the nil set.
 func NewSet(pols []Policy) *Set {
-	if len(pols) == 0 {
-		return nil
-	}
-	s := &Set{pols: append([]Policy(nil), pols...), engines: map[string]*Engine{}}
-	for i := range s.pols {
-		s.pols[i].normalize()
-	}
-	return s
+	return rule.NewSet[Policy, *Engine, Totals, SystemStatus](rule.Normalized(pols, (*Policy).normalize),
+		func(sys string, pols []Policy, store *tsdb.Store) *Engine { return NewEngine(sys, pols, store, nil) })
 }
 
-// Policies returns the normalized portfolio.
-func (s *Set) Policies() []Policy {
-	if s == nil {
+// Bind returns the set's engine for sys (see rule.Set.Engine) with act bound
+// as its knob surface: a system re-armed on remount comes with a fresh knob
+// surface but the same store, so the engine — instance state and decision
+// log — survives and actuation lands on the live knobs. Nil-safe; no
+// actuator, no engine.
+func Bind(s *Set, sys string, store *tsdb.Store, act Actuator) *Engine {
+	if act == nil {
 		return nil
 	}
-	return append([]Policy(nil), s.pols...)
-}
-
-// Engine returns the engine for sys, creating one bound to the given
-// store and actuator on first use. A later call with the same sys and
-// store rebinds the actuator but keeps the engine (systems are re-armed
-// on remount with a fresh knob surface but the same store, so instance
-// state and the decision log survive); a different store replaces the
-// engine entirely.
-func (s *Set) Engine(sys string, store *tsdb.Store, act Actuator) *Engine {
-	if s == nil || store == nil || act == nil {
-		return nil
-	}
-	e := NewEngine(sys, s.pols, store, act)
-	if e == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.engines[sys]; ok && prev.store == store {
-		prev.setActuator(act)
-		return prev
-	}
-	if _, ok := s.engines[sys]; !ok {
-		s.order = append(s.order, sys)
-	}
-	s.engines[sys] = e
+	e := s.Engine(sys, store)
+	e.setActuator(act)
 	return e
-}
-
-func (s *Set) sorted() []*Engine {
-	names := append([]string(nil), s.order...)
-	sort.Strings(names)
-	out := make([]*Engine, 0, len(names))
-	for _, n := range names {
-		out = append(out, s.engines[n])
-	}
-	return out
 }
 
 // Totals aggregates actuation activity across engines.
@@ -89,79 +43,16 @@ type Totals struct {
 	ActiveActed int    `json:"active_acted"`
 }
 
-func (t *Totals) absorb(e *Engine) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// AddTo folds the engine's activity into t.
+func (e *Engine) AddTo(t *Totals) {
+	e.Mu.Lock()
+	defer e.Mu.Unlock()
 	t.Systems++
-	t.Instances += len(e.insts)
-	t.Evaluations += e.evals
+	t.Instances += len(e.Insts)
+	t.Evaluations += e.Evals
 	t.Actuations += e.acts
 	t.Suppressed += e.suppr
-	t.Transitions += e.trans
-	for _, in := range e.insts {
-		switch in.state {
-		case StateArmed:
-			t.ActiveArmed++
-		case StateActed:
-			t.ActiveActed++
-		}
-	}
-}
-
-// Totals sums actuation activity over every system in the set.
-func (s *Set) Totals() Totals {
-	return s.TotalsWhere(func(string) bool { return true })
-}
-
-// TotalsWhere sums actuation activity over systems whose name passes the
-// filter — the artifact gate uses this to split crash arms from clean.
-func (s *Set) TotalsWhere(match func(sys string) bool) Totals {
-	var t Totals
-	if s == nil {
-		return t
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.sorted() {
-		if match(e.sys) {
-			t.absorb(e)
-		}
-	}
-	return t
-}
-
-// Status reports every engine, sorted by system name.
-func (s *Set) Status() []SystemStatus {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	engines := s.sorted()
-	s.mu.Unlock()
-	out := make([]SystemStatus, 0, len(engines))
-	for _, e := range engines {
-		out = append(out, e.Status())
-	}
-	return out
-}
-
-// statusDoc is the /debug/control document shape.
-type statusDoc struct {
-	Totals  Totals         `json:"totals"`
-	Systems []SystemStatus `json:"systems"`
-}
-
-// WriteJSON writes the full deterministic status document: totals plus
-// per-system knob values, instance states, decision records, and
-// transition logs. Byte-identical for identical evaluation histories, so
-// the serial-equivalence test compares it directly across worker widths.
-func (s *Set) WriteJSON(w io.Writer) error {
-	doc := statusDoc{Systems: []SystemStatus{}}
-	if s != nil {
-		doc.Totals = s.Totals()
-		doc.Systems = s.Status()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	t.Transitions += e.Trans
+	t.ActiveArmed += e.CountAt(StateArmed)
+	t.ActiveActed += e.CountAt(StateActed)
 }

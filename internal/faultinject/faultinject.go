@@ -22,10 +22,13 @@ package faultinject
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"waflfs/internal/obs/rule"
 )
 
 // Named CP phases, in execution order at depth 1. System.CP (the first two)
@@ -159,39 +162,27 @@ type Plan struct {
 	DeviceReadPenalty time.Duration
 }
 
-// ParsePlan parses the waflbench -faults spec: comma-separated key=value
-// pairs, e.g. "phase=topaa_groups,fault=torn,cp=2,seed=7,target=rg0,
-// devreaderr=100". Every key is optional.
+// ParsePlan parses the waflbench -faults spec, one clause of the shared
+// grammar (internal/obs/rule): comma-separated key=value fields, e.g.
+// "phase=topaa_groups,fault=torn,cp=2,seed=7,target=rg0,devreaderr=100".
+// Every key is optional.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	if spec == "" {
-		return p, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return p, fmt.Errorf("faultinject: bad plan element %q (want key=value)", part)
-		}
-		key, val := kv[0], kv[1]
-		var err error
+	err := rule.Fields(spec, func(key, val string) (err error) {
 		switch key {
 		case "phase":
-			found := false
-			for _, ph := range append(CPPhases(), OverlapPhases()...) {
-				if ph == val {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return p, fmt.Errorf("faultinject: unknown phase %q (have %v and %v)",
-					val, CPPhases(), OverlapPhases())
+			if !slices.Contains(append(CPPhases(), OverlapPhases()...), val) {
+				err = fmt.Errorf("unknown phase (have %v and %v)", CPPhases(), OverlapPhases())
 			}
 			p.CrashPhase = val
 		case "fault":
 			p.Fault, err = ParseKind(val)
 		case "cp":
-			p.CrashCP, err = strconv.Atoi(val)
+			// A negative ordinal matches no CP: the plan would arm a crash
+			// that never fires and the run would "recover" from nothing.
+			if p.CrashCP, err = strconv.Atoi(val); err == nil && p.CrashCP < 0 {
+				err = fmt.Errorf("cp must be >= 0")
+			}
 		case "seed":
 			p.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "target":
@@ -199,13 +190,32 @@ func ParsePlan(spec string) (Plan, error) {
 		case "devreaderr":
 			p.DeviceReadErrEvery, err = strconv.ParseUint(val, 10, 64)
 		default:
-			return p, fmt.Errorf("faultinject: unknown plan key %q", key)
+			err = fmt.Errorf("unknown key %q", key)
 		}
-		if err != nil {
-			return p, fmt.Errorf("faultinject: plan %s=%s: %v", key, val, err)
-		}
+		return err
+	})
+	if err != nil {
+		return Plan{}, fmt.Errorf("faultinject: plan: %w", err)
 	}
 	return p, nil
+}
+
+// String renders the plan in the canonical spec form: ParsePlan(p.String())
+// returns p for every plan ParsePlan produced. DeviceReadPenalty has no spec
+// key and is not rendered.
+func (p Plan) String() string {
+	var b strings.Builder
+	if p.CrashPhase != "" {
+		fmt.Fprintf(&b, "phase=%s,", p.CrashPhase)
+	}
+	fmt.Fprintf(&b, "fault=%s,cp=%d,seed=%d", p.Fault, p.CrashCP, p.Seed)
+	if p.Target != "" {
+		fmt.Fprintf(&b, ",target=%s", p.Target)
+	}
+	if p.DeviceReadErrEvery != 0 {
+		fmt.Fprintf(&b, ",devreaderr=%d", p.DeviceReadErrEvery)
+	}
+	return b.String()
 }
 
 // SaveDecision is the injector's verdict on one metafile save.

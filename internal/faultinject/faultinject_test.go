@@ -38,6 +38,33 @@ func TestParsePlan(t *testing.T) {
 	if err != nil || empty != (Plan{}) {
 		t.Fatalf("empty spec = %+v, %v", empty, err)
 	}
+	// A negative CP ordinal can never match, so the plan would arm a crash
+	// that never fires; a repeated key used to let the last one win.
+	for _, bad := range []string{"phase=alloc,cp=-3", "cp=1,cp=2"} {
+		if p, err := ParsePlan(bad); err == nil {
+			t.Fatalf("ParsePlan(%q) accepted: %+v", bad, p)
+		}
+	}
+	// The shared splitter's leniencies: a trailing comma, blanks around '='.
+	for in, want := range map[string]Plan{
+		"phase=alloc,":        {CrashPhase: PhaseAlloc},
+		"fault = torn":        {Fault: FaultTorn},
+		" cp = 0 , seed = -4": {Seed: -4},
+	} {
+		if got, err := ParsePlan(in); err != nil || got != want {
+			t.Fatalf("ParsePlan(%q) = %+v, %v; want %+v", in, got, err, want)
+		}
+	}
+	// Canonical form: pinned, and parse∘format is the identity.
+	const canon = "phase=topaa_groups,fault=torn,cp=2,seed=7,target=rg0,devreaderr=100"
+	if got := p.String(); got != canon {
+		t.Fatalf("String() = %q, want %q", got, canon)
+	}
+	for _, plan := range []Plan{p, {}, {Fault: FaultReadErrHard, Target: "a=b"}} {
+		if rt, err := ParsePlan(plan.String()); err != nil || rt != plan {
+			t.Fatalf("plan %q did not round trip: %+v, %v", plan, rt, err)
+		}
+	}
 }
 
 func TestKindRoundTrip(t *testing.T) {

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"waflfs/internal/obs"
+	"waflfs/internal/obs/rule"
 )
 
 // Stage indexes the latency-attribution stages. The per-volume accumulated
@@ -224,14 +225,13 @@ func TraceID(seed int64, space string, kind Kind, seq uint64) uint64 {
 
 // Recorder hands out one bounded trace Ring per volume space.
 type Recorder struct {
-	mu    sync.Mutex
 	cfg   Config
-	rings map[string]*Ring
+	rings rule.Keyed[*Ring]
 }
 
 // NewRecorder creates an empty recorder; zero Config fields select defaults.
 func NewRecorder(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg.normalized(), rings: make(map[string]*Ring)}
+	return &Recorder{cfg: cfg.normalized()}
 }
 
 // Config returns the normalized sampling parameters.
@@ -242,50 +242,34 @@ func (r *Recorder) Config() Config {
 	return r.cfg
 }
 
+// spaces is the ring registry; nil (empty, creating nothing) on a nil
+// recorder.
+func (r *Recorder) spaces() *rule.Keyed[*Ring] {
+	if r == nil {
+		return nil
+	}
+	return &r.rings
+}
+
 // Space returns the named space's ring, creating it on first use. A nil
 // recorder returns a nil ring (whose methods are no-ops).
 func (r *Recorder) Space(name string) *Ring {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.rings[name]
-	if g == nil {
-		g = &Ring{
+	return r.spaces().Ensure(name, nil, func() *Ring {
+		return &Ring{
 			space: name, rate: uint64(r.cfg.Rate), slowNS: r.cfg.SlowNS,
 			seed:      r.cfg.Seed,
-			buf:       make([]Trace, 0, r.cfg.Capacity),
+			hist:      rule.MakeRing[Trace](r.cfg.Capacity),
 			exemplars: make([]Exemplar, len(obs.LatencyBuckets)+1),
 		}
-		r.rings[name] = g
-	}
-	return g
+	})
 }
 
 // Spaces returns every space name with a ring, sorted.
-func (r *Recorder) Spaces() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.rings))
-	for n := range r.rings {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (r *Recorder) Spaces() []string { return r.spaces().Names() }
 
 // Traces returns the named space's surviving traces, oldest first.
 func (r *Recorder) Traces(space string) []Trace {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	g := r.rings[space]
-	r.mu.Unlock()
+	g, _ := r.spaces().Get(space)
 	return g.Traces()
 }
 
@@ -302,43 +286,20 @@ func (r *Recorder) Find(id uint64) (Trace, bool) {
 }
 
 // TotalSampled sums recorded traces over all rings (dropped included).
-func (r *Recorder) TotalSampled() uint64 {
-	var n uint64
-	for _, sp := range r.Spaces() {
-		n += r.Space(sp).Sampled()
-	}
-	return n
-}
+func (r *Recorder) TotalSampled() uint64 { return r.spaces().Sum((*Ring).Sampled) }
 
 // TotalSlowSampled sums slow-gate recordings over all rings.
-func (r *Recorder) TotalSlowSampled() uint64 {
-	var n uint64
-	for _, sp := range r.Spaces() {
-		n += r.Space(sp).SlowSampled()
-	}
-	return n
-}
+func (r *Recorder) TotalSlowSampled() uint64 { return r.spaces().Sum((*Ring).SlowSampled) }
 
 // TotalDropped sums ring evictions over all rings.
-func (r *Recorder) TotalDropped() uint64 {
-	var n uint64
-	for _, sp := range r.Spaces() {
-		n += r.Space(sp).Dropped()
-	}
-	return n
-}
+func (r *Recorder) TotalDropped() uint64 { return r.spaces().Sum((*Ring).Dropped) }
 
 // Exemplar returns the representative trace of the named space's worst
 // populated latency bucket — the op the SLO transition log links to. The
 // result is a pure function of the recorded stream, so it is identical at
 // any worker width.
 func (r *Recorder) Exemplar(space string) (id, latNS uint64, ok bool) {
-	if r == nil {
-		return 0, 0, false
-	}
-	r.mu.Lock()
-	g := r.rings[space]
-	r.mu.Unlock()
+	g, _ := r.spaces().Get(space)
 	if g == nil {
 		return 0, 0, false
 	}
@@ -462,13 +423,11 @@ type Ring struct {
 	slowNS uint64
 	seed   int64
 
-	buf  []Trace // cap fixed at Recorder capacity
-	head int     // index of the oldest trace once full
+	hist rule.Ring[Trace] // bounded at Recorder capacity
 
 	seqs        [numKinds]uint64
 	sampled     uint64
 	slowSampled uint64
-	dropped     uint64
 	exemplars   []Exemplar // len(obs.LatencyBuckets)+1, indexed by bucket
 }
 
@@ -520,13 +479,7 @@ func (g *Ring) Add(t Trace) {
 		ex.LeNS = obs.LatencyBuckets[b]
 	}
 	g.exemplars[b] = ex
-	if len(g.buf) < cap(g.buf) {
-		g.buf = append(g.buf, t)
-	} else {
-		g.buf[g.head] = t
-		g.head = (g.head + 1) % len(g.buf)
-		g.dropped++
-	}
+	g.hist.Push(t)
 	g.mu.Unlock()
 }
 
@@ -537,13 +490,7 @@ func (g *Ring) Traces() []Trace {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.buf) == 0 {
-		return nil
-	}
-	out := make([]Trace, 0, len(g.buf))
-	out = append(out, g.buf[g.head:]...)
-	out = append(out, g.buf[:g.head]...)
-	return out
+	return g.hist.Snapshot()
 }
 
 // Exemplars returns the populated bucket exemplars, ascending by bucket.
@@ -589,5 +536,5 @@ func (g *Ring) Dropped() uint64 {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.dropped
+	return g.hist.Dropped
 }

@@ -259,7 +259,7 @@ func TestParseConfig(t *testing.T) {
 	if rt, err := ParseConfig(cfg.String()); err != nil || rt != cfg {
 		t.Fatalf("String round trip: %+v err %v", rt, err)
 	}
-	for _, bad := range []string{"rate=0", "rate=x", "slow=-1s", "slow=fast", "cap=0", "seed=x", "bogus=1", "rate"} {
+	for _, bad := range []string{"rate=0", "rate=x", "slow=-1s", "slow=fast", "cap=0", "seed=x", "bogus=1", "rate", "rate=8,rate=4"} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Fatalf("ParseConfig(%q) should fail", bad)
 		}

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"waflfs/internal/obs/rule"
 )
 
 // FormatTraceID renders a trace ID the way every surface prints it:
@@ -34,56 +36,45 @@ func ParseTraceID(s string) (uint64, error) {
 	return id, nil
 }
 
-// ParseConfig parses the -optrace flag spec: comma-separated key=value
-// pairs "rate=N[,slow=D][,cap=N][,seed=N]", where slow takes a
-// time.ParseDuration string. Omitted keys keep their Config defaults; the
-// bare spec "default" (or "") selects DefaultConfig.
+// ParseConfig parses the -optrace flag spec, one clause of the shared
+// grammar (internal/obs/rule): comma-separated key=value fields
+// "rate=N[,slow=D][,cap=N][,seed=N]", where slow takes a time.ParseDuration
+// string. Omitted keys keep their Config defaults; the bare spec "default"
+// (or "") selects DefaultConfig.
 func ParseConfig(spec string) (Config, error) {
 	cfg := DefaultConfig()
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "default" {
+	if strings.TrimSpace(spec) == "default" {
 		return cfg, nil
 	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("optrace: bad spec element %q (want key=value)", part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+	err := rule.Fields(spec, func(key, val string) (err error) {
 		switch key {
 		case "rate":
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return Config{}, fmt.Errorf("optrace: bad rate %q (want positive integer)", val)
-			}
-			cfg.Rate = n
+			cfg.Rate, err = positive(strconv.Atoi(val))
 		case "slow":
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return Config{}, fmt.Errorf("optrace: bad slow threshold %q (want positive duration)", val)
-			}
+			var d time.Duration
+			d, err = positive(time.ParseDuration(val))
 			cfg.SlowNS = uint64(d)
 		case "cap":
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return Config{}, fmt.Errorf("optrace: bad cap %q (want positive integer)", val)
-			}
-			cfg.Capacity = n
+			cfg.Capacity, err = positive(strconv.Atoi(val))
 		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("optrace: bad seed %q (want integer)", val)
-			}
-			cfg.Seed = n
+			cfg.Seed, err = strconv.ParseInt(val, 10, 64)
 		default:
-			return Config{}, fmt.Errorf("optrace: unknown spec key %q", key)
+			err = fmt.Errorf("unknown key %q", key)
 		}
+		return err
+	})
+	if err != nil {
+		return Config{}, fmt.Errorf("optrace: %w", err)
 	}
 	return cfg, nil
+}
+
+// positive passes a parsed value through, rejecting zero and below.
+func positive[N int | time.Duration](n N, err error) (N, error) {
+	if err == nil && n <= 0 {
+		err = fmt.Errorf("%v is not positive", n)
+	}
+	return n, err
 }
 
 // String renders the config in canonical spec form, parseable by

@@ -18,8 +18,9 @@ package picks
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
+
+	"waflfs/internal/obs/rule"
 )
 
 // Reason classifies why an AA pick site chose its AA.
@@ -89,9 +90,8 @@ func DefaultConfig() Config { return Config{Capacity: 4096} }
 
 // Recorder hands out one bounded Ring per space.
 type Recorder struct {
-	mu       sync.Mutex
 	capacity int
-	rings    map[string]*Ring
+	rings    rule.Keyed[*Ring]
 }
 
 // NewRecorder creates an empty recorder. Capacity ≤ 0 selects the default.
@@ -99,48 +99,32 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultConfig().Capacity
 	}
-	return &Recorder{capacity: cfg.Capacity, rings: make(map[string]*Ring)}
+	return &Recorder{capacity: cfg.Capacity}
+}
+
+// spaces is the ring registry; nil (empty, creating nothing) on a nil
+// recorder.
+func (r *Recorder) spaces() *rule.Keyed[*Ring] {
+	if r == nil {
+		return nil
+	}
+	return &r.rings
 }
 
 // Space returns the named space's ring, creating it on first use. A nil
 // recorder returns a nil ring (whose Record is a no-op).
 func (r *Recorder) Space(name string) *Ring {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.rings[name]
-	if g == nil {
-		g = &Ring{space: name, buf: make([]PickRecord, 0, r.capacity)}
-		r.rings[name] = g
-	}
-	return g
+	return r.spaces().Ensure(name, nil, func() *Ring {
+		return &Ring{space: name, hist: rule.MakeRing[PickRecord](r.capacity)}
+	})
 }
 
 // Spaces returns every space name with a ring, sorted.
-func (r *Recorder) Spaces() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.rings))
-	for n := range r.rings {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (r *Recorder) Spaces() []string { return r.spaces().Names() }
 
 // Records returns the named space's surviving records, oldest first.
 func (r *Recorder) Records(space string) []PickRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	g := r.rings[space]
-	r.mu.Unlock()
+	g, _ := r.spaces().Get(space)
 	return g.Records()
 }
 
@@ -155,22 +139,10 @@ func (r *Recorder) All() []PickRecord {
 }
 
 // TotalRecorded sums Recorded over all rings.
-func (r *Recorder) TotalRecorded() uint64 {
-	var n uint64
-	for _, sp := range r.Spaces() {
-		n += r.Space(sp).Recorded()
-	}
-	return n
-}
+func (r *Recorder) TotalRecorded() uint64 { return r.spaces().Sum((*Ring).Recorded) }
 
 // TotalDropped sums Dropped over all rings.
-func (r *Recorder) TotalDropped() uint64 {
-	var n uint64
-	for _, sp := range r.Spaces() {
-		n += r.Space(sp).Dropped()
-	}
-	return n
-}
+func (r *Recorder) TotalDropped() uint64 { return r.spaces().Sum((*Ring).Dropped) }
 
 // spaceDump is one ring in the JSON document.
 type spaceDump struct {
@@ -214,11 +186,9 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 type Ring struct {
 	mu      sync.Mutex
 	space   string
-	buf     []PickRecord // cap fixed at Recorder capacity
-	head    int          // index of the oldest record once full
-	seq     uint64       // total records ever (next Seq - 1)
-	dropped uint64
-	reasons [5]uint64 // indexed parallel to Reasons()
+	hist    rule.Ring[PickRecord] // bounded at Recorder capacity
+	seq     uint64                // total records ever (next Seq - 1)
+	reasons [5]uint64             // indexed parallel to Reasons()
 }
 
 func reasonIndex(reason Reason) int {
@@ -252,13 +222,7 @@ func (g *Ring) Record(cp uint64, id uint32, score, runnerUp int64, depth int, re
 		TraceID: tid,
 	}
 	g.reasons[reasonIndex(reason)]++
-	if len(g.buf) < cap(g.buf) {
-		g.buf = append(g.buf, rec)
-	} else {
-		g.buf[g.head] = rec
-		g.head = (g.head + 1) % len(g.buf)
-		g.dropped++
-	}
+	g.hist.Push(rec)
 	g.mu.Unlock()
 }
 
@@ -269,13 +233,7 @@ func (g *Ring) Records() []PickRecord {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.buf) == 0 {
-		return nil
-	}
-	out := make([]PickRecord, 0, len(g.buf))
-	out = append(out, g.buf[g.head:]...)
-	out = append(out, g.buf[:g.head]...)
-	return out
+	return g.hist.Snapshot()
 }
 
 // Recorded returns the total records ever appended (dropped included).
@@ -295,7 +253,7 @@ func (g *Ring) Dropped() uint64 {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.dropped
+	return g.hist.Dropped
 }
 
 // ReasonCount returns how many records carried the given reason.

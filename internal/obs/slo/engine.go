@@ -4,15 +4,15 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"waflfs/internal/obs"
+	"waflfs/internal/obs/rule"
 	"waflfs/internal/obs/tsdb"
 )
 
 // State is the alert level of one SLO instance.
-type State int
+type State = rule.State[stateNames]
 
 const (
 	StateOK State = iota
@@ -20,47 +20,15 @@ const (
 	StatePage
 )
 
-func (s State) String() string {
-	switch s {
-	case StateWarn:
-		return "warn"
-	case StatePage:
-		return "page"
-	default:
-		return "ok"
-	}
-}
+type stateNames struct{}
 
-// MarshalJSON renders the state as its name so status documents read
-// "page" instead of 2.
-func (s State) MarshalJSON() ([]byte, error) {
-	return []byte(strconv.Quote(s.String())), nil
-}
+func (stateNames) Names() [3]string { return [3]string{"ok", "warn", "page"} }
 
-// Transition is one state-machine edge, stamped with the modeled clock.
-type Transition struct {
-	CP       uint64        `json:"cp"`
-	At       time.Duration `json:"at_ns"`
-	Instance string        `json:"instance"`
-	From     State         `json:"from"`
-	To       State         `json:"to"`
-	// ExemplarTrace/ExemplarLatNS reference a representative sampled op
-	// trace from the instance's space (the worst-bucket exemplar at
-	// transition time), when an ExemplarSource is wired; 0 otherwise. A page
-	// in /debug/slo then links directly to a trace in /debug/optrace.
-	ExemplarTrace uint64 `json:"exemplar_trace,omitempty"`
-	ExemplarLatNS uint64 `json:"exemplar_lat_ns,omitempty"`
-}
-
-// ExemplarSource resolves a space name ("<sys>.vol.<name>") to a
-// representative trace: ID and modeled latency of the space's current
-// worst-bucket sampled op. internal/obs/optrace's Recorder implements it.
-type ExemplarSource interface {
-	Exemplar(space string) (id, latNS uint64, ok bool)
-}
-
-// maxTransitions bounds the per-engine transition log.
-const maxTransitions = 128
+// Transition is one state-machine edge; on a space-scoped instance it links
+// to a representative sampled op trace (the space's worst-bucket exemplar at
+// transition time) when an exemplar source is wired, so a page in /debug/slo
+// leads directly to a trace in /debug/optrace.
+type Transition = rule.Transition[State]
 
 // mark records one past evaluation point: windows are anchored to the
 // newest mark at least a window-width of modeled time in the past, so a
@@ -74,19 +42,17 @@ type mark struct {
 // instance is one live alert: a spec bound to concrete series names
 // (latency and stall specs fan out to one instance per matching space).
 type instance struct {
-	spec  *Spec
-	name  string // spec name, plus ".<space>" for fanned-out kinds
-	space string
+	// Name is the spec name, plus ".<space>" for fanned-out kinds; Calm
+	// counts consecutive evals desiring a lower state (Streak is unused:
+	// upgrades are immediate).
+	rule.Inst[State]
+	spec *Spec
 
 	totalSeries string
 	badSeries   string // direct bad counter; empty for latency
 	leSeries    string // latency: cumulative bucket at the snapped threshold
 	latBase     string // latency: "<sys>.<space>.lat_ns"
 	bounds      []uint64
-
-	state   State
-	below   int // consecutive evals desiring a lower state
-	sinceCP uint64
 
 	burnFast, burnSlow float64
 	budgetUsed         float64
@@ -95,34 +61,17 @@ type instance struct {
 }
 
 // Engine evaluates a spec portfolio for one system (arm) against its tsdb
-// store. All methods are nil-safe; evaluation is deterministic given the
-// store contents, which are themselves derived from stable snapshots on
-// the modeled clock.
+// store, on the shared rule scaffold. All methods are nil-safe; evaluation is
+// deterministic given the store contents, which are themselves derived from
+// stable snapshots on the modeled clock.
 type Engine struct {
-	mu    sync.Mutex
-	sys   string
-	store *tsdb.Store
+	rule.Core[State, *instance]
 	specs []Spec
 
-	maxWin  time.Duration
-	marks   []mark
-	insts   []*instance
-	instKey int // store.NumSeries() at last expansion
+	maxWin time.Duration
+	marks  []mark
 
-	evals, warns, pages, trans uint64
-	translog                   []Transition
-	exem                       ExemplarSource
-}
-
-// SetExemplarSource wires a trace exemplar source: subsequent transitions
-// on space-scoped instances carry a representative trace ID. Nil-safe.
-func (e *Engine) SetExemplarSource(src ExemplarSource) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.exem = src
-	e.mu.Unlock()
+	warns, pages uint64
 }
 
 // NewEngine builds an engine for one system. Returns nil when there is
@@ -131,16 +80,11 @@ func NewEngine(sys string, specs []Spec, store *tsdb.Store) *Engine {
 	if len(specs) == 0 || store == nil {
 		return nil
 	}
-	e := &Engine{sys: sys, store: store, specs: append([]Spec(nil), specs...)}
-	for i := range e.specs {
-		e.specs[i].normalize()
-		for _, w := range []time.Duration{e.specs[i].Page.Slow, e.specs[i].Warn.Slow} {
-			if w > e.maxWin {
-				e.maxWin = w
-			}
-		}
+	e := &Engine{specs: rule.Normalized(specs, (*Spec).normalize)}
+	e.Init(sys, store)
+	for _, sp := range e.specs {
+		e.maxWin = max(e.maxWin, sp.Page.Slow, sp.Warn.Slow)
 	}
-	e.instKey = -1 // force expansion on first Evaluate
 	return e
 }
 
@@ -154,46 +98,41 @@ func matchSpace(pattern, space string) bool {
 	return false
 }
 
-// expand resolves wildcard spaces against the store's current series list.
-// Called whenever the series count changes (series are only ever added);
-// existing instances keep their alert state across expansions.
-func (e *Engine) expand() {
-	old := make(map[string]*instance, len(e.insts))
-	for _, in := range e.insts {
-		old[in.name] = in
-	}
-	e.insts = e.insts[:0]
-	add := func(in *instance) {
-		if prev, ok := old[in.name]; ok {
-			in.state, in.below, in.sinceCP = prev.state, prev.below, prev.sinceCP
+// expand resolves the portfolio against the store's current series list:
+// one instance per system-level spec, one per matching space for the kinds
+// that fan out.
+func (e *Engine) expand() []*instance {
+	var out []*instance
+	sysPrefix := e.Sys + "."
+	add := func(sp *Spec, space string) *instance {
+		in := &instance{spec: sp}
+		in.Name, in.Space = sp.Name, space
+		if space != "" {
+			in.Name += "." + space
 		}
-		e.insts = append(e.insts, in)
+		out = append(out, in)
+		return in
 	}
-	sysPrefix := e.sys + "."
+	counters := func(sp *Spec, bad, total string) {
+		in := add(sp, "")
+		in.badSeries, in.totalSeries = sysPrefix+bad, sysPrefix+total
+	}
 	for i := range e.specs {
 		sp := &e.specs[i]
 		switch sp.Kind {
 		case Watchdog:
-			add(&instance{spec: sp, name: sp.Name,
-				badSeries:   sysPrefix + "watchdog.violations",
-				totalSeries: sysPrefix + "watchdog.checks"})
+			counters(sp, "watchdog.violations", "watchdog.checks")
 		case Recovery:
-			add(&instance{spec: sp, name: sp.Name,
-				badSeries:   sysPrefix + "mount.fallbacks",
-				totalSeries: sysPrefix + "mount.count"})
+			counters(sp, "mount.fallbacks", "mount.count")
 		case Fallback:
-			add(&instance{spec: sp, name: sp.Name,
-				badSeries:   sysPrefix + "picks.bitmap_fallback",
-				totalSeries: sysPrefix + "picks.recorded"})
+			counters(sp, "picks.bitmap_fallback", "picks.recorded")
 		case Ratio:
-			add(&instance{spec: sp, name: sp.Name,
-				badSeries:   sysPrefix + sp.Bad,
-				totalSeries: sysPrefix + sp.Total})
+			counters(sp, sp.Bad, sp.Total)
 		case Stall:
 			for _, space := range e.spaces(".alloc.picks", sp.Space) {
-				add(&instance{spec: sp, name: sp.Name + "." + space, space: space,
-					badSeries:   sysPrefix + space + ".alloc.refill_stalls",
-					totalSeries: sysPrefix + space + ".alloc.picks"})
+				in := add(sp, space)
+				in.badSeries = sysPrefix + space + ".alloc.refill_stalls"
+				in.totalSeries = sysPrefix + space + ".alloc.picks"
 			}
 		case Latency:
 			for _, space := range e.spaces(".lat_ns.count", sp.Space) {
@@ -212,26 +151,26 @@ func (e *Engine) expand() {
 						break
 					}
 				}
-				add(&instance{spec: sp, name: sp.Name + "." + space, space: space,
-					totalSeries: base + ".count",
-					leSeries:    base + ".le_" + strconv.FormatUint(snap, 10),
-					latBase:     base, bounds: bounds})
+				in := add(sp, space)
+				in.totalSeries = base + ".count"
+				in.leSeries = base + ".le_" + strconv.FormatUint(snap, 10)
+				in.latBase, in.bounds = base, bounds
 			}
 		}
 	}
-	sort.Slice(e.insts, func(i, j int) bool { return e.insts[i].name < e.insts[j].name })
+	return out
 }
 
 // spaces lists store spaces owning a series named <sys>.<space><suffix>
 // and matching the spec's space pattern, sorted.
 func (e *Engine) spaces(suffix, pattern string) []string {
 	var out []string
-	for _, name := range e.store.SeriesWithPrefix(e.sys + ".") {
+	for _, name := range e.Store.SeriesWithPrefix(e.Sys + ".") {
 		mid, ok := strings.CutSuffix(name, suffix)
 		if !ok {
 			continue
 		}
-		space := strings.TrimPrefix(mid, e.sys+".")
+		space := strings.TrimPrefix(mid, e.Sys+".")
 		if validSpace(space) && matchSpace(pattern, space) {
 			out = append(out, space)
 		}
@@ -273,7 +212,7 @@ func validSpace(space string) bool {
 func (e *Engine) bucketBounds(latBase string) []uint64 {
 	prefix := latBase + ".le_"
 	var bounds []uint64
-	for _, name := range e.store.SeriesWithPrefix(prefix) {
+	for _, name := range e.Store.SeriesWithPrefix(prefix) {
 		b, err := strconv.ParseUint(name[len(prefix):], 10, 64)
 		if err != nil {
 			continue
@@ -292,13 +231,12 @@ func (e *Engine) Evaluate(cp uint64, at time.Duration) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := e.store.NumSeries(); n != e.instKey {
-		e.expand()
-		e.instKey = n
+	e.Mu.Lock()
+	defer e.Mu.Unlock()
+	if e.Stale() {
+		e.Adopt(e.expand())
 	}
-	for _, in := range e.insts {
+	for _, in := range e.Insts {
 		e.evalInstance(in, cp, at)
 	}
 	e.marks = append(e.marks, mark{cp: cp, at: at})
@@ -337,12 +275,12 @@ func (e *Engine) prune(at time.Duration) {
 // badTotal returns the bad/total event deltas for an instance over
 // (fromCP, toCP], clamped to 0 ≤ bad ≤ total.
 func (e *Engine) badTotal(in *instance, fromCP, toCP uint64) (bad, total float64) {
-	total, _ = e.store.CounterDelta(in.totalSeries, fromCP, toCP)
+	total, _ = e.Store.CounterDelta(in.totalSeries, fromCP, toCP)
 	if in.leSeries != "" {
-		good, _ := e.store.CounterDelta(in.leSeries, fromCP, toCP)
+		good, _ := e.Store.CounterDelta(in.leSeries, fromCP, toCP)
 		bad = total - good
 	} else {
-		bad, _ = e.store.CounterDelta(in.badSeries, fromCP, toCP)
+		bad, _ = e.Store.CounterDelta(in.badSeries, fromCP, toCP)
 	}
 	if bad < 0 {
 		bad = 0
@@ -354,7 +292,7 @@ func (e *Engine) badTotal(in *instance, fromCP, toCP uint64) (bad, total float64
 }
 
 func (e *Engine) evalInstance(in *instance, cp uint64, at time.Duration) {
-	e.evals++
+	e.Evals++
 	sp := in.spec
 	denom := 1 - sp.Target
 	burn := func(bad, total float64) float64 {
@@ -391,27 +329,27 @@ func (e *Engine) evalInstance(in *instance, cp uint64, at time.Duration) {
 	// evaluations so a burn rate oscillating around the threshold cannot
 	// flap the alert.
 	switch {
-	case desired > in.state:
+	case desired > in.State:
 		e.transition(in, cp, at, desired)
-		in.below = 0
-	case desired < in.state:
-		in.below++
-		if in.below >= sp.Hold {
+		in.Calm = 0
+	case desired < in.State:
+		in.Calm++
+		if in.Calm >= sp.Hold {
 			e.transition(in, cp, at, desired)
-			in.below = 0
+			in.Calm = 0
 		}
 	default:
-		in.below = 0
+		in.Calm = 0
 	}
 
-	base := e.sys + ".slo." + in.name
-	e.store.Observe(base+".state", cp, at, float64(in.state))
-	e.store.Observe(base+".burn_fast", cp, at, in.burnFast)
-	e.store.Observe(base+".burn_slow", cp, at, in.burnSlow)
-	e.store.Observe(base+".budget_used", cp, at, in.budgetUsed)
+	base := e.Sys + ".slo." + in.Name
+	e.Store.Observe(base+".state", cp, at, float64(in.State))
+	e.Store.Observe(base+".burn_fast", cp, at, in.burnFast)
+	e.Store.Observe(base+".burn_slow", cp, at, in.burnSlow)
+	e.Store.Observe(base+".budget_used", cp, at, in.budgetUsed)
 	if in.leSeries != "" {
 		in.pNs = e.windowQuantile(in, cp, at)
-		e.store.Observe(base+".p_ns", cp, at, in.pNs)
+		e.Store.Observe(base+".p_ns", cp, at, in.pNs)
 	}
 }
 
@@ -425,7 +363,7 @@ func (e *Engine) windowQuantile(in *instance, cp uint64, at time.Duration) float
 	}
 	var prev float64
 	for i, b := range in.bounds {
-		cum, _ := e.store.CounterDelta(in.latBase+".le_"+strconv.FormatUint(b, 10), from, cp)
+		cum, _ := e.Store.CounterDelta(in.latBase+".le_"+strconv.FormatUint(b, 10), from, cp)
 		d := cum - prev
 		if d < 0 {
 			d = 0
@@ -433,7 +371,7 @@ func (e *Engine) windowQuantile(in *instance, cp uint64, at time.Duration) float
 		hv.Counts[i] = uint64(d)
 		prev = cum
 	}
-	total, _ := e.store.CounterDelta(in.totalSeries, from, cp)
+	total, _ := e.Store.CounterDelta(in.totalSeries, from, cp)
 	if inf := total - prev; inf > 0 {
 		hv.Counts[len(in.bounds)] = uint64(inf)
 	}
@@ -444,61 +382,35 @@ func (e *Engine) windowQuantile(in *instance, cp uint64, at time.Duration) float
 }
 
 func (e *Engine) transition(in *instance, cp uint64, at time.Duration, to State) {
-	tr := Transition{CP: cp, At: at, Instance: in.name, From: in.state, To: to}
-	if e.exem != nil && in.space != "" {
-		if id, lat, ok := e.exem.Exemplar(e.sys + "." + in.space); ok {
-			tr.ExemplarTrace, tr.ExemplarLatNS = id, lat
-		}
-	}
-	if len(e.translog) >= maxTransitions {
-		copy(e.translog, e.translog[1:])
-		e.translog = e.translog[:maxTransitions-1]
-	}
-	e.translog = append(e.translog, tr)
-	e.trans++
+	tr := e.Transit(in, cp, at, to)
+	tr.ExemplarTrace, tr.ExemplarLatNS = e.Exemplar(in.Space)
 	switch to {
 	case StateWarn:
 		e.warns++
 	case StatePage:
 		e.pages++
 	}
-	in.state = to
-	in.sinceCP = cp
 }
+
+// core is the scaffold of a possibly nil engine: Go promotes the embedded
+// methods, but not their nil-safety, so the exported accessors go through it.
+func (e *Engine) core() *rule.Core[State, *instance] {
+	if e == nil {
+		return nil
+	}
+	return &e.Core
+}
+
+// SetExemplarSource wires a trace exemplar source: subsequent transitions
+// on space-scoped instances carry a representative trace ID. Nil-safe.
+func (e *Engine) SetExemplarSource(src rule.ExemplarSource) { e.core().SetExemplarSource(src) }
 
 // Counter accessors feed the slo.* registry metrics; all nil-safe.
 
-func (e *Engine) Evaluations() uint64 { return e.counter(func(e *Engine) uint64 { return e.evals }) }
-func (e *Engine) Warns() uint64       { return e.counter(func(e *Engine) uint64 { return e.warns }) }
-func (e *Engine) Pages() uint64       { return e.counter(func(e *Engine) uint64 { return e.pages }) }
-func (e *Engine) Transitions() uint64 { return e.counter(func(e *Engine) uint64 { return e.trans }) }
-
-func (e *Engine) counter(f func(*Engine) uint64) uint64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return f(e)
-}
-
-// Active counts instances currently in warn and page state.
-func (e *Engine) Active() (warns, pages int) {
-	if e == nil {
-		return 0, 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, in := range e.insts {
-		switch in.state {
-		case StateWarn:
-			warns++
-		case StatePage:
-			pages++
-		}
-	}
-	return warns, pages
-}
+func (e *Engine) Evaluations() uint64 { return e.core().Read(func() uint64 { return e.Evals }) }
+func (e *Engine) Warns() uint64       { return e.core().Read(func() uint64 { return e.warns }) }
+func (e *Engine) Pages() uint64       { return e.core().Read(func() uint64 { return e.pages }) }
+func (e *Engine) Transitions() uint64 { return e.core().Read(func() uint64 { return e.Trans }) }
 
 // InstanceStatus is the reported state of one alert instance.
 type InstanceStatus struct {
@@ -532,29 +444,25 @@ func (e *Engine) Status() SystemStatus {
 	if e == nil {
 		return SystemStatus{}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.Mu.Lock()
+	defer e.Mu.Unlock()
 	st := SystemStatus{
-		System:      e.sys,
-		Evaluations: e.evals,
+		System:      e.Sys,
+		Evaluations: e.Evals,
 		Warns:       e.warns,
 		Pages:       e.pages,
-		Transitions: append([]Transition(nil), e.translog...),
+		ActiveWarns: e.CountAt(StateWarn),
+		ActivePages: e.CountAt(StatePage),
+		Transitions: e.TransitionLog(),
 	}
-	for _, in := range e.insts {
+	for _, in := range e.Insts {
 		st.Instances = append(st.Instances, InstanceStatus{
-			Name: in.name, Kind: string(in.spec.Kind), State: in.state.String(),
-			SinceCP: in.sinceCP, Target: in.spec.Target,
+			Name: in.Name, Kind: string(in.spec.Kind), State: in.State.String(),
+			SinceCP: in.SinceCP, Target: in.spec.Target,
 			BurnFast: in.burnFast, BurnSlow: in.burnSlow,
 			BudgetUsed: in.budgetUsed,
 			WindowBad:  in.winBad, WindowTotal: in.winTotal, PNs: in.pNs,
 		})
-		switch in.state {
-		case StateWarn:
-			st.ActiveWarns++
-		case StatePage:
-			st.ActivePages++
-		}
 	}
 	return st
 }

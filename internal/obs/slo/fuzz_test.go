@@ -19,6 +19,8 @@ func FuzzParseSLOSpec(f *testing.F) {
 	f.Add("kind=recovery,target=0.999,page=10@2s/4s,warn=9@2s/4s")
 	f.Add("kind=latency,target=0.99,threshold=1h,page=1e300@1ns/1ns")
 	f.Add(";;,=,@,/")
+	f.Add("kind=recovery,target=0.9,page=NaN@1s/2s")
+	f.Add("kind=recovery,target=0.9,page=Inf@1s/2s")
 	f.Fuzz(func(t *testing.T, in string) {
 		specs, err := ParseSpecs(in)
 		if err != nil {

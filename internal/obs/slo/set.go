@@ -1,77 +1,15 @@
 package slo
 
-import (
-	"encoding/json"
-	"io"
-	"sort"
-	"sync"
-
-	"waflfs/internal/obs/tsdb"
-)
+import "waflfs/internal/obs/rule"
 
 // Set holds one spec portfolio and the engines it has spawned, one per
-// system (arm). A Set is shared across every arm of an experiment run so
-// artifact gates can split totals by arm-name prefix. All methods are
-// nil-safe.
-type Set struct {
-	mu      sync.Mutex
-	specs   []Spec
-	engines map[string]*Engine
-	order   []string
-}
+// system (arm); see rule.Set. /debug/slo serves its WriteJSON.
+type Set = rule.Set[Spec, *Engine, Totals, SystemStatus]
 
-// NewSet builds a set from a portfolio; specs are normalized in place.
+// NewSet builds a set from a portfolio; a copy of it is normalized. An empty
+// portfolio yields the nil set.
 func NewSet(specs []Spec) *Set {
-	if len(specs) == 0 {
-		return nil
-	}
-	s := &Set{specs: append([]Spec(nil), specs...), engines: map[string]*Engine{}}
-	for i := range s.specs {
-		s.specs[i].normalize()
-	}
-	return s
-}
-
-// Specs returns the normalized portfolio.
-func (s *Set) Specs() []Spec {
-	if s == nil {
-		return nil
-	}
-	return append([]Spec(nil), s.specs...)
-}
-
-// Engine returns the engine for sys, creating one bound to the given
-// store on first use. A later call with the same sys replaces the engine
-// (systems are re-armed on remount with a fresh registry but the same
-// store, so the newest binding wins).
-func (s *Set) Engine(sys string, store *tsdb.Store) *Engine {
-	if s == nil || store == nil {
-		return nil
-	}
-	e := NewEngine(sys, s.specs, store)
-	if e == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.engines[sys]; ok && prev.store == store {
-		return prev
-	}
-	if _, ok := s.engines[sys]; !ok {
-		s.order = append(s.order, sys)
-	}
-	s.engines[sys] = e
-	return e
-}
-
-func (s *Set) sorted() []*Engine {
-	names := append([]string(nil), s.order...)
-	sort.Strings(names)
-	out := make([]*Engine, 0, len(names))
-	for _, n := range names {
-		out = append(out, s.engines[n])
-	}
-	return out
+	return rule.NewSet[Spec, *Engine, Totals, SystemStatus](rule.Normalized(specs, (*Spec).normalize), NewEngine)
 }
 
 // Totals aggregates alert activity across engines.
@@ -86,79 +24,16 @@ type Totals struct {
 	ActivePages int    `json:"active_pages"`
 }
 
-func (t *Totals) absorb(e *Engine) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// AddTo folds the engine's activity into t.
+func (e *Engine) AddTo(t *Totals) {
+	e.Mu.Lock()
+	defer e.Mu.Unlock()
 	t.Systems++
-	t.Instances += len(e.insts)
-	t.Evaluations += e.evals
-	t.Transitions += e.trans
+	t.Instances += len(e.Insts)
+	t.Evaluations += e.Evals
+	t.Transitions += e.Trans
 	t.Warns += e.warns
 	t.Pages += e.pages
-	for _, in := range e.insts {
-		switch in.state {
-		case StateWarn:
-			t.ActiveWarns++
-		case StatePage:
-			t.ActivePages++
-		}
-	}
-}
-
-// Totals sums alert activity over every system in the set.
-func (s *Set) Totals() Totals {
-	return s.TotalsWhere(func(string) bool { return true })
-}
-
-// TotalsWhere sums alert activity over systems whose name passes the
-// filter — the artifact gate uses this to split crash arms from clean.
-func (s *Set) TotalsWhere(match func(sys string) bool) Totals {
-	var t Totals
-	if s == nil {
-		return t
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.sorted() {
-		if match(e.sys) {
-			t.absorb(e)
-		}
-	}
-	return t
-}
-
-// Status reports every engine, sorted by system name.
-func (s *Set) Status() []SystemStatus {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	engines := s.sorted()
-	s.mu.Unlock()
-	out := make([]SystemStatus, 0, len(engines))
-	for _, e := range engines {
-		out = append(out, e.Status())
-	}
-	return out
-}
-
-// statusDoc is the /debug/slo document shape.
-type statusDoc struct {
-	Totals  Totals         `json:"totals"`
-	Systems []SystemStatus `json:"systems"`
-}
-
-// WriteJSON writes the full deterministic status document: totals plus
-// per-system instance states and transition logs. Byte-identical for
-// identical evaluation histories, so the serial-equivalence test compares
-// it directly across worker widths.
-func (s *Set) WriteJSON(w io.Writer) error {
-	doc := statusDoc{Systems: []SystemStatus{}}
-	if s != nil {
-		doc.Totals = s.Totals()
-		doc.Systems = s.Status()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	t.ActiveWarns += e.CountAt(StateWarn)
+	t.ActivePages += e.CountAt(StatePage)
 }

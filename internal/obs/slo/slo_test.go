@@ -86,8 +86,12 @@ func TestParseSpecsErrors(t *testing.T) {
 		"kind=recovery,target=0.5,page=1@1s",        // malformed window
 		"kind=recovery,target=0.5,hold=-1",
 		"kind=recovery,target=0.5,junk=1",
-		"kind=recovery",   // zero target
-		"default;default", // duplicate names
+		"kind=recovery",                           // zero target
+		"default;default",                         // duplicate names
+		"kind=recovery,target=0.9,page=NaN@1s/2s", // NaN burn: validates under <=, never fires
+		"kind=recovery,target=0.9,page=Inf@1s/2s",
+		"kind=recovery,target=0.9,warn=-Inf@1s/2s",
+		"kind=recovery,target=0.9,target=0.5", // repeated key
 	}
 	for _, in := range bad {
 		if specs, err := ParseSpecs(in); err == nil {
@@ -309,16 +313,15 @@ func TestNilSafety(t *testing.T) {
 	if e.Evaluations() != 0 || e.Warns() != 0 || e.Pages() != 0 || e.Transitions() != 0 {
 		t.Fatal("nil engine leaked counters")
 	}
-	if w, p := e.Active(); w != 0 || p != 0 {
+	if st := e.Status(); st.ActiveWarns != 0 || st.ActivePages != 0 {
 		t.Fatal("nil engine active")
 	}
-	_ = e.Status()
 
 	var s *Set
 	if s.Engine("x", tsdb.NewStore(tsdb.Config{Capacity: 4})) != nil {
 		t.Fatal("nil set produced engine")
 	}
-	if s.Totals() != (Totals{}) || s.Status() != nil || s.Specs() != nil {
+	if s.Totals() != (Totals{}) || s.Status() != nil {
 		t.Fatal("nil set leaked state")
 	}
 	var buf bytes.Buffer

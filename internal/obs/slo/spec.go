@@ -18,6 +18,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"waflfs/internal/obs/rule"
 )
 
 // Kind selects the SLI a spec measures.
@@ -98,36 +100,6 @@ var reservedNames = map[string]bool{
 	"evaluations": true, "warns": true, "pages": true, "transitions": true,
 }
 
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.', r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func validPattern(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.', r == '-', r == '*':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 func (k Kind) valid() bool {
 	switch k {
 	case Latency, Stall, Fallback, Watchdog, Recovery, Ratio:
@@ -170,8 +142,8 @@ func (s *Spec) normalize() {
 }
 
 func (w Window) validate(label string) error {
-	if w.Burn <= 0 {
-		return fmt.Errorf("%s burn %v must be > 0", label, w.Burn)
+	if !rule.Finite(w.Burn) || w.Burn <= 0 {
+		return fmt.Errorf("%s burn %v must be finite and > 0", label, w.Burn)
 	}
 	if w.Fast <= 0 || w.Slow <= 0 {
 		return fmt.Errorf("%s windows must be > 0", label)
@@ -186,7 +158,7 @@ func (s *Spec) validate() error {
 	if !s.Kind.valid() {
 		return fmt.Errorf("unknown kind %q", s.Kind)
 	}
-	if !validName(s.Name) {
+	if !rule.ValidName(s.Name) {
 		return fmt.Errorf("invalid name %q", s.Name)
 	}
 	if reservedNames[s.Name] {
@@ -196,7 +168,7 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("target %v must be in (0,1)", s.Target)
 	}
 	if s.Kind.spaced() {
-		if !validPattern(s.Space) {
+		if !rule.ValidPattern(s.Space) {
 			return fmt.Errorf("invalid space %q", s.Space)
 		}
 	} else if s.Space != "" {
@@ -209,7 +181,7 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("kind %s takes no threshold", s.Kind)
 	}
 	if s.Kind == Ratio {
-		if !validName(s.Bad) || !validName(s.Total) {
+		if !rule.ValidName(s.Bad) || !rule.ValidName(s.Total) {
 			return fmt.Errorf("ratio needs bad= and total= series suffixes")
 		}
 	} else if s.Bad != "" || s.Total != "" {
@@ -227,9 +199,10 @@ func (s *Spec) validate() error {
 	return nil
 }
 
-// ParseSpecs parses a waflbench-style spec string: clauses separated by
-// ';', each either the literal "default" (expanding DefaultSpecs) or a
-// comma-separated list of key=value fields:
+// ParseSpecs parses a waflbench-style spec string in the shared clause
+// grammar (internal/obs/rule): clauses separated by ';', each either the
+// literal "default" (expanding DefaultSpecs) or a comma-separated list of
+// key=value fields:
 //
 //	name=slowvol,kind=latency,space=vol.*,target=0.995,threshold=10ms,
 //	page=14@15s/2m,warn=3@1m/10m,hold=2,min=32
@@ -237,48 +210,12 @@ func (s *Spec) validate() error {
 // Window values are "<burn>@<fast>/<slow>" with Go durations in modeled
 // time. Spec names must be unique across the whole string.
 func ParseSpecs(input string) ([]Spec, error) {
-	var out []Spec
-	for _, clause := range strings.Split(input, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if clause == "default" {
-			out = append(out, DefaultSpecs()...)
-			continue
-		}
-		sp, err := parseClause(clause)
-		if err != nil {
-			return nil, fmt.Errorf("slo: clause %q: %w", clause, err)
-		}
-		out = append(out, sp)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("slo: empty spec")
-	}
-	seen := make(map[string]bool, len(out))
-	for _, sp := range out {
-		if seen[sp.Name] {
-			return nil, fmt.Errorf("slo: duplicate spec name %q", sp.Name)
-		}
-		seen[sp.Name] = true
-	}
-	return out, nil
+	return rule.Parse("slo", input, DefaultSpecs, parseClause)
 }
 
 func parseClause(clause string) (Spec, error) {
 	var sp Spec
-	for _, field := range strings.Split(clause, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return sp, fmt.Errorf("field %q is not key=value", field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
+	err := rule.Fields(clause, func(key, val string) (err error) {
 		switch key {
 		case "name":
 			sp.Name = val
@@ -303,17 +240,15 @@ func parseClause(clause string) (Spec, error) {
 		case "total":
 			sp.Total = val
 		default:
-			return sp, fmt.Errorf("unknown key %q", key)
+			err = fmt.Errorf("unknown key %q", key)
 		}
-		if err != nil {
-			return sp, fmt.Errorf("field %q: %w", field, err)
-		}
-	}
-	sp.normalize()
-	if err := sp.validate(); err != nil {
+		return err
+	})
+	if err != nil {
 		return sp, err
 	}
-	return sp, nil
+	sp.normalize()
+	return sp, sp.validate()
 }
 
 func parseWindow(v string) (Window, error) {
@@ -365,11 +300,8 @@ func (s Spec) String() string {
 	return b.String()
 }
 
+// RuleName is the name a portfolio must hold uniquely.
+func (s Spec) RuleName() string { return s.Name }
+
 // FormatSpecs renders specs in the canonical form accepted by ParseSpecs.
-func FormatSpecs(specs []Spec) string {
-	parts := make([]string, len(specs))
-	for i, sp := range specs {
-		parts[i] = sp.String()
-	}
-	return strings.Join(parts, ";")
-}
+func FormatSpecs(specs []Spec) string { return rule.Format(specs) }

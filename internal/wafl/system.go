@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"waflfs/internal/block"
+	"waflfs/internal/control"
 	"waflfs/internal/device"
 	"waflfs/internal/obs/optrace"
 )
@@ -110,7 +111,7 @@ func NewSystem(specs []GroupSpec, vols []VolSpec, tun Tunables, seed int64) *Sys
 		// The closed-loop controller needs the System's knob surface, so it
 		// arms here rather than in initObs; the control.* counter views
 		// registered there read through ag.ctl nil-safely either way.
-		ag.ctl = o.Control.Engine(o.Name, o.TSDB, &s.act)
+		ag.ctl = control.Bind(o.Control, o.Name, o.TSDB, &s.act)
 		if o.OpTrace != nil {
 			// Actuation records link to a representative sampled trace from
 			// the triggering signal's volume.

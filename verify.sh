@@ -29,6 +29,24 @@ if grep -rn -e 'pickAASharded' -e 'pickSharded' -e 'heapcache\.Sharded' -e 'hbps
     exit 1
 fi
 
+# Structural gate, one rule pipeline (DESIGN.md §15): the clause grammar, the
+# name alphabets and the portfolio Set live once, in internal/obs/rule. The
+# four spec parsers are a per-key switch over rule.Fields, so neither a
+# private name check nor a hand-rolled ','/'=' splitting loop may come back
+# under them, and no package under internal/ may grow a Set type of its own.
+rulekinds="internal/obs/slo internal/control internal/obs/optrace internal/faultinject"
+# shellcheck disable=SC2086
+if grep -rn --include='*.go' -e 'func validName' -e 'func validPattern' \
+    -e 'strings\.Cut(.*"=")' -e 'SplitN(.*"=", 2)' -e 'strings\.Split(.*",")' $rulekinds; then
+    echo "a spec parser is splitting or name-checking by hand; use internal/obs/rule" >&2
+    exit 1
+fi
+sets=$(grep -rn --include='*.go' -E '^type Set(\[.*\])? struct' internal | wc -l)
+if [ "$sets" -ne 1 ]; then
+    echo "want exactly one Set type under internal/ (rule.Set), found $sets" >&2
+    exit 1
+fi
+
 go build ./...
 go vet ./...
 go test ./...
@@ -46,6 +64,10 @@ go test -run '^$' -fuzz '^FuzzLoadAgnostic$' -fuzztime 5s ./internal/topaa
 # interleavings over a heap and over an HBPS must never hold an AA twice,
 # leave a held heap entry tracked, or lose an HBPS-tracked AA.
 go test -run '^$' -fuzz '^FuzzQueueOps$' -fuzztime 5s ./internal/shardq
+# Shared clause-grammar fuzzer: the field splitter hands out trimmed, unique,
+# comma-free fields that re-join and re-split to themselves; the fault-plan
+# parser rides along for its parse/format round trip.
+go test -run '^$' -fuzz '^FuzzClause$' -fuzztime 5s ./internal/obs/rule
 # SLO-spec parser fuzzer: any accepted spec string must round-trip through
 # its canonical formatting to an identical portfolio.
 go test -run '^$' -fuzz '^FuzzParseSLOSpec$' -fuzztime 5s ./internal/obs/slo
