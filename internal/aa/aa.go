@@ -60,22 +60,33 @@ type Topology interface {
 // consulting the bitmap (§3.3). The package's own two topologies are scored
 // without materialising their segment lists: a mount walk scores every AA of
 // every space, and a slice per AA was most of what it allocated.
-func Score(t Topology, bm *bitmap.Bitmap, id ID) uint64 {
+func Score(t Topology, bm *bitmap.Bitmap, id ID) uint64 { return score(t, bm, id, false) }
+
+// score is Score, charging the metafile scan of each segment before counting
+// it when charge is set (ScoreAll's walk).
+func score(t Topology, bm *bitmap.Bitmap, id ID, charge bool) uint64 {
 	var s uint64
 	switch t := t.(type) {
 	case *Linear:
-		s = bm.CountFree(t.Segment(id))
+		s = countFree(bm, t.Segment(id), charge)
 	case *Striped:
 		from, to := t.StripeRange(id)
 		for d := 0; d < t.geo.DataDevices; d++ {
-			s += bm.CountFree(t.geo.DeviceSegment(d, from, to))
+			s += countFree(bm, t.geo.DeviceSegment(d, from, to), charge)
 		}
 	default:
 		for _, seg := range t.Segments(id) {
-			s += bm.CountFree(seg)
+			s += countFree(bm, seg, charge)
 		}
 	}
 	return s
+}
+
+func countFree(bm *bitmap.Bitmap, seg block.Range, charge bool) uint64 {
+	if charge {
+		bm.ChargeScan(seg)
+	}
+	return bm.CountFree(seg)
 }
 
 // Capacity returns the true block capacity of AA id — the sum of its
@@ -103,11 +114,8 @@ func Capacity(t Topology, id ID) uint64 {
 // TopAA metafile is available (§3.4).
 func ScoreAll(t Topology, bm *bitmap.Bitmap) []uint64 {
 	scores := make([]uint64, t.NumAAs())
-	for id := 0; id < t.NumAAs(); id++ {
-		for _, seg := range t.Segments(ID(id)) {
-			bm.ChargeScan(seg)
-			scores[id] += bm.CountFree(seg)
-		}
+	for id := range scores {
+		scores[id] = score(t, bm, ID(id), true)
 	}
 	return scores
 }
@@ -247,7 +255,7 @@ func (s *Striped) Space() block.Range { return s.geo.VBNRange() }
 // concurrently; scores are pure reads of the bit words. Callers charge
 // scan I/O themselves, so the accounting never depends on the shard count.
 func Scores(t Topology, bm *bitmap.Bitmap, workers int) []uint64 {
-	return ScoresObs(t, bm, workers, nil, nil)
+	return ScoresObs(nil, t, bm, workers, nil, nil)
 }
 
 // ScoreAllParallel computes every AA's score like ScoreAll, fanning the

@@ -2,6 +2,7 @@ package aa
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -274,6 +275,53 @@ func TestScoreShortcutsMatchSegments(t *testing.T) {
 			if got, want := Capacity(topo, ID(id)), Capacity(opaque{topo}, ID(id)); got != want {
 				t.Fatalf("%T AA %d: Capacity %d, via Segments %d", topo, id, got, want)
 			}
+		}
+	}
+}
+
+// ScoreAll charges the metafile scan segment by segment — a striped AA reads
+// each device's run of pages, so one page can be charged more than once —
+// and that total is the bitmap-walk mount's modeled I/O. Scoring through the
+// slice-free path must charge exactly what ranging over Segments charged,
+// produce the same scores, and allocate only its result.
+func TestScoreAllChargesPerSegment(t *testing.T) {
+	geo := raid.Geometry{DataDevices: 5, ParityDevices: 1, BlocksPerDevice: 1 << 15, StartVBN: 100}
+	for _, tc := range []struct {
+		name      string
+		topo      Topology
+		pageReads uint64
+	}{
+		// 128 AAs × 5 device segments of 256 blocks: each lies in one page,
+		// except the one per device that straddles a page boundary.
+		{"striped", NewStriped(geo, 256), 128*5 + 5},
+		// One 32k-block AA per page, and the truncated ninth.
+		{"linear", NewLinearDefault(block.R(0, 8*RAIDAgnosticBlocks+17)), 9},
+	} {
+		space := tc.topo.Space()
+		bm := bitmap.New(uint64(space.End))
+		rng := rand.New(rand.NewSource(13))
+		for i := 0; i < int(space.Len())/3; i++ {
+			bm.Set(space.Start + block.VBN(rng.Int63n(int64(space.Len()))))
+		}
+		// The walk as it was written: the oracle for scores and charges.
+		oracle := bm.Clone()
+		want := make([]uint64, tc.topo.NumAAs())
+		for id := range want {
+			for _, seg := range tc.topo.Segments(ID(id)) {
+				oracle.ChargeScan(seg)
+				want[id] += oracle.CountFree(seg)
+			}
+		}
+		got := ScoreAll(tc.topo, bm)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: ScoreAll scores differ from the per-segment walk", tc.name)
+		}
+		if r := bm.Stats().PageReads; r != oracle.Stats().PageReads || r != tc.pageReads {
+			t.Fatalf("%s: ScoreAll charged %d page reads, per-segment walk %d, pinned %d",
+				tc.name, r, oracle.Stats().PageReads, tc.pageReads)
+		}
+		if n := testing.AllocsPerRun(10, func() { ScoreAll(tc.topo, bm) }); n != 1 {
+			t.Errorf("%s: ScoreAll allocates %.0f times, want only the result", tc.name, n)
 		}
 	}
 }

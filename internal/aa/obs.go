@@ -1,6 +1,8 @@
 package aa
 
 import (
+	"slices"
+
 	"waflfs/internal/bitmap"
 	"waflfs/internal/obs"
 	"waflfs/internal/parallel"
@@ -11,8 +13,12 @@ import (
 // may be nil (the instruments are nil-safe), so Scores simply delegates
 // here. The recording happens outside the sharded loop, so it is identical
 // for every worker count.
-func ScoresObs(t Topology, bm *bitmap.Bitmap, workers int, po *parallel.Obs, scored *obs.Counter) []uint64 {
-	scores := make([]uint64, t.NumAAs())
+//
+// The scores land in dst when it has the capacity (whatever it held is
+// overwritten) and in a new slice otherwise, so a space that rescans at
+// every mount keeps one buffer: scores = ScoresObs(scores, ...).
+func ScoresObs(dst []uint64, t Topology, bm *bitmap.Bitmap, workers int, po *parallel.Obs, scored *obs.Counter) []uint64 {
+	scores := slices.Grow(dst[:0], t.NumAAs())[:t.NumAAs()]
 	parallel.ForEachObs(workers, len(scores), po, func(id int) {
 		scores[id] = Score(t, bm, ID(id))
 	})
@@ -21,8 +27,8 @@ func ScoresObs(t Topology, bm *bitmap.Bitmap, workers int, po *parallel.Obs, sco
 }
 
 // ScoreAllParallelObs is ScoreAllParallel with the same observability hooks
-// as ScoresObs.
-func ScoreAllParallelObs(t Topology, bm *bitmap.Bitmap, workers int, po *parallel.Obs, scored *obs.Counter) []uint64 {
+// and the same destination rule as ScoresObs.
+func ScoreAllParallelObs(dst []uint64, t Topology, bm *bitmap.Bitmap, workers int, po *parallel.Obs, scored *obs.Counter) []uint64 {
 	bm.ChargeScan(t.Space())
-	return ScoresObs(t, bm, workers, po, scored)
+	return ScoresObs(dst, t, bm, workers, po, scored)
 }

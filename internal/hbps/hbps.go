@@ -31,6 +31,7 @@ package hbps
 
 import (
 	"fmt"
+	"slices"
 
 	"waflfs/internal/aa"
 )
@@ -65,24 +66,35 @@ func DefaultConfig() Config {
 	return Config{MaxScore: DefaultMaxScore, BinWidth: DefaultBinWidth, ListCap: DefaultListCap}
 }
 
+// bin is one histogram entry, laid out as the histogram page stores it.
+type bin struct {
+	// count is the number of tracked items whose score falls in the bin. It
+	// is accurate for ALL tracked items, listed or not.
+	count uint32
+	// listed is the number of the bin's items currently in the list.
+	listed uint32
+	// index is the list offset of the bin's first element, -1 if none.
+	index int32
+}
+
 // HBPS is the histogram-based partial sort. It is not safe for concurrent
 // use; WAFL applies updates in batches at the consistency-point boundary.
 type HBPS struct {
 	cfg     Config
 	numBins int
 
-	// counts[b] is the number of tracked items whose score falls in bin b.
-	// It is accurate for ALL tracked items, listed or not.
-	counts []uint32
-	// listed[b] is the number of items of bin b currently in the list.
-	listed []uint32
-	// index[b] is the list offset of bin b's first element, -1 if none.
-	index []int32
+	// bins is the histogram page, one entry per score range (bin 0 = best).
+	bins []bin
 	// list holds item IDs, segment by segment in bin order, compactly.
 	list []aa.ID
-	// pos maps a listed ID to its list offset. This in-memory acceleration
-	// is rebuilt on load and does not count against the two-page budget.
-	pos map[aa.ID]int32
+	// pos[id] is the list offset of item id, -1 when it is not listed; ids at
+	// or past len(pos) are not listed. Item ids are small dense integers, so
+	// the index is an array that grows to the highest id ever listed. This
+	// in-memory acceleration is rebuilt on load and does not count against
+	// the two-page budget.
+	pos []int32
+	// placed is Replenish's record of the enumeration, kept between calls.
+	placed []placedItem
 
 	total uint64 // tracked items across all bins
 
@@ -120,14 +132,11 @@ func New(cfg Config) *HBPS {
 	h := &HBPS{
 		cfg:     cfg,
 		numBins: nb,
-		counts:  make([]uint32, nb),
-		listed:  make([]uint32, nb),
-		index:   make([]int32, nb),
+		bins:    make([]bin, nb),
 		list:    make([]aa.ID, 0, cfg.ListCap),
-		pos:     make(map[aa.ID]int32, cfg.ListCap),
 	}
-	for b := range h.index {
-		h.index[b] = -1
+	for b := range h.bins {
+		h.bins[b].index = -1
 	}
 	return h
 }
@@ -167,17 +176,21 @@ func (h *HBPS) Total() uint64 { return h.total }
 func (h *HBPS) ListLen() int { return len(h.list) }
 
 // BinCount returns the histogram count of bin b.
-func (h *HBPS) BinCount(b int) uint32 { return h.counts[b] }
+func (h *HBPS) BinCount(b int) uint32 { return h.bins[b].count }
 
 // BinListed returns how many of bin b's items are in the list.
-func (h *HBPS) BinListed(b int) uint32 { return h.listed[b] }
+func (h *HBPS) BinListed(b int) uint32 { return h.bins[b].listed }
 
 // BinSnapshot returns a copy of the histogram page: every bin's tracked-item
 // count in bin order (bin 0 = best). This is the cheap scan hook the
 // fragscan analyzer uses to contrast the cache's coarse score view with the
 // bitmap-truth distribution.
 func (h *HBPS) BinSnapshot() []uint32 {
-	return append([]uint32(nil), h.counts...)
+	counts := make([]uint32, h.numBins)
+	for b := range counts {
+		counts[b] = h.bins[b].count
+	}
+	return counts
 }
 
 // EachListed visits every listed item with the bin it is filed under, in
@@ -186,11 +199,11 @@ func (h *HBPS) BinSnapshot() []uint32 {
 // claim against bitmap ground truth.
 func (h *HBPS) EachListed(yield func(id aa.ID, bin int)) {
 	for b := 0; b < h.numBins; b++ {
-		if h.listed[b] == 0 {
+		if h.bins[b].listed == 0 {
 			continue
 		}
-		first := h.index[b]
-		for i := int32(0); i < int32(h.listed[b]); i++ {
+		first := h.bins[b].index
+		for i := int32(0); i < int32(h.bins[b].listed); i++ {
 			yield(h.list[first+i], b)
 		}
 	}
@@ -198,8 +211,19 @@ func (h *HBPS) EachListed(yield func(id aa.ID, bin int)) {
 
 // Listed reports whether item id is currently in the list.
 func (h *HBPS) Listed(id aa.ID) bool {
-	_, ok := h.pos[id]
-	return ok
+	return int(id) < len(h.pos) && h.pos[id] >= 0
+}
+
+// growPos extends the position index to cover n ids, marking the new ones
+// unlisted. It takes whatever capacity append's growth policy hands out, so
+// listing ids one past the end at a time costs amortised O(1).
+func (h *HBPS) growPos(n int) {
+	old := len(h.pos)
+	h.pos = slices.Grow(h.pos, n-old)
+	h.pos = h.pos[:cap(h.pos)]
+	for i := old; i < len(h.pos); i++ {
+		h.pos[i] = -1
+	}
 }
 
 // Track starts tracking a new item with the given score, inserting it into
@@ -208,7 +232,7 @@ func (h *HBPS) Listed(id aa.ID) bool {
 func (h *HBPS) Track(id aa.ID, score uint32) {
 	h.m.Tracks++
 	b := h.Bin(score)
-	h.counts[b]++
+	h.bins[b].count++
 	h.total++
 	h.tryList(id, b)
 }
@@ -218,10 +242,10 @@ func (h *HBPS) Track(id aa.ID, score uint32) {
 func (h *HBPS) Untrack(id aa.ID, score uint32) {
 	h.m.Untracks++
 	b := h.Bin(score)
-	if h.counts[b] == 0 {
+	if h.bins[b].count == 0 {
 		panic(fmt.Sprintf("hbps: untrack underflow in bin %d", b))
 	}
-	h.counts[b]--
+	h.bins[b].count--
 	h.total--
 	if h.Listed(id) {
 		h.removeListed(id)
@@ -236,11 +260,11 @@ func (h *HBPS) Update(id aa.ID, oldScore, newScore uint32) {
 	h.m.Updates++
 	if bo != bn {
 		h.m.BinMigrations++
-		if h.counts[bo] == 0 {
+		if h.bins[bo].count == 0 {
 			panic(fmt.Sprintf("hbps: update underflow in bin %d", bo))
 		}
-		h.counts[bo]--
-		h.counts[bn]++
+		h.bins[bo].count--
+		h.bins[bn].count++
 	}
 	if h.Listed(id) {
 		if bo == bn {
@@ -279,7 +303,7 @@ func (h *HBPS) PeekBestBin() (aa.ID, int, bool) {
 // watchdog checks popped scores against this near-best bound.
 func (h *HBPS) BestTrackedBin() int {
 	for b := 0; b < h.numBins; b++ {
-		if h.counts[b] > 0 {
+		if h.bins[b].count > 0 {
 			return b
 		}
 	}
@@ -319,7 +343,7 @@ func (h *HBPS) IDOf(id aa.ID) aa.ID { return id }
 // worstListedBin returns the highest-index bin with a list segment, or -1.
 func (h *HBPS) worstListedBin() int {
 	for b := h.numBins - 1; b >= 0; b-- {
-		if h.listed[b] > 0 {
+		if h.bins[b].listed > 0 {
 			return b
 		}
 	}
@@ -342,28 +366,31 @@ func (h *HBPS) tryList(id aa.ID, b int) bool {
 	// vacancy left ("only one AA needs to be moved down from each bin").
 	h.list = append(h.list, 0)
 	for c := h.numBins - 1; c > b; c-- {
-		if h.listed[c] == 0 {
+		if h.bins[c].listed == 0 {
 			continue
 		}
-		first := h.index[c]
-		dest := first + int32(h.listed[c])
+		first := h.bins[c].index
+		dest := first + int32(h.bins[c].listed)
 		moved := h.list[first]
 		h.list[dest] = moved
 		h.pos[moved] = dest
-		h.index[c] = first + 1
+		h.bins[c].index = first + 1
 	}
 	// The vacancy now sits at the end of segment b: the prefix sum of
 	// listed counts through b.
 	var slot int32
 	for c := 0; c <= b; c++ {
-		slot += int32(h.listed[c])
+		slot += int32(h.bins[c].listed)
 	}
 	h.list[slot] = id
-	h.pos[id] = slot
-	if h.listed[b] == 0 {
-		h.index[b] = slot
+	if int(id) >= len(h.pos) {
+		h.growPos(int(id) + 1)
 	}
-	h.listed[b]++
+	h.pos[id] = slot
+	if h.bins[b].listed == 0 {
+		h.bins[b].index = slot
+	}
+	h.bins[b].listed++
 	return true
 }
 
@@ -371,21 +398,21 @@ func (h *HBPS) tryList(id aa.ID, b int) bool {
 func (h *HBPS) evictLast(w int) {
 	h.m.Evictions++
 	last := len(h.list) - 1
-	delete(h.pos, h.list[last])
+	h.pos[h.list[last]] = -1
 	h.list = h.list[:last]
-	h.listed[w]--
-	if h.listed[w] == 0 {
-		h.index[w] = -1
+	h.bins[w].listed--
+	if h.bins[w].listed == 0 {
+		h.bins[w].index = -1
 	}
 }
 
 // binOfListPos finds the bin whose segment contains list offset p.
 func (h *HBPS) binOfListPos(p int32) int {
 	for b := 0; b < h.numBins; b++ {
-		if h.listed[b] == 0 {
+		if h.bins[b].listed == 0 {
 			continue
 		}
-		if p >= h.index[b] && p < h.index[b]+int32(h.listed[b]) {
+		if p >= h.bins[b].index && p < h.bins[b].index+int32(h.bins[b].listed) {
 			return b
 		}
 	}
@@ -395,37 +422,37 @@ func (h *HBPS) binOfListPos(p int32) int {
 // removeListed removes id from the list, closing the gap by moving one
 // element per bin.
 func (h *HBPS) removeListed(id aa.ID) {
-	p, ok := h.pos[id]
-	if !ok {
+	if !h.Listed(id) {
 		panic(fmt.Sprintf("hbps: item %d not listed", id))
 	}
+	p := h.pos[id]
 	b := h.binOfListPos(p)
 	// Replace p with the last element of its own segment.
-	segLast := h.index[b] + int32(h.listed[b]) - 1
+	segLast := h.bins[b].index + int32(h.bins[b].listed) - 1
 	if p != segLast {
 		moved := h.list[segLast]
 		h.list[p] = moved
 		h.pos[moved] = p
 	}
-	h.listed[b]--
-	if h.listed[b] == 0 {
-		h.index[b] = -1
+	h.bins[b].listed--
+	if h.bins[b].listed == 0 {
+		h.bins[b].index = -1
 	}
 	// The gap is at segLast; slide one element up from each later segment.
 	gap := segLast
 	for c := b + 1; c < h.numBins; c++ {
-		if h.listed[c] == 0 {
+		if h.bins[c].listed == 0 {
 			continue
 		}
-		last := h.index[c] + int32(h.listed[c]) - 1
+		last := h.bins[c].index + int32(h.bins[c].listed) - 1
 		moved := h.list[last]
 		h.list[gap] = moved
 		h.pos[moved] = gap
-		h.index[c]--
+		h.bins[c].index--
 		gap = last
 	}
 	h.list = h.list[:len(h.list)-1]
-	delete(h.pos, id)
+	h.pos[id] = -1
 }
 
 // NeedsReplenish reports whether the list has run dry while the histogram
@@ -436,41 +463,67 @@ func (h *HBPS) NeedsReplenish() bool {
 	return len(h.list) == 0 && h.total > 0
 }
 
+// placedItem is one item of a Replenish enumeration: its id and its bin.
+type placedItem struct {
+	id  aa.ID
+	bin int32
+}
+
 // Replenish rebuilds the list (and recomputes the histogram) from an
 // authoritative enumeration of every tracked item, as the background scan
 // of the bitmap metafiles does. The iterator must yield each tracked item
 // exactly once.
+//
+// The list comes out bins in order, items in yield order within a bin, the
+// first ListCap kept: pop order breaks score ties by list position, so that
+// order is behaviour. It is a counting sort — the enumeration is recorded
+// while the histogram is counted, the counts fix where every segment starts,
+// and one pass over the record drops each item into its segment's next slot.
 func (h *HBPS) Replenish(items func(yield func(id aa.ID, score uint32))) {
 	h.m.Replenishes++
-	for b := range h.counts {
-		h.counts[b] = 0
-		h.listed[b] = 0
-		h.index[b] = -1
+	for _, id := range h.list {
+		h.pos[id] = -1
 	}
-	h.list = h.list[:0]
-	h.pos = make(map[aa.ID]int32, h.cfg.ListCap)
+	clear(h.bins)
+	// The enumeration is of the items already tracked, so their number is
+	// the size the record needs.
+	h.placed = slices.Grow(h.placed[:0], int(h.total))
 	h.total = 0
-
-	// Bucket IDs by bin, keeping at most ListCap of the best.
-	buckets := make([][]aa.ID, h.numBins)
 	items(func(id aa.ID, score uint32) {
 		b := h.Bin(score)
-		h.counts[b]++
+		h.bins[b].count++
 		h.total++
-		buckets[b] = append(buckets[b], id)
+		h.placed = append(h.placed, placedItem{id, int32(b)})
 	})
-	for b := 0; b < h.numBins && len(h.list) < h.cfg.ListCap; b++ {
-		for _, id := range buckets[b] {
-			if len(h.list) >= h.cfg.ListCap {
-				break
-			}
-			if h.listed[b] == 0 {
-				h.index[b] = int32(len(h.list))
-			}
-			h.list = append(h.list, id)
-			h.pos[id] = int32(len(h.list) - 1)
-			h.listed[b]++
+
+	// Segments start at the running sum of the counts for as long as that
+	// stays inside the list, so only the last one can be cut short.
+	end := 0
+	for b := range h.bins {
+		h.bins[b].index = -1
+		if n := h.bins[b].count; n > 0 && end < h.cfg.ListCap {
+			h.bins[b].index = int32(end)
+			end += int(n)
 		}
+	}
+	h.list = h.list[:min(end, h.cfg.ListCap)]
+	for _, it := range h.placed {
+		bin := &h.bins[it.bin]
+		if bin.index < 0 {
+			continue
+		}
+		// listed counts the bin's items placed so far; a slot past the list
+		// is the cut-short segment's overflow.
+		p := bin.index + int32(bin.listed)
+		if int(p) >= len(h.list) {
+			continue
+		}
+		h.list[p] = it.id
+		if int(it.id) >= len(h.pos) {
+			h.growPos(int(it.id) + 1)
+		}
+		h.pos[it.id] = p
+		bin.listed++
 	}
 }
 
@@ -480,21 +533,21 @@ func (h *HBPS) CheckInvariants() error {
 	var sumListed, sumCounts uint64
 	running := int32(0)
 	for b := 0; b < h.numBins; b++ {
-		sumCounts += uint64(h.counts[b])
-		sumListed += uint64(h.listed[b])
-		if h.listed[b] > h.counts[b] {
-			return fmt.Errorf("bin %d: listed %d > count %d", b, h.listed[b], h.counts[b])
+		sumCounts += uint64(h.bins[b].count)
+		sumListed += uint64(h.bins[b].listed)
+		if h.bins[b].listed > h.bins[b].count {
+			return fmt.Errorf("bin %d: listed %d > count %d", b, h.bins[b].listed, h.bins[b].count)
 		}
-		if h.listed[b] == 0 {
-			if h.index[b] != -1 {
-				return fmt.Errorf("bin %d: empty but index %d", b, h.index[b])
+		if h.bins[b].listed == 0 {
+			if h.bins[b].index != -1 {
+				return fmt.Errorf("bin %d: empty but index %d", b, h.bins[b].index)
 			}
 			continue
 		}
-		if h.index[b] != running {
-			return fmt.Errorf("bin %d: index %d, want %d (segments not compact)", b, h.index[b], running)
+		if h.bins[b].index != running {
+			return fmt.Errorf("bin %d: index %d, want %d (segments not compact)", b, h.bins[b].index, running)
 		}
-		running += int32(h.listed[b])
+		running += int32(h.bins[b].listed)
 	}
 	if sumCounts != h.total {
 		return fmt.Errorf("counts sum %d != total %d", sumCounts, h.total)
@@ -505,12 +558,18 @@ func (h *HBPS) CheckInvariants() error {
 	if len(h.list) > h.cfg.ListCap {
 		return fmt.Errorf("list len %d exceeds cap %d", len(h.list), h.cfg.ListCap)
 	}
-	if len(h.pos) != len(h.list) {
-		return fmt.Errorf("pos map size %d != list len %d", len(h.pos), len(h.list))
+	indexed := 0
+	for _, p := range h.pos {
+		if p >= 0 {
+			indexed++
+		}
+	}
+	if indexed != len(h.list) {
+		return fmt.Errorf("position index holds %d items, list %d", indexed, len(h.list))
 	}
 	for i, id := range h.list {
-		if p, ok := h.pos[id]; !ok || p != int32(i) {
-			return fmt.Errorf("pos[%d] = %d,%v; want %d", id, p, ok, i)
+		if !h.Listed(id) || h.pos[id] != int32(i) {
+			return fmt.Errorf("item %d at list offset %d is not indexed there", id, i)
 		}
 	}
 	return nil

@@ -430,6 +430,74 @@ func BenchmarkUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkHBPSUpdate is the benchmark harness's hbps.update_ns without the
+// harness: a volume of 2048 AAs, so about half of them are listed, and each
+// update moves a random AA to a random score — most cross bins and enter or
+// leave the list, which is where the position index is read and written.
+// BenchmarkUpdate above, over 2^20 items, almost never touches a listed one.
+func BenchmarkHBPSUpdate(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	h := New(DefaultConfig())
+	scores := make([]uint32, 2048)
+	for i := range scores {
+		scores[i] = uint32(rng.Intn(32769))
+		h.Track(aa.ID(i), scores[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := rng.Intn(len(scores))
+		ns := uint32(rng.Intn(32769))
+		h.Update(aa.ID(id), scores[id], ns)
+		scores[id] = ns
+	}
+}
+
+// TestWarmOpsDoNotAllocate: once the list and the position index have
+// reached their working size, the operations a CP and a pick perform are
+// array writes. A map behind the index made Update allocate on growth and
+// pay two hash operations per listed move.
+func TestWarmOpsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	h := New(DefaultConfig())
+	scores := make([]uint32, 2048)
+	for i := range scores {
+		scores[i] = uint32(rng.Intn(32769))
+		h.Track(aa.ID(i), scores[i])
+	}
+	update := func() {
+		id := rng.Intn(len(scores))
+		ns := uint32(rng.Intn(32769))
+		h.Update(aa.ID(id), scores[id], ns)
+		scores[id] = ns
+	}
+	popTrack := func() {
+		id, ok := h.PopBest()
+		if !ok {
+			t.Fatal("list ran dry")
+		}
+		h.Untrack(id, scores[id])
+		h.Track(id, scores[id])
+	}
+	for i := 0; i < 4096; i++ {
+		update()
+		popTrack()
+	}
+	if n := testing.AllocsPerRun(1000, update); n != 0 {
+		t.Errorf("Update allocates %.1f times per call on a warm structure", n)
+	}
+	if n := testing.AllocsPerRun(1000, popTrack); n != 0 {
+		t.Errorf("PopBest+Untrack+Track allocate %.1f times per cycle on a warm structure", n)
+	}
+	page := make([]byte, h.Config().MarshaledSize())
+	if n := testing.AllocsPerRun(100, func() { h.MarshalTo(page) }); n != 0 {
+		t.Errorf("MarshalTo allocates %.1f times per call", n)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkPopTrackCycle(b *testing.B) {
 	h := New(DefaultConfig())
 	for i := 0; i < 1000; i++ {

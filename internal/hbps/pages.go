@@ -49,11 +49,23 @@ func (c Config) MarshaledSize() int { return (1 + c.ListPages()) * PageSize }
 
 // Marshal serializes the structure into its page representation.
 func (h *HBPS) Marshal() []byte {
+	buf := make([]byte, h.cfg.MarshaledSize())
+	h.MarshalTo(buf)
+	return buf
+}
+
+// MarshalTo writes the page representation over buf, which must be exactly
+// Config().MarshaledSize() bytes and may hold anything: every byte is
+// rewritten, so a reused buffer comes out as a fresh one would.
+func (h *HBPS) MarshalTo(buf []byte) {
 	if h.numBins > MaxBins {
 		panic(fmt.Sprintf("hbps: %d bins exceed one histogram page (max %d)", h.numBins, MaxBins))
 	}
-	buf := make([]byte, h.cfg.MarshaledSize())
+	if len(buf) != h.cfg.MarshaledSize() {
+		panic(fmt.Sprintf("hbps: marshal into %d bytes, want %d", len(buf), h.cfg.MarshaledSize()))
+	}
 	le := binary.LittleEndian
+	clear(buf[:offBins])
 	le.PutUint32(buf[offMagic:], magic)
 	le.PutUint16(buf[offVersion:], version)
 	le.PutUint16(buf[offBinCount:], uint16(h.numBins))
@@ -62,23 +74,41 @@ func (h *HBPS) Marshal() []byte {
 	le.PutUint64(buf[offTotal:], h.total)
 	le.PutUint32(buf[offListLen:], uint32(len(h.list)))
 	le.PutUint32(buf[offListCap:], uint32(h.cfg.ListCap))
+	o := offBins
 	for b := 0; b < h.numBins; b++ {
-		o := offBins + b*binStride
-		le.PutUint32(buf[o:], h.counts[b])
-		le.PutUint32(buf[o+4:], h.listed[b])
-		le.PutUint32(buf[o+8:], uint32(h.index[b]))
+		le.PutUint32(buf[o:], h.bins[b].count)
+		le.PutUint32(buf[o+4:], h.bins[b].listed)
+		le.PutUint32(buf[o+8:], uint32(h.bins[b].index))
+		o += binStride
 	}
-	for i, id := range h.list {
-		le.PutUint32(buf[PageSize+4*i:], uint32(id))
+	clear(buf[o:PageSize])
+	o = PageSize
+	for _, id := range h.list {
+		le.PutUint32(buf[o:], uint32(id))
+		o += 4
 	}
-	return buf
+	clear(buf[o:])
 }
+
+// MaxLoadItems is the item-id ceiling Load applies when the caller gives no
+// tighter one: 2^20 AAs of 32k 4KiB blocks is a 128 TiB volume, past the
+// largest FlexVol. A listed id indexes the position array, so the ceiling
+// also bounds what a damaged page can make Load allocate (4 MiB).
+const MaxLoadItems = 1 << 20
 
 // Load reconstructs an HBPS from its page representation, rebuilding the
 // in-memory position index. It returns an error (never panics) on corrupt
 // input, so callers can fall back to a full bitmap walk, as WAFL does when
-// a TopAA metafile is damaged.
-func Load(buf []byte) (*HBPS, error) {
+// a TopAA metafile is damaged. Listed ids must lie below MaxLoadItems; a
+// caller that knows its item count should use LoadBounded.
+func Load(buf []byte) (*HBPS, error) { return LoadBounded(buf, MaxLoadItems) }
+
+// LoadBounded is Load for a structure known to track ids in [0, items): the
+// pages are rejected as corrupt if they list any other id or track more than
+// items in total. The page is untrusted, and a listed id becomes an array
+// index, so every id is checked against the bound before anything is sized
+// by it. buf is only read.
+func LoadBounded(buf []byte, items int) (*HBPS, error) {
 	if len(buf) < 2*PageSize {
 		return nil, fmt.Errorf("hbps: %d bytes, need at least two pages", len(buf))
 	}
@@ -104,18 +134,35 @@ func Load(buf []byte) (*HBPS, error) {
 	if listLen > listCap {
 		return nil, fmt.Errorf("hbps: list length %d exceeds capacity %d", listLen, listCap)
 	}
+	total := le.Uint64(buf[offTotal:])
+	if total > uint64(items) {
+		return nil, fmt.Errorf("hbps: corrupt pages: %d items tracked, at most %d exist", total, items)
+	}
+	ids := buf[PageSize : PageSize+4*listLen]
+	top := -1
+	for o := 0; o < len(ids); o += 4 {
+		id := int(le.Uint32(ids[o:]))
+		if id >= items {
+			return nil, fmt.Errorf("hbps: corrupt pages: listed item %d, ids end at %d", id, items)
+		}
+		top = max(top, id)
+	}
 	h := New(cfg)
-	h.total = le.Uint64(buf[offTotal:])
+	h.total = total
 	for b := 0; b < nb; b++ {
 		o := offBins + b*binStride
-		h.counts[b] = le.Uint32(buf[o:])
-		h.listed[b] = le.Uint32(buf[o+4:])
-		h.index[b] = int32(le.Uint32(buf[o+8:]))
+		h.bins[b].count = le.Uint32(buf[o:])
+		h.bins[b].listed = le.Uint32(buf[o+4:])
+		h.bins[b].index = int32(le.Uint32(buf[o+8:]))
 	}
-	h.list = h.list[:0]
-	for i := 0; i < listLen; i++ {
-		id := aa.ID(le.Uint32(buf[PageSize+4*i:]))
-		h.list = append(h.list, id)
+	h.growPos(top + 1)
+	h.list = h.list[:listLen]
+	for i := range h.list {
+		id := aa.ID(le.Uint32(ids[4*i:]))
+		if h.pos[id] >= 0 {
+			return nil, fmt.Errorf("hbps: corrupt pages: item %d listed twice", id)
+		}
+		h.list[i] = id
 		h.pos[id] = int32(i)
 	}
 	if err := h.CheckInvariants(); err != nil {

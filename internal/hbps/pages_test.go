@@ -2,7 +2,9 @@ package hbps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"waflfs/internal/aa"
@@ -132,6 +134,61 @@ func TestLoadDetectsDuplicateListEntries(t *testing.T) {
 	if _, err := Load(buf); err == nil {
 		t.Fatal("duplicate list entries accepted")
 	}
+}
+
+// A listed id becomes an index into the position array, so the decoder must
+// turn away one it was not told to expect before sizing anything by it, and
+// in the error class a damaged page has always had.
+func TestLoadBoundedRejectsForeignIDs(t *testing.T) {
+	h, _ := populated(7, 2000)
+	good := h.Marshal()
+	top := aa.ID(0)
+	h.EachListed(func(id aa.ID, _ int) { top = max(top, id) })
+
+	if _, err := LoadBounded(good, 2000); err != nil {
+		t.Fatalf("exact bound rejected: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		items  int
+		mutate func([]byte)
+	}{
+		"listed id at the bound":     {int(top), func([]byte) {}},
+		"more tracked than exist":    {1999, func([]byte) {}},
+		"listed id of all ones":      {2000, func(b []byte) { binary.LittleEndian.PutUint32(b[PageSize:], ^uint32(0)) }},
+		"plain Load, id of all ones": {MaxLoadItems, func(b []byte) { binary.LittleEndian.PutUint32(b[PageSize:], ^uint32(0)) }},
+		"plain Load, id at ceiling":  {MaxLoadItems, func(b []byte) { binary.LittleEndian.PutUint32(b[PageSize:], MaxLoadItems) }},
+	} {
+		buf := append([]byte(nil), good...)
+		tc.mutate(buf)
+		_, err := LoadBounded(buf, tc.items)
+		if err == nil || !strings.Contains(err.Error(), "corrupt pages") {
+			t.Errorf("%s: err = %v, want a corrupt-pages error", name, err)
+		}
+	}
+}
+
+// MarshalTo must leave a reused buffer exactly as Marshal leaves a new one:
+// the TopAA store marshals every save into one scratch image.
+func TestMarshalToRewritesEveryByte(t *testing.T) {
+	h, _ := populated(8, 3000)
+	buf := bytes.Repeat([]byte{0xa5}, h.Config().MarshaledSize())
+	h.MarshalTo(buf)
+	if !bytes.Equal(buf, h.Marshal()) {
+		t.Fatal("MarshalTo over a dirty buffer differs from Marshal")
+	}
+	for h.ListLen() > 10 { // a shorter list must not leave the old tail behind
+		h.PopBest()
+	}
+	h.MarshalTo(buf)
+	if !bytes.Equal(buf, h.Marshal()) {
+		t.Fatal("MarshalTo left stale list entries behind")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MarshalTo accepted a buffer of the wrong size")
+		}
+	}()
+	h.MarshalTo(buf[:PageSize])
 }
 
 func BenchmarkMarshal(b *testing.B) {

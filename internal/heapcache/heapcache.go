@@ -32,6 +32,9 @@ type Cache struct {
 	heap []Entry
 	// pos maps AA id -> index in heap, or -1 when the AA is not tracked.
 	pos []int32
+	// cands is AppendTopK's candidate heap (indices into heap), kept between
+	// calls; only a cache whose top is exported ever allocates it.
+	cands []int32
 
 	m Metrics
 }
@@ -59,7 +62,9 @@ func New(numAAs int) *Cache {
 	if numAAs <= 0 {
 		panic("heapcache: numAAs must be positive")
 	}
-	c := &Cache{pos: make([]int32, numAAs)}
+	// The heap is sized for every AA up front: a TopAA seed fills half of it
+	// and the background walk the rest, without regrowing on the way.
+	c := &Cache{heap: make([]Entry, 0, numAAs), pos: make([]int32, numAAs)}
 	for i := range c.pos {
 		c.pos[i] = -1
 	}
@@ -70,7 +75,7 @@ func New(numAAs int) *Cache {
 // O(n) (heapify), as a cache rebuild from a bitmap walk does.
 func NewFromScores(scores []uint64) *Cache {
 	c := New(len(scores))
-	c.heap = make([]Entry, len(scores))
+	c.heap = c.heap[:len(scores)]
 	for i, s := range scores {
 		c.heap[i] = Entry{ID: aa.ID(i), Score: s}
 		c.pos[i] = int32(i)
@@ -236,37 +241,81 @@ func (c *Cache) TopK(k int) []Entry {
 	if k <= 0 || len(c.heap) == 0 {
 		return nil
 	}
+	return c.AppendTopK(make([]Entry, 0, min(k, len(c.heap))), k)
+}
+
+// AppendTopK appends what TopK(k) returns to dst and returns the extended
+// slice; with room in dst it allocates nothing, which is how the TopAA store
+// exports the heap at every CP.
+//
+// It is a partial traversal of the heap: a candidate max-heap of heap indices
+// starts at the root, and every entry taken from it offers its two children.
+// A child never outranks its parent, so the candidates always contain the
+// next entry in rank order; k entries cost O(k log k) however large the heap
+// is. The candidates live in a scratch slice the cache keeps, so AppendTopK
+// is a mutation as far as concurrent use is concerned.
+func (c *Cache) AppendTopK(dst []Entry, k int) []Entry {
 	if k > len(c.heap) {
 		k = len(c.heap)
 	}
-	// Partial heap traversal using a candidate max-heap of heap indices.
-	type cand struct{ idx int }
-	cands := []cand{{0}}
-	less := func(a, b cand) bool { return higher(c.heap[b.idx], c.heap[a.idx]) }
-	pop := func() cand {
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			if less(cands[best], cands[i]) {
-				best = i
-			}
-		}
-		out := cands[best]
-		cands[best] = cands[len(cands)-1]
-		cands = cands[:len(cands)-1]
-		return out
+	if k <= 0 {
+		return dst
 	}
-	out := make([]Entry, 0, k)
-	for len(out) < k && len(cands) > 0 {
-		top := pop()
-		out = append(out, c.heap[top.idx])
-		if l := 2*top.idx + 1; l < len(c.heap) {
-			cands = append(cands, cand{l})
+	// Each pop removes one candidate and adds at most two, from one: k+1
+	// bounds the candidates before the k-th pop.
+	if cap(c.cands) < k+1 {
+		c.cands = make([]int32, 0, k+1)
+	}
+	cands := append(c.cands[:0], 0)
+	for ; k > 0; k-- {
+		top := cands[0]
+		dst = append(dst, c.heap[top])
+		// The left child takes the root's place if there is one, else the
+		// last candidate does; the right child is a push.
+		if l := 2*top + 1; int(l) < len(c.heap) {
+			cands[0] = l
+		} else {
+			last := len(cands) - 1
+			cands[0] = cands[last]
+			cands = cands[:last]
 		}
-		if r := 2*top.idx + 2; r < len(c.heap) {
-			cands = append(cands, cand{r})
+		c.candDown(cands, 0)
+		if r := 2*top + 2; int(r) < len(c.heap) {
+			cands = append(cands, r)
+			c.candUp(cands, len(cands)-1)
 		}
 	}
-	return out
+	return dst
+}
+
+// candUp and candDown are siftUp and siftDown for AppendTopK's candidate
+// heap, whose elements are indices into c.heap ranked by the entries there.
+func (c *Cache) candUp(cands []int32, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !higher(c.heap[cands[i]], c.heap[cands[parent]]) {
+			return
+		}
+		cands[i], cands[parent] = cands[parent], cands[i]
+		i = parent
+	}
+}
+
+func (c *Cache) candDown(cands []int32, i int) {
+	for {
+		l, r, best := 2*i+1, 2*i+2, i
+		if l < len(cands) && higher(c.heap[cands[l]], c.heap[cands[best]]) {
+			best = l
+		}
+		if r < len(cands) && higher(c.heap[cands[r]], c.heap[cands[best]]) {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		cands[i], cands[best] = cands[best], cands[i]
+		i = best
+	}
 }
 
 // higher reports whether a has strictly higher priority than b: greater

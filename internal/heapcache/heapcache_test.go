@@ -296,3 +296,95 @@ func TestSecondMatchesBestAfterPop(t *testing.T) {
 		t.Fatal("Second() on empty heap reported an entry")
 	}
 }
+
+// sortedTop is the oracle for TopK: the first k of a full sort of the
+// tracked entries by (score descending, id ascending).
+func sortedTop(c *Cache, k int) []Entry {
+	all := c.Entries()
+	sort.Slice(all, func(i, j int) bool { return higher(all[i], all[j]) })
+	if k > len(all) {
+		k = len(all)
+	}
+	if k <= 0 {
+		return nil
+	}
+	return all[:k]
+}
+
+// TestTopKMatchesFullSort holds the partial traversal to the oracle, element
+// for element, on heaps with heavy score ties (ties break to the lower id,
+// and the TopAA block is written in this order), at the edge values of k,
+// across random mutations, and checks it leaves the heap as it found it.
+func TestTopKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(300)
+		distinct := 1 + rng.Intn(6) // few scores, many ties
+		scores := make([]uint64, n)
+		for i := range scores {
+			scores[i] = uint64(rng.Intn(distinct))
+		}
+		c := NewFromScores(scores)
+		for round := 0; round < 6; round++ {
+			for _, k := range []int{0, 1, c.Len() - 1, c.Len(), c.Len() + 5, raidAwareTop} {
+				want := sortedTop(c, k)
+				got := c.TopK(k)
+				if len(got) != len(want) {
+					t.Fatalf("trial %d: TopK(%d) of %d returned %d entries, want %d", trial, k, c.Len(), len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d: TopK(%d)[%d] = %v, want %v", trial, k, i, got[i], want[i])
+					}
+				}
+				// The append form extends what it is given and leaves it alone.
+				prefix := []Entry{{ID: 7, Score: 7}}
+				ext := c.AppendTopK(prefix, k)
+				if len(ext) != 1+len(want) || ext[0] != prefix[0] {
+					t.Fatalf("trial %d: AppendTopK(%d) disturbed its destination", trial, k)
+				}
+				for i := range want {
+					if ext[1+i] != want[i] {
+						t.Fatalf("trial %d: AppendTopK(%d)[%d] = %v, want %v", trial, k, i, ext[1+i], want[i])
+					}
+				}
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("trial %d: TopK disturbed the heap: %v", trial, err)
+			}
+			for op := 0; op < 50; op++ {
+				id := aa.ID(rng.Intn(n))
+				switch rng.Intn(3) {
+				case 0:
+					if c.Tracked(id) {
+						c.Update(id, uint64(rng.Intn(distinct)))
+					}
+				case 1:
+					c.PopBest()
+				case 2:
+					c.Insert(id, uint64(rng.Intn(distinct)))
+				}
+			}
+		}
+	}
+}
+
+// raidAwareTop is the k the TopAA store asks for (topaa.RAIDAwareEntries).
+const raidAwareTop = 512
+
+// BenchmarkTopK512of1024 prices the export of one RAID group's TopAA block:
+// the 512 best of 1024 AAs, into a reused destination, as every CP does.
+func BenchmarkTopK512of1024(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	scores := make([]uint64, 1024)
+	for i := range scores {
+		scores[i] = uint64(rng.Intn(768))
+	}
+	c := NewFromScores(scores)
+	var dst []Entry
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = c.AppendTopK(dst[:0], raidAwareTop)
+	}
+}

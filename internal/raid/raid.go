@@ -17,6 +17,7 @@
 package raid
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"slices"
 
@@ -277,24 +278,30 @@ func BuildTetrises(g Geometry, vbns []block.VBN) []TetrisIO {
 	return new(TetrisBuilder).Build(g, vbns)
 }
 
-// XORParity computes the byte-wise XOR parity of equal-length chunks — the
-// RAID 4 parity rule at sub-block granularity. Metafile blocks persist one
-// parity chunk per 4KiB block so that a single damaged or unreadable chunk
-// can be rebuilt without falling back to recomputing the caches from the
-// bitmaps. It panics on no chunks or mismatched lengths (a programming
+// XORInto folds src into dst, dst[i] ^= src[i] — one step of the RAID 4
+// parity rule at sub-block granularity, a machine word or a vector at a time
+// (crypto/subtle's kernel). A caller that keeps a parity buffer accumulates
+// into it without allocating. It panics on mismatched lengths (a programming
 // error, like Geometry misuse).
+func XORInto(dst, src []byte) {
+	if len(src) != len(dst) {
+		panic(fmt.Sprintf("raid: XOR parity chunk length %d != %d", len(src), len(dst)))
+	}
+	subtle.XORBytes(dst, dst, src)
+}
+
+// XORParity computes the XOR parity of equal-length chunks into a new
+// buffer. Metafile blocks persist one parity chunk per 4KiB block so that a
+// single damaged or unreadable chunk can be rebuilt without falling back to
+// recomputing the caches from the bitmaps. It panics on no chunks or
+// mismatched lengths.
 func XORParity(chunks ...[]byte) []byte {
 	if len(chunks) == 0 {
 		panic("raid: XOR parity of zero chunks")
 	}
 	out := append([]byte(nil), chunks[0]...)
 	for _, c := range chunks[1:] {
-		if len(c) != len(out) {
-			panic(fmt.Sprintf("raid: XOR parity chunk length %d != %d", len(c), len(out)))
-		}
-		for i, b := range c {
-			out[i] ^= b
-		}
+		XORInto(out, c)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package topaa
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"waflfs/internal/aa"
@@ -44,15 +45,25 @@ func FuzzLoadRAIDAware(f *testing.F) {
 }
 
 // FuzzLoadAgnostic asserts the RAID-agnostic (HBPS page) decoder never
-// panics and only yields structures whose invariants hold.
+// panics and only yields structures whose invariants hold, listing each id
+// once and none the decoder's bound excludes — a listed id indexes an array,
+// so a page must not be able to name one the loader will not index.
 func FuzzLoadAgnostic(f *testing.F) {
 	h := hbps.New(hbps.DefaultConfig())
 	for i := 0; i < 500; i++ {
 		h.Track(aa.ID(i), uint32(i%32769))
 	}
-	f.Add(h.Marshal())
+	good := h.Marshal()
+	f.Add(good)
 	f.Add([]byte{})
 	f.Add(make([]byte, 2*hbps.PageSize))
+	// The list page starts the second page, four bytes an id.
+	outOfRange := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(outOfRange[hbps.PageSize:], ^uint32(0))
+	f.Add(outOfRange)
+	duplicate := append([]byte(nil), good...)
+	copy(duplicate[hbps.PageSize+4:hbps.PageSize+8], duplicate[hbps.PageSize:])
+	f.Add(duplicate)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := hbps.Load(data)
 		if err != nil {
@@ -61,5 +72,12 @@ func FuzzLoadAgnostic(f *testing.F) {
 		if err := got.CheckInvariants(); err != nil {
 			t.Fatalf("decoded HBPS violates invariants: %v", err)
 		}
+		seen := make(map[aa.ID]bool, got.ListLen())
+		got.EachListed(func(id aa.ID, _ int) {
+			if id >= hbps.MaxLoadItems || seen[id] {
+				t.Fatalf("decoded list holds id %d (out of bound, or twice)", id)
+			}
+			seen[id] = true
+		})
 	})
 }

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 
@@ -108,22 +109,32 @@ func (o LoadOutcome) String() string {
 // fields — e.g. an AA configured larger than 2^32-1 blocks — so the CP
 // persist path can degrade to "no metafile" instead of crashing.
 func MarshalRAIDAware(entries []heapcache.Entry) ([]byte, error) {
+	buf := make([]byte, block.BlockSize)
+	if err := marshalRAIDAwareTo(buf, entries); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// marshalRAIDAwareTo is MarshalRAIDAware over a caller-owned block; every
+// byte of buf is rewritten.
+func marshalRAIDAwareTo(buf []byte, entries []heapcache.Entry) error {
 	if len(entries) > RAIDAwareEntries {
 		entries = entries[:RAIDAwareEntries]
 	}
-	buf := make([]byte, block.BlockSize)
 	le := binary.LittleEndian
-	for i := range buf[:] {
-		buf[i] = 0xff // invalid-fill: empty slots read back as invalidID
-	}
 	for i, e := range entries {
 		if uint64(e.ID) >= uint64(invalidID) || e.Score > uint64(^uint32(0)) {
-			return nil, fmt.Errorf("topaa: entry (%d,%d) does not fit 32-bit encoding", e.ID, e.Score)
+			return fmt.Errorf("topaa: entry (%d,%d) does not fit 32-bit encoding", e.ID, e.Score)
 		}
 		le.PutUint32(buf[8*i:], uint32(e.ID))
 		le.PutUint32(buf[8*i+4:], uint32(e.Score))
 	}
-	return buf, nil
+	tail := buf[8*len(entries) : block.BlockSize]
+	for i := range tail {
+		tail[i] = 0xff // invalid-fill: empty slots read back as invalidID
+	}
+	return nil
 }
 
 // LoadRAIDAware decodes a RAID-aware TopAA block. It validates that entries
@@ -135,28 +146,34 @@ func LoadRAIDAware(buf []byte) ([]heapcache.Entry, error) {
 		return nil, fmt.Errorf("topaa: RAID-aware block is %d bytes, want %d", len(buf), block.BlockSize)
 	}
 	le := binary.LittleEndian
-	var out []heapcache.Entry
-	seen := make(map[aa.ID]bool)
-	ended := false
-	for i := 0; i < RAIDAwareEntries; i++ {
-		id := le.Uint32(buf[8*i:])
-		score := le.Uint32(buf[8*i+4:])
-		if id == invalidID {
-			ended = true
-			continue
-		}
-		if ended {
+	n := 0
+	for n < RAIDAwareEntries && le.Uint32(buf[8*n:]) != invalidID {
+		n++
+	}
+	for i := n; i < RAIDAwareEntries; i++ {
+		if le.Uint32(buf[8*i:]) != invalidID {
 			return nil, errors.New("topaa: entry after terminator")
 		}
-		e := heapcache.Entry{ID: aa.ID(id), Score: uint64(score)}
-		if seen[e.ID] {
-			return nil, fmt.Errorf("topaa: duplicate AA %d", e.ID)
-		}
-		seen[e.ID] = true
-		if n := len(out); n > 0 && out[n-1].Score < e.Score {
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	// The block cannot know its group's AA count, so duplicates are found by
+	// sorting the ids (at most 512, on the stack), not by indexing on them.
+	var ids [RAIDAwareEntries]uint32
+	out := make([]heapcache.Entry, n)
+	for i := range out {
+		ids[i] = le.Uint32(buf[8*i:])
+		out[i] = heapcache.Entry{ID: aa.ID(ids[i]), Score: uint64(le.Uint32(buf[8*i+4:]))}
+		if i > 0 && out[i-1].Score < out[i].Score {
 			return nil, errors.New("topaa: scores not descending")
 		}
-		out = append(out, e)
+	}
+	slices.Sort(ids[:n])
+	for i := 1; i < n; i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("topaa: duplicate AA %d", ids[i])
+		}
 	}
 	return out, nil
 }
@@ -168,12 +185,28 @@ type protBlock struct {
 	crcs             [block.ChunksPerBlock]uint32
 	gens             [block.ChunksPerBlock]uint64
 	unreadable       [block.ChunksPerBlock]bool
-	parity           []byte
+	parity           [block.ChunkSize]byte
 	parityCRC        uint32
 	parityUnreadable bool
 }
 
-// metafile is one named block run plus its protection.
+// protect recomputes the protection of one 4KiB block whose contents are now
+// blk, written whole at gen. Nothing of the previous protection survives —
+// media-error marks included, since the chunks were just rewritten — so a
+// block protected in place is indistinguishable from a new one.
+func (pb *protBlock) protect(blk []byte, gen uint64) {
+	*pb = protBlock{}
+	for c := 0; c < block.ChunksPerBlock; c++ {
+		ch := blk[c*block.ChunkSize : (c+1)*block.ChunkSize]
+		pb.crcs[c] = crc32.ChecksumIEEE(ch)
+		pb.gens[c] = gen
+		raid.XORInto(pb.parity[:], ch)
+	}
+	pb.parityCRC = crc32.ChecksumIEEE(pb.parity[:])
+}
+
+// metafile is one named block run plus its protection. It is a fixed-size
+// object: a save of the same size rewrites it where it is.
 type metafile struct {
 	data []byte
 	prot []protBlock
@@ -181,28 +214,19 @@ type metafile struct {
 
 func (m *metafile) nblocks() int { return len(m.data) / block.BlockSize }
 
-// protectBlock computes fresh protection for one 4KiB block at gen.
-func protectBlock(blk []byte, gen uint64) protBlock {
-	var pb protBlock
-	chunks := make([][]byte, block.ChunksPerBlock)
-	for c := 0; c < block.ChunksPerBlock; c++ {
-		ch := blk[c*block.ChunkSize : (c+1)*block.ChunkSize]
-		chunks[c] = ch
-		pb.crcs[c] = crc32.ChecksumIEEE(ch)
-		pb.gens[c] = gen
+// overwrite replaces the whole image with data (of the metafile's size),
+// protected at gen.
+func (m *metafile) overwrite(data []byte, gen uint64) {
+	copy(m.data, data)
+	for b := range m.prot {
+		m.prot[b].protect(m.data[b*block.BlockSize:(b+1)*block.BlockSize], gen)
 	}
-	pb.parity = raid.XORParity(chunks...)
-	pb.parityCRC = crc32.ChecksumIEEE(pb.parity)
-	return pb
 }
 
 // newMetafile builds a fully protected metafile for data at gen.
 func newMetafile(data []byte, gen uint64) *metafile {
-	m := &metafile{data: append([]byte(nil), data...)}
-	m.prot = make([]protBlock, m.nblocks())
-	for b := range m.prot {
-		m.prot[b] = protectBlock(m.data[b*block.BlockSize:(b+1)*block.BlockSize], gen)
-	}
+	m := &metafile{data: make([]byte, len(data)), prot: make([]protBlock, len(data)/block.BlockSize)}
+	m.overwrite(data, gen)
 	return m
 }
 
@@ -221,7 +245,10 @@ type RecoveryStats struct {
 // with the store's CP generation, and routes saves through an optional
 // fault injector. All methods are safe for concurrent use: parallel mount
 // rebuilds load every space's metafile from worker shards, and each key is
-// owned by exactly one space.
+// owned by exactly one space. Saves marshal into scratch the store owns and
+// loads decode straight from the metafile's bytes, both under the store's
+// lock, so concurrent loads take turns on a decode of a few microseconds
+// instead of each copying the image out first.
 type Store struct {
 	mu     sync.Mutex
 	blocks map[string]*metafile
@@ -233,6 +260,11 @@ type Store struct {
 	rec RecoveryStats
 
 	inj *faultinject.Injector // nil = no faults
+
+	// Save scratch, touched only under mu: the image being marshalled and
+	// the heap's exported top. A steady-state save allocates nothing.
+	image []byte
+	topk  []heapcache.Entry
 }
 
 // NewStore creates an empty metafile store.
@@ -264,30 +296,44 @@ func (s *Store) Generation() uint64 {
 	return s.gen
 }
 
-// save persists data (a multiple of the block size) under name, applying
-// the injector's verdict: dropped saves never reach the map, torn saves
-// land only their first k chunks over the previous image.
-func (s *Store) save(name string, data []byte) {
-	nblocks := len(data) / block.BlockSize
-	s.mu.Lock()
-	inj := s.inj
-	s.mu.Unlock()
-	// The injector has its own lock and ApplyDamage calls back into the
-	// store, so consult it without holding s.mu.
-	dec := inj.OnSave(name, nblocks*block.ChunksPerBlock)
+// scratchLocked returns the store's image scratch sized to n bytes.
+func (s *Store) scratchLocked(n int) []byte {
+	if cap(s.image) < n {
+		s.image = make([]byte, n)
+	}
+	return s.image[:n]
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// saveLocked persists data (a multiple of the block size, in the store's
+// scratch) under name, applying the injector's verdict: dropped saves never
+// reach the map, torn saves land only their first k chunks over the previous
+// image. A whole save over a metafile of the same size rewrites it in place.
+// s.mu is held on entry and on return.
+func (s *Store) saveLocked(name string, data []byte) {
+	nblocks := len(data) / block.BlockSize
+	var dec faultinject.SaveDecision
+	if inj := s.inj; inj != nil {
+		// The injector has its own lock and ApplyDamage calls back into the
+		// store, so consult it without holding s.mu — and the scratch is
+		// this save's only while the lock is held, so take a copy along.
+		data = append([]byte(nil), data...)
+		s.mu.Unlock()
+		dec = inj.OnSave(name, nblocks*block.ChunksPerBlock)
+		s.mu.Lock()
+	}
 	if dec.Drop {
 		return
 	}
+	s.writes += uint64(nblocks)
 	if dec.TornChunks > 0 {
 		s.tornWriteLocked(name, data, dec.TornChunks)
-		s.writes += uint64(nblocks)
+		return
+	}
+	if m := s.blocks[name]; m != nil && len(m.data) == len(data) {
+		m.overwrite(data, s.gen)
 		return
 	}
 	s.blocks[name] = newMetafile(data, s.gen)
-	s.writes += uint64(nblocks)
 }
 
 // tornWriteLocked lands only the first k chunks of data over the previous
@@ -310,14 +356,14 @@ func (s *Store) tornWriteLocked(name string, data []byte, k int) {
 	s.blocks[name] = old
 }
 
-// load reads the named metafile, verifying every chunk. A single bad chunk
-// per block is rebuilt from parity and repaired in place; anything worse —
-// or mixed/stale generations — fails with the matching sentinel error. The
-// failed probe of a missing metafile charges one block read; a present
-// metafile charges one read per block.
-func (s *Store) load(name string) ([]byte, LoadOutcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// loadLocked reads the named metafile, verifying every chunk. A single bad
+// chunk per block is rebuilt from parity and repaired in place; anything
+// worse — or mixed/stale generations — fails with the matching sentinel
+// error. The failed probe of a missing metafile charges one block read; a
+// present metafile charges one read per block. The bytes returned are the
+// metafile's own, not a copy: the caller holds s.mu, only reads them, and
+// is done with them before it unlocks.
+func (s *Store) loadLocked(name string) ([]byte, LoadOutcome, error) {
 	m, ok := s.blocks[name]
 	if !ok {
 		s.reads++ // the probe that discovers the miss is a real I/O
@@ -340,7 +386,7 @@ func (s *Store) load(name string) ([]byte, LoadOutcome, error) {
 		if len(bad) == 0 {
 			continue
 		}
-		if len(bad) > 1 || pb.parityUnreadable || crc32.ChecksumIEEE(pb.parity) != pb.parityCRC {
+		if len(bad) > 1 || pb.parityUnreadable || crc32.ChecksumIEEE(pb.parity[:]) != pb.parityCRC {
 			s.rec.DamagedLoads++
 			return nil, LoadFailed, fmt.Errorf("%w: %q block %d: %d bad chunks, parity lost=%v",
 				ErrDamaged, name, b, len(bad), pb.parityUnreadable)
@@ -352,7 +398,7 @@ func (s *Store) load(name string) ([]byte, LoadOutcome, error) {
 				survivors = append(survivors, blk[o*block.ChunkSize:(o+1)*block.ChunkSize])
 			}
 		}
-		rebuilt := raid.XORReconstruct(pb.parity, survivors...)
+		rebuilt := raid.XORReconstruct(pb.parity[:], survivors...)
 		if crc32.ChecksumIEEE(rebuilt) != pb.crcs[c] {
 			s.rec.DamagedLoads++
 			return nil, LoadFailed, fmt.Errorf("%w: %q block %d chunk %d failed checksum after reconstruction",
@@ -385,7 +431,7 @@ func (s *Store) load(name string) ([]byte, LoadOutcome, error) {
 	if reconstructed {
 		out = LoadReconstructed
 	}
-	return append([]byte(nil), m.data...), out, nil
+	return m.data, out, nil
 }
 
 // SaveRAIDAware persists the cache's 512 best AAs under name. This runs at
@@ -394,30 +440,31 @@ func (s *Store) load(name string) ([]byte, LoadOutcome, error) {
 // image is removed so the next mount detectably falls back to a bitmap
 // walk — and the error is returned for accounting.
 func (s *Store) SaveRAIDAware(name string, c *heapcache.Cache) error {
-	buf, err := MarshalRAIDAware(c.TopK(RAIDAwareEntries))
-	if err != nil {
-		s.mu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.topk = c.AppendTopK(s.topk[:0], RAIDAwareEntries)
+	buf := s.scratchLocked(block.BlockSize)
+	if err := marshalRAIDAwareTo(buf, s.topk); err != nil {
 		s.rec.SaveErrors++
 		delete(s.blocks, name)
-		s.mu.Unlock()
 		return err
 	}
-	s.save(name, buf)
+	s.saveLocked(name, buf)
 	return nil
 }
 
 // LoadRAIDAware reads the named block and decodes the seed entries,
 // charging one block read (or one for the failed probe).
 func (s *Store) LoadRAIDAware(name string) ([]heapcache.Entry, LoadOutcome, error) {
-	buf, outcome, err := s.load(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buf, outcome, err := s.loadLocked(name)
 	if err != nil {
 		return nil, LoadFailed, err
 	}
 	entries, err := LoadRAIDAware(buf)
 	if err != nil {
-		s.mu.Lock()
 		s.rec.DamagedLoads++
-		s.mu.Unlock()
 		return nil, LoadFailed, fmt.Errorf("%w: %v", ErrDamaged, err)
 	}
 	return entries, outcome, nil
@@ -425,21 +472,34 @@ func (s *Store) LoadRAIDAware(name string) ([]heapcache.Entry, LoadOutcome, erro
 
 // SaveAgnostic persists an HBPS verbatim (two or more blocks) under name.
 func (s *Store) SaveAgnostic(name string, h *hbps.HBPS) {
-	s.save(name, h.Marshal())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buf := s.scratchLocked(h.Config().MarshaledSize())
+	h.MarshalTo(buf)
+	s.saveLocked(name, buf)
 }
 
 // LoadAgnostic reads and reconstructs the named HBPS, charging one read per
-// block (or one for the failed probe).
+// block (or one for the failed probe). Listed ids are held to
+// hbps.MaxLoadItems; a caller that knows how many items the structure tracks
+// should use LoadAgnosticBounded.
 func (s *Store) LoadAgnostic(name string) (*hbps.HBPS, LoadOutcome, error) {
-	buf, outcome, err := s.load(name)
+	return s.LoadAgnosticBounded(name, hbps.MaxLoadItems)
+}
+
+// LoadAgnosticBounded is LoadAgnostic for an HBPS known to track ids in
+// [0, items): an image that lists any other id, or tracks more than items,
+// is damaged (hbps.LoadBounded).
+func (s *Store) LoadAgnosticBounded(name string, items int) (*hbps.HBPS, LoadOutcome, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buf, outcome, err := s.loadLocked(name)
 	if err != nil {
 		return nil, LoadFailed, err
 	}
-	h, err := hbps.Load(buf)
+	h, err := hbps.LoadBounded(buf, items)
 	if err != nil {
-		s.mu.Lock()
 		s.rec.DamagedLoads++
-		s.mu.Unlock()
 		return nil, LoadFailed, fmt.Errorf("%w: %v", ErrDamaged, err)
 	}
 	return h, outcome, nil

@@ -287,7 +287,7 @@ func (ag *Aggregate) commitSealed(idleFoldRows bool) CPStats {
 	ag.faults.EnterPhase(faultinject.PhaseTopAAGroups)
 	for i, g := range ag.groups {
 		st.DeviceBusy += busy[i]
-		if err := ag.store.SaveRAIDAware(topaaGroupKey(g.Index), g.cache); err != nil {
+		if err := ag.store.SaveRAIDAware(g.key, g.cache); err != nil {
 			// Unencodable cache: the save degraded to "no metafile"; the
 			// next mount walks the bitmap instead of crashing the CP here.
 			ag.st.Emit("cp.topaa", g.Index, "save_error", 0, 0)
@@ -331,8 +331,6 @@ func (ag *Aggregate) commitSealed(idleFoldRows bool) CPStats {
 	ag.cpTot.add(st)
 	return st
 }
-
-func topaaGroupKey(index int) string { return fmt.Sprintf("rg%d", index) }
 
 // MountOutcome classifies how one space's AA cache came back at mount.
 type MountOutcome int
@@ -496,7 +494,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		outcome := MountBitmapWalk
 		rebuilt := false
 		if useTopAA {
-			entries, loadOutcome, err := ag.store.LoadRAIDAware(topaaGroupKey(g.Index))
+			entries, loadOutcome, err := ag.store.LoadRAIDAware(g.key)
 			if err == nil {
 				// The block's structural checks cannot know this group's AA
 				// count; validate against the topology here and treat
@@ -529,10 +527,10 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			}
 		}
 		if !rebuilt {
-			scores := aa.ScoreAllParallelObs(g.topo, ag.bm, workers, ag.pobs, ag.scoredAAs)
-			g.cache = heapcache.NewFromScores(scores)
+			g.scores = aa.ScoreAllParallelObs(g.scores, g.topo, ag.bm, workers, ag.pobs, ag.scoredAAs)
+			g.cache = heapcache.NewFromScores(g.scores)
 			g.seedOnly = false
-			groupStats[i].inserts += uint64(len(scores))
+			groupStats[i].inserts += uint64(len(g.scores))
 		}
 		resetPicks(g.as, g.q, g.cache)
 		groupStats[i].outcome = outcome
@@ -562,16 +560,23 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		outcome := MountBitmapWalk
 		rebuilt := false
 		if useTopAA {
-			h, loadOutcome, err := ag.store.LoadAgnostic(names[i])
-			if err == nil {
+			// The decoder holds listed ids to this space's AA count; an image
+			// that verifies but describes some other space — a different
+			// geometry, or not one tracked item per AA — is damage too, found
+			// here and not inside a later pick.
+			h, loadOutcome, err := ag.store.LoadAgnosticBounded(names[i], sp.topo.NumAAs())
+			switch {
+			case err != nil:
+				outcome = classifyLoadError(err)
+			case h.Config() != sp.cache.Config() || h.Total() != uint64(sp.topo.NumAAs()):
+				outcome = MountDamageFallback
+			default:
 				sp.cache = h
 				rebuilt = true
 				outcome = MountCleanLoad
 				if loadOutcome == topaa.LoadReconstructed {
 					outcome = MountReconstructed
 				}
-			} else {
-				outcome = classifyLoadError(err)
 			}
 		}
 		if !rebuilt {
@@ -610,7 +615,7 @@ func (ag *Aggregate) CompleteBackgroundFill() uint64 {
 		if !g.seedOnly {
 			continue
 		}
-		scores := aa.ScoreAllParallelObs(g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
+		g.scores = aa.ScoreAllParallelObs(g.scores, g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
 		for id := 0; id < g.topo.NumAAs(); id++ {
 			if g.curValid && aa.ID(id) == g.curAA {
 				continue // held by the allocator; reinserted at finishAA
@@ -619,7 +624,7 @@ func (ag *Aggregate) CompleteBackgroundFill() uint64 {
 				continue // staged in a shard queue at its frozen seed score
 			}
 			if !g.cache.Tracked(aa.ID(id)) {
-				g.cache.Insert(aa.ID(id), scores[id])
+				g.cache.Insert(aa.ID(id), g.scores[id])
 				// The bitmap score already reflects any deltas that were
 				// pending while the AA was untracked.
 				g.deltas.delete(aa.ID(id))
@@ -640,12 +645,12 @@ func (ag *Aggregate) RepairTopAA() int {
 	repaired := 0
 	for _, g := range ag.groups {
 		g.finishAA(ag.bm)
-		scores := aa.ScoreAllParallelObs(g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
-		g.cache = heapcache.NewFromScores(scores)
+		g.scores = aa.ScoreAllParallelObs(g.scores, g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
+		g.cache = heapcache.NewFromScores(g.scores)
 		g.seedOnly = false
 		g.deltas.clear()
 		g.flushDeltas.clear()
-		err := ag.store.SaveRAIDAware(topaaGroupKey(g.Index), g.cache)
+		err := ag.store.SaveRAIDAware(g.key, g.cache)
 		// Rebind the pick queue to the repaired cache after the save, so the
 		// metafile holds the complete score set.
 		resetPicks(g.as, g.q, g.cache)

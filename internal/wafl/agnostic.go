@@ -25,7 +25,8 @@ type agnosticSpace struct {
 
 	cache        *hbps.HBPS
 	cacheEnabled bool
-	workers      int // fan-out knob for replenish walks (Tunables.Workers)
+	workers      int      // fan-out knob for replenish walks (Tunables.Workers)
+	scores       []uint64 // replenish's walk scores into this, every time
 
 	// The pick path (allocctx.go): q stages the HBPS list's front into
 	// per-shard batches — at depth 0, AllocShards ≤ 1, it is the list's own
@@ -189,9 +190,9 @@ func (s *agnosticSpace) replenish() {
 	s.deltas.clear()
 	s.flushDeltas.clear()
 	s.as.clearLedgers()
-	scores := aa.ScoresObs(s.topo, s.bm, s.workers, s.pobs, s.scored)
+	s.scores = aa.ScoresObs(s.scores, s.topo, s.bm, s.workers, s.pobs, s.scored)
 	s.cache.Replenish(func(yield func(aa.ID, uint32)) {
-		for id, sc := range scores {
+		for id, sc := range s.scores {
 			yield(aa.ID(id), uint32(sc))
 		}
 	})

@@ -3,6 +3,7 @@
 package wafl
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,33 +12,38 @@ import (
 
 // steadyStateCPAllocCeiling is the most heap allocations one steady-state
 // round — 4096 two-block overwrites and the CP that commits them — may make,
-// in either mode below. It is twice what the round measured when the write
-// buffer, refcounts, delta ledgers, dirty-page sets and tetris scratch left
-// the hash maps (37 at depth 1, 39 sharded at depth 2: the TopAA encoding of
-// three metafiles and commitSealed's per-CP slices, nothing per block). The
-// map-backed substrate made about 9300 on the same round, so a per-CP or
-// per-block make() coming back fails here, in tier-1, rather than in the
-// benchmark.
-const steadyStateCPAllocCeiling = 80
+// in either write-path mode below. It is twice what the round measures (8 at
+// depth 1, 10 sharded at depth 2: commitSealed's per-CP slices and fan-out
+// closures; the three TopAA saves rewrite their metafiles in place and
+// allocate nothing). The allocate-fresh saves made 37 of this round and the
+// map-backed substrate before them about 9300, so a per-CP or per-block
+// make() coming back fails here, in tier-1, rather than in the benchmark.
+const steadyStateCPAllocCeiling = 20
 
-// TestSteadyStateCPAllocs ages a small SSD system until its scratch buffers
-// have reached their working size, then counts allocations per round. The
-// race detector allocates on its own account, hence the build tag.
+// mountCycleAllocCeiling is the same gate for the benchmark's mount_cycle
+// round on its geometry (2 groups of 1024 AAs, 32 volumes): 1024 overwrites +
+// CP, a TopAA-seeded remount, 1024 overwrites + CP, the background fill, a
+// bitmap-walk remount. Twice the 285 the round measures. What is left is what
+// a remount builds new and keeps, or hands to the work pool: per seeded mount
+// a heap (3) and a decoded seed per group and an HBPS (3) with its position
+// index per volume; per walk mount a heap per group, and per space the
+// scoring fan-out's closure, Replenish's closure and the fresh HBPS's
+// enumeration record; Remount's own per-call slices (7) and the two CPs as
+// above. With allocate-fresh saves, the map-indexed HBPS and a score slice
+// per walk this round made 1411.
+const mountCycleAllocCeiling = 570
+
+// TestSteadyStateCPAllocs runs a system until its scratch buffers have
+// reached their working size, then counts allocations per round. The race
+// detector allocates on its own account, hence the build tag.
 func TestSteadyStateCPAllocs(t *testing.T) {
-	for _, mode := range []struct {
-		name     string
-		pipeline bool
-		shards   int
-	}{
-		{"depth1_unsharded", false, 0},
-		{"depth2_shards4", true, 4},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
+	ssd := func(pipeline bool, shards int) func() (*System, func()) {
+		return func() (*System, func()) {
 			tun := DefaultTunables()
 			tun.Workers = 1
 			tun.CPEveryOps = 1 << 30
-			tun.Pipeline = mode.pipeline
-			tun.AllocShards = mode.shards
+			tun.Pipeline = pipeline
+			tun.AllocShards = shards
 			g := GroupSpec{
 				DataDevices: 6, ParityDevices: 1, BlocksPerDevice: 1 << 16,
 				Media: aa.MediaSSD, EraseBlockBlocks: 512, Overprovision: 0.08,
@@ -46,29 +52,77 @@ func TestSteadyStateCPAllocs(t *testing.T) {
 			s := NewSystem([]GroupSpec{g, g}, []VolSpec{{Name: "v", Blocks: 2 * lunBlocks}}, tun, 5)
 			lun := s.Agg.Vols()[0].CreateLUN("l", lunBlocks)
 			rng := rand.New(rand.NewSource(5))
-			round := func() {
-				for i := 0; i < 4096; i++ {
-					s.Write(lun, uint64(rng.Intn(lunBlocks-1)), 2)
-				}
-				s.CP()
-			}
 			for lba := uint64(0); lba < lunBlocks; lba += 2 {
 				s.Write(lun, lba, 2)
 				if s.pendingBlocks >= 8192 {
 					s.CP()
 				}
 			}
+			return s, func() {
+				for i := 0; i < 4096; i++ {
+					s.Write(lun, uint64(rng.Intn(lunBlocks-1)), 2)
+				}
+				s.CP()
+			}
+		}
+	}
+	mountCycle := func() (*System, func()) {
+		tun := DefaultTunables()
+		tun.Workers = 1
+		tun.CPEveryOps = 1 << 30
+		const perDevice = 1 << 17
+		g := GroupSpec{DataDevices: 6, ParityDevices: 1, BlocksPerDevice: perDevice, Media: aa.MediaHDD, StripesPerAA: perDevice / 1024}
+		vols := []VolSpec{{Name: "vol0", Blocks: 2048 * aa.RAIDAgnosticBlocks}}
+		for i := 1; i < 32; i++ {
+			vols = append(vols, VolSpec{Name: fmt.Sprintf("vol%d", i), Blocks: 8 * aa.RAIDAgnosticBlocks})
+		}
+		s := NewSystem([]GroupSpec{g, g}, vols, tun, 5)
+		const lunBlocks = 4096
+		var luns []*LUN
+		for _, v := range s.Agg.Vols() {
+			luns = append(luns, v.CreateLUN("l", lunBlocks))
+		}
+		rng := rand.New(rand.NewSource(5))
+		burst := func() {
+			for i := 0; i < 1024; i++ {
+				s.Write(luns[rng.Intn(len(luns))], uint64(rng.Intn(lunBlocks)), 1)
+			}
+			s.CP()
+		}
+		return s, func() {
+			burst()
+			if ms := s.Agg.Remount(true); ms.Fallbacks != 0 {
+				t.Fatalf("seeded remount fell back: %+v", ms)
+			}
+			burst()
+			s.Agg.CompleteBackgroundFill()
+			s.Agg.Remount(false)
+		}
+	}
+	for _, mode := range []struct {
+		name    string
+		build   func() (*System, func())
+		ceiling float64
+	}{
+		{"depth1_unsharded", ssd(false, 0), steadyStateCPAllocCeiling},
+		{"depth2_shards4", ssd(true, 4), steadyStateCPAllocCeiling},
+		{"mount_cycle", mountCycle, mountCycleAllocCeiling},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			s, round := mode.build()
 			for i := 0; i < 40; i++ {
 				round()
 			}
-			if got := testing.AllocsPerRun(10, round); got > steadyStateCPAllocCeiling {
-				t.Errorf("%.0f allocations per 4096 overwrites + CP, ceiling %d", got, steadyStateCPAllocCeiling)
+			if got := testing.AllocsPerRun(10, round); got > mode.ceiling {
+				t.Errorf("%.0f allocations per round, ceiling %.0f", got, mode.ceiling)
 			} else {
 				t.Logf("%.0f allocations per round", got)
 			}
 			s.Drain()
-			if err := s.Agg.Vols()[0].CheckRefcounts(); err != nil {
-				t.Fatal(err)
+			for _, v := range s.Agg.Vols() {
+				if err := v.CheckRefcounts(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}

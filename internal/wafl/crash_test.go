@@ -212,8 +212,8 @@ func TestScrubDetectsDivergence(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("scrub missed a heap-cache divergence")
 	}
-	if div := rep.Divergent(); div[0].Space != topaaGroupKey(0) {
-		t.Fatalf("divergence attributed to %q, want %q", div[0].Space, topaaGroupKey(0))
+	if div := rep.Divergent(); div[0].Space != s.Agg.groups[0].key {
+		t.Fatalf("divergence attributed to %q, want %q", div[0].Space, s.Agg.groups[0].key)
 	}
 	g.cache.Update(e.ID, e.Score) // restore
 

@@ -33,6 +33,9 @@ type trimmer interface {
 type Group struct {
 	Index int
 	Spec  GroupSpec
+	// key is "rg<Index>": the group's TopAA metafile name and its label in
+	// scrub rows, watchdog reports and pick provenance.
+	key string
 
 	geo  raid.Geometry
 	topo *aa.Striped
@@ -40,6 +43,10 @@ type Group struct {
 	cache        *heapcache.Cache
 	cacheEnabled bool
 	seedOnly     bool // cache holds only a TopAA seed; background fill pending
+	// scores is where bitmap walks (mount, background fill, repair) score
+	// the group's AAs; the heap copies what it needs, so one buffer serves
+	// every walk.
+	scores []uint64
 
 	// The pick path (allocctx.go): q stages the heap's best AAs into
 	// per-shard batches — at depth 0, AllocShards ≤ 1, it is the heap's own
@@ -131,6 +138,7 @@ func buildGroup(index int, spec GroupSpec, startVBN block.VBN, tun Tunables, rng
 	g := &Group{
 		Index:        index,
 		Spec:         spec,
+		key:          fmt.Sprintf("rg%d", index),
 		geo:          geo,
 		topo:         topo,
 		cacheEnabled: tun.AggregateCacheEnabled,
@@ -165,11 +173,11 @@ func buildGroup(index int, spec GroupSpec, startVBN block.VBN, tun Tunables, rng
 	}
 
 	// A fresh file system builds its cache from the (all-free) bitmap.
-	scores := make([]uint64, topo.NumAAs())
-	for id := range scores {
-		scores[id] = aaBlockCount(topo, aa.ID(id))
+	g.scores = make([]uint64, topo.NumAAs())
+	for id := range g.scores {
+		g.scores[id] = aaBlockCount(topo, aa.ID(id))
 	}
-	g.cache = heapcache.NewFromScores(scores)
+	g.cache = heapcache.NewFromScores(g.scores)
 	g.q = shardq.New[heapcache.Entry](g.cache, g.as.queueDepth(g.cacheEnabled), tun.allocBatch())
 	return g
 }

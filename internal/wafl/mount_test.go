@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/hbps"
 )
 
 // agedSystem builds, fills, and churns a system, ending at a CP boundary.
@@ -81,7 +82,7 @@ func TestRemountWithoutTopAAWalksBitmaps(t *testing.T) {
 func TestRemountFallsBackOnCorruption(t *testing.T) {
 	s, _ := agedSystem(t, DefaultTunables(), 3)
 	// Damage one group's TopAA block and one volume's HBPS pages.
-	if err := s.Agg.store.Corrupt(topaaGroupKey(0), 12); err != nil {
+	if err := s.Agg.store.Corrupt(s.Agg.groups[0].key, 12); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Agg.store.Corrupt("v", 0); err != nil {
@@ -100,6 +101,66 @@ func TestRemountFallsBackOnCorruption(t *testing.T) {
 	}
 	if s.Agg.groups[1].cache.Len() > 512 {
 		t.Fatal("intact group not seeded")
+	}
+}
+
+// TestRemountRejectsForeignHBPS: a volume's TopAA image can verify chunk by
+// chunk, carry the current generation and decode into a consistent HBPS, and
+// still not describe the volume. Remount must notice at load and walk the
+// bitmap — adopted, such an image fails later inside a pick, on an AA the
+// space does not have or a score its bins cannot hold.
+func TestRemountRejectsForeignHBPS(t *testing.T) {
+	const numAAs = 16 // agedSystem's volume
+	full := uint32(aa.RAIDAgnosticBlocks)
+	for _, tc := range []struct {
+		name  string
+		build func() *hbps.HBPS
+	}{
+		{"listed id past the space", func() *hbps.HBPS {
+			h := hbps.New(hbps.DefaultConfig())
+			for id := 0; id < numAAs-1; id++ {
+				h.Track(aa.ID(id), full/2)
+			}
+			h.Track(numAAs+5, full) // the right item count, the wrong item
+			return h
+		}},
+		{"too few items tracked", func() *hbps.HBPS {
+			h := hbps.New(hbps.DefaultConfig())
+			for id := 0; id < numAAs/2; id++ {
+				h.Track(aa.ID(id), full)
+			}
+			return h
+		}},
+		{"another geometry", func() *hbps.HBPS {
+			h := hbps.New(hbps.Config{MaxScore: 1024, BinWidth: 32, ListCap: hbps.DefaultListCap})
+			for id := 0; id < numAAs; id++ {
+				h.Track(aa.ID(id), 1024)
+			}
+			return h
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, lun := agedSystem(t, DefaultTunables(), 7)
+			if n := s.Agg.vols[0].space.topo.NumAAs(); n != numAAs {
+				t.Fatalf("volume has %d AAs, the test assumes %d", n, numAAs)
+			}
+			s.Agg.store.SaveAgnostic("v", tc.build())
+			ms := s.Agg.Remount(true)
+			if ms.DamageFallbacks != 1 || ms.Fallbacks != 1 {
+				t.Fatalf("mount stats %+v, want exactly one damage fallback", ms)
+			}
+			rng := rand.New(rand.NewSource(77))
+			for i := 0; i < 5000; i++ {
+				s.Write(lun, uint64(rng.Intn(120000)), 1)
+			}
+			s.CP()
+			s.Agg.CompleteBackgroundFill()
+			s.CP()
+			checkConsistency(t, s)
+			if rep := s.Agg.Scrub(); !rep.Clean() {
+				t.Fatalf("scrub after the fallback: %+v", rep.Divergent())
+			}
+		})
 	}
 }
 
@@ -172,7 +233,7 @@ func TestRepairTopAARecoversFromCorruption(t *testing.T) {
 	s, lun := agedSystem(t, DefaultTunables(), 6)
 	// Damage every metafile.
 	for i := range s.Agg.groups {
-		if err := s.Agg.store.Corrupt(topaaGroupKey(i), 3); err != nil {
+		if err := s.Agg.store.Corrupt(s.Agg.groups[i].key, 3); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -355,7 +355,7 @@ func (ag *Aggregate) registerGroupObs(g *Group) {
 	g.st = ag.st
 	g.scored = ag.scoredAAs
 	if rec := ag.obsOpts.Picks; rec != nil {
-		g.pr = rec.Space(ag.obsOpts.Name + "." + topaaGroupKey(g.Index))
+		g.pr = rec.Space(ag.obsOpts.Name + "." + g.key)
 		ag.pickRings = append(ag.pickRings, g.pr)
 		g.cpNow = &ag.cpOrd
 	}

@@ -117,7 +117,7 @@ func (ag *Aggregate) Scrub() ScrubReport {
 // checked; a fully built cache must also track every AA not held by the
 // allocation cursor.
 func (ag *Aggregate) scrubGroup(g *Group) SpaceScrub {
-	s := SpaceScrub{Space: topaaGroupKey(g.Index)}
+	s := SpaceScrub{Space: g.key}
 	if !g.cacheEnabled {
 		return s
 	}

@@ -358,7 +358,7 @@ func checkHeldGens[E any](w *watchdogState, q *shardq.Queue[E], label func() str
 	})
 }
 
-func (g *Group) label() string          { return topaaGroupKey(g.Index) }
+func (g *Group) label() string          { return g.key }
 func (sp *agnosticSpace) label() string { return sp.name }
 
 // checkDFQueue verifies one delayed-free queue's self-consistency across

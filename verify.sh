@@ -47,6 +47,17 @@ if [ "$sets" -ne 1 ]; then
     exit 1
 fi
 
+# Structural gate, the paper's structures at host speed (DESIGN.md §16): AA
+# ids are small dense integers, so the HBPS position index, the heap's and
+# everything the TopAA store and decoders keep per AA are arrays. A map keyed
+# by AA id coming back into these packages brings back a hash operation per
+# list move and an allocation per mount; the map-indexed reference the
+# differential tests compare against lives in a _test.go file and is exempt.
+if grep -rn 'map\[aa\.ID\]' internal/hbps internal/heapcache internal/topaa --include='*.go' | grep -v '_test\.go:'; then
+    echo "a map keyed by aa.ID is back in hbps, heapcache or topaa; index a slice by the id" >&2
+    exit 1
+fi
+
 go build ./...
 go vet ./...
 go test ./...
@@ -64,6 +75,11 @@ go test -run '^$' -fuzz '^FuzzLoadAgnostic$' -fuzztime 5s ./internal/topaa
 # interleavings over a heap and over an HBPS must never hold an AA twice,
 # leave a held heap entry tracked, or lose an HBPS-tracked AA.
 go test -run '^$' -fuzz '^FuzzQueueOps$' -fuzztime 5s ./internal/shardq
+# HBPS differential fuzzer: a random track/untrack/update/pop/replenish/
+# marshal-and-load sequence must leave the array-indexed HBPS and the
+# map-indexed reference kept in its test file with the same list, histogram,
+# counters and pages after every step.
+go test -run '^$' -fuzz '^FuzzHBPSOps$' -fuzztime 5s ./internal/hbps
 # Shared clause-grammar fuzzer: the field splitter hands out trimmed, unique,
 # comma-free fields that re-join and re-split to themselves; the fault-plan
 # parser rides along for its parse/format round trip.
