@@ -115,6 +115,45 @@ func BenchmarkWritePath(b *testing.B) {
 	sys.CP()
 }
 
+// BenchmarkAllocStage is one CP round of the host benchmark's ssd_overwrite
+// workload: 4096 random two-block overwrites buffered, then the CP that
+// allocates, flushes and folds them, on two aged 6+1 SSD groups with the LUN
+// at 55% of the aggregate. The write buffer, the tetris build and the ledger
+// folds all sit on this path, so a per-block sort coming back shows here.
+func BenchmarkAllocStage(b *testing.B) {
+	tun := DefaultTunables()
+	tun.Workers = 1
+	tun.CPEveryOps = 1 << 30
+	spec := GroupSpec{
+		DataDevices: 6, ParityDevices: 1, BlocksPerDevice: 1 << 16,
+		Media: MediaSSD, EraseBlockBlocks: 512, Overprovision: 0.08,
+	}
+	const lunBlocks = 2 * 6 * (1 << 16) * 55 / 100
+	sys := NewSystem([]GroupSpec{spec, spec}, []VolSpec{{Name: "v", Blocks: 2 * lunBlocks}}, tun, 1)
+	lun := sys.Agg.Vols()[0].CreateLUN("l", lunBlocks)
+	rng := rand.New(rand.NewSource(1))
+	round := func() {
+		for i := 0; i < 4096; i++ {
+			sys.Write(lun, uint64(rng.Intn(lunBlocks-1)), 2)
+		}
+		sys.CP()
+	}
+	for lba := uint64(0); lba+1 < lunBlocks; lba += 2 {
+		sys.Write(lun, lba, 2)
+		if lba%8192 == 0 {
+			sys.CP()
+		}
+	}
+	for i := 0; i < lunBlocks*12/10/8192; i++ { // churn 1.2x the LUN, as the workload's aging does
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
 // BenchmarkCacheOverhead quantifies the §4.1.2 claim that AA-cache
 // maintenance is a vanishing share of the code path: it reports the modeled
 // cache CPU as a fraction of total CPU over a measurement window.

@@ -19,9 +19,11 @@ package raid
 import (
 	"crypto/subtle"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"waflfs/internal/block"
+	"waflfs/internal/ordset"
 )
 
 // Geometry describes one RAID group.
@@ -163,113 +165,120 @@ type TetrisIO struct {
 func (t *TetrisIO) WriteIOs() int { return len(t.Chains) }
 
 // TetrisBuilder classifies a CP's writes to one RAID group into tetrises,
-// keeping its sort keys, result slice and chain storage between calls so a
+// keeping its bit matrices, result slice and chain storage between calls so a
 // steady-state CP allocates nothing here. A builder belongs to one caller at
 // a time (each wafl.Group owns one: groups flush concurrently); the zero
 // value is ready to use.
 type TetrisBuilder struct {
-	// keys holds one packed (tetris, device, stripe-within-tetris) word per
-	// block; sorted, it is already in the result's order.
-	keys []uint64
-	out  []TetrisIO
+	// touched holds the tetrises of the last Build; slot[t] says which matrix
+	// of cells belongs to touched tetris t (stale for any other t).
+	touched ordset.Bits
+	slot    []uint32
+	// cells holds one device × stripe bit matrix per touched tetris, in
+	// first-touch order: DataDevices words, bit s of word d set when the
+	// block at stripe s of the tetris on device d is written.
+	cells []uint64
+	out   []TetrisIO
 	// chains backs every TetrisIO.Chains of the last Build.
 	chains []Chain
 }
 
-// Key layout: tetris index above, then the device, then the stripe within
-// the tetris. The limits are far beyond any real geometry (a million data
-// devices of 64 PiB each) and checked in Build.
-const (
-	keyOffBits     = 6 // log2(block.StripesPerTetris)
-	keyDevBits     = 20
-	keyOffMask     = 1<<keyOffBits - 1
-	keyDevMask     = 1<<keyDevBits - 1
-	keyTetrisShift = keyDevBits + keyOffBits
-
-	// Both fail to compile unless 1<<keyOffBits == block.StripesPerTetris.
-	_ = uint(block.StripesPerTetris - 1<<keyOffBits)
-	_ = uint(1<<keyOffBits - block.StripesPerTetris)
-)
-
-// extendsChain reports whether sorted key k continues the write chain prev
-// ends: the next stripe on the same device of the same tetris. Adjacent keys
-// differ by one otherwise only where the stripe offset wraps to zero.
-func extendsChain(prev, k uint64) bool { return k == prev+1 && k&keyOffMask != 0 }
-
 // Build classifies vbns — the physical VBNs being written, in any order,
 // duplicates not allowed — into tetrises ordered by tetris index, each with
 // its chains ordered by device then DBN. The tetris boundary is
-// block.StripesPerTetris consecutive stripes. The result and everything it
-// points to are valid only until the next Build on the same builder.
+// block.StripesPerTetris consecutive stripes: a tetris is a word of stripes
+// per device, a chain is a run of ones in it, and ascending order comes from
+// walking the bits rather than from sorting the blocks. The result and
+// everything it points to are valid only until the next Build on the same
+// builder.
 func (b *TetrisBuilder) Build(g Geometry, vbns []block.VBN) []TetrisIO {
 	if len(vbns) == 0 {
 		return nil
 	}
-	if g.DataDevices > keyDevMask+1 || g.BlocksPerDevice > 1<<(64-keyDevBits) {
-		panic(fmt.Sprintf("raid: geometry %d x %d exceeds the tetris builder's key layout", g.DataDevices, g.BlocksPerDevice))
+	D := g.DataDevices
+	tetrises := (g.BlocksPerDevice + block.StripesPerTetris - 1) / block.StripesPerTetris
+	b.touched.Clear()
+	b.touched.Grow(tetrises)
+	if uint64(len(b.slot)) < tetrises {
+		b.slot = make([]uint32, tetrises)
 	}
-	keys := slices.Grow(b.keys[:0], len(vbns))
+	// The allocator emits its blocks tetris by tetris, so the matrix of the
+	// previous block is nearly always the one wanted.
+	cells, cur, m := b.cells[:0], ^uint64(0), []uint64(nil)
 	for _, v := range vbns {
 		d, dbn := g.Locate(v)
-		keys = append(keys, dbn>>keyOffBits<<keyTetrisShift|uint64(d)<<keyOffBits|dbn&keyOffMask)
+		if t := dbn / block.StripesPerTetris; t != cur {
+			if b.touched.Add(t) {
+				b.slot[t] = uint32(len(cells) / D)
+				cells = append(cells, make([]uint64, D)...)
+			}
+			cur, m = t, cells[int(b.slot[t])*D:][:D]
+		}
+		bit := uint64(1) << (dbn % block.StripesPerTetris)
+		if m[d]&bit != 0 {
+			panic(fmt.Sprintf("raid: duplicate VBN %d in tetris build", uint64(v)))
+		}
+		m[d] |= bit
 	}
-	slices.Sort(keys)
-	b.keys = keys
+	b.cells = cells
 
 	// Size the result exactly, so that Chains can be sliced out of b.chains
-	// while it fills without it moving underneath them.
-	tetrises, chains := 1, 1
-	for i := 1; i < len(keys); i++ {
-		if keys[i]>>keyTetrisShift != keys[i-1]>>keyTetrisShift {
-			tetrises++
-		}
-		if !extendsChain(keys[i-1], keys[i]) {
-			chains++
-		}
+	// while it fills without it moving underneath them. A chain starts at
+	// every one whose lower neighbour is a zero.
+	chains := 0
+	for _, w := range cells {
+		chains += bits.OnesCount64(w &^ (w << 1))
 	}
-	b.out = slices.Grow(b.out[:0], tetrises)
+	b.out = slices.Grow(b.out[:0], b.touched.Len())
 	b.chains = slices.Grow(b.chains[:0], chains)
 
-	for i := 0; i < len(keys); {
-		id := keys[i] >> keyTetrisShift
+	b.touched.Each(func(id uint64) {
 		io := TetrisIO{Tetris: id}
-		// fill[s] counts the blocks written to stripe s of this tetris.
-		var fill [block.StripesPerTetris]int
 		first := len(b.chains)
-		j := i
-		for ; j < len(keys) && keys[j]>>keyTetrisShift == id; j++ {
-			k := keys[j]
-			d, off := int(k>>keyOffBits&keyDevMask), k&keyOffMask
-			fill[off]++
-			switch {
-			case j > 0 && k == keys[j-1]:
-				panic(fmt.Sprintf("raid: duplicate VBN %d in tetris build", uint64(g.VBNOf(d, id<<keyOffBits|off))))
-			case j > 0 && extendsChain(keys[j-1], k):
-				b.chains[len(b.chains)-1].Len++
-			default:
-				b.chains = append(b.chains, Chain{Device: d, Start: id<<keyOffBits | off, Len: 1})
+		touched, full := uint64(0), ^uint64(0)
+		// fill counts the devices written per stripe, one bit plane per binary
+		// digit: bit s of fill[j] is digit j of stripe s's count.
+		var fill [64]uint64
+		for d, w := range cells[int(b.slot[id])*D:][:D] {
+			touched |= w
+			full &= w
+			io.BlocksWritten += bits.OnesCount64(w)
+			for carry, j := w, 0; carry != 0; j++ {
+				fill[j], carry = fill[j]^carry, fill[j]&carry
+			}
+			for w != 0 {
+				// Adding its lowest one to w carries through the lowest run of
+				// ones: the sum's lowest one is where the run ends (there is
+				// none if it ends with the word), and the ones w shares with
+				// the sum are its other runs.
+				off, sum := bits.TrailingZeros64(w), w+(w&-w)
+				b.chains = append(b.chains, Chain{Device: d, Start: id*block.StripesPerTetris + uint64(off), Len: uint64(bits.TrailingZeros64(sum) - off)})
+				w &= sum
 			}
 		}
-		io.BlocksWritten = j - i
 		io.Chains = b.chains[first:len(b.chains):len(b.chains)]
-		for _, k := range fill {
-			switch k {
-			case 0:
-				continue
-			case g.DataDevices:
-				io.FullStripes++
-			default:
-				// Cheaper of subtractive (k old data + P old parity) and
-				// additive (D-k untouched data) parity computation.
-				io.ParityReadBlocks += min(k+g.ParityDevices, g.DataDevices-k)
-			}
-			io.StripesTouched++
-		}
+		io.StripesTouched = bits.OnesCount64(touched)
+		io.FullStripes = bits.OnesCount64(full)
 		io.PartialStripes = io.StripesTouched - io.FullStripes
 		io.ParityWriteBlocks = io.StripesTouched * g.ParityDevices
+		// Partial stripes are the ones written on k devices for some 0 < k < D;
+		// pick them out count by count until every one is priced.
+		for k, partial := 1, touched&^full; partial != 0; k++ {
+			at := partial
+			for j := 0; j < bits.Len(uint(D)); j++ {
+				if k>>j&1 != 0 {
+					at &= fill[j]
+				} else {
+					at &^= fill[j]
+				}
+			}
+			// Cheaper of subtractive (k old data + P old parity) and
+			// additive (D-k untouched data) parity computation.
+			io.ParityReadBlocks += bits.OnesCount64(at) * min(k+g.ParityDevices, D-k)
+			partial &^= at
+		}
 		b.out = append(b.out, io)
-		i = j
-	}
+	})
 	return b.out
 }
 

@@ -1,8 +1,10 @@
 package raid
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -341,6 +343,111 @@ func referenceTetrises(g Geometry, vbns []block.VBN) []TetrisIO {
 	return out
 }
 
+// sortBuilder is the TetrisBuilder this package shipped until the bit-matrix
+// one replaced it — one packed key per block, one comparison sort per Build —
+// kept as the reference FuzzTetrisBuild compares against, panic text included,
+// and as the arm BenchmarkTetrisBuilder prices the new one against.
+type sortBuilder struct {
+	// keys holds one packed (tetris, device, stripe-within-tetris) word per
+	// block; sorted, it is already in the result's order.
+	keys []uint64
+	out  []TetrisIO
+	// chains backs every TetrisIO.Chains of the last Build.
+	chains []Chain
+}
+
+// Key layout: tetris index above, then the device, then the stripe within
+// the tetris. The limits are far beyond any real geometry (a million data
+// devices of 64 PiB each) and checked in Build.
+const (
+	keyOffBits     = 6 // log2(block.StripesPerTetris)
+	keyDevBits     = 20
+	keyOffMask     = 1<<keyOffBits - 1
+	keyDevMask     = 1<<keyDevBits - 1
+	keyTetrisShift = keyDevBits + keyOffBits
+
+	// Both fail to compile unless 1<<keyOffBits == block.StripesPerTetris.
+	_ = uint(block.StripesPerTetris - 1<<keyOffBits)
+	_ = uint(1<<keyOffBits - block.StripesPerTetris)
+)
+
+// extendsChain reports whether sorted key k continues the write chain prev
+// ends: the next stripe on the same device of the same tetris. Adjacent keys
+// differ by one otherwise only where the stripe offset wraps to zero.
+func extendsChain(prev, k uint64) bool { return k == prev+1 && k&keyOffMask != 0 }
+
+func (b *sortBuilder) Build(g Geometry, vbns []block.VBN) []TetrisIO {
+	if len(vbns) == 0 {
+		return nil
+	}
+	if g.DataDevices > keyDevMask+1 || g.BlocksPerDevice > 1<<(64-keyDevBits) {
+		panic(fmt.Sprintf("raid: geometry %d x %d exceeds the tetris builder's key layout", g.DataDevices, g.BlocksPerDevice))
+	}
+	keys := slices.Grow(b.keys[:0], len(vbns))
+	for _, v := range vbns {
+		d, dbn := g.Locate(v)
+		keys = append(keys, dbn>>keyOffBits<<keyTetrisShift|uint64(d)<<keyOffBits|dbn&keyOffMask)
+	}
+	slices.Sort(keys)
+	b.keys = keys
+
+	// Size the result exactly, so that Chains can be sliced out of b.chains
+	// while it fills without it moving underneath them.
+	tetrises, chains := 1, 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i]>>keyTetrisShift != keys[i-1]>>keyTetrisShift {
+			tetrises++
+		}
+		if !extendsChain(keys[i-1], keys[i]) {
+			chains++
+		}
+	}
+	b.out = slices.Grow(b.out[:0], tetrises)
+	b.chains = slices.Grow(b.chains[:0], chains)
+
+	for i := 0; i < len(keys); {
+		id := keys[i] >> keyTetrisShift
+		io := TetrisIO{Tetris: id}
+		// fill[s] counts the blocks written to stripe s of this tetris.
+		var fill [block.StripesPerTetris]int
+		first := len(b.chains)
+		j := i
+		for ; j < len(keys) && keys[j]>>keyTetrisShift == id; j++ {
+			k := keys[j]
+			d, off := int(k>>keyOffBits&keyDevMask), k&keyOffMask
+			fill[off]++
+			switch {
+			case j > 0 && k == keys[j-1]:
+				panic(fmt.Sprintf("raid: duplicate VBN %d in tetris build", uint64(g.VBNOf(d, id<<keyOffBits|off))))
+			case j > 0 && extendsChain(keys[j-1], k):
+				b.chains[len(b.chains)-1].Len++
+			default:
+				b.chains = append(b.chains, Chain{Device: d, Start: id<<keyOffBits | off, Len: 1})
+			}
+		}
+		io.BlocksWritten = j - i
+		io.Chains = b.chains[first:len(b.chains):len(b.chains)]
+		for _, k := range fill {
+			switch k {
+			case 0:
+				continue
+			case g.DataDevices:
+				io.FullStripes++
+			default:
+				// Cheaper of subtractive (k old data + P old parity) and
+				// additive (D-k untouched data) parity computation.
+				io.ParityReadBlocks += min(k+g.ParityDevices, g.DataDevices-k)
+			}
+			io.StripesTouched++
+		}
+		io.PartialStripes = io.StripesTouched - io.FullStripes
+		io.ParityWriteBlocks = io.StripesTouched * g.ParityDevices
+		b.out = append(b.out, io)
+		i = j
+	}
+	return b.out
+}
+
 // randomWrites draws n distinct VBNs of g: a mix of whole-stripe runs (what an
 // AA-directed CP produces) and scattered single blocks, in random order.
 func randomWrites(g Geometry, rng *rand.Rand, n int) []block.VBN {
@@ -421,14 +528,165 @@ func BenchmarkBuildTetrises(b *testing.B) {
 	}
 }
 
-// BenchmarkTetrisBuilder is what a Group pays per CP: one builder reused, so
-// after the first call the classification allocates nothing.
-func BenchmarkTetrisBuilder(b *testing.B) {
-	g, vbns := benchWrites()
-	var tb TetrisBuilder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tb.Build(g, vbns)
+// allocatorWrites draws n free blocks of g the way Group.allocateTetris emits
+// them from an aged AA: tetris by tetris, stripe-major, about half of the
+// blocks already in use.
+func allocatorWrites(g Geometry, rng *rand.Rand, n int) []block.VBN {
+	var vbns []block.VBN
+	for s := uint64(rng.Int63n(int64(g.BlocksPerDevice/2))) &^ (block.StripesPerTetris - 1); len(vbns) < n; s++ {
+		for d := 0; d < g.DataDevices && len(vbns) < n; d++ {
+			if rng.Intn(2) == 0 {
+				vbns = append(vbns, g.VBNOf(d, s))
+			}
+		}
 	}
+	return vbns
+}
+
+// BenchmarkTetrisBuilder is what a Group pays per CP: one builder reused, so
+// after the first call the classification allocates nothing. The arms are
+// the three orders blocks arrive in — the allocator's (the CP path), VBN
+// ascending (the benchmark replay's) and none at all — each next to the
+// sort-per-Build builder it replaced, which the new one must not lose to in
+// any of them.
+func BenchmarkTetrisBuilder(b *testing.B) {
+	g := Geometry{DataDevices: 6, ParityDevices: 1, BlocksPerDevice: 1 << 20, StartVBN: 1000}
+	rng := rand.New(rand.NewSource(3))
+	alloc := allocatorWrites(g, rng, 8192)
+	ascending := slices.Clone(alloc)
+	slices.Sort(ascending)
+	shuffled := slices.Clone(alloc)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, order := range []struct {
+		name string
+		vbns []block.VBN
+	}{{"allocator", alloc}, {"ascending", ascending}, {"shuffled", shuffled}} {
+		var tb TetrisBuilder
+		var sb sortBuilder
+		for _, arm := range []struct {
+			name  string
+			build func(Geometry, []block.VBN) []TetrisIO
+		}{{"bits", tb.Build}, {"sort", sb.Build}} {
+			b.Run(order.name+"/"+arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = arm.build(g, order.vbns)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(order.vbns)), "ns/block")
+			})
+		}
+	}
+}
+
+// tape hands out the fuzzer's bytes one choice at a time, zeroes once spent.
+type tape []byte
+
+func (t *tape) next() int {
+	if len(*t) == 0 {
+		return 0
+	}
+	b := (*t)[0]
+	*t = (*t)[1:]
+	return int(b)
+}
+
+// tapeWrites decodes a geometry and a write list from a byte tape. The list
+// is a sequence of allocator runs — one tetris each, stripe-major, some
+// blocks skipped as in use, a tetris free to come up again in a later run —
+// then, by the mode byte, left in that order, shuffled, or given one
+// duplicate VBN: inside the run that holds it, or in a new run of the same
+// tetris after every other run.
+func tapeWrites(data []byte) (Geometry, []block.VBN) {
+	t := tape(data)
+	g := Geometry{
+		DataDevices:     []int{1, 2, 3, 6, 14, 64, 65, 100}[t.next()%8],
+		ParityDevices:   t.next() % 3,
+		BlocksPerDevice: 1 + uint64(t.next()<<8|t.next())%5000,
+		StartVBN:        block.VBN(t.next() * 37),
+	}
+	mode := t.next() % 4
+	tetrises := (g.BlocksPerDevice + block.StripesPerTetris - 1) / block.StripesPerTetris
+	type run struct{ from, to int }
+	var (
+		vbns []block.VBN
+		runs []run
+		seen = map[block.VBN]bool{}
+	)
+	for len(t) > 0 && len(vbns) < 4096 {
+		first := uint64(t.next())%tetrises*block.StripesPerTetris + uint64(t.next())%block.StripesPerTetris
+		end := min(first+1+uint64(t.next())%block.StripesPerTetris, (first/block.StripesPerTetris+1)*block.StripesPerTetris, g.BlocksPerDevice)
+		skip := t.next()
+		from := len(vbns)
+		for s := first; s < end; s++ {
+			for d := 0; d < g.DataDevices; d++ {
+				if v := g.VBNOf(d, s); !seen[v] && (skip == 0 || (int(s)*g.DataDevices+d)%skip != 0) {
+					seen[v] = true
+					vbns = append(vbns, v)
+				}
+			}
+		}
+		if len(vbns) > from {
+			runs = append(runs, run{from, len(vbns)})
+		}
+	}
+	if len(runs) == 0 {
+		return g, vbns
+	}
+	r := runs[t.next()%len(runs)]
+	dup := vbns[r.from+t.next()%(r.to-r.from)]
+	switch mode {
+	case 1:
+		rand.New(rand.NewSource(int64(t.next()))).Shuffle(len(vbns), func(i, j int) { vbns[i], vbns[j] = vbns[j], vbns[i] })
+	case 2:
+		vbns = slices.Insert(vbns, r.from+t.next()%(r.to-r.from+1), dup)
+	case 3:
+		vbns = append(vbns, dup)
+	}
+	return g, vbns
+}
+
+// buildOutcome runs one Build and returns a copy of its result (the
+// builder's own storage is reused by the next call) or the text it panicked
+// with.
+func buildOutcome(build func(Geometry, []block.VBN) []TetrisIO, g Geometry, vbns []block.VBN) (out []TetrisIO, panicked string) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, panicked = nil, fmt.Sprint(r)
+		}
+	}()
+	for _, io := range build(g, vbns) {
+		io.Chains = slices.Clone(io.Chains)
+		out = append(out, io)
+	}
+	return out, ""
+}
+
+// FuzzTetrisBuild: for any geometry — one data device, more than a word of
+// them, a ragged last tetris — and a write list in allocator order, shuffled
+// or holding a duplicate, the bit-matrix builder returns exactly what the
+// sort-per-Build builder it replaced returns, or panics with the same text;
+// and a builder that has already classified another group's writes, and this
+// very list once (panic and all), answers like a fresh one.
+func FuzzTetrisBuild(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 200, 5, 0, 0, 10, 63, 0, 0, 40, 20, 3})
+	f.Add([]byte{0, 0, 1, 44, 0, 1, 2, 0, 63, 0, 1, 5, 9, 2, 0, 0, 7})          // D=1, shuffled
+	f.Add([]byte{6, 2, 0, 130, 1, 2, 1, 3, 30, 0, 1, 50, 30, 5, 0, 2, 9})       // D=65, duplicate inside a run
+	f.Add([]byte{7, 1, 19, 135, 9, 3, 2, 60, 63, 4, 0, 0, 5, 0, 2, 0, 5, 7, 1}) // D=100, duplicate across runs
+	warmGeo := testGeo()
+	warm := randomWrites(warmGeo, rand.New(rand.NewSource(5)), 500)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, vbns := tapeWrites(data)
+		want, wantPanic := buildOutcome(new(sortBuilder).Build, g, vbns)
+		got, gotPanic := buildOutcome(BuildTetrises, g, vbns)
+		if gotPanic != wantPanic || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v, %d blocks: fresh builder (panic %q) differs from the sort reference (panic %q)", g, len(vbns), gotPanic, wantPanic)
+		}
+		var tb TetrisBuilder
+		tb.Build(warmGeo, warm)
+		buildOutcome(tb.Build, g, vbns)
+		got, gotPanic = buildOutcome(tb.Build, g, vbns)
+		if gotPanic != wantPanic || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v, %d blocks: reused builder (panic %q) differs from the sort reference (panic %q)", g, len(vbns), gotPanic, wantPanic)
+		}
+	})
 }

@@ -161,6 +161,14 @@ func (ag *Aggregate) AddVolume(spec VolSpec) *FlexVol {
 		}
 	}
 	v := newFlexVol(len(ag.vols), spec, ag.tun, ag.rng)
+	for _, o := range ag.vols { // take the name's place in rank order
+
+		if o.Name < v.Name {
+			v.rank++
+		} else {
+			o.rank++
+		}
+	}
 	ag.vols = append(ag.vols, v)
 	ag.registerSpaceObs(v.space, "vol."+v.Name+".", v.index)
 	return v

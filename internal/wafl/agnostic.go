@@ -3,7 +3,6 @@ package wafl
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"waflfs/internal/aa"
 	"waflfs/internal/bitmap"
@@ -291,17 +290,6 @@ func (s *agnosticSpace) foldSealed(idleRow bool) {
 		folds++
 	})
 	s.st.Emit("cp.fold.virt", s.shard, "hbps_updates", 0, folds)
-}
-
-// sortedIDs returns the map's keys in ascending AA order, so the delayed-free
-// queues hand their AAs to the HBPS deterministically.
-func sortedIDs[V any](m map[aa.ID]V) []aa.ID {
-	ids := make([]aa.ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // SpaceMetrics mirrors GroupMetrics for RAID-agnostic spaces.

@@ -6,6 +6,7 @@ import (
 	"waflfs/internal/aa"
 	"waflfs/internal/block"
 	"waflfs/internal/hbps"
+	"waflfs/internal/ordset"
 )
 
 // Delayed frees. Freeing a block is not just a bitmap update: the metafile
@@ -24,27 +25,35 @@ import (
 
 // delayedFrees is the per-space queue plus the HBPS tracking its scores.
 type delayedFrees struct {
-	pending map[aa.ID][]block.VBN
+	// pending[id] queues AA id's frees; queued holds the AAs whose queue is
+	// not empty. An emptied queue gives its storage up: a snapshot deletion
+	// queues a LUN's worth of frees at once, and holding every AA's peak in
+	// both generations' queues costs more heap than regrowing them does time.
+	pending [][]block.VBN
+	queued  ordset.Bits
 	count   int
 	cache   *hbps.HBPS
 }
 
-func newDelayedFrees() *delayedFrees {
-	return &delayedFrees{
-		pending: make(map[aa.ID][]block.VBN),
+func newDelayedFrees(numAAs int) *delayedFrees {
+	d := &delayedFrees{
+		pending: make([][]block.VBN, numAAs),
 		cache:   hbps.New(hbps.DefaultConfig()),
 	}
+	d.queued.Grow(uint64(numAAs))
+	return d
 }
 
-// add queues one free and bumps the AA's delayed-free score.
-func (d *delayedFrees) add(id aa.ID, v block.VBN) {
+// add queues vs behind id's pending frees and raises the AA's delayed-free
+// score by as many.
+func (d *delayedFrees) add(id aa.ID, vs ...block.VBN) {
 	old := len(d.pending[id])
-	d.pending[id] = append(d.pending[id], v)
-	d.count++
-	if old == 0 {
-		d.cache.Track(id, 1)
+	d.pending[id] = append(d.pending[id], vs...)
+	d.count += len(vs)
+	if d.queued.Add(uint64(id)) {
+		d.cache.Track(id, uint32(len(vs)))
 	} else {
-		d.cache.Update(id, uint32(old), uint32(old+1))
+		d.cache.Update(id, uint32(old), uint32(old+len(vs)))
 	}
 }
 
@@ -56,14 +65,10 @@ func (d *delayedFrees) pop() (aa.ID, []block.VBN, bool) {
 		if !ok {
 			if d.count > 0 {
 				// The list ran dry while counts remain: replenish from the
-				// authoritative queue (the background scan of §3.3.2).
-				// Yield in AA order: the HBPS breaks score ties by
-				// insertion sequence, so map order would leak run-to-run
-				// nondeterminism into the reclamation order.
+				// authoritative queue (the background scan of §3.3.2), in AA
+				// order: the HBPS breaks score ties by insertion sequence.
 				d.cache.Replenish(func(yield func(aa.ID, uint32)) {
-					for _, id := range sortedIDs(d.pending) {
-						yield(id, uint32(len(d.pending[id])))
-					}
+					d.queued.Each(func(id uint64) { yield(aa.ID(id), uint32(len(d.pending[id]))) })
 				})
 				continue
 			}
@@ -74,7 +79,8 @@ func (d *delayedFrees) pop() (aa.ID, []block.VBN, bool) {
 			// Stale list entry (shouldn't happen, but stay robust).
 			continue
 		}
-		delete(d.pending, id)
+		d.pending[id] = nil
+		d.queued.Delete(uint64(id))
 		d.count -= len(vs)
 		d.cache.Untrack(id, uint32(len(vs)))
 		return id, vs, true
@@ -87,19 +93,12 @@ func (d *delayedFrees) pop() (aa.ID, []block.VBN, bool) {
 // whatever its budget left behind (the carryover), absorbs the open one,
 // and scores stay HBPS-consistent because each AA updates by its whole bulk.
 func (d *delayedFrees) absorb(o *delayedFrees) {
-	for _, id := range sortedIDs(o.pending) {
+	o.queued.Drain(func(id uint64) {
 		vs := o.pending[id]
-		old := len(d.pending[id])
-		d.pending[id] = append(d.pending[id], vs...)
-		d.count += len(vs)
-		if old == 0 {
-			d.cache.Track(id, uint32(len(vs)))
-		} else {
-			d.cache.Update(id, uint32(old), uint32(old+len(vs)))
-		}
-		delete(o.pending, id)
-		o.cache.Untrack(id, uint32(len(vs)))
-	}
+		d.add(aa.ID(id), vs...)
+		o.pending[id] = nil
+		o.cache.Untrack(aa.ID(id), uint32(len(vs)))
+	})
 	o.count = 0
 }
 

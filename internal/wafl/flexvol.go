@@ -6,6 +6,7 @@ import (
 
 	"waflfs/internal/bitmap"
 	"waflfs/internal/block"
+	"waflfs/internal/ordset"
 )
 
 // FlexVol is one virtualized volume hosted in an aggregate (§2.1). It owns
@@ -14,8 +15,10 @@ import (
 type FlexVol struct {
 	Name string
 	// index is the volume's position in Aggregate.vols: per-generation CP
-	// bookkeeping is a slice indexed by it.
-	index int
+	// bookkeeping is a slice indexed by it. rank is its position among the
+	// aggregate's volumes by name, as LUN.rank is among the volume's LUNs:
+	// the alloc stage orders dirty LUNs by the two.
+	index, rank int
 
 	bm    *bitmap.Bitmap
 	space *agnosticSpace
@@ -39,7 +42,7 @@ func newFlexVol(index int, spec VolSpec, tun Tunables, rng *rand.Rand) *FlexVol 
 		rc:    newRefTable(spec.Blocks),
 	}
 	if tun.DelayedVirtFrees {
-		v.space.delayed = newDelayedFrees()
+		v.space.delayed = newDelayedFrees(v.space.topo.NumAAs())
 	}
 	return v
 }
@@ -62,7 +65,16 @@ func (v *FlexVol) CreateLUN(name string, blocks uint64) *LUN {
 	if _, dup := v.luns[name]; dup {
 		panic(fmt.Sprintf("wafl: duplicate LUN %q in %s", name, v.Name))
 	}
-	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks), dirty: make([]uint64, (blocks+63)/64)}
+	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks)}
+	l.dirty.Grow(blocks)
+	for _, o := range v.luns { // take the name's place in rank order
+
+		if o.Name < name {
+			l.rank++
+		} else {
+			o.rank++
+		}
+	}
 	for i := range l.blocks {
 		l.blocks[i] = blockPtr{virt: block.InvalidVBN, phys: block.InvalidVBN}
 	}
@@ -88,14 +100,14 @@ type blockPtr struct {
 type LUN struct {
 	Name   string
 	vol    *FlexVol
+	rank   int // see FlexVol.rank
 	blocks []blockPtr
 	snaps  map[string]*Snapshot
 
-	// The LUN's share of the write buffer: dirty has one bit per logical
-	// block written since the last CP's alloc stage, dirtyLBAs lists those
-	// blocks once each in arrival order (see System.Write).
-	dirty     []uint64
-	dirtyLBAs []uint64
+	// The LUN's share of the write buffer: the logical blocks written since
+	// the last CP's alloc stage, which drains them in ascending order (see
+	// System.Write).
+	dirty ordset.Bits
 }
 
 // Blocks returns the LUN's logical size in blocks.

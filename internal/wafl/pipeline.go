@@ -199,7 +199,7 @@ func (s *System) CP() CPStats {
 	for _, v := range s.Agg.vols {
 		if sp := v.space; sp.delayed != nil {
 			if sp.delayedSealed == nil {
-				sp.delayedSealed = newDelayedFrees()
+				sp.delayedSealed = newDelayedFrees(sp.topo.NumAAs())
 			}
 			sp.delayedSealed.absorb(sp.delayed)
 		}
@@ -276,12 +276,12 @@ func (s *System) allocGeneration() *cpGen {
 	// first written in: the order VBNs are handed out decides every
 	// downstream read and free.
 	slices.SortFunc(s.dirtyLUNs, func(a, b *LUN) int {
-		return cmp.Or(cmp.Compare(a.vol.Name, b.vol.Name), cmp.Compare(a.Name, b.Name))
+		return cmp.Or(cmp.Compare(a.vol.rank, b.vol.rank), cmp.Compare(a.rank, b.rank))
 	})
 	gen := s.pipe.open
 	gen.reset(len(s.Agg.vols))
 	for _, l := range s.dirtyLUNs {
-		n := len(l.dirtyLBAs)
+		n := l.dirty.Len()
 		vol := l.vol
 		// Op tracing: Begin draws the volume's deterministic write sequence
 		// number before its first allocation; while the volume allocates,
@@ -318,9 +318,8 @@ func (s *System) allocGeneration() *cpGen {
 			panic("wafl: aggregate out of physical space")
 		}
 		// Blocks take their VBNs in ascending LBA order.
-		slices.Sort(l.dirtyLBAs)
-		for i, lba := range l.dirtyLBAs {
-			l.dirty[lba/64] &^= 1 << (lba % 64)
+		i := 0
+		l.dirty.Drain(func(lba uint64) {
 			vol.refNew(virt[i])
 			old, wasWritten := l.install(lba, blockPtr{virt: virt[i], phys: phys[i]})
 			if wasWritten {
@@ -328,8 +327,11 @@ func (s *System) allocGeneration() *cpGen {
 				// freed unless a snapshot still holds it.
 				s.unref(vol, old)
 			}
+			i++
+		})
+		if i != n {
+			panic(fmt.Sprintf("wafl: LUN %q drained %d dirty blocks, counted %d", l.Name, i, n))
 		}
-		l.dirtyLBAs = l.dirtyLBAs[:0]
 		s.c.BlocksWritten += uint64(n)
 		s.Agg.st.Emit("cp.alloc", vol.space.shard, l.Name, 0, int64(n))
 	}

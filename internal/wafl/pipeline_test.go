@@ -465,9 +465,11 @@ func TestWatchdogDFGenTamperFires(t *testing.T) {
 		t.Fatal("no sealed delayed frees")
 	}
 	for id, vs := range sp2.delayedSealed.pending {
-		sp2.delayedSealed.pending[id] = vs[:len(vs)-1]
-		sp2.delayedSealed.count--
-		break
+		if len(vs) > 0 {
+			sp2.delayedSealed.pending[id] = vs[:len(vs)-1]
+			sp2.delayedSealed.count--
+			break
+		}
 	}
 	s2.runWatchdogs()
 	nCons, _ := s2.Registry().Value("watchdog.conservation_violations")

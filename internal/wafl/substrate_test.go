@@ -1,6 +1,7 @@
 package wafl
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -143,10 +144,21 @@ func TestRefTableOverflowPanics(t *testing.T) {
 	}
 }
 
+// sortedIDs returns the reference map's keys in ascending AA order.
+func sortedIDs[V any](m map[aa.ID]V) []aa.ID {
+	ids := make([]aa.ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // TestDeltaLedgerMatchesMap drives random add / delete / get / swap / drain /
 // clear sequences through two ledgers (an open and a sealed bank, as every
 // space has) and two maps. Entries whose value is zero but which are present
-// must survive in both and come out of the drain.
+// must survive in both and come out of the drain, and so must an entry added,
+// deleted and added again between two drains — once, with its second value.
 func TestDeltaLedgerMatchesMap(t *testing.T) {
 	const numAAs = 200
 	rng := rand.New(rand.NewSource(21))
@@ -178,11 +190,17 @@ func TestDeltaLedgerMatchesMap(t *testing.T) {
 		case op < 65:
 			sealed.add(id, 1) // reclaim credits the sealed bank directly
 			mSealed[id]++
-		case op < 80:
+		case op < 77:
 			open.delete(id)
 			delete(mOpen, id)
 			sealed.delete(id)
 			delete(mSealed, id)
+		case op < 80: // finishAA settling an AA that is written to again at once
+			sealed.add(id, -3)
+			sealed.delete(id)
+			sealed.add(id, 1)
+			sealed.add(id, -1)
+			mSealed[id] = 0
 		case op < 88: // seal
 			open, sealed = sealed, open
 			mOpen, mSealed = mSealed, mOpen
@@ -213,6 +231,126 @@ func TestDeltaLedgerMatchesMap(t *testing.T) {
 	}
 	if presentZeroDrained == 0 {
 		t.Fatal("the sequence never drained a present entry with delta zero")
+	}
+
+	// The same within one drain interval, spelled out: the entry comes out
+	// once, in its place, holding what was added after the delete.
+	l := newDeltaLedger(numAAs)
+	l.add(70, -3)
+	l.delete(70)
+	l.add(70, 1)
+	l.add(70, -1)
+	l.add(3, 2)
+	var got [][2]int64
+	l.drain(func(id aa.ID, d int64) { got = append(got, [2]int64{int64(id), d}) })
+	if want := [][2]int64{{3, 2}, {70, 0}}; !slices.Equal(got, want) || l.len() != 0 {
+		t.Fatalf("add, delete, add, drain: got %v (len %d after), want %v", got, l.len(), want)
+	}
+}
+
+// TestWriteBufferMatchesSortedList drives the write buffer next to the
+// list-and-sort it replaced: a block joins the list the first time it is
+// written in a CP, the CP sorts the list. LUN sizes sit on and either side of
+// the buffer's word and summary-word boundaries (and one block past 64^3);
+// writes straddle those boundaries, overlap and repeat. Before each CP the
+// buffer must hold exactly the sorted list; after it exactly those blocks must
+// have new VBN pairs, handed out in ascending LBA order (virtual VBNs ascend
+// on a volume this fresh), and the buffer must be empty again — across an
+// empty CP and two CPs back to back.
+func TestWriteBufferMatchesSortedList(t *testing.T) {
+	for _, blocks := range []uint64{1, 63, 64, 65, 4095, 4096, 4097, 64*64*64 + 1} {
+		tun := DefaultTunables()
+		tun.CPEveryOps = 1 << 30
+		s := NewSystem(testSpecs(), []VolSpec{{Name: "vol0", Blocks: 16 * aa.RAIDAgnosticBlocks}}, tun, 1)
+		lun := s.Agg.Vols()[0].CreateLUN("lun0", blocks)
+		rng := rand.New(rand.NewSource(int64(blocks)))
+		var list []uint64
+		seen := map[uint64]bool{}
+		write := func(lba uint64, n uint64) {
+			if lba >= blocks {
+				return
+			}
+			n = min(n, blocks-lba)
+			s.Write(lun, lba, int(n))
+			for b := lba; b < lba+n; b++ {
+				if !seen[b] {
+					seen[b] = true
+					list = append(list, b)
+				}
+			}
+		}
+		cp := func(round string) {
+			t.Helper()
+			slices.Sort(list)
+			var buffered []uint64
+			lun.dirty.Each(func(lba uint64) { buffered = append(buffered, lba) })
+			if !slices.Equal(buffered, list) || s.pendingBlocks != len(list) {
+				t.Fatalf("%d blocks, %s: buffer holds %v (%d pending), list %v", blocks, round, buffered, s.pendingBlocks, list)
+			}
+			before, written := slices.Clone(lun.blocks), s.Counters().BlocksWritten
+			s.CP()
+			if got := s.Counters().BlocksWritten - written; got != uint64(len(list)) {
+				t.Fatalf("%d blocks, %s: CP wrote %d blocks, list holds %d", blocks, round, got, len(list))
+			}
+			last := block.VBN(0)
+			for i, lba := range list {
+				p := lun.blocks[lba]
+				if p == before[lba] || p.virt == block.InvalidVBN || (i > 0 && p.virt <= last) {
+					t.Fatalf("%d blocks, %s: LBA %d got %+v after %v (was %+v)", blocks, round, lba, p, last, before[lba])
+				}
+				last = p.virt
+			}
+			for lba, p := range lun.blocks {
+				if !seen[uint64(lba)] && p != before[lba] {
+					t.Fatalf("%d blocks, %s: LBA %d was not written and moved from %+v to %+v", blocks, round, lba, before[lba], p)
+				}
+			}
+			if _, any := lun.dirty.Min(); any || lun.dirty.Len() != 0 || s.pendingBlocks != 0 || len(s.dirtyLUNs) != 0 {
+				t.Fatalf("%d blocks, %s: buffer not empty after the CP", blocks, round)
+			}
+			list = list[:0]
+			clear(seen)
+		}
+		cp("empty")
+		for round := 0; round < 2; round++ {
+			write(0, 1)
+			write(blocks-1, 1)
+			for _, edge := range []uint64{64, 128, 4096, 8192, 64 * 64 * 64} {
+				write(edge-2, 4)   // across the boundary
+				write(edge-1, 1)   // again, coalescing
+				write(edge-3, 130) // over it and the next word's too
+			}
+			for i := 0; i < 300; i++ {
+				write(uint64(rng.Int63n(int64(blocks))), uint64(1+rng.Intn(5)))
+			}
+			cp(fmt.Sprintf("round %d", round))
+		}
+		cp("empty again")
+		checkConsistency(t, s)
+	}
+}
+
+// The alloc stage orders dirty LUNs by rank, not by comparing names: whatever
+// order volumes and LUNs are created in, (volume rank, LUN rank) must order
+// them exactly as (volume name, LUN name) does.
+func TestLUNRanksFollowNames(t *testing.T) {
+	s := NewSystem(testSpecs(), nil, DefaultTunables(), 1)
+	names := []string{"m", "b", "z", "a", "ab", "lun10", "lun9"}
+	var luns []*LUN
+	for _, vn := range names {
+		v := s.Agg.AddVolume(VolSpec{Name: vn, Blocks: aa.RAIDAgnosticBlocks})
+		for _, ln := range names {
+			luns = append(luns, v.CreateLUN(ln, 8))
+		}
+	}
+	slices.SortFunc(luns, func(a, b *LUN) int {
+		return cmp.Or(cmp.Compare(a.vol.Name, b.vol.Name), cmp.Compare(a.Name, b.Name))
+	})
+	for i := 1; i < len(luns); i++ {
+		a, b := luns[i-1], luns[i]
+		if cmp.Or(cmp.Compare(a.vol.rank, b.vol.rank), cmp.Compare(a.rank, b.rank)) >= 0 {
+			t.Fatalf("%s/%s ranks (%d, %d), not below %s/%s at (%d, %d)", a.vol.Name, a.Name, a.vol.rank, a.rank, b.vol.Name, b.Name, b.vol.rank, b.rank)
+		}
 	}
 }
 

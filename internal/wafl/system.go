@@ -22,8 +22,7 @@ type System struct {
 	tun Tunables
 
 	// dirtyLUNs lists the LUNs holding dirty blocks for the current CP; the
-	// coalesced blocks themselves sit in each LUN's dirty bitset and LBA
-	// list (see LUN).
+	// coalesced blocks themselves sit in each LUN's dirty set (see LUN).
 	dirtyLUNs []*LUN
 	// pendingBlocks counts dirty (lun, lba) pairs across the buffer.
 	pendingBlocks int
@@ -133,12 +132,10 @@ func (s *System) Write(l *LUN, lba uint64, nblocks int) {
 		panic(fmt.Sprintf("wafl: write [%d,%d) beyond LUN %q size %d", lba, lba+uint64(nblocks), l.Name, l.Blocks()))
 	}
 	for b := lba; b < lba+uint64(nblocks); b++ {
-		if w, m := b/64, uint64(1)<<(b%64); l.dirty[w]&m == 0 {
-			if len(l.dirtyLBAs) == 0 {
+		if l.dirty.Add(b) {
+			if l.dirty.Len() == 1 {
 				s.dirtyLUNs = append(s.dirtyLUNs, l)
 			}
-			l.dirty[w] |= m
-			l.dirtyLBAs = append(l.dirtyLBAs, b)
 			s.pendingBlocks++
 		}
 	}

@@ -372,17 +372,20 @@ func (w *watchdogState) checkDFQueue(vol, gen string, d *delayedFrees) {
 	}
 	w.checks.Inc()
 	w.dfgenChk.Inc()
-	queued := 0
+	queued, aas := 0, 0
 	for _, vs := range d.pending {
-		queued += len(vs)
+		if len(vs) > 0 {
+			queued += len(vs)
+			aas++
+		}
 	}
 	if queued != d.count {
 		w.violate(w.dfgenViol, "volume %q delayed(%s): count %d, queued blocks %d", vol, gen, d.count, queued)
 	}
 	w.checks.Inc()
 	w.dfgenChk.Inc()
-	if got := d.cache.Total(); got != uint64(len(d.pending)) {
-		w.violate(w.dfgenViol, "volume %q delayed(%s): HBPS tracks %d AAs, queue holds %d", vol, gen, got, len(d.pending))
+	if got := d.cache.Total(); got != uint64(aas) {
+		w.violate(w.dfgenViol, "volume %q delayed(%s): HBPS tracks %d AAs, queue holds %d", vol, gen, got, aas)
 	}
 }
 

@@ -53,8 +53,21 @@ fi
 # by AA id coming back into these packages brings back a hash operation per
 # list move and an allocation per mount; the map-indexed reference the
 # differential tests compare against lives in a _test.go file and is exempt.
-if grep -rn 'map\[aa\.ID\]' internal/hbps internal/heapcache internal/topaa --include='*.go' | grep -v '_test\.go:'; then
-    echo "a map keyed by aa.ID is back in hbps, heapcache or topaa; index a slice by the id" >&2
+# The same holds for what internal/wafl keeps per AA (delta ledgers, the
+# delayed-free queues).
+if grep -rn 'map\[aa\.ID\]' internal/hbps internal/heapcache internal/topaa internal/wafl --include='*.go' | grep -v '_test\.go:'; then
+    echo "a map keyed by aa.ID is back in hbps, heapcache, topaa or wafl; index a slice by the id" >&2
+    exit 1
+fi
+
+# Structural gate, order by construction (DESIGN.md §14): dirty LBAs, tetris
+# cells, ledger entries and delayed-free AAs come off an ordset.Bits in
+# ascending order, so nothing on the CP path comparison-sorts per block or per
+# AA. (System.Read's per-op run sort in system.go is another path and stays;
+# pipeline.go orders the handful of dirty LUNs with slices.SortFunc.)
+if grep -n 'slices\.Sort(\|sort\.' internal/raid/raid.go internal/wafl/ledger.go \
+    internal/wafl/pipeline.go internal/wafl/delayedfree.go internal/wafl/agnostic.go; then
+    echo "a per-block or per-AA sort is back on the CP path; drain an ordset.Bits instead" >&2
     exit 1
 fi
 
@@ -80,6 +93,12 @@ go test -run '^$' -fuzz '^FuzzQueueOps$' -fuzztime 5s ./internal/shardq
 # map-indexed reference kept in its test file with the same list, histogram,
 # counters and pages after every step.
 go test -run '^$' -fuzz '^FuzzHBPSOps$' -fuzztime 5s ./internal/hbps
+# Tetris-builder differential fuzzer: for any geometry (one data device, more
+# than 64, a ragged last tetris) and a write list in allocator order, shuffled
+# or holding a duplicate, the bit-matrix builder and the sort-per-Build one
+# kept in the test file return the same tetrises or panic with the same text,
+# reused builder included.
+go test -run '^$' -fuzz '^FuzzTetrisBuild$' -fuzztime 5s ./internal/raid
 # Shared clause-grammar fuzzer: the field splitter hands out trimmed, unique,
 # comma-free fields that re-join and re-split to themselves; the fault-plan
 # parser rides along for its parse/format round trip.
