@@ -312,27 +312,135 @@ func (b *Bitmap) scan(v block.VBN, r block.Range, wantSet bool) (block.VBN, bool
 	return block.InvalidVBN, false
 }
 
+// freeIn returns word w with a one for every free block of [start, end).
+func (b *Bitmap) freeIn(w, start, end uint64) uint64 {
+	f, lo := ^b.words[w], w*wordBits
+	if start > lo {
+		f &= maskFrom(start - lo)
+	}
+	if end-lo < wordBits {
+		f &= maskUpto(end - lo)
+	}
+	return f
+}
+
 // ForEachFreeRun calls fn for each maximal run of contiguous free blocks
-// within r, in ascending order, without allocating — the scan hook the
-// fragscan analyzer builds its run-length histograms on. fn returning false
-// stops the walk.
+// within r, in ascending order, without allocating. It walks words: one with
+// no free block and one inside a longer run cost a compare each. fn returning
+// false stops the walk.
 func (b *Bitmap) ForEachFreeRun(r block.Range, fn func(run block.Range) bool) {
 	r = b.clampRange(r)
-	pos := r.Start
-	for {
-		start, ok := b.NextFree(pos, r)
-		if !ok {
-			return
+	if r.Len() == 0 {
+		return
+	}
+	start, end := uint64(r.Start), uint64(r.End)
+	open, from := false, uint64(0) // a run that began at from reaches this word
+	for w := start / wordBits; w <= (end-1)/wordBits; w++ {
+		f, base := b.freeIn(w, start, end), w*wordBits
+		if open {
+			n := uint64(bits.TrailingZeros64(^f))
+			if n == wordBits {
+				continue
+			}
+			if !fn(block.Range{Start: block.VBN(from), End: block.VBN(base + n)}) {
+				return
+			}
+			open, f = false, f&^maskUpto(n)
 		}
-		endUsed, ok := b.NextUsed(start, r)
-		if !ok {
-			fn(block.Range{Start: start, End: r.End})
-			return
+		for f != 0 {
+			s := uint64(bits.TrailingZeros64(f))
+			n := uint64(bits.TrailingZeros64(^(f >> s)))
+			if s+n == wordBits {
+				open, from = true, base+s
+				break
+			}
+			if !fn(block.Range{Start: block.VBN(base + s), End: block.VBN(base + s + n)}) {
+				return
+			}
+			f &^= maskUpto(n) << s
 		}
-		if !fn(block.Range{Start: start, End: endUsed}) {
-			return
+	}
+	if open {
+		fn(block.Range{Start: block.VBN(from), End: r.End})
+	}
+}
+
+// RunHist accumulates free-run statistics over one or more ranges. Log2[k]
+// counts the maximal free runs whose length l has bits.Len64(l-1) == k, that
+// is 2^(k-1) < l ≤ 2^k; the last entry also takes every longer run.
+type RunHist struct {
+	Runs    uint64 // maximal free runs
+	Blocks  uint64 // free blocks, the sum of their lengths
+	Longest uint64
+	Log2    [18]uint64
+}
+
+// add counts one run measured on its own, at a word's end or across words.
+func (h *RunHist) add(l uint64) {
+	h.Runs++
+	h.Blocks += l
+	h.Longest = max(h.Longest, l)
+	h.Log2[min(bits.Len64(l-1), len(h.Log2)-1)]++
+}
+
+// addWord counts the runs of f, none of which touches bit 0 or bit 63,
+// without visiting them. With y the blocks that begin 2^k free ones, y&(f>>2^k)
+// are those that begin 2^k+1 and y&(y>>2^k) those that begin 2^(k+1); each run
+// longer than 2^k leaves one run in the former, and a run starts at every one
+// whose lower neighbour is a zero. The longest run is measured only in a word
+// whose highest length class could beat the longest so far.
+func (h *RunHist) addWord(f uint64) {
+	n := uint64(bits.OnesCount64(f &^ (f << 1)))
+	h.Runs += n
+	h.Blocks += uint64(bits.OnesCount64(f))
+	k := 0
+	for y := f; k < 6; k++ {
+		q := y & (f >> (1 << k))
+		longer := uint64(bits.OnesCount64(q &^ (q << 1)))
+		if longer == 0 {
+			break
 		}
-		pos = endUsed
+		h.Log2[k] += n - longer
+		n, y = longer, y&(y>>(1<<k))
+	}
+	h.Log2[k] += n
+	if 1<<k > h.Longest {
+		var l uint64
+		for ; f != 0; f &= f >> 1 {
+			l++
+		}
+		h.Longest = max(h.Longest, l)
+	}
+}
+
+// FreeRunHist adds the maximal free runs of r to h, the ones ForEachFreeRun
+// would visit, in a few operations per word whatever the fragmentation: only
+// the runs at a word's two ends are measured, the rest are counted by length
+// class. The fragscan analyzer builds its run-length histograms on it.
+func (b *Bitmap) FreeRunHist(r block.Range, h *RunHist) {
+	r = b.clampRange(r)
+	if r.Len() == 0 {
+		return
+	}
+	start, end := uint64(r.Start), uint64(r.End)
+	var open uint64 // length so far of the run that reaches this word
+	for w := start / wordBits; w <= (end-1)/wordBits; w++ {
+		f := b.freeIn(w, start, end)
+		if f == ^uint64(0) {
+			open += wordBits
+			continue
+		}
+		if lead := uint64(bits.TrailingZeros64(^f)); open+lead != 0 {
+			h.add(open + lead)
+			f &^= maskUpto(lead)
+		}
+		open = uint64(bits.LeadingZeros64(^f))
+		if f &^= maskFrom(wordBits - open); f != 0 {
+			h.addWord(f)
+		}
+	}
+	if open != 0 {
+		h.add(open)
 	}
 }
 
@@ -350,14 +458,9 @@ func (b *Bitmap) FreeRuns(r block.Range) []block.Range {
 
 // LongestFreeRun returns the length of the longest contiguous free run in r.
 func (b *Bitmap) LongestFreeRun(r block.Range) uint64 {
-	var best uint64
-	b.ForEachFreeRun(r, func(run block.Range) bool {
-		if l := run.Len(); l > best {
-			best = l
-		}
-		return true
-	})
-	return best
+	var h RunHist
+	b.FreeRunHist(r, &h)
+	return h.Longest
 }
 
 // FreeWord returns an n-bit word (n ≤ 64) whose bit i is set when block

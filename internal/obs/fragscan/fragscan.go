@@ -7,10 +7,11 @@
 // of picked AAs, contiguity of free space, full-stripe opportunity — and the
 // quantities related log-structured work identifies as the predictors of
 // write amplification. The analyzer is purely observational: it reads
-// bitmaps through the cheap scan hooks (bitmap.ForEachFreeRun,
-// bitmap.FreeWord, aa.Scores, hbps.BinSnapshot, heapcache.Entries) and never
-// charges modeled scan cost or touches an allocator counter, so enabling it
-// cannot perturb an experiment's modeled clocks.
+// bitmaps through the cheap scan hooks (bitmap.FreeRunHist, bitmap.FreeWord,
+// aa.Scores, hbps.BinSnapshot, heapcache.Score) and never charges modeled
+// scan cost or touches an allocator counter, so enabling it cannot perturb an
+// experiment's modeled clocks. Every hook works a bitmap word at a time, so
+// a scan costs a few passes over the words whatever the fragmentation.
 //
 // Determinism contract: for a fixed workload and seed, scans, recorded
 // report sequences, and serialized CSV/JSON output are byte-identical at any
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -44,16 +46,20 @@ const (
 // bucket b counts AAs with free fraction in [b/10, (b+1)/10).
 const DefaultAABuckets = 10
 
-// DefaultRunBounds are the inclusive upper bounds of the free-run-length
-// histogram, in blocks: powers of two up to 64Ki blocks (256 MiB of 4KiB
-// blocks), plus an implicit +Inf bucket.
-func DefaultRunBounds() []uint64 {
-	bounds := make([]uint64, 17)
+// runBounds is the slice every Report's RunBounds shares; nobody writes
+// through it. Bound i is bucket i of bitmap.RunHist.Log2.
+var runBounds = func() []uint64 {
+	bounds := make([]uint64, len(bitmap.RunHist{}.Log2)-1)
 	for i := range bounds {
 		bounds[i] = 1 << i
 	}
 	return bounds
-}
+}()
+
+// DefaultRunBounds are the inclusive upper bounds of the free-run-length
+// histogram, in blocks: powers of two up to 64Ki blocks (256 MiB of 4KiB
+// blocks), plus an implicit +Inf bucket.
+func DefaultRunBounds() []uint64 { return slices.Clone(runBounds) }
 
 // Target describes one number space to scan. The zero value of the optional
 // fields is safe: no device spans means run analysis covers the whole space
@@ -139,12 +145,11 @@ func Scan(t Target, cp uint64) Report {
 		Space:          t.Space,
 		CP:             cp,
 		Kind:           t.Kind,
-		RunBounds:      DefaultRunBounds(),
+		RunBounds:      runBounds,
 		CacheBins:      t.CacheBins,
 		Picks:          t.Picks,
 		PickedFreeFrac: t.PickedFreeFrac,
 	}
-	rep.RunCounts = make([]uint64, len(rep.RunBounds)+1)
 
 	// Per-AA free fractions: parallel popcount scoring (index-owned slots,
 	// deterministic at any width), then capacity-normalized.
@@ -174,32 +179,20 @@ func Scan(t Target, cp uint64) Report {
 	if len(spans) == 0 {
 		spans = []block.Range{t.Topo.Space()}
 	}
-	var runBlocks uint64
+	var h bitmap.RunHist
 	for _, sp := range spans {
-		t.Bits.ForEachFreeRun(sp, func(run block.Range) bool {
-			l := run.Len()
-			rep.Runs++
-			runBlocks += l
-			if l > rep.LongestRun {
-				rep.LongestRun = l
-			}
-			rep.RunCounts[runBucket(rep.RunBounds, l)]++
-			return true
-		})
+		t.Bits.FreeRunHist(sp, &h)
 	}
-	if rep.Runs > 0 {
-		rep.MeanRun = float64(runBlocks) / float64(rep.Runs)
+	rep.RunCounts = slices.Clone(h.Log2[:])
+	rep.Runs, rep.LongestRun = h.Runs, h.Longest
+	if h.Runs > 0 {
+		rep.MeanRun = float64(h.Blocks) / float64(h.Runs)
 	}
 
 	if t.Kind == KindRAID && len(t.DeviceSpans) > 0 {
 		rep.StripeHist, rep.FreeStripeFrac = stripeFullness(t.Bits, t.DeviceSpans)
 	}
 	return rep
-}
-
-func runBucket(bounds []uint64, l uint64) int {
-	i := sort.Search(len(bounds), func(i int) bool { return bounds[i] >= l })
-	return i // len(bounds) = +Inf bucket
 }
 
 // deciles returns min, p10..p90, max of vs (11 entries) by nearest-rank on
@@ -217,9 +210,10 @@ func deciles(vs []float64) []float64 {
 	return out
 }
 
-// stripeFullness transposes per-device free bits into per-stripe free-block
-// counts, 64 stripes at a time: one FreeWord call per device per chunk
-// instead of one bitmap.Test per block.
+// stripeFullness counts stripes by free data blocks, 64 stripes at a time:
+// one FreeWord per device per chunk, added into a bit-sliced counter (bit s of
+// fill[j] is binary digit j of stripe s's count, as in raid's tetris builder),
+// and one popcount per fill value to read the chunk out.
 func stripeFullness(bm *bitmap.Bitmap, spans []block.Range) ([]uint64, float64) {
 	stripes := spans[0].Len()
 	for _, sp := range spans {
@@ -231,24 +225,27 @@ func stripeFullness(bm *bitmap.Bitmap, spans []block.Range) ([]uint64, float64) 
 	if stripes == 0 {
 		return hist, 0
 	}
-	var acc [64]uint8
+	var fill [64]uint64
+	digits := bits.Len(uint(len(spans)))
 	for base := uint64(0); base < stripes; base += 64 {
-		n := stripes - base
-		if n > 64 {
-			n = 64
-		}
-		for i := uint64(0); i < n; i++ {
-			acc[i] = 0
-		}
+		n := min(stripes-base, 64)
+		clear(fill[:digits])
 		for _, sp := range spans {
-			w := bm.FreeWord(sp.Start+block.VBN(base), uint(n))
-			for w != 0 {
-				acc[bits.TrailingZeros64(w)]++
-				w &= w - 1
+			for carry, j := bm.FreeWord(sp.Start+block.VBN(base), uint(n)), 0; carry != 0; j++ {
+				fill[j], carry = fill[j]^carry, fill[j]&carry
 			}
 		}
-		for i := uint64(0); i < n; i++ {
-			hist[acc[i]]++
+		for k, left := 0, ^uint64(0)>>(64-n); left != 0; k++ {
+			at := left
+			for j := 0; j < digits; j++ {
+				if k>>j&1 != 0 {
+					at &= fill[j]
+				} else {
+					at &^= fill[j]
+				}
+			}
+			hist[k] += uint64(bits.OnesCount64(at))
+			left &^= at
 		}
 	}
 	return hist, float64(hist[len(spans)]) / float64(stripes)
@@ -258,12 +255,21 @@ func stripeFullness(bm *bitmap.Bitmap, spans []block.Range) ([]uint64, float64) 
 // scan at their own CP boundaries) and serializes them canonically: sorted
 // by (Space, CP, Seq), so output is byte-identical at any worker count.
 type Recorder struct {
-	mu   sync.Mutex
-	rows []Report
+	mu     sync.Mutex
+	rows   []Report
+	spaces map[string]*spaceRows
+}
+
+// spaceRows is what Record and Last need of one space's rows without reading
+// them: its highest CP, how many rows carry it, and where the newest is.
+type spaceRows struct {
+	cp     uint64
+	atCP   int
+	newest int
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+func NewRecorder() *Recorder { return &Recorder{spaces: make(map[string]*spaceRows)} }
 
 // Record stores one report, assigning its Seq. Nil-safe.
 func (r *Recorder) Record(rep Report) {
@@ -272,11 +278,25 @@ func (r *Recorder) Record(rep Report) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, old := range r.rows {
-		if old.Space == rep.Space && old.CP == rep.CP {
-			rep.Seq++
+	sp := r.spaces[rep.Space]
+	switch {
+	case sp == nil:
+		sp = &spaceRows{cp: rep.CP}
+		r.spaces[rep.Space] = sp
+	case rep.CP > sp.cp:
+		sp.cp, sp.atCP = rep.CP, 0
+	case rep.CP < sp.cp: // out of order: count the rows, the newest stays
+		for _, old := range r.rows {
+			if old.Space == rep.Space && old.CP == rep.CP {
+				rep.Seq++
+			}
 		}
+		r.rows = append(r.rows, rep)
+		return
 	}
+	rep.Seq += sp.atCP
+	sp.atCP++
+	sp.newest = len(r.rows)
 	r.rows = append(r.rows, rep)
 }
 
@@ -318,17 +338,11 @@ func (r *Recorder) Last(space string) (Report, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var best Report
-	found := false
-	for _, rep := range r.rows {
-		if rep.Space != space {
-			continue
-		}
-		if !found || rep.CP > best.CP || (rep.CP == best.CP && rep.Seq > best.Seq) {
-			best, found = rep, true
-		}
+	sp := r.spaces[space]
+	if sp == nil {
+		return Report{}, false
 	}
-	return best, found
+	return r.rows[sp.newest], true
 }
 
 // CSVHeader is the first line of WriteCSV output: tidy long format, one

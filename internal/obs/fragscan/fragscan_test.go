@@ -1,14 +1,20 @@
 package fragscan
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"waflfs/internal/aa"
 	"waflfs/internal/bitmap"
 	"waflfs/internal/block"
+	"waflfs/internal/raid"
 )
 
 // A fresh space: one run spanning everything, all AAs fully free.
@@ -209,5 +215,261 @@ func TestSummaries(t *testing.T) {
 	}
 	if want := (0.5*4 + 0.75*12) / 16; s.PickedFreeFrac != want {
 		t.Fatalf("picked = %v, want %v", s.PickedFreeFrac, want)
+	}
+}
+
+// refScan is Scan as it stood before the word-walking kernels: one callback
+// and one binary search per free run, one increment per free bit of a stripe
+// chunk. It is the reference the differential test holds Scan to.
+func refScan(t Target, cp uint64) Report {
+	rep := Report{
+		Space:          t.Space,
+		CP:             cp,
+		Kind:           t.Kind,
+		RunBounds:      DefaultRunBounds(),
+		CacheBins:      t.CacheBins,
+		Picks:          t.Picks,
+		PickedFreeFrac: t.PickedFreeFrac,
+	}
+	rep.RunCounts = make([]uint64, len(rep.RunBounds)+1)
+
+	scores := aa.Scores(t.Topo, t.Bits, t.Workers)
+	fracs := make([]float64, len(scores))
+	for id, s := range scores {
+		cap := aa.Capacity(t.Topo, aa.ID(id))
+		rep.Blocks += cap
+		rep.Free += s
+		if cap > 0 {
+			fracs[id] = float64(s) / float64(cap)
+		}
+	}
+	rep.AAHist = make([]uint64, DefaultAABuckets)
+	for _, f := range fracs {
+		b := int(f * DefaultAABuckets)
+		if b >= DefaultAABuckets {
+			b = DefaultAABuckets - 1
+		}
+		rep.AAHist[b]++
+	}
+	rep.Deciles = deciles(fracs)
+
+	spans := t.DeviceSpans
+	if len(spans) == 0 {
+		spans = []block.Range{t.Topo.Space()}
+	}
+	var runBlocks uint64
+	for _, sp := range spans {
+		t.Bits.ForEachFreeRun(sp, func(run block.Range) bool {
+			l := run.Len()
+			rep.Runs++
+			runBlocks += l
+			if l > rep.LongestRun {
+				rep.LongestRun = l
+			}
+			rep.RunCounts[sort.Search(len(rep.RunBounds), func(i int) bool { return rep.RunBounds[i] >= l })]++
+			return true
+		})
+	}
+	if rep.Runs > 0 {
+		rep.MeanRun = float64(runBlocks) / float64(rep.Runs)
+	}
+
+	if t.Kind == KindRAID && len(t.DeviceSpans) > 0 {
+		rep.StripeHist, rep.FreeStripeFrac = refStripeFullness(t.Bits, t.DeviceSpans)
+	}
+	return rep
+}
+
+func refStripeFullness(bm *bitmap.Bitmap, spans []block.Range) ([]uint64, float64) {
+	stripes := spans[0].Len()
+	for _, sp := range spans {
+		if sp.Len() != stripes {
+			return nil, 0
+		}
+	}
+	hist := make([]uint64, len(spans)+1)
+	if stripes == 0 {
+		return hist, 0
+	}
+	var acc [64]uint8
+	for base := uint64(0); base < stripes; base += 64 {
+		n := min(stripes-base, 64)
+		clear(acc[:n])
+		for _, sp := range spans {
+			w := bm.FreeWord(sp.Start+block.VBN(base), uint(n))
+			for w != 0 {
+				acc[bits.TrailingZeros64(w)]++
+				w &= w - 1
+			}
+		}
+		for i := uint64(0); i < n; i++ {
+			hist[acc[i]]++
+		}
+	}
+	return hist, float64(hist[len(spans)]) / float64(stripes)
+}
+
+// churn ages r the way an overwrite workload does: filled, then freed and
+// refilled a block at a time, with a few long extents punched free so every
+// run-length class up to the span size occurs.
+func churn(bm *bitmap.Bitmap, r block.Range, rng *rand.Rand) {
+	bm.SetRange(r)
+	n := int(r.Len())
+	for i := 0; i < 2*n; i++ {
+		v := r.Start + block.VBN(rng.Intn(n))
+		if rng.Intn(5) < 2 {
+			bm.Set(v)
+		} else {
+			bm.Clear(v)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		from := r.Start + block.VBN(rng.Intn(n))
+		bm.ClearRange(block.R(from, min(from+block.VBN(rng.Intn(n/3+1)), r.End)))
+	}
+}
+
+// Scan and refScan must return DeepEqual reports on every kind of space.
+func TestScanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var targets []Target
+	// Aged RAID spaces: one data device to more than a word of them, stripe
+	// counts that are not multiples of 64, a ragged last AA, and the group
+	// not at VBN 0.
+	for _, d := range []int{1, 3, 6, 14, 65} {
+		for _, stripes := range []uint64{1, 63, 200, 4097} {
+			geo := raid.Geometry{DataDevices: d, ParityDevices: 1, BlocksPerDevice: stripes, StartVBN: 77}
+			bm := bitmap.New(uint64(geo.VBNRange().End) + 5)
+			churn(bm, geo.VBNRange(), rng)
+			spans := make([]block.Range, d)
+			for i := range spans {
+				spans[i] = geo.DeviceRange(i)
+			}
+			targets = append(targets, Target{
+				Space: fmt.Sprintf("raid.d%d.s%d", d, stripes), Kind: KindRAID,
+				Topo: aa.NewStriped(geo, 48), Bits: bm, DeviceSpans: spans,
+				Picks: 3, PickedFreeFrac: 0.25, CacheBins: []uint64{1, 2},
+			})
+		}
+	}
+	// Heterogeneous spans: runs per span, no stripe histogram.
+	bm := bitmap.New(1000)
+	churn(bm, block.R(0, 1000), rng)
+	targets = append(targets, Target{
+		Space: "hetero", Kind: KindRAID, Topo: aa.NewLinear(block.R(0, 1000), 100), Bits: bm,
+		DeviceSpans: []block.Range{block.R(0, 300), block.R(300, 1000)},
+	})
+	// HBPS spaces whose last AA is truncated, an empty and a full one.
+	for _, size := range []uint64{1, 64, 1000, 70000} {
+		aged, full := bitmap.New(size), bitmap.New(size)
+		churn(aged, block.R(0, block.VBN(size)), rng)
+		full.SetRange(block.R(0, block.VBN(size)))
+		for i, bm := range []*bitmap.Bitmap{aged, bitmap.New(size), full} {
+			targets = append(targets, Target{
+				Space: fmt.Sprintf("hbps.%s.%d", []string{"aged", "empty", "full"}[i], size), Kind: KindHBPS,
+				Topo: aa.NewLinear(block.R(0, block.VBN(size)), 4096), Bits: bm,
+			})
+		}
+	}
+	for _, tg := range targets {
+		got, want := Scan(tg, 9), refScan(tg, 9)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tg.Space, got, want)
+		}
+		if tg.Kind == KindRAID && tg.Space != "hetero" && got.StripeHist == nil {
+			t.Errorf("%s: no stripe histogram", tg.Space)
+		}
+	}
+	if empty, full := Scan(targets[len(targets)-2], 1), Scan(targets[len(targets)-1], 1); empty.Runs != 1 || empty.LongestRun != 70000 || full.Runs != 0 {
+		t.Fatalf("empty space in %d runs, longest %d; full space in %d", empty.Runs, empty.LongestRun, full.Runs)
+	}
+}
+
+// Reports share one RunBounds slice, so nothing may write through it, and
+// DefaultRunBounds hands out copies.
+func TestRunBoundsShared(t *testing.T) {
+	want := DefaultRunBounds()
+	bm := bitmap.New(256)
+	rep := Scan(Target{Space: "s", Kind: KindHBPS, Topo: aa.NewLinear(block.R(0, 256), 64), Bits: bm}, 1)
+	rec := NewRecorder()
+	rec.Record(rep)
+	if err := rec.WriteCSV(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	rec.Summaries()
+	if _, err := json.Marshal(rec.Reports()); err != nil {
+		t.Fatal(err)
+	}
+	DefaultRunBounds()[0] = 99
+	for i, b := range want {
+		if b != 1<<i || runBounds[i] != b || rep.RunBounds[i] != b {
+			t.Fatalf("bound %d: want %d, shared %d, report %d", i, b, runBounds[i], rep.RunBounds[i])
+		}
+	}
+	if len(rep.RunCounts) != len(want)+1 {
+		t.Fatalf("%d run counts for %d bounds", len(rep.RunCounts), len(want))
+	}
+}
+
+// Record and Last keep per-space state instead of reading every row; Seq and
+// Last must stay what the row scan made them, whatever the arrival order.
+func TestRecorderSeqAndLast(t *testing.T) {
+	rec := NewRecorder()
+	var rows []Report // the reference: every row, read per call
+	record := func(space string, cp uint64) {
+		rep := Report{Space: space, CP: cp, Deciles: make([]float64, 11)}
+		rec.Record(rep)
+		for _, old := range rows {
+			if old.Space == space && old.CP == cp {
+				rep.Seq++
+			}
+		}
+		rows = append(rows, rep)
+	}
+	rng := rand.New(rand.NewSource(3))
+	spaces := []string{"a", "b", "c"}
+	for i := 0; i < 400; i++ {
+		// Interleaved spaces, CPs mostly rising with repeats, and now and
+		// then one from the past, itself repeated.
+		cp := uint64(i / 7)
+		if rng.Intn(10) == 0 {
+			cp = uint64(rng.Intn(i/7 + 1))
+		}
+		record(spaces[rng.Intn(len(spaces))], cp)
+	}
+	record("late", 5)
+	record("late", 2)
+	record("late", 2)
+	record("late", 5)
+
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.Space != b.Space {
+			return a.Space < b.Space
+		}
+		if a.CP != b.CP {
+			return a.CP < b.CP
+		}
+		return a.Seq < b.Seq
+	})
+	if got := rec.Reports(); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("reports differ from the row-scan reference")
+	}
+	for _, space := range append(spaces, "late") {
+		var want Report
+		for _, rep := range rows { // canonical order: the last one is the newest
+			if rep.Space == space {
+				want = rep
+			}
+		}
+		if got, ok := rec.Last(space); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Last(%s) = (%d,%d),%v, want (%d,%d)", space, got.CP, got.Seq, ok, want.CP, want.Seq)
+		}
+	}
+	if last, _ := rec.Last("late"); last.CP != 5 || last.Seq != 1 {
+		t.Fatalf("Last(late) = (%d,%d), want (5,1)", last.CP, last.Seq)
+	}
+	if _, ok := rec.Last("nowhere"); ok {
+		t.Fatal("Last of an unknown space")
 	}
 }

@@ -23,7 +23,9 @@ package obs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,6 +346,9 @@ func (e *entry) snapshot() Metric {
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry
+	// ordered holds the entries by name; add keeps it so, and a snapshot
+	// reads it instead of sorting the map's contents.
+	ordered []*entry
 
 	// mirror, when set, receives a prefixed alias of every entry registered
 	// here — how per-System registries feed a shared export registry without
@@ -367,15 +372,18 @@ func (r *Registry) MirrorTo(dst *Registry, prefix string) {
 	}
 	r.mu.Lock()
 	r.mirror, r.mirrorPrefix = dst, prefix
-	existing := make([]*entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		existing = append(existing, e)
-	}
+	existing := slices.Clone(r.ordered)
 	r.mu.Unlock()
-	sort.Slice(existing, func(i, j int) bool { return existing[i].name < existing[j].name })
 	for _, e := range existing {
 		dst.attach(prefix+e.name, e)
 	}
+}
+
+// add stores e under its name, which must be unused. Called with mu held.
+func (r *Registry) add(e *entry) {
+	r.entries[e.name] = e
+	i, _ := slices.BinarySearchFunc(r.ordered, e.name, func(o *entry, name string) int { return strings.Compare(o.name, name) })
+	r.ordered = slices.Insert(r.ordered, i, e)
 }
 
 func (r *Registry) attach(name string, src *entry) {
@@ -390,7 +398,7 @@ func (r *Registry) attach(name string, src *entry) {
 	}
 	alias := *src
 	alias.name = final
-	r.entries[final] = &alias
+	r.add(&alias)
 }
 
 // ErrKindMismatch reports a metric name re-registered as a different
@@ -423,7 +431,7 @@ func (r *Registry) tryRegister(e *entry) (*entry, error) {
 		}
 		return old, nil
 	}
-	r.entries[e.name] = e
+	r.add(e)
 	mirror, prefix := r.mirror, r.mirrorPrefix
 	r.mu.Unlock()
 	if mirror != nil {
@@ -525,15 +533,13 @@ func (r *Registry) StableSnapshot() Snapshot {
 
 func (r *Registry) snapshot(includeVolatile bool) Snapshot {
 	r.mu.Lock()
-	es := make([]*entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		if !includeVolatile && e.volatile {
-			continue
+	es := make([]*entry, 0, len(r.ordered))
+	for _, e := range r.ordered {
+		if includeVolatile || !e.volatile {
+			es = append(es, e)
 		}
-		es = append(es, e)
 	}
 	r.mu.Unlock()
-	sort.Slice(es, func(i, j int) bool { return es[i].name < es[j].name })
 	snap := Snapshot{Metrics: make([]Metric, len(es))}
 	for i, e := range es {
 		snap.Metrics[i] = e.snapshot()

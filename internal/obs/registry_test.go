@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -136,5 +139,60 @@ func TestValueLookup(t *testing.T) {
 	}
 	if _, ok := r.Value("absent"); ok {
 		t.Fatal("Value must miss on absent names")
+	}
+}
+
+// Snapshots read a slice kept in name order by insertion; whatever the
+// registration order, with aliases (suffixed ones too) arriving in between and
+// names re-registered, they must list what sorting the entries would.
+func TestRegistrySnapshotOrderedByConstruction(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	export, priv := NewRegistry(), NewRegistry()
+	priv.Counter("pre.b")
+	priv.Gauge("pre.a")
+	priv.MirrorTo(export, "sys.")
+	for i := 0; i < 300; i++ {
+		name := fmt.Sprintf("m%03d", rng.Intn(200))
+		r := []*Registry{priv, export}[rng.Intn(2)]
+		switch _, taken := r.entries[name]; {
+		case taken:
+			r.Value(name)
+		case i%5 == 0:
+			r.VolatileCounter(name)
+		case i%5 == 1:
+			r.Histogram(name, FanoutBuckets)
+		case i%5 == 2:
+			r.GaugeFunc(name, func() int64 { return 1 })
+		default:
+			r.Counter(name)
+		}
+	}
+	priv.MirrorTo(export, "sys.") // every alias again, under "#2" names
+	for _, r := range []*Registry{priv, export} {
+		var all, stable []string
+		for name, e := range r.entries {
+			all = append(all, name)
+			if !e.volatile {
+				stable = append(stable, name)
+			}
+		}
+		sort.Strings(all)
+		sort.Strings(stable)
+		names := func(s Snapshot) []string {
+			var out []string
+			for _, m := range s.Metrics {
+				out = append(out, m.Name)
+			}
+			return out
+		}
+		if got := names(r.Snapshot()); !reflect.DeepEqual(got, all) {
+			t.Fatalf("Snapshot lists %v, want %v", got, all)
+		}
+		if got := names(r.StableSnapshot()); !reflect.DeepEqual(got, stable) || len(stable) == len(all) {
+			t.Fatalf("StableSnapshot lists %v, want %v", got, stable)
+		}
+	}
+	if _, ok := export.Value("sys.pre.a#2"); !ok {
+		t.Fatal("the second mirror pass made no suffixed alias")
 	}
 }

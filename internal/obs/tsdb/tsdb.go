@@ -132,14 +132,25 @@ type Store struct {
 	capacity    int
 	histBuckets func(string) bool
 	series      map[string]*series
+	// sampled caches, per (sys, metric) pair Sample has seen, the series the
+	// metric feeds, so a CP builds no series name and hashes none: a plain
+	// metric's one, or a histogram's ".sum", ".count" and, when HistBuckets
+	// selects it, one ".le_<bound>" per finite bound. A registry never changes
+	// a name's kind or a histogram's bounds, so neither does a pair.
+	sampled map[sampleKey][]*series
 }
+
+type sampleKey struct{ sys, name string }
 
 // NewStore creates an empty store. Capacity ≤ 0 selects the default.
 func NewStore(cfg Config) *Store {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultConfig().Capacity
 	}
-	return &Store{capacity: cfg.Capacity, histBuckets: cfg.HistBuckets, series: make(map[string]*series)}
+	return &Store{
+		capacity: cfg.Capacity, histBuckets: cfg.HistBuckets,
+		series: make(map[string]*series), sampled: make(map[sampleKey][]*series),
+	}
 }
 
 // Capacity returns the per-series point bound.
@@ -157,17 +168,37 @@ func (s *Store) Observe(name string, cp uint64, at time.Duration, v float64) {
 		return
 	}
 	s.mu.Lock()
-	s.observeLocked(name, cp, at, v)
+	s.put(s.seriesLocked(name), cp, at, v)
 	s.mu.Unlock()
 }
 
-func (s *Store) observeLocked(name string, cp uint64, at time.Duration, v float64) {
+// put appends one full-resolution sample to se. Called with mu held.
+func (s *Store) put(se *series, cp uint64, at time.Duration, v float64) {
+	se.add(s.capacity, Point{CPFirst: cp, CPLast: cp, At: at, Min: v, Max: v, Sum: v, Count: 1})
+}
+
+func (s *Store) seriesLocked(name string) *series {
 	se := s.series[name]
 	if se == nil {
 		se = &series{}
 		s.series[name] = se
 	}
-	se.add(s.capacity, Point{CPFirst: cp, CPLast: cp, At: at, Min: v, Max: v, Sum: v, Count: 1})
+	return se
+}
+
+// resolve names and creates the series metric m of sys feeds.
+func (s *Store) resolve(sys string, m obs.Metric) []*series {
+	name := sys + "." + m.Name
+	if m.Hist == nil {
+		return []*series{s.seriesLocked(name)}
+	}
+	out := []*series{s.seriesLocked(name + ".sum"), s.seriesLocked(name + ".count")}
+	if s.histBuckets != nil && s.histBuckets(name) {
+		for _, b := range m.Hist.Bounds {
+			out = append(out, s.seriesLocked(name+".le_"+strconv.FormatUint(b, 10)))
+		}
+	}
+	return out
 }
 
 // Sample records every non-volatile metric of a registry snapshot under
@@ -184,25 +215,28 @@ func (s *Store) Sample(sys string, cp uint64, at time.Duration, snap obs.Snapsho
 		if m.Volatile {
 			continue
 		}
-		name := sys + "." + m.Name
+		key := sampleKey{sys, m.Name}
+		h := s.sampled[key]
+		if h == nil {
+			h = s.resolve(sys, m)
+			s.sampled[key] = h
+		}
 		switch {
 		case m.Hist != nil:
-			s.observeLocked(name+".sum", cp, at, float64(m.Hist.Sum))
-			s.observeLocked(name+".count", cp, at, float64(m.Hist.Count))
-			if s.histBuckets != nil && s.histBuckets(name) {
-				// Cumulative per-bucket counters, one series per finite
-				// bound, so windowed queries can reconstruct the histogram
-				// of any CP range by delta.
-				var cum uint64
-				for i, b := range m.Hist.Bounds {
-					cum += m.Hist.Counts[i]
-					s.observeLocked(name+".le_"+strconv.FormatUint(b, 10), cp, at, float64(cum))
-				}
+			s.put(h[0], cp, at, float64(m.Hist.Sum))
+			s.put(h[1], cp, at, float64(m.Hist.Count))
+			// Cumulative per-bucket counters, one series per finite bound,
+			// so windowed queries can reconstruct the histogram of any CP
+			// range by delta.
+			var cum uint64
+			for i, se := range h[2:] {
+				cum += m.Hist.Counts[i]
+				s.put(se, cp, at, float64(cum))
 			}
 		case m.Kind == obs.KindGauge:
-			s.observeLocked(name, cp, at, float64(m.Gauge))
+			s.put(h[0], cp, at, float64(m.Gauge))
 		default:
-			s.observeLocked(name, cp, at, float64(m.Value))
+			s.put(h[0], cp, at, float64(m.Value))
 		}
 	}
 }

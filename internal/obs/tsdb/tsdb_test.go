@@ -3,6 +3,7 @@ package tsdb
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -184,5 +185,83 @@ func TestWriteJSONDeterministicOrder(t *testing.T) {
 	}
 	if a != buf.String() {
 		t.Fatalf("insertion order leaked into JSON:\n%s\nvs\n%s", a, buf.String())
+	}
+}
+
+// refSample is Sample as it stood before it cached series handles: every
+// series name built, and looked up, at every call.
+func refSample(s *Store, sys string, cp uint64, at time.Duration, snap obs.Snapshot) {
+	for _, m := range snap.Metrics {
+		if m.Volatile {
+			continue
+		}
+		name := sys + "." + m.Name
+		switch {
+		case m.Hist != nil:
+			s.Observe(name+".sum", cp, at, float64(m.Hist.Sum))
+			s.Observe(name+".count", cp, at, float64(m.Hist.Count))
+			if s.histBuckets != nil && s.histBuckets(name) {
+				var cum uint64
+				for i, b := range m.Hist.Bounds {
+					cum += m.Hist.Counts[i]
+					s.Observe(name+".le_"+strconv.FormatUint(b, 10), cp, at, float64(cum))
+				}
+			}
+		case m.Kind == obs.KindGauge:
+			s.Observe(name, cp, at, float64(m.Gauge))
+		default:
+			s.Observe(name, cp, at, float64(m.Value))
+		}
+	}
+}
+
+// Sample through cached handles must store what building every name did —
+// same series, same points, same JSON — for two systems sharing a store,
+// metrics that appear late, folds included, and allocate nothing once every
+// pair has been seen and the rings are full.
+func TestSampleMatchesReference(t *testing.T) {
+	cfg := Config{Capacity: 8, HistBuckets: SuffixFilter(".lat_ns")}
+	got, want := NewStore(cfg), NewStore(cfg)
+	reg := obs.NewRegistry()
+	c, g := reg.Counter("ops"), reg.Gauge("depth")
+	lat := reg.Histogram("vol.a.lat_ns", obs.DurationBuckets)
+	width := reg.Histogram("fanout", obs.FanoutBuckets)
+	reg.VolatileCounter("slots").Add(7)
+	got.Observe("other", 1, 1, 5)
+	want.Observe("other", 1, 1, 5)
+	for cp := uint64(1); cp <= 40; cp++ {
+		c.Add(cp)
+		g.Set(int64(cp%5) - 2)
+		lat.Observe(cp * 997)
+		width.Observe(cp % 9)
+		if cp == 20 {
+			reg.Counter("late").Add(3)
+			reg.Histogram("vol.b.lat_ns", obs.LatencyBuckets).Observe(12345)
+		}
+		for _, sys := range []string{"arm1", "arm2"} {
+			snap := reg.Snapshot() // volatile entries included: Sample skips them
+			got.Sample(sys, cp, time.Duration(cp)*time.Millisecond, snap)
+			refSample(want, sys, cp, time.Duration(cp)*time.Millisecond, snap)
+		}
+	}
+	if !reflect.DeepEqual(got.Dump(), want.Dump()) {
+		t.Fatalf("stores differ:\n got %v\nwant %v", got.SeriesNames(), want.SeriesNames())
+	}
+	var gotJSON, wantJSON bytes.Buffer
+	if err := got.WriteJSON(&gotJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteJSON(&wantJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
+		t.Fatal("JSON documents differ")
+	}
+	if got.NumSeries() != 1+2*(2+2+2+len(obs.DurationBuckets)+1+2+len(obs.LatencyBuckets)) {
+		t.Fatalf("%d series", got.NumSeries())
+	}
+	snap := reg.StableSnapshot()
+	if allocs := testing.AllocsPerRun(20, func() { got.Sample("arm1", 41, 41, snap) }); allocs != 0 {
+		t.Fatalf("Sample allocates %.0f times on known metrics", allocs)
 	}
 }

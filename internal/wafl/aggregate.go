@@ -45,9 +45,6 @@ type Aggregate struct {
 	cpTot     cpTotals
 	mountTot  mountTotals
 	scrubTot  scrubTotals
-	// fragMarks tracks per-space picked-quality baselines between
-	// allocation-quality scans (see fragscan.go).
-	fragMarks map[string]fragMark
 	// cpOrd is the ordinal the generation being allocated will commit as
 	// (set by System.CP); pick-provenance records carry it.
 	cpOrd uint64

@@ -56,6 +56,10 @@ type agnosticSpace struct {
 	delayed       *delayedFrees
 	delayedSealed *delayedFrees
 
+	// frag is the space's allocation-quality scan state (fragscan.go), nil
+	// until its first scan.
+	frag *fragSpace
+
 	// Measurement counters.
 	pickedScoreSum float64
 	pickedCount    uint64

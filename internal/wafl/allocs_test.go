@@ -8,6 +8,13 @@ import (
 	"testing"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/control"
+	"waflfs/internal/obs"
+	"waflfs/internal/obs/fragscan"
+	"waflfs/internal/obs/optrace"
+	"waflfs/internal/obs/picks"
+	"waflfs/internal/obs/slo"
+	"waflfs/internal/obs/tsdb"
 )
 
 // steadyStateCPAllocCeiling is the most heap allocations one steady-state
@@ -33,17 +40,27 @@ const steadyStateCPAllocCeiling = 20
 // per walk this round made 1411.
 const mountCycleAllocCeiling = 570
 
+// armedCPAllocCeiling is the gate for the same round with every sink armed as
+// the benchmark's ssd_overwrite_obs arms them, averaged over 64 rounds because
+// an allocation-quality scan rides every eighth CP. The round measures 81;
+// it made 275 while tsdb.Sample built every series name at every CP and the
+// registry sorted its entries for every snapshot. What is left: the SLO
+// engine's window queries, the snapshots themselves (a slice and one value per
+// histogram), the scans' reports and the controller's evaluation.
+const armedCPAllocCeiling = 130
+
 // TestSteadyStateCPAllocs runs a system until its scratch buffers have
 // reached their working size, then counts allocations per round. The race
 // detector allocates on its own account, hence the build tag.
 func TestSteadyStateCPAllocs(t *testing.T) {
-	ssd := func(pipeline bool, shards int) func() (*System, func()) {
+	ssd := func(pipeline bool, shards int, o *ObsOptions) func() (*System, func()) {
 		return func() (*System, func()) {
 			tun := DefaultTunables()
 			tun.Workers = 1
 			tun.CPEveryOps = 1 << 30
 			tun.Pipeline = pipeline
 			tun.AllocShards = shards
+			tun.Obs = o
 			g := GroupSpec{
 				DataDevices: 6, ParityDevices: 1, BlocksPerDevice: 1 << 16,
 				Media: aa.MediaSSD, EraseBlockBlocks: 512, Overprovision: 0.08,
@@ -99,21 +116,36 @@ func TestSteadyStateCPAllocs(t *testing.T) {
 			s.Agg.Remount(false)
 		}
 	}
+	// Every sink benchmark/workloads.go's armedObs arms, as it arms them.
+	armed := &ObsOptions{
+		Name:      "bench",
+		Export:    obs.NewRegistry(),
+		Frag:      fragscan.NewRecorder(),
+		FragEvery: 8,
+		Watchdogs: true,
+		TSDB:      tsdb.NewStore(tsdb.Config{Capacity: 128, HistBuckets: tsdb.SuffixFilter(".lat_ns")}),
+		SLO:       slo.NewSet(slo.DefaultSpecs()),
+		OpTrace:   optrace.NewRecorder(optrace.Config{Rate: 16, Seed: 5}),
+		Picks:     picks.NewRecorder(picks.DefaultConfig()),
+		Control:   control.NewSet(control.DefaultPolicies()),
+	}
 	for _, mode := range []struct {
 		name    string
 		build   func() (*System, func())
+		runs    int
 		ceiling float64
 	}{
-		{"depth1_unsharded", ssd(false, 0), steadyStateCPAllocCeiling},
-		{"depth2_shards4", ssd(true, 4), steadyStateCPAllocCeiling},
-		{"mount_cycle", mountCycle, mountCycleAllocCeiling},
+		{"depth1_unsharded", ssd(false, 0, nil), 10, steadyStateCPAllocCeiling},
+		{"depth2_shards4", ssd(true, 4, nil), 10, steadyStateCPAllocCeiling},
+		{"mount_cycle", mountCycle, 10, mountCycleAllocCeiling},
+		{"depth1_armed", ssd(false, 0, armed), 64, armedCPAllocCeiling},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			s, round := mode.build()
 			for i := 0; i < 40; i++ {
 				round()
 			}
-			if got := testing.AllocsPerRun(10, round); got > mode.ceiling {
+			if got := testing.AllocsPerRun(mode.runs, round); got > mode.ceiling {
 				t.Errorf("%.0f allocations per round, ceiling %.0f", got, mode.ceiling)
 			} else {
 				t.Logf("%.0f allocations per round", got)

@@ -1,8 +1,6 @@
 package wafl
 
 import (
-	"fmt"
-
 	"waflfs/internal/aa"
 	"waflfs/internal/block"
 	"waflfs/internal/obs/fragscan"
@@ -16,79 +14,105 @@ import (
 // enabling them changes no modeled clock and no allocator decision, and the
 // recorded streams stay byte-identical at any worker count.
 
-// fragMark remembers a space's picked-quality counters as of its previous
-// scan so each report carries the picks of its own CP window.
-type fragMark struct {
-	sum   float64
-	count uint64
+// fragSpace is what a group or an agnostic space keeps between scans: the
+// names and device spans fixed for its life, built at its first scan, and its
+// picked-quality counters as of the previous scan, so each report carries
+// the picks of its own CP window.
+type fragSpace struct {
+	name   string
+	series [len(fragSeries)]string // name + ".frag." + fragSeries[i]
+	spans  []block.Range
+	sum    float64
+	count  uint64
+}
+
+// fragSeries are the per-space series a time-series store gets from each
+// report: three per-AA free-fraction deciles, the overall free fraction and
+// the pick-weighted one.
+var fragSeries = [...]string{"p10", "p50", "p90", "free_frac", "picked_free_frac"}
+
+func newFragSpace(name string, spans []block.Range) *fragSpace {
+	f := &fragSpace{name: name, spans: spans}
+	for i, s := range fragSeries {
+		f.series[i] = name + ".frag." + s
+	}
+	return f
 }
 
 // pickedDelta converts absolute picked counters into a since-last-scan
 // window, tolerating counter resets (ResetMetrics zeroes the sums).
-func (ag *Aggregate) pickedDelta(space string, sum float64, count uint64) (uint64, float64) {
-	if ag.fragMarks == nil {
-		ag.fragMarks = make(map[string]fragMark)
+func (f *fragSpace) pickedDelta(sum float64, count uint64) (uint64, float64) {
+	lastSum, lastCount := f.sum, f.count
+	if count < lastCount {
+		lastSum, lastCount = 0, 0
 	}
-	last := ag.fragMarks[space]
-	if count < last.count {
-		last = fragMark{}
-	}
-	ag.fragMarks[space] = fragMark{sum: sum, count: count}
-	picks := count - last.count
+	f.sum, f.count = sum, count
+	picks := count - lastCount
 	if picks == 0 {
 		return 0, 0
 	}
-	return picks, (sum - last.sum) / float64(picks)
+	return picks, (sum - lastSum) / float64(picks)
 }
 
 // fragTargets builds one scan target per space, in a fixed order (groups by
 // index, volumes in creation order, then the pool) so recorded sequence
-// numbers are deterministic.
-func (ag *Aggregate) fragTargets() []fragscan.Target {
+// numbers are deterministic, and returns each target's fragSpace beside it.
+func (ag *Aggregate) fragTargets() ([]fragscan.Target, []*fragSpace) {
 	name := ag.obsOpts.Name
 	workers := ag.workers()
-	var out []fragscan.Target
+	n := len(ag.groups) + len(ag.vols) + 1
+	out, spaces := make([]fragscan.Target, 0, n), make([]*fragSpace, 0, n)
 	for _, g := range ag.groups {
-		spans := make([]block.Range, g.geo.DataDevices)
-		for d := range spans {
-			spans[d] = g.geo.DeviceRange(d)
+		if g.frag == nil {
+			spans := make([]block.Range, g.geo.DataDevices)
+			for d := range spans {
+				spans[d] = g.geo.DeviceRange(d)
+			}
+			g.frag = newFragSpace(name+"."+g.key, spans)
 		}
 		t := fragscan.Target{
-			Space:       fmt.Sprintf("%s.rg%d", name, g.Index),
+			Space:       g.frag.name,
 			Kind:        fragscan.KindRAID,
 			Topo:        g.topo,
 			Bits:        ag.bm,
-			DeviceSpans: spans,
+			DeviceSpans: g.frag.spans,
 			CacheBins:   heapBins(g, fragscan.DefaultAABuckets),
 			Workers:     workers,
 		}
-		t.Picks, t.PickedFreeFrac = ag.pickedDelta(t.Space, g.pickedScoreSum, g.pickedCount)
-		out = append(out, t)
+		t.Picks, t.PickedFreeFrac = g.frag.pickedDelta(g.pickedScoreSum, g.pickedCount)
+		out, spaces = append(out, t), append(spaces, g.frag)
 	}
 	for _, v := range ag.vols {
-		out = append(out, ag.agnosticTarget(name+".vol."+v.Name, v.space))
+		if v.space.frag == nil {
+			v.space.frag = newFragSpace(name+".vol."+v.Name, nil)
+		}
+		out, spaces = append(out, ag.agnosticTarget(v.space)), append(spaces, v.space.frag)
 	}
 	if ag.pool != nil {
-		out = append(out, ag.agnosticTarget(name+".pool", ag.pool.space))
+		if ag.pool.space.frag == nil {
+			ag.pool.space.frag = newFragSpace(name+".pool", nil)
+		}
+		out, spaces = append(out, ag.agnosticTarget(ag.pool.space)), append(spaces, ag.pool.space.frag)
 	}
-	return out
+	return out, spaces
 }
 
-func (ag *Aggregate) agnosticTarget(space string, s *agnosticSpace) fragscan.Target {
+// agnosticTarget is the scan target of a space whose frag is set.
+func (ag *Aggregate) agnosticTarget(s *agnosticSpace) fragscan.Target {
 	bins := s.cache.BinSnapshot()
 	cacheBins := make([]uint64, len(bins))
 	for i, c := range bins {
 		cacheBins[i] = uint64(c)
 	}
 	t := fragscan.Target{
-		Space:     space,
+		Space:     s.frag.name,
 		Kind:      fragscan.KindHBPS,
 		Topo:      s.topo,
 		Bits:      s.bm,
 		CacheBins: cacheBins,
 		Workers:   ag.workers(),
 	}
-	t.Picks, t.PickedFreeFrac = ag.pickedDelta(space, s.pickedScoreSum, s.pickedCount)
+	t.Picks, t.PickedFreeFrac = s.frag.pickedDelta(s.pickedScoreSum, s.pickedCount)
 	return t
 }
 
@@ -97,12 +121,12 @@ func (ag *Aggregate) agnosticTarget(space string, s *agnosticSpace) fragscan.Tar
 // bitmap. Bucketing makes the result independent of internal heap order.
 func heapBins(g *Group, buckets int) []uint64 {
 	bins := make([]uint64, buckets)
-	for _, e := range g.cache.Entries() {
-		cap := aa.Capacity(g.topo, e.ID)
-		if cap == 0 {
+	for id := aa.ID(0); int(id) < g.topo.NumAAs(); id++ {
+		cap := aa.Capacity(g.topo, id)
+		if cap == 0 || !g.cache.Tracked(id) {
 			continue
 		}
-		b := int(float64(e.Score) / float64(cap) * float64(buckets))
+		b := int(float64(g.cache.Score(id)) / float64(cap) * float64(buckets))
 		if b >= buckets {
 			b = buckets - 1
 		}
@@ -114,7 +138,12 @@ func heapBins(g *Group, buckets int) []uint64 {
 // FragScan scans every space at the given CP ordinal, records the reports
 // into ObsOptions.Frag (when set), and returns them in target order.
 func (ag *Aggregate) FragScan(cp uint64) []fragscan.Report {
-	targets := ag.fragTargets()
+	reports, _ := ag.fragScan(cp)
+	return reports
+}
+
+func (ag *Aggregate) fragScan(cp uint64) ([]fragscan.Report, []*fragSpace) {
+	targets, spaces := ag.fragTargets()
 	reports := make([]fragscan.Report, len(targets))
 	for i, t := range targets {
 		reports[i] = fragscan.Scan(t, cp)
@@ -124,7 +153,7 @@ func (ag *Aggregate) FragScan(cp uint64) []fragscan.Report {
 			rec.Record(rep)
 		}
 	}
-	return reports
+	return reports, spaces
 }
 
 // FragScan runs an on-demand allocation-quality scan of every space,
@@ -135,9 +164,8 @@ func (s *System) FragScan() []fragscan.Report {
 
 // maybeFragScan is the CP-boundary hook: scan when a frag recorder or a
 // time-series store is attached and this CP ordinal matches the FragEvery
-// cadence. With a store attached, each report's headline numbers — the
-// per-AA free-fraction deciles, overall free fraction, and pick-weighted
-// free fraction — feed per-space series the live viewer renders.
+// cadence. With a store attached, each report's headline numbers (see
+// fragSeries) feed per-space series the live viewer renders.
 func (s *System) maybeFragScan() {
 	o := &s.Agg.obsOpts
 	if o.Frag == nil && o.TSDB == nil {
@@ -146,15 +174,13 @@ func (s *System) maybeFragScan() {
 	if o.FragEvery > 1 && s.c.CPs%uint64(o.FragEvery) != 0 {
 		return
 	}
-	reports := s.Agg.FragScan(s.c.CPs)
+	reports, spaces := s.Agg.fragScan(s.c.CPs)
 	if ts := o.TSDB; ts != nil {
-		at := s.obsMark
-		for _, rep := range reports {
-			ts.Observe(rep.Space+".frag.p10", s.c.CPs, at, rep.Deciles[1])
-			ts.Observe(rep.Space+".frag.p50", s.c.CPs, at, rep.Deciles[5])
-			ts.Observe(rep.Space+".frag.p90", s.c.CPs, at, rep.Deciles[9])
-			ts.Observe(rep.Space+".frag.free_frac", s.c.CPs, at, rep.FreeFrac())
-			ts.Observe(rep.Space+".frag.picked_free_frac", s.c.CPs, at, rep.PickedFreeFrac)
+		for i, rep := range reports {
+			vals := [len(fragSeries)]float64{rep.Deciles[1], rep.Deciles[5], rep.Deciles[9], rep.FreeFrac(), rep.PickedFreeFrac}
+			for j, name := range spaces[i].series {
+				ts.Observe(name, s.c.CPs, s.obsMark, vals[j])
+			}
 		}
 	}
 }

@@ -93,6 +93,10 @@ type Group struct {
 	// chains so device write pointers see writes in issue order.
 	pendingCS []uint64
 
+	// frag is the group's allocation-quality scan state (fragscan.go), nil
+	// until its first scan.
+	frag *fragSpace
+
 	// Measurement counters.
 	pickedScoreSum   float64 // sum of (score/BlocksPerAA) at AA pick time
 	pickedCount      uint64

@@ -71,6 +71,38 @@ if grep -n 'slices\.Sort(\|sort\.' internal/raid/raid.go internal/wafl/ledger.go
     exit 1
 fi
 
+# Structural gate, fragscan at word speed (DESIGN.md §6, §14): the free-run
+# histogram comes off bitmap words through bitmap.FreeRunHist, so the analyzer
+# makes no callback and no bucket search per run; the package's one run walker
+# reads words itself instead of ping-ponging between NextFree and NextUsed; a
+# registry snapshot reads a name-ordered slice; and tsdb's Sample looks its
+# series up through cached handles instead of building their names. The
+# per-run loop, the per-bit stripe loop and the name-building Sample survive
+# in _test.go files, as the references the differential tests compare against.
+body() { # body <file> <func header regexp>: the function's text, header to closing brace
+    sed -n "/^func $2/,/^}/p" "$1"
+}
+if grep -n 'sort\.Search(\|ForEachFreeRun(' internal/obs/fragscan/*.go | grep -v '_test\.go:'; then
+    echo "fragscan is walking free runs one at a time again; use bitmap.FreeRunHist" >&2
+    exit 1
+fi
+if body internal/bitmap/bitmap.go '(b \*Bitmap) ForEachFreeRun(' | grep -n 'NextFree(\|NextUsed('; then
+    echo "ForEachFreeRun is back on NextFree/NextUsed; walk the words" >&2
+    exit 1
+fi
+if body internal/obs/registry.go '(r \*Registry) snapshot(' | grep -n 'sort\.'; then
+    echo "Registry.snapshot sorts per call; keep Registry.ordered in order instead" >&2
+    exit 1
+fi
+if body internal/obs/tsdb/tsdb.go '(s \*Store) Sample(' | grep -n '" *+\|+ *"'; then
+    echo "tsdb.Store.Sample builds a series name per call; resolve it once into Store.sampled" >&2
+    exit 1
+fi
+# The gates above must have had something to read.
+test -n "$(body internal/bitmap/bitmap.go '(b \*Bitmap) ForEachFreeRun(')"
+test -n "$(body internal/obs/registry.go '(r \*Registry) snapshot(')"
+test -n "$(body internal/obs/tsdb/tsdb.go '(s \*Store) Sample(')"
+
 go build ./...
 go vet ./...
 go test ./...
@@ -99,6 +131,11 @@ go test -run '^$' -fuzz '^FuzzHBPSOps$' -fuzztime 5s ./internal/hbps
 # kept in the test file return the same tetrises or panic with the same text,
 # reused builder included.
 go test -run '^$' -fuzz '^FuzzTetrisBuild$' -fuzztime 5s ./internal/raid
+# Free-run differential fuzzer: for any bitmap size, fill pattern and range
+# (unaligned, empty, past the end) the word-walking ForEachFreeRun, FreeRunHist
+# and a block-by-block Test loop agree on every run, count, bucket and the
+# longest run, and fn returning false stops the walk.
+go test -run '^$' -fuzz '^FuzzFreeRuns$' -fuzztime 5s ./internal/bitmap
 # Shared clause-grammar fuzzer: the field splitter hands out trimmed, unique,
 # comma-free fields that re-join and re-split to themselves; the fault-plan
 # parser rides along for its parse/format round trip.
