@@ -28,21 +28,18 @@ bench:
 # Allocator pick-path microbenchmark: striped vs shared, modeled contention.
 # Exits nonzero if the striped arm is not faster at 8 workers.
 benchpick:
-	go run ./cmd/waflbench -pickbench -scale $(SCALE)
+	go run ./cmd/waflbench -exp allocbench -scale $(SCALE)
 
 # Regenerate the benchmark artifact at full scale into the next unused
 # BENCH_<n>.json and gate it against the newest previously committed one.
-# -pipeline and -control default keep the cp.pipeline.* / crash.pipeline.*
-# and control.* families in the artifact: dropping either would read as
-# missing metrics against the committed baseline.
 bench-artifact:
-	go run ./cmd/waflbench -bench-json $(BENCH) -pipeline -control default -scale $(SCALE)
+	go run ./cmd/waflbench -bench-json $(BENCH) -scale $(SCALE)
 	go run ./cmd/benchdiff -dir . $(BENCH)
 
 # Compare a fresh full-scale artifact against the committed baseline without
 # overwriting it.
 bench-diff:
-	go run ./cmd/waflbench -bench-json /tmp/BENCH_new.json -pipeline -control default -scale $(SCALE)
+	go run ./cmd/waflbench -bench-json /tmp/BENCH_new.json -scale $(SCALE)
 	go run ./cmd/benchdiff -dir . /tmp/BENCH_new.json
 
 # Host-clock before/after pair (benchmark/README.md): run bench-host once per
@@ -66,8 +63,8 @@ bench-host-compare:
 # crash in the overlap window must page the recovery SLI while recovering
 # without silent divergence.
 pipeline:
-	go run ./cmd/waflbench -pipeline -scale $(SCALE) -slo default -slo-expect none
-	go run ./cmd/waflbench -faults pipeline -scale 0.1 -slo default -slo-expect alerts
+	go run ./cmd/waflbench -exp pipelinebench -scale $(SCALE) -slo default -slo-expect none
+	go run ./cmd/waflbench -exp pipelinecrash -scale 0.1 -slo default -slo-expect alerts
 
 # Run a quarter-scale fig9 with the live introspection endpoints up and hold
 # them for half an hour — point cmd/wafltop (or a browser) at the address.
@@ -91,11 +88,11 @@ trace:
 # the recovery SLI.
 slo:
 	go run ./cmd/waflbench -exp fig9 -scale $(SCALE) -slo default -slo-expect none
-	go run ./cmd/waflbench -faults matrix -scale 0.1 -slo default -slo-expect alerts
+	go run ./cmd/waflbench -exp crashmatrix -scale 0.1 -slo default -slo-expect alerts
 
 # Closed-loop controller gate both ways: on a clean figure run the stock
 # portfolio must keep its hands off every knob (do no harm), and across the
 # crash matrix the recovery page must kick at least one scrub (do some good).
 control:
 	go run ./cmd/waflbench -exp fig9 -scale $(SCALE) -control default -control-expect none
-	go run ./cmd/waflbench -faults matrix -scale 0.1 -control default -control-expect actuations
+	go run ./cmd/waflbench -exp crashmatrix -scale 0.1 -control default -control-expect actuations

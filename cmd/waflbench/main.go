@@ -6,29 +6,42 @@
 //
 // Usage:
 //
-//	waflbench [-exp fig6|fig7|fig8|fig9|fig10|all] [-scale 1.0] [-seed 42]
+//	waflbench [-exp <name>|all] [-list] [-scale 1.0] [-seed 42] [-cores 20]
 //	          [-parallel N] [-cpuprofile f] [-memprofile f]
-//	          [-metrics-addr host:port] [-csv-out f.csv] [-trace-out f.jsonl]
-//	          [-trace-collapse f.folded] [-bench-json BENCH_n.json]
-//	          [-faults matrix|pipeline|<plan-spec>] [-pickbench] [-pipeline]
+//	          [-metrics-addr host:port] [-hold d] [-csv-out f.csv]
+//	          [-trace-out f.jsonl] [-trace-collapse f.folded]
+//	          [-bench-json BENCH_n.json] [-faults <plan-spec>]
 //	          [-slo default|<spec>] [-slo-expect none|alerts]
 //	          [-optrace default|rate=N[,slow=D][,cap=N]]
 //	          [-control default|<spec>] [-control-expect none|actuations]
 //
-// -faults runs the crash-recovery harness instead of a figure: "matrix"
-// sweeps a crash at every CP phase × media fault kind and exits nonzero if
-// any recovered cache silently disagrees with the bitmap metafiles;
-// "pipeline" sweeps the pipelined-CP overlap window (overlap_alloc /
-// overlap_flush) × every fault kind the same way; any other value is a
-// fault-plan spec (e.g. "phase=flush,fault=torn,cp=2") running a single
-// crash-and-recover scenario — plans naming an overlap phase run the
-// pipelined scenario, whose overlap window is boundary 4 (cp=4). See
+// -exp, -faults and -bench-json each select what runs; give at most one.
+//
+// -exp names a registry entry (-list prints them): the figures fig6..fig10,
+// storm and ablations report, and four entries carry their own gate and
+// exit nonzero when it fails. crashmatrix sweeps a crash at every CP phase ×
+// media fault kind and fails if any recovered cache silently disagrees with
+// the bitmap metafiles; pipelinecrash does the same over the pipelined CP's
+// overlap window (overlap_alloc / overlap_flush); allocbench runs the
+// striped-vs-shared allocator pick-path microbenchmark and fails unless the
+// striped arm's modeled pick wall-clock at 8 workers beats the shared
+// arm's; pipelinebench runs the same sustained-write workload stop-the-world
+// and pipelined and fails if the modeled overlap gain at 8 workers is below
+// 1.3x or the two arms' final states diverge. Each gate is the experiment's
+// own (internal/experiments), so -bench-json fails on the same conditions.
+//
+// -faults runs a single crash-and-recover scenario under a fault-plan spec
+// (e.g. "phase=flush,fault=torn,cp=2") instead of an experiment — plans
+// naming an overlap phase run the pipelined scenario, whose overlap window
+// is boundary 4 (cp=4) — and exits nonzero on silent divergence. See
 // internal/faultinject.
 //
 // -bench-json runs the canonical fig6–fig10 + microbench suite and writes a
 // schema-versioned benchmark artifact (headline metrics, fragscan
 // allocation-quality summaries, modeled clocks, provenance) for regression
-// gating with cmd/benchdiff; see internal/benchfmt.
+// gating with cmd/benchdiff; see internal/benchfmt. The pipelined-CP
+// (cp.pipeline.*, crash.pipeline.*) and closed-loop control (control.*)
+// families are always part of it.
 //
 // -parallel sets the deterministic work-pool width: experiment arms, MVA
 // sweep points, CP flushes, and mount walks fan out across N workers, with
@@ -88,23 +101,7 @@
 // /debug/control endpoint serves the live status document. -control-expect
 // turns the outcome into an exit code: "none" fails the run if anything
 // actuated (clean-figure smoke), "actuations" fails unless at least one
-// actuation fired (crash-matrix smoke). With -bench-json, -control gates
-// the control.* families — the do-no-harm/does-act audit and the
-// adversarial snapshot-storm benchmark — into the artifact. See
-// internal/control.
-//
-// -pickbench runs the striped-vs-shared allocator pick-path microbenchmark
-// (see internal/experiments.RunAllocBench) and exits nonzero if the striped
-// arm's modeled pick wall-clock at 8 workers is not strictly faster than the
-// shared arm's — a cheap CI guard that the sharded hot path keeps paying for
-// itself.
-//
-// -pipeline runs the pipelined-CP overlap benchmark (see
-// internal/experiments.RunPipelineBench): the same sustained-write workload
-// stop-the-world and pipelined, exiting nonzero if the modeled overlap gain
-// at 8 workers is below 1.3x or the two arms' final states diverge. With
-// -bench-json it instead gates the pipelined families (cp.pipeline.* and
-// the crash.pipeline.* overlap crash matrix) into the collected artifact.
+// actuation fired (crash-matrix smoke). See internal/control.
 //
 // Absolute numbers are simulation-scale; the comparisons (who wins, by what
 // factor, where curves sit) are what reproduce the paper. See EXPERIMENTS.md
@@ -113,6 +110,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -139,6 +137,7 @@ import (
 	"waflfs/internal/obs/slo"
 	"waflfs/internal/obs/tsdb"
 	"waflfs/internal/stats"
+	"waflfs/internal/wafl"
 )
 
 // gitRev returns the short HEAD revision for artifact provenance, or
@@ -151,74 +150,121 @@ func gitRev() string {
 	return strings.TrimSpace(string(out))
 }
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig6..fig10 or all")
-	scale := flag.Float64("scale", 1.0, "working-set scale factor (smaller = faster)")
-	seed := flag.Int64("seed", 42, "random seed")
-	cores := flag.Int("cores", 20, "storage-server CPU cores for the queueing model")
-	list := flag.Bool("list", false, "list experiments and exit")
-	workers := flag.Int("parallel", 1,
-		"work-pool width for experiments, CP flushes, and mount walks (0 = min(GOMAXPROCS,8), 1 = serial)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	metricsAddr := flag.String("metrics-addr", "",
-		"serve live endpoints (/metrics, /debug/timeseries, /debug/picks, /debug/pprof) on this address during the run (\":0\" picks a free port)")
-	hold := flag.Duration("hold", 0,
-		"keep the live endpoints serving for this long after the run finishes (requires -metrics-addr)")
-	csvOut := flag.String("csv-out", "", "write per-CP metric rows to this CSV file")
-	traceOut := flag.String("trace-out", "", "write the CP-phase/allocator trace to this JSON Lines file")
-	traceCollapse := flag.String("trace-collapse", "",
-		"fold the CP-phase trace spans into collapsed-stack format (sys;phase;name count) and write them to this file (flamegraph.pl-compatible)")
-	pickbench := flag.Bool("pickbench", false,
-		"run the striped-vs-shared allocator pick-path microbenchmark and exit 1 if the striped arm is not faster at 8 workers (modeled); overrides -exp")
-	pipeline := flag.Bool("pipeline", false,
-		"run the pipelined-CP overlap benchmark and exit 1 if the overlap gain at 8 workers is below 1.3x or the arms' final states diverge (overrides -exp); with -bench-json, gates the cp.pipeline.* and crash.pipeline.* families into the artifact")
-	benchJSON := flag.String("bench-json", "",
-		"run the canonical fig6-fig10 + microbench suite and write a schema-versioned benchmark artifact (BENCH_<n>.json) to this file; overrides -exp")
-	faults := flag.String("faults", "",
-		"fault-injection mode: 'matrix' sweeps a crash at every CP phase × media fault and exits 1 on silent divergence; any other value is a plan spec like 'phase=flush,fault=torn,cp=2' running one crash-and-recover scenario; overrides -exp")
-	sloSpec := flag.String("slo", "",
-		"arm the SLO engine on every arm with this spec string ('default' for the stock portfolio; see internal/obs/slo)")
-	sloExpect := flag.String("slo-expect", "",
-		"exit 1 unless the run's SLO alert totals match: 'none' (no warns or pages) or 'alerts' (at least one page); requires -slo")
-	optraceSpec := flag.String("optrace", "",
-		"arm request-scoped op tracing on every arm with this spec ('default' or 'rate=N[,slow=D][,cap=N]'; see internal/obs/optrace)")
-	controlSpec := flag.String("control", "",
-		"arm the closed-loop controller on every arm with this policy string ('default' for the stock portfolio; see internal/control)")
-	controlExpect := flag.String("control-expect", "",
-		"exit 1 unless the run's actuation totals match: 'none' (nothing actuated) or 'actuations' (at least one fired); requires -control")
-	flag.Parse()
+// options is waflbench's flag surface: one field per flag.
+type options struct {
+	exp           string
+	scale         float64
+	seed          int64
+	cores         int
+	list          bool
+	workers       int
+	cpuprofile    string
+	memprofile    string
+	metricsAddr   string
+	hold          time.Duration
+	csvOut        string
+	traceOut      string
+	traceCollapse string
+	benchJSON     string
+	faults        string
+	sloSpec       string
+	sloExpect     string
+	optraceSpec   string
+	controlSpec   string
+	controlExpect string
+}
 
-	switch *sloExpect {
+// newFlagSet declares every waflbench flag over o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("waflbench", flag.ExitOnError)
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run: a name -list prints, or all")
+	fs.Float64Var(&o.scale, "scale", 1.0, "working-set scale factor (smaller = faster)")
+	fs.Int64Var(&o.seed, "seed", 42, "random seed")
+	fs.IntVar(&o.cores, "cores", 20, "storage-server CPU cores for the queueing model")
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	fs.IntVar(&o.workers, "parallel", 1,
+		"work-pool width for experiments, CP flushes, and mount walks (0 = min(GOMAXPROCS,8), 1 = serial)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "",
+		"serve live endpoints (/metrics, /debug/timeseries, /debug/picks, /debug/pprof) on this address during the run (\":0\" picks a free port)")
+	fs.DurationVar(&o.hold, "hold", 0,
+		"keep the live endpoints serving for this long after the run finishes (requires -metrics-addr)")
+	fs.StringVar(&o.csvOut, "csv-out", "", "write per-CP metric rows to this CSV file")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the CP-phase/allocator trace to this JSON Lines file")
+	fs.StringVar(&o.traceCollapse, "trace-collapse", "",
+		"fold the CP-phase trace spans into collapsed-stack format (sys;phase;name count) and write them to this file (flamegraph.pl-compatible)")
+	fs.StringVar(&o.benchJSON, "bench-json", "",
+		"run the canonical fig6-fig10 + microbench suite and write a schema-versioned benchmark artifact (BENCH_<n>.json) to this file instead of an experiment")
+	fs.StringVar(&o.faults, "faults", "",
+		"run one crash-and-recover scenario under this fault-plan spec (like 'phase=flush,fault=torn,cp=2') instead of an experiment, and exit 1 on silent divergence")
+	fs.StringVar(&o.sloSpec, "slo", "",
+		"arm the SLO engine on every arm with this spec string ('default' for the stock portfolio; see internal/obs/slo)")
+	fs.StringVar(&o.sloExpect, "slo-expect", "",
+		"exit 1 unless the run's SLO alert totals match: 'none' (no warns or pages) or 'alerts' (at least one page); requires -slo")
+	fs.StringVar(&o.optraceSpec, "optrace", "",
+		"arm request-scoped op tracing on every arm with this spec ('default' or 'rate=N[,slow=D][,cap=N]'; see internal/obs/optrace)")
+	fs.StringVar(&o.controlSpec, "control", "",
+		"arm the closed-loop controller on every arm with this policy string ('default' for the stock portfolio; see internal/control)")
+	fs.StringVar(&o.controlExpect, "control-expect", "",
+		"exit 1 unless the run's actuation totals match: 'none' (nothing actuated) or 'actuations' (at least one fired); requires -control")
+	return fs
+}
+
+// check cross-validates the parsed flags; expSet reports whether the command
+// line gave -exp (its default selects nothing). Any error is a usage error.
+func (o *options) check(expSet bool) error {
+	switch o.sloExpect {
 	case "", "none", "alerts":
 	default:
-		fmt.Fprintf(os.Stderr, "-slo-expect %q: want 'none' or 'alerts'\n", *sloExpect)
-		os.Exit(2)
+		return fmt.Errorf("-slo-expect %q: want 'none' or 'alerts'", o.sloExpect)
 	}
-	if *sloExpect != "" && *sloSpec == "" {
-		fmt.Fprintln(os.Stderr, "-slo-expect requires -slo")
-		os.Exit(2)
+	if o.sloExpect != "" && o.sloSpec == "" {
+		return errors.New("-slo-expect requires -slo")
 	}
-	switch *controlExpect {
+	switch o.controlExpect {
 	case "", "none", "actuations":
 	default:
-		fmt.Fprintf(os.Stderr, "-control-expect %q: want 'none' or 'actuations'\n", *controlExpect)
-		os.Exit(2)
+		return fmt.Errorf("-control-expect %q: want 'none' or 'actuations'", o.controlExpect)
 	}
-	if *controlExpect != "" && *controlSpec == "" {
-		fmt.Fprintln(os.Stderr, "-control-expect requires -control")
+	if o.controlExpect != "" && o.controlSpec == "" {
+		return errors.New("-control-expect requires -control")
+	}
+	if o.hold > 0 && o.metricsAddr == "" {
+		return errors.New("-hold requires -metrics-addr")
+	}
+	modes := 0
+	for _, on := range []bool{expSet, o.faults != "", o.benchJSON != ""} {
+		if on {
+			modes++
+		}
+	}
+	if modes > 1 {
+		return errors.New("-exp, -faults and -bench-json each select what runs: give one")
+	}
+	return nil
+}
+
+func main() {
+	var o options
+	fs := newFlagSet(&o)
+	fs.Parse(os.Args[1:])
+	expSet := false
+	fs.Visit(func(f *flag.Flag) { expSet = expSet || f.Name == "exp" })
+	if err := o.check(expSet); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	if *list {
+	if o.list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-8s %s\n", e.Name, e.Description)
+			fmt.Printf("%-13s %s\n", e.Name, e.Description)
 		}
 		return
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -233,10 +279,10 @@ func main() {
 		}()
 	}
 	defer func() {
-		if *memprofile == "" {
+		if o.memprofile == "" {
 			return
 		}
-		f, err := os.Create(*memprofile)
+		f, err := os.Create(o.memprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return
@@ -249,12 +295,10 @@ func main() {
 	}()
 
 	cfg := experiments.DefaultConfig()
-	cfg.Scale = *scale
-	cfg.Seed = *seed
-	cfg.Cores = *cores
-	cfg.Workers = *workers
-	cfg.Pipeline = *pipeline
-	cfg.Control = *controlSpec != ""
+	cfg.Scale = o.scale
+	cfg.Seed = o.seed
+	cfg.Cores = o.cores
+	cfg.Workers = o.workers
 
 	// Observability sinks. One export registry / tracer / CSV stream is
 	// shared by every experiment arm; each arm registers its metrics under
@@ -271,22 +315,22 @@ func main() {
 		otRec   *optrace.Recorder
 		ctlSet  *control.Set
 	)
-	if *metricsAddr != "" || *csvOut != "" || *traceOut != "" || *traceCollapse != "" || *sloSpec != "" || *optraceSpec != "" || *controlSpec != "" {
+	if o.metricsAddr != "" || o.csvOut != "" || o.traceOut != "" || o.traceCollapse != "" || o.sloSpec != "" || o.optraceSpec != "" || o.controlSpec != "" {
 		export = obs.NewRegistry()
-		sink := &experiments.ObsSink{Export: export}
-		if *metricsAddr != "" || *sloSpec != "" || *controlSpec != "" {
+		sink := &wafl.ObsOptions{Export: export}
+		if o.metricsAddr != "" || o.sloSpec != "" || o.controlSpec != "" {
 			// The SLO engine reads its SLI windows out of the time-series
 			// store, so -slo arms the tsdb even without live serving — and the
 			// controller reads its signals the same way; the latency SLIs
 			// additionally need the cumulative histogram-bucket series.
 			tsCfg := tsdb.DefaultConfig()
-			if *sloSpec != "" || *controlSpec != "" {
+			if o.sloSpec != "" || o.controlSpec != "" {
 				tsCfg.HistBuckets = tsdb.SuffixFilter(".lat_ns")
 			}
 			tsStore = tsdb.NewStore(tsCfg)
 			sink.TSDB = tsStore
 		}
-		if *metricsAddr != "" {
+		if o.metricsAddr != "" {
 			// Live serving: arms publish their registry snapshots at CP
 			// boundaries (tear-free under concurrent scrapes), the tsdb and
 			// pick rings are mutex-guarded, and the invariant watchdogs run
@@ -297,8 +341,8 @@ func main() {
 			sink.Picks = pickRec
 			sink.Watchdogs = true
 		}
-		if *sloSpec != "" {
-			specs, err := slo.ParseSpecs(*sloSpec)
+		if o.sloSpec != "" {
+			specs, err := slo.ParseSpecs(o.sloSpec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "-slo: %v\n", err)
 				os.Exit(2)
@@ -306,8 +350,8 @@ func main() {
 			sloSet = slo.NewSet(specs)
 			sink.SLO = sloSet
 		}
-		if *controlSpec != "" {
-			pols, err := control.ParsePolicies(*controlSpec)
+		if o.controlSpec != "" {
+			pols, err := control.ParsePolicies(o.controlSpec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "-control: %v\n", err)
 				os.Exit(2)
@@ -322,22 +366,22 @@ func main() {
 				sink.SLO = sloSet
 			}
 		}
-		if *optraceSpec != "" {
-			otCfg, err := optrace.ParseConfig(*optraceSpec)
+		if o.optraceSpec != "" {
+			otCfg, err := optrace.ParseConfig(o.optraceSpec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "-optrace: %v\n", err)
 				os.Exit(2)
 			}
-			otCfg.Seed = *seed
+			otCfg.Seed = o.seed
 			otRec = optrace.NewRecorder(otCfg)
 			sink.OpTrace = otRec
 		}
-		if *traceOut != "" || *traceCollapse != "" {
+		if o.traceOut != "" || o.traceCollapse != "" {
 			tracer = obs.NewTracer()
 			sink.Tracer = tracer
 		}
-		if *csvOut != "" {
-			f, err := os.Create(*csvOut)
+		if o.csvOut != "" {
+			f, err := os.Create(o.csvOut)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -351,8 +395,8 @@ func main() {
 
 	var metricsURL string
 	var srv *http.Server
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
+	if o.metricsAddr != "" {
+		ln, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -405,62 +449,28 @@ func main() {
 		fmt.Printf("serving live endpoints at http://%s (/metrics /debug/timeseries /debug/picks /debug/slo /debug/control /debug/optrace /debug/pprof)\n\n", ln.Addr())
 	}
 
-	if *pickbench {
-		ab := experiments.RunAllocBench(cfg, os.Stdout)
-		if ab.Striped.Wall[8] >= ab.Shared.Wall[8] {
-			fmt.Fprintf(os.Stderr,
-				"pickbench: striped pick path not faster at 8 workers (striped %v >= shared %v)\n",
-				ab.Striped.Wall[8], ab.Shared.Wall[8])
-			os.Exit(1)
-		}
-	} else if *faults != "" {
-		if err := runFaults(cfg, *faults); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else if *benchJSON != "" {
-		name := strings.TrimSuffix(filepath.Base(*benchJSON), ".json")
-		start := time.Now()
-		art, err := experiments.CollectArtifact(cfg, name, gitRev(), os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := benchfmt.WriteFile(*benchJSON, art); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("artifact: %d metrics to %s (rev %s, scale %.2f, %v)\n",
-			len(art.Metrics), *benchJSON, art.GitRev, art.Scale, time.Since(start).Round(time.Millisecond))
-	} else if *pipeline {
-		pb := experiments.RunPipelineBench(cfg, os.Stdout)
-		if pb.OverlapGain < 1.3 {
-			fmt.Fprintf(os.Stderr,
-				"pipeline: overlap gain %.3fx below the 1.3x floor at 8 workers (serial %v, pipelined %v)\n",
-				pb.OverlapGain, pb.SerialWall, pb.PipelinedWall)
-			os.Exit(1)
-		}
-		if !pb.Identical() {
-			fmt.Fprintf(os.Stderr,
-				"pipeline: arms diverged (used %d vs %d, written %d vs %d) — pipelining must not change the final state\n",
-				pb.UsedPipelined, pb.UsedClassic, pb.WrittenPipelined, pb.WrittenClassic)
-			os.Exit(1)
-		}
-	} else if *exp == "all" {
-		if err := experiments.RunAllContext(context.Background(), cfg, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		e, err := experiments.Lookup(*exp)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	var err error
+	switch {
+	case o.faults != "":
+		err = runFaultPlan(cfg, o.faults)
+	case o.benchJSON != "":
+		err = writeArtifact(cfg, o.benchJSON)
+	case o.exp == "all":
+		err = experiments.RunAllContext(context.Background(), cfg, os.Stdout)
+	default:
+		e, lerr := experiments.Lookup(o.exp)
+		if lerr != nil {
+			fmt.Fprintln(os.Stderr, lerr)
 			os.Exit(2)
 		}
 		fmt.Printf("### %s — %s (scale %.2f)\n\n", e.Name, e.Description, cfg.Scale)
 		start := time.Now()
-		e.Run(cfg, os.Stdout)
+		err = e.Run(cfg, os.Stdout)
 		fmt.Printf("[%s completed in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if sloSet != nil {
@@ -473,24 +483,41 @@ func main() {
 		printOptraceSummary(otRec)
 	}
 
-	if srv != nil && *hold > 0 {
-		fmt.Printf("holding live endpoints for %v (interrupt to stop early)\n", *hold)
-		time.Sleep(*hold)
+	if o.hold > 0 {
+		fmt.Printf("holding live endpoints for %v (interrupt to stop early)\n", o.hold)
+		time.Sleep(o.hold)
 	}
 
-	if err := finishObs(metricsURL, srv, tracer, otRec, *traceOut, *traceCollapse, csvRec, csvFile); err != nil {
+	if err := finishObs(metricsURL, srv, tracer, otRec, o.traceOut, o.traceCollapse, csvRec, csvFile); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	if err := checkSLOExpect(*sloExpect, sloSet); err != nil {
+	if err := checkSLOExpect(o.sloExpect, sloSet); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if err := checkControlExpect(*controlExpect, ctlSet); err != nil {
+	if err := checkControlExpect(o.controlExpect, ctlSet); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// writeArtifact handles -bench-json: collect the canonical suite and write
+// the artifact to path.
+func writeArtifact(cfg experiments.Config, path string) error {
+	name := strings.TrimSuffix(filepath.Base(path), ".json")
+	start := time.Now()
+	art, err := experiments.CollectArtifact(cfg, name, gitRev(), os.Stdout)
+	if err != nil {
+		return err
+	}
+	if err := benchfmt.WriteFile(path, art); err != nil {
+		return err
+	}
+	fmt.Printf("artifact: %d metrics to %s (rev %s, scale %.2f, %v)\n",
+		len(art.Metrics), path, art.GitRev, art.Scale, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // printControlSummary renders the run's final control posture: portfolio-wide
@@ -633,24 +660,10 @@ func checkSLOExpect(expect string, set *slo.Set) error {
 	return nil
 }
 
-// runFaults handles -faults: the full crash matrix, or one plan-spec
-// scenario. Either way a silently-divergent cache is a hard failure.
-func runFaults(cfg experiments.Config, mode string) error {
-	if mode == "matrix" {
-		res := experiments.RunCrashMatrix(cfg, os.Stdout)
-		if div := res.Divergent(); len(div) > 0 {
-			return fmt.Errorf("crash matrix: silent divergence in %d of %d cells", len(div), len(res.Cells))
-		}
-		return nil
-	}
-	if mode == "pipeline" {
-		res := experiments.RunPipelineCrashMatrix(cfg, os.Stdout)
-		if div := res.Divergent(); len(div) > 0 {
-			return fmt.Errorf("pipelined crash matrix: silent divergence in %d of %d cells", len(div), len(res.Cells))
-		}
-		return nil
-	}
-	plan, err := faultinject.ParsePlan(mode)
+// runFaultPlan handles -faults: one crash-and-recover scenario under the
+// plan spec. A silently-divergent cache is a hard failure.
+func runFaultPlan(cfg experiments.Config, spec string) error {
+	plan, err := faultinject.ParsePlan(spec)
 	if err != nil {
 		return err
 	}

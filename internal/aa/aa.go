@@ -257,15 +257,3 @@ func (s *Striped) Space() block.Range { return s.geo.VBNRange() }
 func Scores(t Topology, bm *bitmap.Bitmap, workers int) []uint64 {
 	return ScoresObs(nil, t, bm, workers, nil, nil)
 }
-
-// ScoreAllParallel computes every AA's score like ScoreAll, fanning the
-// popcount work across the work pool. The metafile-scan charge covers the
-// whole space exactly once — each bitmap page is read once no matter how
-// many shards scan it — so mount-time I/O accounting is identical for
-// every worker count, including 1. Rebuilding the caches of a large file
-// system after a failover is exactly the bulk, embarrassingly parallel
-// work a storage controller spreads across cores.
-func ScoreAllParallel(t Topology, bm *bitmap.Bitmap, workers int) []uint64 {
-	bm.ChargeScan(t.Space())
-	return Scores(t, bm, workers)
-}

@@ -213,7 +213,7 @@ func TestSizing(t *testing.T) {
 	}
 }
 
-// ScoreAllParallel must agree exactly with the sequential walk.
+// ScoreAllParallelObs must agree exactly with the sequential walk.
 func TestScoreAllParallelMatchesSequential(t *testing.T) {
 	geo := raid.Geometry{DataDevices: 5, ParityDevices: 1, BlocksPerDevice: 1 << 15, StartVBN: 100}
 	s := NewStriped(geo, 256)
@@ -226,7 +226,7 @@ func TestScoreAllParallelMatchesSequential(t *testing.T) {
 	}
 	want := ScoreAll(s, bm)
 	for _, workers := range []int{1, 2, 4, 7} {
-		got := ScoreAllParallel(s, bm, workers)
+		got := ScoreAllParallelObs(nil, s, bm, workers, nil, nil)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: len %d", workers, len(got))
 		}
@@ -241,7 +241,7 @@ func TestScoreAllParallelMatchesSequential(t *testing.T) {
 	lbm := bitmap.New(8 * RAIDAgnosticBlocks)
 	lbm.SetRange(block.R(0, 40000))
 	seq := ScoreAll(lt, lbm)
-	par := ScoreAllParallel(lt, lbm, 4)
+	par := ScoreAllParallelObs(nil, lt, lbm, 4, nil, nil)
 	for i := range seq {
 		if seq[i] != par[i] {
 			t.Fatalf("linear AA %d: %d != %d", i, seq[i], par[i])

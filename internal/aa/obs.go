@@ -26,8 +26,14 @@ func ScoresObs(dst []uint64, t Topology, bm *bitmap.Bitmap, workers int, po *par
 	return scores
 }
 
-// ScoreAllParallelObs is ScoreAllParallel with the same observability hooks
-// and the same destination rule as ScoresObs.
+// ScoreAllParallelObs computes every AA's score like ScoreAll, fanning the
+// popcount work across the work pool, with the observability hooks and the
+// destination rule of ScoresObs. The metafile-scan charge covers the whole
+// space exactly once — each bitmap page is read once no matter how many
+// shards scan it — so mount-time I/O accounting is identical for every
+// worker count, including 1. Rebuilding the caches of a large file system
+// after a failover is exactly the bulk, embarrassingly parallel work a
+// storage controller spreads across cores.
 func ScoreAllParallelObs(dst []uint64, t Topology, bm *bitmap.Bitmap, workers int, po *parallel.Obs, scored *obs.Counter) []uint64 {
 	bm.ChargeScan(t.Space())
 	return ScoresObs(dst, t, bm, workers, po, scored)

@@ -86,18 +86,6 @@ func (v VBN) BitmapBlock() uint64 { return uint64(v) / BitsPerBitmapBlock }
 // BitmapBit returns the bit offset of this VBN within its bitmap block.
 func (v VBN) BitmapBit() uint64 { return uint64(v) % BitsPerBitmapBlock }
 
-// BytesToBlocks converts a byte count to a number of 4KiB blocks, rounding
-// down. It panics if n is negative.
-func BytesToBlocks(n int64) uint64 {
-	if n < 0 {
-		panic("block: negative byte count")
-	}
-	return uint64(n) / BlockSize
-}
-
-// BlocksToBytes converts a block count to bytes.
-func BlocksToBytes(n uint64) int64 { return int64(n) * BlockSize }
-
 // Range is a half-open interval [Start, End) of VBNs within one number
 // space. It is the unit in which allocation areas, RAID device segments, and
 // bitmap scans describe themselves.

@@ -51,30 +51,6 @@ func TestVBNString(t *testing.T) {
 	}
 }
 
-func TestBytesBlocksRoundTrip(t *testing.T) {
-	if got := BytesToBlocks(0); got != 0 {
-		t.Errorf("BytesToBlocks(0) = %d", got)
-	}
-	if got := BytesToBlocks(BlockSize - 1); got != 0 {
-		t.Errorf("BytesToBlocks(4095) = %d, want 0 (round down)", got)
-	}
-	if got := BytesToBlocks(16 * TiB); got != 4*1024*1024*1024 {
-		t.Errorf("BytesToBlocks(16TiB) = %d, want 4Gi blocks", got)
-	}
-	if got := BlocksToBytes(3); got != 3*BlockSize {
-		t.Errorf("BlocksToBytes(3) = %d", got)
-	}
-}
-
-func TestBytesToBlocksPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative byte count")
-		}
-	}()
-	BytesToBlocks(-1)
-}
-
 func TestRangeBasics(t *testing.T) {
 	r := Range{Start: 10, End: 20}
 	if r.Len() != 10 {

@@ -13,72 +13,12 @@ import "waflfs/internal/block"
 // chain ends mid-region, so the corresponding checksum block must be
 // updated with a nonsequential I/O — very harmful on SMR drives).
 
-// AZCSWrites classifies the checksum-block updates implied by writing the
-// DBN chain [start, start+n). It returns the number of checksum blocks that
-// can be written sequentially with the chain (their whole data region is
-// covered) and the number requiring a separate random write (region only
-// partially covered).
-//
-// DBNs here address the full on-disk layout: region r occupies DBNs
-// [r*64, r*64+64), with the last DBN of each region being its checksum
-// block. Callers allocating only data blocks should convert with
-// DataToDiskDBN first.
-func AZCSWrites(start, n uint64) (sequential, random int) {
-	if n == 0 {
-		return 0, 0
-	}
-	end := start + n
-	firstRegion := start / block.AZCSRegionBlocks
-	lastRegion := (end - 1) / block.AZCSRegionBlocks
-	for r := firstRegion; r <= lastRegion; r++ {
-		rStart := r * block.AZCSRegionBlocks
-		rDataEnd := rStart + block.AZCSRegionDataBlocks
-		covered := overlap(start, end, rStart, rDataEnd)
-		if covered == 0 {
-			// Chain touches only the checksum block itself (rare edge);
-			// treat as a sequential continuation.
-			sequential++
-			continue
-		}
-		if start <= rStart && end >= rDataEnd {
-			sequential++
-		} else {
-			random++
-		}
-	}
-	return sequential, random
-}
-
-func overlap(a0, a1, b0, b1 uint64) uint64 {
-	lo, hi := a0, a1
-	if b0 > lo {
-		lo = b0
-	}
-	if b1 < hi {
-		hi = b1
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
 // DataToDiskDBN converts a data-block index (counting only data blocks) to
 // its on-disk DBN in an AZCS layout, skipping over the interleaved checksum
 // blocks.
 func DataToDiskDBN(dataIdx uint64) uint64 {
 	return dataIdx/block.AZCSRegionDataBlocks*block.AZCSRegionBlocks +
 		dataIdx%block.AZCSRegionDataBlocks
-}
-
-// DiskToDataDBN converts an on-disk DBN back to a data-block index. It
-// returns false if the DBN addresses a checksum block.
-func DiskToDataDBN(dbn uint64) (uint64, bool) {
-	region, off := dbn/block.AZCSRegionBlocks, dbn%block.AZCSRegionBlocks
-	if off == block.AZCSRegionDataBlocks {
-		return 0, false
-	}
-	return region*block.AZCSRegionDataBlocks + off, true
 }
 
 // AZCSUsableFraction is the fraction of raw capacity available for data

@@ -3,8 +3,6 @@ package device
 import (
 	"testing"
 	"time"
-
-	"waflfs/internal/block"
 )
 
 func TestHDDChainCost(t *testing.T) {
@@ -171,39 +169,6 @@ func TestSMRWriteOutOfRangePanics(t *testing.T) {
 	s.WriteChain(95, 10)
 }
 
-func TestAZCSWritesAligned(t *testing.T) {
-	// A chain covering exactly two whole regions: both checksum blocks
-	// sequential.
-	seq, rnd := AZCSWrites(0, 2*block.AZCSRegionBlocks)
-	if seq != 2 || rnd != 0 {
-		t.Fatalf("aligned: seq=%d rnd=%d", seq, rnd)
-	}
-}
-
-func TestAZCSWritesUnaligned(t *testing.T) {
-	// A chain ending mid-region forces a random checksum write for the
-	// straddled region.
-	seq, rnd := AZCSWrites(0, block.AZCSRegionBlocks+10)
-	if seq != 1 || rnd != 1 {
-		t.Fatalf("tail-straddle: seq=%d rnd=%d", seq, rnd)
-	}
-	// A chain starting mid-region: leading region is partial too.
-	seq, rnd = AZCSWrites(10, 2*block.AZCSRegionBlocks-10)
-	if seq != 1 || rnd != 1 {
-		t.Fatalf("head-straddle: seq=%d rnd=%d", seq, rnd)
-	}
-	// Entirely inside one region.
-	seq, rnd = AZCSWrites(5, 10)
-	if seq != 0 || rnd != 1 {
-		t.Fatalf("interior: seq=%d rnd=%d", seq, rnd)
-	}
-	// Empty chain.
-	seq, rnd = AZCSWrites(5, 0)
-	if seq != 0 || rnd != 0 {
-		t.Fatalf("empty: seq=%d rnd=%d", seq, rnd)
-	}
-}
-
 func TestAZCSDataDiskConversion(t *testing.T) {
 	// Data indices skip checksum blocks: index 62 is the last data block of
 	// region 0 (disk DBN 62); index 63 jumps to disk DBN 64.
@@ -214,13 +179,6 @@ func TestAZCSDataDiskConversion(t *testing.T) {
 		if got := DataToDiskDBN(c.data); got != c.disk {
 			t.Errorf("DataToDiskDBN(%d) = %d, want %d", c.data, got, c.disk)
 		}
-		back, ok := DiskToDataDBN(c.disk)
-		if !ok || back != c.data {
-			t.Errorf("DiskToDataDBN(%d) = %d,%v, want %d", c.disk, back, ok, c.data)
-		}
-	}
-	if _, ok := DiskToDataDBN(63); ok {
-		t.Error("DBN 63 is a checksum block, conversion must fail")
 	}
 	if AZCSUsableFraction <= 0.98 || AZCSUsableFraction >= 1 {
 		t.Errorf("usable fraction = %v", AZCSUsableFraction)

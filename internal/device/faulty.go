@@ -1,10 +1,6 @@
 package device
 
-import (
-	"time"
-
-	"waflfs/internal/obs"
-)
+import "time"
 
 // DefaultReadErrorPenalty is the extra service time one injected read error
 // costs when the wrapper's Penalty is zero: the drive retries, reports the
@@ -60,13 +56,6 @@ func (f *FaultyDisk) Read(n uint64) time.Duration {
 func (f *FaultyDisk) Trim(start, n uint64) {
 	if t, ok := f.Inner.(interface{ Trim(start, n uint64) }); ok {
 		t.Trim(start, n)
-	}
-}
-
-// SetBusyHist forwards the histogram when the wrapped device supports it.
-func (f *FaultyDisk) SetBusyHist(hist *obs.Histogram) {
-	if h, ok := f.Inner.(interface{ SetBusyHist(*obs.Histogram) }); ok {
-		h.SetBusyHist(hist)
 	}
 }
 

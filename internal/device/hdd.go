@@ -1,10 +1,6 @@
 package device
 
-import (
-	"time"
-
-	"waflfs/internal/obs"
-)
+import "time"
 
 // HDD is an analytic cost model of a hard drive. A write or read I/O pays a
 // positioning cost (seek + rotational latency) once and then a per-block
@@ -18,11 +14,7 @@ type HDD struct {
 	TransferPerBlock time.Duration
 
 	stats DiskStats
-	hist  *obs.Histogram
 }
-
-// SetBusyHist attaches a per-I/O service-time histogram (nil detaches).
-func (h *HDD) SetBusyHist(hist *obs.Histogram) { h.hist = hist }
 
 // DiskStats records the I/O a disk model has served.
 type DiskStats struct {
@@ -52,7 +44,6 @@ func (h *HDD) WriteChain(start, n uint64) time.Duration {
 	h.stats.WriteIOs++
 	h.stats.BlocksWritten += n
 	h.stats.BusyTime += d
-	h.hist.ObserveDuration(d)
 	return d
 }
 
@@ -62,7 +53,6 @@ func (h *HDD) Read(n uint64) time.Duration {
 	h.stats.ReadIOs++
 	h.stats.BlocksRead += n
 	h.stats.BusyTime += d
-	h.hist.ObserveDuration(d)
 	return d
 }
 

@@ -3,8 +3,6 @@ package device
 import (
 	"fmt"
 	"time"
-
-	"waflfs/internal/obs"
 )
 
 // SMR models a drive-managed shingled magnetic recording drive (§3.2.3).
@@ -39,13 +37,9 @@ type SMR struct {
 	wp     []uint64 // per-zone write pointer (offset within zone)
 
 	stats            DiskStats
-	hist             *obs.Histogram
 	interventions    uint64
 	mediaCacheWrites uint64
 }
-
-// SetBusyHist attaches a per-I/O service-time histogram (nil detaches).
-func (s *SMR) SetBusyHist(hist *obs.Histogram) { s.hist = hist }
 
 // NewSMR builds an SMR model over a DBN space of the given size.
 func NewSMR(blocks, zoneBlocks uint64) *SMR {
@@ -114,7 +108,6 @@ func (s *SMR) WriteChain(start, n uint64) time.Duration {
 	s.stats.WriteIOs++
 	s.stats.BlocksWritten += total
 	s.stats.BusyTime += d
-	s.hist.ObserveDuration(d)
 	return d
 }
 
@@ -131,7 +124,6 @@ func (s *SMR) Read(n uint64) time.Duration {
 	s.stats.ReadIOs++
 	s.stats.BlocksRead += n
 	s.stats.BusyTime += d
-	s.hist.ObserveDuration(d)
 	return d
 }
 

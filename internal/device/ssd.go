@@ -1,10 +1,6 @@
 package device
 
-import (
-	"time"
-
-	"waflfs/internal/obs"
-)
+import "time"
 
 // SSD couples the FTL simulation with a timing model. Host writes cost the
 // flash program time; pages the FTL's garbage collection relocates as a
@@ -20,11 +16,7 @@ type SSD struct {
 	ReadPerBlock time.Duration
 
 	stats DiskStats
-	hist  *obs.Histogram
 }
-
-// SetBusyHist attaches a per-I/O service-time histogram (nil detaches).
-func (s *SSD) SetBusyHist(hist *obs.Histogram) { s.hist = hist }
 
 // Mapping selects the FTL model an SSD uses.
 type Mapping int
@@ -99,7 +91,6 @@ func (s *SSD) WriteChain(start, n uint64) time.Duration {
 	s.stats.WriteIOs++
 	s.stats.BlocksWritten += n
 	s.stats.BusyTime += d
-	s.hist.ObserveDuration(d)
 	return d
 }
 
@@ -109,7 +100,6 @@ func (s *SSD) Read(n uint64) time.Duration {
 	s.stats.ReadIOs++
 	s.stats.BlocksRead += n
 	s.stats.BusyTime += d
-	s.hist.ObserveDuration(d)
 	return d
 }
 

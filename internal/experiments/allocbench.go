@@ -49,6 +49,17 @@ type AllocBench struct {
 	Shared, Striped AllocBenchResult
 }
 
+// Gate is the experiment's acceptance condition: the striped arm's modeled
+// pick wall-clock at 8 workers must beat the shared arm's, or the sharded
+// hot path has stopped paying for itself.
+func (b AllocBench) Gate() error {
+	if b.Striped.Wall[8] >= b.Shared.Wall[8] {
+		return fmt.Errorf("allocbench: striped pick path not faster at 8 workers (striped %v >= shared %v)",
+			b.Striped.Wall[8], b.Shared.Wall[8])
+	}
+	return nil
+}
+
 // allocBenchWidths are the worker widths the artifact reports.
 var allocBenchWidths = []int{1, 8, 32}
 

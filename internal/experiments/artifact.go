@@ -33,9 +33,12 @@ import (
 // Tolerance bands ride with each metric; benchdiff applies the baseline's
 // bands.
 func CollectArtifact(cfg Config, name, gitRev string, w io.Writer) (benchfmt.Artifact, error) {
-	if cfg.Obs == nil {
-		cfg.Obs = &ObsSink{}
+	// Arm a copy of the caller's template, not the template.
+	var o wafl.ObsOptions
+	if cfg.Obs != nil {
+		o = *cfg.Obs
 	}
+	cfg.Obs = &o
 	if cfg.Obs.Export == nil {
 		cfg.Obs.Export = obs.NewRegistry()
 	}
@@ -61,10 +64,10 @@ func CollectArtifact(cfg Config, name, gitRev string, w io.Writer) (benchfmt.Art
 	if cfg.Obs.OpTrace == nil {
 		cfg.Obs.OpTrace = optrace.NewRecorder(optrace.Config{Rate: 16, Seed: cfg.Seed})
 	}
-	// The closed-loop controller rides every arm when gated in: the stock
-	// portfolio must stay idle on clean arms (do-no-harm) while the crash
-	// matrix's recovery pages trip the scrub-kick clause (does-act).
-	if cfg.Control && cfg.Obs.Control == nil {
+	// The closed-loop controller rides every arm: the stock portfolio must
+	// stay idle on clean arms (do-no-harm) while the crash matrix's recovery
+	// pages trip the scrub-kick clause (does-act).
+	if cfg.Obs.Control == nil {
 		cfg.Obs.Control = control.NewSet(control.DefaultPolicies())
 	}
 
@@ -120,54 +123,41 @@ func CollectArtifact(cfg Config, name, gitRev string, w io.Writer) (benchfmt.Art
 	addFig10Point(&art, "fig10.size", r10.SizeSweep)
 	addFig10Point(&art, "fig10.count", r10.CountSweep)
 
-	// Crash-recovery matrix: exact counts with a zero-tolerance band — any
-	// change to how recovery classifies a cell is a regression, and a single
-	// silently-divergent cache must fail the benchdiff gate outright.
-	rc := RunCrashMatrix(cfg, w)
-	ct := rc.Totals()
-	art.Add("crash.cells", float64(len(rc.Cells)), "count", 0.001)
-	art.Add("crash.divergent", float64(ct.Divergent), "count", 0.001)
-	art.Add("crash.clean_loads", float64(ct.CleanLoads), "count", 0.001)
-	art.Add("crash.reconstructed", float64(ct.Reconstructed), "count", 0.001)
-	art.Add("crash.fallbacks", float64(ct.Fallbacks), "count", 0.001)
-	art.Add("crash.stale_fallbacks", float64(ct.Stale), "count", 0.001)
-	art.Add("crash.torn_fallbacks", float64(ct.Torn), "count", 0.001)
-	art.Add("crash.damage_fallbacks", float64(ct.Damaged), "count", 0.001)
+	// Crash-recovery matrices, classic and over the pipelined CP's overlap
+	// window: exact counts with a zero-tolerance band — any change to how
+	// recovery classifies a cell is a regression — and each sweep's own gate:
+	// a single silently-divergent cache fails collection outright.
+	for _, m := range []struct {
+		prefix string
+		run    func(Config, io.Writer) *CrashMatrixResult
+	}{{"crash", RunCrashMatrix}, {"crash.pipeline", RunPipelineCrashMatrix}} {
+		rc := m.run(cfg, w)
+		ct := rc.Totals()
+		art.Add(m.prefix+".cells", float64(len(rc.Cells)), "count", 0.001)
+		art.Add(m.prefix+".divergent", float64(ct.Divergent), "count", 0.001)
+		art.Add(m.prefix+".clean_loads", float64(ct.CleanLoads), "count", 0.001)
+		art.Add(m.prefix+".reconstructed", float64(ct.Reconstructed), "count", 0.001)
+		art.Add(m.prefix+".fallbacks", float64(ct.Fallbacks), "count", 0.001)
+		art.Add(m.prefix+".stale_fallbacks", float64(ct.Stale), "count", 0.001)
+		art.Add(m.prefix+".torn_fallbacks", float64(ct.Torn), "count", 0.001)
+		art.Add(m.prefix+".damage_fallbacks", float64(ct.Damaged), "count", 0.001)
+		if err := rc.Gate(); err != nil {
+			return art, err
+		}
+	}
 
-	// Pipelined-CP families (gated: legacy artifacts keep their metric set).
-	// The overlap benchmark carries a hard acceptance floor — pipelining
-	// that stops paying for itself or diverges from the classic final state
-	// fails collection outright — and the overlap-window crash matrix gets
-	// the same zero-tolerance counts as the classic one.
-	if cfg.Pipeline {
-		pb := RunPipelineBench(cfg, w)
-		art.Add("cp.pipeline.overlap_gain", pb.OverlapGain, "x", 0.15)
-		art.Add("cp.pipeline.generations", float64(pb.Generations), "count", 0.001)
-		art.Add("cp.pipeline.alloc_wall_ns", float64(pb.AllocWall), "ns", 0.15)
-		art.Add("cp.pipeline.flush_wall_ns", float64(pb.FlushWall), "ns", 0.15)
-		art.Add("cp.pipeline.pipelined_wall_ns", float64(pb.PipelinedWall), "ns", 0.15)
-		art.Add("cp.pipeline.serial_wall_ns", float64(pb.SerialWall), "ns", 0.15)
-		if pb.OverlapGain < 1.3 {
-			return art, fmt.Errorf("experiments: pipeline overlap gain %.3f below the 1.3x floor", pb.OverlapGain)
-		}
-		if !pb.Identical() {
-			return art, fmt.Errorf("experiments: pipelined arm diverged from classic (used %d vs %d, written %d vs %d)",
-				pb.UsedPipelined, pb.UsedClassic, pb.WrittenPipelined, pb.WrittenClassic)
-		}
-
-		rp := RunPipelineCrashMatrix(cfg, w)
-		pt := rp.Totals()
-		art.Add("crash.pipeline.cells", float64(len(rp.Cells)), "count", 0.001)
-		art.Add("crash.pipeline.divergent", float64(pt.Divergent), "count", 0.001)
-		art.Add("crash.pipeline.clean_loads", float64(pt.CleanLoads), "count", 0.001)
-		art.Add("crash.pipeline.reconstructed", float64(pt.Reconstructed), "count", 0.001)
-		art.Add("crash.pipeline.fallbacks", float64(pt.Fallbacks), "count", 0.001)
-		art.Add("crash.pipeline.stale_fallbacks", float64(pt.Stale), "count", 0.001)
-		art.Add("crash.pipeline.torn_fallbacks", float64(pt.Torn), "count", 0.001)
-		art.Add("crash.pipeline.damage_fallbacks", float64(pt.Damaged), "count", 0.001)
-		if pt.Divergent > 0 {
-			return art, fmt.Errorf("experiments: %d silently divergent caches in the pipelined crash matrix", pt.Divergent)
-		}
+	// The pipelined-CP overlap benchmark carries its own acceptance floor:
+	// pipelining that stops paying for itself or diverges from the classic
+	// final state fails collection outright.
+	pb := RunPipelineBench(cfg, w)
+	art.Add("cp.pipeline.overlap_gain", pb.OverlapGain, "x", 0.15)
+	art.Add("cp.pipeline.generations", float64(pb.Generations), "count", 0.001)
+	art.Add("cp.pipeline.alloc_wall_ns", float64(pb.AllocWall), "ns", 0.15)
+	art.Add("cp.pipeline.flush_wall_ns", float64(pb.FlushWall), "ns", 0.15)
+	art.Add("cp.pipeline.pipelined_wall_ns", float64(pb.PipelinedWall), "ns", 0.15)
+	art.Add("cp.pipeline.serial_wall_ns", float64(pb.SerialWall), "ns", 0.15)
+	if err := pb.Gate(); err != nil {
+		return art, err
 	}
 
 	microMetrics(cfg, &art, w)
@@ -186,6 +176,9 @@ func CollectArtifact(cfg Config, name, gitRev string, w io.Writer) (benchfmt.Art
 	art.Add("alloc.staged_entries", float64(ab.Striped.Staged), "count", 0.25)
 	if ab.Striped.Picks > 0 {
 		art.Add("alloc.shard_local_frac", float64(ab.Striped.LocalPicks)/float64(ab.Striped.Picks), "frac", 0.15)
+	}
+	if err := ab.Gate(); err != nil {
+		return art, err
 	}
 
 	// Fragscan allocation-quality summaries, one set per space stream.
@@ -291,55 +284,53 @@ func CollectArtifact(cfg Config, name, gitRev string, w io.Writer) (benchfmt.Art
 	if crashTot.Pages == 0 {
 		return art, fmt.Errorf("experiments: crash matrix fired no SLO pages — the recovery SLI is dead")
 	}
-	if cfg.Pipeline && pipeCrashTot.Pages == 0 {
+	if pipeCrashTot.Pages == 0 {
 		return art, fmt.Errorf("experiments: pipelined crash matrix fired no SLO pages — the overlap-window recovery SLI is dead")
 	}
 
-	// Closed-loop control families (gated: legacy artifacts keep their metric
-	// set). The audit splits by arm prefix like the SLO one: the stock
-	// portfolio actuating on a clean arm is a zero-tolerance failure (the
-	// do-no-harm contract), while a crash matrix that never trips the
-	// recovery scrub-kick clause means the controller's SLO coupling is dead.
-	if cfg.Control {
-		ctlCrash := cfg.Obs.Control.TotalsWhere(func(sys string) bool { return strings.HasPrefix(sys, "crash.") })
-		ctlClean := cfg.Obs.Control.TotalsWhere(func(sys string) bool { return !strings.HasPrefix(sys, "crash.") })
-		art.Add("control.evaluations", float64(ctlClean.Evaluations+ctlCrash.Evaluations), "count", 0.25)
-		art.Add("control.instances", float64(ctlClean.Instances+ctlCrash.Instances), "count", 0.25)
-		art.Add("control.actuations_clean", float64(ctlClean.Actuations), "count", 0.001)
-		art.Add("control.suppressed_clean", float64(ctlClean.Suppressed), "count", 0.001)
-		art.Add("control.actuations_crash", float64(ctlCrash.Actuations), "count", 0.25)
-		if ctlClean.Evaluations == 0 {
-			return art, fmt.Errorf("experiments: controller armed but never evaluated")
-		}
-		if ctlClean.Actuations != 0 || ctlClean.Suppressed != 0 {
-			return art, fmt.Errorf("experiments: stock portfolio made %d actuations / %d suppressed decisions on clean arms",
-				ctlClean.Actuations, ctlClean.Suppressed)
-		}
-		if ctlCrash.Actuations == 0 {
-			return art, fmt.Errorf("experiments: crash matrix tripped no actuations — the recovery scrub-kick clause is dead")
-		}
+	// Closed-loop control families. The audit splits by arm prefix like the
+	// SLO one: the stock portfolio actuating on a clean arm is a
+	// zero-tolerance failure (the do-no-harm contract), while a crash matrix
+	// that never trips the recovery scrub-kick clause means the controller's
+	// SLO coupling is dead.
+	ctlCrash := cfg.Obs.Control.TotalsWhere(func(sys string) bool { return strings.HasPrefix(sys, "crash.") })
+	ctlClean := cfg.Obs.Control.TotalsWhere(func(sys string) bool { return !strings.HasPrefix(sys, "crash.") })
+	art.Add("control.evaluations", float64(ctlClean.Evaluations+ctlCrash.Evaluations), "count", 0.25)
+	art.Add("control.instances", float64(ctlClean.Instances+ctlCrash.Instances), "count", 0.25)
+	art.Add("control.actuations_clean", float64(ctlClean.Actuations), "count", 0.001)
+	art.Add("control.suppressed_clean", float64(ctlClean.Suppressed), "count", 0.001)
+	art.Add("control.actuations_crash", float64(ctlCrash.Actuations), "count", 0.25)
+	if ctlClean.Evaluations == 0 {
+		return art, fmt.Errorf("experiments: controller armed but never evaluated")
+	}
+	if ctlClean.Actuations != 0 || ctlClean.Suppressed != 0 {
+		return art, fmt.Errorf("experiments: stock portfolio made %d actuations / %d suppressed decisions on clean arms",
+			ctlClean.Actuations, ctlClean.Suppressed)
+	}
+	if ctlCrash.Actuations == 0 {
+		return art, fmt.Errorf("experiments: crash matrix tripped no actuations — the recovery scrub-kick clause is dead")
+	}
 
-		// Adversarial storm: the controller must actually help under attack.
-		// Hard floors, not tolerance bands: a closed loop that costs wall
-		// time, or never fires, fails collection outright.
-		sb := RunStorm(cfg, w)
-		art.Add("control.storm.evaluations", float64(sb.Evaluations), "count", 0.25)
-		art.Add("control.storm.actuations", float64(sb.Actuations), "count", 0.25)
-		art.Add("control.storm.suppressed", float64(sb.Suppressed), "count", 0.25)
-		art.Add("control.storm.wall_static_ns", float64(sb.WallStatic), "ns", 0.10)
-		art.Add("control.storm.wall_closed_ns", float64(sb.WallClosed), "ns", 0.10)
-		if sb.WallStatic > 0 {
-			art.Add("control.storm.wall_ratio", float64(sb.WallClosed)/float64(sb.WallStatic), "x", 0.10)
-		}
-		if sb.Actuations == 0 {
-			return art, fmt.Errorf("experiments: storm fired no actuations — the backlog-shed clause is dead")
-		}
-		if sb.WallClosed > sb.WallStatic {
-			return art, fmt.Errorf("experiments: closed-loop storm wall %v exceeds static %v", sb.WallClosed, sb.WallStatic)
-		}
-		if !sb.Identical() {
-			return art, fmt.Errorf("experiments: storm arms diverged (written %d vs %d)", sb.WrittenClosed, sb.WrittenStatic)
-		}
+	// Adversarial storm: the controller must actually help under attack.
+	// Hard floors, not tolerance bands: a closed loop that costs wall
+	// time, or never fires, fails collection outright.
+	sb := RunStorm(cfg, w)
+	art.Add("control.storm.evaluations", float64(sb.Evaluations), "count", 0.25)
+	art.Add("control.storm.actuations", float64(sb.Actuations), "count", 0.25)
+	art.Add("control.storm.suppressed", float64(sb.Suppressed), "count", 0.25)
+	art.Add("control.storm.wall_static_ns", float64(sb.WallStatic), "ns", 0.10)
+	art.Add("control.storm.wall_closed_ns", float64(sb.WallClosed), "ns", 0.10)
+	if sb.WallStatic > 0 {
+		art.Add("control.storm.wall_ratio", float64(sb.WallClosed)/float64(sb.WallStatic), "x", 0.10)
+	}
+	if sb.Actuations == 0 {
+		return art, fmt.Errorf("experiments: storm fired no actuations — the backlog-shed clause is dead")
+	}
+	if sb.WallClosed > sb.WallStatic {
+		return art, fmt.Errorf("experiments: closed-loop storm wall %v exceeds static %v", sb.WallClosed, sb.WallStatic)
+	}
+	if !sb.Identical() {
+		return art, fmt.Errorf("experiments: storm arms diverged (written %d vs %d)", sb.WrittenClosed, sb.WrittenStatic)
 	}
 
 	// Op-trace audit: sampling must have fired, and the per-stage attribution

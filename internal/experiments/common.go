@@ -16,13 +16,6 @@ import (
 	"io"
 	"time"
 
-	"waflfs/internal/control"
-	"waflfs/internal/obs"
-	"waflfs/internal/obs/fragscan"
-	"waflfs/internal/obs/optrace"
-	"waflfs/internal/obs/picks"
-	"waflfs/internal/obs/slo"
-	"waflfs/internal/obs/tsdb"
 	"waflfs/internal/sim"
 	"waflfs/internal/stats"
 	"waflfs/internal/wafl"
@@ -51,65 +44,13 @@ type Config struct {
 	// walks run across this many workers. 0 selects min(GOMAXPROCS, 8),
 	// 1 forces serial execution; results are identical for every value.
 	Workers int
-	// Obs, when non-nil, routes every System the experiments build into the
-	// shared observability sinks (metric export, tracing, per-CP CSV).
-	Obs *ObsSink
-	// Pipeline gates the pipelined-CP families into artifact collection:
-	// the overlap benchmark (cp.pipeline.*) and the overlap-window crash
-	// matrix (crash.pipeline.*). Off by default so legacy artifacts keep
-	// their exact metric set; waflbench -pipeline turns it on.
-	Pipeline bool
-	// Control gates the closed-loop control families into artifact
-	// collection: the controller do-no-harm/does-act audit (control.*) and
-	// the adversarial snapshot-storm benchmark (control.storm.*). Off by
-	// default so legacy artifacts keep their exact metric set; waflbench
-	// -control turns it on.
-	Control bool
-}
-
-// ObsSink is the shared observability plumbing for an experiment run. Every
-// arm registers under its own name prefix (e.g. "fig6.both."), so arms that
-// execute concurrently never collide in the export registry, and the sinks
-// themselves are safe for concurrent use.
-type ObsSink struct {
-	// Export receives every arm's metrics, prefixed with the arm name.
-	Export *obs.Registry
-	// Tracer records CP-phase and allocator events across all arms; events
-	// carry the arm name in their Sys field.
-	Tracer *obs.Tracer
-	// CSV receives one row per metric per consistency point per arm.
-	CSV *obs.CSVRecorder
-	// Frag receives an allocation-quality scan of every arm's spaces at
-	// each CP boundary (report streams are keyed by arm-prefixed space
-	// names).
-	Frag *fragscan.Recorder
-	// FragEvery scans every Nth CP (≤1 = every CP).
-	FragEvery int
-	// DeviceHistograms enables per-device service-time histograms.
-	DeviceHistograms bool
-	// TSDB receives one downsampled point per metric per CP per arm.
-	TSDB *tsdb.Store
-	// Picks receives allocation-decision provenance from every arm's
-	// allocators (rings are keyed by arm-prefixed space names).
-	Picks *picks.Recorder
-	// Watchdogs arms the per-CP invariant monitors on every arm.
-	Watchdogs bool
-	// Live, when non-nil, receives each arm's registry snapshot at every CP
-	// boundary for tear-free serving while arms are running.
-	Live *obs.Latest
-	// SLO, when non-nil together with TSDB, evaluates the spec portfolio
-	// on every arm at each CP boundary; per-arm engines register under the
-	// arm name so alert totals can be split by prefix (clean vs crash.*).
-	SLO *slo.Set
-	// OpTrace receives sampled request-scoped span trees from every arm
-	// (rings are keyed by arm-prefixed volume names); per-stage latency
-	// attribution surfaces as <arm>.vol.<v>.attr.<stage>_ns metrics.
-	OpTrace *optrace.Recorder
-	// Control, when non-nil together with TSDB, arms the closed-loop policy
-	// portfolio on every arm at each CP boundary; per-arm engines register
-	// under the arm name so actuation totals can be split by prefix (clean
-	// vs crash.*).
-	Control *control.Set
+	// Obs, when non-nil, is the template every System the experiments build
+	// takes its observability options from: the sinks are shared (and safe
+	// for concurrent use), and each arm overrides Name with its own (e.g.
+	// "fig6.both"), so arms that run concurrently never collide in the
+	// export registry, the pick and op-trace rings or the SLO and control
+	// sets, whose totals can then be split by prefix (clean vs crash.*).
+	Obs *wafl.ObsOptions
 }
 
 // DefaultConfig returns the full-scale configuration.
@@ -124,31 +65,18 @@ func DefaultConfig() Config {
 }
 
 // tunablesNamed returns the default tunables with the experiment's
-// parallelism knob applied and — when Config.Obs is set — the observability
-// sinks wired in under the given arm name. Arms run concurrently, so every
-// call site must pass a distinct name: name collisions in a shared export
-// registry are resolved by construction order, which parallel arms don't
-// have.
+// parallelism knob applied and — when Config.Obs is set — a copy of the
+// observability template under the given arm name. Arms run concurrently,
+// so every call site must pass a distinct name: name collisions in a shared
+// export registry are resolved by construction order, which parallel arms
+// don't have.
 func (c Config) tunablesNamed(name string) wafl.Tunables {
 	tun := wafl.DefaultTunables()
 	tun.Workers = c.Workers
 	if c.Obs != nil {
-		tun.Obs = &wafl.ObsOptions{
-			Name:             name,
-			Export:           c.Obs.Export,
-			Tracer:           c.Obs.Tracer,
-			CSV:              c.Obs.CSV,
-			Frag:             c.Obs.Frag,
-			FragEvery:        c.Obs.FragEvery,
-			DeviceHistograms: c.Obs.DeviceHistograms,
-			TSDB:             c.Obs.TSDB,
-			Picks:            c.Obs.Picks,
-			Watchdogs:        c.Obs.Watchdogs,
-			Live:             c.Obs.Live,
-			SLO:              c.Obs.SLO,
-			OpTrace:          c.Obs.OpTrace,
-			Control:          c.Obs.Control,
-		}
+		o := *c.Obs
+		o.Name = name
+		tun.Obs = &o
 	}
 	return tun
 }

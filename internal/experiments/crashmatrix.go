@@ -68,6 +68,8 @@ func (c CrashCell) summary() string {
 
 // CrashMatrixResult is the full phase × fault sweep.
 type CrashMatrixResult struct {
+	// Name is the sweep's registry name ("crashmatrix", "pipelinecrash").
+	Name   string
 	Phases []string
 	Faults []string
 	Cells  []CrashCell // row-major: phases × faults
@@ -82,6 +84,15 @@ func (r *CrashMatrixResult) Divergent() []CrashCell {
 		}
 	}
 	return out
+}
+
+// Gate is the experiment's acceptance condition: no recovered cache may
+// silently disagree with the bitmap metafiles.
+func (r *CrashMatrixResult) Gate() error {
+	if div := r.Divergent(); len(div) > 0 {
+		return fmt.Errorf("%s: silent divergence in %d of %d cells", r.Name, len(div), len(r.Cells))
+	}
+	return nil
 }
 
 // Totals sums the per-cell tallies.
@@ -180,39 +191,35 @@ func RunFaultScenario(cfg Config, plan faultinject.Plan, name string) CrashCell 
 	return cell
 }
 
-// RunCrashMatrix sweeps every CP phase × fault kind. Cells are independent
-// systems fanned out over the work pool; the result is identical at any
-// worker count.
+// RunCrashMatrix sweeps every CP phase × fault kind, crashing in CP 2.
 func RunCrashMatrix(cfg Config, w io.Writer) *CrashMatrixResult {
-	res := &CrashMatrixResult{Phases: faultinject.CPPhases()}
-	for _, k := range faultinject.Kinds() {
+	return runCrashMatrix(cfg, w, "crashmatrix", "crash",
+		"Crash matrix: mount outcomes after a crash at each CP phase × media fault (Nc clean, Nr reconstructed, Nf fallback)",
+		faultinject.CPPhases(), 2, RunFaultScenario)
+}
+
+// runCrashMatrix sweeps phases × every fault kind through scenario, with the
+// crash pinned to boundary crashCP and each cell's system named
+// "<arm>.<phase>.<fault>". Cells are independent systems fanned out over
+// the work pool; the result is identical at any worker count.
+func runCrashMatrix(cfg Config, w io.Writer, name, arm, title string, phases []string, crashCP int,
+	scenario func(Config, faultinject.Plan, string) CrashCell) *CrashMatrixResult {
+	res := &CrashMatrixResult{Name: name, Phases: phases}
+	kinds := faultinject.Kinds()
+	for _, k := range kinds {
 		res.Faults = append(res.Faults, k.String())
 	}
-
-	type job struct {
-		phase string
-		fault faultinject.Kind
-	}
-	var jobs []job
-	for _, p := range res.Phases {
-		for _, k := range faultinject.Kinds() {
-			jobs = append(jobs, job{p, k})
-		}
-	}
-	res.Cells = parallel.Map(cfg.Workers, len(jobs), func(i int) CrashCell {
-		j := jobs[i]
+	res.Cells = parallel.Map(cfg.Workers, len(phases)*len(kinds), func(i int) CrashCell {
+		phase, fault := phases[i/len(kinds)], kinds[i%len(kinds)]
 		plan := faultinject.Plan{
 			Seed:       cfg.Seed + int64(i)*1001,
-			CrashPhase: j.phase,
-			CrashCP:    2,
-			Fault:      j.fault,
+			CrashPhase: phase,
+			CrashCP:    crashCP,
+			Fault:      fault,
 		}
-		return RunFaultScenario(cfg, plan, fmt.Sprintf("crash.%s.%s", j.phase, j.fault))
+		return scenario(cfg, plan, fmt.Sprintf("%s.%s.%s", arm, phase, fault))
 	})
-
-	printCrashMatrix(w,
-		"Crash matrix: mount outcomes after a crash at each CP phase × media fault (Nc clean, Nr reconstructed, Nf fallback)",
-		res)
+	printCrashMatrix(w, title, res)
 	return res
 }
 

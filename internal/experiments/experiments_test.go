@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 // quickConfig shrinks the experiments so the directional claims can be
@@ -163,7 +164,7 @@ func TestFig10Directional(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 8 {
+	if len(all) != 11 {
 		t.Fatalf("experiments = %d", len(all))
 	}
 	for _, e := range all {
@@ -176,6 +177,43 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("unknown experiment resolved")
+	}
+}
+
+// Each gated experiment's failing branches, driven through Experiment.Run:
+// the registry's wrapper over a driver that returns a failing result must
+// surface that result's gate error, and a passing result none.
+func TestExperimentGates(t *testing.T) {
+	walls := func(w8 time.Duration) AllocBenchResult {
+		return AllocBenchResult{Wall: map[int]time.Duration{8: w8}}
+	}
+	matrix := func(name string, divergent int) *CrashMatrixResult {
+		return &CrashMatrixResult{Name: name, Cells: []CrashCell{{}, {Divergent: divergent}}}
+	}
+	stub := func(r interface{ Gate() error }) Experiment {
+		return Experiment{Run: gated(func(Config, io.Writer) interface{ Gate() error } { return r })}
+	}
+	for _, tc := range []struct {
+		name string
+		res  interface{ Gate() error }
+		want string // substring of the gate error, "" for a pass
+	}{
+		{"alloc faster", AllocBench{Shared: walls(10), Striped: walls(9)}, ""},
+		{"alloc level", AllocBench{Shared: walls(10), Striped: walls(10)}, "allocbench: striped pick path not faster"},
+		{"pipeline ok", PipelineBench{OverlapGain: 1.3}, ""},
+		{"pipeline slow", PipelineBench{OverlapGain: 1.29}, "pipelinebench: overlap gain 1.290x below the 1.3x floor"},
+		{"pipeline diverged", PipelineBench{OverlapGain: 1.5, UsedClassic: 7, UsedPipelined: 8}, "pipelinebench: arms diverged"},
+		{"matrix clean", matrix("crashmatrix", 0), ""},
+		{"matrix divergent", matrix("crashmatrix", 2), "crashmatrix: silent divergence in 1 of 2 cells"},
+		{"overlap matrix divergent", matrix("pipelinecrash", 1), "pipelinecrash: silent divergence in 1 of 2 cells"},
+	} {
+		err := stub(tc.res).Run(quickConfig(), io.Discard)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: gate failed: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: gate error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

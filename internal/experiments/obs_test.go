@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"waflfs/internal/obs"
+	"waflfs/internal/wafl"
 )
 
 // An obs-instrumented fig6 run: the four cache arms fan out concurrently,
@@ -20,7 +21,7 @@ func TestFig6WithObsSinks(t *testing.T) {
 	rec := obs.NewCSVRecorder(&csv)
 	cfg := quickConfig()
 	cfg.Scale = 0.05
-	cfg.Obs = &ObsSink{Export: export, Tracer: tracer, CSV: rec}
+	cfg.Obs = &wafl.ObsOptions{Export: export, Tracer: tracer, CSV: rec}
 
 	RunFig6(cfg, io.Discard)
 	if err := rec.Flush(); err != nil {

@@ -18,12 +18,8 @@ func TestPipelineBenchGainAndIdentity(t *testing.T) {
 	if b.Generations != pipelineBenchRounds {
 		t.Fatalf("generations = %d, want %d", b.Generations, pipelineBenchRounds)
 	}
-	if !b.Identical() {
-		t.Fatalf("arms diverged: used %d vs %d, written %d vs %d",
-			b.UsedPipelined, b.UsedClassic, b.WrittenPipelined, b.WrittenClassic)
-	}
-	if b.OverlapGain < 1.3 {
-		t.Errorf("overlap gain %.3f < 1.3 (alloc %v, flush %v)", b.OverlapGain, b.AllocWall, b.FlushWall)
+	if err := b.Gate(); err != nil {
+		t.Fatalf("%v (alloc %v, flush %v)", err, b.AllocWall, b.FlushWall)
 	}
 	if b.SerialWall != b.AllocWall+b.FlushWall {
 		t.Errorf("serial wall %v != alloc %v + flush %v", b.SerialWall, b.AllocWall, b.FlushWall)

@@ -42,6 +42,21 @@ func (b PipelineBench) Identical() bool {
 	return b.UsedClassic == b.UsedPipelined && b.WrittenClassic == b.WrittenPipelined
 }
 
+// Gate is the experiment's acceptance condition: pipelining must keep paying
+// for itself (the 1.3x floor at 8 workers) and must reorder commits, never
+// results.
+func (b PipelineBench) Gate() error {
+	if b.OverlapGain < 1.3 {
+		return fmt.Errorf("pipelinebench: overlap gain %.3fx below the 1.3x floor at 8 workers (serial %v, pipelined %v)",
+			b.OverlapGain, b.SerialWall, b.PipelinedWall)
+	}
+	if !b.Identical() {
+		return fmt.Errorf("pipelinebench: arms diverged (used %d vs %d, written %d vs %d) — pipelining must not change the final state",
+			b.UsedPipelined, b.UsedClassic, b.WrittenPipelined, b.WrittenClassic)
+	}
+	return nil
+}
+
 // pipelineBenchRounds is the number of write bursts (= pipelined
 // generations): enough for the steady overlapped state to dominate the
 // un-overlapped first seal and final drain.

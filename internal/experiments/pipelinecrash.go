@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 
 	"waflfs/internal/aa"
 	"waflfs/internal/faultinject"
-	"waflfs/internal/parallel"
 	"waflfs/internal/wafl"
 	"waflfs/internal/workload"
 )
@@ -116,38 +114,10 @@ func RunPipelineFaultScenario(cfg Config, plan faultinject.Plan, name string) Cr
 	return cell
 }
 
-// RunPipelineCrashMatrix sweeps both overlap phases × every fault kind.
-// Cells are independent pipelined systems fanned out over the work pool;
-// the result is identical at any worker count.
+// RunPipelineCrashMatrix sweeps both overlap phases × every fault kind over
+// pipelined systems.
 func RunPipelineCrashMatrix(cfg Config, w io.Writer) *CrashMatrixResult {
-	res := &CrashMatrixResult{Phases: faultinject.OverlapPhases()}
-	for _, k := range faultinject.Kinds() {
-		res.Faults = append(res.Faults, k.String())
-	}
-
-	type job struct {
-		phase string
-		fault faultinject.Kind
-	}
-	var jobs []job
-	for _, p := range res.Phases {
-		for _, k := range faultinject.Kinds() {
-			jobs = append(jobs, job{p, k})
-		}
-	}
-	res.Cells = parallel.Map(cfg.Workers, len(jobs), func(i int) CrashCell {
-		j := jobs[i]
-		plan := faultinject.Plan{
-			Seed:       cfg.Seed + int64(i)*1001,
-			CrashPhase: j.phase,
-			CrashCP:    pipelineCrashCP,
-			Fault:      j.fault,
-		}
-		return RunPipelineFaultScenario(cfg, plan, fmt.Sprintf("crash.pipeline.%s.%s", j.phase, j.fault))
-	})
-
-	printCrashMatrix(w,
+	return runCrashMatrix(cfg, w, "pipelinecrash", "crash.pipeline",
 		"Pipelined crash matrix: mount outcomes after a crash in the overlap window × media fault (Nc clean, Nr reconstructed, Nf fallback)",
-		res)
-	return res
+		faultinject.OverlapPhases(), pipelineCrashCP, RunPipelineFaultScenario)
 }

@@ -54,7 +54,7 @@ func ruleDocs(t *testing.T) (sloDoc, ctlDoc string) {
 	cfg := DefaultConfig()
 	cfg.Scale = 0.05
 	cfg.Workers = 1
-	cfg.Obs = &ObsSink{
+	cfg.Obs = &wafl.ObsOptions{
 		TSDB:    tsdb.NewStore(tsdb.Config{Capacity: 256, HistBuckets: tsdb.SuffixFilter(".lat_ns")}),
 		SLO:     slo.NewSet(specs),
 		OpTrace: optrace.NewRecorder(optrace.Config{Rate: 4, Capacity: 64, Seed: 19}),

@@ -9,6 +9,7 @@ import (
 	"waflfs/internal/obs"
 	"waflfs/internal/obs/slo"
 	"waflfs/internal/obs/tsdb"
+	"waflfs/internal/wafl"
 )
 
 // The end-to-end SLO acceptance gate: clean figure runs fire no alerts,
@@ -21,7 +22,7 @@ func TestSLOGateCleanFiguresStayGreenCrashPages(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Scale = 0.05
-	cfg.Obs = &ObsSink{
+	cfg.Obs = &wafl.ObsOptions{
 		Export: obs.NewRegistry(),
 		TSDB:   tsdb.NewStore(tsdb.Config{Capacity: 128, HistBuckets: tsdb.SuffixFilter(".lat_ns")}),
 		SLO:    slo.NewSet(slo.DefaultSpecs()),

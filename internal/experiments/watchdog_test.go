@@ -8,6 +8,7 @@ import (
 	"waflfs/internal/obs"
 	"waflfs/internal/obs/picks"
 	"waflfs/internal/obs/tsdb"
+	"waflfs/internal/wafl"
 )
 
 // wdAudit sums every arm's watchdog check and violation counters and fails
@@ -57,7 +58,7 @@ func TestWatchdogsCleanAcrossExperiments(t *testing.T) {
 			export := obs.NewRegistry()
 			cfg := quickConfig()
 			cfg.Scale = 0.05
-			cfg.Obs = &ObsSink{
+			cfg.Obs = &wafl.ObsOptions{
 				Export:    export,
 				Watchdogs: true,
 				TSDB:      tsdb.NewStore(tsdb.DefaultConfig()),

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -123,8 +124,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, "fsinspect", snap); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back NamedSnapshot
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Name != "fsinspect" {

@@ -56,11 +56,6 @@ var runBounds = func() []uint64 {
 	return bounds
 }()
 
-// DefaultRunBounds are the inclusive upper bounds of the free-run-length
-// histogram, in blocks: powers of two up to 64Ki blocks (256 MiB of 4KiB
-// blocks), plus an implicit +Inf bucket.
-func DefaultRunBounds() []uint64 { return slices.Clone(runBounds) }
-
 // Target describes one number space to scan. The zero value of the optional
 // fields is safe: no device spans means run analysis covers the whole space
 // as one extent stream and stripe fullness is skipped; zero Picks means no

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -226,7 +227,7 @@ func refScan(t Target, cp uint64) Report {
 		Space:          t.Space,
 		CP:             cp,
 		Kind:           t.Kind,
-		RunBounds:      DefaultRunBounds(),
+		RunBounds:      runBounds,
 		CacheBins:      t.CacheBins,
 		Picks:          t.Picks,
 		PickedFreeFrac: t.PickedFreeFrac,
@@ -385,10 +386,9 @@ func TestScanMatchesReference(t *testing.T) {
 	}
 }
 
-// Reports share one RunBounds slice, so nothing may write through it, and
-// DefaultRunBounds hands out copies.
+// Reports share one RunBounds slice, so nothing may write through it.
 func TestRunBoundsShared(t *testing.T) {
-	want := DefaultRunBounds()
+	want := slices.Clone(runBounds)
 	bm := bitmap.New(256)
 	rep := Scan(Target{Space: "s", Kind: KindHBPS, Topo: aa.NewLinear(block.R(0, 256), 64), Bits: bm}, 1)
 	rec := NewRecorder()
@@ -400,7 +400,6 @@ func TestRunBoundsShared(t *testing.T) {
 	if _, err := json.Marshal(rec.Reports()); err != nil {
 		t.Fatal(err)
 	}
-	DefaultRunBounds()[0] = 99
 	for i, b := range want {
 		if b != 1<<i || runBounds[i] != b || rep.RunBounds[i] != b {
 			t.Fatalf("bound %d: want %d, shared %d, report %d", i, b, runBounds[i], rep.RunBounds[i])

@@ -18,11 +18,3 @@ func WriteJSON(w io.Writer, name string, snap Snapshot) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(NamedSnapshot{Name: name, Snapshot: snap})
 }
-
-// ReadJSON parses a named snapshot written by WriteJSON. Round-tripping a
-// snapshot through WriteJSON/ReadJSON preserves it exactly (DeepEqual).
-func ReadJSON(r io.Reader) (NamedSnapshot, error) {
-	var ns NamedSnapshot
-	err := json.NewDecoder(r).Decode(&ns)
-	return ns, err
-}

@@ -185,14 +185,6 @@ func (h *Histogram) ObserveN(v uint64, n uint64) {
 	h.count.Add(n)
 }
 
-// ObserveDuration records a non-negative duration sample in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if h == nil || d < 0 {
-		return
-	}
-	h.Observe(uint64(d))
-}
-
 // Value snapshots the histogram.
 func (h *Histogram) Value() HistValue {
 	if h == nil {

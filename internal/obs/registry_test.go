@@ -19,7 +19,6 @@ func TestNilSafeInstruments(t *testing.T) {
 	g.Set(3)
 	g.Add(1)
 	h.Observe(7)
-	h.ObserveDuration(time.Millisecond)
 	if c.Value() != 0 || g.Value() != 0 || h.Value().Count != 0 {
 		t.Fatal("nil instruments must read zero")
 	}

@@ -9,13 +9,12 @@
 // another item's output and merges happen in index order after the
 // barrier, the observable result is bit-identical for every worker count,
 // including 1. Randomized work keeps that property by giving each shard
-// its own rand.Rand derived from a root seed (SplitSeed/Rands) instead of
+// its own rand.Rand derived from a root seed (SplitSeed) instead of
 // sharing one stream whose interleaving would depend on scheduling.
 package parallel
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -160,15 +159,4 @@ func SplitSeed(root int64, shard int) int64 {
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
 	return int64(z)
-}
-
-// Rands returns n generators, shard i seeded with SplitSeed(root, i) —
-// one private stream per work item, so randomized shards stay bit-identical
-// to a serial run regardless of scheduling.
-func Rands(root int64, n int) []*rand.Rand {
-	out := make([]*rand.Rand, n)
-	for i := range out {
-		out[i] = rand.New(rand.NewSource(SplitSeed(root, i)))
-	}
-	return out
 }

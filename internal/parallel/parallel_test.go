@@ -197,12 +197,4 @@ func TestSplitSeedAndRandsDeterministic(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	a, b := Rands(7, 4), Rands(7, 4)
-	for i := range a {
-		for k := 0; k < 16; k++ {
-			if a[i].Uint64() != b[i].Uint64() {
-				t.Fatalf("shard %d stream diverged", i)
-			}
-		}
-	}
 }

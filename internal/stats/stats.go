@@ -46,7 +46,7 @@ func Percentile(xs []float64, p float64) float64 {
 // Summary is a one-time-sorted view of a sample set. Percentile sorts a
 // fresh copy on every call, which is wasteful when a harness asks for
 // several quantiles of the same data; Summarize sorts once and then serves
-// Mean/Percentile/Min/Max/Stddev in O(1)/O(1)/O(n) without re-sorting.
+// Mean/Percentile/Min/Max in O(1) without re-sorting.
 type Summary struct {
 	sorted []float64
 	mean   float64
@@ -98,31 +98,6 @@ func (s Summary) Percentile(p float64) float64 {
 		rank = len(s.sorted) - 1
 	}
 	return s.sorted[rank]
-}
-
-// Stddev returns the population standard deviation.
-func (s Summary) Stddev() float64 {
-	if len(s.sorted) < 2 {
-		return 0
-	}
-	var acc float64
-	for _, x := range s.sorted {
-		acc += (x - s.mean) * (x - s.mean)
-	}
-	return math.Sqrt(acc / float64(len(s.sorted)))
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Series is a labeled sequence of (x, y) points — one curve of a figure.

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -52,9 +51,6 @@ func TestSummaryMatchesPercentile(t *testing.T) {
 	if s.Mean() != Mean(xs) {
 		t.Fatalf("Summary.Mean = %v, want %v", s.Mean(), Mean(xs))
 	}
-	if math.Abs(s.Stddev()-Stddev(xs)) > 1e-12 {
-		t.Fatalf("Summary.Stddev = %v, want %v", s.Stddev(), Stddev(xs))
-	}
 	if s.Min() != 1 || s.Max() != 9 || s.N() != 9 {
 		t.Fatalf("min/max/n = %v/%v/%d", s.Min(), s.Max(), s.N())
 	}
@@ -67,7 +63,7 @@ func TestSummaryMatchesPercentile(t *testing.T) {
 func TestSummaryEmptyAndPanics(t *testing.T) {
 	var empty Summary
 	if empty.Mean() != 0 || empty.Percentile(50) != 0 || empty.Min() != 0 ||
-		empty.Max() != 0 || empty.Stddev() != 0 || empty.N() != 0 {
+		empty.Max() != 0 || empty.N() != 0 {
 		t.Fatal("zero Summary must read zero")
 	}
 	if Summarize(nil).Percentile(99) != 0 {
@@ -79,16 +75,6 @@ func TestSummaryEmptyAndPanics(t *testing.T) {
 		}
 	}()
 	Summarize([]float64{1}).Percentile(-1)
-}
-
-func TestStddev(t *testing.T) {
-	if Stddev([]float64{3}) != 0 {
-		t.Fatal("single-element stddev")
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-9 {
-		t.Fatalf("Stddev = %v", got)
-	}
 }
 
 func TestSeries(t *testing.T) {

@@ -87,11 +87,8 @@ func (a *sysActuator) SetKnob(name string, v float64) (float64, bool) {
 		for _, g := range s.Agg.groups {
 			g.q.SetBatch(b)
 		}
-		for _, vol := range s.Agg.vols {
-			vol.space.q.SetBatch(b)
-		}
-		if s.Agg.pool != nil {
-			s.Agg.pool.space.q.SetBatch(b)
+		for _, sp := range s.Agg.agnosticSpaces() {
+			sp.q.SetBatch(b)
 		}
 		return float64(b), true
 	case control.KnobFragEvery:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"waflfs/internal/aa"
@@ -28,6 +29,9 @@ type Aggregate struct {
 	groups []*Group
 	vols   []*FlexVol
 	pool   *Pool
+	// spaces indexes every RAID-agnostic space: the volumes' in creation
+	// order, then the pool's (agnosticSpaces).
+	spaces []*agnosticSpace
 	store  *topaa.Store
 	tun    Tunables
 	rng    *rand.Rand
@@ -167,9 +171,16 @@ func (ag *Aggregate) AddVolume(spec VolSpec) *FlexVol {
 		}
 	}
 	ag.vols = append(ag.vols, v)
-	ag.registerSpaceObs(v.space, "vol."+v.Name+".", v.index)
+	ag.spaces = slices.Insert(ag.spaces, len(ag.vols)-1, v.space) // before the pool
+	ag.registerSpaceObs(v.space, "vol."+v.Name, v.index)
 	return v
 }
+
+// agnosticSpaces returns every RAID-agnostic space — the volumes' in
+// creation order, then the pool's — each named by its TopAA metafile key.
+// The slice is the aggregate's own index, kept by AddVolume and
+// AddObjectPool, so walking it at every CP allocates nothing.
+func (ag *Aggregate) agnosticSpaces() []*agnosticSpace { return ag.spaces }
 
 // groupOf returns the RAID group owning physical VBN v.
 func (ag *Aggregate) groupOf(v block.VBN) *Group {
@@ -465,7 +476,7 @@ func (ms *MountStats) note(o MountOutcome) {
 // agnostic space owns its cache, cursor, and delta ledgers, the TopAA store is
 // thread-safe, and bitmap scans only read bit words while charging an
 // atomic counter. Fallback walks additionally shard their own popcount
-// work (aa.ScoreAllParallel), so a single damaged space still spreads its
+// work (aa.ScoreAllParallelObs), so a single damaged space still spreads its
 // full-bitmap walk across workers. Per-item stats land in index-owned
 // slots and merge in order, keeping MountStats identical at any worker
 // count.
@@ -546,16 +557,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		ms.note(st.outcome)
 	}
 
-	spaces := make([]*agnosticSpace, 0, len(ag.vols)+1)
-	names := make([]string, 0, len(ag.vols)+1)
-	for _, v := range ag.vols {
-		spaces = append(spaces, v.space)
-		names = append(names, v.Name)
-	}
-	if ag.pool != nil {
-		spaces = append(spaces, ag.pool.space)
-		names = append(names, poolTopAAKey)
-	}
+	spaces := ag.agnosticSpaces()
 	spaceStats := make([]rebuildStats, len(spaces))
 	parallel.ForEachObs(workers, len(spaces), ag.pobs, func(i int) {
 		sp := spaces[i]
@@ -569,7 +571,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			// that verifies but describes some other space — a different
 			// geometry, or not one tracked item per AA — is damage too, found
 			// here and not inside a later pick.
-			h, loadOutcome, err := ag.store.LoadAgnosticBounded(names[i], sp.topo.NumAAs())
+			h, loadOutcome, err := ag.store.LoadAgnosticBounded(sp.name, sp.topo.NumAAs())
 			switch {
 			case err != nil:
 				outcome = classifyLoadError(err)
@@ -667,19 +669,9 @@ func (ag *Aggregate) RepairTopAA() int {
 		}
 		repaired++
 	}
-	spaces := make([]*agnosticSpace, 0, len(ag.vols)+1)
-	names := make([]string, 0, len(ag.vols)+1)
-	for _, v := range ag.vols {
-		spaces = append(spaces, v.space)
-		names = append(names, v.Name)
-	}
-	if ag.pool != nil {
-		spaces = append(spaces, ag.pool.space)
-		names = append(names, poolTopAAKey)
-	}
-	for i, sp := range spaces {
+	for _, sp := range ag.agnosticSpaces() {
 		sp.replenish()
-		ag.store.SaveAgnostic(names[i], sp.cache)
+		ag.store.SaveAgnostic(sp.name, sp.cache)
 		resetPicks(sp.as, sp.q, sp.cache)
 		repaired++
 	}

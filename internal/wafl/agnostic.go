@@ -74,7 +74,8 @@ type agnosticSpace struct {
 
 	// Observability handles (nil-safe; set by Aggregate.registerSpaceObs).
 	st     *obs.SysTracer
-	shard  int // trace shard: volume index, or poolShard for the pool
+	shard  int    // trace shard: volume index, or poolShard for the pool
+	stream string // metric prefix and stream name: "vol.<name>" or "pool"
 	pobs   *parallel.Obs
 	scored *obs.Counter
 	// lat is the per-volume modeled op-latency histogram feeding the SLO

@@ -47,7 +47,6 @@ func (t Tunables) allocBatch() int {
 
 type allocState struct {
 	shards int
-	opCost time.Duration
 
 	seq      uint64 // picks issued; shard = seq % shards
 	curShard int    // shard of the in-flight pick (noteAlloc target)
@@ -76,7 +75,6 @@ func newAllocState(tun Tunables, numAAs int) *allocState {
 	n := max(tun.AllocShards, 1)
 	as := &allocState{
 		shards:   n,
-		opCost:   tun.CPUPerCacheOp,
 		pickBusy: make([]time.Duration, n),
 	}
 	if n > 1 {
@@ -112,13 +110,13 @@ func (as *allocState) nextShard() int {
 // section on its shard's vector.
 func (as *allocState) notePop(shard int, p shardq.Popped, served bool) {
 	as.stalls += uint64(p.Stalls)
-	as.stallBusy += time.Duration(p.Stalls+p.Staged+p.Flushed) * as.opCost
+	as.stallBusy += time.Duration(p.Stalls+p.Staged+p.Flushed) * CPUPerCacheOp
 	if served {
 		as.picks++
 		if p.Held && !p.Refilled {
 			as.localPicks++
 		}
-		as.pickBusy[shard] += as.opCost
+		as.pickBusy[shard] += CPUPerCacheOp
 	}
 }
 
@@ -132,7 +130,7 @@ func stageAhead[E any](as *allocState, q *shardq.Queue[E], shard int) uint64 {
 	}
 	n := q.Stage(shard)
 	as.staged += uint64(n)
-	as.refillBusy += time.Duration(n) * as.opCost
+	as.refillBusy += time.Duration(n) * CPUPerCacheOp
 	return uint64(n)
 }
 
@@ -283,11 +281,8 @@ func (ag *Aggregate) AllocProfiles() []AllocProfile {
 	for _, g := range ag.groups {
 		add(fmt.Sprintf("rg%d", g.Index), g.as)
 	}
-	for _, v := range ag.vols {
-		add("vol."+v.Name, v.space.as)
-	}
-	if ag.pool != nil {
-		add("pool", ag.pool.space.as)
+	for _, sp := range ag.agnosticSpaces() {
+		add(sp.stream, sp.as)
 	}
 	return out
 }
@@ -314,11 +309,8 @@ func (ag *Aggregate) AllocPickWall(workers int) time.Duration {
 	for _, g := range ag.groups {
 		collect(g.as)
 	}
-	for _, v := range ag.vols {
-		collect(v.space.as)
-	}
-	if ag.pool != nil {
-		collect(ag.pool.space.as)
+	for _, sp := range ag.agnosticSpaces() {
+		collect(sp.as)
 	}
 	return parallel.Makespan(tasks, workers) + stalls
 }

@@ -60,7 +60,7 @@ func (f *fragSpace) pickedDelta(sum float64, count uint64) (uint64, float64) {
 func (ag *Aggregate) fragTargets() ([]fragscan.Target, []*fragSpace) {
 	name := ag.obsOpts.Name
 	workers := ag.workers()
-	n := len(ag.groups) + len(ag.vols) + 1
+	n := len(ag.groups) + len(ag.agnosticSpaces())
 	out, spaces := make([]fragscan.Target, 0, n), make([]*fragSpace, 0, n)
 	for _, g := range ag.groups {
 		if g.frag == nil {
@@ -82,17 +82,11 @@ func (ag *Aggregate) fragTargets() ([]fragscan.Target, []*fragSpace) {
 		t.Picks, t.PickedFreeFrac = g.frag.pickedDelta(g.pickedScoreSum, g.pickedCount)
 		out, spaces = append(out, t), append(spaces, g.frag)
 	}
-	for _, v := range ag.vols {
-		if v.space.frag == nil {
-			v.space.frag = newFragSpace(name+".vol."+v.Name, nil)
+	for _, sp := range ag.agnosticSpaces() {
+		if sp.frag == nil {
+			sp.frag = newFragSpace(name+"."+sp.stream, nil)
 		}
-		out, spaces = append(out, ag.agnosticTarget(v.space)), append(spaces, v.space.frag)
-	}
-	if ag.pool != nil {
-		if ag.pool.space.frag == nil {
-			ag.pool.space.frag = newFragSpace(name+".pool", nil)
-		}
-		out, spaces = append(out, ag.agnosticTarget(ag.pool.space)), append(spaces, ag.pool.space.frag)
+		out, spaces = append(out, ag.agnosticTarget(sp)), append(spaces, sp.frag)
 	}
 	return out, spaces
 }

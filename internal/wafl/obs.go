@@ -36,8 +36,8 @@ import (
 // ObsOptions enables the observability layer for a System/Aggregate via
 // Tunables.Obs. The zero value (and a nil pointer) keeps everything off:
 // the private registry still exists (registration is construction-time
-// work), but no tracer events, no CSV rows, no export mirroring, and no
-// per-I/O device histograms — the hot paths then pay only nil-checks.
+// work), but no tracer events, no CSV rows and no export mirroring — the hot
+// paths then pay only nil-checks.
 type ObsOptions struct {
 	// Name labels this system in the export registry (metric prefix), CSV
 	// rows, and trace events. Defaults to "wafl". Experiment arms sharing an
@@ -54,10 +54,6 @@ type ObsOptions struct {
 	// CSV, when non-nil, receives one row per non-volatile metric at the end
 	// of every consistency point.
 	CSV *obs.CSVRecorder
-	// DeviceHistograms attaches a per-I/O service-time histogram to every
-	// device model (one metric per device; sizeable cardinality, off by
-	// default).
-	DeviceHistograms bool
 	// Frag, when non-nil, receives an allocation-quality scan of every
 	// space (RAID groups, volumes, object pool) at each CP boundary. The
 	// scans are purely observational — no modeled cost is charged.
@@ -84,13 +80,6 @@ type ObsOptions struct {
 	// conservation, rotating cached-score spot checks, pick-quality
 	// floors; see watchdog.go). Violations bump watchdog.* counters.
 	Watchdogs bool
-	// WatchdogSample is the rotating per-space sample size of the
-	// cached-score spot check (≤0 selects 8). Larger values trade CP-time
-	// popcounts for faster full coverage.
-	WatchdogSample int
-	// StrictWatchdogs promotes any watchdog violation to a panic — tests
-	// use it to turn the monitors into hard failures.
-	StrictWatchdogs bool
 	// OpTrace, when non-nil, samples read/write ops into request-scoped
 	// span trees: deterministic trace IDs, allocator-pick annotations, and
 	// per-stage CP cost attribution that reconciles exactly with the
@@ -374,29 +363,21 @@ func (ag *Aggregate) registerGroupObs(g *Group) {
 	ag.reg.CounterFunc(p+"heap.swaps", func() uint64 { return g.cache.Metrics().Swaps })
 	ag.reg.GaugeFunc(p+"heap.size", func() int64 { return int64(g.cache.Len()) })
 	ag.registerAllocObs(p, g.as)
-	if ag.obsOpts.DeviceHistograms {
-		for d, dev := range g.devices {
-			if bo, ok := dev.(interface{ SetBusyHist(*obs.Histogram) }); ok {
-				bo.SetBusyHist(ag.reg.Histogram(fmt.Sprintf("rg%d.dev%d.busy_ns", g.Index, d), obs.DurationBuckets))
-			}
-		}
-		if bo, ok := g.parity.(interface{ SetBusyHist(*obs.Histogram) }); ok {
-			bo.SetBusyHist(ag.reg.Histogram(fmt.Sprintf("rg%d.parity.busy_ns", g.Index), obs.DurationBuckets))
-		}
-	}
 }
 
-// registerSpaceObs exposes one agnostic space's counters under the given
-// prefix ("vol.<name>." or "pool.") and hands it its tracer handle, trace
-// shard, and scoring instruments. HBPS metrics read through the current
+// registerSpaceObs exposes one agnostic space's counters under its stream
+// name ("vol.<name>." or "pool." as the metric prefix) and hands it its
+// tracer handle, trace shard, and scoring instruments. HBPS metrics read through the current
 // cache object (reset on remount, like the heap metrics).
-func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, prefix string, shard int) {
+func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, stream string, shard int) {
+	prefix := stream + "."
 	sp.st = ag.st
 	sp.shard = shard
+	sp.stream = stream
 	sp.pobs = ag.pobs
 	sp.scored = ag.scoredAAs
 	if rec := ag.obsOpts.Picks; rec != nil {
-		sp.pr = rec.Space(ag.obsOpts.Name + "." + strings.TrimSuffix(prefix, "."))
+		sp.pr = rec.Space(ag.obsOpts.Name + "." + sp.stream)
 		ag.pickRings = append(ag.pickRings, sp.pr)
 		sp.cpNow = &ag.cpOrd
 	}
@@ -419,7 +400,7 @@ func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, prefix string, shard in
 			})
 		}
 		if rec := ag.obsOpts.OpTrace; rec != nil {
-			sp.tr = rec.Space(ag.obsOpts.Name + "." + strings.TrimSuffix(prefix, "."))
+			sp.tr = rec.Space(ag.obsOpts.Name + "." + sp.stream)
 			ag.otRings = append(ag.otRings, sp.tr)
 		}
 	}
@@ -634,7 +615,7 @@ func (s *System) attributeWrites(gen *cpGen, deviceBusy, metaNS, foldCache time.
 	cacheCPU := gen.allocCache + foldCache
 	cpCost := deviceBusy + metaNS + gen.allocScan + cacheCPU
 	cpPer := uint64(cpCost) / gen.totalBlocks
-	base := uint64(s.tun.CPUBasePerOp)
+	base := uint64(CPUBasePerOp)
 	perBlock := base + cpPer
 	var metaPer, scanPer, cachePer, devPer uint64
 	if cpCost > 0 {

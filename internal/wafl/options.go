@@ -48,8 +48,29 @@ type VolSpec struct {
 	Blocks uint64
 }
 
-// Tunables collects the allocator policy switches and the cost constants
-// the CPU model uses. Zero values select the defaults.
+// The CPU cost model is one calibration, not a configuration: every
+// experiment, test and workload runs on these four values.
+const (
+	// CPUBasePerOp is the fixed WAFL code-path cost per client operation.
+	CPUBasePerOp = 210 * time.Microsecond
+	// CPUPerMetafilePage is the processing cost of updating and writing
+	// back one dirty bitmap-metafile page at a CP; fewer dirtied pages per
+	// operation is the benefit of colocated virtual VBNs (§2.5).
+	CPUPerMetafilePage = 40 * time.Microsecond
+	// CPUPerCacheOp is the cost of one AA-cache maintenance operation
+	// (heap update, HBPS update/pop); the paper measures cache maintenance
+	// at ~0.002% of cycles (§4.1.2).
+	CPUPerCacheOp = 120 * time.Nanosecond
+	// CPUPerVirtAllocScan is the per-position cost of the virtual
+	// allocation cursor's bitmap sweep. Allocating from an AA with free
+	// fraction f sweeps 1/f positions per block, so picking emptier
+	// virtual AAs directly reduces this term — the computational
+	// amortization §4.1.2 measures as 309µs/op vs 293µs/op.
+	CPUPerVirtAllocScan = 30 * time.Microsecond
+)
+
+// Tunables collects the allocator policy switches. Zero values select the
+// defaults.
 type Tunables struct {
 	// AggregateCacheEnabled enables AA caches for physical VBN selection.
 	// When false the allocator picks uniformly random AAs with free space,
@@ -79,23 +100,6 @@ type Tunables struct {
 	// Disabled by default: the paper's write-amplification argument
 	// depends on freed-but-not-trimmed blocks looking live to the FTL.
 	TrimOnFree bool
-
-	// CPUBasePerOp is the fixed WAFL code-path cost per client operation.
-	CPUBasePerOp time.Duration
-	// CPUPerMetafilePage is the processing cost of updating and writing
-	// back one dirty bitmap-metafile page at a CP; fewer dirtied pages per
-	// operation is the benefit of colocated virtual VBNs (§2.5).
-	CPUPerMetafilePage time.Duration
-	// CPUPerCacheOp is the cost of one AA-cache maintenance operation
-	// (heap update, HBPS update/pop); the paper measures cache maintenance
-	// at ~0.002% of cycles (§4.1.2).
-	CPUPerCacheOp time.Duration
-	// CPUPerVirtAllocScan is the per-position cost of the virtual
-	// allocation cursor's bitmap sweep. Allocating from an AA with free
-	// fraction f sweeps 1/f positions per block, so picking emptier
-	// virtual AAs directly reduces this term — the computational
-	// amortization §4.1.2 measures as 309µs/op vs 293µs/op.
-	CPUPerVirtAllocScan time.Duration
 
 	// CPEveryOps triggers a consistency point after this many modifying
 	// operations. CPs in WAFL are triggered by timers and dirty-buffer
@@ -148,18 +152,6 @@ type Tunables struct {
 
 // Defaults fills zero fields with production-flavoured values.
 func (t Tunables) Defaults() Tunables {
-	if t.CPUBasePerOp == 0 {
-		t.CPUBasePerOp = 210 * time.Microsecond
-	}
-	if t.CPUPerVirtAllocScan == 0 {
-		t.CPUPerVirtAllocScan = 30 * time.Microsecond
-	}
-	if t.CPUPerMetafilePage == 0 {
-		t.CPUPerMetafilePage = 40 * time.Microsecond
-	}
-	if t.CPUPerCacheOp == 0 {
-		t.CPUPerCacheOp = 120 * time.Nanosecond
-	}
 	if t.CPEveryOps == 0 {
 		t.CPEveryOps = 4096
 	}

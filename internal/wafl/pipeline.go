@@ -258,7 +258,7 @@ func (s *System) allocWall(gen *cpGen) time.Duration {
 	volBusy := s.pipe.volBusy[:0]
 	for _, n := range gen.volBlocks {
 		if n > 0 {
-			volBusy = append(volBusy, time.Duration(n)*s.tun.CPUBasePerOp)
+			volBusy = append(volBusy, time.Duration(n)*CPUBasePerOp)
 		}
 	}
 	s.pipe.volBusy = volBusy
@@ -343,8 +343,8 @@ func (s *System) allocGeneration() *cpGen {
 			v.space.curTID = 0
 		}
 	}
-	gen.allocScan = time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan
-	gen.allocCache = time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
+	gen.allocScan = time.Duration(s.virtScanBlocks()-scanBefore) * CPUPerVirtAllocScan
+	gen.allocCache = time.Duration(s.cacheOps()-cacheOpsBefore) * CPUPerCacheOp
 	s.c.CPUTime += gen.allocScan + gen.allocCache
 	s.c.CacheCPUTime += gen.allocCache
 	return gen
@@ -371,13 +371,12 @@ func (s *System) sealGeneration() {
 	for _, g := range s.Agg.groups {
 		g.sealCP()
 	}
-	for _, v := range s.Agg.vols {
-		v.space.sealCPDeltas()
+	for _, sp := range s.Agg.agnosticSpaces() {
+		sp.sealCPDeltas()
 	}
 	if p := s.Agg.pool; p != nil {
 		p.flushBlocks += p.cpBlocks
 		p.cpBlocks = 0
-		p.space.sealCPDeltas()
 	}
 	s.pipe.gen, s.pipe.open = s.pipe.open, s.pipe.gen
 	s.pipe.inFlight = true
@@ -406,8 +405,8 @@ func (s *System) flushGeneration(idleFoldRows bool) CPStats {
 	pages := uint64(st.MetafilePagesAggregate + st.MetafilePagesVols)
 	s.c.MetafilePages += pages
 	s.c.TopAABlocks += uint64(st.TopAABlocks)
-	metaNS := time.Duration(pages) * s.tun.CPUPerMetafilePage
-	foldCache := time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
+	metaNS := time.Duration(pages) * CPUPerMetafilePage
+	foldCache := time.Duration(s.cacheOps()-cacheOpsBefore) * CPUPerCacheOp
 	s.c.CPUTime += metaNS + foldCache
 	s.c.CacheCPUTime += foldCache
 	s.attributeWrites(gen, st.DeviceBusy, metaNS, foldCache, gBusy)

@@ -84,7 +84,8 @@ func (ag *Aggregate) AddObjectPool(spec PoolSpec) *Pool {
 	p.space = newAgnosticSpace(poolTopAAKey, block.R(start, start+block.VBN(spec.Blocks)),
 		ag.bm, ag.tun, ag.tun.AggregateCacheEnabled, ag.rng)
 	ag.pool = p
-	ag.registerSpaceObs(p.space, "pool.", poolShard)
+	ag.spaces = append(ag.spaces, p.space)
+	ag.registerSpaceObs(p.space, "pool", poolShard)
 	ag.reg.CounterFunc("pool.puts", func() uint64 { return p.puts })
 	ag.reg.CounterFunc("pool.gets", func() uint64 { return p.gets })
 	ag.reg.CounterFunc("pool.blocks_tiered", func() uint64 { return p.blocksTiered })

@@ -82,19 +82,10 @@ func (ag *Aggregate) Scrub() ScrubReport {
 		groupResults[i] = ag.scrubGroup(ag.groups[i])
 	})
 
-	spaces := make([]*agnosticSpace, 0, len(ag.vols)+1)
-	names := make([]string, 0, len(ag.vols)+1)
-	for _, v := range ag.vols {
-		spaces = append(spaces, v.space)
-		names = append(names, v.Name)
-	}
-	if ag.pool != nil {
-		spaces = append(spaces, ag.pool.space)
-		names = append(names, poolTopAAKey)
-	}
+	spaces := ag.agnosticSpaces()
 	spaceResults := make([]SpaceScrub, len(spaces))
 	parallel.ForEachObs(workers, len(spaces), ag.pobs, func(i int) {
-		spaceResults[i] = ag.scrubSpace(names[i], spaces[i])
+		spaceResults[i] = ag.scrubSpace(spaces[i])
 	})
 
 	var r ScrubReport
@@ -166,8 +157,8 @@ func (ag *Aggregate) scrubGroup(g *Group) SpaceScrub {
 // segment of its expected bin. A popped current AA stays histogram-tracked at
 // its pop-time score, which equals bitmap - delta throughout (allocations
 // move both together), so no special case is needed.
-func (ag *Aggregate) scrubSpace(name string, sp *agnosticSpace) SpaceScrub {
-	s := SpaceScrub{Space: name}
+func (ag *Aggregate) scrubSpace(sp *agnosticSpace) SpaceScrub {
+	s := SpaceScrub{Space: sp.name}
 	if !sp.cacheEnabled {
 		return s
 	}

@@ -28,16 +28,16 @@ func shardedRun(t *testing.T, workers, shards, batch int) (*System, *obs.Tracer,
 	tun.CPEveryOps = 1 << 30
 	tun.DelayedVirtFrees = true
 	tun.Obs = &ObsOptions{
-		Name:            "striped",
-		Tracer:          tracer,
-		CSV:             rec,
-		Picks:           picks.NewRecorder(picks.DefaultConfig()),
-		Watchdogs:       true,
-		StrictWatchdogs: true,
+		Name:      "striped",
+		Tracer:    tracer,
+		CSV:       rec,
+		Picks:     picks.NewRecorder(picks.DefaultConfig()),
+		Watchdogs: true,
 	}
 	s := NewSystem(testSpecs(),
 		[]VolSpec{{Name: "va", Blocks: 16 * aa.RAIDAgnosticBlocks}},
 		tun, 11)
+	strictWatchdogs(t, s)
 	lun := s.Agg.Vols()[0].CreateLUN("lun", 40000)
 
 	for lba := uint64(0); lba < 40000; lba++ {
@@ -135,12 +135,12 @@ func TestShardedRefillUnderPressure(t *testing.T) {
 	tun.AllocBatch = 2
 	tun.CPEveryOps = 1 << 30
 	tun.Obs = &ObsOptions{
-		Name:            "pressure",
-		Picks:           picks.NewRecorder(picks.DefaultConfig()),
-		Watchdogs:       true,
-		StrictWatchdogs: true,
+		Name:      "pressure",
+		Picks:     picks.NewRecorder(picks.DefaultConfig()),
+		Watchdogs: true,
 	}
 	s := NewSystem(testSpecs(), []VolSpec{{Name: "v", Blocks: 16 * aa.RAIDAgnosticBlocks}}, tun, 11)
+	strictWatchdogs(t, s)
 	lun := s.Agg.Vols()[0].CreateLUN("lun", 40000)
 	rng := rand.New(rand.NewSource(7))
 	for lba := uint64(0); lba < 40000; lba++ {
@@ -282,8 +282,9 @@ func TestShardedCleanerRoundTrip(t *testing.T) {
 	tun := DefaultTunables()
 	tun.AllocShards = 4
 	tun.AllocBatch = 4
-	tun.Obs = &ObsOptions{Name: "clean", Watchdogs: true, StrictWatchdogs: true}
+	tun.Obs = &ObsOptions{Name: "clean", Watchdogs: true}
 	s, lun := agedSystem(t, tun, 9)
+	strictWatchdogs(t, s)
 	rng := rand.New(rand.NewSource(1))
 	st := s.CleanBestAAs(s.Agg.groups[0], 8)
 	if st.AAsCleaned+st.AlreadyEmpty == 0 {

@@ -141,7 +141,7 @@ func (s *System) Write(l *LUN, lba uint64, nblocks int) {
 	}
 	s.c.Ops++
 	s.c.ModOps++
-	s.c.CPUTime += s.tun.CPUBasePerOp
+	s.c.CPUTime += CPUBasePerOp
 	s.opsSinceCP++
 	if s.opsSinceCP >= s.tun.CPEveryOps {
 		s.CP()
@@ -160,7 +160,7 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 		panic(fmt.Sprintf("wafl: read [%d,%d) beyond LUN %q size %d", lba, lba+uint64(nblocks), l.Name, l.Blocks()))
 	}
 	s.c.Ops++
-	s.c.CPUTime += s.tun.CPUBasePerOp
+	s.c.CPUTime += CPUBasePerOp
 	busyBefore := s.c.DeviceBusy
 	// Op tracing: every read draws its deterministic per-volume sequence
 	// number (nil-safe no-op when tracing is off). Device-leaf durations are
@@ -238,9 +238,9 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 	// quantities feed the attribution accumulators, so per-stage attributed
 	// time reconciles with the histogram total exactly.
 	delta := s.c.DeviceBusy - busyBefore
-	lat := uint64(s.tun.CPUBasePerOp + delta)
+	lat := uint64(CPUBasePerOp + delta)
 	sp.lat.Observe(lat)
-	sp.attr[optrace.StageBase] += uint64(s.tun.CPUBasePerOp)
+	sp.attr[optrace.StageBase] += uint64(CPUBasePerOp)
 	sp.attr[optrace.StageDevice] += uint64(delta)
 	if rec, slow := sp.tr.Decide(sampled, lat); rec {
 		// Only a recorded op pays for its labels. The trace's leaf spans sort
@@ -254,7 +254,7 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 			ID: tid, Kind: optrace.KindRead.String(), Seq: seq, CP: s.c.CPs,
 			AtNS: int64(s.c.DeviceBusy + s.c.CPUTime), LatNS: lat, Slow: slow,
 			Spans: []optrace.Span{
-				{Name: optrace.StageBase.String(), DurNS: uint64(s.tun.CPUBasePerOp)},
+				{Name: optrace.StageBase.String(), DurNS: uint64(CPUBasePerOp)},
 				{Name: optrace.StageDevice.String(), DurNS: uint64(delta), Children: spans},
 			},
 		})
@@ -332,11 +332,8 @@ func (s *System) cacheOps() uint64 {
 	for _, g := range s.Agg.groups {
 		n += g.cacheOps
 	}
-	for _, v := range s.Agg.vols {
-		n += v.space.cacheOps
-	}
-	if s.Agg.pool != nil {
-		n += s.Agg.pool.space.cacheOps
+	for _, sp := range s.Agg.agnosticSpaces() {
+		n += sp.cacheOps
 	}
 	return n
 }

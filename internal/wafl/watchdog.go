@@ -52,18 +52,24 @@ import (
 //
 // Violations bump watchdog.* counters (always registered, so metric
 // streams keep their shape whether or not the monitors run) and append to
-// a bounded description log; StrictWatchdogs promotes them to panics so
-// tests fail hard. All checks are purely observational — no modeled cost —
-// and are serial and deterministic, so enabling them preserves the
-// Workers=1 vs N equivalence contract.
+// a bounded description log; the in-package tests set watchdogState.strict,
+// which promotes them to panics. All checks are purely observational — no
+// modeled cost — and are serial and deterministic, so enabling them
+// preserves the Workers=1 vs N equivalence contract.
 
 // watchdogLogBound caps the retained violation descriptions.
 const watchdogLogBound = 16
 
+// watchdogSample is the rotating per-space sample size of the cached-score
+// spot check.
+const watchdogSample = 8
+
 type watchdogState struct {
 	enabled bool
-	strict  bool
-	sample  int
+	// strict promotes any violation to a panic, and sample widens the
+	// rotating spot check; only the in-package tests set either.
+	strict bool
+	sample int
 
 	checks     *obs.Counter
 	violations *obs.Counter
@@ -89,8 +95,7 @@ type watchdogState struct {
 func (ag *Aggregate) initWatchdogs(o ObsOptions) {
 	ag.wd = watchdogState{
 		enabled:    o.Watchdogs,
-		strict:     o.StrictWatchdogs,
-		sample:     o.WatchdogSample,
+		sample:     watchdogSample,
 		checks:     ag.reg.Counter("watchdog.checks"),
 		violations: ag.reg.Counter("watchdog.violations"),
 		consChecks: ag.reg.Counter("watchdog.conservation_checks"),
@@ -105,9 +110,6 @@ func (ag *Aggregate) initWatchdogs(o ObsOptions) {
 		genViol:    ag.reg.Counter("watchdog.gen_violations"),
 		dfgenChk:   ag.reg.Counter("watchdog.dfgen_checks"),
 		dfgenViol:  ag.reg.Counter("watchdog.dfgen_violations"),
-	}
-	if ag.wd.sample <= 0 {
-		ag.wd.sample = 8
 	}
 }
 
@@ -326,14 +328,7 @@ func (w *watchdogState) checkGenStates(s *System) {
 		}
 		checkHeldGens(w, g.q, g.label)
 	}
-	spaces := make([]*agnosticSpace, 0, len(ag.vols)+1)
-	for _, v := range ag.vols {
-		spaces = append(spaces, v.space)
-	}
-	if ag.pool != nil {
-		spaces = append(spaces, ag.pool.space)
-	}
-	for _, sp := range spaces {
+	for _, sp := range ag.agnosticSpaces() {
 		w.checks.Inc()
 		w.genChk.Inc()
 		if !inFlight && sp.flushDeltas.len() > 0 {
@@ -424,13 +419,9 @@ func (s *System) runWatchdogs() {
 		w.sampleGroup(ag, g)
 		w.sampleShardsGroup(ag, g)
 	}
-	for _, v := range ag.vols {
-		w.sampleSpace(v.space)
-		w.sampleShardsSpace(v.space)
-	}
-	if ag.pool != nil {
-		w.sampleSpace(ag.pool.space)
-		w.sampleShardsSpace(ag.pool.space)
+	for _, sp := range ag.agnosticSpaces() {
+		w.sampleSpace(sp)
+		w.sampleShardsSpace(sp)
 	}
 	// The generation monitors run only at depth 2 — at depth 1 the banks
 	// are trivially empty here — so the depth-1 watchdog.* streams keep

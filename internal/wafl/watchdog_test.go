@@ -17,19 +17,29 @@ func watchdogSystem(t *testing.T, strict bool) (*System, *LUN) {
 	tun := DefaultTunables()
 	tun.CPEveryOps = 1 << 30
 	tun.DelayedVirtFrees = true
-	tun.Obs = &ObsOptions{
-		Name:            "wd",
-		Watchdogs:       true,
-		WatchdogSample:  1 << 20, // cover every AA each CP
-		StrictWatchdogs: strict,
-	}
+	tun.Obs = &ObsOptions{Name: "wd", Watchdogs: true}
 	s := NewSystem(testSpecs(), []VolSpec{{Name: "v", Blocks: 16 * aa.RAIDAgnosticBlocks}}, tun, 7)
+	s.Agg.wd.sample = 1 << 20 // cover every AA each CP
+	if strict {
+		strictWatchdogs(t, s)
+	}
 	lun := s.Agg.Vols()[0].CreateLUN("l", 20000)
 	for lba := uint64(0); lba < 20000; lba++ {
 		s.Write(lun, lba, 1)
 	}
 	s.CP()
 	return s, lun
+}
+
+// strictWatchdogs promotes every later watchdog violation of s to a panic, so
+// a test fails hard at the exact CP an invariant broke; nothing may have
+// been violated before the call.
+func strictWatchdogs(t *testing.T, s *System) {
+	t.Helper()
+	if v := s.Agg.WatchdogViolations(); len(v) > 0 {
+		t.Fatalf("watchdog violations before the strict switch: %v", v)
+	}
+	s.Agg.wd.strict = true
 }
 
 func wdValue(t *testing.T, s *System, name string) uint64 {
@@ -155,7 +165,7 @@ func TestWatchdogFiresOnConservationBreak(t *testing.T) {
 	}
 }
 
-// StrictWatchdogs promotes the first violation to a panic naming the
+// A strict watchdog promotes the first violation to a panic naming the
 // watchdog, so tests fail hard at the exact CP the invariant broke.
 func TestWatchdogStrictPanics(t *testing.T) {
 	s, lun := watchdogSystem(t, true)

@@ -98,6 +98,14 @@ if body internal/obs/tsdb/tsdb.go '(s \*Store) Sample(' | grep -n '" *+\|+ *"'; 
     echo "tsdb.Store.Sample builds a series name per call; resolve it once into Store.sampled" >&2
     exit 1
 fi
+# Structural gate, devices do not observe (DESIGN.md §17): the device models
+# keep their own DiskStats and nothing switches a per-I/O histogram on, so the
+# package stays clear of the observability layer.
+if go list -deps ./internal/device | grep 'waflfs/internal/obs'; then
+    echo "internal/device must not import waflfs/internal/obs" >&2
+    exit 1
+fi
+
 # The gates above must have had something to read.
 test -n "$(body internal/bitmap/bitmap.go '(b \*Bitmap) ForEachFreeRun(')"
 test -n "$(body internal/obs/registry.go '(r \*Registry) snapshot(')"
@@ -193,7 +201,7 @@ test -s "$tmpdir/bench.jsonl"
 # Allocator pick-path smoke: the striped arm's modeled pick wall-clock at
 # 8 workers must beat the shared arm's, or the bench exits nonzero. Also
 # exercises -trace-collapse end to end.
-"$tmpdir/waflbench" -pickbench -scale 0.1 \
+"$tmpdir/waflbench" -exp allocbench -scale 0.1 \
     -trace-collapse "$tmpdir/pick.folded" >/dev/null
 test -s "$tmpdir/pick.folded"
 
@@ -203,7 +211,7 @@ test -s "$tmpdir/pick.folded"
 # auto-selected (highest-numbered BENCH_<n>.json) and must self-compare
 # clean too, proving the gate can read what the repo ships.
 go build -o "$tmpdir/benchdiff" ./cmd/benchdiff
-"$tmpdir/waflbench" -bench-json "$tmpdir/BENCH_smoke.json" -pipeline -control default -scale 0.05 >/dev/null
+"$tmpdir/waflbench" -bench-json "$tmpdir/BENCH_smoke.json" -scale 0.05 >/dev/null
 test -s "$tmpdir/BENCH_smoke.json"
 "$tmpdir/benchdiff" "$tmpdir/BENCH_smoke.json" "$tmpdir/BENCH_smoke.json"
 latest=$("$tmpdir/benchdiff" -print-latest)
@@ -217,7 +225,7 @@ test -s "$latest"
 # unless at least one crash cell pages the recovery SLI. The controller must
 # act on it: -control-expect actuations exits nonzero unless the recovery
 # page actually kicked a scrub somewhere in the matrix.
-"$tmpdir/waflbench" -faults matrix -scale 0.05 \
+"$tmpdir/waflbench" -exp crashmatrix -scale 0.05 \
     -slo default -slo-expect alerts \
     -control default -control-expect actuations >/dev/null
 
@@ -226,9 +234,9 @@ test -s "$latest"
 # crash in the overlap window (alloc of generation n+1 racing the flush of
 # generation n) must recover without silent divergence while paging the
 # recovery SLI.
-"$tmpdir/waflbench" -pipeline -scale 0.05 \
+"$tmpdir/waflbench" -exp pipelinebench -scale 0.05 \
     -slo default -slo-expect none >/dev/null
-"$tmpdir/waflbench" -faults pipeline -scale 0.05 \
+"$tmpdir/waflbench" -exp pipelinecrash -scale 0.05 \
     -slo default -slo-expect alerts >/dev/null
 
 # Live-introspection smoke test: hold the live endpoints after a small run

@@ -1,8 +1,6 @@
 package waflfs
 
 import (
-	"io"
-
 	"waflfs/internal/aa"
 	"waflfs/internal/bitmap"
 	"waflfs/internal/block"
@@ -34,7 +32,7 @@ type (
 	GroupSpec = wafl.GroupSpec
 	// VolSpec configures a FlexVol.
 	VolSpec = wafl.VolSpec
-	// Tunables holds allocator policy switches and CPU cost constants.
+	// Tunables holds the allocator policy switches.
 	Tunables = wafl.Tunables
 	// Counters are the cumulative measurement counters of a System.
 	Counters = wafl.Counters
@@ -224,15 +222,10 @@ type (
 // DefaultExperimentConfig returns the full-scale experiment configuration.
 func DefaultExperimentConfig() ExperimentConfig { return experiments.DefaultConfig() }
 
-// Experiments returns every figure-reproduction driver, in paper order.
+// Experiments returns every reproduction driver: the figures in paper order,
+// then the crash matrices, the gated microbenchmarks, storm and ablations.
 func Experiments() []Experiment { return experiments.All() }
 
-// LookupExperiment finds an experiment by name ("fig6" .. "fig10").
+// LookupExperiment finds an experiment by name ("fig6" .. "fig10",
+// "crashmatrix", "allocbench", ...).
 func LookupExperiment(name string) (Experiment, error) { return experiments.Lookup(name) }
-
-// RunAllExperiments runs every figure in order, writing results to w.
-func RunAllExperiments(cfg ExperimentConfig, w io.Writer) {
-	for _, e := range experiments.All() {
-		e.Run(cfg, w)
-	}
-}

@@ -93,7 +93,7 @@ func TestPublicQueueModel(t *testing.T) {
 }
 
 func TestPublicExperimentRegistry(t *testing.T) {
-	if len(Experiments()) != 8 {
+	if len(Experiments()) != 11 {
 		t.Fatalf("experiments = %d", len(Experiments()))
 	}
 	if _, err := LookupExperiment("fig10"); err != nil {
@@ -107,7 +107,9 @@ func TestPublicExperimentRegistry(t *testing.T) {
 	cfg.Scale = 0.1
 	e, _ := LookupExperiment("fig10")
 	var buf bytes.Buffer
-	e.Run(cfg, &buf)
+	if err := e.Run(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(buf.String(), "TopAA") {
 		t.Fatalf("fig10 output:\n%s", buf.String())
 	}
