@@ -154,6 +154,69 @@ func BenchmarkAllocStage(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotCycle is one round of the host benchmark's snap_pipeline
+// workload: quiesce, snapshot both LUNs, delete the snapshots of two rounds
+// ago, then four times 2048 skewed overwrites and a pipelined CP, on two SMR
+// groups with AZCS and delayed virtual frees. Snapshot create and delete walk
+// every pointer of a 120 000-block LUN, so a per-block count update coming
+// back into either shows here.
+func BenchmarkSnapshotCycle(b *testing.B) {
+	tun := DefaultTunables()
+	tun.Workers = 1
+	tun.CPEveryOps = 1 << 30
+	tun.Pipeline, tun.AllocShards = true, 4
+	tun.DelayedVirtFrees, tun.DelayedFreeBudgetPerCP = true, 4096
+	spec := GroupSpec{
+		DataDevices: 3, ParityDevices: 1, BlocksPerDevice: 1 << 17,
+		Media: MediaSMR, ZoneBlocks: 16384, AZCS: true,
+	}
+	const lunBlocks = 120_000
+	vols := []VolSpec{{Name: "vol0", Blocks: 4 * lunBlocks}, {Name: "vol1", Blocks: 4 * lunBlocks}}
+	sys := NewSystem([]GroupSpec{spec, spec}, vols, tun, 1)
+	var luns []*LUN
+	for _, v := range sys.Agg.Vols() {
+		luns = append(luns, v.CreateLUN("lun0", lunBlocks))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n, lba := 0, uint64(0); lba < lunBlocks; lba++ {
+		for _, l := range luns {
+			sys.Write(l, lba, 1)
+			if n++; n%4096 == 0 {
+				sys.CP()
+			}
+		}
+	}
+	sys.CP()
+	hc := DefaultHotCold()
+	r := 0
+	round := func() {
+		sys.Drain()
+		for _, l := range luns {
+			if _, err := sys.CreateSnapshot(l, strconv.Itoa(r)); err != nil {
+				b.Fatal(err)
+			}
+			if r >= 2 {
+				if _, err := sys.DeleteSnapshot(l, strconv.Itoa(r-2)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for c := 0; c < 4; c++ {
+			hc.Run(sys, luns, rng, 2048)
+			sys.CP()
+		}
+		r++
+	}
+	for i := 0; i < 4; i++ { // until two generations of snapshots exist and the LUNs have left them
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
 // BenchmarkCacheOverhead quantifies the §4.1.2 claim that AA-cache
 // maintenance is a vanishing share of the code path: it reports the modeled
 // cache CPU as a fraction of total CPU over a measurement window.

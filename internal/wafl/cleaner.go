@@ -5,6 +5,7 @@ import (
 
 	"waflfs/internal/aa"
 	"waflfs/internal/block"
+	"waflfs/internal/ordset"
 )
 
 // CleanStats summarizes one segment-cleaning pass.
@@ -40,13 +41,25 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 	if maxAAs <= 0 {
 		return st
 	}
-	reverse := s.buildReverseMap()
-
 	// Make sure the group's held AA doesn't shadow the heap's view.
 	g.finishAA(s.Agg.bm)
 	// Likewise entries staged in shard queues: flush them back so the heap
 	// pops the true best AAs for cleaning; the queues restage at the end.
 	g.q.FlushAll()
+
+	// Repointing needs the pointer slots of the blocks that move, and of no
+	// others: one scan for the used blocks of the heap's best AAs, and one
+	// more for any AA the pass reaches that was not among them (its own
+	// relocation writes take AAs off the heap between pops).
+	reverse := make(map[block.VBN][]*blockPtr)
+	var want ordset.Bits
+	want.Grow(s.Agg.bm.Size())
+	for _, e := range g.cache.TopK(maxAAs) {
+		for _, v := range s.usedVBNs(g, e.ID) {
+			want.Add(uint64(v))
+		}
+	}
+	s.indexSlots(reverse, &want)
 
 	cleaned := make([]aa.ID, 0, maxAAs)
 	for len(cleaned) < maxAAs {
@@ -60,6 +73,12 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 			st.AlreadyEmpty++
 			continue
 		}
+		for _, v := range used {
+			if reverse[v] == nil {
+				want.Add(uint64(v))
+			}
+		}
+		s.indexSlots(reverse, &want)
 		// Read the live data (charged per contiguous run), then rewrite it
 		// through the normal allocator, which now cannot pick this AA.
 		s.chargeRelocationReads(g, e.ID)
@@ -96,14 +115,17 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 	return st
 }
 
-// buildReverseMap scans every LUN image — active and snapshot — mapping
-// each physical VBN to the pointer slots referencing it. The slots stay
-// valid for the duration of the pass (no slice grows during cleaning).
-func (s *System) buildReverseMap() map[block.VBN][]*blockPtr {
-	m := make(map[block.VBN][]*blockPtr)
+// indexSlots scans every LUN image — active and snapshot — and adds to m the
+// pointer slots holding a physical VBN in want, which it empties. The slots
+// stay valid for the duration of the pass (no slice grows during it).
+func (s *System) indexSlots(m map[block.VBN][]*blockPtr, want *ordset.Bits) {
+	if want.Len() == 0 {
+		return
+	}
 	add := func(blocks []blockPtr) {
 		for i := range blocks {
-			if p := blocks[i].phys; p != block.InvalidVBN {
+			// InvalidVBN lies beyond the bitmap.
+			if p := blocks[i].phys; uint64(p) < s.Agg.bm.Size() && want.Has(uint64(p)) {
 				m[p] = append(m[p], &blocks[i])
 			}
 		}
@@ -116,7 +138,7 @@ func (s *System) buildReverseMap() map[block.VBN][]*blockPtr {
 			}
 		}
 	}
-	return m
+	want.Clear()
 }
 
 // usedVBNs lists the allocated physical VBNs within AA id of group g.

@@ -4,6 +4,7 @@ import (
 	"waflfs/internal/aa"
 	"waflfs/internal/block"
 	"waflfs/internal/device"
+	"waflfs/internal/ordset"
 )
 
 // Flash Pool (§2.1): an aggregate composed of one or more RAID groups of
@@ -67,9 +68,9 @@ func (s *System) Demote(l *LUN, select_ func(lba uint64) bool) int {
 	if !s.atBoundary() {
 		panic("wafl: Demote must run at a CP boundary")
 	}
-	reverse := s.buildReverseMap()
 	var move []block.VBN
-	seen := make(map[block.VBN]bool)
+	var want ordset.Bits
+	want.Grow(s.Agg.bm.Size())
 	for lba := range l.blocks {
 		p := l.blocks[lba].phys
 		if p == block.InvalidVBN || !select_(uint64(lba)) {
@@ -81,14 +82,15 @@ func (s *System) Demote(l *LUN, select_ func(lba uint64) bool) int {
 		if s.Agg.groupOf(p).Spec.Media != aa.MediaSSD {
 			continue // already on capacity media
 		}
-		if !seen[p] {
-			seen[p] = true
+		if want.Add(uint64(p)) {
 			move = append(move, p)
 		}
 	}
 	if len(move) == 0 {
 		return 0
 	}
+	reverse := make(map[block.VBN][]*blockPtr, len(move))
+	s.indexSlots(reverse, &want)
 	newVBNs := s.Agg.allocateFromMedia(nil, aa.MediaHDD, len(move), true)
 	if len(newVBNs) < len(move) {
 		panic("wafl: HDD tier out of space during demotion")

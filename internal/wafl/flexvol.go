@@ -23,9 +23,11 @@ type FlexVol struct {
 	bm    *bitmap.Bitmap
 	space *agnosticSpace
 	luns  map[string]*LUN
-	// rc counts references (active image + snapshots) per written pair,
-	// keyed by virtual VBN; see snapshot.go and reftable.go.
-	rc *refTable
+	// rc counts the snapshots holding each written pair that no active image
+	// holds any more, keyed by virtual VBN; live counts every held pair,
+	// those and the active images'. See snapshot.go and reftable.go.
+	rc   *refTable
+	live int
 }
 
 func newFlexVol(index int, spec VolSpec, tun Tunables, rng *rand.Rand) *FlexVol {
@@ -65,7 +67,7 @@ func (v *FlexVol) CreateLUN(name string, blocks uint64) *LUN {
 	if _, dup := v.luns[name]; dup {
 		panic(fmt.Sprintf("wafl: duplicate LUN %q in %s", name, v.Name))
 	}
-	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks)}
+	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks), shared: sliced{words: int(blocks+63) / 64}}
 	l.dirty.Grow(blocks)
 	for _, o := range v.luns { // take the name's place in rank order
 
@@ -103,6 +105,9 @@ type LUN struct {
 	rank   int // see FlexVol.rank
 	blocks []blockPtr
 	snaps  map[string]*Snapshot
+	// shared[lba] counts the snapshots whose pointer at lba is the pair the
+	// active image holds there (snapshot.go).
+	shared sliced
 
 	// The LUN's share of the write buffer: the logical blocks written since
 	// the last CP's alloc stage, which drains them in ascending order (see
@@ -123,14 +128,6 @@ func (l *LUN) Phys(lba uint64) block.VBN { return l.blocks[lba].phys }
 
 // Virt returns the virtual VBN backing lba (InvalidVBN if unwritten).
 func (l *LUN) Virt(lba uint64) block.VBN { return l.blocks[lba].virt }
-
-// install points lba at a fresh (virt, phys) pair and returns the previous
-// pair for freeing (ok=false if the block was unwritten).
-func (l *LUN) install(lba uint64, p blockPtr) (old blockPtr, ok bool) {
-	old = l.blocks[lba]
-	l.blocks[lba] = p
-	return old, old.virt != block.InvalidVBN
-}
 
 // Metrics returns the volume allocator's measurement counters.
 func (v *FlexVol) Metrics() SpaceMetrics { return v.space.metrics() }

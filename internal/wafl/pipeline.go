@@ -317,18 +317,27 @@ func (s *System) allocGeneration() *cpGen {
 		if len(phys) < n {
 			panic("wafl: aggregate out of physical space")
 		}
-		// Blocks take their VBNs in ascending LBA order.
+		// Blocks take their VBNs in ascending LBA order, in two passes: the
+		// pointer swaps first, alone in a loop short enough that the core
+		// has the next blocks' cache misses in flight while it finishes this
+		// one's, then the COW drops, in the same order — the old pair is
+		// freed unless a snapshot still holds it.
+		if cap(s.lbaBuf) < n {
+			s.lbaBuf, s.oldBuf = make([]uint64, n), make([]blockPtr, n)
+		}
+		lbas, olds := s.lbaBuf[:n], s.oldBuf[:n]
 		i := 0
 		l.dirty.Drain(func(lba uint64) {
-			vol.refNew(virt[i])
-			old, wasWritten := l.install(lba, blockPtr{virt: virt[i], phys: phys[i]})
-			if wasWritten {
-				// COW: drop the active image's reference; the old pair is
-				// freed unless a snapshot still holds it.
-				s.unref(vol, old)
-			}
+			lbas[i] = lba
+			olds[i], l.blocks[lba] = l.blocks[lba], blockPtr{virt: virt[i], phys: phys[i]}
 			i++
 		})
+		for j, old := range olds[:i] {
+			if old.virt != block.InvalidVBN {
+				s.dropActive(l, lbas[j], old)
+			}
+		}
+		vol.live += i
 		if i != n {
 			panic(fmt.Sprintf("wafl: LUN %q drained %d dirty blocks, counted %d", l.Name, i, n))
 		}

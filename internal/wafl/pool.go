@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"waflfs/internal/block"
+	"waflfs/internal/ordset"
 )
 
 // Object-store pool (FabricPool, §2.1): physical storage with native
@@ -157,22 +158,23 @@ func (s *System) TierOut(l *LUN, select_ func(lba uint64) bool) int {
 	}
 	// Collect distinct physical blocks to move (a snapshot-shared block
 	// appears once).
-	reverse := s.buildReverseMap()
 	var move []block.VBN
-	seen := make(map[block.VBN]bool)
+	var want ordset.Bits
+	want.Grow(s.Agg.bm.Size())
 	for lba := range l.blocks {
 		p := l.blocks[lba].phys
 		if p == block.InvalidVBN || pool.Contains(p) || !select_(uint64(lba)) {
 			continue
 		}
-		if !seen[p] {
-			seen[p] = true
+		if want.Add(uint64(p)) {
 			move = append(move, p)
 		}
 	}
 	if len(move) == 0 {
 		return 0
 	}
+	reverse := make(map[block.VBN][]*blockPtr, len(move))
+	s.indexSlots(reverse, &want)
 	newVBNs := pool.space.allocate(nil, len(move))
 	if len(newVBNs) < len(move) {
 		panic("wafl: object pool out of space during tiering")

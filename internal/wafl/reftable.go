@@ -7,24 +7,27 @@ import (
 	"waflfs/internal/block"
 )
 
-// The refcount table. Every written pair of a FlexVol carries a count of its
-// referents (the active image plus snapshots), keyed by virtual VBN — a small
-// dense integer, so the table is a paged array rather than a hash map: a
-// directory with one slot per refPageSize virtual VBNs, pointing at counter
-// pages that exist only while they hold a live count.
+// The two homes of a written pair's count (snapshot.go says which pair has
+// which): LUN.shared, a bit-sliced counter per LBA, at the end of this file,
+// and the refTable of the pairs only snapshots hold. The table is keyed by
+// virtual VBN — a small dense integer, so it is a paged array rather than a
+// hash map: a directory with one slot per refPageSize virtual VBNs, pointing
+// at counter pages that exist only while they hold a live count. A volume
+// that never had a snapshot never allocates a page.
 //
 // Page size. A volume's virtual space is far larger than its data (thin
 // provisioning: the mount_cycle benchmark's big volume spans 2048 AAs for a
 // LUN of twelve), so a flat array is out, and so is a page per 32k-block AA:
-// a small volume cycling a few thousand live blocks through its AAs would
-// pin a whole page per AA for a handful of counters each. The allocator
-// fills an AA's free VBNs in ascending order, so blocks written together sit
-// together; 4096 counters per page follow that locality closely enough that
-// pages empty and recycle as the data they described is overwritten.
+// a few thousand snapshot-only blocks scattered over the AAs would pin a
+// whole page per AA for a handful of counters each. The allocator fills an
+// AA's free VBNs in ascending order, so blocks written together sit together
+// and leave the active image together; 4096 counters per page follow that
+// locality closely enough that pages empty and recycle as snapshots go.
 //
-// Counter width. A count is 1 + the snapshots holding the block, so 16 bits
-// are plenty and halve the table against int32; the limit is checked, never
-// wrapped.
+// Counter width. Either count is bounded by the LUN's snapshots, which
+// CreateSnapshot caps at MaxUint16 (ErrTooManySnapshots): 16 bits per table
+// entry and at most 16 planes of the sliced counter; the limit is checked,
+// never wrapped.
 const (
 	refPageShift = 12
 	refPageSize  = 1 << refPageShift
@@ -63,8 +66,11 @@ func (t *refTable) get(v block.VBN) uint16 {
 	return 0
 }
 
-// refNew registers a freshly allocated pair with one reference.
-func (t *refTable) refNew(v block.VBN) {
+// set enters v, which must be absent, with n > 0 holders.
+func (t *refTable) set(v block.VBN, n uint16) {
+	if old := t.get(v); old != 0 || n == 0 {
+		panic(fmt.Sprintf("wafl: set of virtual %v to %d, table has %d", v, n, old))
+	}
 	i := v >> refPageShift
 	p := t.dir[i]
 	if p == nil {
@@ -75,56 +81,97 @@ func (t *refTable) refNew(v block.VBN) {
 		}
 		t.dir[i] = p
 	}
-	if p[v&refPageMask] != 0 {
-		panic(fmt.Sprintf("wafl: virtual %v already referenced", v))
-	}
-	p[v&refPageMask] = 1
+	p[v&refPageMask] = n
 	t.live[i]++
 	t.n++
 }
 
-// ref adds a reference to an existing pair.
-func (t *refTable) ref(v block.VBN) {
-	p := t.dir[v>>refPageShift]
-	if p == nil || p[v&refPageMask] == 0 {
-		panic(fmt.Sprintf("wafl: ref of unknown virtual %v", v))
-	}
-	if p[v&refPageMask] == math.MaxUint16 {
-		panic(fmt.Sprintf("wafl: virtual %v exceeds %d references", v, math.MaxUint16))
-	}
-	p[v&refPageMask]++
-}
-
-// unref drops one reference and reports whether it was the last; the page
+// remove takes v out of the table and returns the count it had; the page
 // that held the last live count of its range is released for reuse.
-func (t *refTable) unref(v block.VBN) (last bool) {
+func (t *refTable) remove(v block.VBN) uint16 {
 	i := v >> refPageShift
 	p := t.dir[i]
 	if p == nil || p[v&refPageMask] == 0 {
 		panic(fmt.Sprintf("wafl: unref of unknown virtual %v", v))
 	}
-	p[v&refPageMask]--
-	if p[v&refPageMask] != 0 {
-		return false
-	}
+	n := p[v&refPageMask]
+	p[v&refPageMask] = 0
 	t.n--
 	if t.live[i]--; t.live[i] == 0 {
 		t.dir[i] = nil
 		t.free = append(t.free, p)
 	}
+	return n
+}
+
+// unref drops one holder of v and reports whether it was the last.
+func (t *refTable) unref(v block.VBN) (last bool) {
+	if p := t.dir[v>>refPageShift]; p != nil && p[v&refPageMask] > 1 {
+		p[v&refPageMask]--
+		return false
+	}
+	t.remove(v)
 	return true
 }
 
-// each calls fn for every referenced VBN in ascending order.
-func (t *refTable) each(fn func(v block.VBN, n uint16)) {
-	for i, p := range t.dir {
-		if p == nil {
-			continue
+// sliced is LUN.shared: one count per LBA, kept in bit planes — bit k of LBA
+// i's count is bit i%64 of planes[k][i/64] — so that a snapshot adds one to
+// all 64 LBAs of a word with a carry rippling up the planes, not with 64
+// counter updates. Planes appear as some count needs them; with none, every
+// count is zero and take touches no memory.
+type sliced struct {
+	words  int // per plane: one bit per LBA of the LUN
+	planes [][]uint64
+}
+
+// get returns LBA i's count.
+func (c *sliced) get(i uint64) (n uint16) {
+	for k, p := range c.planes {
+		n |= uint16(p[i/64]>>(i%64)&1) << k
+	}
+	return n
+}
+
+// take returns LBA i's count and zeroes it.
+func (c *sliced) take(i uint64) (n uint16) {
+	for k, p := range c.planes {
+		n |= uint16(p[i/64]>>(i%64)&1) << k
+		p[i/64] &^= 1 << (i % 64)
+	}
+	return n
+}
+
+// put gives LBA i, whose count must be zero, the count n.
+func (c *sliced) put(i uint64, n uint16) {
+	for k := 0; n>>k != 0; k++ {
+		if k == len(c.planes) {
+			c.planes = append(c.planes, make([]uint64, c.words))
 		}
-		for j, n := range p {
-			if n != 0 {
-				fn(block.VBN(i<<refPageShift|j), n)
+		c.planes[k][i/64] |= uint64(n>>k&1) << (i % 64)
+	}
+}
+
+// add increments the count of every LBA of word w whose bit is set in mask.
+func (c *sliced) add(w int, mask uint64) {
+	for k := 0; mask != 0; k++ {
+		if k == len(c.planes) {
+			if k == 16 {
+				panic(fmt.Sprintf("wafl: a shared count of LBAs %d.. exceeds %d", w*64, math.MaxUint16))
 			}
+			c.planes = append(c.planes, make([]uint64, c.words))
 		}
+		p := c.planes[k]
+		p[w], mask = p[w]^mask, p[w]&mask
+	}
+}
+
+// sub decrements them.
+func (c *sliced) sub(w int, mask uint64) {
+	for k := 0; mask != 0; k++ {
+		if k == len(c.planes) {
+			panic(fmt.Sprintf("wafl: a shared count of LBAs %d.. below zero", w*64))
+		}
+		p := c.planes[k]
+		p[w], mask = p[w]^mask, ^p[w]&mask
 	}
 }

@@ -2,7 +2,9 @@ package wafl
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"waflfs/internal/block"
@@ -176,23 +178,158 @@ func TestRestoreSnapshot(t *testing.T) {
 	}
 }
 
-func TestSnapshotPanics(t *testing.T) {
+// The point of keeping the active image's reference implicit: a LUN that never
+// had a snapshot has no count anywhere, however long it is aged.
+func TestNoSnapshotNoCounts(t *testing.T) {
+	s, lun := agedSystem(t, DefaultTunables(), 31)
+	rng := rand.New(rand.NewSource(32))
+	for cp := 0; cp < 10; cp++ {
+		for i := 0; i < 4096; i++ {
+			s.Write(lun, uint64(rng.Intn(int(lun.Blocks())-1)), 2)
+		}
+		s.CP()
+	}
+	if _, err := s.PunchHoles(lun, func(lba uint64) bool { return lba%7 == 0 }); err != nil {
+		t.Fatal(err)
+	}
+	vol := s.Agg.Vols()[0]
+	if vol.rc.Len() != 0 || len(vol.rc.free) != 0 || lun.shared.planes != nil {
+		t.Fatalf("rc holds %d pairs, %d counter pages were made, shared has %d planes", vol.rc.Len(), len(vol.rc.free), len(lun.shared.planes))
+	}
+	for i, p := range vol.rc.dir {
+		if p != nil {
+			t.Fatalf("counter page %d is allocated", i)
+		}
+	}
+	if err := vol.CheckRefcounts(); err != nil {
+		t.Fatal(err)
+	}
+	// And the planes go with the last snapshot.
+	s.CreateSnapshot(lun, "x")
+	s.CreateSnapshot(lun, "y")
+	if len(lun.shared.planes) != 2 {
+		t.Fatalf("two snapshots, %d planes", len(lun.shared.planes))
+	}
+	s.DeleteSnapshot(lun, "x")
+	s.DeleteSnapshot(lun, "y")
+	if lun.shared.planes != nil || vol.rc.Len() != 0 {
+		t.Fatalf("last snapshot gone: %d planes, rc holds %d", len(lun.shared.planes), vol.rc.Len())
+	}
+}
+
+// Every invariant CheckRefcounts states fails it when broken.
+func TestCheckRefcountsCatches(t *testing.T) {
+	for name, corrupt := range map[string]func(s *System, a, b *LUN){
+		"a second holder at another LBA":     func(s *System, a, b *LUN) { a.Snapshot("x").blocks[9] = a.blocks[8] },
+		"a second holder on another LUN":     func(s *System, a, b *LUN) { b.blocks[8] = a.Snapshot("x").blocks[8] },
+		"an active pair with too few shared": func(s *System, a, b *LUN) { a.shared.take(20) },
+		"an active pair in the table":        func(s *System, a, b *LUN) { a.vol.rc.set(a.blocks[20].virt, 1) },
+		"a snapshot-only pair miscounted":    func(s *System, a, b *LUN) { a.vol.rc.unref(a.Snapshot("x").blocks[3].virt) },
+		"a snapshot-only pair missing":       func(s *System, a, b *LUN) { a.vol.rc.remove(a.Snapshot("y").blocks[3].virt) },
+		"a shared count at an unwritten LBA": func(s *System, a, b *LUN) { a.shared.put(150, 1) },
+		"a table entry nobody holds":         func(s *System, a, b *LUN) { a.vol.rc.set(4000, 2) },
+		"a live count that drifted":          func(s *System, a, b *LUN) { a.vol.live++ },
+		"a held pair freed":                  func(s *System, a, b *LUN) { a.vol.bm.Clear(a.blocks[20].virt) },
+	} {
+		s := testSystem(t, DefaultTunables())
+		vol := s.Agg.Vols()[0]
+		a, b := vol.CreateLUN("a", 200), vol.CreateLUN("b", 200)
+		s.Write(a, 0, 100)
+		s.Write(b, 0, 100)
+		s.CP()
+		s.CreateSnapshot(a, "x")
+		s.Write(a, 0, 8) // x alone holds the old LBAs 0–7, twice over once y exists
+		s.CP()
+		s.RestoreSnapshot(a, "x")
+		s.CreateSnapshot(a, "y")
+		s.Write(a, 0, 8)
+		s.CP()
+		if err := vol.CheckRefcounts(); err != nil {
+			t.Fatalf("before %s: %v", name, err)
+		}
+		corrupt(s, a, b)
+		if err := vol.CheckRefcounts(); err == nil {
+			t.Errorf("CheckRefcounts passed %s", name)
+		}
+	}
+}
+
+// snapshotErrorLeavesClean fails unless err is want and the refused call left
+// every count and cache as it was.
+func snapshotErrorLeavesClean(t *testing.T, s *System, err, want error) {
+	t.Helper()
+	if !errors.Is(err, want) {
+		t.Fatalf("err = %v, want %v", err, want)
+	}
+	if err := s.Agg.Vols()[0].CheckRefcounts(); err != nil {
+		t.Fatal(err)
+	}
+	s.CP()
+	if rep := s.Agg.Scrub(); !rep.Clean() {
+		t.Fatalf("scrub after %v: %s", want, rep)
+	}
+}
+
+func TestSnapshotExists(t *testing.T) {
+	s, lun := snapFixture(t)
+	first, _ := s.CreateSnapshot(lun, "x")
+	s.Write(lun, 7, 1)
+	s.CP()
+	sn, err := s.CreateSnapshot(lun, "x")
+	if sn != nil || lun.Snapshot("x") != first {
+		t.Fatal("the refused create replaced the snapshot")
+	}
+	snapshotErrorLeavesClean(t, s, err, ErrSnapshotExists)
+}
+
+func TestNoSnapshot(t *testing.T) {
 	s, lun := snapFixture(t)
 	s.CreateSnapshot(lun, "x")
-	for name, f := range map[string]func(){
-		"duplicate":       func() { s.CreateSnapshot(lun, "x") },
-		"delete missing":  func() { s.DeleteSnapshot(lun, "nope") },
-		"restore missing": func() { s.RestoreSnapshot(lun, "nope") },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
+	freed, err := s.DeleteSnapshot(lun, "nope")
+	if freed != 0 {
+		t.Fatalf("refused delete freed %d blocks", freed)
 	}
+	snapshotErrorLeavesClean(t, s, err, ErrNoSnapshot)
+	snapshotErrorLeavesClean(t, s, s.RestoreSnapshot(lun, "nope"), ErrNoSnapshot)
+}
+
+// A LUN's counts are 16 bits wide, so its 65 536th snapshot is refused — and
+// the 65 535 before it count right.
+func TestTooManySnapshots(t *testing.T) {
+	s := testSystem(t, DefaultTunables())
+	lun := s.Agg.Vols()[0].CreateLUN("lun0", 70)
+	s.Write(lun, 3, 66)
+	s.CP()
+	for i := 0; i < math.MaxUint16; i++ {
+		if _, err := s.CreateSnapshot(lun, strconv.Itoa(i)); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+	}
+	if len(lun.shared.planes) != 16 || lun.shared.get(68) != math.MaxUint16 || lun.shared.get(69) != 0 {
+		t.Fatalf("%d planes, counts %d and %d after 65535 snapshots", len(lun.shared.planes), lun.shared.get(68), lun.shared.get(69))
+	}
+	_, err := s.CreateSnapshot(lun, "one more")
+	snapshotErrorLeavesClean(t, s, err, ErrTooManySnapshots)
+	// All of them hold the overwritten pair, none the new one.
+	s.Write(lun, 68, 1)
+	s.CP()
+	if got := s.Agg.Vols()[0].rc.get(lun.Snapshot("0").blocks[68].virt); got != math.MaxUint16 || lun.shared.get(68) != 0 {
+		t.Fatalf("overwritten pair has %d holders in rc, the new one %d shared", got, lun.shared.get(68))
+	}
+	if freed, err := s.DeleteSnapshot(lun, "17"); freed != 0 || err != nil {
+		t.Fatalf("delete: freed %d, err %v", freed, err)
+	}
+	if _, err := s.CreateSnapshot(lun, "one more"); err != nil {
+		t.Fatalf("create after a delete made room: %v", err)
+	}
+	if err := s.Agg.Vols()[0].CheckRefcounts(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSnapshotBoundaryErrors(t *testing.T) {
+	s, lun := snapFixture(t)
+	s.CreateSnapshot(lun, "x")
 	// Mid-CP operations return the typed boundary error, not a panic.
 	s.Write(lun, 0, 1)
 	for name, f := range map[string]func() error{

@@ -27,34 +27,31 @@ func recovered(fn func()) (msg string) {
 }
 
 // refModel is the map-backed refcount table as FlexVol had it, panics
-// included.
-type refModel map[block.VBN]int32
+// included, under the operations the snapshot-only table keeps.
+type refModel map[block.VBN]uint16
 
-func (m refModel) refNew(v block.VBN) {
-	if _, dup := m[v]; dup {
-		panic(fmt.Sprintf("wafl: virtual %v already referenced", v))
+func (m refModel) set(v block.VBN, n uint16) {
+	if m[v] != 0 || n == 0 {
+		panic(fmt.Sprintf("wafl: set of virtual %v to %d, table has %d", v, n, m[v]))
 	}
-	m[v] = 1
+	m[v] = n
 }
 
-func (m refModel) ref(v block.VBN) {
-	if _, ok := m[v]; !ok {
-		panic(fmt.Sprintf("wafl: ref of unknown virtual %v", v))
-	}
-	m[v]++
-}
-
-func (m refModel) unref(v block.VBN) bool {
+func (m refModel) remove(v block.VBN) uint16 {
 	n, ok := m[v]
 	if !ok {
 		panic(fmt.Sprintf("wafl: unref of unknown virtual %v", v))
 	}
+	delete(m, v)
+	return n
+}
+
+func (m refModel) unref(v block.VBN) bool {
+	n := m.remove(v)
 	if n > 1 {
 		m[v] = n - 1
-		return false
 	}
-	delete(m, v)
-	return true
+	return n == 1
 }
 
 // FuzzRefTable drives one op sequence through the paged table and the map:
@@ -65,6 +62,7 @@ func FuzzRefTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0})
 	f.Add([]byte{0, 1, 0, 0, 17, 0, 0, 33, 0, 2, 1, 0, 2, 17, 0, 2, 33, 0, 0, 49, 0})
 	f.Add([]byte{1, 5, 5, 2, 5, 5, 0, 5, 5, 0, 5, 5})
+	f.Add([]byte{3, 2, 9, 7, 2, 9, 1, 2, 9, 2, 2, 9, 1, 2, 9, 11, 3, 200, 1, 3, 200, 1, 3, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const space = 3*refPageSize + 100 // four pages, the last one short
 		tab, ref := newRefTable(space), refModel{}
@@ -78,29 +76,41 @@ func FuzzRefTable(f *testing.F) {
 			if v >= space {
 				v = page<<refPageShift | slot%100
 			}
+			// The op byte's high bits are a set's count: 0 (refused), small
+			// ones, and the two largest.
+			n := uint16(data[0] >> 2)
+			if n >= 62 {
+				n += math.MaxUint16 - 63
+			}
 			var got, want string
+			var gotN, wantN uint16
 			var gotLast, wantLast bool
-			switch data[0] % 3 {
-			case 0:
-				got, want = recovered(func() { tab.refNew(v) }), recovered(func() { ref.refNew(v) })
+			switch data[0] % 4 {
+			case 0, 3:
+				got, want = recovered(func() { tab.set(v, n) }), recovered(func() { ref.set(v, n) })
 			case 1:
-				got, want = recovered(func() { tab.ref(v) }), recovered(func() { ref.ref(v) })
+				got = recovered(func() { gotN = tab.remove(v) })
+				want = recovered(func() { wantN = ref.remove(v) })
 			case 2:
 				got = recovered(func() { gotLast = tab.unref(v) })
 				want = recovered(func() { wantLast = ref.unref(v) })
 			}
-			if got != want || gotLast != wantLast {
-				t.Fatalf("op %d on %v: table panic %q last %v, map panic %q last %v", data[0]%3, v, got, gotLast, want, wantLast)
+			if got != want || gotN != wantN || gotLast != wantLast {
+				t.Fatalf("op %d on %v: table panic %q count %d last %v, map panic %q count %d last %v",
+					data[0]%4, v, got, gotN, gotLast, want, wantN, wantLast)
 			}
 			if tab.Len() != len(ref) {
 				t.Fatalf("Len %d, map holds %d", tab.Len(), len(ref))
 			}
-			if int32(tab.get(v)) != ref[v] {
-				t.Fatalf("count of %v: table %d, map %d", v, tab.get(v), ref[v])
-			}
 			var perPage [space>>refPageShift + 1]int
-			for rv := range ref {
+			for rv, rn := range ref {
 				perPage[rv>>refPageShift]++
+				if tab.get(rv) != rn {
+					t.Fatalf("count of %v: table %d, map %d", rv, tab.get(rv), rn)
+				}
+			}
+			if tab.get(v) != ref[v] {
+				t.Fatalf("count of %v: table %d, map %d", v, tab.get(v), ref[v])
 			}
 			held := 0
 			for i, p := range tab.dir {
@@ -116,31 +126,88 @@ func FuzzRefTable(f *testing.F) {
 				t.Fatalf("%d pages held + %d free, but at most %d were ever needed at once: a released page was not reused", held, len(tab.free), peakPages)
 			}
 		}
-		seen := 0
-		tab.each(func(v block.VBN, n uint16) {
-			if int32(n) != ref[v] {
-				t.Fatalf("each: %v has %d, map %d", v, n, ref[v])
-			}
-			seen++
-		})
-		if seen != len(ref) {
-			t.Fatalf("each visited %d entries, map holds %d", seen, len(ref))
-		}
 	})
 }
 
-// A 16-bit counter must refuse its 65536th reference, not wrap to zero.
+// A 16-bit count must refuse its 65536th holder, not wrap to zero: the sliced
+// counter has no seventeenth plane, and the table takes no count of zero.
 func TestRefTableOverflowPanics(t *testing.T) {
+	c := sliced{words: 2}
+	c.put(70, math.MaxUint16-1)
+	c.add(1, 1<<6|1<<9)
+	if c.get(70) != math.MaxUint16 || c.get(73) != 1 || len(c.planes) != 16 {
+		t.Fatalf("counts %d and %d in %d planes", c.get(70), c.get(73), len(c.planes))
+	}
+	if msg := recovered(func() { c.add(1, 1<<6) }); msg == "" {
+		t.Fatal("holder 65536 did not panic")
+	}
 	tab := newRefTable(10)
-	tab.refNew(7)
-	for i := 1; i < math.MaxUint16; i++ {
-		tab.ref(7)
+	if msg := recovered(func() { tab.set(7, 0) }); msg == "" || tab.Len() != 0 {
+		t.Fatalf("set to a wrapped count: panic %q, Len %d", msg, tab.Len())
 	}
-	if msg := recovered(func() { tab.ref(7) }); msg == "" {
-		t.Fatal("reference 65536 did not panic")
-	}
-	if got := tab.get(7); got != math.MaxUint16 {
-		t.Fatalf("count after the refused reference = %d", got)
+}
+
+// TestSlicedCounterMatchesArray drives the bit-sliced counter and a plain
+// []uint16 with the same word-wide adds and subs and per-LBA takes and puts,
+// at sizes around the word boundaries.
+func TestSlicedCounterMatchesArray(t *testing.T) {
+	values := []uint16{0, 1, 2, 3, 255, math.MaxUint16}
+	for _, n := range []int{1, 63, 64, 65, 4097} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		c, ref := sliced{words: (n + 63) / 64}, make([]uint16, n)
+		if c.take(uint64(n-1)) != 0 || c.planes != nil {
+			t.Fatalf("n=%d: take on an empty counter made planes", n)
+		}
+		valid := func(w int) uint64 { // the LBAs of word w that exist
+			if rest := n - w*64; rest < 64 {
+				return 1<<rest - 1
+			}
+			return math.MaxUint64
+		}
+		for step := 0; step < 4000; step++ {
+			w := rng.Intn(c.words)
+			i := rng.Intn(n)
+			switch op := rng.Intn(4); op {
+			case 0, 1: // add or sub over one word, the next word too half the time
+				for end := min(w+1+rng.Intn(2), c.words); w < end; w++ {
+					mask := rng.Uint64() & rng.Uint64() & valid(w)
+					for j := 0; j < 64; j++ {
+						if v := ref[min(w*64+j, n-1)]; mask>>j&1 != 0 && (op == 0 && v == math.MaxUint16 || op == 1 && v == 0) {
+							mask &^= 1 << j
+						}
+					}
+					for j := 0; j < 64; j++ {
+						if mask>>j&1 != 0 {
+							ref[w*64+j] += uint16(1 - 2*op)
+						}
+					}
+					if op == 0 {
+						c.add(w, mask)
+					} else {
+						c.sub(w, mask)
+					}
+				}
+			case 2:
+				if got := c.take(uint64(i)); got != ref[i] {
+					t.Fatalf("n=%d step %d: take(%d) = %d, want %d", n, step, i, got, ref[i])
+				}
+				ref[i] = 0
+			case 3:
+				c.take(uint64(i))
+				ref[i] = values[rng.Intn(len(values))]
+				c.put(uint64(i), ref[i])
+			}
+			for j, want := range ref {
+				if got := c.get(uint64(j)); got != want {
+					t.Fatalf("n=%d step %d: count[%d] = %d, want %d", n, step, j, got, want)
+				}
+			}
+		}
+		last := uint64(n - 1)
+		c.take(last)
+		if msg := recovered(func() { c.sub(c.words-1, 1<<(last%64)) }); msg == "" {
+			t.Fatalf("n=%d: decrement of a zero count did not panic", n)
+		}
 	}
 }
 
@@ -354,8 +421,9 @@ func TestLUNRanksFollowNames(t *testing.T) {
 	}
 }
 
-// BenchmarkRefTable is the COW churn the alloc stage puts on the table: per
-// block one refNew of a fresh VBN and one unref of a random old one.
+// BenchmarkRefTable is the churn overwrites under a snapshot put on the
+// table: per block one set of a pair leaving the active image and one unref
+// of a random older one.
 func BenchmarkRefTable(b *testing.B) {
 	const space, live = 1 << 20, 1 << 19
 	tab := newRefTable(space)
@@ -370,7 +438,7 @@ func BenchmarkRefTable(b *testing.B) {
 	}
 	for len(held) < live {
 		v := fresh()
-		tab.refNew(v)
+		tab.set(v, 1)
 		held = append(held, v)
 	}
 	b.ReportAllocs()
@@ -379,6 +447,6 @@ func BenchmarkRefTable(b *testing.B) {
 		k := rng.Intn(live)
 		tab.unref(held[k])
 		held[k] = fresh()
-		tab.refNew(held[k])
+		tab.set(held[k], 1)
 	}
 }

@@ -28,9 +28,12 @@ type System struct {
 	pendingBlocks int
 	opsSinceCP    int
 
-	// Scratch reused from call to call: the alloc stage's VBN lists and
-	// Read's per-op block runs and device-leaf durations.
+	// Scratch reused from call to call: the alloc stage's VBN lists and the
+	// LBAs and old pairs it swaps them in over, and Read's per-op block runs
+	// and device-leaf durations.
 	virtBuf, physBuf []block.VBN
+	lbaBuf           []uint64
+	oldBuf           []blockPtr
 	poolRun          []block.VBN
 	readRuns         []readRun
 	readLeaves       []readLeaf
@@ -317,7 +320,7 @@ func (s *System) PunchHoles(l *LUN, select_ func(lba uint64) bool) (int, error) 
 		if p.phys == block.InvalidVBN || !select_(uint64(lba)) {
 			continue
 		}
-		if s.unref(l.vol, p) {
+		if s.dropActive(l, uint64(lba), p) {
 			freed++
 		}
 		l.blocks[lba] = blockPtr{virt: block.InvalidVBN, phys: block.InvalidVBN}

@@ -397,7 +397,7 @@ func (s *System) runWatchdogs() {
 	for _, v := range ag.vols {
 		w.checks.Inc()
 		w.consChecks.Inc()
-		want := uint64(v.rc.Len())
+		want := uint64(v.live)
 		delayed := uint64(0)
 		if v.space.delayed != nil {
 			delayed = uint64(v.space.delayed.count)
@@ -412,7 +412,7 @@ func (s *System) runWatchdogs() {
 		if got := v.bm.Used(); got != want {
 			w.violate(w.consViol,
 				"volume %q: bitmap used %d, refcounted %d + delayed %d — free blocks not conserved",
-				v.Name, got, v.rc.Len(), delayed)
+				v.Name, got, v.live, delayed)
 		}
 	}
 	for _, g := range ag.groups {

@@ -71,6 +71,16 @@ if grep -n 'slices\.Sort(\|sort\.' internal/raid/raid.go internal/wafl/ledger.go
     exit 1
 fi
 
+# Structural gate, the active image's reference is implicit (DESIGN.md §14):
+# an overwrite on a LUN without snapshots takes its zero shared count and
+# frees the old pair; only a nonzero count goes into the snapshot-only table,
+# through dropActive in snapshot.go. The per-block loop of the alloc stage
+# must not find its own way back into the table.
+if grep -n 'refNew\|\.rc\.' internal/wafl/pipeline.go; then
+    echo "internal/wafl/pipeline.go reaches into the refcount table; go through dropActive" >&2
+    exit 1
+fi
+
 # Structural gate, fragscan at word speed (DESIGN.md §6, §14): the free-run
 # histogram comes off bitmap words through bitmap.FreeRunHist, so the analyzer
 # makes no callback and no bucket search per run; the package's one run walker
@@ -158,9 +168,15 @@ go test -run '^$' -fuzz '^FuzzParseOptrace$' -fuzztime 5s ./internal/obs/optrace
 # through its canonical formatting to an identical portfolio.
 go test -run '^$' -fuzz '^FuzzParseControlPolicy$' -fuzztime 5s ./internal/control
 
-# Refcount-table fuzzer: random refNew/ref/unref sequences through the paged
+# Refcount-table fuzzer: random set/remove/unref sequences through the paged
 # table and a map reference must agree on counts, panics and page reuse.
 go test -run '^$' -fuzz '^FuzzRefTable$' -fuzztime 5s ./internal/wafl
+# Whole-system snapshot fuzzer: a byte tape of writes, CPs, drains, punches,
+# snapshot create/delete/restore and relocations (cleaner, Demote, TierOut)
+# drives a System and the flat per-pair counts snapshot.go replaced; freed
+# counts, both bitmaps, CheckRefcounts and the watchdogs must agree after
+# every step, at both pipeline depths, with and without delayed frees.
+go test -run '^$' -fuzz '^FuzzSnapshotOps$' -fuzztime 5s ./internal/wafl
 
 # Observability smoke test: a small bench run must serve /metrics (the bench
 # self-checks the endpoint and exits nonzero if it cannot fetch it) and

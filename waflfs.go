@@ -52,6 +52,21 @@ type (
 	PoolStats = wafl.PoolStats
 )
 
+// Typed failures of System operations (see internal/wafl): test with
+// errors.Is.
+var (
+	// ErrCPInProgress: a boundary-only operation (snapshot create/delete/
+	// restore, hole punch) was attempted with writes pending or a pipelined
+	// generation in flight; CP (and Drain) and retry.
+	ErrCPInProgress = wafl.ErrCPInProgress
+	// ErrSnapshotExists: CreateSnapshot of a name the LUN already has.
+	ErrSnapshotExists = wafl.ErrSnapshotExists
+	// ErrNoSnapshot: DeleteSnapshot or RestoreSnapshot of an unknown name.
+	ErrNoSnapshot = wafl.ErrNoSnapshot
+	// ErrTooManySnapshots: the LUN already holds 65 535 snapshots.
+	ErrTooManySnapshots = wafl.ErrTooManySnapshots
+)
+
 // NewSystem builds a System over a fresh aggregate; seed fixes all
 // randomized decisions for reproducibility.
 func NewSystem(specs []GroupSpec, vols []VolSpec, tun Tunables, seed int64) *System {

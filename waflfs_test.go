@@ -2,6 +2,7 @@ package waflfs
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -29,8 +30,17 @@ func TestPublicLifecycle(t *testing.T) {
 
 	// Snapshot + overwrite + delete via the public API.
 	sys.CreateSnapshot(lun, "s")
+	if _, err := sys.CreateSnapshot(lun, "s"); !errors.Is(err, ErrSnapshotExists) {
+		t.Fatalf("second create of a name: err %v", err)
+	}
+	if err := sys.RestoreSnapshot(lun, "t"); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("restore of an unknown name: err %v", err)
+	}
 	rng := rand.New(rand.NewSource(2))
 	RandomOverwrite(sys, []*LUN{lun}, rng, 3000, 1)
+	if _, err := sys.DeleteSnapshot(lun, "s"); !errors.Is(err, ErrCPInProgress) {
+		t.Fatalf("delete with writes pending: err %v", err)
+	}
 	sys.CP()
 	if n, err := sys.DeleteSnapshot(lun, "s"); err != nil || n == 0 {
 		t.Fatalf("snapshot delete freed %d, err %v", n, err)
