@@ -1,11 +1,13 @@
 package waflfs
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"waflfs/internal/experiments"
 )
@@ -157,20 +159,28 @@ func BenchmarkAllocStage(b *testing.B) {
 // BenchmarkSnapshotCycle is one round of the host benchmark's snap_pipeline
 // workload: quiesce, snapshot both LUNs, delete the snapshots of two rounds
 // ago, then four times 2048 skewed overwrites and a pipelined CP, on two SMR
-// groups with AZCS and delayed virtual frees. Snapshot create and delete walk
-// every pointer of a 120 000-block LUN, so a per-block count update coming
-// back into either shows here.
+// groups with AZCS and delayed virtual frees. The sub-benchmarks size the
+// LUNs at 30 000, 120 000 (the workload's) and 480 000 blocks, the groups
+// with them, and the overwrites stay 2048 per CP: create_ns and delete_ns —
+// one CreateSnapshot and one DeleteSnapshot call — price the snapshot by what
+// diverged since it was taken, so a per-LBA walk coming back into either
+// shows as a cost that grows with the LUN.
 func BenchmarkSnapshotCycle(b *testing.B) {
+	for _, lunBlocks := range []int{30_000, 120_000, 480_000} {
+		b.Run(fmt.Sprintf("lun=%dk", lunBlocks/1000), func(b *testing.B) { snapshotCycle(b, uint64(lunBlocks)) })
+	}
+}
+
+func snapshotCycle(b *testing.B, lunBlocks uint64) {
 	tun := DefaultTunables()
 	tun.Workers = 1
 	tun.CPEveryOps = 1 << 30
 	tun.Pipeline, tun.AllocShards = true, 4
 	tun.DelayedVirtFrees, tun.DelayedFreeBudgetPerCP = true, 4096
 	spec := GroupSpec{
-		DataDevices: 3, ParityDevices: 1, BlocksPerDevice: 1 << 17,
+		DataDevices: 3, ParityDevices: 1, BlocksPerDevice: (1 << 17) * lunBlocks / 120_000,
 		Media: MediaSMR, ZoneBlocks: 16384, AZCS: true,
 	}
-	const lunBlocks = 120_000
 	vols := []VolSpec{{Name: "vol0", Blocks: 4 * lunBlocks}, {Name: "vol1", Blocks: 4 * lunBlocks}}
 	sys := NewSystem([]GroupSpec{spec, spec}, vols, tun, 1)
 	var luns []*LUN
@@ -189,16 +199,21 @@ func BenchmarkSnapshotCycle(b *testing.B) {
 	sys.CP()
 	hc := DefaultHotCold()
 	r := 0
+	var creates, deletes time.Duration
 	round := func() {
 		sys.Drain()
 		for _, l := range luns {
+			t0 := time.Now()
 			if _, err := sys.CreateSnapshot(l, strconv.Itoa(r)); err != nil {
 				b.Fatal(err)
 			}
+			t1 := time.Now()
+			creates += t1.Sub(t0)
 			if r >= 2 {
 				if _, err := sys.DeleteSnapshot(l, strconv.Itoa(r-2)); err != nil {
 					b.Fatal(err)
 				}
+				deletes += time.Since(t1)
 			}
 		}
 		for c := 0; c < 4; c++ {
@@ -210,11 +225,15 @@ func BenchmarkSnapshotCycle(b *testing.B) {
 	for i := 0; i < 4; i++ { // until two generations of snapshots exist and the LUNs have left them
 		round()
 	}
+	creates, deletes = 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
 	}
+	calls := float64(b.N * len(luns))
+	b.ReportMetric(float64(creates.Nanoseconds())/calls, "create_ns")
+	b.ReportMetric(float64(deletes.Nanoseconds())/calls, "delete_ns")
 }
 
 // BenchmarkCacheOverhead quantifies the §4.1.2 claim that AA-cache

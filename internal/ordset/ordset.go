@@ -7,8 +7,10 @@
 // word. Add, Has and Delete are O(1); Each, Drain and Clear visit only the
 // non-empty words, so they cost O(members + n/4096) — one summary word per
 // 4096 members of the universe, which keeps a huge, barely-touched universe
-// (a thin LUN, a 2048-AA volume with eight live AAs) cheap to walk. Nothing
-// allocates after Grow.
+// (a thin LUN, a 2048-AA volume with eight live AAs) cheap to walk. Ranks
+// turns the set into an index: a value kept per member can sit at the
+// member's rank in a dense slice, so values that arrive in any order are put
+// in ascending order without comparing them. Nothing allocates after Grow.
 package ordset
 
 import "math/bits"
@@ -74,6 +76,31 @@ func (s *Bits) Min() (uint64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Ranks returns base, grown to one entry per word of the universe, with
+// base[w] set to the number of members in the words below w for every
+// non-empty word w (the others are left as they were). Rank then answers in
+// O(1) until the set next changes. The walk is O(words in use + n/4096).
+func (s *Bits) Ranks(base []uint32) []uint32 {
+	if len(base) < len(s.words) {
+		base = make([]uint32, len(s.words))
+	}
+	var n uint32
+	for sw, x := range s.sum {
+		for ; x != 0; x &= x - 1 {
+			w := sw*64 + bits.TrailingZeros64(x)
+			base[w] = n
+			n += uint32(bits.OnesCount64(s.words[w]))
+		}
+	}
+	return base
+}
+
+// Rank returns the number of members below member i, given the base Ranks
+// filled since the set last changed: the position i would have in Each.
+func (s *Bits) Rank(base []uint32, i uint64) int {
+	return int(base[i/64]) + bits.OnesCount64(s.words[i/64]&(1<<(i%64)-1))
 }
 
 // Each calls fn on every member in ascending order. fn must not change the

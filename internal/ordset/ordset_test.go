@@ -29,6 +29,10 @@ func sortedKeys(m map[uint64]bool) []uint64 {
 	return out
 }
 
+// dirtyBase carries one check's rank table into the next, so stale entries
+// from another set are always present.
+var dirtyBase []uint32
+
 // check compares every read of the set with the reference map.
 func check(t *testing.T, n uint64, s *Bits, ref map[uint64]bool) {
 	t.Helper()
@@ -42,6 +46,15 @@ func check(t *testing.T, n uint64, s *Bits, ref map[uint64]bool) {
 	if min, ok := s.Min(); ok != (len(want) > 0) || (ok && min != want[0]) {
 		t.Fatalf("n=%d: Min = (%d, %v), members %v", n, min, ok, want)
 	}
+	// Rank is every member's position in the sorted list, through a base left
+	// dirty by an earlier, different set.
+	base := s.Ranks(dirtyBase)
+	for k, i := range want {
+		if got := s.Rank(base, i); got != k {
+			t.Fatalf("n=%d: Rank(%d) = %d, want %d", n, i, got, k)
+		}
+	}
+	dirtyBase = base
 	// Has at every member, its two neighbours and the ends of the universe.
 	for _, i := range append(want, 0, n-1) {
 		for _, j := range []uint64{i - 1, i, i + 1} {

@@ -17,6 +17,7 @@ import (
 	"waflfs/internal/obs/optrace"
 	"waflfs/internal/obs/picks"
 	"waflfs/internal/obs/slo"
+	"waflfs/internal/ordset"
 	"waflfs/internal/parallel"
 	"waflfs/internal/topaa"
 )
@@ -38,6 +39,17 @@ type Aggregate struct {
 	faults *faultinject.Injector // nil-safe; set when Tunables.Faults is armed
 
 	nextRR int // round-robin start position over groups
+
+	// fresh holds the group VBNs that a boundary operation — the cleaner,
+	// Demote — allocated since the last seal. Their writes wait in the
+	// group's open write set like a CP's, but a punch, a snapshot delete or
+	// restore, a later relocation or the next CP's COW drops can free them
+	// first; FreePhysical then takes the write back out of the set, so a VBN
+	// the allocator hands out again is not written twice. TierOut's pool
+	// blocks are only counted, so none can be written twice, and one freed
+	// before the seal still ships with its object. Empty, and never looked
+	// into, on every other path.
+	fresh ordset.Bits
 
 	// Observability (see obs.go). reg always exists; st is nil unless a
 	// tracer was configured.
@@ -243,7 +255,23 @@ func (ag *Aggregate) FreePhysical(v block.VBN) {
 		ag.pool.space.free(v)
 		return
 	}
-	ag.groupOf(v).free(ag.bm, v, ag.tun.TrimOnFree)
+	g := ag.groupOf(v)
+	if ag.fresh.Len() > 0 {
+		ag.fresh.Grow(ag.bm.Size()) // a group may have come since
+		if ag.fresh.Delete(uint64(v)) {
+			g.unwrite(v)
+		}
+	}
+	g.free(ag.bm, v, ag.tun.TrimOnFree)
+}
+
+// markFresh records group VBNs, just allocated by a boundary operation, as
+// fresh.
+func (ag *Aggregate) markFresh(vbns []block.VBN) {
+	ag.fresh.Grow(ag.bm.Size())
+	for _, v := range vbns {
+		ag.fresh.Add(uint64(v))
+	}
 }
 
 // CPStats summarizes one consistency point.
@@ -485,6 +513,9 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 	// A remount is the reboot after the crash (if any): the controller is
 	// back up, so the injector stops dropping saves.
 	ag.faults.Recover()
+	if ag.fresh.Len() > 0 { // the write banks are emptied below
+		ag.fresh.Clear()
+	}
 	preReads, _ := ag.store.Stats()
 	preBM := ag.bm.Stats().PageReads
 	preVolBM := make([]uint64, len(ag.vols))

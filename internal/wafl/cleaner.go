@@ -86,6 +86,7 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 		if len(newPhys) < len(used) {
 			panic("wafl: aggregate out of space during segment cleaning")
 		}
+		s.Agg.markFresh(newPhys)
 		for i, old := range used {
 			refs, ok := reverse[old]
 			if !ok || len(refs) == 0 {
@@ -115,9 +116,9 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 	return st
 }
 
-// indexSlots scans every LUN image — active and snapshot — and adds to m the
-// pointer slots holding a physical VBN in want, which it empties. The slots
-// stay valid for the duration of the pass (no slice grows during it).
+// indexSlots scans every LUN's active image and snapshot deltas and adds to
+// m the pointer slots holding a physical VBN in want, which it empties. The
+// slots stay valid for the duration of the pass (no slice grows during it).
 func (s *System) indexSlots(m map[block.VBN][]*blockPtr, want *ordset.Bits) {
 	if want.Len() == 0 {
 		return
@@ -133,8 +134,8 @@ func (s *System) indexSlots(m map[block.VBN][]*blockPtr, want *ordset.Bits) {
 	for _, v := range s.Agg.vols {
 		for _, l := range v.luns {
 			add(l.blocks)
-			for _, sn := range l.snaps {
-				add(sn.blocks)
+			for _, sn := range l.chain {
+				add(sn.d.ptrs)
 			}
 		}
 	}

@@ -26,9 +26,9 @@ import (
 // delayedFrees is the per-space queue plus the HBPS tracking its scores.
 type delayedFrees struct {
 	// pending[id] queues AA id's frees; queued holds the AAs whose queue is
-	// not empty. An emptied queue gives its storage up: a snapshot deletion
-	// queues a LUN's worth of frees at once, and holding every AA's peak in
-	// both generations' queues costs more heap than regrowing them does time.
+	// not empty. An emptied queue keeps its storage for the next frees, so
+	// steady-state reclaim allocates nothing; each AA holds its peak in both
+	// generations' queues.
 	pending [][]block.VBN
 	queued  ordset.Bits
 	count   int
@@ -58,7 +58,8 @@ func (d *delayedFrees) add(id aa.ID, vs ...block.VBN) {
 }
 
 // pop removes and returns the AA with the most pending frees (within the
-// HBPS error margin) and its queued blocks.
+// HBPS error margin) and its queued blocks, which stay valid until the next
+// add to that AA.
 func (d *delayedFrees) pop() (aa.ID, []block.VBN, bool) {
 	for {
 		id, ok := d.cache.PopBest()
@@ -79,7 +80,7 @@ func (d *delayedFrees) pop() (aa.ID, []block.VBN, bool) {
 			// Stale list entry (shouldn't happen, but stay robust).
 			continue
 		}
-		d.pending[id] = nil
+		d.pending[id] = vs[:0]
 		d.queued.Delete(uint64(id))
 		d.count -= len(vs)
 		d.cache.Untrack(id, uint32(len(vs)))
@@ -96,7 +97,7 @@ func (d *delayedFrees) absorb(o *delayedFrees) {
 	o.queued.Drain(func(id uint64) {
 		vs := o.pending[id]
 		d.add(aa.ID(id), vs...)
-		o.pending[id] = nil
+		o.pending[id] = vs[:0]
 		o.cache.Untrack(aa.ID(id), uint32(len(vs)))
 	})
 	o.count = 0

@@ -95,6 +95,7 @@ func (s *System) Demote(l *LUN, select_ func(lba uint64) bool) int {
 	if len(newVBNs) < len(move) {
 		panic("wafl: HDD tier out of space during demotion")
 	}
+	s.Agg.markFresh(newVBNs)
 	for i, old := range move {
 		g := s.Agg.groupOf(old)
 		d, dbn := g.geo.Locate(old)

@@ -122,14 +122,27 @@ func TestDemoteWithSnapshotRepointsBoth(t *testing.T) {
 	}
 	s.CP()
 	s.CreateSnapshot(lun, "pin")
+	// Diverge and restore, so the first 5000 pairs sit both in the active
+	// image and in the snapshot's delta: two slots to repoint per block.
+	for lba := uint64(0); lba < 5000; lba++ {
+		s.Write(lun, lba, 1)
+	}
+	s.CP()
+	if err := s.RestoreSnapshot(lun, "pin"); err != nil {
+		t.Fatal(err)
+	}
+	sn := lun.Snapshot("pin")
+	if len(sn.d.at) != 5000 {
+		t.Fatalf("the snapshot's delta holds %d LBAs, want 5000", len(sn.d.at))
+	}
 	moved := s.Demote(lun, func(lba uint64) bool { return lba < 5000 })
 	if moved != 5000 {
 		t.Fatalf("moved %d (shared blocks must move once)", moved)
 	}
 	s.CP()
-	sn := lun.Snapshot("pin")
+	img := snapImage(sn)
 	for lba := 0; lba < 5000; lba++ {
-		if sn.blocks[lba].phys != lun.blocks[lba].phys {
+		if img[lba].phys != lun.blocks[lba].phys || mediaOf(s, img[lba].phys) != aa.MediaHDD {
 			t.Fatalf("lba %d snapshot/active diverged", lba)
 		}
 	}

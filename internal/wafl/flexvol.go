@@ -23,9 +23,9 @@ type FlexVol struct {
 	bm    *bitmap.Bitmap
 	space *agnosticSpace
 	luns  map[string]*LUN
-	// rc counts the snapshots holding each written pair that no active image
-	// holds any more, keyed by virtual VBN; live counts every held pair,
-	// those and the active images'. See snapshot.go and reftable.go.
+	// rc counts, by virtual VBN, the entries beyond the first of the pairs a
+	// restore stored more than once; live counts every held pair. See
+	// snapshot.go and reftable.go.
 	rc   *refTable
 	live int
 }
@@ -67,7 +67,7 @@ func (v *FlexVol) CreateLUN(name string, blocks uint64) *LUN {
 	if _, dup := v.luns[name]; dup {
 		panic(fmt.Sprintf("wafl: duplicate LUN %q in %s", name, v.Name))
 	}
-	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks), shared: sliced{words: int(blocks+63) / 64}}
+	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks)}
 	l.dirty.Grow(blocks)
 	for _, o := range v.luns { // take the name's place in rank order
 
@@ -105,9 +105,13 @@ type LUN struct {
 	rank   int // see FlexVol.rank
 	blocks []blockPtr
 	snaps  map[string]*Snapshot
-	// shared[lba] counts the snapshots whose pointer at lba is the pair the
-	// active image holds there (snapshot.go).
-	shared sliced
+	// chain lists the snapshots oldest first, each with its delta, and spare
+	// keeps the emptied delta of a deleted one for the next create. rcPairs
+	// counts this LUN's pairs with an rc count: zero unless a restore stored
+	// one twice (snapshot.go).
+	chain   []*Snapshot
+	spare   []snapDelta
+	rcPairs int
 
 	// The LUN's share of the write buffer: the logical blocks written since
 	// the last CP's alloc stage, which drains them in ascending order (see

@@ -3,6 +3,7 @@ package wafl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"waflfs/internal/aa"
@@ -433,6 +434,16 @@ func (g *Group) allocateTetris(bm *bitmap.Bitmap, dst []block.VBN, max int) (out
 	}
 	g.cpWrites = append(g.cpWrites, out[len(dst):]...)
 	return out, true
+}
+
+// unwrite takes v, freed before the seal of the generation that allocated
+// it, back out of the open write set (see Aggregate.fresh).
+func (g *Group) unwrite(v block.VBN) {
+	i := slices.Index(g.cpWrites, v)
+	if i < 0 {
+		panic(fmt.Sprintf("wafl: fresh physical %v is not in the open write set", v))
+	}
+	g.cpWrites = slices.Delete(g.cpWrites, i, i+1)
 }
 
 // free returns a physical VBN in this group to the free pool.

@@ -320,8 +320,9 @@ func (s *System) allocGeneration() *cpGen {
 		// Blocks take their VBNs in ascending LBA order, in two passes: the
 		// pointer swaps first, alone in a loop short enough that the core
 		// has the next blocks' cache misses in flight while it finishes this
-		// one's, then the COW drops, in the same order — the old pair is
-		// freed unless a snapshot still holds it.
+		// one's, then the COW drops, in the same order: the old pointer goes
+		// into the newest snapshot's delta if that snapshot still holds it
+		// (an unwritten one as the unwritten marker), else the pair is freed.
 		if cap(s.lbaBuf) < n {
 			s.lbaBuf, s.oldBuf = make([]uint64, n), make([]blockPtr, n)
 		}
@@ -333,9 +334,7 @@ func (s *System) allocGeneration() *cpGen {
 			i++
 		})
 		for j, old := range olds[:i] {
-			if old.virt != block.InvalidVBN {
-				s.dropActive(l, lbas[j], old)
-			}
+			s.dropActive(l, lbas[j], old)
 		}
 		vol.live += i
 		if i != n {
@@ -386,6 +385,9 @@ func (s *System) sealGeneration() {
 	if p := s.Agg.pool; p != nil {
 		p.flushBlocks += p.cpBlocks
 		p.cpBlocks = 0
+	}
+	if s.Agg.fresh.Len() > 0 {
+		s.Agg.fresh.Clear()
 	}
 	s.pipe.gen, s.pipe.open = s.pipe.open, s.pipe.gen
 	s.pipe.inFlight = true

@@ -171,16 +171,25 @@ func TestPoolSurvivesRemount(t *testing.T) {
 func TestTierOutWithSnapshotsRepointsAll(t *testing.T) {
 	s, lun, pool := pooledSystem(t)
 	s.CreateSnapshot(lun, "pin")
+	// Diverge and restore, so the first 2000 pairs sit both in the active
+	// image and in the snapshot's delta.
+	for lba := uint64(0); lba < 2000; lba++ {
+		s.Write(lun, lba, 1)
+	}
+	s.CP()
+	if err := s.RestoreSnapshot(lun, "pin"); err != nil {
+		t.Fatal(err)
+	}
 	s.TierOut(lun, func(lba uint64) bool { return lba < 2000 })
 	s.CP()
 	// Snapshot and active image share the tiered block: both must point at
 	// the same pool VBN (moved once, not duplicated).
-	sn := lun.Snapshot("pin")
+	img := snapImage(lun.Snapshot("pin"))
 	for lba := 0; lba < 2000; lba++ {
-		if sn.blocks[lba].phys != lun.blocks[lba].phys {
-			t.Fatalf("lba %d: snapshot %v != active %v", lba, sn.blocks[lba].phys, lun.blocks[lba].phys)
+		if img[lba].phys != lun.blocks[lba].phys {
+			t.Fatalf("lba %d: snapshot %v != active %v", lba, img[lba].phys, lun.blocks[lba].phys)
 		}
-		if !pool.Contains(sn.blocks[lba].phys) {
+		if !pool.Contains(img[lba].phys) {
 			t.Fatalf("lba %d not tiered", lba)
 		}
 	}

@@ -2,31 +2,30 @@ package wafl
 
 import (
 	"fmt"
-	"math"
 
 	"waflfs/internal/block"
 )
 
-// The two homes of a written pair's count (snapshot.go says which pair has
-// which): LUN.shared, a bit-sliced counter per LBA, at the end of this file,
-// and the refTable of the pairs only snapshots hold. The table is keyed by
-// virtual VBN — a small dense integer, so it is a paged array rather than a
-// hash map: a directory with one slot per refPageSize virtual VBNs, pointing
-// at counter pages that exist only while they hold a live count. A volume
-// that never had a snapshot never allocates a page.
+// The refTable counts, for the pairs a restore stored more than once, their
+// entries beyond the first (snapshot.go); every other pair has one entry and
+// no count. The table is keyed by virtual VBN — a small dense integer, so it
+// is a paged array rather than a hash map: a directory with one slot per
+// refPageSize virtual VBNs, pointing at counter pages that exist only while
+// they hold a live count. A volume whose LUNs were never restored never
+// allocates a page.
 //
 // Page size. A volume's virtual space is far larger than its data (thin
 // provisioning: the mount_cycle benchmark's big volume spans 2048 AAs for a
 // LUN of twelve), so a flat array is out, and so is a page per 32k-block AA:
-// a few thousand snapshot-only blocks scattered over the AAs would pin a
-// whole page per AA for a handful of counters each. The allocator fills an
-// AA's free VBNs in ascending order, so blocks written together sit together
-// and leave the active image together; 4096 counters per page follow that
+// a few thousand counted blocks scattered over the AAs would pin a whole page
+// per AA for a handful of counters each. The allocator fills an AA's free
+// VBNs in ascending order, so blocks written together sit together and a
+// restore brings them back together; 4096 counters per page follow that
 // locality closely enough that pages empty and recycle as snapshots go.
 //
-// Counter width. Either count is bounded by the LUN's snapshots, which
-// CreateSnapshot caps at MaxUint16 (ErrTooManySnapshots): 16 bits per table
-// entry and at most 16 planes of the sliced counter; the limit is checked,
+// Counter width. A pair has at most one entry per snapshot delta plus the
+// active one, and CreateSnapshot caps a LUN at MaxUint16 snapshots
+// (ErrTooManySnapshots), so a count fits 16 bits; the limit is checked,
 // never wrapped.
 const (
 	refPageShift = 12
@@ -112,66 +111,4 @@ func (t *refTable) unref(v block.VBN) (last bool) {
 	}
 	t.remove(v)
 	return true
-}
-
-// sliced is LUN.shared: one count per LBA, kept in bit planes — bit k of LBA
-// i's count is bit i%64 of planes[k][i/64] — so that a snapshot adds one to
-// all 64 LBAs of a word with a carry rippling up the planes, not with 64
-// counter updates. Planes appear as some count needs them; with none, every
-// count is zero and take touches no memory.
-type sliced struct {
-	words  int // per plane: one bit per LBA of the LUN
-	planes [][]uint64
-}
-
-// get returns LBA i's count.
-func (c *sliced) get(i uint64) (n uint16) {
-	for k, p := range c.planes {
-		n |= uint16(p[i/64]>>(i%64)&1) << k
-	}
-	return n
-}
-
-// take returns LBA i's count and zeroes it.
-func (c *sliced) take(i uint64) (n uint16) {
-	for k, p := range c.planes {
-		n |= uint16(p[i/64]>>(i%64)&1) << k
-		p[i/64] &^= 1 << (i % 64)
-	}
-	return n
-}
-
-// put gives LBA i, whose count must be zero, the count n.
-func (c *sliced) put(i uint64, n uint16) {
-	for k := 0; n>>k != 0; k++ {
-		if k == len(c.planes) {
-			c.planes = append(c.planes, make([]uint64, c.words))
-		}
-		c.planes[k][i/64] |= uint64(n>>k&1) << (i % 64)
-	}
-}
-
-// add increments the count of every LBA of word w whose bit is set in mask.
-func (c *sliced) add(w int, mask uint64) {
-	for k := 0; mask != 0; k++ {
-		if k == len(c.planes) {
-			if k == 16 {
-				panic(fmt.Sprintf("wafl: a shared count of LBAs %d.. exceeds %d", w*64, math.MaxUint16))
-			}
-			c.planes = append(c.planes, make([]uint64, c.words))
-		}
-		p := c.planes[k]
-		p[w], mask = p[w]^mask, p[w]&mask
-	}
-}
-
-// sub decrements them.
-func (c *sliced) sub(w int, mask uint64) {
-	for k := 0; mask != 0; k++ {
-		if k == len(c.planes) {
-			panic(fmt.Sprintf("wafl: a shared count of LBAs %d.. below zero", w*64))
-		}
-		p := c.planes[k]
-		p[w], mask = p[w]^mask, ^p[w]&mask
-	}
 }

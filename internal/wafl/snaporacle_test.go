@@ -275,7 +275,7 @@ func (r *oracleRig) check(step string) {
 			t.Fatalf("after %s: LUN %s has snapshots %v, oracle %d", step, l.Name, l.SnapshotNames(), len(o.snaps[i]))
 		}
 		for name, img := range o.snaps[i] {
-			same(l.Name+"@"+name, l.snaps[name].blocks, img)
+			same(l.Name+"@"+name, snapImage(l.snaps[name]), img)
 		}
 	}
 	if len(physOf) != len(o.rc) || s.Agg.bm.Used() != uint64(len(o.rc)) {
@@ -308,7 +308,8 @@ func (r *oracleRig) check(step string) {
 }
 
 // run plays a byte tape: writes of 1–8 blocks, CPs, drains, punches, snapshot
-// create/delete/restore with at most three live per LUN, relocations.
+// create/delete/restore with at most six live per LUN — a delete or restore
+// picks its snapshot by name order or by creation position — relocations.
 func (r *oracleRig) run(tape []byte) {
 	next := func() byte {
 		if len(tape) == 0 {
@@ -322,6 +323,12 @@ func (r *oracleRig) run(tape []byte) {
 		op, arg := next(), next()
 		lun := int(arg & 1)
 		names := r.luns[lun].SnapshotNames()
+		pick := func() string {
+			if chain := r.luns[lun].chain; arg&2 != 0 {
+				return chain[int(arg>>2)%len(chain)].Name
+			}
+			return names[int(arg>>2)%len(names)]
+		}
 		if op>>4 != 0 && op%16 >= 10 {
 			r.quiesce() // most boundary-only ops are made at one
 		}
@@ -337,18 +344,18 @@ func (r *oracleRig) run(tape []byte) {
 			mod, rem := uint64(2+arg>>1%7), uint64(arg>>4)
 			r.punch(lun, func(lba uint64) bool { return lba%mod == rem%mod })
 		case 11:
-			if len(names) < 3 {
+			if len(names) < 6 {
 				r.create(lun)
 				break
 			}
 			fallthrough
 		case 12:
 			if len(names) > 0 {
-				r.delete(lun, names[int(arg>>1)%len(names)])
+				r.delete(lun, pick())
 			}
 		case 13:
 			if len(names) > 0 {
-				r.restore(lun, names[int(arg>>1)%len(names)])
+				r.restore(lun, pick())
 			}
 		case 14, 15:
 			r.relocate(op>>4, arg)
@@ -362,7 +369,7 @@ func (r *oracleRig) run(tape []byte) {
 	}
 	r.cp()
 	r.drain()
-	if r.vol.rc.Len() != 0 || r.vol.live != len(r.o.rc) {
+	if r.vol.rc.Len() != 0 || r.vol.live != len(r.o.rc) || r.luns[0].rcPairs+r.luns[1].rcPairs != 0 {
 		t := r.t
 		t.Fatalf("with no snapshot left the table holds %d pairs; %d live, oracle %d", r.vol.rc.Len(), r.vol.live, len(r.o.rc))
 	}
@@ -381,28 +388,47 @@ func TestSnapshotOpsMatchFlatOracle(t *testing.T) {
 	}
 }
 
-// A restore to the oldest of three snapshots moves pairs both ways between
-// the two homes of a count; the snapshots then go in every order.
+// A restore to the oldest of three snapshots stores pairs twice across the
+// chain; a fourth snapshot and a second restore stack that on itself, and the
+// four snapshots then go in every one of the 24 orders.
 func TestRestoreOlderThenDeleteInEveryOrder(t *testing.T) {
-	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	var orders [][]int
+	var permute func(done []int, left []int)
+	permute = func(done, left []int) {
+		if len(left) == 0 {
+			orders = append(orders, done)
+			return
+		}
+		for i, k := range left {
+			permute(append(slices.Clip(done), k), append(slices.Clone(left[:i]), left[i+1:]...))
+		}
+	}
+	permute(nil, []int{0, 1, 2, 3})
 	for i, c := range oracleConfigs {
 		for _, order := range orders {
 			r := newOracleRig(t, c.pipeline, c.delayed)
 			rng := rand.New(rand.NewSource(int64(i)))
-			var names [3]string
-			r.write(0, 0, 8)
-			for round := 0; round < 4; round++ {
+			var names [4]string
+			churn := func() {
 				for k := 0; k < 60; k++ {
 					r.write(0, uint64(rng.Intn(300)), 1+rng.Intn(8))
 				}
 				r.quiesce()
-				if round < 3 {
-					names[round] = r.create(0)
-				}
 			}
+			r.write(0, 0, 8)
+			for round := 0; round < 3; round++ {
+				churn()
+				names[round] = r.create(0)
+			}
+			churn()
 			r.punch(0, func(lba uint64) bool { return lba%5 == 0 })
 			r.restore(0, names[0])
 			r.write(0, 10, 8)
+			r.quiesce()
+			names[3] = r.create(0)
+			churn()
+			r.restore(0, names[0])
+			r.write(0, 400, 8) // never written before
 			r.quiesce()
 			for _, k := range order {
 				r.delete(0, names[k])
@@ -418,6 +444,14 @@ func FuzzSnapshotOps(f *testing.F) {
 	f.Add([]byte{0, 0x10, 2, 7, 7, 0, 0x1b, 0, 0x30, 2, 9, 0x17, 0, 0x1d, 0, 0x1c, 0})
 	f.Add([]byte{3, 0x70, 0, 0, 0x71, 1, 0, 8, 0, 9, 0, 0x1b, 0, 0x1b, 1, 0x20, 0, 5, 0x18, 0, 0x1b, 0, 0x1a, 6, 0x1d, 0, 0x1c, 2, 0x1c, 0})
 	f.Add([]byte{2, 0x40, 0, 9, 0x0b, 0, 0x1e, 0, 0x2e, 2, 0x3f, 1, 0x1b, 1, 0x50, 3, 3, 0x2f, 4, 0x1d, 1})
+	// Never-written LBAs written under two snapshots, a restore to the oldest
+	// by position, then a delete by position.
+	f.Add([]byte{0, 0x0b, 0, 0x70, 0x10, 0, 7, 0, 0x0b, 0, 0x30, 0x20, 0, 7, 0, 0x0d, 2, 0x0c, 6, 7, 0})
+	f.Add([]byte{3, 0x0b, 1, 0x71, 0x11, 0, 7, 0, 0x1b, 1, 0x31, 0x21, 0, 7, 0, 0x1d, 3, 0x70, 0x21, 0, 0x1c, 3, 7, 0})
+	// A punch under one snapshot, then the same LBAs written under a newer
+	// one; the older goes first.
+	f.Add([]byte{1, 0x70, 0, 0, 7, 0, 0x0b, 0, 0x1a, 2, 0x0b, 0, 0x70, 0, 0, 7, 0, 0x0c, 2, 7, 0})
+	f.Add([]byte{2, 0x71, 1, 0, 7, 0, 9, 0, 0x1b, 1, 0x1a, 3, 0x1b, 1, 0x71, 1, 0, 7, 0, 9, 0, 0x1d, 3, 0x1c, 3, 7, 0})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) == 0 {
 			return

@@ -1,12 +1,15 @@
 package wafl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"waflfs/internal/block"
+	"waflfs/internal/ordset"
 )
 
 // ErrCPInProgress reports that a boundary-only operation (snapshot create/
@@ -25,39 +28,72 @@ var (
 	ErrTooManySnapshots = fmt.Errorf("wafl: a LUN holds at most %d snapshots", math.MaxUint16)
 )
 
-// Snapshots. WAFL's copy-on-write design makes snapshot creation cheap — a
-// snapshot is just a pinned copy of the block pointers (§1) — and snapshot
+// Snapshots. In WAFL a snapshot is a preserved CP root (§1), and snapshot
 // deletion frees large batches of blocks at once, which is one of the
-// internal activities that "further adds to the nonuniformity" of free
-// space the AA caches exploit (§4.1.1).
+// internal activities that "further adds to the nonuniformity" of free space
+// the AA caches exploit (§4.1.1). A snapshot here costs what has diverged
+// since it was taken, not the size of its LUN.
 //
-// Reference counting: a written LUN block (a virtual+physical VBN pair,
-// named by its virtual VBN) is held by the active image, by snapshots, or
-// both, and its storage is freed when the last holder goes. There are no
-// clones and no dedup, and restore, the cleaner, Demote and TierOut all keep
-// the LBA, so every holder of a pair holds it at the same LBA of the same
-// LUN. Where the count lives follows from that:
+// The chain. A LUN's snapshots form a chain in creation order, and each keeps
+// a delta: at every LBA where the next newer image — the next snapshot, or
+// the active image for the newest — no longer holds what this image held,
+// the pair this image held there, or the unwritten marker (both VBNs
+// InvalidVBN) if the LBA was unwritten in it. Snapshot i's pointer at an LBA
+// is the first delta from i toward the newest that has the LBA, or the
+// active pointer if none has.
 //
-//   - a pair in an active image: nowhere for the image's own reference, and
-//     LUN.shared[lba] for the snapshots whose pointer at that LBA is the
-//     same pair. A LUN without snapshots has no counts at all.
-//   - a pair only snapshots hold: FlexVol.rc, by virtual VBN.
+//   - dropActive is the one place a delta grows. When the active image lets
+//     go of its pointer at an LBA the newest delta lacks, the newest snapshot
+//     still holds that pointer, so it moves into the newest delta; a first
+//     write under a snapshot records the unwritten marker the same way.
+//   - CreateSnapshot appends an empty delta. The previous newest one is
+//     closed by no longer being newest; nothing is done per LBA.
+//   - DeleteSnapshot of i walks delta i in ascending LBA order. An entry the
+//     next older snapshot resolves through i (its own delta lacks the LBA)
+//     moves into that delta; any other is dropped, and its pair is freed if
+//     that was the pair's last entry. Only diverged LBAs can free, and they
+//     free in the order full image copies freed them.
+//   - RestoreSnapshot of i swaps the active image over the union of the
+//     deltas from i to the newest, in ascending LBA order.
 //
-// An overwrite or punch takes shared[lba]: zero frees the old pair on the
-// spot, n moves it into rc with n holders. A snapshot create adds one to
-// shared at every written LBA; a delete subtracts where the snapshot still
-// matches the active image and unrefs in rc where it has diverged; a restore
-// swaps the two homes per differing LBA.
+// Reference counting. A written pair (virtual + physical VBN, named by its
+// virtual VBN) is freed when its last holder goes. There are no clones and
+// no dedup, and restore, the cleaner, Demote and TierOut all keep the LBA,
+// so every holder of a pair holds it at one LBA of one LUN. Without a restore
+// the holders are consecutive images, and the pair is stored once: in the
+// active image if they reach it, else in the delta of the newest of them.
+// One entry per pair, and no count anywhere.
+//
+// A restore is the one exception. After RestoreSnapshot(i) the active image
+// and a delta k ≥ i can hold the same pair at one LBA, with other images in
+// between: the pair is stored twice. FlexVol.rc counts, for such pairs only,
+// their entries beyond the first; an absent count means one entry. Dropping
+// an entry takes one off the count or, with none, frees the pair; moving an
+// entry changes nothing. A LUN that was never restored never touches rc.
 
 // dropActive retires the pair the active image of l held at lba, whose
-// pointer the caller has overwritten or is about to: into the snapshot-only
-// table if snapshots still hold it, else freed (reported true).
+// pointer the caller has overwritten or is about to: into the newest
+// snapshot's delta if that snapshot still holds it, else one entry dropped —
+// freeing the pair (reported true) unless a restore stored it twice. An
+// unwritten old pointer goes into the delta as the unwritten marker or
+// nowhere.
 func (s *System) dropActive(l *LUN, lba uint64, old blockPtr) bool {
-	if n := l.shared.take(lba); n != 0 {
-		l.vol.rc.set(old.virt, n)
+	if n := len(l.chain); n > 0 && l.chain[n-1].d.add(lba, old) {
 		return false
 	}
-	s.freePair(l.vol, old)
+	return old.virt != block.InvalidVBN && s.dropEntry(l, old)
+}
+
+// dropEntry drops one entry of l's pair p: a count a restore left loses one,
+// and without one the pair is freed (reported true).
+func (s *System) dropEntry(l *LUN, p blockPtr) bool {
+	if l.rcPairs > 0 && l.vol.rc.get(p.virt) != 0 {
+		if l.vol.rc.unref(p.virt) {
+			l.rcPairs--
+		}
+		return false
+	}
+	s.freePair(l.vol, p)
 	return true
 }
 
@@ -71,26 +107,119 @@ func (s *System) freePair(v *FlexVol, p blockPtr) {
 
 // Snapshot is a point-in-time image of one LUN.
 type Snapshot struct {
-	Name   string
-	blocks []blockPtr
+	Name string
+	lun  *LUN // nil once deleted
+	d    snapDelta
 }
 
-// Blocks returns how many written blocks the snapshot references.
+// snapDelta is a snapshot's delta: the LBAs where its image differs from the
+// next newer one, and the pair its image held at each. A closed delta
+// changes only when a delete moves the next newer delta's entries into it.
+type snapDelta struct {
+	lbas ordset.Bits
+	// ptrs[k] is the pair at LBA at[k], in the order the entries arrived.
+	ptrs []blockPtr
+	at   []uint64
+}
+
+// add records p at lba unless the delta already has the LBA, and reports
+// whether it did.
+func (d *snapDelta) add(lba uint64, p blockPtr) bool {
+	if !d.lbas.Add(lba) {
+		return false
+	}
+	d.ptrs, d.at = append(d.ptrs, p), append(d.at, lba)
+	return true
+}
+
+// deltaScratch is what snapDelta.sort orders through: a spare pair of slabs
+// and a rank table.
+type deltaScratch struct {
+	ptrs []blockPtr
+	at   []uint64
+	base []uint32
+}
+
+// sort puts the entries in ascending LBA order. Each goes to its LBA's rank
+// among the delta's LBAs, read off the bitset, so nothing is compared; the
+// old slabs become the scratch's.
+func (d *snapDelta) sort(sc *deltaScratch) {
+	sc.base = d.lbas.Ranks(sc.base)
+	n := len(d.at)
+	ptrs, at := slices.Grow(sc.ptrs[:0], n)[:n], slices.Grow(sc.at[:0], n)[:n]
+	for k, lba := range d.at {
+		r := d.lbas.Rank(sc.base, lba)
+		ptrs[r], at[r] = d.ptrs[k], lba
+	}
+	sc.ptrs, sc.at = d.ptrs[:0], d.at[:0]
+	d.ptrs, d.at = ptrs, at
+}
+
+// reset empties the delta, keeping its storage.
+func (d *snapDelta) reset() {
+	d.lbas.Clear()
+	d.ptrs, d.at = d.ptrs[:0], d.at[:0]
+}
+
+// resolve calls fn, in ascending LBA order, with snapshot sn's pointer at
+// every LBA where it may differ from the active image: the union of the
+// deltas from sn to the newest. The deltas are laid over each other newest
+// first, so at each LBA the first one from sn has the last word. fn may grow
+// the newest delta.
+func (l *LUN) resolve(sn *Snapshot, fn func(lba uint64, p blockPtr)) {
+	from := slices.Index(l.chain, sn)
+	var union ordset.Bits
+	union.Grow(l.Blocks())
+	for _, o := range l.chain[from:] {
+		for _, lba := range o.d.at {
+			union.Add(lba)
+		}
+	}
+	base := union.Ranks(nil)
+	img := make([]blockPtr, union.Len())
+	for j := len(l.chain) - 1; j >= from; j-- {
+		d := &l.chain[j].d
+		for k, lba := range d.at {
+			img[union.Rank(base, lba)] = d.ptrs[k]
+		}
+	}
+	k := 0
+	union.Each(func(lba uint64) {
+		fn(lba, img[k])
+		k++
+	})
+}
+
+// Blocks returns how many written blocks the snapshot references (none once
+// it is deleted).
 func (sn *Snapshot) Blocks() int {
+	l := sn.lun
+	if l == nil {
+		return 0
+	}
 	n := 0
-	for _, p := range sn.blocks {
+	for _, p := range l.blocks {
 		if p.virt != block.InvalidVBN {
 			n++
 		}
 	}
+	l.resolve(sn, func(lba uint64, p blockPtr) {
+		if p.virt != block.InvalidVBN {
+			n++
+		}
+		if l.blocks[lba].virt != block.InvalidVBN {
+			n--
+		}
+	})
 	return n
 }
 
 // CreateSnapshot captures the LUN's current image under name. It must run
 // at a CP boundary (in WAFL a snapshot is a CP that is preserved): with
 // writes pending or a pipelined generation in flight it returns
-// ErrCPInProgress. The operation copies only pointers; no data blocks move.
-// A name in use returns ErrSnapshotExists, a full LUN ErrTooManySnapshots.
+// ErrCPInProgress. The new snapshot starts with an empty delta — recycled
+// from a deleted one when the LUN has one — and no pointer is copied. A name
+// in use returns ErrSnapshotExists, a full LUN ErrTooManySnapshots.
 func (s *System) CreateSnapshot(l *LUN, name string) (*Snapshot, error) {
 	if !s.atBoundary() {
 		return nil, ErrCPInProgress
@@ -104,17 +233,14 @@ func (s *System) CreateSnapshot(l *LUN, name string) (*Snapshot, error) {
 	if l.snaps == nil {
 		l.snaps = make(map[string]*Snapshot)
 	}
-	sn := &Snapshot{Name: name, blocks: append([]blockPtr(nil), l.blocks...)}
-	var written uint64
-	for lba, p := range sn.blocks {
-		if p.virt != block.InvalidVBN {
-			written |= 1 << (lba % 64)
-		}
-		if lba%64 == 63 || lba == len(sn.blocks)-1 {
-			l.shared.add(lba/64, written)
-			written = 0
-		}
+	sn := &Snapshot{Name: name, lun: l}
+	if k := len(l.spare); k > 0 {
+		sn.d, l.spare[k-1] = l.spare[k-1], snapDelta{}
+		l.spare = l.spare[:k-1]
+	} else {
+		sn.d.lbas.Grow(l.Blocks())
 	}
+	l.chain = append(l.chain, sn)
 	l.snaps[name] = sn
 	return sn, nil
 }
@@ -146,25 +272,29 @@ func (s *System) DeleteSnapshot(l *LUN, name string) (int, error) {
 	if sn == nil {
 		return 0, ErrNoSnapshot
 	}
+	i := slices.Index(l.chain, sn)
+	var older *snapDelta
+	if i > 0 {
+		older = &l.chain[i-1].d
+	}
+	d := &sn.d
+	d.sort(&s.snapScratch)
 	freed := 0
-	var same uint64 // the LBAs of this word where the active image holds the pair too
-	for lba, p := range sn.blocks {
-		switch {
-		case p.virt == block.InvalidVBN:
-		case p.virt == l.blocks[lba].virt:
-			same |= 1 << (lba % 64)
-		case l.vol.rc.unref(p.virt):
-			s.freePair(l.vol, p)
+	for k, lba := range d.at {
+		switch p := d.ptrs[k]; {
+		case older != nil && older.add(lba, p):
+			// The next older snapshot saw this pointer through sn.
+		case p.virt != block.InvalidVBN && s.dropEntry(l, p):
 			freed++
 		}
-		if lba%64 == 63 || lba == len(sn.blocks)-1 {
-			l.shared.sub(lba/64, same)
-			same = 0
-		}
 	}
-	if delete(l.snaps, name); len(l.snaps) == 0 {
-		l.shared.planes = nil // all zero now
+	if len(l.spare) == 0 { // one is all a create-one, delete-one cycle needs
+		d.reset()
+		l.spare = append(l.spare, *d)
 	}
+	sn.d, sn.lun = snapDelta{}, nil
+	l.chain = slices.Delete(l.chain, i, i+1)
+	delete(l.snaps, name)
 	return freed, nil
 }
 
@@ -181,90 +311,129 @@ func (s *System) RestoreSnapshot(l *LUN, name string) error {
 	if sn == nil {
 		return ErrNoSnapshot
 	}
-	for lba, in := range sn.blocks {
+	rc := l.vol.rc
+	l.resolve(sn, func(lba uint64, in blockPtr) {
 		out := l.blocks[lba]
 		if in.virt == out.virt {
-			continue
+			return
 		}
-		if out.virt != block.InvalidVBN {
-			s.dropActive(l, uint64(lba), out)
-		}
+		s.dropActive(l, lba, out)
 		if in.virt != block.InvalidVBN {
-			// The pair comes back from the snapshot-only table with the
-			// holders it had there, this snapshot among them.
-			l.shared.put(uint64(lba), l.vol.rc.remove(in.virt))
+			// The pair stays in its delta and is now in the active image
+			// too: one more entry. A count past MaxUint16 wraps to zero,
+			// which set refuses.
+			n := rc.get(in.virt)
+			if n == 0 {
+				l.rcPairs++
+			} else {
+				rc.remove(in.virt)
+			}
+			rc.set(in.virt, n+1)
 		}
 		l.blocks[lba] = in
-	}
+	})
 	return nil
 }
 
-// CheckRefcounts verifies the volume-wide refcount invariants by census:
-// every holder of a pair sits at one LBA of one LUN; a pair in an active
-// image has 1 + shared[lba] holders and no table entry; a pair only
-// snapshots hold has exactly its rc count of them; every held pair is
-// allocated, and nothing else is but the blocks queued for delayed free.
-// Tests and the benchmark call this after snapshot workloads.
+// CheckRefcounts verifies the volume-wide refcount invariants by census over
+// the active images and every snapshot delta: a pair's entries number one
+// plus its rc count, and all sit at one LBA of one LUN; every delta's LBAs
+// are inside its LUN, each listed once and in its bitset; each LUN's rcPairs
+// is its share of the table; every held pair is allocated, the live count is
+// the number of pairs, and nothing else is allocated but the blocks queued
+// for delayed free. Tests and the benchmark call this after snapshot
+// workloads.
 func (v *FlexVol) CheckRefcounts() error {
-	type holders struct {
-		l   *LUN
-		lba int
-		n   int
+	// census marks the pairs seen so far. Pairs with a count — the ones a
+	// restore stored more than once, few — have their entries listed too.
+	var census ordset.Bits
+	census.Grow(v.bm.Size())
+	type entry struct {
+		virt block.VBN
+		lun  int // index in luns
+		lba  uint64
 	}
-	census := make(map[block.VBN]holders)
-	count := func(l *LUN, blocks []blockPtr) error {
-		for lba, p := range blocks {
-			if p.virt == block.InvalidVBN {
-				continue
-			}
-			h, ok := census[p.virt]
-			if !ok {
-				h = holders{l: l, lba: lba}
-			} else if h.l != l || h.lba != lba {
-				return fmt.Errorf("virtual %v held at %s[%d] and at %s[%d]", p.virt, h.l.Name, h.lba, l.Name, lba)
-			}
-			h.n++
-			census[p.virt] = h
+	var counted []entry
+	pairs := 0
+	luns := make([]*LUN, 0, len(v.luns))
+	for _, l := range v.luns {
+		luns = append(luns, l)
+	}
+	slices.SortFunc(luns, func(a, b *LUN) int { return cmp.Compare(a.rank, b.rank) })
+	visit := func(li int, lba uint64, p blockPtr) error {
+		switch l := luns[li]; {
+		case p.virt == block.InvalidVBN:
+			return nil
+		case uint64(p.virt) >= v.bm.Size() || !v.bm.Test(p.virt):
+			return fmt.Errorf("virtual %v held at %s[%d] but not allocated", p.virt, l.Name, lba)
+		case v.rc.get(p.virt) != 0:
+			counted = append(counted, entry{p.virt, li, lba})
+		case census.Has(uint64(p.virt)):
+			return fmt.Errorf("virtual %v held again at %s[%d] with no count", p.virt, l.Name, lba)
+		}
+		if census.Add(uint64(p.virt)) {
+			pairs++
 		}
 		return nil
 	}
-	for _, l := range v.luns {
-		if err := count(l, l.blocks); err != nil {
-			return err
-		}
-		for _, sn := range l.snaps {
-			if err := count(l, sn.blocks); err != nil {
+	for li, l := range luns {
+		for lba, p := range l.blocks {
+			if err := visit(li, uint64(lba), p); err != nil {
 				return err
 			}
 		}
-		for lba, p := range l.blocks {
-			if n := l.shared.get(uint64(lba)); p.virt == block.InvalidVBN && n != 0 {
-				return fmt.Errorf("%s[%d] is unwritten with a shared count of %d", l.Name, lba, n)
+		var listed ordset.Bits
+		listed.Grow(l.Blocks())
+		for _, sn := range l.chain {
+			d := &sn.d
+			if len(d.at) != d.lbas.Len() || len(d.ptrs) != len(d.at) {
+				return fmt.Errorf("%s@%s: %d LBAs in the delta's set, %d listed, %d pairs", l.Name, sn.Name, d.lbas.Len(), len(d.at), len(d.ptrs))
 			}
+			for k, lba := range d.at {
+				switch {
+				case lba >= l.Blocks():
+					return fmt.Errorf("%s@%s holds LBA %d of a %d-block LUN", l.Name, sn.Name, lba, l.Blocks())
+				case !d.lbas.Has(lba) || !listed.Add(lba):
+					return fmt.Errorf("%s@%s lists LBA %d twice or outside its set", l.Name, sn.Name, lba)
+				}
+				if err := visit(li, lba, d.ptrs[k]); err != nil {
+					return err
+				}
+			}
+			listed.Clear()
 		}
 	}
-	snapOnly := 0
-	for virt, h := range census {
-		rc := int(v.rc.get(virt))
-		if h.l.blocks[h.lba].virt == virt {
-			if shared := int(h.l.shared.get(uint64(h.lba))); h.n != 1+shared || rc != 0 {
-				return fmt.Errorf("virtual %v, active at %s[%d]: census %d, shared %d, rc %d", virt, h.l.Name, h.lba, h.n, shared, rc)
+	slices.SortFunc(counted, func(a, b entry) int { return cmp.Compare(a.virt, b.virt) })
+	rcPairs := make([]int, len(luns))
+	for i, j := 0, 0; i < len(counted); i = j {
+		e := counted[i]
+		for j = i; j < len(counted) && counted[j].virt == e.virt; j++ {
+			if o := counted[j]; o.lun != e.lun || o.lba != e.lba {
+				return fmt.Errorf("virtual %v held at %s[%d] and at %s[%d]", e.virt, luns[e.lun].Name, e.lba, luns[o.lun].Name, o.lba)
 			}
-		} else if snapOnly++; h.n != rc {
-			return fmt.Errorf("virtual %v, snapshot-only: rc %d, census %d", virt, rc, h.n)
 		}
-		if !v.bm.Test(virt) {
-			return fmt.Errorf("virtual %v referenced but not allocated", virt)
+		if n := int(v.rc.get(e.virt)); j-i != 1+n {
+			return fmt.Errorf("virtual %v at %s[%d]: %d entries, rc count %d", e.virt, luns[e.lun].Name, e.lba, j-i, n)
 		}
+		rcPairs[e.lun]++
 	}
-	if snapOnly != v.rc.Len() || len(census) != v.live {
-		return fmt.Errorf("census %d pairs (%d snapshot-only), live count %d, rc table %d", len(census), snapOnly, v.live, v.rc.Len())
+	held := 0
+	for li, l := range luns {
+		if l.rcPairs != rcPairs[li] {
+			return fmt.Errorf("%s claims %d pairs with an rc count, holds %d", l.Name, l.rcPairs, rcPairs[li])
+		}
+		held += rcPairs[li]
+	}
+	if held != v.rc.Len() {
+		return fmt.Errorf("rc table holds %d pairs, %d held pairs have a count", v.rc.Len(), held)
+	}
+	if pairs != v.live {
+		return fmt.Errorf("census %d pairs, live count %d", pairs, v.live)
 	}
 	// Blocks queued for delayed free are still allocated in the bitmap but
 	// referenced by nobody.
-	if uint64(len(census)+v.PendingFrees()) != v.bm.Used() {
-		return fmt.Errorf("census %d + pending %d blocks, bitmap used %d",
-			len(census), v.PendingFrees(), v.bm.Used())
+	if uint64(pairs+v.PendingFrees()) != v.bm.Used() {
+		return fmt.Errorf("census %d + pending %d blocks, bitmap used %d", pairs, v.PendingFrees(), v.bm.Used())
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -178,12 +179,25 @@ func TestRestoreSnapshot(t *testing.T) {
 	}
 }
 
-// The point of keeping the active image's reference implicit: a LUN that never
-// had a snapshot has no count anywhere, however long it is aged.
+// rc belongs to restores: a LUN that is never restored allocates no count
+// page, however long it is aged, punched, snapshotted and written under its
+// snapshots. A restore counts the pairs it stores twice, and deleting the
+// snapshots takes every count back.
 func TestNoSnapshotNoCounts(t *testing.T) {
 	s, lun := agedSystem(t, DefaultTunables(), 31)
+	vol := s.Agg.Vols()[0]
 	rng := rand.New(rand.NewSource(32))
 	for cp := 0; cp < 10; cp++ {
+		if cp%3 == 0 {
+			if _, err := s.CreateSnapshot(lun, strconv.Itoa(cp)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cp == 7 {
+			if _, err := s.DeleteSnapshot(lun, "3"); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for i := 0; i < 4096; i++ {
 			s.Write(lun, uint64(rng.Intn(int(lun.Blocks())-1)), 2)
 		}
@@ -192,9 +206,8 @@ func TestNoSnapshotNoCounts(t *testing.T) {
 	if _, err := s.PunchHoles(lun, func(lba uint64) bool { return lba%7 == 0 }); err != nil {
 		t.Fatal(err)
 	}
-	vol := s.Agg.Vols()[0]
-	if vol.rc.Len() != 0 || len(vol.rc.free) != 0 || lun.shared.planes != nil {
-		t.Fatalf("rc holds %d pairs, %d counter pages were made, shared has %d planes", vol.rc.Len(), len(vol.rc.free), len(lun.shared.planes))
+	if vol.rc.Len() != 0 || len(vol.rc.free) != 0 || lun.rcPairs != 0 {
+		t.Fatalf("rc holds %d pairs, %d counter pages were made, the LUN claims %d", vol.rc.Len(), len(vol.rc.free), lun.rcPairs)
 	}
 	for i, p := range vol.rc.dir {
 		if p != nil {
@@ -204,32 +217,49 @@ func TestNoSnapshotNoCounts(t *testing.T) {
 	if err := vol.CheckRefcounts(); err != nil {
 		t.Fatal(err)
 	}
-	// And the planes go with the last snapshot.
-	s.CreateSnapshot(lun, "x")
-	s.CreateSnapshot(lun, "y")
-	if len(lun.shared.planes) != 2 {
-		t.Fatalf("two snapshots, %d planes", len(lun.shared.planes))
+	if err := s.RestoreSnapshot(lun, "0"); err != nil {
+		t.Fatal(err)
 	}
-	s.DeleteSnapshot(lun, "x")
-	s.DeleteSnapshot(lun, "y")
-	if lun.shared.planes != nil || vol.rc.Len() != 0 {
-		t.Fatalf("last snapshot gone: %d planes, rc holds %d", len(lun.shared.planes), vol.rc.Len())
+	if vol.rc.Len() == 0 || lun.rcPairs != vol.rc.Len() {
+		t.Fatalf("after a restore past two snapshots: rc holds %d pairs, the LUN claims %d", vol.rc.Len(), lun.rcPairs)
+	}
+	if err := vol.CheckRefcounts(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range lun.SnapshotNames() {
+		if _, err := s.DeleteSnapshot(lun, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if vol.rc.Len() != 0 || lun.rcPairs != 0 || len(lun.chain) != 0 {
+		t.Fatalf("last snapshot gone: rc holds %d, the LUN claims %d, %d deltas", vol.rc.Len(), lun.rcPairs, len(lun.chain))
+	}
+	if err := vol.CheckRefcounts(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// Every invariant CheckRefcounts states fails it when broken.
+// Every invariant CheckRefcounts states fails it when broken. The fixture
+// leaves LBAs 0–7 of LUN a with a pair stored twice (by the restore, then
+// moved into y's delta by the overwrite) and one count each.
 func TestCheckRefcountsCatches(t *testing.T) {
 	for name, corrupt := range map[string]func(s *System, a, b *LUN){
-		"a second holder at another LBA":     func(s *System, a, b *LUN) { a.Snapshot("x").blocks[9] = a.blocks[8] },
-		"a second holder on another LUN":     func(s *System, a, b *LUN) { b.blocks[8] = a.Snapshot("x").blocks[8] },
-		"an active pair with too few shared": func(s *System, a, b *LUN) { a.shared.take(20) },
-		"an active pair in the table":        func(s *System, a, b *LUN) { a.vol.rc.set(a.blocks[20].virt, 1) },
-		"a snapshot-only pair miscounted":    func(s *System, a, b *LUN) { a.vol.rc.unref(a.Snapshot("x").blocks[3].virt) },
-		"a snapshot-only pair missing":       func(s *System, a, b *LUN) { a.vol.rc.remove(a.Snapshot("y").blocks[3].virt) },
-		"a shared count at an unwritten LBA": func(s *System, a, b *LUN) { a.shared.put(150, 1) },
-		"a table entry nobody holds":         func(s *System, a, b *LUN) { a.vol.rc.set(4000, 2) },
-		"a live count that drifted":          func(s *System, a, b *LUN) { a.vol.live++ },
-		"a held pair freed":                  func(s *System, a, b *LUN) { a.vol.bm.Clear(a.blocks[20].virt) },
+		"a pair in two deltas with no count": func(s *System, a, b *LUN) { a.vol.rc.remove(a.Snapshot("x").d.ptrs[3].virt) },
+		"a delta entry at a second LBA": func(s *System, a, b *LUN) {
+			d := &a.Snapshot("y").d
+			d.lbas.Delete(3)
+			d.lbas.Add(30)
+			d.at[3] = 30
+		},
+		"a second holder on another LUN":   func(s *System, a, b *LUN) { b.blocks[7] = a.Snapshot("x").d.ptrs[7] },
+		"a second holder in the active":    func(s *System, a, b *LUN) { a.blocks[9] = a.blocks[8] },
+		"a count on a pair stored once":    func(s *System, a, b *LUN) { a.vol.rc.set(a.blocks[20].virt, 1) },
+		"a count nobody holds":             func(s *System, a, b *LUN) { a.vol.rc.set(4000, 2) },
+		"a LUN's claim of counts drifted":  func(s *System, a, b *LUN) { a.rcPairs-- },
+		"a delta LBA beyond the LUN":       func(s *System, a, b *LUN) { a.Snapshot("x").d.add(250, blockPtr{block.InvalidVBN, block.InvalidVBN}) },
+		"a delta LBA missing from its set": func(s *System, a, b *LUN) { a.Snapshot("x").d.lbas.Delete(5) },
+		"a live count that drifted":        func(s *System, a, b *LUN) { a.vol.live++ },
+		"a held pair freed":                func(s *System, a, b *LUN) { a.vol.bm.Clear(a.blocks[20].virt) },
 	} {
 		s := testSystem(t, DefaultTunables())
 		vol := s.Agg.Vols()[0]
@@ -238,12 +268,15 @@ func TestCheckRefcountsCatches(t *testing.T) {
 		s.Write(b, 0, 100)
 		s.CP()
 		s.CreateSnapshot(a, "x")
-		s.Write(a, 0, 8) // x alone holds the old LBAs 0–7, twice over once y exists
+		s.Write(a, 0, 8) // x alone holds the old LBAs 0–7
 		s.CP()
-		s.RestoreSnapshot(a, "x")
+		s.RestoreSnapshot(a, "x") // ... and the active image again
 		s.CreateSnapshot(a, "y")
-		s.Write(a, 0, 8)
+		s.Write(a, 0, 8) // which y's delta takes over
 		s.CP()
+		if len(a.Snapshot("x").d.at) != 8 || len(a.Snapshot("y").d.at) != 8 || vol.rc.Len() != 8 {
+			t.Fatalf("fixture: deltas of %d and %d LBAs, %d counts", len(a.Snapshot("x").d.at), len(a.Snapshot("y").d.at), vol.rc.Len())
+		}
 		if err := vol.CheckRefcounts(); err != nil {
 			t.Fatalf("before %s: %v", name, err)
 		}
@@ -293,28 +326,34 @@ func TestNoSnapshot(t *testing.T) {
 	snapshotErrorLeavesClean(t, s, s.RestoreSnapshot(lun, "nope"), ErrNoSnapshot)
 }
 
-// A LUN's counts are 16 bits wide, so its 65 536th snapshot is refused — and
-// the 65 535 before it count right.
+// A LUN holds at most 65 535 snapshots — a restored pair's count is 16 bits
+// wide — so the next one is refused. The 65 535 before it cost nothing per
+// LBA: an overwrite under them all is one entry in the newest delta, which
+// every older snapshot resolves through, and a first write one unwritten
+// marker.
 func TestTooManySnapshots(t *testing.T) {
 	s := testSystem(t, DefaultTunables())
-	lun := s.Agg.Vols()[0].CreateLUN("lun0", 70)
+	vol := s.Agg.Vols()[0]
+	lun := vol.CreateLUN("lun0", 70)
 	s.Write(lun, 3, 66)
 	s.CP()
+	old := lun.blocks[68]
 	for i := 0; i < math.MaxUint16; i++ {
 		if _, err := s.CreateSnapshot(lun, strconv.Itoa(i)); err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
 	}
-	if len(lun.shared.planes) != 16 || lun.shared.get(68) != math.MaxUint16 || lun.shared.get(69) != 0 {
-		t.Fatalf("%d planes, counts %d and %d after 65535 snapshots", len(lun.shared.planes), lun.shared.get(68), lun.shared.get(69))
-	}
 	_, err := s.CreateSnapshot(lun, "one more")
 	snapshotErrorLeavesClean(t, s, err, ErrTooManySnapshots)
-	// All of them hold the overwritten pair, none the new one.
-	s.Write(lun, 68, 1)
+	s.Write(lun, 68, 2)
 	s.CP()
-	if got := s.Agg.Vols()[0].rc.get(lun.Snapshot("0").blocks[68].virt); got != math.MaxUint16 || lun.shared.get(68) != 0 {
-		t.Fatalf("overwritten pair has %d holders in rc, the new one %d shared", got, lun.shared.get(68))
+	newest := lun.Snapshot(strconv.Itoa(math.MaxUint16 - 1))
+	if d := newest.d; len(d.at) != 2 || d.ptrs[0] != old || d.ptrs[1].virt != block.InvalidVBN || vol.rc.Len() != 0 {
+		t.Fatalf("newest delta holds %v at LBAs %v, rc %d pairs; want the old pair and the unwritten marker", d.ptrs, d.at, vol.rc.Len())
+	}
+	first := lun.Snapshot("0")
+	if img := snapImage(first); img[68] != old || img[69].virt != block.InvalidVBN || first.Blocks() != 66 {
+		t.Fatalf("the oldest snapshot reads %v and %v at LBAs 68–69 and holds %d blocks", img[68], img[69], first.Blocks())
 	}
 	if freed, err := s.DeleteSnapshot(lun, "17"); freed != 0 || err != nil {
 		t.Fatalf("delete: freed %d, err %v", freed, err)
@@ -322,7 +361,7 @@ func TestTooManySnapshots(t *testing.T) {
 	if _, err := s.CreateSnapshot(lun, "one more"); err != nil {
 		t.Fatalf("create after a delete made room: %v", err)
 	}
-	if err := s.Agg.Vols()[0].CheckRefcounts(); err != nil {
+	if err := vol.CheckRefcounts(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -398,8 +437,7 @@ func TestCleanerRelocatesSnapshotBlocks(t *testing.T) {
 	_ = st
 	// Snapshot pointers must have followed any relocations: every snapshot
 	// physical block is still allocated.
-	sn := lun.Snapshot("pinned")
-	for _, p := range sn.blocks {
+	for _, p := range snapImage(lun.Snapshot("pinned")) {
 		if p.phys != block.InvalidVBN && !s.Agg.bm.Test(p.phys) {
 			t.Fatalf("snapshot references freed physical %v", p.phys)
 		}
@@ -440,6 +478,14 @@ func TestSnapshotDeleteImprovesBestAA(t *testing.T) {
 	if err := s.Agg.Vols()[0].CheckRefcounts(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// snapImage materializes a snapshot's image: the active one with the deltas
+// from the snapshot on laid over it.
+func snapImage(sn *Snapshot) []blockPtr {
+	img := slices.Clone(sn.lun.blocks)
+	sn.lun.resolve(sn, func(lba uint64, p blockPtr) { img[lba] = p })
+	return img
 }
 
 // checkConsistencyWithSnapshots relaxes checkConsistency's "aggregate used

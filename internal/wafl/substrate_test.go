@@ -27,7 +27,7 @@ func recovered(fn func()) (msg string) {
 }
 
 // refModel is the map-backed refcount table as FlexVol had it, panics
-// included, under the operations the snapshot-only table keeps.
+// included, under the operations the restore's count table keeps.
 type refModel map[block.VBN]uint16
 
 func (m refModel) set(v block.VBN, n uint16) {
@@ -129,85 +129,14 @@ func FuzzRefTable(f *testing.F) {
 	})
 }
 
-// A 16-bit count must refuse its 65536th holder, not wrap to zero: the sliced
-// counter has no seventeenth plane, and the table takes no count of zero.
+// A 16-bit count must refuse its 65536th holder, not wrap to zero: the table
+// takes no count of zero.
 func TestRefTableOverflowPanics(t *testing.T) {
-	c := sliced{words: 2}
-	c.put(70, math.MaxUint16-1)
-	c.add(1, 1<<6|1<<9)
-	if c.get(70) != math.MaxUint16 || c.get(73) != 1 || len(c.planes) != 16 {
-		t.Fatalf("counts %d and %d in %d planes", c.get(70), c.get(73), len(c.planes))
-	}
-	if msg := recovered(func() { c.add(1, 1<<6) }); msg == "" {
-		t.Fatal("holder 65536 did not panic")
-	}
 	tab := newRefTable(10)
-	if msg := recovered(func() { tab.set(7, 0) }); msg == "" || tab.Len() != 0 {
+	tab.set(7, math.MaxUint16)
+	n := tab.remove(7)
+	if msg := recovered(func() { tab.set(7, n+1) }); msg == "" || tab.Len() != 0 {
 		t.Fatalf("set to a wrapped count: panic %q, Len %d", msg, tab.Len())
-	}
-}
-
-// TestSlicedCounterMatchesArray drives the bit-sliced counter and a plain
-// []uint16 with the same word-wide adds and subs and per-LBA takes and puts,
-// at sizes around the word boundaries.
-func TestSlicedCounterMatchesArray(t *testing.T) {
-	values := []uint16{0, 1, 2, 3, 255, math.MaxUint16}
-	for _, n := range []int{1, 63, 64, 65, 4097} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		c, ref := sliced{words: (n + 63) / 64}, make([]uint16, n)
-		if c.take(uint64(n-1)) != 0 || c.planes != nil {
-			t.Fatalf("n=%d: take on an empty counter made planes", n)
-		}
-		valid := func(w int) uint64 { // the LBAs of word w that exist
-			if rest := n - w*64; rest < 64 {
-				return 1<<rest - 1
-			}
-			return math.MaxUint64
-		}
-		for step := 0; step < 4000; step++ {
-			w := rng.Intn(c.words)
-			i := rng.Intn(n)
-			switch op := rng.Intn(4); op {
-			case 0, 1: // add or sub over one word, the next word too half the time
-				for end := min(w+1+rng.Intn(2), c.words); w < end; w++ {
-					mask := rng.Uint64() & rng.Uint64() & valid(w)
-					for j := 0; j < 64; j++ {
-						if v := ref[min(w*64+j, n-1)]; mask>>j&1 != 0 && (op == 0 && v == math.MaxUint16 || op == 1 && v == 0) {
-							mask &^= 1 << j
-						}
-					}
-					for j := 0; j < 64; j++ {
-						if mask>>j&1 != 0 {
-							ref[w*64+j] += uint16(1 - 2*op)
-						}
-					}
-					if op == 0 {
-						c.add(w, mask)
-					} else {
-						c.sub(w, mask)
-					}
-				}
-			case 2:
-				if got := c.take(uint64(i)); got != ref[i] {
-					t.Fatalf("n=%d step %d: take(%d) = %d, want %d", n, step, i, got, ref[i])
-				}
-				ref[i] = 0
-			case 3:
-				c.take(uint64(i))
-				ref[i] = values[rng.Intn(len(values))]
-				c.put(uint64(i), ref[i])
-			}
-			for j, want := range ref {
-				if got := c.get(uint64(j)); got != want {
-					t.Fatalf("n=%d step %d: count[%d] = %d, want %d", n, step, j, got, want)
-				}
-			}
-		}
-		last := uint64(n - 1)
-		c.take(last)
-		if msg := recovered(func() { c.sub(c.words-1, 1<<(last%64)) }); msg == "" {
-			t.Fatalf("n=%d: decrement of a zero count did not panic", n)
-		}
 	}
 }
 

@@ -29,14 +29,15 @@ type System struct {
 	opsSinceCP    int
 
 	// Scratch reused from call to call: the alloc stage's VBN lists and the
-	// LBAs and old pairs it swaps them in over, and Read's per-op block runs
-	// and device-leaf durations.
+	// LBAs and old pairs it swaps them in over, Read's per-op block runs and
+	// device-leaf durations, and what DeleteSnapshot orders a delta through.
 	virtBuf, physBuf []block.VBN
 	lbaBuf           []uint64
 	oldBuf           []blockPtr
 	poolRun          []block.VBN
 	readRuns         []readRun
 	readLeaves       []readLeaf
+	snapScratch      deltaScratch
 
 	c Counters
 	// cpWall accumulates the modeled flush wall-clock (CPStats.FlushWall)

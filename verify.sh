@@ -72,10 +72,10 @@ if grep -n 'slices\.Sort(\|sort\.' internal/raid/raid.go internal/wafl/ledger.go
 fi
 
 # Structural gate, the active image's reference is implicit (DESIGN.md §14):
-# an overwrite on a LUN without snapshots takes its zero shared count and
-# frees the old pair; only a nonzero count goes into the snapshot-only table,
-# through dropActive in snapshot.go. The per-block loop of the alloc stage
-# must not find its own way back into the table.
+# an overwrite frees the old pair or moves it into the newest snapshot's
+# delta, through dropActive in snapshot.go; the count table is touched only
+# for pairs a restore stored twice. The per-block loop of the alloc stage
+# must not find its own way into the table.
 if grep -n 'refNew\|\.rc\.' internal/wafl/pipeline.go; then
     echo "internal/wafl/pipeline.go reaches into the refcount table; go through dropActive" >&2
     exit 1
@@ -108,6 +108,22 @@ if body internal/obs/tsdb/tsdb.go '(s \*Store) Sample(' | grep -n '" *+\|+ *"'; 
     echo "tsdb.Store.Sample builds a series name per call; resolve it once into Store.sampled" >&2
     exit 1
 fi
+# Structural gate, snapshots that cost what they diverge (DESIGN.md §14): a
+# snapshot keeps a delta of the pointers the next newer image dropped, so it
+# holds no full image copy, the bit-sliced per-LBA counter of the copies is
+# gone, and creating one touches no LBA.
+if sed -n '/^type Snapshot struct/,/^}/p' internal/wafl/snapshot.go | grep -n 'blocks'; then
+    echo "Snapshot holds a full image again; keep a delta (snapDelta)" >&2
+    exit 1
+fi
+if grep -rn 'type sliced' internal/wafl; then
+    echo "the sliced per-LBA snapshot counter is back" >&2
+    exit 1
+fi
+if body internal/wafl/snapshot.go '(s \*System) CreateSnapshot(' | grep -n 'range l\.blocks'; then
+    echo "CreateSnapshot walks the LUN; it should append an empty delta" >&2
+    exit 1
+fi
 # Structural gate, devices do not observe (DESIGN.md §17): the device models
 # keep their own DiskStats and nothing switches a per-I/O histogram on, so the
 # package stays clear of the observability layer.
@@ -120,6 +136,8 @@ fi
 test -n "$(body internal/bitmap/bitmap.go '(b \*Bitmap) ForEachFreeRun(')"
 test -n "$(body internal/obs/registry.go '(r \*Registry) snapshot(')"
 test -n "$(body internal/obs/tsdb/tsdb.go '(s \*Store) Sample(')"
+test -n "$(body internal/wafl/snapshot.go '(s \*System) CreateSnapshot(')"
+test -n "$(sed -n '/^type Snapshot struct/,/^}/p' internal/wafl/snapshot.go)"
 
 go build ./...
 go vet ./...
