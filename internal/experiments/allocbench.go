@@ -88,7 +88,7 @@ func RunAllocBench(cfg Config, w io.Writer) AllocBench {
 
 		// Measurement phase: counters (including the per-shard busy
 		// vectors) restart at zero, then a uniform overwrite burst drives
-		// steady-state picks with frees landing in the ledgers.
+		// steady-state picks with frees landing in the delta ledger.
 		s.ResetMetrics()
 		workload.RandomOverwrite(s, []*wafl.LUN{lun}, rng, int(lunBlocks/2), 1)
 		s.CP()

@@ -308,11 +308,7 @@ type CPStats struct {
 // physical-bitmap write-back — run serially after the barrier, in group
 // order. Per-volume CP work (delta fold + virtual-bitmap write-back) fans
 // out the same way, since each volume owns its bitmap and HBPS.
-//
-// idleFoldRows makes every cache-enabled space emit its cp.fold.* trace
-// row even when its bank is empty — the depth-1 stream's shape; a depth-2
-// generation reports only the spaces it touched.
-func (ag *Aggregate) commitSealed(idleFoldRows bool) CPStats {
+func (ag *Aggregate) commitSealed() CPStats {
 	var st CPStats
 	workers := ag.workers()
 
@@ -326,7 +322,7 @@ func (ag *Aggregate) commitSealed(idleFoldRows bool) CPStats {
 		g := ag.groups[i]
 		busy[i] = g.flushSealed()
 		ag.st.Emit("cp.flush", i, "group", busy[i], 0)
-		g.foldSealed(idleFoldRows)
+		g.foldSealed()
 	})
 	ag.faults.EnterPhase(faultinject.PhaseTopAAGroups)
 	for i, g := range ag.groups {
@@ -346,7 +342,7 @@ func (ag *Aggregate) commitSealed(idleFoldRows bool) CPStats {
 		st.DeviceBusy += poolBusy
 		busy = append(busy, poolBusy) // the object store flushes alongside the groups
 		ag.st.Emit("cp.flush", poolShard, "pool", poolBusy, 0)
-		ag.pool.space.foldSealed(idleFoldRows)
+		ag.pool.space.foldSealed()
 		ag.store.SaveAgnostic(poolTopAAKey, ag.pool.space.cache)
 		st.TopAABlocks += 2
 		ag.st.Emit("cp.topaa", poolShard, "pool", 0, 2)
@@ -360,7 +356,7 @@ func (ag *Aggregate) commitSealed(idleFoldRows bool) CPStats {
 	volPages := make([]int, len(ag.vols))
 	parallel.ForEachObs(workers, len(ag.vols), ag.pobs, func(i int) {
 		v := ag.vols[i]
-		v.space.foldSealed(idleFoldRows)
+		v.space.foldSealed()
 		volPages[i] = v.bm.Flush()
 	})
 	ag.faults.EnterPhase(faultinject.PhaseTopAAVols)
@@ -579,7 +575,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			g.seedOnly = false
 			groupStats[i].inserts += uint64(len(g.scores))
 		}
-		resetPicks(g.as, g.q, g.cache)
+		g.q.Reset(g.cache)
 		groupStats[i].outcome = outcome
 		ag.st.Emit("mount.group", i, outcome.String(), 0, int64(groupStats[i].inserts))
 	})
@@ -621,7 +617,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			sp.replenish()
 			spaceStats[i].inserts += uint64(sp.topo.NumAAs())
 		}
-		resetPicks(sp.as, sp.q, sp.cache)
+		sp.q.Reset(sp.cache)
 		spaceStats[i].outcome = outcome
 		ag.st.Emit("mount.space", sp.shard, outcome.String(), 0, int64(spaceStats[i].inserts))
 	})
@@ -691,7 +687,7 @@ func (ag *Aggregate) RepairTopAA() int {
 		err := ag.store.SaveRAIDAware(g.key, g.cache)
 		// Rebind the pick queue to the repaired cache after the save, so the
 		// metafile holds the complete score set.
-		resetPicks(g.as, g.q, g.cache)
+		g.q.Reset(g.cache)
 		if err != nil {
 			// Bitmap-derived scores always fit the encoding; an error here
 			// would mean the topology itself is unencodable, which the
@@ -703,7 +699,7 @@ func (ag *Aggregate) RepairTopAA() int {
 	for _, sp := range ag.agnosticSpaces() {
 		sp.replenish()
 		ag.store.SaveAgnostic(sp.name, sp.cache)
-		resetPicks(sp.as, sp.q, sp.cache)
+		sp.q.Reset(sp.cache)
 		repaired++
 	}
 	return repaired

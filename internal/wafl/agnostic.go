@@ -29,7 +29,7 @@ type agnosticSpace struct {
 
 	// The pick path (allocctx.go): q stages the HBPS list's front into
 	// per-shard batches — at depth 0, AllocShards ≤ 1, it is the list's own
-	// PopBest — and as holds the shard ledgers and the modeled busy vectors.
+	// PopBest — and as holds the modeled busy vectors.
 	q  *shardq.Queue[aa.ID]
 	as *allocState
 
@@ -100,7 +100,7 @@ func newAgnosticSpace(name string, space block.Range, bm *bitmap.Bitmap, tun Tun
 		bm:           bm,
 		cacheEnabled: enabled,
 		workers:      tun.Workers,
-		as:           newAllocState(tun, topo.NumAAs()),
+		as:           newAllocState(tun),
 		deltas:       newDeltaLedger(topo.NumAAs()),
 		flushDeltas:  newDeltaLedger(topo.NumAAs()),
 		rng:          rng,
@@ -114,13 +114,13 @@ func newAgnosticSpace(name string, space block.Range, bm *bitmap.Bitmap, tun Tun
 	return s
 }
 
-// pendingDelta is the total pending score delta for id: the shared ledger
-// plus every shard ledger plus the sealed flush bank (the quantity the
-// scrub invariant subtracts). Including the sealed bank keeps the scrub
-// and watchdog invariants valid mid-pipeline: a sealed delta is still a
-// bitmap mutation the cache has not yet seen.
+// pendingDelta is the total pending score delta for id: the open ledger
+// plus the sealed flush bank (the quantity the scrub invariant subtracts).
+// Including the sealed bank keeps the scrub and watchdog invariants valid
+// mid-pipeline: a sealed delta is still a bitmap mutation the cache has not
+// yet seen.
 func (s *agnosticSpace) pendingDelta(id aa.ID) int64 {
-	return s.as.pending(id, s.deltas) + s.flushDeltas.get(id)
+	return s.deltas.get(id) + s.flushDeltas.get(id)
 }
 
 func (s *agnosticSpace) aaScore(id aa.ID) uint32 {
@@ -172,7 +172,6 @@ func (s *agnosticSpace) pick() bool {
 	}
 	s.observePick(shard, id, score, p, claimed)
 	s.cacheOps += stageAhead(s.as, s.q, shard)
-	s.as.curShard = shard
 	s.curAA = id
 	s.curValid = true
 	seg := s.topo.Segment(id)
@@ -193,7 +192,6 @@ func (s *agnosticSpace) replenish() {
 	s.bm.ChargeScan(s.topo.Space())
 	s.deltas.clear()
 	s.flushDeltas.clear()
-	s.as.clearLedgers()
 	s.scores = aa.ScoresObs(s.scores, s.topo, s.bm, s.workers, s.pobs, s.scored)
 	s.cache.Replenish(func(yield func(aa.ID, uint32)) {
 		for id, sc := range s.scores {
@@ -227,7 +225,7 @@ func (s *agnosticSpace) allocate(dst []block.VBN, n int) []block.VBN {
 			continue
 		}
 		s.bm.Set(v)
-		s.as.noteAlloc(s.curAA, s.deltas)
+		s.deltas.add(s.curAA, -1)
 		s.scannedBlocks += uint64(v-s.cursor) + 1
 		s.allocatedBlocks++
 		s.cursor = v + 1
@@ -247,17 +245,14 @@ func (s *agnosticSpace) free(v block.VBN) {
 		return
 	}
 	s.bm.Clear(v)
-	s.as.noteFree(s.topo.AAOf(v), s.deltas)
+	s.deltas.add(s.topo.AAOf(v), 1)
 }
 
-// sealCPDeltas closes the open generation's ledger: shard ledgers fold into
-// the shared one (shard-index order, ascending IDs within each shard, so the
-// totals are identical at any worker width), then it swaps with the flush
+// sealCPDeltas closes the open generation's ledger: it swaps with the flush
 // bank — empty here, since the previous generation's fold drained it. New
 // writes accumulate into the other ledger while the sealed bank waits for
 // foldSealed at the generation's commit.
 func (s *agnosticSpace) sealCPDeltas() {
-	s.as.fold(s.deltas)
 	s.deltas, s.flushDeltas = s.flushDeltas, s.deltas
 	s.q.AdvanceGen()
 }
@@ -265,27 +260,24 @@ func (s *agnosticSpace) sealCPDeltas() {
 // foldSealed folds the sealed generation's delta bank into the HBPS when
 // its flush commits. The HBPS stores no per-AA scores, so the current
 // listed score is derived from the authoritative bitmap count minus every
-// delta the cache has not seen (shard ledgers + open ledger — none at depth 1,
-// where the seal was a moment ago); subtracting the sealed delta from that
+// delta the cache has not seen (the open ledger — empty at depth 1, where
+// the seal was a moment ago); subtracting the sealed delta from that
 // gives the score the entry was listed at. Both are provably non-negative —
 // a violation means ledger corruption. Updates are applied in AA order: the
 // HBPS pop order breaks score ties by insertion sequence, so folding in any
-// other order would change allocation decisions. An entry whose delta came
-// to zero moves no score and costs nothing. idleRow as for Group.foldSealed.
-func (s *agnosticSpace) foldSealed(idleRow bool) {
+// other order would change allocation decisions. A space whose bank is empty
+// emits no trace row.
+func (s *agnosticSpace) foldSealed() {
 	if !s.cacheEnabled {
 		s.flushDeltas.clear()
 		return
 	}
-	if s.flushDeltas.len() == 0 && !idleRow {
+	if s.flushDeltas.len() == 0 {
 		return
 	}
 	var folds int64
 	s.flushDeltas.drain(func(id aa.ID, d int64) {
-		if d == 0 {
-			return
-		}
-		cur := int64(s.aaScore(id)) - s.as.pending(id, s.deltas)
+		cur := int64(s.aaScore(id)) - s.deltas.get(id)
 		old := cur - d
 		if cur < 0 || old < 0 {
 			panic(fmt.Sprintf("wafl: %s AA %d sealed delta %d implies negative score (cur %d)", s.name, id, d, cur))

@@ -4,27 +4,21 @@ import (
 	"fmt"
 	"time"
 
-	"waflfs/internal/aa"
 	"waflfs/internal/parallel"
 	"waflfs/internal/shardq"
 )
 
-// Allocation contexts: what one space's pick path charges and where its
-// score deltas accumulate.
+// Allocation contexts: what one space's pick path charges.
 //
 // Every cached space picks through one staging queue (internal/shardq,
 // DESIGN.md §9) whose depth is Tunables.AllocShards: at depth 0 (AllocShards
-// ≤ 1) a pick is the cache's own PopBest — the paper's direct pick — and
-// score deltas go straight to the shared delta ledger. With AllocShards > 1
-// picks come out of per-shard batches staged off the shared heap/HBPS and
-// deltas accumulate in per-shard ledgers. The shard for each pick is
-// seq % shards — a fixed assignment keyed by (space, pick sequence),
-// independent of the Workers knob — so the pick stream, every staged batch,
-// and every folded delta are bit-identical at any worker width. Ledgers fold
-// into the shared delta ledger in shard-index order (ascending IDs within a
-// shard) when the CP seals the generation (sealCP / sealCPDeltas), so the
-// flush-time fold observes exactly the totals the direct path would have
-// accumulated.
+// ≤ 1) a pick is the cache's own PopBest — the paper's direct pick. With
+// AllocShards > 1 picks come out of per-shard batches staged off the shared
+// heap/HBPS. The shard for each pick is seq % shards — a fixed assignment
+// keyed by (space, pick sequence), independent of the Workers knob — so the
+// pick stream and every staged batch are bit-identical at any worker width.
+// Score deltas do not depend on the shard: at every depth they are sums in
+// the space's one delta ledger, folded into the cache when the CP commits.
 //
 // Contention is modeled, not measured: picks execute serially on the CP
 // thread (like FlushWall's flush tasks), and each shard's pick time
@@ -47,15 +41,7 @@ func (t Tunables) allocBatch() int {
 
 type allocState struct {
 	shards int
-
-	seq      uint64 // picks issued; shard = seq % shards
-	curShard int    // shard of the in-flight pick (noteAlloc target)
-
-	// ledgers[s] holds shard s's pending score deltas (frees positive,
-	// allocations negative), folded into the shared delta ledger at CP
-	// boundaries. AllocShards ≤ 1 has no shard ledgers — deltas go straight
-	// to the shared one.
-	ledgers []*deltaLedger
+	seq    uint64 // picks issued; shard = seq % shards
 
 	pickBusy   []time.Duration // modeled shard-local pick time
 	refillBusy time.Duration   // pipelined staging (hidden behind picks)
@@ -65,25 +51,12 @@ type allocState struct {
 	localPicks uint64 // picks served shard-locally (no shared touch)
 	stalls     uint64 // synchronous refills on an empty shard
 	staged     uint64 // entries moved shared→shard by pipelined staging
-	dupSkips   uint64 // duplicate IDs discarded while staging (HBPS)
-	folds      uint64 // ledger entries folded at CP boundaries
 }
 
-// newAllocState sizes the shard ledgers for a space of numAAs allocation
-// areas.
-func newAllocState(tun Tunables, numAAs int) *allocState {
+// newAllocState sizes the per-shard busy vectors (one at depth 0).
+func newAllocState(tun Tunables) *allocState {
 	n := max(tun.AllocShards, 1)
-	as := &allocState{
-		shards:   n,
-		pickBusy: make([]time.Duration, n),
-	}
-	if n > 1 {
-		as.ledgers = make([]*deltaLedger, n)
-		for i := range as.ledgers {
-			as.ledgers[i] = newDeltaLedger(numAAs)
-		}
-	}
-	return as
+	return &allocState{shards: n, pickBusy: make([]time.Duration, n)}
 }
 
 // queueDepth is the depth of the space's staging queue: the stripe width
@@ -134,74 +107,6 @@ func stageAhead[E any](as *allocState, q *shardq.Queue[E], shard int) uint64 {
 	return uint64(n)
 }
 
-// resetPicks rebinds a space's pick queue to its current cache object and
-// drops all shard-ledger state. Called wherever the cache is replaced or
-// rebuilt wholesale (remount, repair): what the queue held belonged to the
-// old object, and pre-crash deltas are gone.
-func resetPicks[E any](as *allocState, q *shardq.Queue[E], cache shardq.Backing[E]) {
-	as.clearLedgers()
-	q.Reset(cache)
-}
-
-// note records one score delta: shard-local ledger when striped (the
-// in-flight pick's shard for allocations; id-keyed for frees so a block
-// freed between CPs lands in a deterministic ledger regardless of which
-// pick is in flight), shared ledger otherwise.
-func (as *allocState) noteAlloc(id aa.ID, deltas *deltaLedger) {
-	if len(as.ledgers) > 0 {
-		deltas = as.ledgers[as.curShard]
-	}
-	deltas.add(id, -1)
-}
-
-func (as *allocState) noteFree(id aa.ID, deltas *deltaLedger) {
-	if len(as.ledgers) > 0 {
-		deltas = as.ledgers[int(uint64(id)%uint64(as.shards))]
-	}
-	deltas.add(id, 1)
-}
-
-// pending returns the total pending delta for id: the shared ledger plus
-// every shard ledger. This is the quantity the scrub/watchdog invariant
-// uses — cachedScore == bitmapScore − pending — and it holds mid-CP for
-// staged entries exactly because bitmap and delta mutations move together.
-func (as *allocState) pending(id aa.ID, deltas *deltaLedger) int64 {
-	d := deltas.get(id)
-	for _, l := range as.ledgers {
-		d += l.get(id)
-	}
-	return d
-}
-
-// clearPending discards every pending delta for id (the score was just
-// recomputed from the bitmap, e.g. finishAA or a cleaning pass).
-func (as *allocState) clearPending(id aa.ID, deltas *deltaLedger) {
-	deltas.delete(id)
-	for _, l := range as.ledgers {
-		l.delete(id)
-	}
-}
-
-// fold merges every shard ledger into the shared delta ledger and empties
-// them: shard-index order, ascending IDs within each shard, so the merged
-// ledger is identical at any worker width. A sum that comes to zero leaves
-// no entry behind. Returns entries folded.
-func (as *allocState) fold(deltas *deltaLedger) int {
-	n := 0
-	for _, l := range as.ledgers {
-		l.drain(func(id aa.ID, d int64) {
-			if deltas.get(id)+d == 0 {
-				deltas.delete(id)
-			} else {
-				deltas.add(id, d)
-			}
-			n++
-		})
-	}
-	as.folds += uint64(n)
-	return n
-}
-
 // resetCounters zeroes the profile counters and busy vectors (ResetMetrics:
 // the boundary between an experiment's aging and measurement phases).
 func (as *allocState) resetCounters() {
@@ -209,27 +114,7 @@ func (as *allocState) resetCounters() {
 		as.pickBusy[i] = 0
 	}
 	as.refillBusy, as.stallBusy = 0, 0
-	as.picks, as.localPicks, as.stalls, as.staged, as.dupSkips, as.folds = 0, 0, 0, 0, 0, 0
-}
-
-// clearLedgers drops all ledger state (remount, repair, replenish — paths
-// that rebuild scores from the bitmap and discard pending deltas).
-func (as *allocState) clearLedgers() {
-	for _, l := range as.ledgers {
-		l.clear()
-	}
-}
-
-// residue returns the first ledger entry in deterministic order, for the
-// post-fold watchdog: a depth-1 CP seals (folding the ledgers) and flushes
-// without allocating in between, so every ledger must be empty after it.
-func (as *allocState) residue() (shard int, id aa.ID, d int64, ok bool) {
-	for s, l := range as.ledgers {
-		if id, d, ok := l.first(); ok {
-			return s, id, d, true
-		}
-	}
-	return 0, 0, 0, false
+	as.picks, as.localPicks, as.stalls, as.staged = 0, 0, 0, 0
 }
 
 // busyTotal sums the per-shard pick vectors (the serial pick time).
@@ -251,8 +136,6 @@ type AllocProfile struct {
 	Picks, LocalPicks uint64
 	// Stalls counts synchronous refills; Staged the pipelined entries.
 	Stalls, Staged uint64
-	// DupSkips counts duplicates discarded while staging (HBPS only).
-	DupSkips uint64
 	// ShardBusy is the per-shard modeled pick time (len == Shards).
 	ShardBusy []time.Duration
 	// RefillBusy is pipelined staging time (hidden behind picks);
@@ -272,7 +155,6 @@ func (ag *Aggregate) AllocProfiles() []AllocProfile {
 			LocalPicks: as.localPicks,
 			Stalls:     as.stalls,
 			Staged:     as.staged,
-			DupSkips:   as.dupSkips,
 			ShardBusy:  append([]time.Duration(nil), as.pickBusy...),
 			RefillBusy: as.refillBusy,
 			StallBusy:  as.stallBusy,

@@ -107,7 +107,7 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 	// Return every popped AA to the heap with its post-cleaning score.
 	for _, id := range cleaned {
 		g.cache.Insert(id, aa.Score(g.topo, s.Agg.bm, id))
-		g.as.clearPending(id, g.deltas)
+		g.deltas.delete(id)
 	}
 	// Relocation writes mid-pass may have staged entries again; Restage
 	// returns them first so the fresh batches see every AA. Ledger state is

@@ -120,16 +120,16 @@ func (v *FlexVol) PendingFrees() int {
 // reclaimDelayedFrees applies queued frees, best-AA-first, until the budget
 // is exhausted (budget <= 0 means unlimited). Whole AAs are processed at a
 // time; it returns blocks freed and AAs processed. The open queue credits
-// its score drops to the open ledgers; the sealed queue credits the sealed
+// its score drops to the open ledger; the sealed queue credits the sealed
 // flushDeltas bank — its frees belong to the committing CP, not the open
 // one — so the flush-time cache fold settles them with the rest of the
 // generation. Whatever the budget leaves behind stays queued; a sealed
 // leftover is carried into the next generation at the following seal
 // (absorb).
 func (s *agnosticSpace) reclaimDelayedFrees(sealed bool, budget int) (freed, aas int) {
-	q := s.delayed
+	q, deltas := s.delayed, s.deltas
 	if sealed {
-		q = s.delayedSealed
+		q, deltas = s.delayedSealed, s.flushDeltas
 	}
 	if q == nil {
 		return 0, 0
@@ -143,13 +143,9 @@ func (s *agnosticSpace) reclaimDelayedFrees(sealed bool, budget int) (freed, aas
 			if !s.bm.Clear(v) {
 				panic(fmt.Sprintf("wafl: delayed free of unallocated %v in %s", v, s.name))
 			}
-			if sealed {
-				s.flushDeltas.add(id, 1)
-			} else {
-				s.as.noteFree(id, s.deltas)
-			}
-			freed++
 		}
+		deltas.add(id, int64(len(vs)))
+		freed += len(vs)
 		aas++
 	}
 	return freed, aas

@@ -21,10 +21,10 @@ import (
 // its parent, so a CP-engine refactor that claims byte-identity has to show
 // it. A change that moves them on purpose re-records them and says why.
 var cpEngineGolden = map[string]string{
-	"pipeline=false,shards=0": "247e006ae0e07aecf460cff11afcb432dfe0032098f7cfd4ec13195f99983ee7",
-	"pipeline=false,shards=4": "632b12569ddd7ffed601559d10400287cf94f25ba782e54965dac36549d63416",
-	"pipeline=true,shards=0":  "51c8a3532bcbc96496a32781ac03f470526db653a5ef699b42613f19b1531a95",
-	"pipeline=true,shards=4":  "b3ec341910a107fc8e8840bfcec2b98d7c9e2acbd5cf459c10b5a340d5367cc8",
+	"pipeline=false,shards=0": "1fe60cbb6ce86e1f4c56b3085e17768688d1e788536c5e5dd10d57e779e09cc9",
+	"pipeline=false,shards=4": "cd1776b2dad6af9ab32108fc55f276172f63eb017e714baa3a4e4ba5e3e661db",
+	"pipeline=true,shards=0":  "0916ae4fa289f330127ed86b463e9ff62796a417265743534bf63fca061a77de",
+	"pipeline=true,shards=4":  "eef106f4debaa13c7b24714d32e36609d3e0f49583db090b592b7294bc059694",
 }
 
 // cpEngineSections names the streams the whole-stream digest is built from,
@@ -37,41 +37,41 @@ var cpEngineSections = []string{"counters", "snapshot", "trace", "csv", "tsdb", 
 var cpEngineSectionGolden = map[string]map[string]string{
 	"pipeline=false,shards=0": {
 		"counters": "9dff0912e3474d2a6c7ca23deb4f1952b1159506713fdc664c848c800f5f6477",
-		"snapshot": "c13e2c893c2df0302c5a3e9632b635048e3978307c94e91a3630b76b4669dd3a",
-		"trace":    "49b207cc6cef0953f1c34b9c94c618c5c45fde2e2179afa74d3e1c85c3856414",
-		"csv":      "b719f5dfdb1da4167b6c096750c0a43c6404a15418047de89ce729496e20ff65",
-		"tsdb":     "808bdaf9d7a997b849a2940a747b7c1de52cf71465e5ed7309bbb08e7780690c",
+		"snapshot": "8386926f6fd788cffb804cb6eded93e69eb533df0b27b01f0a9fd56549127c84",
+		"trace":    "8f4bfc4ea1f5acd10b4df740186dc09ea3cc22f2612e4ab727424bd44d2a138b",
+		"csv":      "8a6a9beaf596a739993d1abdd576c1e7b0b48e1a0f5a353bdf7d86d02068afd6",
+		"tsdb":     "d859f7e66544a41857e95150141b45195164f586a76b0eb0e54038ef8ed9970f",
 		"slo":      "afd755c886953ac6c12b4795077c4bfd5b21fd9941c26d0e2d171e5a2f10b6b8",
 		"picks":    "d547ef6dbe8874dfb16743f909af67488424cfef523ab837bf2923a94158b08c",
 		"optrace":  "aa428b11f4eebe47a1593e74bb200fdb2f128bc80bccedfadf594dbaa4ad1c57",
 	},
 	"pipeline=false,shards=4": {
 		"counters": "d770c15eb8747bdf6a6e7dfddae485d80263f110a7407052cc565903aa23fbbc",
-		"snapshot": "01f7c1026bfc747855c27b3d31710cfef698396b6c13513bfc70071e7d38099f",
-		"trace":    "4dc08f7c3dca27556732061e2ec5ed261a533788dd4e54ce28d69d51a88f3795",
-		"csv":      "8cba170401851d700df6a12c178c65cdaa3a24e4263ddf68055d3c5f85eb2f4b",
-		"tsdb":     "13a6f191b9689df661375c8d74ac9838fe6c41ae2e912bbe32e0903c8279adf7",
-		"slo":      "150c0f59e34ece49fcaece54087f1b5964e0d40d9e0e2e494594af296cd4c410",
+		"snapshot": "3c5d065fe6f452a1a6edeff35348ca8c9dd8433571f2c7f41793bd9f08e1af58",
+		"trace":    "5e97af17087ea9fa1084855d4f95fbb24b01fa733530c0f87d03defd0182af56",
+		"csv":      "082f8169bd36796db8e862d656839e3c0e1c5951b7239f071e661123991f4498",
+		"tsdb":     "3b82cf0d6de2a3ee8b9391fa9c0f9a790afc6e77077019c7adec86f42067b5c2",
+		"slo":      "c3fc7c20de7c8408091e30e1c3ae3d0c73a5483a50d81dd41cc8e8ca02b5189d",
 		"picks":    "d9eafdba31a2dc7a42f210ddc4f5f7df970677679bea7490245b5bdd8ce3ef3b",
 		"optrace":  "f19d643224ccfcba4ba5a607fc06e84961a50003f0f20b9512c0c7a8f8f306ec",
 	},
 	"pipeline=true,shards=0": {
 		"counters": "20c883718b6430876d030f0726cdd9e0c448611d2f7c1d4525782d8e671c65e7",
-		"snapshot": "3a84873c9cfb1417e55f41f54ebea62c796182eae90d84c040d96512d62298c9",
+		"snapshot": "d47f26b8018059cdcd2714acc457ce68ed723527c55cb8362e18642ae484fe47",
 		"trace":    "cc4bd9e425fa43c3e1b9440fb56b5d4fabb0e326fd24f1613e734b797dbb6986",
-		"csv":      "0e45cd5e37d48253b4c598bb0b4be203c586394778951ec82b783f952eeb2f69",
-		"tsdb":     "2a677bd2d1bf4162784932ba938c3177dcf127b6b2f8e5012d5f5f9d6d443293",
+		"csv":      "6fea8233c2218fa3f543c2c9dd0ef1ff8414929050a351f5e801f40ba5f92392",
+		"tsdb":     "69720ad9fec2bb56788f472f1156b0ffcb3edbef5cb86853f0b2b38df3032447",
 		"slo":      "db39a1d940b1dfbe79a46bfb76abad52b08ea81492ea4ec0dda343290bbc1d1a",
 		"picks":    "d547ef6dbe8874dfb16743f909af67488424cfef523ab837bf2923a94158b08c",
 		"optrace":  "d02b16c75e013af3d5091fa4b283d7510038af49c6dfc74d66a764647857852a",
 	},
 	"pipeline=true,shards=4": {
 		"counters": "f3fbfe9c15289d0b95e45d5b8b04bb915c1508be4da1a74b4445237d6f4ef97e",
-		"snapshot": "3fd752137269d28d383c2e3505b5ee8204c2a3adf46032cab8dcc0cee4b228cc",
+		"snapshot": "d811d5647554f3f5ebc9aae129df07c9251b2876829cde7fe8b4bb1995270194",
 		"trace":    "46b7942dc92873b4dfc89ae7b7271536988d79ea1fd529853b9e665b1fb87184",
-		"csv":      "7ad4c81a405dd87074e927e07648c901f514b8b3795bb16cdd37931d3161d715",
-		"tsdb":     "6bc12b5ea97e7fb8a1337daee113d2a7b6012c8295fe0595ec377fe2beb4f151",
-		"slo":      "56fff1cd24293a91078a5dcd3a7db64a28a01d5f0f861587b372b65a7f9b6ab3",
+		"csv":      "2c328cb487dfee74ede921d1ca93fa6e388001ec96fb491abe13c546c2c848b0",
+		"tsdb":     "77f352d4d1a6e2e5b5c7fdfbacdeac23c5756b574ae6a20a21f86491f7acc59b",
+		"slo":      "45768f3f11e1b6580f1a9915b5f2ef9008d9fa242b40d04288336e9ee52e04c8",
 		"picks":    "d9eafdba31a2dc7a42f210ddc4f5f7df970677679bea7490245b5bdd8ce3ef3b",
 		"optrace":  "7331e9b8de32cffa2bc66e8a300c65672154c0ed2818987a045aad9563847f72",
 	},

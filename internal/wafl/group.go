@@ -51,7 +51,7 @@ type Group struct {
 
 	// The pick path (allocctx.go): q stages the heap's best AAs into
 	// per-shard batches — at depth 0, AllocShards ≤ 1, it is the heap's own
-	// PopBest — and as holds the shard ledgers and the modeled busy vectors.
+	// PopBest — and as holds the modeled busy vectors.
 	q  *shardq.Queue[heapcache.Entry]
 	as *allocState
 
@@ -150,7 +150,7 @@ func buildGroup(index int, spec GroupSpec, startVBN block.VBN, tun Tunables, rng
 		azcs:         spec.AZCS,
 		deltas:       newDeltaLedger(topo.NumAAs()),
 		flushDeltas:  newDeltaLedger(topo.NumAAs()),
-		as:           newAllocState(tun, topo.NumAAs()),
+		as:           newAllocState(tun),
 		raidStats:    raid.NewStats(geo),
 		rng:          rng,
 	}
@@ -187,12 +187,12 @@ func buildGroup(index int, spec GroupSpec, startVBN block.VBN, tun Tunables, rng
 	return g
 }
 
-// pendingDelta is the total pending score delta for id: the shared ledger
-// plus every shard ledger plus the sealed flush bank (the quantity the
-// scrub invariant subtracts). Including the sealed bank keeps the scrub
-// and watchdog invariants valid mid-pipeline.
+// pendingDelta is the total pending score delta for id: the open ledger
+// plus the sealed flush bank (the quantity the scrub invariant subtracts).
+// Including the sealed bank keeps the scrub and watchdog invariants valid
+// mid-pipeline.
 func (g *Group) pendingDelta(id aa.ID) int64 {
-	return g.as.pending(id, g.deltas) + g.flushDeltas.get(id)
+	return g.deltas.get(id) + g.flushDeltas.get(id)
 }
 
 func (g *Group) buildDevices() {
@@ -339,7 +339,6 @@ func (g *Group) pickAA(bm *bitmap.Bitmap) bool {
 	}
 	g.observePick(bm, shard, e, p)
 	g.cacheOps += stageAhead(g.as, g.q, shard)
-	g.as.curShard = shard
 	g.curAA = e.ID
 	g.curValid = true
 	g.curWrote = false
@@ -385,8 +384,8 @@ func (g *Group) finishAA(bm *bitmap.Bitmap) {
 		g.cache.Insert(g.curAA, aa.Score(g.topo, bm, g.curAA))
 		g.scored.Inc()
 		g.cacheOps++
-		g.as.clearPending(g.curAA, g.deltas) // the fresh score already reflects them
-		g.flushDeltas.delete(g.curAA)        // ditto for a sealed delta mid-pipeline
+		g.deltas.delete(g.curAA)      // the fresh score already reflects them
+		g.flushDeltas.delete(g.curAA) // ditto for a sealed delta mid-pipeline
 	}
 	g.curValid = false
 }
@@ -421,7 +420,7 @@ func (g *Group) allocateTetris(bm *bitmap.Bitmap, dst []block.VBN, max int) (out
 			v := g.geo.VBNOf(d, s)
 			if bm.Set(v) {
 				out = append(out, v)
-				g.as.noteAlloc(g.curAA, g.deltas)
+				g.deltas.add(g.curAA, -1)
 			}
 		}
 	}
@@ -451,7 +450,7 @@ func (g *Group) free(bm *bitmap.Bitmap, v block.VBN, trim bool) {
 	if !bm.Clear(v) {
 		panic(fmt.Sprintf("wafl: double free of physical %v", v))
 	}
-	g.as.noteFree(g.topo.AAOf(v), g.deltas)
+	g.deltas.add(g.topo.AAOf(v), 1)
 	if trim {
 		d, dbn := g.geo.Locate(v)
 		if g.azcs {
@@ -463,15 +462,12 @@ func (g *Group) free(bm *bitmap.Bitmap, v block.VBN, trim bool) {
 	}
 }
 
-// sealCP closes the open generation: shard ledgers fold into the shared
-// delta ledger (shard-index order, ascending IDs within each shard, so the
-// merged totals are identical at any worker width), then the ledger, the
-// write set, and the queued AZCS checksum positions swap with the flush
-// banks. The banks are empty here — the previous generation's flush drained
-// them — so the swap hands the open side their retained capacity instead of
-// reallocating it every CP.
+// sealCP closes the open generation: the delta ledger, the write set, and
+// the queued AZCS checksum positions swap with the flush banks. The banks are
+// empty here — the previous generation's flush drained them — so the swap
+// hands the open side their retained capacity instead of reallocating it
+// every CP.
 func (g *Group) sealCP() {
-	g.as.fold(g.deltas)
 	g.deltas, g.flushDeltas = g.flushDeltas, g.deltas
 	g.cpWrites, g.flushWrites = g.flushWrites[:0], g.cpWrites
 	g.pendingCS, g.flushCS = g.flushCS[:0], g.pendingCS
@@ -564,21 +560,17 @@ func (g *Group) queueAZCSBoundaries(id aa.ID) {
 // AA cache when its flush commits (§3.3). Deltas the fold cannot apply yet —
 // the allocator's in-flight AA, or an AA a seed-only cache does not track —
 // merge back into the open ledger, so finishAA / the background fill settle
-// them. idleRow also emits the trace row when the bank is empty (the depth-1
-// stream has one row per group per CP; depth 2 only reports groups with
-// deltas).
-func (g *Group) foldSealed(idleRow bool) {
+// them. A group whose bank is empty emits no trace row.
+func (g *Group) foldSealed() {
 	if !g.cacheEnabled {
 		g.flushDeltas.clear()
 		return
 	}
-	if g.flushDeltas.len() == 0 && !idleRow {
+	if g.flushDeltas.len() == 0 {
 		return
 	}
 	// AA order keeps the heap's tie-break (insertion sequence) — and hence
-	// pick order — identical run to run. Every entry present is an update,
-	// a zero delta included: an AA allocated from and freed into in one CP
-	// is re-scored (and charged) like any other.
+	// pick order — identical run to run.
 	var folds int64
 	g.flushDeltas.drain(func(id aa.ID, d int64) {
 		if (g.curValid && id == g.curAA) || !g.cache.Tracked(id) {

@@ -7,15 +7,11 @@ import (
 
 // deltaLedger accumulates per-AA free-count changes (allocations negative,
 // frees positive) between cache folds: the open and sealed banks of every
-// group and space, and the per-shard ledgers of the striped allocator. AA IDs
-// are small dense integers, so the values sit in a flat array and an ordered
-// set of the IDs present makes the ledger behave like the map it replaces
-// without hashing, per-fold allocation or a sort at the fold.
-//
-// Presence is not value. An allocation and a free to one AA leave an entry
-// that is present with delta zero, and the callers tell the two apart:
-// Group.foldSealed re-scores such an AA (and charges the cache op),
-// allocState.fold drops it, finishAA deletes entries outright.
+// group and space. AA IDs are small dense integers, so the values sit in a
+// flat array and an ordered set of the IDs present makes the ledger behave
+// like the map it replaces without hashing, per-fold allocation or a sort at
+// the fold. Present means non-zero: an entry whose sum comes back to zero
+// leaves the ledger, so a fold sees only AAs whose score moved.
 type deltaLedger struct {
 	d       []int64 // zero wherever present has no member
 	present ordset.Bits
@@ -30,16 +26,17 @@ func newDeltaLedger(numAAs int) *deltaLedger {
 // len returns the number of entries present.
 func (l *deltaLedger) len() int { return l.present.Len() }
 
-// has reports whether id has an entry, whatever its value.
-func (l *deltaLedger) has(id aa.ID) bool { return l.present.Has(uint64(id)) }
-
 // get returns id's delta; absent reads as zero.
 func (l *deltaLedger) get(id aa.ID) int64 { return l.d[id] }
 
-// add adds delta to id's entry, creating it (at zero) if absent.
+// add adds delta to id's entry, creating it if absent and removing it if
+// the sum comes to zero.
 func (l *deltaLedger) add(id aa.ID, delta int64) {
-	l.present.Add(uint64(id))
-	l.d[id] += delta
+	if l.d[id] += delta; l.d[id] == 0 {
+		l.present.Delete(uint64(id))
+	} else {
+		l.present.Add(uint64(id))
+	}
 }
 
 // delete removes id's entry.
@@ -62,13 +59,4 @@ func (l *deltaLedger) drain(fn func(id aa.ID, d int64)) {
 		l.d[id] = 0
 		fn(aa.ID(id), d)
 	})
-}
-
-// first returns the lowest-numbered entry.
-func (l *deltaLedger) first() (id aa.ID, d int64, ok bool) {
-	m, ok := l.present.Min()
-	if !ok {
-		return 0, 0, false
-	}
-	return aa.ID(m), l.d[m], true
 }

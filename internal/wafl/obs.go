@@ -362,7 +362,7 @@ func (ag *Aggregate) registerGroupObs(g *Group) {
 	ag.reg.CounterFunc(p+"heap.inserts", func() uint64 { return g.cache.Metrics().Inserts })
 	ag.reg.CounterFunc(p+"heap.swaps", func() uint64 { return g.cache.Metrics().Swaps })
 	ag.reg.GaugeFunc(p+"heap.size", func() int64 { return int64(g.cache.Len()) })
-	ag.registerAllocObs(p, g.as)
+	ag.registerAllocObs(p, g.as, g.q.Metrics)
 }
 
 // registerSpaceObs exposes one agnostic space's counters under its stream
@@ -413,7 +413,7 @@ func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, stream string, shard in
 	ag.reg.CounterFunc(prefix+"hbps.bin_migrations", func() uint64 { return sp.cache.Metrics().BinMigrations })
 	ag.reg.CounterFunc(prefix+"hbps.evictions", func() uint64 { return sp.cache.Metrics().Evictions })
 	ag.reg.CounterFunc(prefix+"hbps.pops", func() uint64 { return sp.cache.Metrics().Pops })
-	ag.registerAllocObs(prefix, sp.as)
+	ag.registerAllocObs(prefix, sp.as, sp.q.Metrics)
 	if sp.delayed != nil {
 		// Pending spans both generations under pipelined CPs: the open queue
 		// plus whatever the sealed queue's budget has not yet reclaimed.
@@ -554,14 +554,14 @@ func (s *agnosticSpace) observePick(shard int, id aa.ID, score uint32, p shardq.
 // registerAllocObs exposes one space's striped-allocator counters under
 // <prefix>alloc.*. All are worker-invariant (the busy vectors are modeled on
 // the CP thread); queue depth 0 keeps them registered but near-zero —
-// pick_busy_ns then equals picks × CPUPerCacheOp on one vector.
-func (ag *Aggregate) registerAllocObs(prefix string, as *allocState) {
+// pick_busy_ns then equals picks × CPUPerCacheOp on one vector. dup_skips is
+// the staging queue's own count, so it spans ResetMetrics.
+func (ag *Aggregate) registerAllocObs(prefix string, as *allocState, qm func() shardq.Metrics) {
 	ag.reg.CounterFunc(prefix+"alloc.picks", func() uint64 { return as.picks })
 	ag.reg.CounterFunc(prefix+"alloc.local_picks", func() uint64 { return as.localPicks })
 	ag.reg.CounterFunc(prefix+"alloc.refill_stalls", func() uint64 { return as.stalls })
 	ag.reg.CounterFunc(prefix+"alloc.staged_entries", func() uint64 { return as.staged })
-	ag.reg.CounterFunc(prefix+"alloc.dup_skips", func() uint64 { return as.dupSkips })
-	ag.reg.CounterFunc(prefix+"alloc.ledger_folds", func() uint64 { return as.folds })
+	ag.reg.CounterFunc(prefix+"alloc.dup_skips", func() uint64 { return qm().DupSkips })
 	ag.reg.CounterFunc(prefix+"alloc.pick_busy_ns", func() uint64 { return uint64(as.busyTotal()) })
 	ag.reg.CounterFunc(prefix+"alloc.refill_busy_ns", func() uint64 { return uint64(as.refillBusy) })
 	ag.reg.CounterFunc(prefix+"alloc.stall_busy_ns", func() uint64 { return uint64(as.stallBusy) })

@@ -115,12 +115,11 @@ type Tunables struct {
 
 	// AllocShards is the depth of the staging queue every cached space
 	// picks through (internal/shardq, allocctx.go). 0 or 1 is depth 0: a
-	// pick is the heap's or HBPS's own PopBest, nothing is ever staged, and
-	// score deltas go straight to the shared ledger (TestCPEngineGolden
-	// holds 1 to the digest recorded for 0). Above 1 the hot path is
-	// striped into that many per-worker shard queues fed from the shared
-	// structure in bounded batches, with per-shard delta ledgers folded
-	// deterministically at CP boundaries.
+	// pick is the heap's or HBPS's own PopBest and nothing is ever staged
+	// (TestCPEngineGolden holds 1 to the digest recorded for 0). Above 1 the
+	// hot path is striped into that many per-worker shard queues fed from
+	// the shared structure in bounded batches. Score deltas go to the
+	// space's one delta ledger at every depth.
 	AllocShards int
 	// AllocBatch bounds each shard queue and standby batch; 0 selects 8.
 	// Larger batches stage less often but widen the near-best window. The

@@ -182,7 +182,7 @@ func (s *System) CP() CPStats {
 		s.Agg.faults.EnterPhase(faultinject.PhaseDelayedFree)
 		s.reclaimDelayed(false)
 		s.sealGeneration()
-		st := s.flushGeneration(true)
+		st := s.flushGeneration()
 		s.cpWall += st.FlushWall
 		s.tail()
 		return st
@@ -236,7 +236,7 @@ func (s *System) Drain() CPStats {
 func (s *System) commitInFlight() CPStats {
 	s.Agg.faults.EnterPhase(faultinject.PhaseOverlapFlush)
 	s.reclaimDelayed(true)
-	return s.flushGeneration(false)
+	return s.flushGeneration()
 }
 
 // chargeOverlap books one depth-2 boundary's modeled wall: max(alloc,
@@ -373,8 +373,8 @@ func (s *System) reclaimDelayed(sealed bool) {
 }
 
 // sealGeneration is the seal stage: every open bank swaps into its flush
-// bank — group and space delta ledgers (shard ledgers folded first), write
-// sets, AZCS queues, the pool's tiered-block count, the generation record.
+// bank — group and space delta ledgers, write sets, AZCS queues, the pool's
+// tiered-block count, the generation record.
 func (s *System) sealGeneration() {
 	for _, g := range s.Agg.groups {
 		g.sealCP()
@@ -396,9 +396,8 @@ func (s *System) sealGeneration() {
 // flushGeneration is the flush stage: the sealed banks commit, the System
 // counters absorb the commit's cost, and the generation's latency SLI and
 // write traces are attributed from the metadata captured at alloc plus the
-// costs measured here. idleFoldRows is the depth-1 trace shape (see
-// Aggregate.commitSealed).
-func (s *System) flushGeneration(idleFoldRows bool) CPStats {
+// costs measured here.
+func (s *System) flushGeneration() CPStats {
 	gen := s.pipe.gen
 	// When traces are pending, snapshot per-group device busy so their
 	// flush-time deltas can become device leaf spans.
@@ -410,7 +409,7 @@ func (s *System) flushGeneration(idleFoldRows bool) CPStats {
 		}
 	}
 	cacheOpsBefore := s.cacheOps()
-	st := s.Agg.commitSealed(idleFoldRows)
+	st := s.Agg.commitSealed()
 	s.c.CPs++
 	s.c.DeviceBusy += st.DeviceBusy
 	pages := uint64(st.MetafilePagesAggregate + st.MetafilePagesVols)

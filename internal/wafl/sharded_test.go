@@ -186,6 +186,19 @@ func TestShardedRefillUnderPressure(t *testing.T) {
 	if n, _ := s.Registry().Value("picks." + string(picks.BitmapFallback)); n != 0 {
 		t.Errorf("picks.bitmap_fallback = %d, want 0 (cache path bypassed)", n)
 	}
+	// alloc.dup_skips reads the staging queue's own count.
+	for _, sp := range s.Agg.agnosticSpaces() {
+		want := sp.q.Metrics().DupSkips
+		if n, ok := s.Registry().Value(sp.stream + ".alloc.dup_skips"); !ok || n != want {
+			t.Errorf("%s.alloc.dup_skips = %d,%v, want the queue's %d", sp.stream, n, ok, want)
+		}
+	}
+	for _, g := range s.Agg.groups {
+		want := g.q.Metrics().DupSkips
+		if n, ok := s.Registry().Value(g.key + ".alloc.dup_skips"); !ok || n != want {
+			t.Errorf("%s.alloc.dup_skips = %d,%v, want the queue's %d", g.key, n, ok, want)
+		}
+	}
 	if n, ok := s.Registry().Value("watchdog.ledger_checks"); !ok || n == 0 {
 		t.Errorf("watchdog.ledger_checks = %d,%v, want > 0", n, ok)
 	}
@@ -240,37 +253,6 @@ func TestShardedWatchdogCatchesTamperedHeldScore(t *testing.T) {
 	}
 	if r := s.Agg.Scrub(); r.Clean() {
 		t.Error("scrub reported clean over a tampered shard queue")
-	}
-}
-
-// Ledger residue after the CP fold — a delta that never merged — must be
-// flagged for both cache kinds (group ledgers and agnostic-space ledgers).
-func TestShardedWatchdogCatchesLedgerResidue(t *testing.T) {
-	tun := DefaultTunables()
-	tun.AllocShards = 4
-	tun.CPEveryOps = 1 << 30
-	tun.Obs = &ObsOptions{Name: "residue", Watchdogs: true}
-	s := NewSystem(testSpecs(), []VolSpec{{Name: "v", Blocks: 16 * aa.RAIDAgnosticBlocks}}, tun, 3)
-	lun := s.Agg.Vols()[0].CreateLUN("lun", 12000)
-	for lba := uint64(0); lba < 12000; lba++ {
-		s.Write(lun, lba, 1)
-	}
-	s.CP()
-
-	g := s.Agg.groups[0]
-	g.as.ledgers[1].add(aa.ID(0), 5)
-	s.runWatchdogs()
-	n, _ := s.Registry().Value("watchdog.ledger_violations")
-	if n == 0 {
-		t.Error("group ledger residue not flagged after the CP fold")
-	}
-	g.as.ledgers[1].delete(aa.ID(0))
-
-	sp := s.Agg.Vols()[0].space
-	sp.as.ledgers[2].add(aa.ID(1), -2)
-	s.runWatchdogs()
-	if n2, _ := s.Registry().Value("watchdog.ledger_violations"); n2 <= n {
-		t.Error("space ledger residue not flagged after the CP fold")
 	}
 }
 

@@ -73,9 +73,10 @@ type oracleRig struct {
 
 const oracleLUNBlocks = 600
 
-func newOracleRig(t testing.TB, pipeline, delayed bool) *oracleRig {
+func newOracleRig(t testing.TB, pipeline, delayed bool, shards int) *oracleRig {
 	tun := DefaultTunables()
 	tun.CPEveryOps = 1 << 30
+	tun.AllocShards = shards
 	tun.Pipeline, tun.DelayedVirtFrees, tun.FlashPool = pipeline, delayed, true
 	tun.Obs = &ObsOptions{Name: "oracle", Watchdogs: true}
 	specs := []GroupSpec{
@@ -383,7 +384,7 @@ func TestSnapshotOpsMatchFlatOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed*4 + int64(i)))
 			tape := make([]byte, 1500)
 			rng.Read(tape)
-			newOracleRig(t, c.pipeline, c.delayed).run(tape)
+			newOracleRig(t, c.pipeline, c.delayed, 0).run(tape)
 		}
 	}
 }
@@ -406,7 +407,7 @@ func TestRestoreOlderThenDeleteInEveryOrder(t *testing.T) {
 	permute(nil, []int{0, 1, 2, 3})
 	for i, c := range oracleConfigs {
 		for _, order := range orders {
-			r := newOracleRig(t, c.pipeline, c.delayed)
+			r := newOracleRig(t, c.pipeline, c.delayed, 0)
 			rng := rand.New(rand.NewSource(int64(i)))
 			var names [4]string
 			churn := func() {
@@ -439,10 +440,13 @@ func TestRestoreOlderThenDeleteInEveryOrder(t *testing.T) {
 }
 
 // FuzzSnapshotOps is the oracle test over fuzzer-chosen tapes; the first
-// byte picks the pipeline depth and whether virtual frees are delayed.
+// byte's low two bits pick the pipeline depth and whether virtual frees are
+// delayed, and its bit 2 the staging-queue depth (AllocShards 0 or 4).
 func FuzzSnapshotOps(f *testing.F) {
 	f.Add([]byte{0, 0x10, 2, 7, 7, 0, 0x1b, 0, 0x30, 2, 9, 0x17, 0, 0x1d, 0, 0x1c, 0})
 	f.Add([]byte{3, 0x70, 0, 0, 0x71, 1, 0, 8, 0, 9, 0, 0x1b, 0, 0x1b, 1, 0x20, 0, 5, 0x18, 0, 0x1b, 0, 0x1a, 6, 0x1d, 0, 0x1c, 2, 0x1c, 0})
+	// The same tape through the staging queue (bit 2: AllocShards 4).
+	f.Add([]byte{7, 0x70, 0, 0, 0x71, 1, 0, 8, 0, 9, 0, 0x1b, 0, 0x1b, 1, 0x20, 0, 5, 0x18, 0, 0x1b, 0, 0x1a, 6, 0x1d, 0, 0x1c, 2, 0x1c, 0})
 	f.Add([]byte{2, 0x40, 0, 9, 0x0b, 0, 0x1e, 0, 0x2e, 2, 0x3f, 1, 0x1b, 1, 0x50, 3, 3, 0x2f, 4, 0x1d, 1})
 	// Never-written LBAs written under two snapshots, a restore to the oldest
 	// by position, then a delete by position.
@@ -457,6 +461,7 @@ func FuzzSnapshotOps(f *testing.F) {
 			return
 		}
 		c := oracleConfigs[tape[0]%4]
-		newOracleRig(t, c.pipeline, c.delayed).run(tape[1:min(len(tape), 600)])
+		shards := int(tape[0] & 4)
+		newOracleRig(t, c.pipeline, c.delayed, shards).run(tape[1:min(len(tape), 600)])
 	})
 }

@@ -152,40 +152,40 @@ func sortedIDs[V any](m map[aa.ID]V) []aa.ID {
 
 // TestDeltaLedgerMatchesMap drives random add / delete / get / swap / drain /
 // clear sequences through two ledgers (an open and a sealed bank, as every
-// space has) and two maps. Entries whose value is zero but which are present
-// must survive in both and come out of the drain, and so must an entry added,
-// deleted and added again between two drains — once, with its second value.
+// space has) and two maps that hold only non-zero sums. A sum that comes back
+// to zero reads as absent: it is not counted, and the drain does not hand it
+// out.
 func TestDeltaLedgerMatchesMap(t *testing.T) {
 	const numAAs = 200
 	rng := rand.New(rand.NewSource(21))
 	open, sealed := newDeltaLedger(numAAs), newDeltaLedger(numAAs)
 	mOpen, mSealed := map[aa.ID]int64{}, map[aa.ID]int64{}
+	add := func(m map[aa.ID]int64, id aa.ID, d int64) {
+		if m[id] += d; m[id] == 0 {
+			delete(m, id)
+		}
+	}
 	check := func(step int, l *deltaLedger, m map[aa.ID]int64) {
 		t.Helper()
 		if l.len() != len(m) {
 			t.Fatalf("step %d: len %d, map %d", step, l.len(), len(m))
 		}
 		for id := aa.ID(0); id < numAAs; id++ {
-			d, ok := m[id]
-			if l.has(id) != ok || l.get(id) != d {
-				t.Fatalf("step %d AA %d: ledger (%v, %d), map (%v, %d)", step, id, l.has(id), l.get(id), ok, d)
+			if l.get(id) != m[id] {
+				t.Fatalf("step %d AA %d: ledger %d, map %d", step, id, l.get(id), m[id])
 			}
 		}
-		if id, d, ok := l.first(); ok != (len(m) > 0) || (ok && (id != slices.Min(sortedIDs(m)) || d != m[id])) {
-			t.Fatalf("step %d: first() = (%d, %d, %v) against map %v", step, id, d, ok, m)
-		}
 	}
-	presentZeroDrained := 0
 	for step := 0; step < 5000; step++ {
 		id := aa.ID(rng.Intn(numAAs))
 		switch op := rng.Intn(100); {
 		case op < 55: // allocations and frees come in ones
 			d := int64(1 - 2*rng.Intn(2))
 			open.add(id, d)
-			mOpen[id] += d
+			add(mOpen, id, d)
 		case op < 65:
 			sealed.add(id, 1) // reclaim credits the sealed bank directly
-			mSealed[id]++
+			add(mSealed, id, 1)
 		case op < 77:
 			open.delete(id)
 			delete(mOpen, id)
@@ -196,23 +196,20 @@ func TestDeltaLedgerMatchesMap(t *testing.T) {
 			sealed.delete(id)
 			sealed.add(id, 1)
 			sealed.add(id, -1)
-			mSealed[id] = 0
+			delete(mSealed, id)
 		case op < 88: // seal
 			open, sealed = sealed, open
 			mOpen, mSealed = mSealed, mOpen
-		case op < 96: // fold: ascending order, every present entry once
+		case op < 96: // fold: ascending order, every entry once, none zero
 			want := sortedIDs(mSealed)
 			var got []aa.ID
 			sealed.drain(func(id aa.ID, d int64) {
-				if d != mSealed[id] {
+				if d == 0 || d != mSealed[id] {
 					t.Fatalf("step %d: drained AA %d = %d, map %d", step, id, d, mSealed[id])
-				}
-				if d == 0 {
-					presentZeroDrained++
 				}
 				got = append(got, id)
 				open.add(id, d) // what foldSealed does with an untracked AA
-				mOpen[id] += d
+				add(mOpen, id, d)
 			})
 			if !slices.Equal(got, want) {
 				t.Fatalf("step %d: drained %v, map keys %v", step, got, want)
@@ -225,21 +222,25 @@ func TestDeltaLedgerMatchesMap(t *testing.T) {
 		check(step, open, mOpen)
 		check(step, sealed, mSealed)
 	}
-	if presentZeroDrained == 0 {
-		t.Fatal("the sequence never drained a present entry with delta zero")
-	}
 
-	// The same within one drain interval, spelled out: the entry comes out
-	// once, in its place, holding what was added after the delete.
+	// An allocation and a free to one AA leave the ledger empty.
 	l := newDeltaLedger(numAAs)
+	l.add(70, -1)
+	l.add(70, 1)
+	if l.len() != 0 || l.get(70) != 0 {
+		t.Fatalf("add/sub pair: len %d, AA 70 = %d, want an empty ledger", l.len(), l.get(70))
+	}
+	l.drain(func(id aa.ID, d int64) { t.Fatalf("drained AA %d = %d from an empty ledger", id, d) })
+
+	// An entry deleted and added again between two drains comes out once,
+	// in its place, holding what was added after the delete.
 	l.add(70, -3)
 	l.delete(70)
 	l.add(70, 1)
-	l.add(70, -1)
 	l.add(3, 2)
 	var got [][2]int64
 	l.drain(func(id aa.ID, d int64) { got = append(got, [2]int64{int64(id), d}) })
-	if want := [][2]int64{{3, 2}, {70, 0}}; !slices.Equal(got, want) || l.len() != 0 {
+	if want := [][2]int64{{3, 2}, {70, 1}}; !slices.Equal(got, want) || l.len() != 0 {
 		t.Fatalf("add, delete, add, drain: got %v (len %d after), want %v", got, l.len(), want)
 	}
 }

@@ -30,11 +30,10 @@ import (
 //     HBPS pick must fall within one bin of the best tracked bin — the
 //     paper's §3.3.2 near-best bound.
 //
-//   - Shard-ledger consistency (AllocShards > 1): every entry held in a
+//   - Staged-entry consistency (AllocShards > 1): every entry held in a
 //     shard queue mid-CP satisfies frozenScore == bitmapScore − pending
-//     (pending spans the shared delta ledger plus every shard ledger), and
-//     after the CP-boundary fold every ledger is empty — a stale merge
-//     leaves residue or a score mismatch, and this class catches both.
+//     (pending spans the open and sealed delta ledgers) — a stale merge
+//     leaves a score mismatch, and this class catches it.
 //
 //   - Generation states (depth 2, Tunables.Pipeline): the flush banks must
 //     be empty whenever no generation is in flight (a leftover sealed
@@ -242,13 +241,11 @@ func (w *watchdogState) sampleSpace(sp *agnosticSpace) {
 
 // sampleShardsGroup verifies the striped allocator's mid-CP state for one
 // RAID group: every entry held in a shard queue must satisfy the frozen-
-// score invariant against the bitmap, and — since runWatchdogs executes
-// after the CP fold — every shard ledger must be empty. The held set is
-// bounded by 2×batch×shards, so the full scan stays O(held) per CP. A space
-// without shard ledgers (or without a cache) has nothing to check and bumps
-// no counter.
+// score invariant against the bitmap. The held set is bounded by
+// 2×batch×shards, so the full scan stays O(held) per CP. A space picking at
+// queue depth 0 holds nothing and bumps no counter.
 func (w *watchdogState) sampleShardsGroup(ag *Aggregate, g *Group) {
-	if !g.cacheEnabled || len(g.as.ledgers) == 0 {
+	if g.as.queueDepth(g.cacheEnabled) == 0 {
 		return
 	}
 	g.q.Each(func(shard int, e heapcache.Entry) {
@@ -261,21 +258,13 @@ func (w *watchdogState) sampleShardsGroup(ag *Aggregate, g *Group) {
 				g.Index, shard, e.ID, e.Score, want)
 		}
 	})
-	w.checks.Inc()
-	w.ledgerChk.Inc()
-	if shard, id, d, ok := g.as.residue(); ok {
-		w.violate(w.ledgerViol,
-			"rg%d shard %d: ledger still holds %+d for AA %d after the CP fold",
-			g.Index, shard, d, id)
-	}
 }
 
 // sampleShardsSpace is the HBPS counterpart: held IDs carry no frozen
 // scores (the histogram stays authoritative), so the check is the pick
-// floor — bitmap-derived score net of pending deltas must be non-negative —
-// plus the post-fold empty-ledger requirement.
+// floor — bitmap-derived score net of pending deltas must be non-negative.
 func (w *watchdogState) sampleShardsSpace(sp *agnosticSpace) {
-	if !sp.cacheEnabled || len(sp.as.ledgers) == 0 {
+	if sp.as.queueDepth(sp.cacheEnabled) == 0 {
 		return
 	}
 	sp.q.Each(func(shard int, id aa.ID) {
@@ -287,13 +276,6 @@ func (w *watchdogState) sampleShardsSpace(sp *agnosticSpace) {
 				sp.name, shard, id, want)
 		}
 	})
-	w.checks.Inc()
-	w.ledgerChk.Inc()
-	if shard, id, d, ok := sp.as.residue(); ok {
-		w.violate(w.ledgerViol,
-			"%s shard %d: ledger still holds %+d for AA %d after the CP fold",
-			sp.name, shard, d, id)
-	}
 }
 
 // checkGenStates verifies the pipelined double-buffer invariants. With no

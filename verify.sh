@@ -81,6 +81,19 @@ if grep -n 'refNew\|\.rc\.' internal/wafl/pipeline.go; then
     exit 1
 fi
 
+# Structural gate, a score delta is a sum (DESIGN.md §9, §14): every space
+# keeps one delta ledger per bank, in which present means non-zero. The
+# striped allocator keeps no ledgers of its own, and no fold row is emitted
+# for an empty bank just to hold a trace shape.
+if sed -n '/^type allocState struct/,/^}/p' internal/wafl/allocctx.go | grep -n 'deltaLedger'; then
+    echo "allocState holds delta ledgers again; deltas go to the space's one ledger" >&2
+    exit 1
+fi
+if grep -rn -e 'idleFoldRows' -e 'idleRow' -e 'len(.*ledgers) > 0' internal/wafl; then
+    echo "per-shard ledgers or idle fold rows are back in internal/wafl" >&2
+    exit 1
+fi
+
 # Structural gate, fragscan at word speed (DESIGN.md §6, §14): the free-run
 # histogram comes off bitmap words through bitmap.FreeRunHist, so the analyzer
 # makes no callback and no bucket search per run; the package's one run walker
@@ -138,6 +151,7 @@ test -n "$(body internal/obs/registry.go '(r \*Registry) snapshot(')"
 test -n "$(body internal/obs/tsdb/tsdb.go '(s \*Store) Sample(')"
 test -n "$(body internal/wafl/snapshot.go '(s \*System) CreateSnapshot(')"
 test -n "$(sed -n '/^type Snapshot struct/,/^}/p' internal/wafl/snapshot.go)"
+test -n "$(sed -n '/^type allocState struct/,/^}/p' internal/wafl/allocctx.go)"
 
 go build ./...
 go vet ./...
@@ -193,7 +207,8 @@ go test -run '^$' -fuzz '^FuzzRefTable$' -fuzztime 5s ./internal/wafl
 # snapshot create/delete/restore and relocations (cleaner, Demote, TierOut)
 # drives a System and the flat per-pair counts snapshot.go replaced; freed
 # counts, both bitmaps, CheckRefcounts and the watchdogs must agree after
-# every step, at both pipeline depths, with and without delayed frees.
+# every step, at both pipeline depths, with and without delayed frees, at
+# staging-queue depth 0 and 4.
 go test -run '^$' -fuzz '^FuzzSnapshotOps$' -fuzztime 5s ./internal/wafl
 
 # Observability smoke test: a small bench run must serve /metrics (the bench
