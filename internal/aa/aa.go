@@ -59,34 +59,23 @@ type Topology interface {
 // Score computes the AA score — the number of free blocks in the AA — by
 // consulting the bitmap (§3.3). The package's own two topologies are scored
 // without materialising their segment lists: a mount walk scores every AA of
-// every space, and a slice per AA was most of what it allocated.
-func Score(t Topology, bm *bitmap.Bitmap, id ID) uint64 { return score(t, bm, id, false) }
-
-// score is Score, charging the metafile scan of each segment before counting
-// it when charge is set (ScoreAll's walk).
-func score(t Topology, bm *bitmap.Bitmap, id ID, charge bool) uint64 {
+// every space, and a slice per AA was most of what it allocated. A striped
+// AA's device segments are one run of stripes repeated every
+// BlocksPerDevice VBNs, so it is one strided count.
+func Score(t Topology, bm *bitmap.Bitmap, id ID) uint64 {
 	var s uint64
 	switch t := t.(type) {
 	case *Linear:
-		s = countFree(bm, t.Segment(id), charge)
+		s = bm.CountFree(t.Segment(id))
 	case *Striped:
 		from, to := t.StripeRange(id)
-		for d := 0; d < t.geo.DataDevices; d++ {
-			s += countFree(bm, t.geo.DeviceSegment(d, from, to), charge)
-		}
+		s = bm.CountFreeStrided(t.geo.StartVBN+block.VBN(from), to-from, t.geo.BlocksPerDevice, t.geo.DataDevices)
 	default:
 		for _, seg := range t.Segments(id) {
-			s += countFree(bm, seg, charge)
+			s += bm.CountFree(seg)
 		}
 	}
 	return s
-}
-
-func countFree(bm *bitmap.Bitmap, seg block.Range, charge bool) uint64 {
-	if charge {
-		bm.ChargeScan(seg)
-	}
-	return bm.CountFree(seg)
 }
 
 // Capacity returns the true block capacity of AA id — the sum of its
@@ -110,12 +99,14 @@ func Capacity(t Topology, id ID) uint64 {
 }
 
 // ScoreAll computes the score of every AA in the topology, charging the
-// bitmap scan; this is the linear walk a cache rebuild performs when no
-// TopAA metafile is available (§3.4).
+// bitmap scan once over the whole space; this is the linear walk a cache
+// rebuild performs when no TopAA metafile is available (§3.4), and what
+// ScoreAllParallelObs computes at one worker.
 func ScoreAll(t Topology, bm *bitmap.Bitmap) []uint64 {
+	bm.ChargeScan(t.Space())
 	scores := make([]uint64, t.NumAAs())
 	for id := range scores {
-		scores[id] = score(t, bm, ID(id), true)
+		scores[id] = Score(t, bm, ID(id))
 	}
 	return scores
 }

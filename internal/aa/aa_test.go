@@ -254,11 +254,21 @@ func TestScoreAllParallelMatchesSequential(t *testing.T) {
 type opaque struct{ Topology }
 
 // The shortcuts must agree with the segment lists they skip, truncated final
-// AAs and unaligned spaces included.
+// AAs and unaligned spaces included. The striped ones take each of the
+// strided count's paths: word-aligned runs, runs whose start, length or
+// stride is not, and runs holding whole metafile pages.
 func TestScoreShortcutsMatchSegments(t *testing.T) {
 	geo := raid.Geometry{DataDevices: 5, ParityDevices: 2, BlocksPerDevice: 1000, StartVBN: 300}
+	aligned := raid.Geometry{DataDevices: 6, ParityDevices: 1, BlocksPerDevice: 1 << 13, StartVBN: 1 << 13}
+	unaligned := raid.Geometry{DataDevices: 4, ParityDevices: 1, BlocksPerDevice: 1 << 13, StartVBN: 37}
+	paged := raid.Geometry{DataDevices: 3, ParityDevices: 1, BlocksPerDevice: 5 * RAIDAgnosticBlocks, StartVBN: 4096}
 	topos := []Topology{
 		NewStriped(geo, 64), // 1000 stripes: the last AA is truncated
+		NewStriped(aligned, 128),
+		NewStriped(aligned, 100),   // neither the run nor every AA's start is word-aligned
+		NewStriped(unaligned, 128), // every run starts mid-word
+		NewStriped(unaligned, 300),
+		NewStriped(paged, 2*RAIDAgnosticBlocks+63), // runs span whole pages; the last is truncated
 		NewLinear(block.R(300, 5300), 512),
 		NewLinearDefault(block.R(0, 3*RAIDAgnosticBlocks+17)),
 	}
@@ -279,21 +289,20 @@ func TestScoreShortcutsMatchSegments(t *testing.T) {
 	}
 }
 
-// ScoreAll charges the metafile scan segment by segment — a striped AA reads
-// each device's run of pages, so one page can be charged more than once —
-// and that total is the bitmap-walk mount's modeled I/O. Scoring through the
-// slice-free path must charge exactly what ranging over Segments charged,
-// produce the same scores, and allocate only its result.
-func TestScoreAllChargesPerSegment(t *testing.T) {
+// ScoreAll charges the metafile scan once over the whole space — each page is
+// read once, however many AAs or device segments share it — exactly as the
+// walk remount's ScoreAllParallelObs does at any worker count. It must score
+// what ranging over Segments scores, and allocate only its result.
+func TestScoreAllChargesOnce(t *testing.T) {
 	geo := raid.Geometry{DataDevices: 5, ParityDevices: 1, BlocksPerDevice: 1 << 15, StartVBN: 100}
 	for _, tc := range []struct {
 		name      string
 		topo      Topology
 		pageReads uint64
 	}{
-		// 128 AAs × 5 device segments of 256 blocks: each lies in one page,
-		// except the one per device that straddles a page boundary.
-		{"striped", NewStriped(geo, 256), 128*5 + 5},
+		// VBNs [100, 100+5·2^15) touch six pages; 128 AAs × 5 device
+		// segments share them.
+		{"striped", NewStriped(geo, 256), 6},
 		// One 32k-block AA per page, and the truncated ninth.
 		{"linear", NewLinearDefault(block.R(0, 8*RAIDAgnosticBlocks+17)), 9},
 	} {
@@ -303,22 +312,22 @@ func TestScoreAllChargesPerSegment(t *testing.T) {
 		for i := 0; i < int(space.Len())/3; i++ {
 			bm.Set(space.Start + block.VBN(rng.Int63n(int64(space.Len()))))
 		}
-		// The walk as it was written: the oracle for scores and charges.
-		oracle := bm.Clone()
 		want := make([]uint64, tc.topo.NumAAs())
 		for id := range want {
 			for _, seg := range tc.topo.Segments(ID(id)) {
-				oracle.ChargeScan(seg)
-				want[id] += oracle.CountFree(seg)
+				want[id] += bm.CountFree(seg)
 			}
 		}
-		got := ScoreAll(tc.topo, bm)
-		if !slices.Equal(got, want) {
+		if got := ScoreAll(tc.topo, bm); !slices.Equal(got, want) {
 			t.Fatalf("%s: ScoreAll scores differ from the per-segment walk", tc.name)
 		}
-		if r := bm.Stats().PageReads; r != oracle.Stats().PageReads || r != tc.pageReads {
-			t.Fatalf("%s: ScoreAll charged %d page reads, per-segment walk %d, pinned %d",
-				tc.name, r, oracle.Stats().PageReads, tc.pageReads)
+		if r := bm.Stats().PageReads; r != tc.pageReads {
+			t.Fatalf("%s: ScoreAll charged %d page reads, want %d", tc.name, r, tc.pageReads)
+		}
+		par := ScoreAllParallelObs(nil, tc.topo, bm, 1, nil, nil)
+		if r := bm.Stats().PageReads; !slices.Equal(par, want) || r != 2*tc.pageReads {
+			t.Fatalf("%s: ScoreAllParallelObs at one worker charged %d page reads, want %d",
+				tc.name, r-tc.pageReads, tc.pageReads)
 		}
 		if n := testing.AllocsPerRun(10, func() { ScoreAll(tc.topo, bm) }); n != 1 {
 			t.Errorf("%s: ScoreAll allocates %.0f times, want only the result", tc.name, n)

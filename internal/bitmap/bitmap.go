@@ -256,6 +256,42 @@ func (b *Bitmap) CountFree(r block.Range) uint64 {
 	return r.Len() - b.CountUsed(r)
 }
 
+// CountFreeStrided returns the number of free blocks in the n runs
+// [start+k·stride, start+k·stride+run), k < n, each clamped to the bitmap as
+// CountFree clamps its range. A RAID-aware AA is such a set — one run of
+// stripes on every data device — and scoring it costs a popcount per word:
+// when start, run and stride are word-aligned and every run lies inside the
+// bitmap the runs are plain word loops, and otherwise each run's ragged ends
+// are masked. A run long enough to hold a whole metafile page sums the
+// per-page counts as CountFree does.
+func (b *Bitmap) CountFreeStrided(start block.VBN, run, stride uint64, n int) uint64 {
+	if n <= 0 || run == 0 {
+		return 0
+	}
+	s := uint64(start)
+	var free uint64
+	switch {
+	case run >= block.BitsPerBitmapBlock:
+		for k := uint64(0); k < uint64(n); k++ {
+			free += b.CountFree(block.R(block.VBN(s+k*stride), block.VBN(s+k*stride+run)))
+		}
+	case (s|run|stride)%wordBits == 0 && s+uint64(n-1)*stride+run <= b.nbits:
+		used, words, step := 0, run/wordBits, stride/wordBits
+		for k, w := 0, s/wordBits; k < n; k, w = k+1, w+step {
+			for _, x := range b.words[w : w+words] {
+				used += bits.OnesCount64(x)
+			}
+		}
+		free = uint64(n)*run - uint64(used)
+	default:
+		for k := uint64(0); k < uint64(n); k++ {
+			r := b.clampRange(block.R(block.VBN(s+k*stride), block.VBN(s+k*stride+run)))
+			free += r.Len() - b.popcount(uint64(r.Start), uint64(r.End))
+		}
+	}
+	return free
+}
+
 // maskFrom returns a word mask with bits [from, 64) set.
 func maskFrom(from uint64) uint64 { return ^uint64(0) << from }
 

@@ -109,64 +109,99 @@ func Load(buf []byte) (*HBPS, error) { return LoadBounded(buf, MaxLoadItems) }
 // index, so every id is checked against the bound before anything is sized
 // by it. buf is only read.
 func LoadBounded(buf []byte, items int) (*HBPS, error) {
-	if len(buf) < 2*PageSize {
-		return nil, fmt.Errorf("hbps: %d bytes, need at least two pages", len(buf))
+	cfg, err := pagesConfig(buf)
+	if err != nil {
+		return nil, err
+	}
+	h := New(cfg)
+	if err := h.LoadFrom(buf, items); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// LoadFrom is LoadBounded into h's own storage, as a TopAA-seeded remount
+// reloads a volume's HBPS where it already lives. Pages of another geometry
+// are rejected before h is touched. Any later error leaves h inconsistent
+// until a Replenish, which rebuilds every field; on success h reads as the
+// structure LoadBounded would return, Metrics included.
+func (h *HBPS) LoadFrom(buf []byte, items int) error {
+	cfg, err := pagesConfig(buf)
+	if err != nil {
+		return err
+	}
+	if cfg != h.cfg {
+		return fmt.Errorf("hbps: pages describe %+v, structure is %+v", cfg, h.cfg)
 	}
 	le := binary.LittleEndian
-	if le.Uint32(buf[offMagic:]) != magic {
-		return nil, errors.New("hbps: bad magic")
-	}
-	if v := le.Uint16(buf[offVersion:]); v != version {
-		return nil, fmt.Errorf("hbps: unsupported version %d", v)
-	}
-	nb := int(le.Uint16(buf[offBinCount:]))
-	bw := le.Uint32(buf[offBinWidth:])
-	ms := le.Uint32(buf[offMaxScore:])
-	if nb == 0 || nb > MaxBins || bw == 0 || ms != bw*uint32(nb) {
-		return nil, fmt.Errorf("hbps: inconsistent geometry bins=%d width=%d max=%d", nb, bw, ms)
-	}
-	listCap := int(le.Uint32(buf[offListCap:]))
 	listLen := int(le.Uint32(buf[offListLen:]))
-	cfg := Config{MaxScore: ms, BinWidth: bw, ListCap: listCap}
-	if listCap <= 0 || len(buf) < cfg.MarshaledSize() {
-		return nil, fmt.Errorf("hbps: buffer %d bytes too small for capacity %d", len(buf), listCap)
-	}
-	if listLen > listCap {
-		return nil, fmt.Errorf("hbps: list length %d exceeds capacity %d", listLen, listCap)
+	if listLen > cfg.ListCap {
+		return fmt.Errorf("hbps: list length %d exceeds capacity %d", listLen, cfg.ListCap)
 	}
 	total := le.Uint64(buf[offTotal:])
 	if total > uint64(items) {
-		return nil, fmt.Errorf("hbps: corrupt pages: %d items tracked, at most %d exist", total, items)
+		return fmt.Errorf("hbps: corrupt pages: %d items tracked, at most %d exist", total, items)
 	}
 	ids := buf[PageSize : PageSize+4*listLen]
 	top := -1
 	for o := 0; o < len(ids); o += 4 {
 		id := int(le.Uint32(ids[o:]))
 		if id >= items {
-			return nil, fmt.Errorf("hbps: corrupt pages: listed item %d, ids end at %d", id, items)
+			return fmt.Errorf("hbps: corrupt pages: listed item %d, ids end at %d", id, items)
 		}
 		top = max(top, id)
 	}
-	h := New(cfg)
+	for _, id := range h.list {
+		h.pos[id] = -1
+	}
 	h.total = total
-	for b := 0; b < nb; b++ {
+	for b := range h.bins {
 		o := offBins + b*binStride
 		h.bins[b].count = le.Uint32(buf[o:])
 		h.bins[b].listed = le.Uint32(buf[o+4:])
 		h.bins[b].index = int32(le.Uint32(buf[o+8:]))
 	}
-	h.growPos(top + 1)
+	if top >= len(h.pos) {
+		h.growPos(top + 1)
+	}
 	h.list = h.list[:listLen]
 	for i := range h.list {
 		id := aa.ID(le.Uint32(ids[4*i:]))
 		if h.pos[id] >= 0 {
-			return nil, fmt.Errorf("hbps: corrupt pages: item %d listed twice", id)
+			h.list = h.list[:i]
+			return fmt.Errorf("hbps: corrupt pages: item %d listed twice", id)
 		}
 		h.list[i] = id
 		h.pos[id] = int32(i)
 	}
 	if err := h.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("hbps: corrupt pages: %w", err)
+		return fmt.Errorf("hbps: corrupt pages: %w", err)
 	}
-	return h, nil
+	h.m = Metrics{}
+	return nil
+}
+
+// pagesConfig reads and checks the geometry the histogram page records.
+func pagesConfig(buf []byte) (Config, error) {
+	if len(buf) < 2*PageSize {
+		return Config{}, fmt.Errorf("hbps: %d bytes, need at least two pages", len(buf))
+	}
+	le := binary.LittleEndian
+	if le.Uint32(buf[offMagic:]) != magic {
+		return Config{}, errors.New("hbps: bad magic")
+	}
+	if v := le.Uint16(buf[offVersion:]); v != version {
+		return Config{}, fmt.Errorf("hbps: unsupported version %d", v)
+	}
+	nb := int(le.Uint16(buf[offBinCount:]))
+	bw := le.Uint32(buf[offBinWidth:])
+	ms := le.Uint32(buf[offMaxScore:])
+	if nb == 0 || nb > MaxBins || bw == 0 || ms != bw*uint32(nb) {
+		return Config{}, fmt.Errorf("hbps: inconsistent geometry bins=%d width=%d max=%d", nb, bw, ms)
+	}
+	cfg := Config{MaxScore: ms, BinWidth: bw, ListCap: int(le.Uint32(buf[offListCap:]))}
+	if cfg.ListCap <= 0 || len(buf) < cfg.MarshaledSize() {
+		return Config{}, fmt.Errorf("hbps: buffer %d bytes too small for capacity %d", len(buf), cfg.ListCap)
+	}
+	return cfg, nil
 }

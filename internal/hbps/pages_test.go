@@ -167,6 +167,83 @@ func TestLoadBoundedRejectsForeignIDs(t *testing.T) {
 	}
 }
 
+// LoadFrom reloads a structure in place, as a seeded remount does: the
+// result reads exactly as LoadBounded's does, metrics included, and a steady
+// reload allocates nothing. Pages of another geometry leave the structure
+// untouched; pages that fail later leave it for a Replenish, which rebuilds
+// it whole.
+func TestLoadFromReusesStorage(t *testing.T) {
+	src, _ := populated(9, 3000)
+	for i := 0; i < 200; i++ {
+		src.PopBest()
+	}
+	data := src.Marshal()
+	want, err := LoadBounded(data, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, scores := populated(10, 2500)
+	for i := 0; i < 300; i++ {
+		h.PopBest()
+	}
+	if err := h.LoadFrom(data, 3000); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(h.Marshal(), data) || h.Metrics() != want.Metrics() {
+		t.Fatalf("in-place load differs from LoadBounded: metrics %+v, want %+v", h.Metrics(), want.Metrics())
+	}
+	for i := 0; i < 50; i++ {
+		a, aok := h.PopBest()
+		b, bok := want.PopBest()
+		if a != b || aok != bok {
+			t.Fatalf("pop %d: %d,%v vs %d,%v", i, a, aok, b, bok)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := h.LoadFrom(data, 3000); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("LoadFrom allocates %.0f times, want 0", n)
+	}
+
+	other := New(Config{MaxScore: 1024, BinWidth: 32, ListCap: DefaultListCap})
+	other.Track(0, 1024)
+	before := other.Marshal()
+	if err := other.LoadFrom(data, 3000); err == nil {
+		t.Fatal("pages of another geometry loaded")
+	}
+	if !bytes.Equal(other.Marshal(), before) || other.Metrics().Tracks != 1 {
+		t.Fatal("a rejected geometry touched the structure")
+	}
+
+	dup := append([]byte(nil), data...)
+	copy(dup[PageSize+40:PageSize+44], dup[PageSize:PageSize+4])
+	if err := h.LoadFrom(dup, 3000); err == nil {
+		t.Fatal("duplicate list entries loaded")
+	}
+	fresh := New(DefaultConfig())
+	for id := 0; id < 2500; id++ {
+		fresh.Track(aa.ID(id), scores[aa.ID(id)])
+	}
+	for _, x := range []*HBPS{h, fresh} {
+		x.Replenish(func(yield func(aa.ID, uint32)) {
+			for id := 0; id < 2500; id++ {
+				yield(aa.ID(id), scores[aa.ID(id)])
+			}
+		})
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(h.Marshal(), fresh.Marshal()) {
+		t.Fatal("Replenish after a failed load does not rebuild the structure")
+	}
+}
+
 // MarshalTo must leave a reused buffer exactly as Marshal leaves a new one:
 // the TopAA store marshals every save into one scratch image.
 func TestMarshalToRewritesEveryByte(t *testing.T) {

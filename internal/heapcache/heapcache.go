@@ -14,7 +14,10 @@
 package heapcache
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"waflfs/internal/aa"
 	"waflfs/internal/shardq"
@@ -32,17 +35,17 @@ type Cache struct {
 	heap []Entry
 	// pos maps AA id -> index in heap, or -1 when the AA is not tracked.
 	pos []int32
-	// cands is AppendTopK's candidate heap (indices into heap), kept between
-	// calls; only a cache whose top is exported ever allocates it.
-	cands []int32
+	// keys is AppendTopK's scratch, kept between calls and across resets;
+	// only a cache whose top is exported ever allocates it.
+	keys []uint64
 
 	m Metrics
 }
 
 // Metrics counts the structural work the heap has done since construction
-// (bulk heapify in NewFromScores is not counted). Swaps is the rebalance
-// cost: one sift step moved an entry. The observability layer exposes these
-// per RAID group.
+// or its last reset (bulk heapify in NewFromScores and ResetFromScores is not
+// counted). Swaps is the rebalance cost: one sift step moved an entry. The
+// observability layer exposes these per RAID group.
 type Metrics struct {
 	Inserts uint64
 	Updates uint64
@@ -74,17 +77,40 @@ func New(numAAs int) *Cache {
 // NewFromScores builds a fully populated cache from a score-per-AA slice in
 // O(n) (heapify), as a cache rebuild from a bitmap walk does.
 func NewFromScores(scores []uint64) *Cache {
-	c := New(len(scores))
-	c.heap = c.heap[:len(scores)]
+	c := &Cache{}
+	c.ResetFromScores(scores)
+	return c
+}
+
+// Reset empties the cache in place, keeping its id space and its storage, as
+// a TopAA-seeded remount does before inserting the seed. The cache then
+// reports the Metrics a new one would.
+func (c *Cache) Reset() {
+	for _, e := range c.heap {
+		c.pos[e.ID] = -1
+	}
+	c.heap = c.heap[:0]
+	c.m = Metrics{}
+}
+
+// ResetFromScores is NewFromScores over the cache's own storage, which grows
+// only if scores describes more AAs than it has held: a bitmap-walk remount
+// heapifies its scores where the previous heap was.
+func (c *Cache) ResetFromScores(scores []uint64) {
+	n := len(scores)
+	if n <= 0 {
+		panic("heapcache: numAAs must be positive")
+	}
+	c.heap = slices.Grow(c.heap[:0], n)[:n]
+	c.pos = slices.Grow(c.pos[:0], n)[:n]
 	for i, s := range scores {
 		c.heap[i] = Entry{ID: aa.ID(i), Score: s}
 		c.pos[i] = int32(i)
 	}
-	for i := len(c.heap)/2 - 1; i >= 0; i-- {
+	for i := n/2 - 1; i >= 0; i-- {
 		c.siftDown(i)
 	}
 	c.m = Metrics{} // bulk heapify is construction, not operational work
-	return c
 }
 
 // Len returns the number of AAs currently tracked.
@@ -248,73 +274,83 @@ func (c *Cache) TopK(k int) []Entry {
 // slice; with room in dst it allocates nothing, which is how the TopAA store
 // exports the heap at every CP.
 //
-// It is a partial traversal of the heap: a candidate max-heap of heap indices
-// starts at the root, and every entry taken from it offers its two children.
-// A child never outranks its parent, so the candidates always contain the
-// next entry in rank order; k entries cost O(k log k) however large the heap
-// is. The candidates live in a scratch slice the cache keeps, so AppendTopK
-// is a mutation as far as concurrent use is concerned.
+// It ranks packed keys, score<<32 | ^id: while every score fits 32 bits — the
+// root holds the largest — a greater key is exactly a higher entry. The heap's
+// keys are copied into a scratch slice the cache keeps, a quickselect moves
+// the k greatest to its front and a sort orders those k, so the cost is
+// O(n + k log k) in straight-line passes over one array. The scratch makes
+// AppendTopK a mutation as far as concurrent use is concerned.
 func (c *Cache) AppendTopK(dst []Entry, k int) []Entry {
-	if k > len(c.heap) {
-		k = len(c.heap)
-	}
+	k = min(k, len(c.heap))
 	if k <= 0 {
 		return dst
 	}
-	// Each pop removes one candidate and adds at most two, from one: k+1
-	// bounds the candidates before the k-th pop.
-	if cap(c.cands) < k+1 {
-		c.cands = make([]int32, 0, k+1)
+	if c.heap[0].Score > math.MaxUint32 {
+		// Such scores do not pack (and the TopAA encoder rejects them).
+		n := len(dst)
+		dst = append(dst, c.heap...)
+		slices.SortFunc(dst[n:], func(a, b Entry) int {
+			if c := cmp.Compare(b.Score, a.Score); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+		return dst[:n+k]
 	}
-	cands := append(c.cands[:0], 0)
-	for ; k > 0; k-- {
-		top := cands[0]
-		dst = append(dst, c.heap[top])
-		// The left child takes the root's place if there is one, else the
-		// last candidate does; the right child is a push.
-		if l := 2*top + 1; int(l) < len(c.heap) {
-			cands[0] = l
-		} else {
-			last := len(cands) - 1
-			cands[0] = cands[last]
-			cands = cands[:last]
-		}
-		c.candDown(cands, 0)
-		if r := 2*top + 2; int(r) < len(c.heap) {
-			cands = append(cands, r)
-			c.candUp(cands, len(cands)-1)
-		}
+	if cap(c.keys) < len(c.heap) {
+		c.keys = make([]uint64, 0, cap(c.heap))
+	}
+	keys := c.keys[:len(c.heap)]
+	for i, e := range c.heap {
+		keys[i] = e.Score<<32 | uint64(^e.ID)
+	}
+	selectTop(keys, k)
+	top := keys[:k]
+	slices.Sort(top)
+	for i := k - 1; i >= 0; i-- {
+		dst = append(dst, Entry{ID: ^aa.ID(top[i]), Score: top[i] >> 32})
 	}
 	return dst
 }
 
-// candUp and candDown are siftUp and siftDown for AppendTopK's candidate
-// heap, whose elements are indices into c.heap ranked by the entries there.
-func (c *Cache) candUp(cands []int32, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !higher(c.heap[cands[i]], c.heap[cands[parent]]) {
+// selectTop reorders keys, which are distinct, so that keys[:k] holds the k
+// greatest in no particular order: Hoare's quickselect, descending, with a
+// median-of-three pivot.
+func selectTop(keys []uint64, k int) {
+	lo, hi := 0, len(keys)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if keys[mid] > keys[lo] {
+			keys[mid], keys[lo] = keys[lo], keys[mid]
+		}
+		if keys[hi] > keys[mid] {
+			keys[hi], keys[mid] = keys[mid], keys[hi]
+			if keys[mid] > keys[lo] {
+				keys[mid], keys[lo] = keys[lo], keys[mid]
+			}
+		}
+		p, i, j := keys[mid], lo, hi
+		for i <= j {
+			for keys[i] > p {
+				i++
+			}
+			for keys[j] < p {
+				j--
+			}
+			if i <= j {
+				keys[i], keys[j] = keys[j], keys[i]
+				i, j = i+1, j-1
+			}
+		}
+		// keys[lo..j] ≥ p ≥ keys[i..hi]; a key between them is p itself.
+		switch {
+		case k-1 <= j:
+			hi = j
+		case k-1 >= i:
+			lo = i
+		default:
 			return
 		}
-		cands[i], cands[parent] = cands[parent], cands[i]
-		i = parent
-	}
-}
-
-func (c *Cache) candDown(cands []int32, i int) {
-	for {
-		l, r, best := 2*i+1, 2*i+2, i
-		if l < len(cands) && higher(c.heap[cands[l]], c.heap[cands[best]]) {
-			best = l
-		}
-		if r < len(cands) && higher(c.heap[cands[r]], c.heap[cands[best]]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		cands[i], cands[best] = cands[best], cands[i]
-		i = best
 	}
 }
 

@@ -2,6 +2,7 @@ package heapcache
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -311,18 +312,31 @@ func sortedTop(c *Cache, k int) []Entry {
 	return all[:k]
 }
 
-// TestTopKMatchesFullSort holds the partial traversal to the oracle, element
-// for element, on heaps with heavy score ties (ties break to the lower id,
-// and the TopAA block is written in this order), at the edge values of k,
-// across random mutations, and checks it leaves the heap as it found it.
+// TestTopKMatchesFullSort holds the selection to the oracle, element for
+// element, on heaps with heavy score ties (ties break to the lower id, and the
+// TopAA block is written in this order), on a RAID group's 512 of 1024 with
+// wide or tied scores, on roots too large for a packed key, at the edge values
+// of k, across random mutations, and checks it leaves the heap as it found it.
 func TestTopKMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 64; trial++ {
 		n := 1 + rng.Intn(300)
-		distinct := 1 + rng.Intn(6) // few scores, many ties
+		distinct := uint64(1 + rng.Intn(6)) // few scores, many ties
+		var base uint64
+		switch trial % 8 {
+		case 5: // a RAID group's AAs, scores as wide as 32k
+			n, distinct = 1024, 32768
+		case 6: // a RAID group's AAs, heavily tied
+			n = 1024
+		case 7: // scores that do not pack into 32 bits
+			base = 1 << 32
+		}
 		scores := make([]uint64, n)
 		for i := range scores {
-			scores[i] = uint64(rng.Intn(distinct))
+			scores[i] = base + uint64(rng.Int63n(int64(distinct)))
+		}
+		if base > 0 {
+			scores[rng.Intn(n)] = 1<<32 - 1 // ties across the packing limit
 		}
 		c := NewFromScores(scores)
 		for round := 0; round < 6; round++ {
@@ -357,15 +371,62 @@ func TestTopKMatchesFullSort(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					if c.Tracked(id) {
-						c.Update(id, uint64(rng.Intn(distinct)))
+						c.Update(id, base+uint64(rng.Int63n(int64(distinct))))
 					}
 				case 1:
 					c.PopBest()
 				case 2:
-					c.Insert(id, uint64(rng.Intn(distinct)))
+					c.Insert(id, base+uint64(rng.Int63n(int64(distinct))))
 				}
 			}
 		}
+	}
+}
+
+// A remount rebuilds the cache in place, so the storage it had — AppendTopK's
+// key scratch included — serves the rebuilt cache: neither a reset nor the
+// exports after it allocate, and a reset cache reads as a new one would.
+func TestResetKeepsStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	scores := make([]uint64, 1024)
+	for i := range scores {
+		scores[i] = uint64(rng.Intn(768))
+	}
+	c := NewFromScores(scores)
+	dst := c.AppendTopK(nil, raidAwareTop)
+	for _, tc := range []struct {
+		name  string
+		reset func()
+	}{
+		{"ResetFromScores", func() { c.ResetFromScores(scores) }},
+		{"Reset", func() {
+			c.Reset()
+			for id := 0; id < raidAwareTop; id++ {
+				c.Insert(aa.ID(id), scores[id])
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(20, func() {
+			tc.reset()
+			dst = c.AppendTopK(dst[:0], raidAwareTop)
+		}); n != 0 {
+			t.Errorf("%s then AppendTopK: %.0f allocations, want 0", tc.name, n)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	c.ResetFromScores(scores)
+	fresh := NewFromScores(scores)
+	if c.Metrics() != fresh.Metrics() || c.Len() != fresh.Len() || c.Capacity() != fresh.Capacity() {
+		t.Fatalf("reset cache reads %+v len %d, a new one %+v len %d", c.Metrics(), c.Len(), fresh.Metrics(), fresh.Len())
+	}
+	if got, want := c.TopK(raidAwareTop), fresh.TopK(raidAwareTop); !slices.Equal(got, want) {
+		t.Fatal("reset cache exports a different top")
+	}
+	c.Reset()
+	if c.Len() != 0 || c.Metrics() != (Metrics{}) || c.Tracked(0) {
+		t.Fatalf("Reset left %d entries, metrics %+v", c.Len(), c.Metrics())
 	}
 }
 

@@ -2,44 +2,92 @@ package topaa
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"waflfs/internal/aa"
 	"waflfs/internal/block"
 	"waflfs/internal/hbps"
+	"waflfs/internal/heapcache"
 )
 
-// FuzzLoadRAIDAware asserts the RAID-aware decoder never panics: arbitrary
-// bytes either error or decode to densely packed, descending, duplicate-free
-// entries — the properties mount relies on before seeding the heap.
+// sortedLoadRAIDAware is the decoder LoadRAIDAware replaced, which could not
+// know its group's AA count: it found duplicates by sorting the ids. It is
+// FuzzLoadRAIDAware's oracle.
+func sortedLoadRAIDAware(buf []byte) ([]heapcache.Entry, error) {
+	if len(buf) != block.BlockSize {
+		return nil, fmt.Errorf("topaa: RAID-aware block is %d bytes, want %d", len(buf), block.BlockSize)
+	}
+	le := binary.LittleEndian
+	n := 0
+	for n < RAIDAwareEntries && le.Uint32(buf[8*n:]) != invalidID {
+		n++
+	}
+	for i := n; i < RAIDAwareEntries; i++ {
+		if le.Uint32(buf[8*i:]) != invalidID {
+			return nil, errors.New("topaa: entry after terminator")
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	var ids [RAIDAwareEntries]uint32
+	out := make([]heapcache.Entry, n)
+	for i := range out {
+		ids[i] = le.Uint32(buf[8*i:])
+		out[i] = heapcache.Entry{ID: aa.ID(ids[i]), Score: uint64(le.Uint32(buf[8*i+4:]))}
+		if i > 0 && out[i-1].Score < out[i].Score {
+			return nil, errors.New("topaa: scores not descending")
+		}
+	}
+	slices.Sort(ids[:n])
+	for i := 1; i < n; i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("topaa: duplicate AA %d", ids[i])
+		}
+	}
+	return out, nil
+}
+
+// FuzzLoadRAIDAware holds the bounded decoder to the sort-based one it
+// replaced plus the id-range check mount used to make itself: for any bytes
+// and AA count it accepts exactly what they accepted, decoding the same
+// entries, through a decoder reused across calls as the store reuses one.
+// It never panics.
 func FuzzLoadRAIDAware(f *testing.F) {
 	good, err := MarshalRAIDAware(fullCache(300, 20).TopK(RAIDAwareEntries))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good)
+	f.Add(good, uint16(300))
 	empty, _ := MarshalRAIDAware(nil)
-	f.Add(empty)
-	f.Add([]byte{})
-	f.Add(make([]byte, block.BlockSize))
-	f.Add(make([]byte, block.BlockSize-1))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := LoadRAIDAware(data)
-		if err != nil {
-			return
+	f.Add(empty, uint16(1))
+	f.Add([]byte{}, uint16(300))
+	f.Add(make([]byte, block.BlockSize), uint16(1024))
+	f.Add(make([]byte, block.BlockSize-1), uint16(1024))
+	f.Add(good, uint16(299))
+	duplicate := append([]byte(nil), good...)
+	copy(duplicate[8*400:8*400+4], duplicate[8*3:8*3+4])
+	f.Add(duplicate, uint16(300))
+	var d raidDecoder
+	f.Fuzz(func(t *testing.T, data []byte, numAAs uint16) {
+		want, wantErr := sortedLoadRAIDAware(data)
+		for _, e := range want {
+			if int(e.ID) >= int(numAAs) {
+				wantErr = errors.New("out of range")
+			}
 		}
-		seen := make(map[aa.ID]bool, len(entries))
-		for i, e := range entries {
-			if seen[e.ID] {
-				t.Fatalf("decoded duplicate AA %d", e.ID)
-			}
-			seen[e.ID] = true
-			if e.Score > uint64(^uint32(0)) {
-				t.Fatalf("decoded score %d exceeds uint32", e.Score)
-			}
-			if i > 0 && entries[i-1].Score < e.Score {
-				t.Fatalf("decoded scores not descending at %d", i)
-			}
+		got, err := d.decode(data, int(numAAs))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%d AAs: bounded decoder says %v, oracle %v", numAAs, err, wantErr)
+		}
+		if err == nil && !slices.Equal(got, want) {
+			t.Fatalf("%d AAs: bounded decoder and oracle decode different entries", numAAs)
+		}
+		if pkg, err := LoadRAIDAware(data, int(numAAs)); (err == nil) != (wantErr == nil) || !slices.Equal(pkg, got) {
+			t.Fatalf("%d AAs: LoadRAIDAware disagrees with a reused decoder: %v", numAAs, err)
 		}
 	})
 }

@@ -23,8 +23,11 @@ type image struct {
 func loadImage(s *Store, name string) image {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, outcome, err := s.loadLocked(name)
-	im := image{data: append([]byte(nil), data...), outcome: outcome}
+	m, outcome, err := s.loadLocked(name)
+	im := image{outcome: outcome}
+	if m != nil {
+		im.data = append([]byte(nil), m.data...)
+	}
 	for _, class := range []error{ErrMissing, ErrStale, ErrTorn, ErrDamaged} {
 		if errors.Is(err, class) {
 			im.class = class

@@ -41,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sort"
 	"sync"
 
@@ -137,11 +136,32 @@ func marshalRAIDAwareTo(buf []byte, entries []heapcache.Entry) error {
 	return nil
 }
 
-// LoadRAIDAware decodes a RAID-aware TopAA block. It validates that entries
-// are densely packed and in descending score order (the order TopK writes),
-// returning an error on any inconsistency so mount can fall back to a
-// bitmap walk.
-func LoadRAIDAware(buf []byte) ([]heapcache.Entry, error) {
+// MaxLoadAAs is the AA-id ceiling Store.LoadRAIDAware applies when the
+// caller gives no tighter one: a 16 TiB device holds 2^32 4KiB blocks, which
+// the 4k-stripe HDD default (§3.2.1) carves into 2^20 AAs. The duplicate
+// check keeps a bit per id up to the largest listed, so the ceiling also
+// bounds what a damaged block can make a load allocate (128 KiB).
+const MaxLoadAAs = 1 << 20
+
+// LoadRAIDAware decodes a RAID-aware TopAA block for a group of numAAs AAs.
+// It validates that entries are densely packed, in descending score order
+// (the order TopK writes), and name distinct AAs below numAAs, returning an
+// error on any inconsistency so mount can fall back to a bitmap walk.
+func LoadRAIDAware(buf []byte, numAAs int) ([]heapcache.Entry, error) {
+	var d raidDecoder
+	return d.decode(buf, numAAs)
+}
+
+// raidDecoder decodes RAID-aware blocks into storage it keeps: the entries,
+// and the duplicate check's bitset over AA ids, all zero between decodes.
+type raidDecoder struct {
+	entries []heapcache.Entry
+	seen    []uint64
+}
+
+// decode is LoadRAIDAware into d's storage; the entries it returns are d's
+// until the next decode.
+func (d *raidDecoder) decode(buf []byte, numAAs int) ([]heapcache.Entry, error) {
 	if len(buf) != block.BlockSize {
 		return nil, fmt.Errorf("topaa: RAID-aware block is %d bytes, want %d", len(buf), block.BlockSize)
 	}
@@ -155,25 +175,36 @@ func LoadRAIDAware(buf []byte) ([]heapcache.Entry, error) {
 			return nil, errors.New("topaa: entry after terminator")
 		}
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	// The block cannot know its group's AA count, so duplicates are found by
-	// sorting the ids (at most 512, on the stack), not by indexing on them.
-	var ids [RAIDAwareEntries]uint32
-	out := make([]heapcache.Entry, n)
-	for i := range out {
-		ids[i] = le.Uint32(buf[8*i:])
-		out[i] = heapcache.Entry{ID: aa.ID(ids[i]), Score: uint64(le.Uint32(buf[8*i+4:]))}
-		if i > 0 && out[i-1].Score < out[i].Score {
+	out, top := d.entries[:0], uint32(0)
+	for i := 0; i < n; i++ {
+		id := le.Uint32(buf[8*i:])
+		if uint64(id) >= uint64(numAAs) {
+			return nil, fmt.Errorf("topaa: AA %d outside the group's %d", id, numAAs)
+		}
+		e := heapcache.Entry{ID: aa.ID(id), Score: uint64(le.Uint32(buf[8*i+4:]))}
+		if i > 0 && out[i-1].Score < e.Score {
 			return nil, errors.New("topaa: scores not descending")
 		}
+		out, top = append(out, e), max(top, id)
 	}
-	slices.Sort(ids[:n])
-	for i := 1; i < n; i++ {
-		if ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("topaa: duplicate AA %d", ids[i])
+	d.entries = out
+	if words := int(top/64) + 1; len(d.seen) < words {
+		d.seen = make([]uint64, words)
+	}
+	var err error
+	for _, e := range out {
+		w, m := e.ID/64, uint64(1)<<(e.ID%64)
+		if d.seen[w]&m != 0 {
+			err = fmt.Errorf("topaa: duplicate AA %d", e.ID)
+			break
 		}
+		d.seen[w] |= m
+	}
+	for _, e := range out {
+		d.seen[e.ID/64] = 0 // every word a mark went to
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -206,10 +237,13 @@ func (pb *protBlock) protect(blk []byte, gen uint64) {
 }
 
 // metafile is one named block run plus its protection. It is a fixed-size
-// object: a save of the same size rewrites it where it is.
+// object: a save of the same size rewrites it where it is. dec is where its
+// RAID-aware loads decode: a key is owned by one space, so what a load
+// returns stays that space's until it loads the key again.
 type metafile struct {
 	data []byte
 	prot []protBlock
+	dec  raidDecoder
 }
 
 func (m *metafile) nblocks() int { return len(m.data) / block.BlockSize }
@@ -248,7 +282,9 @@ type RecoveryStats struct {
 // owned by exactly one space. Saves marshal into scratch the store owns and
 // loads decode straight from the metafile's bytes, both under the store's
 // lock, so concurrent loads take turns on a decode of a few microseconds
-// instead of each copying the image out first.
+// instead of each copying the image out first. A load decodes into storage
+// that outlives it: a RAID-aware seed into scratch the metafile keeps, an
+// HBPS into the caller's own (LoadAgnosticInto).
 type Store struct {
 	mu     sync.Mutex
 	blocks map[string]*metafile
@@ -360,10 +396,10 @@ func (s *Store) tornWriteLocked(name string, data []byte, k int) {
 // chunk per block is rebuilt from parity and repaired in place; anything
 // worse — or mixed/stale generations — fails with the matching sentinel
 // error. The failed probe of a missing metafile charges one block read; a
-// present metafile charges one read per block. The bytes returned are the
-// metafile's own, not a copy: the caller holds s.mu, only reads them, and
+// present metafile charges one read per block. The metafile returned is the
+// store's own, not a copy: the caller holds s.mu, only reads its bytes, and
 // is done with them before it unlocks.
-func (s *Store) loadLocked(name string) ([]byte, LoadOutcome, error) {
+func (s *Store) loadLocked(name string) (*metafile, LoadOutcome, error) {
 	m, ok := s.blocks[name]
 	if !ok {
 		s.reads++ // the probe that discovers the miss is a real I/O
@@ -431,7 +467,7 @@ func (s *Store) loadLocked(name string) ([]byte, LoadOutcome, error) {
 	if reconstructed {
 		out = LoadReconstructed
 	}
-	return m.data, out, nil
+	return m, out, nil
 }
 
 // SaveRAIDAware persists the cache's 512 best AAs under name. This runs at
@@ -454,15 +490,24 @@ func (s *Store) SaveRAIDAware(name string, c *heapcache.Cache) error {
 }
 
 // LoadRAIDAware reads the named block and decodes the seed entries,
-// charging one block read (or one for the failed probe).
+// charging one block read (or one for the failed probe). Listed ids are held
+// to MaxLoadAAs; a caller that knows its group's AA count should use
+// LoadRAIDAwareBounded.
 func (s *Store) LoadRAIDAware(name string) ([]heapcache.Entry, LoadOutcome, error) {
+	return s.LoadRAIDAwareBounded(name, MaxLoadAAs)
+}
+
+// LoadRAIDAwareBounded is LoadRAIDAware for a group of numAAs AAs: a block
+// naming any other AA is damaged. The entries are the metafile's decode
+// scratch, good until the next load of name.
+func (s *Store) LoadRAIDAwareBounded(name string, numAAs int) ([]heapcache.Entry, LoadOutcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf, outcome, err := s.loadLocked(name)
+	m, outcome, err := s.loadLocked(name)
 	if err != nil {
 		return nil, LoadFailed, err
 	}
-	entries, err := LoadRAIDAware(buf)
+	entries, err := m.dec.decode(m.data, numAAs)
 	if err != nil {
 		s.rec.DamagedLoads++
 		return nil, LoadFailed, fmt.Errorf("%w: %v", ErrDamaged, err)
@@ -481,28 +526,39 @@ func (s *Store) SaveAgnostic(name string, h *hbps.HBPS) {
 
 // LoadAgnostic reads and reconstructs the named HBPS, charging one read per
 // block (or one for the failed probe). Listed ids are held to
-// hbps.MaxLoadItems; a caller that knows how many items the structure tracks
-// should use LoadAgnosticBounded.
+// hbps.MaxLoadItems.
 func (s *Store) LoadAgnostic(name string) (*hbps.HBPS, LoadOutcome, error) {
-	return s.LoadAgnosticBounded(name, hbps.MaxLoadItems)
-}
-
-// LoadAgnosticBounded is LoadAgnostic for an HBPS known to track ids in
-// [0, items): an image that lists any other id, or tracks more than items,
-// is damaged (hbps.LoadBounded).
-func (s *Store) LoadAgnosticBounded(name string, items int) (*hbps.HBPS, LoadOutcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf, outcome, err := s.loadLocked(name)
+	m, outcome, err := s.loadLocked(name)
 	if err != nil {
 		return nil, LoadFailed, err
 	}
-	h, err := hbps.LoadBounded(buf, items)
+	h, err := hbps.Load(m.data)
 	if err != nil {
 		s.rec.DamagedLoads++
 		return nil, LoadFailed, fmt.Errorf("%w: %v", ErrDamaged, err)
 	}
 	return h, outcome, nil
+}
+
+// LoadAgnosticInto is LoadAgnostic into h's own storage, for an HBPS known to
+// track ids in [0, items) (hbps.LoadFrom): an image of another geometry, or
+// that lists any other id or tracks more than items, is damaged. An image
+// that fails to decode may leave h half-loaded (one of another geometry is
+// rejected before h is touched), and h must then be rebuilt with Replenish.
+func (s *Store) LoadAgnosticInto(name string, h *hbps.HBPS, items int) (LoadOutcome, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, outcome, err := s.loadLocked(name)
+	if err != nil {
+		return LoadFailed, err
+	}
+	if err := h.LoadFrom(m.data, items); err != nil {
+		s.rec.DamagedLoads++
+		return LoadFailed, fmt.Errorf("%w: %v", ErrDamaged, err)
+	}
+	return outcome, nil
 }
 
 // Has reports whether a metafile exists for name.

@@ -1,8 +1,10 @@
 package topaa
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"waflfs/internal/aa"
@@ -37,7 +39,7 @@ func TestRAIDAwareRoundTrip(t *testing.T) {
 	if len(buf) != block.BlockSize {
 		t.Fatalf("block size = %d", len(buf))
 	}
-	got, err := LoadRAIDAware(buf)
+	got, err := LoadRAIDAware(buf, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestRAIDAwarePartialBlock(t *testing.T) {
 	// Fewer AAs than 512: block is partially filled.
 	c := fullCache(17, 2)
 	buf := mustMarshal(t, c.TopK(RAIDAwareEntries))
-	got, err := LoadRAIDAware(buf)
+	got, err := LoadRAIDAware(buf, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestRAIDAwarePartialBlock(t *testing.T) {
 		t.Fatalf("entries = %d", len(got))
 	}
 	// Empty marshal loads as empty.
-	got, err = LoadRAIDAware(mustMarshal(t, nil))
+	got, err = LoadRAIDAware(mustMarshal(t, nil), 17)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty: %v %v", got, err)
 	}
@@ -74,7 +76,7 @@ func TestRAIDAwareOverlongTruncates(t *testing.T) {
 	for i := range entries {
 		entries[i] = heapcache.Entry{ID: aa.ID(i), Score: uint64(1000 - i)}
 	}
-	got, err := LoadRAIDAware(mustMarshal(t, entries))
+	got, err := LoadRAIDAware(mustMarshal(t, entries), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,27 +102,80 @@ func TestRAIDAwareLoadRejectsCorruption(t *testing.T) {
 	good := mustMarshal(t, c.TopK(RAIDAwareEntries))
 
 	// Wrong size.
-	if _, err := LoadRAIDAware(good[:100]); err == nil {
+	if _, err := LoadRAIDAware(good[:100], 10000); err == nil {
 		t.Error("short block accepted")
 	}
 	// Ascending scores (corrupt order).
 	bad := append([]byte(nil), good...)
 	copy(bad[4:8], []byte{0, 0, 0, 0}) // first score -> 0, below second
-	if _, err := LoadRAIDAware(bad); err == nil {
+	if _, err := LoadRAIDAware(bad, 10000); err == nil {
 		t.Error("non-descending scores accepted")
 	}
 	// Duplicate IDs.
 	bad = append([]byte(nil), good...)
 	copy(bad[8:12], bad[0:4])
-	if _, err := LoadRAIDAware(bad); err == nil {
+	if _, err := LoadRAIDAware(bad, 10000); err == nil {
 		t.Error("duplicate id accepted")
 	}
 	// Entry after terminator.
 	short := mustMarshal(t, c.TopK(5))
 	bad = append([]byte(nil), short...)
 	copy(bad[8*7:8*7+8], good[:8]) // resurrect slot 7 after slot 5 ended
-	if _, err := LoadRAIDAware(bad); err == nil {
+	if _, err := LoadRAIDAware(bad, 10000); err == nil {
 		t.Error("entry after terminator accepted")
+	}
+	// An AA the group does not have.
+	top := c.TopK(RAIDAwareEntries)
+	maxID := aa.ID(0)
+	for _, e := range top {
+		maxID = max(maxID, e.ID)
+	}
+	if _, err := LoadRAIDAware(good, int(maxID)); err == nil {
+		t.Error("AA at the group's AA count accepted")
+	}
+	if _, err := LoadRAIDAware(good, int(maxID)+1); err != nil {
+		t.Errorf("exact AA count rejected: %v", err)
+	}
+}
+
+// The store's bounded load holds ids to the group and counts a block naming
+// another AA as damage; a reload decodes into the metafile's scratch, and the
+// duplicate check's bits are clear again after a rejected block.
+func TestStoreRAIDAwareBounded(t *testing.T) {
+	s := NewStore()
+	c := fullCache(1024, 17)
+	if err := s.SaveRAIDAware("rg0", c); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.LoadRAIDAwareBounded("rg0", 100); !errors.Is(err, ErrDamaged) {
+		t.Fatalf("ids past the bound: %v", err)
+	}
+	if rec := s.Recovery(); rec.DamagedLoads != 1 {
+		t.Fatalf("DamagedLoads = %d, want 1", rec.DamagedLoads)
+	}
+	want := c.TopK(RAIDAwareEntries)
+	got, outcome, err := s.LoadRAIDAwareBounded("rg0", 1024)
+	if err != nil || outcome != LoadClean || !slices.Equal(got, want) {
+		t.Fatalf("bounded load: %v, %v, equal %v", outcome, err, slices.Equal(got, want))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, _, err := s.LoadRAIDAwareBounded("rg0", 1024); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a reload allocates %.0f times, want 0", n)
+	}
+	// A block with a duplicate, then the intact one, through one decoder: the
+	// second decode must not see the first one's marks.
+	good := mustMarshal(t, want)
+	dup := append([]byte(nil), good...)
+	copy(dup[8*300:8*300+4], dup[8*2:8*2+4])
+	var d raidDecoder
+	if _, err := d.decode(dup, 1024); err == nil {
+		t.Fatal("duplicate id accepted")
+	}
+	if got, err := d.decode(good, 1024); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("decode after a rejected duplicate: %v", err)
 	}
 }
 
@@ -199,6 +254,30 @@ func TestStoreAgnostic(t *testing.T) {
 	r, w := s.Stats()
 	if w != 2 || r != 2 {
 		t.Fatalf("stats = %d,%d", r, w)
+	}
+
+	// Into a structure that already exists: the same pages, the same reads.
+	into := hbps.New(hbps.DefaultConfig())
+	into.Track(7, 100)
+	if outcome, err := s.LoadAgnosticInto("vol1", into, 3000); err != nil || outcome != LoadClean {
+		t.Fatalf("LoadAgnosticInto: %v, %v", outcome, err)
+	}
+	if !bytes.Equal(into.Marshal(), h.Marshal()) {
+		t.Fatal("LoadAgnosticInto differs from the saved structure")
+	}
+	if r, _ := s.Stats(); r != 4 {
+		t.Fatalf("reads = %d, want 4", r)
+	}
+	// Bounds and geometry are the space's: both are damage.
+	if _, err := s.LoadAgnosticInto("vol1", into, 2999); !errors.Is(err, ErrDamaged) {
+		t.Fatalf("more tracked than the bound: %v", err)
+	}
+	other := hbps.New(hbps.Config{MaxScore: 1024, BinWidth: 32, ListCap: hbps.DefaultListCap})
+	if _, err := s.LoadAgnosticInto("vol1", other, 3000); !errors.Is(err, ErrDamaged) || other.Total() != 0 {
+		t.Fatalf("another geometry: %v, %d tracked", err, other.Total())
+	}
+	if rec := s.Recovery(); rec.DamagedLoads != 2 {
+		t.Fatalf("DamagedLoads = %d, want 2", rec.DamagedLoads)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"waflfs/internal/block"
 	"waflfs/internal/control"
 	"waflfs/internal/faultinject"
-	"waflfs/internal/heapcache"
 	"waflfs/internal/obs"
 	"waflfs/internal/obs/optrace"
 	"waflfs/internal/obs/picks"
@@ -537,25 +536,23 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		outcome := MountBitmapWalk
 		rebuilt := false
 		if useTopAA {
-			entries, loadOutcome, err := ag.store.LoadRAIDAware(g.key)
+			// The decoder holds listed ids to this group's AA count; a score
+			// its AA cannot hold is damage too.
+			entries, loadOutcome, err := ag.store.LoadRAIDAwareBounded(g.key, g.topo.NumAAs())
 			if err == nil {
-				// The block's structural checks cannot know this group's AA
-				// count; validate against the topology here and treat
-				// out-of-range ids or impossible scores as damage.
 				valid := true
 				for _, e := range entries {
-					if int(e.ID) >= g.topo.NumAAs() || e.Score > aaBlockCount(g.topo, e.ID) {
+					if e.Score > aaBlockCount(g.topo, e.ID) {
 						valid = false
 						break
 					}
 				}
 				if valid {
-					cache := heapcache.New(g.topo.NumAAs())
+					g.cache.Reset()
 					for _, e := range entries {
-						cache.Insert(e.ID, e.Score)
+						g.cache.Insert(e.ID, e.Score)
 						groupStats[i].inserts++
 					}
-					g.cache = cache
 					g.seedOnly = true
 					rebuilt = true
 					outcome = MountCleanLoad
@@ -571,7 +568,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		}
 		if !rebuilt {
 			g.scores = aa.ScoreAllParallelObs(g.scores, g.topo, ag.bm, workers, ag.pobs, ag.scoredAAs)
-			g.cache = heapcache.NewFromScores(g.scores)
+			g.cache.ResetFromScores(g.scores)
 			g.seedOnly = false
 			groupStats[i].inserts += uint64(len(g.scores))
 		}
@@ -594,18 +591,19 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		outcome := MountBitmapWalk
 		rebuilt := false
 		if useTopAA {
-			// The decoder holds listed ids to this space's AA count; an image
+			// The pages decode into the space's own HBPS, the decoder holding
+			// them to its geometry and listed ids to its AA count; an image
 			// that verifies but describes some other space — a different
 			// geometry, or not one tracked item per AA — is damage too, found
-			// here and not inside a later pick.
-			h, loadOutcome, err := ag.store.LoadAgnosticBounded(sp.name, sp.topo.NumAAs())
+			// here and not inside a later pick. The walk below rebuilds
+			// whatever a failed decode left.
+			loadOutcome, err := ag.store.LoadAgnosticInto(sp.name, sp.cache, sp.topo.NumAAs())
 			switch {
 			case err != nil:
 				outcome = classifyLoadError(err)
-			case h.Config() != sp.cache.Config() || h.Total() != uint64(sp.topo.NumAAs()):
+			case sp.cache.Total() != uint64(sp.topo.NumAAs()):
 				outcome = MountDamageFallback
 			default:
-				sp.cache = h
 				rebuilt = true
 				outcome = MountCleanLoad
 				if loadOutcome == topaa.LoadReconstructed {
@@ -680,7 +678,7 @@ func (ag *Aggregate) RepairTopAA() int {
 	for _, g := range ag.groups {
 		g.finishAA(ag.bm)
 		g.scores = aa.ScoreAllParallelObs(g.scores, g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
-		g.cache = heapcache.NewFromScores(g.scores)
+		g.cache.ResetFromScores(g.scores)
 		g.seedOnly = false
 		g.deltas.clear()
 		g.flushDeltas.clear()

@@ -30,15 +30,17 @@ const steadyStateCPAllocCeiling = 20
 // mountCycleAllocCeiling is the same gate for the benchmark's mount_cycle
 // round on its geometry (2 groups of 1024 AAs, 32 volumes): 1024 overwrites +
 // CP, a TopAA-seeded remount, 1024 overwrites + CP, the background fill, a
-// bitmap-walk remount. Twice the 285 the round measures. What is left is what
-// a remount builds new and keeps, or hands to the work pool: per seeded mount
-// a heap (3) and a decoded seed per group and an HBPS (3) with its position
-// index per volume; per walk mount a heap per group, and per space the
-// scoring fan-out's closure, Replenish's closure and the fresh HBPS's
-// enumeration record; Remount's own per-call slices (7) and the two CPs as
-// above. With allocate-fresh saves, the map-indexed HBPS and a score slice
-// per walk this round made 1411.
-const mountCycleAllocCeiling = 570
+// bitmap-walk remount. Twice the 90 the round measures. A remount rebuilds
+// every cache in the storage it already has, so what is left is what it
+// hands to the work pool and to Replenish, not what it keeps: the scoring
+// fan-out's closure per space and per group (and per group again in the
+// background fill), Replenish's closure per volume, Remount's own per-call
+// slices and closures (5 a call) and the two CPs as above. Building each
+// cache new made 268: per seeded mount a heap and a decoded seed per group
+// and an HBPS with its position index per volume, per walk mount a heap per
+// group and an enumeration record per volume. With allocate-fresh saves, the
+// map-indexed HBPS and a score slice per walk the round made 1411.
+const mountCycleAllocCeiling = 180
 
 // armedCPAllocCeiling is the gate for the same round with every sink armed as
 // the benchmark's ssd_overwrite_obs arms them, averaged over 64 rounds because

@@ -121,6 +121,18 @@ if body internal/obs/tsdb/tsdb.go '(s \*Store) Sample(' | grep -n '" *+\|+ *"'; 
     echo "tsdb.Store.Sample builds a series name per call; resolve it once into Store.sampled" >&2
     exit 1
 fi
+# Structural gate, the mount path at word speed (DESIGN.md §16): a striped AA
+# scores in one strided count, and a scoring walk charges the whole space
+# once, so aa.Score has no charging mode; TopK selects and sorts packed keys,
+# so the candidate heap it replaced does not come back beside it.
+if grep -n 'charge bool\|func countFree' internal/aa/aa.go; then
+    echo "aa.Score has a charging path again; charge the space once (ChargeScan)" >&2
+    exit 1
+fi
+if grep -n 'cands\|candUp\|candDown' internal/heapcache/heapcache.go; then
+    echo "heapcache's TopK candidate heap is back; AppendTopK selects over packed keys" >&2
+    exit 1
+fi
 # Structural gate, snapshots that cost what they diverge (DESIGN.md §14): a
 # snapshot keeps a delta of the pointers the next newer image dropped, so it
 # holds no full image copy, the bit-sliced per-LBA counter of the copies is
@@ -186,6 +198,10 @@ go test -run '^$' -fuzz '^FuzzTetrisBuild$' -fuzztime 5s ./internal/raid
 # and a block-by-block Test loop agree on every run, count, bucket and the
 # longest run, and fn returning false stops the walk.
 go test -run '^$' -fuzz '^FuzzFreeRuns$' -fuzztime 5s ./internal/bitmap
+# Strided-count differential fuzzer: for any bitmap size, fill pattern, start,
+# run, stride and run count (word-aligned or not, runs holding whole pages or
+# reaching past the end) CountFreeStrided equals the sum of per-run CountFree.
+go test -run '^$' -fuzz '^FuzzCountFreeStrided$' -fuzztime 5s ./internal/bitmap
 # Shared clause-grammar fuzzer: the field splitter hands out trimmed, unique,
 # comma-free fields that re-join and re-split to themselves; the fault-plan
 # parser rides along for its parse/format round trip.
