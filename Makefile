@@ -30,8 +30,9 @@ bench:
 benchpick:
 	go run ./cmd/waflbench -exp allocbench -scale $(SCALE)
 
-# Regenerate the benchmark artifact at full scale into the next unused
-# BENCH_<n>.json and gate it against the newest previously committed one.
+# Regenerate the benchmark artifact (every experiment's headline rows and the
+# audit's) at full scale into the next unused BENCH_<n>.json and gate it
+# against the newest previously committed one.
 bench-artifact:
 	go run ./cmd/waflbench -bench-json $(BENCH) -scale $(SCALE)
 	go run ./cmd/benchdiff -dir . $(BENCH)
@@ -61,10 +62,11 @@ bench-host-compare:
 # Pipelined-CP gate both ways: the overlap benchmark must clear its 1.3x
 # floor with byte-identical final states (and fire no SLO alert), and a
 # crash in the overlap window must page the recovery SLI while recovering
-# without silent divergence.
+# without silent divergence. The audit that follows every run with shared
+# sinks holds the SLO side.
 pipeline:
-	go run ./cmd/waflbench -exp pipelinebench -scale $(SCALE) -slo default -slo-expect none
-	go run ./cmd/waflbench -exp pipelinecrash -scale 0.1 -slo default -slo-expect alerts
+	go run ./cmd/waflbench -exp pipelinebench -scale $(SCALE) -slo default
+	go run ./cmd/waflbench -exp pipelinecrash -scale 0.1 -slo default
 
 # Run a quarter-scale fig9 with the live introspection endpoints up and hold
 # them for half an hour — point cmd/wafltop (or a browser) at the address.
@@ -83,16 +85,17 @@ trace:
 	    -metrics-addr 127.0.0.1:9190 -slo default -optrace rate=8 \
 	    -trace-collapse trace.folded -hold 30m
 
-# SLO gate both ways: a clean figure run must fire no alert, and the crash
-# matrix (always at small scale — it sweeps every phase × fault) must page
-# the recovery SLI.
+# SLO gate both ways, through the audit: a clean figure run must fire no
+# alert, and the crash matrix (always at small scale — it sweeps every
+# phase × fault) must page the recovery SLI.
 slo:
-	go run ./cmd/waflbench -exp fig9 -scale $(SCALE) -slo default -slo-expect none
-	go run ./cmd/waflbench -exp crashmatrix -scale 0.1 -slo default -slo-expect alerts
+	go run ./cmd/waflbench -exp fig9 -scale $(SCALE) -slo default
+	go run ./cmd/waflbench -exp crashmatrix -scale 0.1 -slo default
 
-# Closed-loop controller gate both ways: on a clean figure run the stock
-# portfolio must keep its hands off every knob (do no harm), and across the
-# crash matrix the recovery page must kick at least one scrub (do some good).
+# Closed-loop controller gate both ways, through the audit: on a clean figure
+# run the stock portfolio must keep its hands off every knob (do no harm),
+# and across the crash matrix the recovery page must kick at least one scrub
+# (do some good).
 control:
-	go run ./cmd/waflbench -exp fig9 -scale $(SCALE) -control default -control-expect none
-	go run ./cmd/waflbench -exp crashmatrix -scale 0.1 -control default -control-expect actuations
+	go run ./cmd/waflbench -exp fig9 -scale $(SCALE) -control default
+	go run ./cmd/waflbench -exp crashmatrix -scale 0.1 -control default

@@ -31,74 +31,43 @@ func benchConfig() experiments.Config {
 	return cfg
 }
 
-// BenchmarkFig6 regenerates Figure 6 (§4.1): AA-cache latency/throughput
-// curves, pick quality, SSD write amplification, and CPU/op. Reported
-// metrics: peak throughput gain from each cache and the WA pair.
-func BenchmarkFig6(b *testing.B) {
+// benchFigure runs one figure's registry entry and reports its headline
+// rows — the same rows, under the same names, that BENCH_<n>.json records
+// (see EXPERIMENTS.md's metric appendix).
+func benchFigure(b *testing.B, name string) {
+	e, err := experiments.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig6(cfg, io.Discard)
-		b.ReportMetric(res.AggThroughputGainPct, "aggCacheGain%")
-		b.ReportMetric(res.VolThroughputGainPct, "volCacheGain%")
-		b.ReportMetric(res.WAOn, "WA-cacheOn")
-		b.ReportMetric(res.WAOff, "WA-cacheOff")
-		b.ReportMetric(100*res.AggPickedOn, "pickedFree%-on")
-		b.ReportMetric(100*res.AggPickedOff, "pickedFree%-off")
+		rows, err := e.Run(cfg, io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range rows {
+			b.ReportMetric(m.Value, m.Name)
+		}
 	}
 }
+
+// BenchmarkFig6 regenerates Figure 6 (§4.1): AA-cache latency/throughput
+// curves, pick quality, SSD write amplification, and CPU/op.
+func BenchmarkFig6(b *testing.B) { benchFigure(b, "fig6") }
 
 // BenchmarkFig7 regenerates Figure 7 (§4.2): per-disk and per-RAID-group
 // write rates under OLTP with imbalanced aging.
-func BenchmarkFig7(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig7(cfg, io.Discard)
-		b.ReportMetric(res.FreshToAgedBlockRatio, "fresh/aged-blocks")
-		b.ReportMetric(res.BlocksPerTetris[0], "aged-blocks/tetris")
-		b.ReportMetric(res.BlocksPerTetris[2], "fresh-blocks/tetris")
-	}
-}
+func BenchmarkFig7(b *testing.B) { benchFigure(b, "fig7") }
 
 // BenchmarkFig8 regenerates Figure 8 (§4.3): SSD AA sizing.
-func BenchmarkFig8(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig8(cfg, io.Discard)
-		b.ReportMetric(res.ThroughputGainPct, "largeAAGain%")
-		b.ReportMetric(res.WASmall, "WA-hddAA")
-		b.ReportMetric(res.WALarge, "WA-largeAA")
-	}
-}
+func BenchmarkFig8(b *testing.B) { benchFigure(b, "fig8") }
 
 // BenchmarkFig9 regenerates Figure 9 (§4.3): SMR AA sizing with AZCS.
-func BenchmarkFig9(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig9(cfg, io.Discard)
-		b.ReportMetric(res.ThroughputGainPct, "alignedGain%")
-		b.ReportMetric(float64(res.RandomChecksumSmall), "randCS-hddAA")
-		b.ReportMetric(float64(res.RandomChecksumLarge), "randCS-smrAA")
-	}
-}
+func BenchmarkFig9(b *testing.B) { benchFigure(b, "fig9") }
 
 // BenchmarkFig10 regenerates Figure 10 (§4.4): first-CP time after mount
 // with and without TopAA metafiles.
-func BenchmarkFig10(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig10(cfg, io.Discard)
-		if len(res.SizeSweep) == 0 {
-			b.Skip("no size-sweep points at this WAFL_BENCH_SCALE")
-		}
-		last := res.SizeSweep[len(res.SizeSweep)-1]
-		if last.WithTopAA == 0 {
-			b.Skip("degenerate mount point at this WAFL_BENCH_SCALE")
-		}
-		b.ReportMetric(float64(last.WithoutTopAA)/float64(last.WithTopAA), "walk/topaa-time")
-		b.ReportMetric(float64(last.TopAAReads), "topaaBlockReads")
-		b.ReportMetric(float64(last.BitmapPages), "bitmapPagesWalked")
-	}
-}
+func BenchmarkFig10(b *testing.B) { benchFigure(b, "fig10") }
 
 // BenchmarkWritePath measures the end-to-end simulated write path: client
 // write -> CP -> dual allocation -> tetris flush, on an aged system.

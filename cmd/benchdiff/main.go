@@ -17,8 +17,11 @@
 // Tolerances are relative bands carried per metric by the OLD artifact
 // (default 0.25). Metrics present only in NEW are informational, and are
 // summarized per family (first dotted name component) so freshly landed
-// metric suites show up in the gate output by name. Exit status: 0 =
-// within bands, 1 = drift or missing metrics, 2 = usage or I/O error.
+// metric suites show up in the gate output by name. The summary line also
+// counts the metrics that did not move at all (bit-identical values), so a
+// change that claims to move nothing reads its claim off the tool. Exit
+// status: 0 = within bands, 1 = drift or missing metrics, 2 = usage or I/O
+// error.
 package main
 
 import (
@@ -134,10 +137,10 @@ func run(out, errw io.Writer, dir string, verbose bool, args []string) int {
 		fmt.Fprintf(out, "new since baseline: %s\n", strings.Join(parts, ", "))
 	}
 	if res.Violations > 0 {
-		fmt.Fprintf(out, "FAIL: %d of %d metrics drifted beyond tolerance\n",
-			res.Violations, len(res.Diffs))
+		fmt.Fprintf(out, "FAIL: %d of %d metrics drifted beyond tolerance, %d identical\n",
+			res.Violations, len(res.Diffs), res.Identical)
 		return 1
 	}
-	fmt.Fprintf(out, "ok: %d metrics within tolerance\n", len(res.Diffs))
+	fmt.Fprintf(out, "ok: %d metrics within tolerance, %d identical\n", len(res.Diffs), res.Identical)
 	return 0
 }

@@ -20,9 +20,9 @@ func writeArtifact(t *testing.T, path string, a benchfmt.Artifact) {
 func baseArtifact() benchfmt.Artifact {
 	a := benchfmt.Artifact{Schema: benchfmt.SchemaVersion, Name: "BENCH_1",
 		GitRev: "r1", Seed: 42, Scale: 0.35, Workers: 1}
-	a.Add("fig6.wa_on", 1.2, "x", 0.15)
-	a.Add("frag.arm.rg0.free_frac", 0.4, "", 0.1)
-	a.Add("micro.write.cpu_per_op_ns", 900, "ns", 0)
+	a.Metrics.Add("fig6.wa_on", 1.2, "x", 0.15)
+	a.Metrics.Add("crash.divergent", 0, "count", 0.001)
+	a.Metrics.Add("micro.write.cpu_per_op_ns", 900, "ns", 0)
 	return a
 }
 
@@ -37,7 +37,7 @@ func TestRunSelfCompareExitsZero(t *testing.T) {
 	if code := run(&out, io.Discard, dir, false, []string{p, p}); code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "ok: 3 metrics within tolerance") {
+	if !strings.Contains(out.String(), "ok: 3 metrics within tolerance, 3 identical") {
 		t.Fatalf("output:\n%s", out.String())
 	}
 }
@@ -63,7 +63,7 @@ func TestRunDriftExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "fig6.wa_on") ||
 		!strings.Contains(out.String(), benchfmt.StatusDrift) ||
-		!strings.Contains(out.String(), "FAIL: 1 of 3") {
+		!strings.Contains(out.String(), "FAIL: 1 of 3 metrics drifted beyond tolerance, 2 identical") {
 		t.Fatalf("output:\n%s", out.String())
 	}
 }
@@ -130,10 +130,10 @@ func TestRunNewFamilySummary(t *testing.T) {
 	newP := filepath.Join(dir, "new.json")
 	writeArtifact(t, oldP, baseArtifact())
 	grown := baseArtifact()
-	grown.Add("control.actuations_clean", 0, "", 0.001)
-	grown.Add("control.storm.wall_ratio", 0.99, "", 0.1)
-	grown.Add("control.storm.actuations", 4, "", 0.25)
-	grown.Add("micro.read.cpu_per_op_ns", 700, "ns", 0)
+	grown.Metrics.Add("control.actuations_clean", 0, "", 0.001)
+	grown.Metrics.Add("control.storm.wall_ratio", 0.99, "", 0.1)
+	grown.Metrics.Add("control.storm.actuations", 4, "", 0.25)
+	grown.Metrics.Add("micro.read.cpu_per_op_ns", 700, "ns", 0)
 	writeArtifact(t, newP, grown)
 
 	var out strings.Builder

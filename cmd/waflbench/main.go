@@ -11,24 +11,16 @@
 //	          [-metrics-addr host:port] [-hold d] [-csv-out f.csv]
 //	          [-trace-out f.jsonl] [-trace-collapse f.folded]
 //	          [-bench-json BENCH_n.json] [-faults <plan-spec>]
-//	          [-slo default|<spec>] [-slo-expect none|alerts]
-//	          [-optrace default|rate=N[,slow=D][,cap=N]]
-//	          [-control default|<spec>] [-control-expect none|actuations]
+//	          [-slo default|<spec>] [-optrace default|rate=N[,slow=D][,cap=N]]
+//	          [-control default|<spec>]
 //
-// -exp, -faults and -bench-json each select what runs; give at most one.
-//
-// -exp names a registry entry (-list prints them): the figures fig6..fig10,
-// storm and ablations report, and four entries carry their own gate and
-// exit nonzero when it fails. crashmatrix sweeps a crash at every CP phase ×
-// media fault kind and fails if any recovered cache silently disagrees with
-// the bitmap metafiles; pipelinecrash does the same over the pipelined CP's
-// overlap window (overlap_alloc / overlap_flush); allocbench runs the
-// striped-vs-shared allocator pick-path microbenchmark and fails unless the
-// striped arm's modeled pick wall-clock at 8 workers beats the shared
-// arm's; pipelinebench runs the same sustained-write workload stop-the-world
-// and pipelined and fails if the modeled overlap gain at 8 workers is below
-// 1.3x or the two arms' final states diverge. Each gate is the experiment's
-// own (internal/experiments), so -bench-json fails on the same conditions.
+// -exp names a registry entry (-list prints them), or all of them. The
+// figures fig6..fig10, micro and ablations report; crashmatrix,
+// pipelinecrash, allocbench, pipelinebench and storm also exit nonzero when
+// their gate fails (each result type's Gate method in internal/experiments
+// states its condition: no silent divergence after a crash, the striped
+// pick path winning at 8 workers, a 1.3x overlap gain with identical final
+// states, a closed loop that acts without costing wall time).
 //
 // -faults runs a single crash-and-recover scenario under a fault-plan spec
 // (e.g. "phase=flush,fault=torn,cp=2") instead of an experiment — plans
@@ -36,12 +28,19 @@
 // is boundary 4 (cp=4) — and exits nonzero on silent divergence. See
 // internal/faultinject.
 //
-// -bench-json runs the canonical fig6–fig10 + microbench suite and writes a
-// schema-versioned benchmark artifact (headline metrics, fragscan
-// allocation-quality summaries, modeled clocks, provenance) for regression
-// gating with cmd/benchdiff; see internal/benchfmt. The pipelined-CP
-// (cp.pipeline.*, crash.pipeline.*) and closed-loop control (control.*)
-// families are always part of it.
+// -bench-json writes the headline rows of the experiments -exp ran (all by
+// default) and the audit's rows to a schema-versioned artifact for
+// regression gating with cmd/benchdiff; see internal/benchfmt and the
+// metric appendix of EXPERIMENTS.md. It arms the audited sinks on every arm
+// (experiments.ArtifactSinks), and writes nothing if a gate or the audit
+// fails.
+//
+// After every run that armed shared sinks, the audit (experiments.Audit)
+// holds them to the clean-versus-crash contract and exits nonzero if any
+// clause breaks: the watchdogs ran and found nothing, clean arms neither
+// warn, page nor actuate, crash arms whose mounts fell back (crash matrix
+// cells, the -faults scenario) paged the recovery SLI and kicked a scrub,
+// and per-stage latency attribution reconciles with the latency histograms.
 //
 // -parallel sets the deterministic work-pool width: experiment arms, MVA
 // sweep points, CP flushes, and mount walks fan out across N workers, with
@@ -68,10 +67,7 @@
 // page=10@30s/5m,warn=2@2m30s/20m") is evaluated at each CP boundary
 // against the embedded time-series store over modeled-clock windows, and
 // the final alert totals print after the run. With -metrics-addr the
-// /debug/slo endpoint serves the live status document. -slo-expect turns
-// the outcome into an exit code: "none" fails the run if any warn or page
-// fired (clean-figure smoke), "alerts" fails unless at least one page
-// fired (crash-matrix smoke). See internal/obs/slo.
+// /debug/slo endpoint serves the live status document. See internal/obs/slo.
 //
 // -optrace arms request-scoped op tracing on every arm: 1-in-rate sampled
 // reads and writes (plus every op slower than the slow gate) record a span
@@ -98,10 +94,8 @@
 // armed. The stock portfolio's signals are the SLO engine's state series,
 // so -control arms the default SLO portfolio when -slo is absent. Final
 // decision totals print after the run; with -metrics-addr the
-// /debug/control endpoint serves the live status document. -control-expect
-// turns the outcome into an exit code: "none" fails the run if anything
-// actuated (clean-figure smoke), "actuations" fails unless at least one
-// actuation fired (crash-matrix smoke). See internal/control.
+// /debug/control endpoint serves the live status document. See
+// internal/control.
 //
 // Absolute numbers are simulation-scale; the comparisons (who wins, by what
 // factor, where curves sit) are what reproduce the paper. See EXPERIMENTS.md
@@ -168,10 +162,8 @@ type options struct {
 	benchJSON     string
 	faults        string
 	sloSpec       string
-	sloExpect     string
 	optraceSpec   string
 	controlSpec   string
-	controlExpect string
 }
 
 // newFlagSet declares every waflbench flag over o.
@@ -195,52 +187,29 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.traceCollapse, "trace-collapse", "",
 		"fold the CP-phase trace spans into collapsed-stack format (sys;phase;name count) and write them to this file (flamegraph.pl-compatible)")
 	fs.StringVar(&o.benchJSON, "bench-json", "",
-		"run the canonical fig6-fig10 + microbench suite and write a schema-versioned benchmark artifact (BENCH_<n>.json) to this file instead of an experiment")
+		"write the rows of the experiments run and of the audit to this schema-versioned benchmark artifact (BENCH_<n>.json); arms the audited sinks")
 	fs.StringVar(&o.faults, "faults", "",
 		"run one crash-and-recover scenario under this fault-plan spec (like 'phase=flush,fault=torn,cp=2') instead of an experiment, and exit 1 on silent divergence")
 	fs.StringVar(&o.sloSpec, "slo", "",
 		"arm the SLO engine on every arm with this spec string ('default' for the stock portfolio; see internal/obs/slo)")
-	fs.StringVar(&o.sloExpect, "slo-expect", "",
-		"exit 1 unless the run's SLO alert totals match: 'none' (no warns or pages) or 'alerts' (at least one page); requires -slo")
 	fs.StringVar(&o.optraceSpec, "optrace", "",
 		"arm request-scoped op tracing on every arm with this spec ('default' or 'rate=N[,slow=D][,cap=N]'; see internal/obs/optrace)")
 	fs.StringVar(&o.controlSpec, "control", "",
 		"arm the closed-loop controller on every arm with this policy string ('default' for the stock portfolio; see internal/control)")
-	fs.StringVar(&o.controlExpect, "control-expect", "",
-		"exit 1 unless the run's actuation totals match: 'none' (nothing actuated) or 'actuations' (at least one fired); requires -control")
 	return fs
 }
 
 // check cross-validates the parsed flags; expSet reports whether the command
-// line gave -exp (its default selects nothing). Any error is a usage error.
+// line gave -exp. Any error is a usage error.
 func (o *options) check(expSet bool) error {
-	switch o.sloExpect {
-	case "", "none", "alerts":
-	default:
-		return fmt.Errorf("-slo-expect %q: want 'none' or 'alerts'", o.sloExpect)
-	}
-	if o.sloExpect != "" && o.sloSpec == "" {
-		return errors.New("-slo-expect requires -slo")
-	}
-	switch o.controlExpect {
-	case "", "none", "actuations":
-	default:
-		return fmt.Errorf("-control-expect %q: want 'none' or 'actuations'", o.controlExpect)
-	}
-	if o.controlExpect != "" && o.controlSpec == "" {
-		return errors.New("-control-expect requires -control")
-	}
 	if o.hold > 0 && o.metricsAddr == "" {
 		return errors.New("-hold requires -metrics-addr")
 	}
-	modes := 0
-	for _, on := range []bool{expSet, o.faults != "", o.benchJSON != ""} {
-		if on {
-			modes++
-		}
+	if o.faults != "" && expSet {
+		return errors.New("-exp and -faults each select what runs: give one")
 	}
-	if modes > 1 {
-		return errors.New("-exp, -faults and -bench-json each select what runs: give one")
+	if o.faults != "" && o.benchJSON != "" {
+		return errors.New("-bench-json records the rows of the experiments run, and -faults runs none")
 	}
 	return nil
 }
@@ -302,23 +271,17 @@ func main() {
 
 	// Observability sinks. One export registry / tracer / CSV stream is
 	// shared by every experiment arm; each arm registers its metrics under
-	// its own name prefix so the streams stay disjoint.
-	var (
-		export  *obs.Registry
-		tracer  *obs.Tracer
-		csvFile *os.File
-		csvRec  *obs.CSVRecorder
-		live    *obs.Latest
-		tsStore *tsdb.Store
-		pickRec *picks.Recorder
-		sloSet  *slo.Set
-		otRec   *optrace.Recorder
-		ctlSet  *control.Set
-	)
-	if o.metricsAddr != "" || o.csvOut != "" || o.traceOut != "" || o.traceCollapse != "" || o.sloSpec != "" || o.optraceSpec != "" || o.controlSpec != "" {
-		export = obs.NewRegistry()
-		sink := &wafl.ObsOptions{Export: export}
-		if o.metricsAddr != "" || o.sloSpec != "" || o.controlSpec != "" {
+	// its own name prefix so the streams stay disjoint. The zero sink arms
+	// nothing, and cfg.Obs stays nil.
+	sink := &wafl.ObsOptions{}
+	var csvFile *os.File
+	if o.benchJSON != "" || o.metricsAddr != "" || o.csvOut != "" || o.traceOut != "" || o.traceCollapse != "" || o.sloSpec != "" || o.optraceSpec != "" || o.controlSpec != "" {
+		if o.benchJSON != "" {
+			sink = experiments.ArtifactSinks(o.seed)
+		} else {
+			sink.Export = obs.NewRegistry()
+		}
+		if sink.TSDB == nil && (o.metricsAddr != "" || o.sloSpec != "" || o.controlSpec != "") {
 			// The SLO engine reads its SLI windows out of the time-series
 			// store, so -slo arms the tsdb even without live serving — and the
 			// controller reads its signals the same way; the latency SLIs
@@ -327,18 +290,15 @@ func main() {
 			if o.sloSpec != "" || o.controlSpec != "" {
 				tsCfg.HistBuckets = tsdb.SuffixFilter(".lat_ns")
 			}
-			tsStore = tsdb.NewStore(tsCfg)
-			sink.TSDB = tsStore
+			sink.TSDB = tsdb.NewStore(tsCfg)
 		}
 		if o.metricsAddr != "" {
 			// Live serving: arms publish their registry snapshots at CP
 			// boundaries (tear-free under concurrent scrapes), the tsdb and
 			// pick rings are mutex-guarded, and the invariant watchdogs run
 			// whenever someone is watching.
-			live = obs.NewLatest()
-			pickRec = picks.NewRecorder(picks.DefaultConfig())
-			sink.Live = live
-			sink.Picks = pickRec
+			sink.Live = obs.NewLatest()
+			sink.Picks = picks.NewRecorder(picks.DefaultConfig())
 			sink.Watchdogs = true
 		}
 		if o.sloSpec != "" {
@@ -347,8 +307,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "-slo: %v\n", err)
 				os.Exit(2)
 			}
-			sloSet = slo.NewSet(specs)
-			sink.SLO = sloSet
+			sink.SLO = slo.NewSet(specs)
 		}
 		if o.controlSpec != "" {
 			pols, err := control.ParsePolicies(o.controlSpec)
@@ -356,14 +315,12 @@ func main() {
 				fmt.Fprintf(os.Stderr, "-control: %v\n", err)
 				os.Exit(2)
 			}
-			ctlSet = control.NewSet(pols)
-			sink.Control = ctlSet
+			sink.Control = control.NewSet(pols)
 			if sink.SLO == nil {
 				// The stock portfolio watches the SLO engine's state series,
 				// so a controller without -slo would see no signals at all:
 				// arm the default SLO portfolio alongside it.
-				sloSet = slo.NewSet(slo.DefaultSpecs())
-				sink.SLO = sloSet
+				sink.SLO = slo.NewSet(slo.DefaultSpecs())
 			}
 		}
 		if o.optraceSpec != "" {
@@ -373,12 +330,10 @@ func main() {
 				os.Exit(2)
 			}
 			otCfg.Seed = o.seed
-			otRec = optrace.NewRecorder(otCfg)
-			sink.OpTrace = otRec
+			sink.OpTrace = optrace.NewRecorder(otCfg)
 		}
 		if o.traceOut != "" || o.traceCollapse != "" {
-			tracer = obs.NewTracer()
-			sink.Tracer = tracer
+			sink.Tracer = obs.NewTracer()
 		}
 		if o.csvOut != "" {
 			f, err := os.Create(o.csvOut)
@@ -387,8 +342,7 @@ func main() {
 				os.Exit(1)
 			}
 			csvFile = f
-			csvRec = obs.NewCSVRecorder(f)
-			sink.CSV = csvRec
+			sink.CSV = obs.NewCSVRecorder(f)
 		}
 		cfg.Obs = sink
 	}
@@ -404,9 +358,9 @@ func main() {
 		mux := http.NewServeMux()
 		// Before the first CP publishes, serve a placeholder rather than
 		// reading the export registry's closures while arms mutate them.
-		liveHandler := obs.LatestHandler(live)
+		liveHandler := obs.LatestHandler(sink.Live)
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			if live.NumSystems() == 0 {
+			if sink.Live.NumSystems() == 0 {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 				fmt.Fprintln(w, "# no consistency points published yet")
 				return
@@ -415,19 +369,19 @@ func main() {
 		})
 		mux.HandleFunc("/debug/timeseries", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			_ = tsStore.WriteJSON(w)
+			_ = sink.TSDB.WriteJSON(w)
 		})
 		mux.HandleFunc("/debug/picks", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			_ = pickRec.WriteJSON(w)
+			_ = sink.Picks.WriteJSON(w)
 		})
 		mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			_ = sloSet.WriteJSON(w) // nil-safe: empty document without -slo
+			_ = sink.SLO.WriteJSON(w) // nil-safe: empty document without -slo
 		})
 		mux.HandleFunc("/debug/control", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			_ = ctlSet.WriteJSON(w) // nil-safe: empty document without -control
+			_ = sink.Control.WriteJSON(w) // nil-safe: empty document without -control
 		})
 		mux.HandleFunc("/debug/optrace", func(w http.ResponseWriter, r *http.Request) {
 			f, err := optraceFilter(r.URL.Query())
@@ -436,7 +390,7 @@ func main() {
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
-			_ = otRec.WriteJSON(w, f) // nil-safe: empty document without -optrace
+			_ = sink.OpTrace.WriteJSON(w, f) // nil-safe: empty document without -optrace
 		})
 		mux.HandleFunc("/debug/pprof/", hpprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", hpprof.Cmdline)
@@ -449,38 +403,36 @@ func main() {
 		fmt.Printf("serving live endpoints at http://%s (/metrics /debug/timeseries /debug/picks /debug/slo /debug/control /debug/optrace /debug/pprof)\n\n", ln.Addr())
 	}
 
+	start := time.Now()
+	var rows benchfmt.Metrics
 	var err error
-	switch {
-	case o.faults != "":
+	if o.faults != "" {
 		err = runFaultPlan(cfg, o.faults)
-	case o.benchJSON != "":
-		err = writeArtifact(cfg, o.benchJSON)
-	case o.exp == "all":
-		err = experiments.RunAllContext(context.Background(), cfg, os.Stdout)
-	default:
-		e, lerr := experiments.Lookup(o.exp)
-		if lerr != nil {
-			fmt.Fprintln(os.Stderr, lerr)
-			os.Exit(2)
+	} else {
+		exps := experiments.All()
+		if o.exp != "all" {
+			e, lerr := experiments.Lookup(o.exp)
+			if lerr != nil {
+				fmt.Fprintln(os.Stderr, lerr)
+				os.Exit(2)
+			}
+			exps = []experiments.Experiment{e}
 		}
-		fmt.Printf("### %s — %s (scale %.2f)\n\n", e.Name, e.Description, cfg.Scale)
-		start := time.Now()
-		err = e.Run(cfg, os.Stdout)
-		fmt.Printf("[%s completed in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+		rows, err = experiments.RunAllContext(context.Background(), cfg, os.Stdout, exps)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	if sloSet != nil {
-		printSLOSummary(sloSet)
+	if sink.SLO != nil {
+		printSLOSummary(sink.SLO)
 	}
-	if ctlSet != nil {
-		printControlSummary(ctlSet)
+	if sink.Control != nil {
+		printControlSummary(sink.Control)
 	}
-	if otRec != nil {
-		printOptraceSummary(otRec)
+	if sink.OpTrace != nil {
+		printOptraceSummary(sink.OpTrace)
 	}
 
 	if o.hold > 0 {
@@ -488,35 +440,40 @@ func main() {
 		time.Sleep(o.hold)
 	}
 
-	if err := finishObs(metricsURL, srv, tracer, otRec, o.traceOut, o.traceCollapse, csvRec, csvFile); err != nil {
+	if err := finishObs(metricsURL, srv, sink, o.traceOut, o.traceCollapse, csvFile); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	if err := checkSLOExpect(o.sloExpect, sloSet); err != nil {
+	audit, err := experiments.Audit(cfg.Obs)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if err := checkControlExpect(o.controlExpect, ctlSet); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if o.benchJSON != "" {
+		if err := writeArtifact(o.benchJSON, cfg, append(rows, audit...), time.Since(start)); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 }
 
-// writeArtifact handles -bench-json: collect the canonical suite and write
-// the artifact to path.
-func writeArtifact(cfg experiments.Config, path string) error {
-	name := strings.TrimSuffix(filepath.Base(path), ".json")
-	start := time.Now()
-	art, err := experiments.CollectArtifact(cfg, name, gitRev(), os.Stdout)
-	if err != nil {
-		return err
+// writeArtifact handles -bench-json: the run's rows, with provenance, to path.
+func writeArtifact(path string, cfg experiments.Config, rows benchfmt.Metrics, took time.Duration) error {
+	art := benchfmt.Artifact{
+		Schema:  benchfmt.SchemaVersion,
+		Name:    strings.TrimSuffix(filepath.Base(path), ".json"),
+		GitRev:  gitRev(),
+		Seed:    cfg.Seed,
+		Scale:   cfg.Scale,
+		Workers: cfg.Workers,
+		Metrics: rows,
 	}
 	if err := benchfmt.WriteFile(path, art); err != nil {
 		return err
 	}
 	fmt.Printf("artifact: %d metrics to %s (rev %s, scale %.2f, %v)\n",
-		len(art.Metrics), path, art.GitRev, art.Scale, time.Since(start).Round(time.Millisecond))
+		len(art.Metrics), path, art.GitRev, art.Scale, took.Round(time.Millisecond))
 	return nil
 }
 
@@ -539,32 +496,6 @@ func printControlSummary(set *control.Set) {
 				sys.System, r.Instance, r.CP, r.Signal, r.Value, verdict)
 		}
 	}
-}
-
-// checkControlExpect turns the portfolio's final decision totals into an exit
-// status: "none" is the clean-figure contract (the stock portfolio must not
-// touch a healthy system), "actuations" the crash-smoke contract (the
-// recovery clause must have fired somewhere).
-func checkControlExpect(expect string, set *control.Set) error {
-	if expect == "" {
-		return nil
-	}
-	tot := set.Totals()
-	switch expect {
-	case "none":
-		if tot.Actuations != 0 || tot.Suppressed != 0 {
-			var sb strings.Builder
-			_ = set.WriteJSON(&sb)
-			return fmt.Errorf("control-expect none: %d actuations, %d suppressed decisions\n%s",
-				tot.Actuations, tot.Suppressed, sb.String())
-		}
-	case "actuations":
-		if tot.Actuations == 0 {
-			return fmt.Errorf("control-expect actuations: nothing actuated (%d evaluations, %d suppressed)",
-				tot.Evaluations, tot.Suppressed)
-		}
-	}
-	return nil
 }
 
 // printSLOSummary renders the run's final SLO posture: portfolio-wide alert
@@ -637,29 +568,6 @@ func optraceFilter(q url.Values) (optrace.Filter, error) {
 	return f, nil
 }
 
-// checkSLOExpect turns the portfolio's final alert totals into an exit
-// status: "none" is the clean-figure contract (no warn or page may have
-// fired anywhere), "alerts" the crash-smoke contract (at least one page).
-func checkSLOExpect(expect string, set *slo.Set) error {
-	if expect == "" {
-		return nil
-	}
-	tot := set.Totals()
-	switch expect {
-	case "none":
-		if tot.Pages != 0 || tot.Warns != 0 {
-			var sb strings.Builder
-			_ = set.WriteJSON(&sb)
-			return fmt.Errorf("slo-expect none: %d pages, %d warns fired\n%s", tot.Pages, tot.Warns, sb.String())
-		}
-	case "alerts":
-		if tot.Pages == 0 {
-			return fmt.Errorf("slo-expect alerts: no SLO page fired (%d evaluations, %d warns)", tot.Evaluations, tot.Warns)
-		}
-	}
-	return nil
-}
-
 // runFaultPlan handles -faults: one crash-and-recover scenario under the
 // plan spec. A silently-divergent cache is a hard failure.
 func runFaultPlan(cfg experiments.Config, spec string) error {
@@ -697,8 +605,8 @@ func runFaultPlan(cfg experiments.Config, spec string) error {
 // it self-checks the metrics endpoint (so scripted runs need no external
 // HTTP client), flushes the trace file with a phase-duration digest, and
 // closes the CSV stream. Any failure is reported as a run failure.
-func finishObs(metricsURL string, srv *http.Server, tracer *obs.Tracer, otRec *optrace.Recorder,
-	traceOut, traceCollapse string, csvRec *obs.CSVRecorder, csvFile *os.File) error {
+func finishObs(metricsURL string, srv *http.Server, sink *wafl.ObsOptions, traceOut, traceCollapse string, csvFile *os.File) error {
+	tracer, otRec, csvRec := sink.Tracer, sink.OpTrace, sink.CSV
 	if srv != nil {
 		resp, err := http.Get(metricsURL)
 		if err != nil {

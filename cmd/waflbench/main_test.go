@@ -24,13 +24,10 @@ func TestFlagCheck(t *testing.T) {
 		{name: "defaults"},
 		{name: "hold with address", o: options{hold: time.Second, metricsAddr: ":0"}},
 		{name: "hold alone", o: options{hold: time.Second}, want: "-hold requires -metrics-addr"},
-		{name: "slo-expect alone", o: options{sloExpect: "none"}, want: "-slo-expect requires -slo"},
-		{name: "slo-expect value", o: options{sloSpec: "default", sloExpect: "some"}, want: "-slo-expect \"some\""},
-		{name: "control-expect alone", o: options{controlExpect: "none"}, want: "-control-expect requires -control"},
-		{name: "control-expect value", o: options{controlSpec: "default", controlExpect: "x"}, want: "-control-expect \"x\""},
 		{name: "one mode", o: options{faults: "phase=flush"}},
+		{name: "artifact of one experiment", o: options{exp: "fig9", benchJSON: "B.json"}, expSet: true},
 		{name: "exp and faults", o: options{exp: "fig9", faults: "phase=flush"}, expSet: true, want: "give one"},
-		{name: "faults and artifact", o: options{faults: "phase=flush", benchJSON: "B.json"}, want: "give one"},
+		{name: "faults and artifact", o: options{faults: "phase=flush", benchJSON: "B.json"}, want: "-faults runs none"},
 	} {
 		err := tc.o.check(tc.expSet)
 		switch {
@@ -75,9 +72,9 @@ func TestOptionSurface(t *testing.T) {
 			"Scale", "Seed", "Cores", "Think", "Clients", "DeviceParallel", "Workers", "Obs",
 		}},
 		{"waflbench flags", flags, []string{ // VisitAll walks in name order
-			"bench-json", "control", "control-expect", "cores", "cpuprofile", "csv-out",
+			"bench-json", "control", "cores", "cpuprofile", "csv-out",
 			"exp", "faults", "hold", "list", "memprofile", "metrics-addr", "optrace",
-			"parallel", "scale", "seed", "slo", "slo-expect", "trace-collapse", "trace-out",
+			"parallel", "scale", "seed", "slo", "trace-collapse", "trace-out",
 		}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {

@@ -43,35 +43,38 @@ type Metric struct {
 	Tol float64 `json:"tol,omitempty"`
 }
 
-// Artifact is one benchmark run: provenance plus metrics sorted by name.
-type Artifact struct {
-	Schema  int      `json:"schema"`
-	Name    string   `json:"name"`
-	GitRev  string   `json:"git_rev"`
-	Seed    int64    `json:"seed"`
-	Scale   float64  `json:"scale"`
-	Workers int      `json:"workers"`
-	Metrics []Metric `json:"metrics"`
-}
+// Metrics is a list of metrics: an experiment's rows, or an artifact's.
+type Metrics []Metric
 
 // Add appends a metric.
-func (a *Artifact) Add(name string, value float64, unit string, tol float64) {
-	a.Metrics = append(a.Metrics, Metric{Name: name, Value: value, Unit: unit, Tol: tol})
-}
-
-// Sort orders metrics by name — the canonical on-disk order.
-func (a *Artifact) Sort() {
-	sort.Slice(a.Metrics, func(i, j int) bool { return a.Metrics[i].Name < a.Metrics[j].Name })
+func (ms *Metrics) Add(name string, value float64, unit string, tol float64) {
+	*ms = append(*ms, Metric{Name: name, Value: value, Unit: unit, Tol: tol})
 }
 
 // Get returns the named metric.
-func (a *Artifact) Get(name string) (Metric, bool) {
-	for _, m := range a.Metrics {
+func (ms Metrics) Get(name string) (Metric, bool) {
+	for _, m := range ms {
 		if m.Name == name {
 			return m, true
 		}
 	}
 	return Metric{}, false
+}
+
+// Artifact is one benchmark run: provenance plus metrics sorted by name.
+type Artifact struct {
+	Schema  int     `json:"schema"`
+	Name    string  `json:"name"`
+	GitRev  string  `json:"git_rev"`
+	Seed    int64   `json:"seed"`
+	Scale   float64 `json:"scale"`
+	Workers int     `json:"workers"`
+	Metrics Metrics `json:"metrics"`
+}
+
+// Sort orders metrics by name — the canonical on-disk order.
+func (a *Artifact) Sort() {
+	sort.Slice(a.Metrics, func(i, j int) bool { return a.Metrics[i].Name < a.Metrics[j].Name })
 }
 
 // Validate checks schema version and metric-name uniqueness.
@@ -165,6 +168,8 @@ type Diff struct {
 type CompareResult struct {
 	Diffs      []Diff
 	Violations int
+	// Identical counts the metrics whose new value equals the old bit for bit.
+	Identical int
 }
 
 // CheckComparable rejects comparisons that would be apples-to-oranges:
@@ -214,6 +219,9 @@ func Compare(old, new Artifact) CompareResult {
 			rel = math.Abs(nm.Value - om.Value)
 		}
 		d := Diff{Name: om.Name, Old: om.Value, New: nm.Value, Rel: rel, Tol: tol, Status: StatusOK}
+		if nm.Value == om.Value {
+			res.Identical++
+		}
 		if rel > tol {
 			d.Status = StatusDrift
 			res.Violations++
@@ -227,6 +235,11 @@ func Compare(old, new Artifact) CompareResult {
 	}
 	sort.Slice(res.Diffs, func(i, j int) bool { return res.Diffs[i].Name < res.Diffs[j].Name })
 	return res
+}
+
+// number parses n out of a BENCH_<n>.json path.
+func number(path string) (int, error) {
+	return strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json"))
 }
 
 // FindLatest returns the BENCH_<n>.json with the highest n in dir,
@@ -243,13 +256,7 @@ func FindLatest(dir, exclude string) (string, error) {
 		if abs, _ := filepath.Abs(m); exclude != "" && abs == excludeAbs {
 			continue
 		}
-		base := filepath.Base(m)
-		numStr := strings.TrimSuffix(strings.TrimPrefix(base, "BENCH_"), ".json")
-		n, err := strconv.Atoi(numStr)
-		if err != nil {
-			continue
-		}
-		if n > bestN {
+		if n, err := number(m); err == nil && n > bestN {
 			best, bestN = m, n
 		}
 	}
@@ -266,10 +273,6 @@ func NextPath(dir string) (string, error) {
 	if err != nil {
 		return filepath.Join(dir, "BENCH_1.json"), nil
 	}
-	numStr := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(latest), "BENCH_"), ".json")
-	n, err := strconv.Atoi(numStr)
-	if err != nil {
-		return "", fmt.Errorf("unparsable artifact name %q", latest)
-	}
+	n, _ := number(latest) // FindLatest returns only names that parse
 	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", n+1)), nil
 }

@@ -28,7 +28,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 	if len(a.Metrics) != 5 {
 		t.Fatalf("%d metrics", len(a.Metrics))
 	}
-	if m, ok := a.Get("fig6.wa_off"); !ok || m.Value != 1.8 || m.Unit != "x" || m.Tol != 0.15 {
+	if m, ok := a.Metrics.Get("fig6.wa_off"); !ok || m.Value != 1.8 || m.Unit != "x" || m.Tol != 0.15 {
 		t.Fatalf("fig6.wa_off = %+v, %v", m, ok)
 	}
 	var buf bytes.Buffer
@@ -44,9 +44,9 @@ func TestGoldenRoundTrip(t *testing.T) {
 // when the in-memory order differs.
 func TestWriteStableOrdering(t *testing.T) {
 	a := Artifact{Schema: SchemaVersion, Name: "t", GitRev: "r", Seed: 1, Scale: 1, Workers: 1}
-	a.Add("zeta", 3, "", 0)
-	a.Add("alpha", 1, "", 0)
-	a.Add("mid", 2, "", 0)
+	a.Metrics.Add("zeta", 3, "", 0)
+	a.Metrics.Add("alpha", 1, "", 0)
+	a.Metrics.Add("mid", 2, "", 0)
 
 	var first bytes.Buffer
 	if err := Write(&first, a); err != nil {
@@ -79,8 +79,8 @@ func TestValidateRejects(t *testing.T) {
 		t.Error("wrong schema accepted")
 	}
 	b := Artifact{Schema: SchemaVersion}
-	b.Add("dup", 1, "", 0)
-	b.Add("dup", 2, "", 0)
+	b.Metrics.Add("dup", 1, "", 0)
+	b.Metrics.Add("dup", 2, "", 0)
 	if err := b.Validate(); err == nil {
 		t.Error("duplicate metric accepted")
 	}
@@ -95,8 +95,8 @@ func TestCompareSelfIsClean(t *testing.T) {
 	if res.Violations != 0 {
 		t.Fatalf("self-compare: %d violations: %+v", res.Violations, res.Diffs)
 	}
-	if len(res.Diffs) != len(a.Metrics) {
-		t.Fatalf("%d diffs for %d metrics", len(res.Diffs), len(a.Metrics))
+	if len(res.Diffs) != len(a.Metrics) || res.Identical != len(a.Metrics) {
+		t.Fatalf("%d diffs, %d identical for %d metrics", len(res.Diffs), res.Identical, len(a.Metrics))
 	}
 	for _, d := range res.Diffs {
 		if d.Status != StatusOK || d.Rel != 0 {
@@ -109,20 +109,23 @@ func TestCompareSelfIsClean(t *testing.T) {
 // over the candidate's.
 func TestCompareDetectsDrift(t *testing.T) {
 	old := Artifact{Schema: SchemaVersion}
-	old.Add("tight", 100, "", 0.05)
-	old.Add("loose", 100, "", 0.5)
-	old.Add("deflt", 100, "", 0) // DefaultTolerance = 0.25
-	old.Add("gone", 7, "", 0)
+	old.Metrics.Add("tight", 100, "", 0.05)
+	old.Metrics.Add("loose", 100, "", 0.5)
+	old.Metrics.Add("deflt", 100, "", 0) // DefaultTolerance = 0.25
+	old.Metrics.Add("gone", 7, "", 0)
 
 	new := Artifact{Schema: SchemaVersion}
-	new.Add("tight", 110, "", 0.9) // +10% vs 5% band: DRIFT despite own loose band
-	new.Add("loose", 140, "", 0)   // +40% vs 50% band: ok
-	new.Add("deflt", 130, "", 0)   // +30% vs default 25%: DRIFT
-	new.Add("fresh", 1, "", 0)     // new metric: informational
+	new.Metrics.Add("tight", 110, "", 0.9) // +10% vs 5% band: DRIFT despite own loose band
+	new.Metrics.Add("loose", 140, "", 0)   // +40% vs 50% band: ok
+	new.Metrics.Add("deflt", 130, "", 0)   // +30% vs default 25%: DRIFT
+	new.Metrics.Add("fresh", 1, "", 0)     // new metric: informational
 
 	res := Compare(old, new)
 	if res.Violations != 3 {
 		t.Fatalf("violations = %d, want 3 (tight, deflt, gone): %+v", res.Violations, res.Diffs)
+	}
+	if res.Identical != 0 {
+		t.Fatalf("identical = %d, want 0: every shared metric moved", res.Identical)
 	}
 	status := map[string]string{}
 	for _, d := range res.Diffs {
@@ -143,9 +146,9 @@ func TestCompareDetectsDrift(t *testing.T) {
 // divide by ~0.
 func TestCompareZeroBaseline(t *testing.T) {
 	old := Artifact{Schema: SchemaVersion}
-	old.Add("z", 0, "", 0.25)
+	old.Metrics.Add("z", 0, "", 0.25)
 	new := Artifact{Schema: SchemaVersion}
-	new.Add("z", 0.1, "", 0)
+	new.Metrics.Add("z", 0.1, "", 0)
 	if res := Compare(old, new); res.Violations != 0 {
 		t.Fatalf("|0.1-0| <= 0.25 absolute should pass: %+v", res.Diffs)
 	}

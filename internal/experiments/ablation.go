@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/hbps"
 	"waflfs/internal/parallel"
 	"waflfs/internal/stats"
@@ -31,6 +32,10 @@ type AblationResult struct {
 	AASize    []AASizePoint
 	Threshold []ThresholdPoint
 }
+
+// Rows is empty: the ablations go beyond the paper's figures, and no claim
+// or gate reads them.
+func (*AblationResult) Rows() benchfmt.Metrics { return nil }
 
 // BinWidthPoint measures HBPS selection quality/cost for one bin width.
 type BinWidthPoint struct {

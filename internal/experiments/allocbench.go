@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/wafl"
 	"waflfs/internal/workload"
 )
@@ -60,8 +61,27 @@ func (b AllocBench) Gate() error {
 	return nil
 }
 
-// allocBenchWidths are the worker widths the artifact reports.
+// allocBenchWidths are the worker widths the rows report.
 var allocBenchWidths = []int{1, 8, 32}
+
+// Rows are the modeled pick throughputs: the striped arm's at each width,
+// the shared arm's at 8 (the contention baseline), the speedup between them,
+// and the striped arm's refill profile.
+func (b AllocBench) Rows() (ms benchfmt.Metrics) {
+	for _, width := range allocBenchWidths {
+		ms.Add(fmt.Sprintf("alloc.picks_per_sec.w%d", width), b.Striped.PicksPerSec(width), "picks/s", 0.15)
+	}
+	ms.Add("alloc.shared_picks_per_sec.w8", b.Shared.PicksPerSec(8), "picks/s", 0.15)
+	if w8 := b.Striped.Wall[8]; w8 > 0 {
+		ms.Add("alloc.speedup_w8", float64(b.Shared.Wall[8])/float64(w8), "x", 0.20)
+	}
+	ms.Add("alloc.stalls", float64(b.Striped.Stalls), "count", 0.25)
+	ms.Add("alloc.staged_entries", float64(b.Striped.Staged), "count", 0.25)
+	if b.Striped.Picks > 0 {
+		ms.Add("alloc.shard_local_frac", float64(b.Striped.LocalPicks)/float64(b.Striped.Picks), "frac", 0.15)
+	}
+	return ms
+}
 
 // RunAllocBench ages one system per arm under an identical seeded workload
 // (sequential fill, churn, then a measured overwrite burst) and profiles the

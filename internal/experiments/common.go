@@ -14,8 +14,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/sim"
 	"waflfs/internal/stats"
 	"waflfs/internal/wafl"
@@ -174,6 +176,17 @@ func (c Curve) Peak() CurvePoint {
 		return CurvePoint{}
 	}
 	return c.Points[len(c.Points)-1]
+}
+
+// curvePeaks is the rows of each curve's highest-load point.
+func curvePeaks(fig string, curves []Curve) (ms benchfmt.Metrics) {
+	for _, c := range curves {
+		p := c.Peak()
+		label := strings.ReplaceAll(c.Label, " ", "_")
+		ms.Add(fmt.Sprintf("%s.curve.%s.peak_tput", fig, label), p.Throughput, "ops/s", 0.15)
+		ms.Add(fmt.Sprintf("%s.curve.%s.peak_latency_ms", fig, label), p.LatencyMs, "ms", 0.20)
+	}
+	return ms
 }
 
 // curveFrom sweeps the client populations over the measured demands.

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/faultinject"
 	"waflfs/internal/parallel"
 	"waflfs/internal/stats"
@@ -69,7 +70,10 @@ func (c CrashCell) summary() string {
 // CrashMatrixResult is the full phase × fault sweep.
 type CrashMatrixResult struct {
 	// Name is the sweep's registry name ("crashmatrix", "pipelinecrash").
-	Name   string
+	Name string
+	// Arm prefixes its cells' system names and its rows ("crash",
+	// "crash.pipeline").
+	Arm    string
 	Phases []string
 	Faults []string
 	Cells  []CrashCell // row-major: phases × faults
@@ -95,6 +99,23 @@ func (r *CrashMatrixResult) Gate() error {
 	return nil
 }
 
+// Rows are the sweep's outcome counts, exact: a zero-tolerance band makes
+// any change to how recovery classifies a cell a regression.
+func (r *CrashMatrixResult) Rows() (ms benchfmt.Metrics) {
+	t := r.Totals()
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"cells", len(r.Cells)}, {"divergent", t.Divergent}, {"clean_loads", t.CleanLoads},
+		{"reconstructed", t.Reconstructed}, {"fallbacks", t.Fallbacks}, {"stale_fallbacks", t.Stale},
+		{"torn_fallbacks", t.Torn}, {"damage_fallbacks", t.Damaged},
+	} {
+		ms.Add(r.Arm+"."+c.name, float64(c.n), "count", 0.001)
+	}
+	return ms
+}
+
 // Totals sums the per-cell tallies.
 func (r *CrashMatrixResult) Totals() CrashCell {
 	var t CrashCell
@@ -116,13 +137,24 @@ func (r *CrashMatrixResult) Totals() CrashCell {
 // plan and verifies recovery with the mount-time scrub. The same routine
 // backs every matrix cell and waflbench's -faults mode.
 func RunFaultScenario(cfg Config, plan faultinject.Plan, name string) CrashCell {
+	return runFaultScenario(cfg, plan, name, false)
+}
+
+// runFaultScenario is the crash-and-recover cycle at either CP depth: fill,
+// a clean CP, churn, the crashing CP, planned damage, remount, scrub, then
+// more churn, a clean CP and a second scrub. Pipelined, it drains where
+// TierOut and Remount need a quiesced system and crashes one boundary later,
+// in the first overlap window (pipelineCrashCP); Drain is a no-op at depth 1.
+func runFaultScenario(cfg Config, plan faultinject.Plan, name string, pipeline bool) CrashCell {
 	cell := CrashCell{Phase: plan.CrashPhase, Fault: plan.Fault.String()}
 	tun := cfg.tunablesNamed(name)
 	tun.Faults = &plan
-	// CPs are driven explicitly so the crash lands in a known CP.
+	// CPs are driven explicitly so the crash lands in a known boundary.
 	tun.CPEveryOps = 1 << 30
-	// Delayed virtual frees widen the surface the crash interrupts.
+	// Delayed virtual frees widen the surface the crash interrupts; the
+	// pipeline adds the sealed-generation delayed-free queue on top.
 	tun.DelayedVirtFrees = true
+	tun.Pipeline = pipeline
 
 	per := cfg.scaled(1<<13, 1<<10)
 	// Small AAs keep the per-group AA count meaningful at tiny test scales.
@@ -132,7 +164,8 @@ func RunFaultScenario(cfg Config, plan faultinject.Plan, name string) CrashCell 
 	s := wafl.NewSystem([]wafl.GroupSpec{spec, spec},
 		[]wafl.VolSpec{{Name: "v0", Blocks: volBlocks}, {Name: "v1", Blocks: volBlocks}},
 		tun, plan.Seed)
-	// An object pool brings the pool flush/save phase into every CP.
+	// An object pool brings the pool flush/save phase (and, pipelined, its
+	// sealed flush banks) into every CP.
 	s.Agg.AddObjectPool(wafl.PoolSpec{Blocks: 2 * aa.RAIDAgnosticBlocks})
 	rng := rand.New(rand.NewSource(plan.Seed))
 	// Thin provisioning: the LUNs are sized off physical capacity (the two
@@ -145,15 +178,23 @@ func RunFaultScenario(cfg Config, plan faultinject.Plan, name string) CrashCell 
 	for _, l := range luns {
 		workload.SequentialFill(s, l, 8)
 	}
-	s.CP() // CP 1: clean; every TopAA metafile lands.
+	s.CP()    // clean; every TopAA metafile lands
+	s.Drain() // pipelined: flushes that generation, quiesced for TierOut
 	// Tier a cold range out so the pool's AA cache has real content.
 	s.TierOut(luns[0], func(lba uint64) bool { return lba < lunBlocks/4 })
 
-	// Churn so CP 2 re-scores every space: a metafile whose save the crash
-	// drops is then genuinely stale, not coincidentally current.
+	// Churn so the crashing CP re-scores every space: a metafile whose save
+	// the crash drops is then genuinely stale, not coincidentally current.
 	workload.RandomOverwrite(s, luns, rng, 512, 1)
-	s.CP() // CP 2: the plan's crash point fires mid-pipeline.
+	s.CP() // depth 1: CP 2, the plan's crash point fires mid-pipeline
+	if pipeline {
+		workload.RandomOverwrite(s, luns, rng, 512, 1)
+		s.CP() // boundary 4: the overlap window, where the crash fires
+	}
 	cell.Crashed = s.Agg.Injector().Crashed()
+	// A generation in flight completes its flush into the dirty failover:
+	// every data write lands, every metafile save is dropped.
+	s.Drain()
 
 	// The dirty failover's media fault lands on the surviving metafiles.
 	if dmg, err := s.Agg.ApplyPlannedDamage(); err == nil && dmg.Kind != faultinject.FaultNone {
@@ -180,13 +221,14 @@ func RunFaultScenario(cfg Config, plan faultinject.Plan, name string) CrashCell 
 	}
 	note(s.Agg.Scrub())
 
-	// Recovery must leave a writable system: finish the background fill the
-	// seeded caches defer, then more churn, a clean CP (the injector
-	// recovered at remount; the pinned crash CP is behind us), and a second
-	// scrub over the post-recovery state.
+	// Recovery must leave a writable system at its depth: finish the
+	// background fill the seeded caches defer, then more churn, a clean CP
+	// end to end (the injector recovered at remount; the pinned crash CP is
+	// behind us), and a second scrub over the post-recovery state.
 	s.Agg.CompleteBackgroundFill()
 	workload.RandomOverwrite(s, luns, rng, 256, 1)
 	s.CP()
+	s.Drain()
 	note(s.Agg.Scrub())
 	return cell
 }
@@ -204,7 +246,7 @@ func RunCrashMatrix(cfg Config, w io.Writer) *CrashMatrixResult {
 // the work pool; the result is identical at any worker count.
 func runCrashMatrix(cfg Config, w io.Writer, name, arm, title string, phases []string, crashCP int,
 	scenario func(Config, faultinject.Plan, string) CrashCell) *CrashMatrixResult {
-	res := &CrashMatrixResult{Name: name, Phases: phases}
+	res := &CrashMatrixResult{Name: name, Arm: arm, Phases: phases}
 	kinds := faultinject.Kinds()
 	for _, k := range kinds {
 		res.Faults = append(res.Faults, k.String())

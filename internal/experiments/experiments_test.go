@@ -164,7 +164,7 @@ func TestFig10Directional(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 11 {
+	if len(all) != 12 {
 		t.Fatalf("experiments = %d", len(all))
 	}
 	for _, e := range all {
@@ -190,12 +190,18 @@ func TestExperimentGates(t *testing.T) {
 	matrix := func(name string, divergent int) *CrashMatrixResult {
 		return &CrashMatrixResult{Name: name, Cells: []CrashCell{{}, {Divergent: divergent}}}
 	}
-	stub := func(r interface{ Gate() error }) Experiment {
-		return Experiment{Run: gated(func(Config, io.Writer) interface{ Gate() error } { return r })}
+	stub := func(r gatedResult) Experiment {
+		return Experiment{Run: gated(func(Config, io.Writer) gatedResult { return r })}
+	}
+	storm := StormBench{Actuations: 1, WallStatic: 10, WallClosed: 10, WrittenStatic: 5, WrittenClosed: 5}
+	stormWith := func(edit func(*StormBench)) StormBench {
+		b := storm
+		edit(&b)
+		return b
 	}
 	for _, tc := range []struct {
 		name string
-		res  interface{ Gate() error }
+		res  gatedResult
 		want string // substring of the gate error, "" for a pass
 	}{
 		{"alloc faster", AllocBench{Shared: walls(10), Striped: walls(9)}, ""},
@@ -206,8 +212,12 @@ func TestExperimentGates(t *testing.T) {
 		{"matrix clean", matrix("crashmatrix", 0), ""},
 		{"matrix divergent", matrix("crashmatrix", 2), "crashmatrix: silent divergence in 1 of 2 cells"},
 		{"overlap matrix divergent", matrix("pipelinecrash", 1), "pipelinecrash: silent divergence in 1 of 2 cells"},
+		{"storm ok", storm, ""},
+		{"storm idle", stormWith(func(b *StormBench) { b.Actuations = 0 }), "storm: no actuations"},
+		{"storm slower", stormWith(func(b *StormBench) { b.WallClosed = 11 }), "storm: closed-loop wall 11ns exceeds static 10ns"},
+		{"storm diverged", stormWith(func(b *StormBench) { b.WrittenClosed = 6 }), "storm: arms diverged"},
 	} {
-		err := stub(tc.res).Run(quickConfig(), io.Discard)
+		_, err := stub(tc.res).Run(quickConfig(), io.Discard)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: gate failed: %v", tc.name, err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/parallel"
 	"waflfs/internal/stats"
 	"waflfs/internal/wafl"
@@ -23,6 +24,26 @@ type Fig10Result struct {
 	SizeSweep []Fig10Point
 	// CountSweep: first-CP time versus volume count (fixed size).
 	CountSweep []Fig10Point
+}
+
+// Rows is the §4.4 headline set: each sweep's largest point — TopAA block
+// reads, bitmap pages walked, and the walk's time over the seeded mount's.
+func (r *Fig10Result) Rows() (ms benchfmt.Metrics) {
+	for _, sw := range []struct {
+		prefix string
+		points []Fig10Point
+	}{{"fig10.size", r.SizeSweep}, {"fig10.count", r.CountSweep}} {
+		if len(sw.points) == 0 {
+			continue
+		}
+		p := sw.points[len(sw.points)-1]
+		ms.Add(sw.prefix+".topaa_reads", float64(p.TopAAReads), "count", 0.10)
+		ms.Add(sw.prefix+".bitmap_pages", float64(p.BitmapPages), "count", 0.10)
+		if p.WithTopAA > 0 {
+			ms.Add(sw.prefix+".speedup_x", float64(p.WithoutTopAA)/float64(p.WithTopAA), "x", 0.25)
+		}
+	}
+	return ms
 }
 
 // Fig10Point is one mount measurement.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/parallel"
 	"waflfs/internal/stats"
 	"waflfs/internal/wafl"
@@ -49,6 +50,25 @@ type Fig6Result struct {
 	// FlexVol cache effect: "both" vs "aggregate only". Paper: +8.0%
 	// throughput, −8.6% latency.
 	VolThroughputGainPct, VolLatencyChangePct float64
+}
+
+// Rows is the §4.1 headline set: pick quality, WA and CPU per op with each
+// cache on and off, the cache's CPU share, and the peak-load gains.
+func (r *Fig6Result) Rows() (ms benchfmt.Metrics) {
+	ms.Add("fig6.agg_picked_on", r.AggPickedOn, "frac", 0.10)
+	ms.Add("fig6.agg_picked_off", r.AggPickedOff, "frac", 0.10)
+	ms.Add("fig6.vol_picked_on", r.VolPickedOn, "frac", 0.10)
+	ms.Add("fig6.vol_picked_off", r.VolPickedOff, "frac", 0.10)
+	ms.Add("fig6.wa_on", r.WAOn, "x", 0.15)
+	ms.Add("fig6.wa_off", r.WAOff, "x", 0.15)
+	ms.Add("fig6.cpu_per_op_vol_on", float64(r.CPUPerOpVolOn), "ns", 0.15)
+	ms.Add("fig6.cpu_per_op_vol_off", float64(r.CPUPerOpVolOff), "ns", 0.15)
+	ms.Add("fig6.cache_cpu_frac", r.CacheCPUFraction, "frac", 0.50)
+	ms.Add("fig6.agg_tput_gain_pct", r.AggThroughputGainPct, "pct", 0.35)
+	ms.Add("fig6.agg_latency_change_pct", r.AggLatencyChangePct, "pct", 0.35)
+	ms.Add("fig6.vol_tput_gain_pct", r.VolThroughputGainPct, "pct", 0.35)
+	ms.Add("fig6.vol_latency_change_pct", r.VolLatencyChangePct, "pct", 0.35)
+	return append(ms, curvePeaks("fig6", r.Curves)...)
 }
 
 // fig6Spec builds the §4.1 configuration: a midrange all-SSD server,

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/block"
 	"waflfs/internal/stats"
 	"waflfs/internal/wafl"
@@ -30,6 +31,17 @@ type Fig7Result struct {
 	BlocksPerTetris []float64
 	// FreshToAgedBlockRatio compares mean fresh-group vs aged-group rates.
 	FreshToAgedBlockRatio float64
+}
+
+// Rows is the §4.2 headline set: the fresh/aged write-rate ratio and the
+// mean blocks per tetris of the aged and of the fresh groups.
+func (r *Fig7Result) Rows() (ms benchfmt.Metrics) {
+	ms.Add("fig7.fresh_aged_ratio", r.FreshToAgedBlockRatio, "x", 0.25)
+	if n := len(r.BlocksPerTetris) / 2; n > 0 {
+		ms.Add("fig7.blocks_per_tetris_aged", stats.Mean(r.BlocksPerTetris[:n]), "blocks", 0.25)
+		ms.Add("fig7.blocks_per_tetris_fresh", stats.Mean(r.BlocksPerTetris[n:]), "blocks", 0.25)
+	}
+	return ms
 }
 
 // nominalFig7Load is the cumulative client load the paper reports (68K

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/parallel"
 	"waflfs/internal/stats"
 	"waflfs/internal/wafl"
@@ -23,6 +24,16 @@ type Fig8Result struct {
 	WASmall, WALarge float64
 	// Peak-load comparison (large vs small).
 	ThroughputGainPct, LatencyChangePct float64
+}
+
+// Rows is the §4.3 SSD headline set: WA per AA sizing and the peak-load
+// gain of the erase-unit-sized AA.
+func (r *Fig8Result) Rows() (ms benchfmt.Metrics) {
+	ms.Add("fig8.wa_small", r.WASmall, "x", 0.15)
+	ms.Add("fig8.wa_large", r.WALarge, "x", 0.15)
+	ms.Add("fig8.tput_gain_pct", r.ThroughputGainPct, "pct", 0.35)
+	ms.Add("fig8.latency_change_pct", r.LatencyChangePct, "pct", 0.35)
+	return append(ms, curvePeaks("fig8", r.Curves)...)
 }
 
 // fig8EraseUnit is the SSD's effective erase unit in blocks (32MiB — the

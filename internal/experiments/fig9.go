@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/parallel"
 	"waflfs/internal/stats"
 	"waflfs/internal/wafl"
@@ -25,6 +26,18 @@ type Fig9Result struct {
 	InterventionsSmall, InterventionsLarge uint64
 	// Peak-load comparison (large/aligned vs small).
 	ThroughputGainPct, LatencyChangePct float64
+}
+
+// Rows is the §4.3 SMR headline set: out-of-band checksum writes and zone
+// interventions per AA sizing, and the peak-load gain of the aligned AA.
+func (r *Fig9Result) Rows() (ms benchfmt.Metrics) {
+	ms.Add("fig9.random_cs_small", float64(r.RandomChecksumSmall), "count", 0.10)
+	ms.Add("fig9.random_cs_large", float64(r.RandomChecksumLarge), "count", 0.10)
+	ms.Add("fig9.interventions_small", float64(r.InterventionsSmall), "count", 0.25)
+	ms.Add("fig9.interventions_large", float64(r.InterventionsLarge), "count", 0.25)
+	ms.Add("fig9.tput_gain_pct", r.ThroughputGainPct, "pct", 0.35)
+	ms.Add("fig9.latency_change_pct", r.LatencyChangePct, "pct", 0.35)
+	return append(ms, curvePeaks("fig9", r.Curves)...)
 }
 
 func fig9RunOne(cfg Config, label string, stripesPerAA uint64) (Curve, uint64, uint64) {

@@ -54,7 +54,7 @@ func TestRunAllContextPreCanceledDrains(t *testing.T) {
 	var out countingWriter
 	cfg := quickConfig()
 	cfg.Workers = 4
-	err := RunAllContext(ctx, cfg, &out)
+	_, err := RunAllContext(ctx, cfg, &out, All())
 	if err == nil {
 		t.Fatal("RunAllContext returned nil error for a pre-canceled context")
 	}

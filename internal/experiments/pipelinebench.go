@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/wafl"
 )
 
@@ -16,7 +17,7 @@ import (
 // pays alloc + flush serially at every boundary; the pipelined schedule
 // allocates generation n+1 while generation n flushes, so each boundary
 // costs max(alloc, flush). The gain is Σ(alloc+flush) / Σmax(alloc,flush),
-// bounded by 2× and largest when the two sides stay balanced; the artifact
+// bounded by 2× and largest when the two sides stay balanced; the gate
 // pins a 1.3× floor at 8 workers. Both arms must converge to an identical
 // logical state — pipelining reorders commits, never results.
 
@@ -55,6 +56,17 @@ func (b PipelineBench) Gate() error {
 			b.UsedPipelined, b.UsedClassic, b.WrittenPipelined, b.WrittenClassic)
 	}
 	return nil
+}
+
+// Rows are the overlap schedule's modeled totals and its gain.
+func (b PipelineBench) Rows() (ms benchfmt.Metrics) {
+	ms.Add("cp.pipeline.overlap_gain", b.OverlapGain, "x", 0.15)
+	ms.Add("cp.pipeline.generations", float64(b.Generations), "count", 0.001)
+	ms.Add("cp.pipeline.alloc_wall_ns", float64(b.AllocWall), "ns", 0.15)
+	ms.Add("cp.pipeline.flush_wall_ns", float64(b.FlushWall), "ns", 0.15)
+	ms.Add("cp.pipeline.pipelined_wall_ns", float64(b.PipelinedWall), "ns", 0.15)
+	ms.Add("cp.pipeline.serial_wall_ns", float64(b.SerialWall), "ns", 0.15)
+	return ms
 }
 
 // pipelineBenchRounds is the number of write bursts (= pipelined

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/parallel"
 )
 
@@ -16,23 +17,33 @@ import (
 type Experiment struct {
 	Name        string
 	Description string
-	// Run prints the experiment's tables to w and returns the experiment's
-	// own gate: nil unless its acceptance condition failed. waflbench -exp
-	// and CollectArtifact fail on the same error.
-	Run func(cfg Config, w io.Writer) error
+	// Run prints the experiment's tables to w and returns its headline rows
+	// (what BENCH_<n>.json records of it; each names the paper quantity or
+	// the gate it serves, see EXPERIMENTS.md) and its gate: nil unless its
+	// acceptance condition failed.
+	Run func(cfg Config, w io.Writer) (benchfmt.Metrics, error)
+}
+
+// result is what every driver returns: it knows its own headline rows.
+type result interface{ Rows() benchfmt.Metrics }
+
+// gatedResult is a result that also carries the experiment's gate.
+type gatedResult interface {
+	result
+	Gate() error
 }
 
 // ungated wraps a driver that reports and has no acceptance condition.
-func ungated[R any](run func(Config, io.Writer) R) func(Config, io.Writer) error {
-	return func(cfg Config, w io.Writer) error {
-		run(cfg, w)
-		return nil
-	}
+func ungated[R result](run func(Config, io.Writer) R) func(Config, io.Writer) (benchfmt.Metrics, error) {
+	return func(cfg Config, w io.Writer) (benchfmt.Metrics, error) { return run(cfg, w).Rows(), nil }
 }
 
 // gated wraps a driver whose result carries the experiment's gate.
-func gated[R interface{ Gate() error }](run func(Config, io.Writer) R) func(Config, io.Writer) error {
-	return func(cfg Config, w io.Writer) error { return run(cfg, w).Gate() }
+func gated[R gatedResult](run func(Config, io.Writer) R) func(Config, io.Writer) (benchfmt.Metrics, error) {
+	return func(cfg Config, w io.Writer) (benchfmt.Metrics, error) {
+		r := run(cfg, w)
+		return r.Rows(), r.Gate()
+	}
 }
 
 // All returns the experiments in figure order.
@@ -74,6 +85,11 @@ func All() []Experiment {
 			Run:         gated(RunPipelineCrashMatrix),
 		},
 		{
+			Name:        "micro",
+			Description: "mount and CP-flush microbenchmarks: TopAA-seeded vs walked first-CP mount cost, 8-way flush makespan",
+			Run:         ungated(RunMicro),
+		},
+		{
 			Name:        "allocbench",
 			Description: "allocator pick path: striped vs shared, modeled contention; striped must win at 8 workers",
 			Run:         gated(RunAllocBench),
@@ -86,7 +102,7 @@ func All() []Experiment {
 		{
 			Name:        "storm",
 			Description: "closed-loop control: adversarial aging + snapshot storm, SLO/backlog-driven budget shedding vs static",
-			Run:         ungated(RunStorm),
+			Run:         gated(RunStorm),
 		},
 		{
 			Name:        "ablations",
@@ -96,36 +112,38 @@ func All() []Experiment {
 	}
 }
 
-// RunAllContext runs every experiment across the work pool (the drivers
-// share nothing: each builds its own Systems from cfg.Seed), buffering each
-// one's output and writing the buffers to w in registry order, so the
-// printed report is identical at any worker count. Cancelling ctx skips
-// experiments that have not started; in-flight ones run to completion (the
-// pool drains) and their output is still printed. Returns ctx.Err() when
-// canceled, in which case the report is incomplete, and otherwise the gate
-// errors of the experiments that failed theirs, in registry order.
-func RunAllContext(ctx context.Context, cfg Config, w io.Writer) error {
-	all := All()
-	outs := make([]*bytes.Buffer, len(all))
-	gates := make([]error, len(all))
-	err := parallel.ForEachCtx(ctx, cfg.Workers, len(all), func(i int) {
-		e := all[i]
+// RunAllContext runs exps across the work pool (the drivers share nothing:
+// each builds its own Systems from cfg.Seed), buffering each one's output and
+// writing the buffers to w in the order given, so the printed report is
+// identical at any worker count. Cancelling ctx skips experiments that have
+// not started; in-flight ones run to completion (the pool drains) and their
+// output is still printed. Returns ctx.Err() when canceled, in which case the
+// report is incomplete, and otherwise the rows of every experiment, in the
+// order given, with the gate errors of those that failed theirs.
+func RunAllContext(ctx context.Context, cfg Config, w io.Writer, exps []Experiment) (benchfmt.Metrics, error) {
+	outs := make([]*bytes.Buffer, len(exps))
+	rows := make([]benchfmt.Metrics, len(exps))
+	gates := make([]error, len(exps))
+	err := parallel.ForEachCtx(ctx, cfg.Workers, len(exps), func(i int) {
+		e := exps[i]
 		buf := &bytes.Buffer{}
 		start := time.Now()
 		fmt.Fprintf(buf, "### %s — %s (scale %.2f)\n\n", e.Name, e.Description, cfg.Scale)
-		gates[i] = e.Run(cfg, buf)
+		rows[i], gates[i] = e.Run(cfg, buf)
 		fmt.Fprintf(buf, "[%s completed in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 		outs[i] = buf
 	})
-	for _, buf := range outs {
+	var all benchfmt.Metrics
+	for i, buf := range outs {
 		if buf != nil {
 			w.Write(buf.Bytes())
+			all = append(all, rows[i]...)
 		}
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return errors.Join(gates...)
+	return all, errors.Join(gates...)
 }
 
 // Lookup finds an experiment by name.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"waflfs/internal/aa"
+	"waflfs/internal/benchfmt"
 	"waflfs/internal/control"
 	"waflfs/internal/obs/slo"
 	"waflfs/internal/obs/tsdb"
@@ -53,6 +54,35 @@ type StormBench struct {
 // Identical reports whether both arms saw the identical write stream.
 func (b StormBench) Identical() bool { return b.WrittenStatic == b.WrittenClosed }
 
+// Gate is the experiment's acceptance condition, hard floors rather than
+// bands: the backlog-shed clause must fire, shedding must not cost wall
+// time, and the controller must never perturb the write stream itself.
+func (b StormBench) Gate() error {
+	if b.Actuations == 0 {
+		return fmt.Errorf("storm: no actuations — the backlog-shed clause is dead")
+	}
+	if b.WallClosed > b.WallStatic {
+		return fmt.Errorf("storm: closed-loop wall %v exceeds static %v", b.WallClosed, b.WallStatic)
+	}
+	if !b.Identical() {
+		return fmt.Errorf("storm: arms diverged (written %d vs %d)", b.WrittenClosed, b.WrittenStatic)
+	}
+	return nil
+}
+
+// Rows are the closed arm's decision totals and both arms' modeled walls.
+func (b StormBench) Rows() (ms benchfmt.Metrics) {
+	ms.Add("control.storm.evaluations", float64(b.Evaluations), "count", 0.25)
+	ms.Add("control.storm.actuations", float64(b.Actuations), "count", 0.25)
+	ms.Add("control.storm.suppressed", float64(b.Suppressed), "count", 0.25)
+	ms.Add("control.storm.wall_static_ns", float64(b.WallStatic), "ns", 0.10)
+	ms.Add("control.storm.wall_closed_ns", float64(b.WallClosed), "ns", 0.10)
+	if b.WallStatic > 0 {
+		ms.Add("control.storm.wall_ratio", float64(b.WallClosed)/float64(b.WallStatic), "x", 0.10)
+	}
+	return ms
+}
+
 // stormRounds is the number of churn+snapshot rounds: enough CPs for the
 // backlog to build, the hold to mature, and several shed steps to land.
 const stormRounds = 16
@@ -77,7 +107,7 @@ func stormPolicies(budget int) *control.Set {
 // RunStorm ages one system per arm under the identical seeded storm and
 // compares walls. Both arms use private sinks (their own tsdb and SLO set)
 // so the storm's intentional backlog and latency pages never leak into the
-// shared export registry or the artifact's clean-run SLO audit.
+// shared export registry or the audit's clean-arm checks.
 func RunStorm(cfg Config, w io.Writer) StormBench {
 	budget := int(cfg.scaled(1500, 375))
 

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The storm benchmark's artifact gates, pinned at test scale: the adversarial
-// workload must actually trip the backlog policy (≥1 actuation), shedding
-// must not cost wall time (closed ≤ static), and the controller must never
-// perturb the write stream itself.
+// The storm benchmark at test scale: its gate holds (the adversarial workload
+// trips the backlog policy, shedding costs no wall time, and the controller
+// never perturbs the write stream), the shed stays inside the policy's
+// bounds, and the run is deterministic at any worker width.
 func TestRunStormGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm benchmark is slow")
@@ -20,16 +20,8 @@ func TestRunStormGates(t *testing.T) {
 	var buf strings.Builder
 	b := RunStorm(cfg, &buf)
 
-	if b.Actuations == 0 {
-		t.Fatalf("storm never actuated:\n%s", buf.String())
-	}
-	if b.WallClosed > b.WallStatic {
-		t.Fatalf("closed-loop wall %v exceeds static %v:\n%s",
-			b.WallClosed, b.WallStatic, buf.String())
-	}
-	if !b.Identical() {
-		t.Fatalf("write streams diverged: static %d, closed %d",
-			b.WrittenStatic, b.WrittenClosed)
+	if err := b.Gate(); err != nil {
+		t.Fatalf("%v:\n%s", err, buf.String())
 	}
 	if b.BudgetEnd >= b.Budget {
 		t.Fatalf("shed policy never reduced the budget: %d → %d", b.Budget, b.BudgetEnd)

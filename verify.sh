@@ -157,6 +157,18 @@ if go list -deps ./internal/device | grep 'waflfs/internal/obs'; then
     exit 1
 fi
 
+# Structural gate, one driver and one audit (DESIGN.md §17): the experiment
+# registry is the only driver, each experiment owns its rows and its gate, and
+# one audit holds the shared sinks to the clean-versus-crash contract after
+# every waflbench run. The hand-run artifact suite, the two exit-code flags
+# that held a copy of the contract, the split legacy-sum rows, and the
+# fragscan and modeled-clock row families nothing read must not come back.
+if grep -rn -e 'CollectArtifact' -e 'slo-expect' -e 'control-expect' -e 'alloc_checks' \
+    -e 'pipeline_checks' -e 'pages_crash_pipeline' -e '"frag\.' -e '"clock\.' cmd internal/experiments; then
+    echo "a second artifact driver, an -expect flag, a legacy-sum split or a frag./clock. row is back" >&2
+    exit 1
+fi
+
 # The gates above must have had something to read.
 test -n "$(body internal/bitmap/bitmap.go '(b \*Bitmap) ForEachFreeRun(')"
 test -n "$(body internal/obs/registry.go '(r \*Registry) snapshot(')"
@@ -229,10 +241,11 @@ go test -run '^$' -fuzz '^FuzzSnapshotOps$' -fuzztime 5s ./internal/wafl
 
 # Observability smoke test: a small bench run must serve /metrics (the bench
 # self-checks the endpoint and exits nonzero if it cannot fetch it) and
-# produce non-empty CSV and trace files. The default SLO portfolio rides
-# along: the clean figure run must fire no warn or page (-slo-expect none
-# exits nonzero otherwise). The closed-loop controller rides along too and
-# must keep its hands off a healthy run (-control-expect none).
+# produce non-empty CSV and trace files. The default SLO portfolio and the
+# closed-loop controller ride along, and the audit that follows every run
+# with shared sinks exits nonzero unless the watchdogs ran clean, the clean
+# figure arms fired no warn or page and actuated nothing, and the latency
+# attribution reconciles.
 tmpdir=$(mktemp -d)
 live_pid=""
 cleanup() {
@@ -258,8 +271,8 @@ go build -o "$tmpdir/waflbench" ./cmd/waflbench
     -metrics-addr 127.0.0.1:0 \
     -csv-out "$tmpdir/bench.csv" \
     -trace-out "$tmpdir/bench.jsonl" \
-    -slo default -slo-expect none \
-    -control default -control-expect none >/dev/null
+    -slo default \
+    -control default >/dev/null
 test -s "$tmpdir/bench.csv"
 test -s "$tmpdir/bench.jsonl"
 
@@ -270,9 +283,10 @@ test -s "$tmpdir/bench.jsonl"
     -trace-collapse "$tmpdir/pick.folded" >/dev/null
 test -s "$tmpdir/pick.folded"
 
-# Benchmark-artifact smoke test: a tiny-scale artifact must collect, and
-# benchdiff comparing it against itself must report zero drift (exit 0) —
-# the regression gate's own sanity check. The committed baseline is
+# Benchmark-artifact smoke test: a tiny-scale artifact of the whole registry
+# must collect (every gate and the audit pass), and benchdiff comparing it
+# against itself must report zero drift (exit 0) — the regression gate's own
+# sanity check. The committed baseline is
 # auto-selected (highest-numbered BENCH_<n>.json) and must self-compare
 # clean too, proving the gate can read what the repo ships.
 go build -o "$tmpdir/benchdiff" ./cmd/benchdiff
@@ -286,23 +300,22 @@ test -s "$latest"
 # Crash-recovery gate: crash at every CP phase × media fault at tiny scale;
 # the bench exits nonzero if any recovered AA cache silently disagrees with
 # the bitmap metafiles (see internal/faultinject and the mount-time scrub).
-# The SLO portfolio must see the damage: -slo-expect alerts exits nonzero
-# unless at least one crash cell pages the recovery SLI. The controller must
-# act on it: -control-expect actuations exits nonzero unless the recovery
-# page actually kicked a scrub somewhere in the matrix.
+# The SLO portfolio must see the damage and the controller must act on it:
+# the audit exits nonzero unless the crash cells paged the recovery SLI and
+# the page kicked a scrub somewhere in the matrix.
 "$tmpdir/waflbench" -exp crashmatrix -scale 0.05 \
-    -slo default -slo-expect alerts \
-    -control default -control-expect actuations >/dev/null
+    -slo default \
+    -control default >/dev/null
 
 # Pipelined-CP gate both ways: the clean overlap benchmark must clear its
 # 1.3x floor with byte-identical final states and fire no SLO alert, and a
 # crash in the overlap window (alloc of generation n+1 racing the flush of
 # generation n) must recover without silent divergence while paging the
-# recovery SLI.
+# recovery SLI (the audit holds both SLO postures).
 "$tmpdir/waflbench" -exp pipelinebench -scale 0.05 \
-    -slo default -slo-expect none >/dev/null
+    -slo default >/dev/null
 "$tmpdir/waflbench" -exp pipelinecrash -scale 0.05 \
-    -slo default -slo-expect alerts >/dev/null
+    -slo default >/dev/null
 
 # Live-introspection smoke test: hold the live endpoints after a small run
 # (with the SLO engine, op tracer, and closed-loop controller armed) and

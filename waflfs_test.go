@@ -103,7 +103,7 @@ func TestPublicQueueModel(t *testing.T) {
 }
 
 func TestPublicExperimentRegistry(t *testing.T) {
-	if len(Experiments()) != 11 {
+	if len(Experiments()) != 12 {
 		t.Fatalf("experiments = %d", len(Experiments()))
 	}
 	if _, err := LookupExperiment("fig10"); err != nil {
@@ -117,8 +117,12 @@ func TestPublicExperimentRegistry(t *testing.T) {
 	cfg.Scale = 0.1
 	e, _ := LookupExperiment("fig10")
 	var buf bytes.Buffer
-	if err := e.Run(cfg, &buf); err != nil {
+	rows, err := e.Run(cfg, &buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("fig10 returned no rows")
 	}
 	if !strings.Contains(buf.String(), "TopAA") {
 		t.Fatalf("fig10 output:\n%s", buf.String())
