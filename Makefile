@@ -78,11 +78,11 @@ live:
 
 # Like `live`, but with request-scoped op tracing armed at a dense sampling
 # rate: /debug/optrace serves the span trees (filter with ?vol= ?min_lat=
-# ?id= ?limit=), wafltop shows the slowest-ops panel, and the run's critical
-# paths fold into trace.folded for flamegraph.pl.
+# ?id= ?limit=), wafltop shows the slowest-ops panel, and the sampled ops'
+# critical paths fold into trace.folded for flamegraph.pl before the hold.
 trace:
 	go run ./cmd/waflbench -exp fig9 -scale 0.25 \
-	    -metrics-addr 127.0.0.1:9190 -slo default -optrace rate=8 \
+	    -metrics-addr 127.0.0.1:9190 -slo default -optrace rate=2 \
 	    -trace-collapse trace.folded -hold 30m
 
 # SLO gate both ways, through the audit: a clean figure run must fire no

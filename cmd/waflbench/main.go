@@ -8,8 +8,7 @@
 //
 //	waflbench [-exp <name>|all] [-list] [-scale 1.0] [-seed 42] [-cores 20]
 //	          [-parallel N] [-cpuprofile f] [-memprofile f]
-//	          [-metrics-addr host:port] [-hold d] [-csv-out f.csv]
-//	          [-trace-out f.jsonl] [-trace-collapse f.folded]
+//	          [-metrics-addr host:port] [-hold d] [-trace-collapse f.folded]
 //	          [-bench-json BENCH_n.json] [-faults <plan-spec>]
 //	          [-slo default|<spec>] [-optrace default|rate=N[,slow=D][,cap=N]]
 //	          [-control default|<spec>]
@@ -55,11 +54,10 @@
 // provenance rings, and /debug/pprof/* is the standard Go profiler. The
 // online invariant watchdogs are armed whenever the endpoints are up.
 // -hold keeps the endpoints serving after the run finishes (for cmd/wafltop
-// or a browser), -csv-out appends one row per metric per consistency point
-// per arm, -trace-out writes the canonical CP-phase / allocator event
-// sequence as JSON Lines, and -trace-collapse folds the same timed spans
-// into collapsed-stack format (one "sys;phase;name <count>" line per unique
-// stack, flamegraph.pl-compatible).
+// or a browser), and -trace-collapse folds the sampled ops' critical paths
+// (see -optrace) into collapsed-stack format, one
+// "<space>;op.<kind>;<stages> <ns>" line per unique stack
+// (flamegraph.pl-compatible), written before any -hold.
 //
 // -slo arms the per-volume SLO engine on every arm: the spec string
 // ("default" for the stock portfolio, or clauses like
@@ -74,12 +72,11 @@
 // tree on the modeled clock — allocator pick provenance, per-stage CP cost
 // attribution, device-busy leaves — into bounded per-volume rings. With
 // -metrics-addr the /debug/optrace endpoint serves the trace document
-// (filterable by ?vol=, ?min_lat=, ?id=, ?limit=); with -trace-collapse the
-// sampled ops' critical paths fold into the same collapsed-stack output as
-// the CP-phase spans. The spec is comma-separated key=value ("default" for
-// rate=16,slow=20ms,cap=256); trace IDs are derived from -seed, so the
-// sampled set and every ID are identical at any -parallel width. See
-// internal/obs/optrace.
+// (filterable by ?vol=, ?min_lat=, ?id=, ?limit=). The spec is
+// comma-separated key=value ("default" for rate=16,slow=20ms,cap=256); trace
+// IDs are derived from -seed, so the sampled set and every ID are identical
+// at any -parallel width. -trace-collapse arms the default spec when -optrace
+// is absent. See internal/obs/optrace.
 //
 // -control arms the closed-loop controller on every arm: the policy string
 // ("default" for the stock portfolio, or clauses like
@@ -130,7 +127,6 @@ import (
 	"waflfs/internal/obs/picks"
 	"waflfs/internal/obs/slo"
 	"waflfs/internal/obs/tsdb"
-	"waflfs/internal/stats"
 	"waflfs/internal/wafl"
 )
 
@@ -156,8 +152,6 @@ type options struct {
 	memprofile    string
 	metricsAddr   string
 	hold          time.Duration
-	csvOut        string
-	traceOut      string
 	traceCollapse string
 	benchJSON     string
 	faults        string
@@ -182,10 +176,8 @@ func newFlagSet(o *options) *flag.FlagSet {
 		"serve live endpoints (/metrics, /debug/timeseries, /debug/picks, /debug/pprof) on this address during the run (\":0\" picks a free port)")
 	fs.DurationVar(&o.hold, "hold", 0,
 		"keep the live endpoints serving for this long after the run finishes (requires -metrics-addr)")
-	fs.StringVar(&o.csvOut, "csv-out", "", "write per-CP metric rows to this CSV file")
-	fs.StringVar(&o.traceOut, "trace-out", "", "write the CP-phase/allocator trace to this JSON Lines file")
 	fs.StringVar(&o.traceCollapse, "trace-collapse", "",
-		"fold the CP-phase trace spans into collapsed-stack format (sys;phase;name count) and write them to this file (flamegraph.pl-compatible)")
+		"fold the sampled ops' critical paths into collapsed-stack format (space;op.kind;stages ns) and write them to this file (flamegraph.pl-compatible); arms -optrace default when -optrace is absent")
 	fs.StringVar(&o.benchJSON, "bench-json", "",
 		"write the rows of the experiments run and of the audit to this schema-versioned benchmark artifact (BENCH_<n>.json); arms the audited sinks")
 	fs.StringVar(&o.faults, "faults", "",
@@ -224,23 +216,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	os.Exit(run(o))
+}
 
+// run is waflbench after flag parsing; it returns the exit code. Every exit
+// goes through its return, so the deferred profile writes run on a failing
+// run too — the one most worth profiling.
+func run(o options) int {
 	if o.list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-13s %s\n", e.Name, e.Description)
 		}
-		return
+		return 0
 	}
 
 	if o.cpuprofile != "" {
 		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -269,13 +267,12 @@ func main() {
 	cfg.Cores = o.cores
 	cfg.Workers = o.workers
 
-	// Observability sinks. One export registry / tracer / CSV stream is
-	// shared by every experiment arm; each arm registers its metrics under
+	// Observability sinks. One export registry and one of each per-CP sink
+	// is shared by every experiment arm; each arm registers its metrics under
 	// its own name prefix so the streams stay disjoint. The zero sink arms
 	// nothing, and cfg.Obs stays nil.
 	sink := &wafl.ObsOptions{}
-	var csvFile *os.File
-	if o.benchJSON != "" || o.metricsAddr != "" || o.csvOut != "" || o.traceOut != "" || o.traceCollapse != "" || o.sloSpec != "" || o.optraceSpec != "" || o.controlSpec != "" {
+	if o.benchJSON != "" || o.metricsAddr != "" || o.traceCollapse != "" || o.sloSpec != "" || o.optraceSpec != "" || o.controlSpec != "" {
 		if o.benchJSON != "" {
 			sink = experiments.ArtifactSinks(o.seed)
 		} else {
@@ -305,7 +302,7 @@ func main() {
 			specs, err := slo.ParseSpecs(o.sloSpec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "-slo: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			sink.SLO = slo.NewSet(specs)
 		}
@@ -313,7 +310,7 @@ func main() {
 			pols, err := control.ParsePolicies(o.controlSpec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "-control: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			sink.Control = control.NewSet(pols)
 			if sink.SLO == nil {
@@ -327,22 +324,17 @@ func main() {
 			otCfg, err := optrace.ParseConfig(o.optraceSpec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "-optrace: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			otCfg.Seed = o.seed
 			sink.OpTrace = optrace.NewRecorder(otCfg)
 		}
-		if o.traceOut != "" || o.traceCollapse != "" {
-			sink.Tracer = obs.NewTracer()
-		}
-		if o.csvOut != "" {
-			f, err := os.Create(o.csvOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			csvFile = f
-			sink.CSV = obs.NewCSVRecorder(f)
+		if o.traceCollapse != "" && sink.OpTrace == nil {
+			// The folded stacks are the op traces' critical paths, so a
+			// -trace-collapse without -optrace arms the default sampling.
+			otCfg := optrace.DefaultConfig()
+			otCfg.Seed = o.seed
+			sink.OpTrace = optrace.NewRecorder(otCfg)
 		}
 		cfg.Obs = sink
 	}
@@ -353,7 +345,7 @@ func main() {
 		ln, err := net.Listen("tcp", o.metricsAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		mux := http.NewServeMux()
 		// Before the first CP publishes, serve a placeholder rather than
@@ -414,7 +406,7 @@ func main() {
 			e, lerr := experiments.Lookup(o.exp)
 			if lerr != nil {
 				fmt.Fprintln(os.Stderr, lerr)
-				os.Exit(2)
+				return 2
 			}
 			exps = []experiments.Experiment{e}
 		}
@@ -422,7 +414,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	if sink.SLO != nil {
@@ -434,28 +426,38 @@ func main() {
 	if sink.OpTrace != nil {
 		printOptraceSummary(sink.OpTrace)
 	}
+	if o.traceCollapse != "" {
+		if err := writeCollapsed(o.traceCollapse, sink.OpTrace); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+	}
 
 	if o.hold > 0 {
 		fmt.Printf("holding live endpoints for %v (interrupt to stop early)\n", o.hold)
 		time.Sleep(o.hold)
 	}
 
-	if err := finishObs(metricsURL, srv, sink, o.traceOut, o.traceCollapse, csvFile); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if srv != nil {
+		if err := checkMetrics(metricsURL); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		srv.Close()
 	}
 
 	audit, err := experiments.Audit(cfg.Obs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	if o.benchJSON != "" {
 		if err := writeArtifact(o.benchJSON, cfg, append(rows, audit...), time.Since(start)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // writeArtifact handles -bench-json: the run's rows, with provenance, to path.
@@ -601,84 +603,39 @@ func runFaultPlan(cfg experiments.Config, spec string) error {
 	return nil
 }
 
-// finishObs drains the observability sinks after the experiments finish:
-// it self-checks the metrics endpoint (so scripted runs need no external
-// HTTP client), flushes the trace file with a phase-duration digest, and
-// closes the CSV stream. Any failure is reported as a run failure.
-func finishObs(metricsURL string, srv *http.Server, sink *wafl.ObsOptions, traceOut, traceCollapse string, csvFile *os.File) error {
-	tracer, otRec, csvRec := sink.Tracer, sink.OpTrace, sink.CSV
-	if srv != nil {
-		resp, err := http.Get(metricsURL)
-		if err != nil {
-			return fmt.Errorf("metrics self-check: %w", err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("metrics self-check: %w", err)
-		}
-		if resp.StatusCode != http.StatusOK || len(body) == 0 {
-			return fmt.Errorf("metrics self-check: status %d, %d bytes", resp.StatusCode, len(body))
-		}
-		fmt.Printf("metrics self-check ok: %d bytes from %s\n", len(body), metricsURL)
-		srv.Close()
+// writeCollapsed handles -trace-collapse: the sampled ops' critical paths,
+// folded, to path.
+func writeCollapsed(path string, rec *optrace.Recorder) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if tracer != nil && traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		evs := tracer.Events()
-		durs := make([]float64, 0, len(evs))
-		for _, ev := range evs {
-			if ev.Dur > 0 {
-				durs = append(durs, float64(ev.Dur))
-			}
-		}
-		sum := stats.Summarize(durs)
-		fmt.Printf("trace: %d events to %s (timed spans: %d, p50 %v, p95 %v)\n",
-			len(evs), traceOut, sum.N(),
-			time.Duration(sum.Percentile(50)).Round(time.Microsecond),
-			time.Duration(sum.Percentile(95)).Round(time.Microsecond))
+	stacks, err := rec.WriteCollapsed(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if (tracer != nil || otRec != nil) && traceCollapse != "" {
-		f, err := os.Create(traceCollapse)
-		if err != nil {
-			return err
-		}
-		// The CP-phase spans and the sampled ops' critical paths fold into
-		// one collapsed-stack file; the op stacks are rooted at op.read /
-		// op.write so flamegraphs keep the two families apart.
-		var evs []obs.Event
-		if tracer != nil {
-			evs = tracer.Events()
-		}
-		evs = append(evs, otRec.CollapsedEvents()...)
-		stacks, err := obs.WriteCollapsed(f, evs)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace-collapse: %d stacks to %s\n", stacks, traceCollapse)
+	if err != nil {
+		return err
 	}
-	if csvRec != nil {
-		if err := csvRec.Flush(); err != nil {
-			return fmt.Errorf("csv: %w", err)
-		}
-		if err := csvFile.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("csv: %d rows\n", csvRec.Rows())
+	fmt.Printf("trace-collapse: %d stacks to %s\n", stacks, path)
+	return nil
+}
+
+// checkMetrics self-checks the live metrics endpoint, so scripted runs need
+// no external HTTP client.
+func checkMetrics(url string) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return fmt.Errorf("metrics self-check: %w", err)
 	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("metrics self-check: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		return fmt.Errorf("metrics self-check: status %d, %d bytes", resp.StatusCode, len(body))
+	}
+	fmt.Printf("metrics self-check ok: %d bytes from %s\n", len(body), url)
 	return nil
 }

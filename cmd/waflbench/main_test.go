@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -65,21 +67,65 @@ func TestOptionSurface(t *testing.T) {
 			"CPEveryOps", "Workers", "AllocShards", "AllocBatch", "Pipeline", "Obs", "Faults",
 		}},
 		{"wafl.ObsOptions", fields(wafl.ObsOptions{}), []string{
-			"Name", "Export", "Tracer", "CSV", "Frag", "FragEvery", "TSDB", "Picks",
+			"Name", "Export", "Frag", "FragEvery", "TSDB", "Picks",
 			"Live", "Watchdogs", "OpTrace", "SLO", "Control",
 		}},
 		{"experiments.Config", fields(experiments.Config{}), []string{
 			"Scale", "Seed", "Cores", "Think", "Clients", "DeviceParallel", "Workers", "Obs",
 		}},
 		{"waflbench flags", flags, []string{ // VisitAll walks in name order
-			"bench-json", "control", "cores", "cpuprofile", "csv-out",
+			"bench-json", "control", "cores", "cpuprofile",
 			"exp", "faults", "hold", "list", "memprofile", "metrics-addr", "optrace",
-			"parallel", "scale", "seed", "slo", "trace-collapse", "trace-out",
+			"parallel", "scale", "seed", "slo", "trace-collapse",
 		}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {
 			t.Errorf("%s has %d options %v,\nthe pinned surface has %d %v",
 				tc.surface, len(tc.got), tc.got, len(tc.want), tc.want)
 		}
+	}
+}
+
+// parse builds the options a command line gives, defaults included.
+func parse(t *testing.T, args ...string) options {
+	t.Helper()
+	var o options
+	if err := newFlagSet(&o).Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// A failing run still writes both profiles: every exit goes through run's
+// return, so the deferred profile writes are not skipped.
+func TestFailingRunKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if code := run(parse(t, "-exp", "nosuch", "-cpuprofile", cpu, "-memprofile", mem)); code != 2 {
+		t.Fatalf("run with an unknown experiment = %d, want 2", code)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", f, err)
+		}
+	}
+}
+
+// -trace-collapse alone arms op tracing: the folded stacks are the sampled
+// ops' critical paths, so without -optrace the file is still non-empty.
+func TestTraceCollapseArmsOptrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs an experiment")
+	}
+	out := filepath.Join(t.TempDir(), "ops.folded")
+	if code := run(parse(t, "-exp", "allocbench", "-scale", "0.1", "-trace-collapse", out)); code != 0 {
+		t.Fatalf("run = %d, want 0", code)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), ";op.write;") {
+		t.Fatalf("folded file holds no op stack:\n%s", b)
 	}
 }

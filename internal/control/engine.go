@@ -407,16 +407,6 @@ type SystemStatus struct {
 	Transitions []Transition      `json:"transitions,omitempty"`
 }
 
-// Flapping reports whether any instance is mid-flap.
-func (st SystemStatus) Flapping() bool {
-	for _, in := range st.Instances {
-		if in.Flapping {
-			return true
-		}
-	}
-	return false
-}
-
 // Status snapshots the engine; instance and knob order is deterministic.
 func (e *Engine) Status() SystemStatus {
 	if e == nil {

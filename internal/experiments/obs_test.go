@@ -2,49 +2,43 @@ package experiments
 
 import (
 	"io"
-	"strings"
 	"testing"
 
 	"waflfs/internal/obs"
+	"waflfs/internal/obs/tsdb"
 	"waflfs/internal/wafl"
 )
 
 // An obs-instrumented fig6 run: the four cache arms fan out concurrently,
-// each registering under its own prefix, and all sinks fill.
+// each registering under its own prefix, and both sinks fill — the export
+// registry with every arm's live counters, the tsdb with every arm's per-CP
+// series under the same names.
 func TestFig6WithObsSinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	export := obs.NewRegistry()
-	tracer := obs.NewTracer()
-	var csv strings.Builder
-	rec := obs.NewCSVRecorder(&csv)
+	store := tsdb.NewStore(tsdb.DefaultConfig())
 	cfg := quickConfig()
 	cfg.Scale = 0.05
-	cfg.Obs = &wafl.ObsOptions{Export: export, Tracer: tracer, CSV: rec}
+	cfg.Obs = &wafl.ObsOptions{Export: export, TSDB: store}
 
 	RunFig6(cfg, io.Discard)
-	if err := rec.Flush(); err != nil {
-		t.Fatalf("csv flush: %v", err)
-	}
 
 	for _, arm := range []string{"both", "agg-only", "vol-only", "none"} {
 		name := "fig6." + arm + ".wafl.cps"
-		if n, ok := export.Value(name); !ok || n == 0 {
+		n, ok := export.Value(name)
+		if !ok || n == 0 {
 			t.Errorf("%s = %d,%v, want > 0", name, n, ok)
+			continue
 		}
-	}
-	if tracer.Len() == 0 {
-		t.Error("tracer recorded no events")
-	}
-	if !strings.HasPrefix(csv.String(), obs.CSVHeader) || strings.Count(csv.String(), "\n") < 10 {
-		t.Errorf("CSV output too small: %d bytes", csv.Len())
-	}
-	// Events from concurrent arms must still sort canonically by system.
-	evs := tracer.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Sys < evs[i-1].Sys {
-			t.Fatalf("events not in canonical order at %d: %q after %q", i, evs[i].Sys, evs[i-1].Sys)
+		// The last sample is the arm's final CP, so the series ends where
+		// the live counter stands.
+		if v, ok := store.ValueAt(name, n); !ok || v != float64(n) {
+			t.Errorf("tsdb %s at cp %d = %v,%v, want %d", name, n, v, ok, n)
+		}
+		if pts := store.Points(name); len(pts) == 0 || pts[len(pts)-1].CPLast != n {
+			t.Errorf("tsdb %s holds %d points, want one per CP up to %d", name, len(pts), n)
 		}
 	}
 }

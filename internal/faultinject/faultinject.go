@@ -246,14 +246,6 @@ func New(plan Plan) *Injector {
 	return &Injector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 }
 
-// Plan returns the schedule the injector executes.
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
 // BeginCP advances the CP ordinal; System.CP calls it once per CP.
 func (in *Injector) BeginCP() {
 	if in == nil {

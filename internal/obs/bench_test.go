@@ -25,13 +25,6 @@ func BenchmarkCounterHotPath(b *testing.B) {
 			b.Fatal("counter did not count")
 		}
 	})
-	b.Run("tracer-disabled", func(b *testing.B) {
-		var st *SysTracer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st.Emit("alloc.phys", 0, "cache_hit", 0, 1)
-		}
-	})
 	b.Run("histogram-enabled", func(b *testing.B) {
 		h := NewHistogram(DurationBuckets)
 		b.ReportAllocs()

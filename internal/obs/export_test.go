@@ -46,78 +46,6 @@ wafl_ops 120
 	}
 }
 
-func TestCSVGolden(t *testing.T) {
-	var buf bytes.Buffer
-	rec := NewCSVRecorder(&buf)
-	r := scriptedRegistry()
-	// Record in scrambled arm/CP order — concurrent arms interleave
-	// arbitrarily — and expect Flush to impose the canonical (sys, cp)
-	// order on the byte stream.
-	rec.Record("armB", 1, r.Snapshot())
-	rec.Record("armA", 1, r.Snapshot())
-	r.Counter("wafl.ops").Add(30)
-	rec.Record("armA", 2, r.Snapshot())
-	if buf.Len() != 0 {
-		t.Fatalf("Record must buffer, but %d bytes reached the writer", buf.Len())
-	}
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := `sys,cp,metric,kind,value
-armA,1,rg0.dev0.busy_ns.sum,histogram,21000
-armA,1,rg0.dev0.busy_ns.count,histogram,3
-armA,1,rg0.heap.size,gauge,14
-armA,1,wafl.cp.count,counter,3
-armA,1,wafl.ops,counter,120
-armA,2,rg0.dev0.busy_ns.sum,histogram,21000
-armA,2,rg0.dev0.busy_ns.count,histogram,3
-armA,2,rg0.heap.size,gauge,14
-armA,2,wafl.cp.count,counter,3
-armA,2,wafl.ops,counter,150
-armB,1,rg0.dev0.busy_ns.sum,histogram,21000
-armB,1,rg0.dev0.busy_ns.count,histogram,3
-armB,1,rg0.heap.size,gauge,14
-armB,1,wafl.cp.count,counter,3
-armB,1,wafl.ops,counter,120
-`
-	if got := buf.String(); got != want {
-		t.Fatalf("csv output not byte-stable:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if rec.Rows() != 15 {
-		t.Fatalf("rows = %d, want 15", rec.Rows())
-	}
-	if rec.Err() != nil {
-		t.Fatalf("unexpected recorder error: %v", rec.Err())
-	}
-}
-
-func TestCSVIncludesVolatileWhenAsked(t *testing.T) {
-	var buf bytes.Buffer
-	rec := NewCSVRecorder(&buf).IncludeVolatile()
-	rec.Record("a", 1, scriptedRegistry().Snapshot())
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("wafl.cp.flush_wall_ns")) {
-		t.Fatal("IncludeVolatile must emit volatile metrics")
-	}
-}
-
-func TestCSVQuoting(t *testing.T) {
-	var buf bytes.Buffer
-	rec := NewCSVRecorder(&buf)
-	r := NewRegistry()
-	r.Counter("x").Add(1)
-	rec.Record(`arm,"1"`, 1, r.Snapshot())
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := "sys,cp,metric,kind,value\n\"arm,\"\"1\"\"\",1,x,counter,1\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("quoting wrong:\n got %q\nwant %q", got, want)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	snap := scriptedRegistry().Snapshot()
 	var buf bytes.Buffer

@@ -10,7 +10,7 @@ import (
 
 // The PR-5 sinks sit on the allocation and CP hot paths behind nil-safe
 // receivers, so the disabled state must cost one predictable branch — the
-// same budget TestCounterHotPathBudget enforces for counters and tracers.
+// same budget TestCounterHotPathBudget enforces for counters.
 func TestLiveSinkDisabledPathBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion; skipped in -short")

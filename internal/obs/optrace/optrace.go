@@ -19,12 +19,13 @@
 package optrace
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"waflfs/internal/obs"
 	"waflfs/internal/obs/rule"
@@ -273,18 +274,6 @@ func (r *Recorder) Traces(space string) []Trace {
 	return g.Traces()
 }
 
-// Find returns the surviving trace with the given ID, if any.
-func (r *Recorder) Find(id uint64) (Trace, bool) {
-	for _, sp := range r.Spaces() {
-		for _, t := range r.Traces(sp) {
-			if t.ID == id {
-				return t, true
-			}
-		}
-	}
-	return Trace{}, false
-}
-
 // TotalSampled sums recorded traces over all rings (dropped included).
 func (r *Recorder) TotalSampled() uint64 { return r.spaces().Sum((*Ring).Sampled) }
 
@@ -387,32 +376,39 @@ func (r *Recorder) WriteJSON(w io.Writer, f Filter) error {
 	return enc.Encode(doc)
 }
 
-// CollapsedEvents renders every surviving trace's critical path as one
-// synthetic timed span for obs.WriteCollapsed: the stack is
-// "<space>;op.<kind>;<path frames>" and the value is the op's modeled
-// latency, so a flamegraph shows where slow ops' nanoseconds go, split by
-// volume, direction, and dominant stage.
-func (r *Recorder) CollapsedEvents() []obs.Event {
-	var evs []obs.Event
+// WriteCollapsed folds every surviving trace's critical path into the
+// collapsed-stack format flamegraph tooling reads (flamegraph.pl, speedscope,
+// inferno): one "<space>;op.<kind>;<path frames> <ns>" line per unique stack,
+// the value summing the modeled latencies of the ops that share it, so a
+// flamegraph shows where sampled ops' nanoseconds go, split by volume,
+// direction and dominant stage. An op with no timed span carries no time and
+// is skipped; lines are sorted, so the output is byte-stable. Returns the
+// number of stacks written.
+func (r *Recorder) WriteCollapsed(w io.Writer) (int, error) {
+	agg := make(map[string]uint64)
 	for _, sp := range r.Spaces() {
 		for _, t := range r.Traces(sp) {
-			frames := make([]string, 0, 4)
-			for _, s := range t.CriticalPath() {
-				frames = append(frames, s.Name)
-			}
-			if len(frames) == 0 {
+			path := t.CriticalPath()
+			if len(path) == 0 || t.LatNS == 0 {
 				continue
 			}
-			evs = append(evs, obs.Event{
-				Sys:   t.Space,
-				CP:    t.CP,
-				Phase: "op." + t.Kind,
-				Name:  strings.Join(frames, ";"),
-				Dur:   time.Duration(t.LatNS),
-			})
+			frames := []string{t.Space, "op." + t.Kind}
+			for _, s := range path {
+				frames = append(frames, s.Name)
+			}
+			agg[strings.Join(frames, ";")] += t.LatNS
 		}
 	}
-	return evs
+	stacks := make([]string, 0, len(agg))
+	for s := range agg {
+		stacks = append(stacks, s)
+	}
+	sort.Strings(stacks)
+	bw := bufio.NewWriter(w)
+	for _, s := range stacks {
+		fmt.Fprintf(bw, "%s %d\n", s, agg[s])
+	}
+	return len(stacks), bw.Flush()
 }
 
 // Ring is one volume's bounded trace history plus its sampling state.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"waflfs/internal/obs"
 )
 
 func TestTraceIDDeterministicAndNonzero(t *testing.T) {
@@ -178,6 +176,10 @@ func TestWriteJSONFiltersAndDeterminism(t *testing.T) {
 	}
 }
 
+// One trace collapses to one stack: the space, "op.<kind>", then the
+// critical path's frames, valued at the op's whole latency rather than the
+// critical span's own duration. The folding of many traces is pinned by
+// TestWriteCollapsed in internal/obs.
 func TestCollapsedEvents(t *testing.T) {
 	r := NewRecorder(Config{Rate: 1, Capacity: 8, Seed: 5})
 	g := r.Space("s.vol.va")
@@ -186,20 +188,13 @@ func TestCollapsedEvents(t *testing.T) {
 			{Name: "base_cpu", DurNS: 100},
 			{Name: "device", DurNS: 400, Children: []Span{{Name: "rg0", DurNS: 400}}},
 		}})
-	evs := r.CollapsedEvents()
-	if len(evs) != 1 {
-		t.Fatalf("events = %d, want 1", len(evs))
-	}
-	e := evs[0]
-	if e.Sys != "s.vol.va" || e.Phase != "op.write" || e.Name != "device;rg0" || int64(e.Dur) != 500 || e.CP != 3 {
-		t.Fatalf("unexpected collapsed event: %+v", e)
-	}
 	var buf bytes.Buffer
-	if n, err := obs.WriteCollapsed(&buf, evs); err != nil || n == 0 {
-		t.Fatalf("WriteCollapsed: n=%d err=%v", n, err)
+	n, err := r.WriteCollapsed(&buf)
+	if err != nil || n != 1 {
+		t.Fatalf("WriteCollapsed = %d stacks, %v; want 1 stack", n, err)
 	}
-	if !strings.Contains(buf.String(), "s.vol.va;op.write;device;rg0 500") {
-		t.Fatalf("collapsed stack missing:\n%s", buf.String())
+	if got, want := buf.String(), "s.vol.va;op.write;device;rg0 500\n"; got != want {
+		t.Fatalf("collapsed stack = %q, want %q", got, want)
 	}
 }
 

@@ -122,28 +122,6 @@ func (r *Recorder) Space(name string) *Ring {
 // Spaces returns every space name with a ring, sorted.
 func (r *Recorder) Spaces() []string { return r.spaces().Names() }
 
-// Records returns the named space's surviving records, oldest first.
-func (r *Recorder) Records(space string) []PickRecord {
-	g, _ := r.spaces().Get(space)
-	return g.Records()
-}
-
-// All returns every surviving record across spaces in canonical
-// (Space, Seq) order — the replayable provenance stream.
-func (r *Recorder) All() []PickRecord {
-	var out []PickRecord
-	for _, sp := range r.Spaces() {
-		out = append(out, r.Records(sp)...)
-	}
-	return out
-}
-
-// TotalRecorded sums Recorded over all rings.
-func (r *Recorder) TotalRecorded() uint64 { return r.spaces().Sum((*Ring).Recorded) }
-
-// TotalDropped sums Dropped over all rings.
-func (r *Recorder) TotalDropped() uint64 { return r.spaces().Sum((*Ring).Dropped) }
-
 // spaceDump is one ring in the JSON document.
 type spaceDump struct {
 	Space    string            `json:"space"`

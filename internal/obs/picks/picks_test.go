@@ -3,6 +3,8 @@ package picks
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -34,22 +36,39 @@ func TestRingBoundAndCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestRecorderAllSortsBySpaceThenSeq(t *testing.T) {
+// The status document is the replayable provenance stream: spaces in name
+// order, each space's surviving records in ascending Seq.
+func TestWriteJSONSortsBySpaceThenSeq(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 8})
 	r.Space("b").Record(1, 1, 10, -1, 0, BitmapFallback, 0)
 	r.Space("a").Record(1, 2, 20, 15, 3, HBPSBin, 0)
 	r.Space("a").Record(2, 3, 30, 25, 2, Refill, 0)
-	all := r.All()
-	if len(all) != 3 {
-		t.Fatalf("All returned %d records", len(all))
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
-	if all[0].Space != "a" || all[0].Seq != 1 ||
-		all[1].Space != "a" || all[1].Seq != 2 ||
-		all[2].Space != "b" || all[2].Seq != 1 {
-		t.Fatalf("canonical order violated: %+v", all)
+	var doc struct {
+		Spaces []struct {
+			Space    string       `json:"space"`
+			Recorded uint64       `json:"recorded"`
+			Dropped  uint64       `json:"dropped"`
+			Records  []PickRecord `json:"records"`
+		} `json:"spaces"`
 	}
-	if r.TotalRecorded() != 3 || r.TotalDropped() != 0 {
-		t.Fatalf("totals = %d/%d", r.TotalRecorded(), r.TotalDropped())
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	var got []string
+	for _, sp := range doc.Spaces {
+		if sp.Recorded != uint64(len(sp.Records)) || sp.Dropped != 0 {
+			t.Fatalf("%s: recorded/dropped = %d/%d with %d records", sp.Space, sp.Recorded, sp.Dropped, len(sp.Records))
+		}
+		for _, rec := range sp.Records {
+			got = append(got, fmt.Sprintf("%s/%d", rec.Space, rec.Seq))
+		}
+	}
+	if want := []string{"a/1", "a/2", "b/1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("canonical order = %v, want %v", got, want)
 	}
 }
 
@@ -70,7 +89,8 @@ func TestNilRecorderAndRingAreSafe(t *testing.T) {
 	if g.Records() != nil || g.Recorded() != 0 || g.Dropped() != 0 || g.ReasonCount(HeapTop) != 0 {
 		t.Fatal("nil ring leaked state")
 	}
-	if r.Spaces() != nil || r.Records("x") != nil || r.All() != nil {
+	var buf bytes.Buffer
+	if r.Spaces() != nil || r.WriteJSON(&buf) != nil || buf.String() != "{\"spaces\":[]}\n" {
 		t.Fatal("nil recorder leaked state")
 	}
 }

@@ -1,20 +1,18 @@
 // Package obs is the repo's structured observability layer: a dependency-free
-// metrics registry (counters, gauges, fixed-bucket histograms), a span/event
-// tracer driven by the simulation's modeled clock, and exporters for the
-// Prometheus text format, per-CP CSV time series, and JSON snapshots.
+// metrics registry (counters, gauges, fixed-bucket histograms) and exporters
+// for the Prometheus text format and JSON snapshots.
 //
 // Two properties are load-bearing:
 //
 //   - Zero-overhead off switch. Every instrument type is nil-safe: calling
-//     Add/Observe/Emit on a nil *Counter, *Histogram, or *SysTracer is a
-//     single branch and no allocation, so instrumentation sites can hold
-//     possibly-nil pointers and the default (observability off) costs
-//     nothing measurable (see BenchmarkCounterHotPath).
+//     Add/Observe on a nil *Counter or *Histogram is a single branch and no
+//     allocation, so instrumentation sites can hold possibly-nil pointers
+//     and the default (observability off) costs nothing measurable (see
+//     BenchmarkCounterHotPath).
 //
-//   - Determinism. Snapshots are ordered by metric name, counter and
-//     histogram updates are commutative atomics, and tracer events sort into
-//     a canonical order, so a run at Workers=8 produces bit-identical
-//     stable snapshots and event sequences to the same run at Workers=1.
+//   - Determinism. Snapshots are ordered by metric name, and counter and
+//     histogram updates are commutative atomics, so a run at Workers=8
+//     produces bit-identical stable snapshots to the same run at Workers=1.
 //     Metrics whose value legitimately depends on the worker count (modeled
 //     flush wall-clock, pool slot accounting) are registered as volatile and
 //     excluded from StableSnapshot.
@@ -394,34 +392,21 @@ func (r *Registry) attach(name string, src *entry) {
 }
 
 // ErrKindMismatch reports a metric name re-registered as a different
-// instrument kind. tryRegister (and the Try* registration methods) return
-// it wrapped with the name and both kinds; the panicking convenience
-// methods panic with the same error at the registration site, never later.
+// instrument kind. The registration methods panic with it, wrapped with the
+// name and both kinds, at the registration site, never later.
 var ErrKindMismatch = errors.New("metric kind mismatch")
 
 // register adds e under its name, or returns the existing entry of the same
-// kind. A kind mismatch panics: the no-argument convenience methods treat
-// it as a programming error. Callers that need to propagate the condition
-// use the Try* variants instead.
+// kind. A kind mismatch is a programming error and panics.
 func (r *Registry) register(e *entry) *entry {
-	got, err := r.tryRegister(e)
-	if err != nil {
-		panic(err)
-	}
-	return got
-}
-
-// tryRegister is register's guard path: a kind mismatch is a returned
-// error, not a panic.
-func (r *Registry) tryRegister(e *entry) (*entry, error) {
 	r.mu.Lock()
 	if old, ok := r.entries[e.name]; ok {
 		r.mu.Unlock()
 		if old.kind != e.kind {
-			return nil, fmt.Errorf("obs: %q re-registered as %s (was %s): %w",
-				e.name, e.kind, old.kind, ErrKindMismatch)
+			panic(fmt.Errorf("obs: %q re-registered as %s (was %s): %w",
+				e.name, e.kind, old.kind, ErrKindMismatch))
 		}
-		return old, nil
+		return old
 	}
 	r.add(e)
 	mirror, prefix := r.mirror, r.mirrorPrefix
@@ -429,37 +414,7 @@ func (r *Registry) tryRegister(e *entry) (*entry, error) {
 	if mirror != nil {
 		mirror.attach(prefix+e.name, e)
 	}
-	return e, nil
-}
-
-// TryCounter registers (or fetches) a counter, reporting a kind mismatch
-// as an error (wrapping ErrKindMismatch) instead of panicking.
-func (r *Registry) TryCounter(name string) (*Counter, error) {
-	e, err := r.tryRegister(&entry{name: name, kind: KindCounter, c: &Counter{}})
-	if err != nil {
-		return nil, err
-	}
-	return e.c, nil
-}
-
-// TryGauge registers (or fetches) a gauge, reporting a kind mismatch as an
-// error instead of panicking.
-func (r *Registry) TryGauge(name string) (*Gauge, error) {
-	e, err := r.tryRegister(&entry{name: name, kind: KindGauge, g: &Gauge{}})
-	if err != nil {
-		return nil, err
-	}
-	return e.g, nil
-}
-
-// TryHistogram registers (or fetches) a histogram, reporting a kind
-// mismatch as an error instead of panicking.
-func (r *Registry) TryHistogram(name string, bounds []uint64) (*Histogram, error) {
-	e, err := r.tryRegister(&entry{name: name, kind: KindHistogram, h: NewHistogram(bounds)})
-	if err != nil {
-		return nil, err
-	}
-	return e.h, nil
+	return e
 }
 
 // Counter registers (or fetches) a counter.

@@ -5,37 +5,43 @@ import (
 	"testing"
 )
 
-// Registering a name under a different instrument kind must surface as a
-// returned error from the Try* guard path — and as an immediate panic (with
-// the same error) from the convenience methods, never a deferred failure.
+// Registering a name under a different instrument kind must surface, at the
+// registration site, an error wrapping ErrKindMismatch — whichever kind came
+// first, read-through variants included — while the same name under the same
+// kind fetches the existing instrument.
 func TestKindMismatchIsReturnedError(t *testing.T) {
 	r := NewRegistry()
-	c, err := r.TryCounter("x")
-	if err != nil || c == nil {
-		t.Fatalf("TryCounter on fresh name: %v", err)
-	}
+	c := r.Counter("x")
 	c.Add(2)
-
-	if _, err := r.TryGauge("x"); !errors.Is(err, ErrKindMismatch) {
-		t.Fatalf("TryGauge on counter name: err = %v, want ErrKindMismatch", err)
+	if again := r.Counter("x"); again != c || again.Value() != 2 {
+		t.Fatalf("Counter re-registration: got %p (value %d), want the original %p", again, again.Value(), c)
 	}
-	if _, err := r.TryHistogram("x", DurationBuckets); !errors.Is(err, ErrKindMismatch) {
-		t.Fatalf("TryHistogram on counter name: err = %v, want ErrKindMismatch", err)
-	}
-
-	// Same name, same kind: fetches the existing instrument, no error.
-	again, err := r.TryCounter("x")
-	if err != nil || again != c {
-		t.Fatalf("TryCounter re-registration: got %p,%v want the original %p", again, err, c)
-	}
-	if again.Value() != 2 {
-		t.Fatalf("re-fetched counter value = %d, want 2", again.Value())
-	}
-
-	// The read-through variants share the same guard.
 	r.CounterFunc("fn", func() uint64 { return 1 })
-	if _, err := r.TryGauge("fn"); !errors.Is(err, ErrKindMismatch) {
-		t.Fatalf("TryGauge on CounterFunc name: err = %v", err)
+
+	// registrationErr runs reg and returns the error its panic carries.
+	registrationErr := func(reg func()) (err error) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				err, _ = rec.(error)
+				if err == nil {
+					t.Fatalf("panic value = %v, want an error", rec)
+				}
+			}
+		}()
+		reg()
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		reg  func()
+	}{
+		{"gauge on counter", func() { r.Gauge("x") }},
+		{"histogram on counter", func() { r.Histogram("x", DurationBuckets) }},
+		{"gauge on counter func", func() { r.GaugeFunc("fn", func() int64 { return 0 }) }},
+	} {
+		if err := registrationErr(tc.reg); !errors.Is(err, ErrKindMismatch) {
+			t.Errorf("%s: err = %v, want ErrKindMismatch", tc.name, err)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@
 // DeviceBusy+CPUTime), never the host clock, and samples are taken from
 // stable (volatile-excluded) snapshots only — so two runs of the same
 // workload at different worker widths produce byte-identical stores, the
-// same determinism contract the CSV recorder keeps.
+// same determinism contract the registry's stable snapshot keeps.
 //
 // Like the rest of obs, a nil *Store is a valid no-op receiver: the CP
 // boundary pays one nil check when the store is disabled.
@@ -67,14 +67,6 @@ type Point struct {
 	Max   float64 `json:"max"`
 	Sum   float64 `json:"sum"`
 	Count uint64  `json:"count"`
-}
-
-// Avg returns the mean of the folded samples.
-func (p Point) Avg() float64 {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.Sum / float64(p.Count)
 }
 
 func merge(a, b Point) Point {
@@ -239,68 +231,6 @@ func (s *Store) Sample(sys string, cp uint64, at time.Duration, snap obs.Snapsho
 			s.put(h[0], cp, at, float64(m.Value))
 		}
 	}
-}
-
-// Window aggregates the retained points of one series over a CP range.
-type Window struct {
-	// Points is how many ring points intersected the window.
-	Points int
-	// CPFirst..CPLast is the CP range the intersecting points actually
-	// cover, clamped to retained resolution (a folded point is included
-	// whole when any of its range intersects the query).
-	CPFirst, CPLast uint64
-	// AtLast is the modeled timestamp of the newest intersecting point.
-	AtLast time.Duration
-
-	Min, Max, Sum float64
-	Count         uint64
-	// FirstMin is the Min of the oldest intersecting point and LastMax the
-	// Max of the newest. For a monotone (counter) series these are exact
-	// even across folds: within a folded point the minimum is the value at
-	// CPFirst and the maximum the value at CPLast, so LastMax−FirstMin is
-	// the increase over the covered range.
-	FirstMin, LastMax float64
-}
-
-// WindowStats aggregates the named series over the CP range [fromCP, toCP]
-// (inclusive). Folded points are included whenever their CP range intersects
-// the query, so the returned coverage (CPFirst..CPLast) can be wider than
-// asked once downsampling has coarsened old history. Returns ok=false when
-// the series is unknown or no retained point intersects.
-func (s *Store) WindowStats(name string, fromCP, toCP uint64) (Window, bool) {
-	if s == nil {
-		return Window{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	se := s.series[name]
-	if se == nil || len(se.pts) == 0 || fromCP > toCP {
-		return Window{}, false
-	}
-	// Points are ordered by CP; find the first with CPLast >= fromCP and
-	// take every one with CPFirst <= toCP from there.
-	lo := sort.Search(len(se.pts), func(i int) bool { return se.pts[i].CPLast >= fromCP })
-	var w Window
-	for i := lo; i < len(se.pts) && se.pts[i].CPFirst <= toCP; i++ {
-		p := se.pts[i]
-		if w.Points == 0 {
-			w = Window{CPFirst: p.CPFirst, Min: p.Min, Max: p.Max, FirstMin: p.Min}
-		} else {
-			if p.Min < w.Min {
-				w.Min = p.Min
-			}
-			if p.Max > w.Max {
-				w.Max = p.Max
-			}
-		}
-		w.Points++
-		w.CPLast = p.CPLast
-		w.AtLast = p.At
-		w.Sum += p.Sum
-		w.Count += p.Count
-		w.LastMax = p.Max
-	}
-	return w, w.Points > 0
 }
 
 // ValueAt returns a monotone (counter) series' value at-or-before the given

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,71 +15,83 @@ func monotone(s *Store, name string, n uint64) {
 	}
 }
 
+// pointRanges lists the CP range of every retained point of a series.
+func pointRanges(s *Store, name string) [][2]uint64 {
+	var out [][2]uint64
+	for _, p := range s.Points(name) {
+		out = append(out, [2]uint64{p.CPFirst, p.CPLast})
+	}
+	return out
+}
+
+// Window statistics at full resolution: every CP keeps its own point, so a
+// window's counter delta and both of its endpoint values are exact.
 func TestWindowStatsFullResolution(t *testing.T) {
 	s := NewStore(Config{Capacity: 16})
 	monotone(s, "x", 8)
-	w, ok := s.WindowStats("x", 3, 5)
-	if !ok {
-		t.Fatal("no window")
+	pts := s.Points("x")
+	if len(pts) != 8 {
+		t.Fatalf("ring length = %d, want 8", len(pts))
 	}
-	if w.Points != 3 || w.CPFirst != 3 || w.CPLast != 5 {
-		t.Fatalf("coverage = %d points [%d,%d], want 3 points [3,5]", w.Points, w.CPFirst, w.CPLast)
+	for i, p := range pts {
+		cp := uint64(i + 1)
+		v := float64(cp * 10)
+		if p.CPFirst != cp || p.CPLast != cp || p.At != time.Duration(cp) ||
+			p.Min != v || p.Max != v || p.Sum != v || p.Count != 1 {
+			t.Fatalf("point %d = %+v, want the single sample %v at cp %d", i, p, v, cp)
+		}
 	}
-	if w.Min != 30 || w.Max != 50 || w.Sum != 120 || w.Count != 3 {
-		t.Fatalf("stats = min %v max %v sum %v count %d", w.Min, w.Max, w.Sum, w.Count)
+	if v, ok := s.ValueAt("x", 3); !ok || v != 30 {
+		t.Fatalf("ValueAt(3) = %v,%v, want 30", v, ok)
 	}
-	if w.FirstMin != 30 || w.LastMax != 50 {
-		t.Fatalf("FirstMin/LastMax = %v/%v, want 30/50", w.FirstMin, w.LastMax)
-	}
-	if w.AtLast != 5 {
-		t.Fatalf("AtLast = %v, want 5", w.AtLast)
+	if d, ok := s.CounterDelta("x", 2, 5); !ok || d != 30 {
+		t.Fatalf("CounterDelta(2,5) = %v,%v, want 30", d, ok)
 	}
 }
 
 // A window spanning folded points: capacity 4 over 8 CPs leaves
-// [1..4][5..6][7][8]. Querying [2,5] must pull in both folds whole and
-// report the widened coverage.
+// [1..4][5..6][7][8]. A folded point keeps the min, max, sum and count of
+// what it folded, so a monotone series' value is exact at both ends of every
+// fold and a delta between fold boundaries stays exact.
 func TestWindowStatsSpansFoldedPoints(t *testing.T) {
 	s := NewStore(Config{Capacity: 4})
 	monotone(s, "x", 8)
-	w, ok := s.WindowStats("x", 2, 5)
-	if !ok {
-		t.Fatal("no window")
+	want := [][2]uint64{{1, 4}, {5, 6}, {7, 7}, {8, 8}}
+	if got := pointRanges(s, "x"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring = %v, want %v", got, want)
 	}
-	if w.Points != 2 || w.CPFirst != 1 || w.CPLast != 6 {
-		t.Fatalf("coverage = %d points [%d,%d], want 2 points [1,6] (folds included whole)",
-			w.Points, w.CPFirst, w.CPLast)
+	p := s.Points("x")[0]
+	if p.Min != 10 || p.Max != 40 || p.Count != 4 || p.Sum != 10+20+30+40 || p.At != 4 {
+		t.Fatalf("fold [1..4] = %+v, want min 10 max 40 count 4 sum 100 at 4", p)
 	}
-	if w.FirstMin != 10 || w.LastMax != 60 {
-		t.Fatalf("FirstMin/LastMax = %v/%v, want 10/60", w.FirstMin, w.LastMax)
+	if d, ok := s.CounterDelta("x", 0, 6); !ok || d != 60 {
+		t.Fatalf("CounterDelta(0,6) = %v,%v, want 60", d, ok)
 	}
-	if w.Count != 6 || w.Sum != 10+20+30+40+50+60 {
-		t.Fatalf("count/sum = %d/%v", w.Count, w.Sum)
+	if d, ok := s.CounterDelta("x", 4, 6); !ok || d != 20 {
+		t.Fatalf("CounterDelta(4,6) = %v,%v, want 20 (fold end to fold end)", d, ok)
 	}
 }
 
-// A window that only partially intersects the retained ring: the leading
-// edge clamps to the first retained point, the trailing edge past the newest
-// CP clamps to the newest.
+// A window that only partially intersects the retained ring: a trailing edge
+// past the newest CP clamps to the newest value, a leading edge before the
+// first sample reads zero, and an unknown series answers nothing.
 func TestWindowStatsPartialCoverage(t *testing.T) {
 	s := NewStore(Config{Capacity: 4})
 	monotone(s, "x", 8) // ring: [1..4][5..6][7][8]
-	if _, ok := s.WindowStats("x", 9, 20); ok {
-		t.Fatal("window beyond newest CP should be empty")
+	if d, ok := s.CounterDelta("x", 9, 20); !ok || d != 0 {
+		t.Fatalf("window beyond the newest CP = %v,%v, want 0,true", d, ok)
 	}
-	w, ok := s.WindowStats("x", 7, 20)
-	if !ok || w.Points != 2 || w.CPFirst != 7 || w.CPLast != 8 {
-		t.Fatalf("tail clamp = ok %v, %d points [%d,%d]", ok, w.Points, w.CPFirst, w.CPLast)
+	if d, ok := s.CounterDelta("x", 7, 20); !ok || d != 10 {
+		t.Fatalf("tail clamp = %v,%v, want 10 (70 to the newest 80)", d, ok)
 	}
-	w, ok = s.WindowStats("x", 0, 1)
-	if !ok || w.Points != 1 || w.CPFirst != 1 || w.CPLast != 4 {
-		t.Fatalf("head clamp = ok %v, %d points [%d,%d]", ok, w.Points, w.CPFirst, w.CPLast)
+	if v, ok := s.ValueAt("x", 0); !ok || v != 0 {
+		t.Fatalf("head clamp = %v,%v, want 0,true", v, ok)
 	}
-	if _, ok := s.WindowStats("y", 1, 8); ok {
-		t.Fatal("unknown series should not return a window")
+	if _, ok := s.CounterDelta("y", 1, 8); ok {
+		t.Fatal("unknown series should not return a delta")
 	}
-	if _, ok := s.WindowStats("x", 5, 4); ok {
-		t.Fatal("inverted window should be empty")
+	if pts := s.Points("y"); pts != nil {
+		t.Fatalf("unknown series has points %+v", pts)
 	}
 }
 
@@ -122,57 +135,40 @@ func TestValueAtAndCounterDelta(t *testing.T) {
 	}
 }
 
-// Zero-length windows (fromCP == toCP) are legal: at full resolution they
-// cover exactly one CP; inside a folded range they widen to the whole fold;
-// before the series' first sample they are empty.
+// Zero-length windows (fromCP == toCP) are legal: they read no increase at
+// full resolution, inside a folded range and before the series' first
+// sample alike.
 func TestWindowStatsZeroLength(t *testing.T) {
 	s := NewStore(Config{Capacity: 16})
 	monotone(s, "x", 8)
-	w, ok := s.WindowStats("x", 5, 5)
-	if !ok || w.Points != 1 || w.CPFirst != 5 || w.CPLast != 5 {
-		t.Fatalf("full-res [5,5] = ok %v, %d points [%d,%d], want 1 point [5,5]",
-			ok, w.Points, w.CPFirst, w.CPLast)
+	if d, ok := s.CounterDelta("x", 5, 5); !ok || d != 0 {
+		t.Fatalf("full-res (5,5] = %v,%v, want 0,true", d, ok)
 	}
-	if w.Sum != 50 || w.Count != 1 || w.Min != 50 || w.Max != 50 {
-		t.Fatalf("full-res [5,5] stats = min %v max %v sum %v count %d", w.Min, w.Max, w.Sum, w.Count)
+	if v, ok := s.ValueAt("x", 5); !ok || v != 50 {
+		t.Fatalf("full-res ValueAt(5) = %v,%v, want 50", v, ok)
 	}
 
 	f := NewStore(Config{Capacity: 4})
 	monotone(f, "x", 8) // ring: [1..4][5..6][7][8]
-	w, ok = f.WindowStats("x", 2, 2)
-	if !ok || w.Points != 1 || w.CPFirst != 1 || w.CPLast != 4 {
-		t.Fatalf("folded [2,2] = ok %v, %d points [%d,%d], want the whole [1,4] fold",
-			ok, w.Points, w.CPFirst, w.CPLast)
+	if d, ok := f.CounterDelta("x", 2, 2); !ok || d != 0 {
+		t.Fatalf("folded (2,2] = %v,%v, want 0,true", d, ok)
 	}
-
-	if _, ok := f.WindowStats("x", 0, 0); ok {
-		t.Fatal("[0,0] before the first sample should be empty")
+	if d, ok := f.CounterDelta("x", 0, 0); !ok || d != 0 {
+		t.Fatalf("(0,0] before the first sample = %v,%v, want 0,true", d, ok)
 	}
 }
 
 // Window edges landing exactly on fold boundaries: a start on a fold's last
-// CP pulls that fold in whole (CPLast >= fromCP matches it), while a start
-// on the next fold's first CP is exact.
+// CP reads the fold's exact maximum, a start on the next fold's first CP its
+// exact minimum, so both deltas are exact.
 func TestWindowStatsStartOnFoldBoundary(t *testing.T) {
 	s := NewStore(Config{Capacity: 4})
 	monotone(s, "x", 8) // ring: [1..4][5..6][7][8]
-
-	w, ok := s.WindowStats("x", 4, 7)
-	if !ok || w.Points != 3 || w.CPFirst != 1 || w.CPLast != 7 {
-		t.Fatalf("[4,7] = ok %v, %d points [%d,%d], want 3 points [1,7] ([1..4] included whole)",
-			ok, w.Points, w.CPFirst, w.CPLast)
+	if d, ok := s.CounterDelta("x", 4, 7); !ok || d != 30 {
+		t.Fatalf("(4,7] = %v,%v, want 30", d, ok)
 	}
-	if w.Count != 7 || w.Sum != 10+20+30+40+50+60+70 {
-		t.Fatalf("[4,7] count/sum = %d/%v", w.Count, w.Sum)
-	}
-
-	w, ok = s.WindowStats("x", 5, 7)
-	if !ok || w.Points != 2 || w.CPFirst != 5 || w.CPLast != 7 {
-		t.Fatalf("[5,7] = ok %v, %d points [%d,%d], want exact 2 points [5,7]",
-			ok, w.Points, w.CPFirst, w.CPLast)
-	}
-	if w.Count != 3 || w.Sum != 50+60+70 {
-		t.Fatalf("[5,7] count/sum = %d/%v", w.Count, w.Sum)
+	if d, ok := s.CounterDelta("x", 5, 7); !ok || d != 20 {
+		t.Fatalf("(5,7] = %v,%v, want 20", d, ok)
 	}
 }
 
@@ -249,8 +245,8 @@ func TestSampleHistogramBucketSeries(t *testing.T) {
 // held in two-deep folded points ([1..8] at capacity 8). A window starting
 // exactly on a fold boundary must stay exact — CounterDelta endpoints on
 // retained boundaries resolve precisely, endpoints inside a fold resolve
-// conservatively to the fold's start, and WindowStats includes folded
-// points whole. These exact values are pinned because the SLO burn-rate
+// conservatively to the fold's start, and every folded point keeps the exact
+// statistics of what it folded. These exact values are pinned because the SLO burn-rate
 // and controller signal reads depend on them.
 func TestWindowQueriesAfterDoubleWrap(t *testing.T) {
 	s := NewStore(Config{Capacity: 8})
@@ -303,41 +299,19 @@ func TestWindowQueriesAfterDoubleWrap(t *testing.T) {
 		}
 	}
 
-	// Window starting exactly on the second wrap's fold boundary (cp 9).
-	w, ok := s.WindowStats("x", 9, 20)
-	if !ok || w.Points != 7 || w.CPFirst != 9 || w.CPLast != 20 {
-		t.Fatalf("[9,20] = ok %v, %d points [%d,%d], want 7 points [9,20]", ok, w.Points, w.CPFirst, w.CPLast)
+	// Folded points keep what they folded: the twice-folded [1..8] and the
+	// once-folded [9..12] carry their exact counts, sums and extremes.
+	for _, c := range []struct {
+		i             int
+		count         uint64
+		sum, min, max float64
+	}{{0, 8, 36, 1, 8}, {1, 4, 42, 9, 12}, {2, 2, 27, 13, 14}} {
+		p := pts[c.i]
+		if p.Count != c.count || p.Sum != c.sum || p.Min != c.min || p.Max != c.max {
+			t.Errorf("point %d = %+v, want count %d sum %v min %v max %v", c.i, p, c.count, c.sum, c.min, c.max)
+		}
 	}
-	if w.Count != 12 || w.Sum != 174 || w.Min != 9 || w.Max != 20 {
-		t.Fatalf("[9,20] count/sum/min/max = %d/%v/%v/%v", w.Count, w.Sum, w.Min, w.Max)
-	}
-	if w.FirstMin != 9 || w.LastMax != 20 {
-		t.Fatalf("[9,20] FirstMin/LastMax = %v/%v, want 9/20", w.FirstMin, w.LastMax)
-	}
-
-	// Exactly one folded point, boundary to boundary.
-	w, ok = s.WindowStats("x", 9, 12)
-	if !ok || w.Points != 1 || w.CPFirst != 9 || w.CPLast != 12 || w.Count != 4 || w.Sum != 42 {
-		t.Fatalf("[9,12] = %+v ok=%v, want 1 whole folded point", w, ok)
-	}
-
-	// A window reaching into a fold includes it whole: coverage widens.
-	w, ok = s.WindowStats("x", 10, 13)
-	if !ok || w.Points != 2 || w.CPFirst != 9 || w.CPLast != 14 {
-		t.Fatalf("[10,13] = ok %v, %d points [%d,%d], want 2 points [9,14]", ok, w.Points, w.CPFirst, w.CPLast)
-	}
-	if w.Count != 6 || w.Sum != 69 || w.FirstMin != 9 || w.LastMax != 14 {
-		t.Fatalf("[10,13] count/sum/FirstMin/LastMax = %d/%v/%v/%v", w.Count, w.Sum, w.FirstMin, w.LastMax)
-	}
-
-	// The deepest (twice-folded) point, addressed exactly.
-	w, ok = s.WindowStats("x", 1, 8)
-	if !ok || w.Points != 1 || w.CPFirst != 1 || w.CPLast != 8 || w.Count != 8 || w.Sum != 36 {
-		t.Fatalf("[1,8] = %+v ok=%v, want the whole twice-folded point", w, ok)
-	}
-
-	// Beyond the newest point: no intersection.
-	if _, ok := s.WindowStats("x", 21, 30); ok {
-		t.Fatal("[21,30] intersected nothing but reported ok")
+	if p := pts[1]; p.At != 12*time.Millisecond {
+		t.Errorf("fold [9..12] stamped %v, want its newest sample's 12ms", p.At)
 	}
 }

@@ -50,10 +50,8 @@ type Aggregate struct {
 	// into, on every other path.
 	fresh ordset.Bits
 
-	// Observability (see obs.go). reg always exists; st is nil unless a
-	// tracer was configured.
+	// Observability (see obs.go). reg always exists.
 	reg       *obs.Registry
-	st        *obs.SysTracer
 	obsOpts   ObsOptions
 	pobs      *parallel.Obs
 	scoredAAs *obs.Counter
@@ -183,7 +181,7 @@ func (ag *Aggregate) AddVolume(spec VolSpec) *FlexVol {
 	}
 	ag.vols = append(ag.vols, v)
 	ag.spaces = slices.Insert(ag.spaces, len(ag.vols)-1, v.space) // before the pool
-	ag.registerSpaceObs(v.space, "vol."+v.Name, v.index)
+	ag.registerSpaceObs(v.space, "vol."+v.Name)
 	return v
 }
 
@@ -320,7 +318,6 @@ func (ag *Aggregate) commitSealed() CPStats {
 	parallel.ForEachObs(workers, len(ag.groups), ag.pobs, func(i int) {
 		g := ag.groups[i]
 		busy[i] = g.flushSealed()
-		ag.st.Emit("cp.flush", i, "group", busy[i], 0)
 		g.foldSealed()
 	})
 	ag.faults.EnterPhase(faultinject.PhaseTopAAGroups)
@@ -329,27 +326,22 @@ func (ag *Aggregate) commitSealed() CPStats {
 		if err := ag.store.SaveRAIDAware(g.key, g.cache); err != nil {
 			// Unencodable cache: the save degraded to "no metafile"; the
 			// next mount walks the bitmap instead of crashing the CP here.
-			ag.st.Emit("cp.topaa", g.Index, "save_error", 0, 0)
 			continue
 		}
 		st.TopAABlocks++
-		ag.st.Emit("cp.topaa", g.Index, "group", 0, 1)
 	}
 	if ag.pool != nil {
 		ag.faults.EnterPhase(faultinject.PhasePool)
 		poolBusy := ag.pool.flushSealed()
 		st.DeviceBusy += poolBusy
 		busy = append(busy, poolBusy) // the object store flushes alongside the groups
-		ag.st.Emit("cp.flush", poolShard, "pool", poolBusy, 0)
 		ag.pool.space.foldSealed()
 		ag.store.SaveAgnostic(poolTopAAKey, ag.pool.space.cache)
 		st.TopAABlocks += 2
-		ag.st.Emit("cp.topaa", poolShard, "pool", 0, 2)
 	}
 	st.FlushWall = parallel.Makespan(busy, workers)
 	ag.faults.EnterPhase(faultinject.PhaseBitmapAgg)
 	st.MetafilePagesAggregate = ag.bm.Flush()
-	ag.st.Emit("cp.metafile", -1, "aggregate", 0, int64(st.MetafilePagesAggregate))
 
 	ag.faults.EnterPhase(faultinject.PhaseVolFold)
 	volPages := make([]int, len(ag.vols))
@@ -363,8 +355,6 @@ func (ag *Aggregate) commitSealed() CPStats {
 		ag.store.SaveAgnostic(v.Name, v.space.cache)
 		st.TopAABlocks += 2
 		st.MetafilePagesVols += volPages[i]
-		ag.st.Emit("cp.metafile", i, "volume", 0, int64(volPages[i]))
-		ag.st.Emit("cp.topaa", i, "volume", 0, 2)
 	}
 	ag.faults.EnterPhase(faultinject.PhaseCommit)
 	ag.cpTot.add(st)
@@ -394,29 +384,6 @@ const (
 	// MountBitmapWalk: the caller asked for a walk (Remount(false)).
 	MountBitmapWalk
 )
-
-// String implements fmt.Stringer; the values name trace events and scrub
-// rows.
-func (o MountOutcome) String() string {
-	switch o {
-	case MountCleanLoad:
-		return "clean_load"
-	case MountReconstructed:
-		return "reconstructed"
-	case MountMissingFallback:
-		return "missing_fallback"
-	case MountStaleFallback:
-		return "stale_fallback"
-	case MountTornFallback:
-		return "torn_fallback"
-	case MountDamageFallback:
-		return "damage_fallback"
-	case MountBitmapWalk:
-		return "bitmap_walk"
-	default:
-		return fmt.Sprintf("outcome(%d)", int(o))
-	}
-}
 
 // IsFallback reports whether the outcome forced a bitmap walk the caller
 // did not ask for.
@@ -574,7 +541,6 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		}
 		g.q.Reset(g.cache)
 		groupStats[i].outcome = outcome
-		ag.st.Emit("mount.group", i, outcome.String(), 0, int64(groupStats[i].inserts))
 	})
 	for _, st := range groupStats {
 		ms.CacheInserts += st.inserts
@@ -617,7 +583,6 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		}
 		sp.q.Reset(sp.cache)
 		spaceStats[i].outcome = outcome
-		ag.st.Emit("mount.space", sp.shard, outcome.String(), 0, int64(spaceStats[i].inserts))
 	})
 	for _, st := range spaceStats {
 		ms.CacheInserts += st.inserts

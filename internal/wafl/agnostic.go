@@ -73,8 +73,6 @@ type agnosticSpace struct {
 	allocatedBlocks uint64
 
 	// Observability handles (nil-safe; set by Aggregate.registerSpaceObs).
-	st     *obs.SysTracer
-	shard  int    // trace shard: volume index, or poolShard for the pool
 	stream string // metric prefix and stream name: "vol.<name>" or "pool"
 	pobs   *parallel.Obs
 	scored *obs.Counter
@@ -148,7 +146,6 @@ func (s *agnosticSpace) pick() bool {
 		claimed = s.claimedBin()
 		id, p, ok = s.q.Pop(shard, func() {
 			if s.cache.NeedsReplenish() {
-				s.st.Emit("alloc.virt", s.shard, "list_dry", 0, 0)
 				s.replenish()
 				claimed = s.claimedBin()
 			}
@@ -265,8 +262,7 @@ func (s *agnosticSpace) sealCPDeltas() {
 // gives the score the entry was listed at. Both are provably non-negative —
 // a violation means ledger corruption. Updates are applied in AA order: the
 // HBPS pop order breaks score ties by insertion sequence, so folding in any
-// other order would change allocation decisions. A space whose bank is empty
-// emits no trace row.
+// other order would change allocation decisions.
 func (s *agnosticSpace) foldSealed() {
 	if !s.cacheEnabled {
 		s.flushDeltas.clear()
@@ -275,7 +271,6 @@ func (s *agnosticSpace) foldSealed() {
 	if s.flushDeltas.len() == 0 {
 		return
 	}
-	var folds int64
 	s.flushDeltas.drain(func(id aa.ID, d int64) {
 		cur := int64(s.aaScore(id)) - s.deltas.get(id)
 		old := cur - d
@@ -284,9 +279,7 @@ func (s *agnosticSpace) foldSealed() {
 		}
 		s.cache.Update(id, uint32(old), uint32(cur))
 		s.cacheOps++
-		folds++
 	})
-	s.st.Emit("cp.fold.virt", s.shard, "hbps_updates", 0, folds)
 }
 
 // SpaceMetrics mirrors GroupMetrics for RAID-agnostic spaces.

@@ -119,21 +119,22 @@ func (v *FlexVol) PendingFrees() int {
 
 // reclaimDelayedFrees applies queued frees, best-AA-first, until the budget
 // is exhausted (budget <= 0 means unlimited). Whole AAs are processed at a
-// time; it returns blocks freed and AAs processed. The open queue credits
+// time, so the last one may overshoot the budget. The open queue credits
 // its score drops to the open ledger; the sealed queue credits the sealed
 // flushDeltas bank — its frees belong to the committing CP, not the open
 // one — so the flush-time cache fold settles them with the rest of the
 // generation. Whatever the budget leaves behind stays queued; a sealed
 // leftover is carried into the next generation at the following seal
 // (absorb).
-func (s *agnosticSpace) reclaimDelayedFrees(sealed bool, budget int) (freed, aas int) {
+func (s *agnosticSpace) reclaimDelayedFrees(sealed bool, budget int) {
 	q, deltas := s.delayed, s.deltas
 	if sealed {
 		q, deltas = s.delayedSealed, s.flushDeltas
 	}
 	if q == nil {
-		return 0, 0
+		return
 	}
+	freed := 0
 	for q.count > 0 && (budget <= 0 || freed < budget) {
 		id, vs, ok := q.pop()
 		if !ok {
@@ -146,7 +147,5 @@ func (s *agnosticSpace) reclaimDelayedFrees(sealed bool, budget int) (freed, aas
 		}
 		deltas.add(id, int64(len(vs)))
 		freed += len(vs)
-		aas++
 	}
-	return freed, aas
 }

@@ -1,6 +1,8 @@
 package wafl
 
 import (
+	"time"
+
 	"waflfs/internal/aa"
 	"waflfs/internal/block"
 	"waflfs/internal/obs/fragscan"
@@ -159,8 +161,9 @@ func (s *System) FragScan() []fragscan.Report {
 // maybeFragScan is the CP-boundary hook: scan when a frag recorder or a
 // time-series store is attached and this CP ordinal matches the FragEvery
 // cadence. With a store attached, each report's headline numbers (see
-// fragSeries) feed per-space series the live viewer renders.
-func (s *System) maybeFragScan() {
+// fragSeries) feed per-space series the live viewer renders, stamped at the
+// modeled clock now.
+func (s *System) maybeFragScan(now time.Duration) {
 	o := &s.Agg.obsOpts
 	if o.Frag == nil && o.TSDB == nil {
 		return
@@ -173,7 +176,7 @@ func (s *System) maybeFragScan() {
 		for i, rep := range reports {
 			vals := [len(fragSeries)]float64{rep.Deciles[1], rep.Deciles[5], rep.Deciles[9], rep.FreeFrac(), rep.PickedFreeFrac}
 			for j, name := range spaces[i].series {
-				ts.Observe(name, s.c.CPs, s.obsMark, vals[j])
+				ts.Observe(name, s.c.CPs, now, vals[j])
 			}
 		}
 	}

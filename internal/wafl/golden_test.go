@@ -21,25 +21,22 @@ import (
 // its parent, so a CP-engine refactor that claims byte-identity has to show
 // it. A change that moves them on purpose re-records them and says why.
 var cpEngineGolden = map[string]string{
-	"pipeline=false,shards=0": "1fe60cbb6ce86e1f4c56b3085e17768688d1e788536c5e5dd10d57e779e09cc9",
-	"pipeline=false,shards=4": "cd1776b2dad6af9ab32108fc55f276172f63eb017e714baa3a4e4ba5e3e661db",
-	"pipeline=true,shards=0":  "0916ae4fa289f330127ed86b463e9ff62796a417265743534bf63fca061a77de",
-	"pipeline=true,shards=4":  "eef106f4debaa13c7b24714d32e36609d3e0f49583db090b592b7294bc059694",
+	"pipeline=false,shards=0": "d287cdc96ce38b74e1bc830af0f6684988c648f903dd2f47fc3294f4c51a6b4f",
+	"pipeline=false,shards=4": "22cabfe3f4374edadb18b3568a4f1de6dba89067672c1c62a093e76872b875a5",
+	"pipeline=true,shards=0":  "b4ca4f9c0eef9a9ca124b11ae011ea126b100121ca69bce12a55f7fc3f2b077a",
+	"pipeline=true,shards=4":  "0ba655324d4a4c6fae5fb76d7248bb037e78567f8904392c5ffe889bd7c2859d",
 }
 
 // cpEngineSections names the streams the whole-stream digest is built from,
 // in hashing order; cpEngineSectionGolden pins each one on its own, so a
 // change that moves a whole-stream digest on purpose can show which streams
-// it moved ("trace only", "snapshot+csv+tsdb only") instead of one opaque
-// hash.
-var cpEngineSections = []string{"counters", "snapshot", "trace", "csv", "tsdb", "slo", "picks", "optrace"}
+// it moved ("picks only", "snapshot+tsdb only") instead of one opaque hash.
+var cpEngineSections = []string{"counters", "snapshot", "tsdb", "slo", "picks", "optrace"}
 
 var cpEngineSectionGolden = map[string]map[string]string{
 	"pipeline=false,shards=0": {
 		"counters": "9dff0912e3474d2a6c7ca23deb4f1952b1159506713fdc664c848c800f5f6477",
 		"snapshot": "8386926f6fd788cffb804cb6eded93e69eb533df0b27b01f0a9fd56549127c84",
-		"trace":    "8f4bfc4ea1f5acd10b4df740186dc09ea3cc22f2612e4ab727424bd44d2a138b",
-		"csv":      "8a6a9beaf596a739993d1abdd576c1e7b0b48e1a0f5a353bdf7d86d02068afd6",
 		"tsdb":     "d859f7e66544a41857e95150141b45195164f586a76b0eb0e54038ef8ed9970f",
 		"slo":      "afd755c886953ac6c12b4795077c4bfd5b21fd9941c26d0e2d171e5a2f10b6b8",
 		"picks":    "d547ef6dbe8874dfb16743f909af67488424cfef523ab837bf2923a94158b08c",
@@ -48,8 +45,6 @@ var cpEngineSectionGolden = map[string]map[string]string{
 	"pipeline=false,shards=4": {
 		"counters": "d770c15eb8747bdf6a6e7dfddae485d80263f110a7407052cc565903aa23fbbc",
 		"snapshot": "3c5d065fe6f452a1a6edeff35348ca8c9dd8433571f2c7f41793bd9f08e1af58",
-		"trace":    "5e97af17087ea9fa1084855d4f95fbb24b01fa733530c0f87d03defd0182af56",
-		"csv":      "082f8169bd36796db8e862d656839e3c0e1c5951b7239f071e661123991f4498",
 		"tsdb":     "3b82cf0d6de2a3ee8b9391fa9c0f9a790afc6e77077019c7adec86f42067b5c2",
 		"slo":      "c3fc7c20de7c8408091e30e1c3ae3d0c73a5483a50d81dd41cc8e8ca02b5189d",
 		"picks":    "d9eafdba31a2dc7a42f210ddc4f5f7df970677679bea7490245b5bdd8ce3ef3b",
@@ -58,8 +53,6 @@ var cpEngineSectionGolden = map[string]map[string]string{
 	"pipeline=true,shards=0": {
 		"counters": "20c883718b6430876d030f0726cdd9e0c448611d2f7c1d4525782d8e671c65e7",
 		"snapshot": "d47f26b8018059cdcd2714acc457ce68ed723527c55cb8362e18642ae484fe47",
-		"trace":    "cc4bd9e425fa43c3e1b9440fb56b5d4fabb0e326fd24f1613e734b797dbb6986",
-		"csv":      "6fea8233c2218fa3f543c2c9dd0ef1ff8414929050a351f5e801f40ba5f92392",
 		"tsdb":     "69720ad9fec2bb56788f472f1156b0ffcb3edbef5cb86853f0b2b38df3032447",
 		"slo":      "db39a1d940b1dfbe79a46bfb76abad52b08ea81492ea4ec0dda343290bbc1d1a",
 		"picks":    "d547ef6dbe8874dfb16743f909af67488424cfef523ab837bf2923a94158b08c",
@@ -68,8 +61,6 @@ var cpEngineSectionGolden = map[string]map[string]string{
 	"pipeline=true,shards=4": {
 		"counters": "f3fbfe9c15289d0b95e45d5b8b04bb915c1508be4da1a74b4445237d6f4ef97e",
 		"snapshot": "d811d5647554f3f5ebc9aae129df07c9251b2876829cde7fe8b4bb1995270194",
-		"trace":    "46b7942dc92873b4dfc89ae7b7271536988d79ea1fd529853b9e665b1fb87184",
-		"csv":      "2c328cb487dfee74ede921d1ca93fa6e388001ec96fb491abe13c546c2c848b0",
 		"tsdb":     "77f352d4d1a6e2e5b5c7fdfbacdeac23c5756b574ae6a20a21f86491f7acc59b",
 		"slo":      "45768f3f11e1b6580f1a9915b5f2ef9008d9fa242b40d04288336e9ee52e04c8",
 		"picks":    "d9eafdba31a2dc7a42f210ddc4f5f7df970677679bea7490245b5bdd8ce3ef3b",
@@ -83,9 +74,6 @@ var cpEngineSectionGolden = map[string]map[string]string{
 // every sink armed, and hashes what came out.
 func cpEngineDigest(t *testing.T, pipeline bool, shards int) (string, map[string]string) {
 	t.Helper()
-	tracer := obs.NewTracer()
-	var csv strings.Builder
-	rec := obs.NewCSVRecorder(&csv)
 	tun := DefaultTunables()
 	tun.Workers = 1
 	tun.CPEveryOps = 1 << 30
@@ -95,8 +83,6 @@ func cpEngineDigest(t *testing.T, pipeline bool, shards int) (string, map[string
 	tun.DelayedFreeBudgetPerCP = 700
 	tun.Obs = &ObsOptions{
 		Name:      "gold",
-		Tracer:    tracer,
-		CSV:       rec,
 		TSDB:      tsdb.NewStore(tsdb.Config{Capacity: 256, HistBuckets: tsdb.SuffixFilter(".lat_ns")}),
 		Picks:     picks.NewRecorder(picks.DefaultConfig()),
 		Watchdogs: true,
@@ -165,9 +151,6 @@ func cpEngineDigest(t *testing.T, pipeline bool, shards int) (string, map[string
 	overwrite(3000)
 	s.Drain()
 
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	for _, v := range s.Agg.Vols() {
 		if err := v.CheckRefcounts(); err != nil {
 			t.Fatal(err)
@@ -194,8 +177,6 @@ func cpEngineDigest(t *testing.T, pipeline bool, shards int) (string, map[string
 	section("snapshot", func(w *strings.Builder) error {
 		return obs.WriteJSON(w, "gold", s.Registry().StableSnapshot())
 	})
-	section("trace", func(w *strings.Builder) error { return tracer.WriteJSONL(w) })
-	section("csv", func(w *strings.Builder) error { w.WriteString(csv.String()); return nil })
 	section("tsdb", func(w *strings.Builder) error { return s.Agg.obsOpts.TSDB.WriteJSON(w) })
 	section("slo", func(w *strings.Builder) error { return s.Agg.obsOpts.SLO.WriteJSON(w) })
 	section("picks", func(w *strings.Builder) error { return s.Agg.obsOpts.Picks.WriteJSON(w) })

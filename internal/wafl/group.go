@@ -109,7 +109,6 @@ type Group struct {
 	// Observability handles (nil-safe; set by Aggregate.registerGroupObs).
 	// wdCursor rotates the watchdog's score-sample window across the
 	// group's AAs.
-	st     *obs.SysTracer
 	scored *obs.Counter
 	pickSink
 	wdCursor int
@@ -299,7 +298,6 @@ func (g *Group) pickAA(bm *bitmap.Bitmap) bool {
 	if g.cacheEnabled {
 		shard = g.as.nextShard()
 		e, p, ok = g.q.Pop(shard, nil)
-		label := "cache_empty"
 		if ok && p.Held && e.Score == 0 {
 			// A held front with no free blocks is only the shard-local view.
 			// Return every shard's stock to the shared heap and restage, so
@@ -308,7 +306,6 @@ func (g *Group) pickAA(bm *bitmap.Bitmap) bool {
 			g.cache.Insert(e.ID, 0)
 			g.cacheOps++
 			e, p, ok = g.q.Rebalance(shard, p)
-			label = "cache_exhausted"
 		}
 		g.cacheOps += uint64(p.Staged + p.Flushed)
 		// A pop straight off the shared heap was a critical section on it
@@ -322,10 +319,9 @@ func (g *Group) pickAA(bm *bitmap.Bitmap) bool {
 			// Even the best AA has no free blocks: the group is full.
 			g.cache.Insert(e.ID, 0)
 			g.cacheOps++
-			ok, label = false, "cache_exhausted"
+			ok = false
 		}
 		if !ok {
-			g.st.Emit("alloc.phys", g.Index, label, 0, 0)
 			return false
 		}
 	} else {
@@ -560,7 +556,7 @@ func (g *Group) queueAZCSBoundaries(id aa.ID) {
 // AA cache when its flush commits (§3.3). Deltas the fold cannot apply yet —
 // the allocator's in-flight AA, or an AA a seed-only cache does not track —
 // merge back into the open ledger, so finishAA / the background fill settle
-// them. A group whose bank is empty emits no trace row.
+// them.
 func (g *Group) foldSealed() {
 	if !g.cacheEnabled {
 		g.flushDeltas.clear()
@@ -571,7 +567,6 @@ func (g *Group) foldSealed() {
 	}
 	// AA order keeps the heap's tie-break (insertion sequence) — and hence
 	// pick order — identical run to run.
-	var folds int64
 	g.flushDeltas.drain(func(id aa.ID, d int64) {
 		if (g.curValid && id == g.curAA) || !g.cache.Tracked(id) {
 			g.deltas.add(id, d)
@@ -583,9 +578,7 @@ func (g *Group) foldSealed() {
 		}
 		g.cache.Update(id, uint64(s))
 		g.cacheOps++
-		folds++
 	})
-	g.st.Emit("cp.fold.phys", g.Index, "heap_updates", 0, folds)
 }
 
 // GroupMetrics is a snapshot of the measurement counters.

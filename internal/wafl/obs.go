@@ -29,18 +29,17 @@ import (
 // Determinism contract: all registered metrics except those marked volatile
 // (flush wall-clock, pool occupancy) are worker-count invariant, so
 // Registry().StableSnapshot() is DeepEqual across runs with different
-// Tunables.Workers; trace events carry only worker-invariant payloads and
-// modeled-clock timestamps advanced by worker-invariant quantities, so the
-// canonical event sequence is DeepEqual too (see obs_test.go).
+// Tunables.Workers, and so is every per-CP stream sampled from it (see
+// obs_test.go).
 
 // ObsOptions enables the observability layer for a System/Aggregate via
 // Tunables.Obs. The zero value (and a nil pointer) keeps everything off:
 // the private registry still exists (registration is construction-time
-// work), but no tracer events, no CSV rows and no export mirroring — the hot
-// paths then pay only nil-checks.
+// work), but no sink is fed and nothing is mirrored — the hot paths then pay
+// only nil-checks.
 type ObsOptions struct {
-	// Name labels this system in the export registry (metric prefix), CSV
-	// rows, and trace events. Defaults to "wafl". Experiment arms sharing an
+	// Name labels this system in the export registry (metric prefix) and in
+	// every per-CP stream. Defaults to "wafl". Experiment arms sharing an
 	// Export registry must use distinct names, or the collision-suffix
 	// ("#2") assignment follows construction order.
 	Name string
@@ -48,12 +47,6 @@ type ObsOptions struct {
 	// under the prefix Name+"." (shared instruments, not copies) — the
 	// registry waflbench serves over -metrics-addr.
 	Export *obs.Registry
-	// Tracer, when non-nil, records CP-phase spans, mount-shard spans, and
-	// allocator decision events.
-	Tracer *obs.Tracer
-	// CSV, when non-nil, receives one row per non-volatile metric at the end
-	// of every consistency point.
-	CSV *obs.CSVRecorder
 	// Frag, when non-nil, receives an allocation-quality scan of every
 	// space (RAID groups, volumes, object pool) at each CP boundary. The
 	// scans are purely observational — no modeled cost is charged.
@@ -120,10 +113,6 @@ func (o *ObsOptions) normalized() ObsOptions {
 	return out
 }
 
-// poolShard is the trace shard index of the object pool's agnostic space,
-// kept clear of volume indexes (volumes may be added after the pool).
-const poolShard = 1 << 20
-
 // cpTotals accumulates the CPStats of every commitSealed — the single write
 // point the cp.* registry metrics read through.
 type cpTotals struct {
@@ -184,9 +173,9 @@ func (t *scrubTotals) add(r ScrubReport) {
 	t.divergent += uint64(len(r.Divergent()))
 }
 
-// initObs builds the aggregate's private registry, tracer handle, and pool
-// instruments, and registers the aggregate-wide metric views. Called once
-// from NewAggregate after the bitmap exists.
+// initObs builds the aggregate's private registry and pool instruments, and
+// registers the aggregate-wide metric views. Called once from NewAggregate
+// after the bitmap exists.
 func (ag *Aggregate) initObs() {
 	o := ag.tun.Obs.normalized()
 	ag.obsOpts = o
@@ -194,7 +183,6 @@ func (ag *Aggregate) initObs() {
 	if o.Export != nil {
 		ag.reg.MirrorTo(o.Export, o.Name+".")
 	}
-	ag.st = o.Tracer.Sys(o.Name)
 
 	ag.scoredAAs = ag.reg.Counter("aa.scored")
 	ag.pobs = &parallel.Obs{
@@ -298,7 +286,7 @@ func (ag *Aggregate) initObs() {
 	})
 
 	// SLO engine: the CP tail calls Evaluate after the tsdb Sample for the
-	// same CP, so CSV/live rows see the slo.* counters with a one-CP lag.
+	// same CP, so live snapshots see the slo.* counters with a one-CP lag.
 	// The counters are registered unconditionally (nil engine reads 0) so
 	// the metric set does not depend on arming.
 	if o.SLO != nil && o.TSDB != nil {
@@ -337,11 +325,10 @@ func (ag *Aggregate) Registry() *obs.Registry { return ag.reg }
 func (s *System) Registry() *obs.Registry { return s.Agg.reg }
 
 // registerGroupObs exposes one RAID group's counters under rg<N>.* and
-// hands the group its tracer handle. Heap metrics read through the current
+// hands the group its pick sink. Heap metrics read through the current
 // cache object, so they reset when a remount rebuilds the cache (exporters
 // treat that as a counter reset).
 func (ag *Aggregate) registerGroupObs(g *Group) {
-	g.st = ag.st
 	g.scored = ag.scoredAAs
 	if rec := ag.obsOpts.Picks; rec != nil {
 		g.pr = rec.Space(ag.obsOpts.Name + "." + g.key)
@@ -367,12 +354,10 @@ func (ag *Aggregate) registerGroupObs(g *Group) {
 
 // registerSpaceObs exposes one agnostic space's counters under its stream
 // name ("vol.<name>." or "pool." as the metric prefix) and hands it its
-// tracer handle, trace shard, and scoring instruments. HBPS metrics read through the current
+// pick sink and scoring instruments. HBPS metrics read through the current
 // cache object (reset on remount, like the heap metrics).
-func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, stream string, shard int) {
+func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, stream string) {
 	prefix := stream + "."
-	sp.st = ag.st
-	sp.shard = shard
 	sp.stream = stream
 	sp.pobs = ag.pobs
 	sp.scored = ag.scoredAAs
@@ -432,10 +417,10 @@ func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, stream string, shard in
 // pickSink is where a space's one pick site reports (nil when off; set by
 // registerGroupObs/registerSpaceObs): the pick-provenance ring, the
 // aggregate's current CP ordinal its records carry, and the watchdog's
-// pick-quality floor. The trace label, the provenance reason and the
-// runner-up all follow from what the queue's Pop observed — where the entry
-// came from and whether a synchronous refill ran — so the allocator itself
-// carries no reporting state.
+// pick-quality floor. The provenance reason and the runner-up both follow
+// from what the queue's Pop observed — where the entry came from and whether
+// a synchronous refill ran — so the allocator itself carries no reporting
+// state.
 type pickSink struct {
 	pr    *picks.Ring
 	cpNow *uint64
@@ -475,26 +460,19 @@ func pickReason(p shardq.Popped, direct picks.Reason) picks.Reason {
 	return direct
 }
 
-// observePick reports one pick of RAID group g: the trace event, the
-// watchdog's pick floor and the provenance record. A cached pick's runner-up
-// is the shard's next held entry, else the heap's next-best after the pop.
+// observePick reports one pick of RAID group g: the watchdog's pick floor
+// and the provenance record. A cached pick's runner-up is the shard's next
+// held entry, else the heap's next-best after the pop.
 func (g *Group) observePick(bm *bitmap.Bitmap, shard int, e heapcache.Entry, p shardq.Popped) {
-	label, reason := "random_pick", picks.BitmapFallback
-	if g.cacheEnabled {
-		label, reason = "cache_hit", pickReason(p, picks.HeapTop)
-		if p.Held {
-			label = "shard_hit"
-		}
-	}
-	g.st.Emit("alloc.phys", g.Index, label, 0, int64(e.Score))
 	if g.cacheEnabled && g.wd != nil && g.wd.enabled {
 		g.wd.pickCheckGroup(g, bm, e.ID, e.Score)
 	}
 	if g.pr == nil {
 		return
 	}
-	runner, depth := int64(-1), 0
+	runner, depth, reason := int64(-1), 0, picks.BitmapFallback
 	if g.cacheEnabled {
+		reason = pickReason(p, picks.HeapTop)
 		depth = g.q.Len(shard) + g.cache.Len()
 		if e2, ok := g.q.Peek(shard); ok {
 			runner = int64(e2.Score)
@@ -524,22 +502,18 @@ func (s *agnosticSpace) claimedBin() int {
 // scores: a direct pop's runner-up is the next listed AA's bin floor, the
 // guaranteed lower bound.
 func (s *agnosticSpace) observePick(shard int, id aa.ID, score uint32, p shardq.Popped, claimed int) {
-	label, reason := "random_pick", picks.BitmapFallback
-	if s.cacheEnabled {
-		label, reason = "hbps_pop", pickReason(p, picks.HBPSBin)
-		if p.Held {
-			label, claimed = "shard_pop", -1
-		}
-	}
-	s.st.Emit("alloc.virt", s.shard, label, 0, int64(score))
 	if s.cacheEnabled && s.wd != nil && s.wd.enabled {
+		if p.Held {
+			claimed = -1
+		}
 		s.wd.pickCheckSpace(s, id, claimed)
 	}
 	if s.pr == nil && s.tr == nil {
 		return
 	}
-	runner, depth := int64(-1), 0
+	runner, depth, reason := int64(-1), 0, picks.BitmapFallback
 	if s.cacheEnabled {
+		reason = pickReason(p, picks.HBPSBin)
 		depth = s.q.Len(shard) + s.cache.ListLen()
 		if _, bin, ok := s.cache.PeekBestBin(); ok && !p.Held {
 			runner = int64(s.cache.BinFloor(bin))

@@ -1,6 +1,7 @@
 package wafl
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -18,18 +19,15 @@ import (
 
 // obsRun drives a moderate workload — fill, churn, CPs, delayed frees, a
 // seeded remount, and a fallback remount — with every observability sink
-// enabled, and returns the system plus the sinks.
-func obsRun(t *testing.T, workers int) (*System, *obs.Registry, *obs.Tracer, *strings.Builder, *fragscan.Recorder, []CPStats) {
+// enabled, and returns the system, its fragscan recorder, the CPStats of
+// every CP and the MountStats of the seeded and the walk remount.
+func obsRun(t *testing.T, workers int) (*System, *fragscan.Recorder, []CPStats, []MountStats) {
 	return obsRunMode(t, workers, false)
 }
 
-func obsRunMode(t *testing.T, workers int, pipeline bool) (*System, *obs.Registry, *obs.Tracer, *strings.Builder, *fragscan.Recorder, []CPStats) {
+func obsRunMode(t *testing.T, workers int, pipeline bool) (*System, *fragscan.Recorder, []CPStats, []MountStats) {
 	t.Helper()
-	export := obs.NewRegistry()
-	tracer := obs.NewTracer()
 	frag := fragscan.NewRecorder()
-	var csv strings.Builder
-	rec := obs.NewCSVRecorder(&csv)
 	tun := DefaultTunables()
 	tun.Workers = workers
 	tun.CPEveryOps = 1 << 30 // CP only when the test says so, so all CPStats are captured
@@ -48,9 +46,7 @@ func obsRunMode(t *testing.T, workers int, pipeline bool) (*System, *obs.Registr
 	}
 	tun.Obs = &ObsOptions{
 		Name:      "arm",
-		Export:    export,
-		Tracer:    tracer,
-		CSV:       rec,
+		Export:    obs.NewRegistry(),
 		Frag:      frag,
 		TSDB:      tsdb.NewStore(tsdb.Config{Capacity: 512, HistBuckets: tsdb.SuffixFilter(".lat_ns")}),
 		Picks:     picks.NewRecorder(picks.DefaultConfig()),
@@ -86,7 +82,7 @@ func obsRunMode(t *testing.T, workers int, pipeline bool) (*System, *obs.Registr
 	}
 	record()
 	s.Drain() // no-op classic; commits the in-flight generation pipelined
-	s.Agg.Remount(true)
+	mounts := []MountStats{s.Agg.Remount(true)}
 	for i := 0; i < 3000; i++ {
 		s.Write(lunA, uint64(rng.Intn(60000)), 1)
 	}
@@ -95,18 +91,15 @@ func obsRunMode(t *testing.T, workers int, pipeline bool) (*System, *obs.Registr
 	}
 	record()
 	s.Drain()
-	s.Agg.Remount(false)
-	if err := rec.Flush(); err != nil {
-		t.Fatalf("csv flush: %v", err)
-	}
-	return s, export, tracer, &csv, frag, cps
+	mounts = append(mounts, s.Agg.Remount(false))
+	return s, frag, cps, mounts
 }
 
 // The derived-view contract: the registry never stores a second copy of any
 // counter, so reconstructing Counters and the summed CPStats from a snapshot
 // must reproduce the struct-returning APIs exactly.
 func TestRegistryDerivedViewEquivalence(t *testing.T) {
-	s, _, _, _, _, cps := obsRun(t, 0)
+	s, _, cps, _ := obsRun(t, 0)
 
 	got := CountersFromSnapshot(s.Registry().Snapshot())
 	if got != s.Counters() {
@@ -132,12 +125,11 @@ func TestRegistryDerivedViewEquivalence(t *testing.T) {
 	}
 }
 
-// The determinism contract with every sink enabled: stable metric snapshots,
-// canonical trace-event sequences, and CSV output are all bit-identical for
-// Workers=1 and Workers=8.
+// The determinism contract with every sink enabled: stable metric snapshots
+// and every per-CP stream are bit-identical for Workers=1 and Workers=8.
 func TestObsSerialEquivalence(t *testing.T) {
-	s1, _, tr1, csv1, frag1, cps1 := obsRun(t, 1)
-	s8, _, tr8, csv8, frag8, cps8 := obsRun(t, 8)
+	s1, frag1, cps1, _ := obsRun(t, 1)
+	s8, frag8, cps8, _ := obsRun(t, 8)
 
 	// FlushWall is the one field the Workers knob is supposed to change;
 	// every other CPStats field must match.
@@ -161,30 +153,6 @@ func TestObsSerialEquivalence(t *testing.T) {
 			}
 		}
 		t.Fatalf("stable snapshots diverged (%d vs %d metrics)", len(snap1.Metrics), len(snap8.Metrics))
-	}
-
-	ev1, ev8 := tr1.Events(), tr8.Events()
-	if len(ev1) == 0 {
-		t.Fatal("tracer recorded no events")
-	}
-	if !reflect.DeepEqual(ev1, ev8) {
-		n := len(ev1)
-		if len(ev8) < n {
-			n = len(ev8)
-		}
-		for i := 0; i < n; i++ {
-			if ev1[i] != ev8[i] {
-				t.Fatalf("event %d diverged:\nworkers=1: %+v\nworkers=8: %+v", i, ev1[i], ev8[i])
-			}
-		}
-		t.Fatalf("event counts diverged: %d vs %d", len(ev1), len(ev8))
-	}
-
-	if csv1.String() != csv8.String() {
-		t.Fatal("per-CP CSV output diverged across worker counts")
-	}
-	if !strings.HasPrefix(csv1.String(), obs.CSVHeader) {
-		t.Fatal("CSV output missing header")
 	}
 
 	// Fragmentation analytics obey the same contract: report streams and
@@ -311,11 +279,8 @@ func TestObsSerialEquivalence(t *testing.T) {
 
 	// Pick-provenance streams replay in canonical order at any worker width.
 	p1, p8 := s1.Agg.obsOpts.Picks, s8.Agg.obsOpts.Picks
-	if p1.TotalRecorded() == 0 {
+	if n, _ := s1.Registry().Value("picks.recorded"); n == 0 {
 		t.Fatal("no pick records")
-	}
-	if !reflect.DeepEqual(p1.All(), p8.All()) {
-		t.Fatal("pick streams diverged across worker counts")
 	}
 	var pj1, pj8 strings.Builder
 	if err := p1.WriteJSON(&pj1); err != nil {
@@ -347,15 +312,18 @@ func TestObsSerialEquivalence(t *testing.T) {
 	}
 	// Sampled write traces stamp their IDs into the volume's pick records,
 	// cross-referencing the two provenance streams.
+	var pdoc struct {
+		Spaces []struct {
+			Records []picks.PickRecord `json:"records"`
+		} `json:"spaces"`
+	}
+	if err := json.Unmarshal([]byte(pj1.String()), &pdoc); err != nil {
+		t.Fatal(err)
+	}
 	sawTID := false
-	for _, r := range p1.All() {
-		if r.TraceID != 0 {
-			sawTID = true
-			if _, ok := ot1.Find(r.TraceID); !ok {
-				// The trace ring may have evicted it; the ID itself must
-				// still be well-formed (nonzero is the only invariant).
-				continue
-			}
+	for _, sp := range pdoc.Spaces {
+		for _, r := range sp.Records {
+			sawTID = sawTID || r.TraceID != 0
 		}
 	}
 	if !sawTID {
@@ -383,7 +351,7 @@ func TestObsSerialEquivalence(t *testing.T) {
 // device) and the write path (the CP stage split, where the device stage
 // absorbs the integer rounding remainder).
 func TestAttributionReconciles(t *testing.T) {
-	s, _, _, _, _, _ := obsRun(t, 0)
+	s, _, _, _ := obsRun(t, 0)
 	for _, v := range s.Agg.Vols() {
 		sp := v.space
 		var attrSum uint64
@@ -418,7 +386,7 @@ func TestAttributionReconciles(t *testing.T) {
 // Sampled traces decompose into the documented span stages, and every
 // recorded write trace's top-level stage durations sum to its latency.
 func TestTraceSpansSumToLatency(t *testing.T) {
-	s, _, _, _, _, _ := obsRun(t, 0)
+	s, _, _, _ := obsRun(t, 0)
 	rec := s.Agg.obsOpts.OpTrace
 	checked := 0
 	for _, space := range rec.Spaces() {
@@ -476,8 +444,8 @@ func TestExportMirrorPrefixes(t *testing.T) {
 	}
 }
 
-// With no ObsOptions the registry still serves derived views, no trace is
-// recorded, and the workload runs exactly as before.
+// With no ObsOptions the registry still serves derived views, no sink is
+// fed, and the workload runs exactly as before.
 func TestObsDisabledByDefault(t *testing.T) {
 	tun := DefaultTunables()
 	tun.CPEveryOps = 1 << 30
@@ -487,8 +455,8 @@ func TestObsDisabledByDefault(t *testing.T) {
 		s.Write(lun, lba, 1)
 	}
 	s.CP()
-	if s.Agg.st != nil {
-		t.Fatal("tracer handle should be nil with Obs unset")
+	if len(s.Agg.pickRings) != 0 || len(s.Agg.otRings) != 0 {
+		t.Fatal("pick or op-trace rings armed with Obs unset")
 	}
 	if got := CountersFromSnapshot(s.Registry().Snapshot()); got != s.Counters() {
 		t.Errorf("derived view broken with obs off: %+v vs %+v", got, s.Counters())
@@ -499,31 +467,31 @@ func TestObsDisabledByDefault(t *testing.T) {
 }
 
 // Mount totals surface through the registry, matching the MountStats the
-// calls returned.
+// calls returned: the seeded remount loads every TopAA metafile and walks no
+// bitmap, the walk remount reads bitmap pages and no metafile, and neither
+// falls back.
 func TestMountMetrics(t *testing.T) {
-	s, _, tracer, _, _, _ := obsRun(t, 0)
+	s, _, _, mounts := obsRun(t, 0)
+	seeded, walk := mounts[0], mounts[1]
+	if seeded.TopAABlockReads == 0 || seeded.BitmapPagesRead != 0 || seeded.Fallbacks != 0 {
+		t.Errorf("seeded remount = %+v, want metafile reads, no bitmap pages, no fallback", seeded)
+	}
+	if walk.TopAABlockReads != 0 || walk.BitmapPagesRead == 0 || walk.Fallbacks != 0 {
+		t.Errorf("walk remount = %+v, want bitmap pages, no metafile reads, no fallback", walk)
+	}
 	reg := s.Registry()
-	if n, _ := reg.Value("mount.count"); n != 2 {
-		t.Errorf("mount.count = %d, want 2", n)
-	}
-	// Remount(false) is a deliberate walk, not a TopAA fallback, and the
-	// seeded remount found intact metafiles.
-	if n, _ := reg.Value("mount.fallbacks"); n != 0 {
-		t.Errorf("mount.fallbacks = %d, want 0", n)
-	}
-	if n, _ := reg.Value("mount.bitmap_pages_read"); n == 0 {
-		t.Error("mount.bitmap_pages_read = 0, want > 0")
-	}
-	var sawGroup, sawSpace bool
-	for _, ev := range tracer.Events() {
-		switch ev.Phase {
-		case "mount.group":
-			sawGroup = true
-		case "mount.space":
-			sawSpace = true
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"mount.count", 2},
+		{"mount.topaa_block_reads", seeded.TopAABlockReads + walk.TopAABlockReads},
+		{"mount.bitmap_pages_read", seeded.BitmapPagesRead + walk.BitmapPagesRead},
+		{"mount.cache_inserts", seeded.CacheInserts + walk.CacheInserts},
+		{"mount.fallbacks", 0},
+	} {
+		if n, ok := reg.Value(c.name); !ok || n != c.want {
+			t.Errorf("%s = %d,%v, want %d", c.name, n, ok, c.want)
 		}
-	}
-	if !sawGroup || !sawSpace {
-		t.Errorf("missing mount trace events: group=%v space=%v", sawGroup, sawSpace)
 	}
 }

@@ -137,8 +137,8 @@ type Tunables struct {
 	// credit the correct CP.
 	Pipeline bool
 
-	// Obs configures the observability layer (metric export, CP-phase
-	// tracing, per-CP CSV). Nil keeps every sink off; the hot paths then pay
+	// Obs configures the observability layer (metric export and the
+	// bounded per-CP sinks). Nil keeps every sink off; the hot paths then pay
 	// only nil-checks. See obs.go.
 	Obs *ObsOptions
 

@@ -23,7 +23,7 @@ import (
 //	          bitmap write-back (Aggregate.commitSealed)
 //	attribute the committed generation's cost feeds the write-side latency
 //	          SLI, per-stage attribution and op traces (attributeWrites)
-//	tail      modeled clock, watchdogs, CSV, tsdb, SLO, control
+//	tail      watchdogs, live snapshot, fragscan, tsdb, SLO, control
 //
 // and two depths (Tunables.Pipeline), which differ only in WHICH generation
 // a boundary flushes. At depth 1 — the stop-the-world CP — a boundary seals
@@ -169,7 +169,6 @@ func (s *System) CP() CPStats {
 		s.Agg.cpOrd++ // the in-flight generation commits first
 		phase = faultinject.PhaseOverlapAlloc
 	}
-	s.Agg.st.BeginCP()
 	s.Agg.faults.BeginCP()
 	s.Agg.faults.EnterPhase(phase)
 	gen := s.allocGeneration()
@@ -223,7 +222,6 @@ func (s *System) Drain() CPStats {
 		return CPStats{}
 	}
 	s.Agg.cpOrd = s.c.CPs + 1
-	s.Agg.st.BeginCP()
 	s.Agg.faults.BeginCP()
 	st := s.commitInFlight()
 	s.chargeOverlap(0, st.FlushWall)
@@ -341,7 +339,6 @@ func (s *System) allocGeneration() *cpGen {
 			panic(fmt.Sprintf("wafl: LUN %q drained %d dirty blocks, counted %d", l.Name, i, n))
 		}
 		s.c.BlocksWritten += uint64(n)
-		s.Agg.st.Emit("cp.alloc", vol.space.shard, l.Name, 0, int64(n))
 	}
 	s.dirtyLUNs = s.dirtyLUNs[:0]
 	s.pendingBlocks = 0
@@ -364,11 +361,7 @@ func (s *System) allocGeneration() *cpGen {
 // banks (depth 2: the frees belong to the committing generation).
 func (s *System) reclaimDelayed(sealed bool) {
 	for _, v := range s.Agg.vols {
-		freed, aas := v.space.reclaimDelayedFrees(sealed, s.tun.DelayedFreeBudgetPerCP)
-		if freed > 0 {
-			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "reclaim", 0, int64(freed))
-			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "aas_processed", 0, int64(aas))
-		}
+		v.space.reclaimDelayedFrees(sealed, s.tun.DelayedFreeBudgetPerCP)
 	}
 }
 
@@ -425,21 +418,15 @@ func (s *System) flushGeneration() CPStats {
 }
 
 // tail runs once per COMMITTED generation, so the per-CP streams stay one
-// row per CP ordinal: it advances the tracer's modeled clock by the
-// worker-invariant time accrued since the last commit, then records the
-// per-CP metric row and evaluates the SLO and control portfolios.
+// sample per CP ordinal: it stamps the worker-invariant modeled clock, then
+// samples the per-CP series and evaluates the SLO and control portfolios.
 func (s *System) tail() {
 	tot := s.c.DeviceBusy + s.c.CPUTime
-	s.Agg.st.Advance(tot - s.obsMark)
-	s.obsMark = tot
 	s.runWatchdogs()
-	if rec := s.Agg.obsOpts.CSV; rec != nil {
-		rec.Record(s.Agg.obsOpts.Name, s.c.CPs, s.Agg.reg.Snapshot())
-	}
 	if l := s.Agg.obsOpts.Live; l != nil { // guard: don't snapshot when unused
 		l.Publish(s.Agg.obsOpts.Name, s.Agg.reg.Snapshot())
 	}
-	s.maybeFragScan()
+	s.maybeFragScan(tot)
 	if ts := s.Agg.obsOpts.TSDB; ts != nil {
 		// Sample every registered metric into the per-CP time-series ring,
 		// stamped with the worker-invariant modeled clock. StableSnapshot
@@ -450,7 +437,7 @@ func (s *System) tail() {
 	if e := s.Agg.sloEng; e != nil {
 		// Evaluate the SLO portfolio against the series sampled above. The
 		// alert state for this CP lands in the store immediately; the
-		// slo.* scalar counters appear in CSV/live rows at the next CP.
+		// slo.* scalar counters appear in live snapshots at the next CP.
 		e.Evaluate(s.c.CPs, tot)
 	}
 	if c := s.Agg.ctl; c != nil {

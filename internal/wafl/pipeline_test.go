@@ -175,11 +175,11 @@ func TestPipelinedMatchesClassicFinalState(t *testing.T) {
 }
 
 // The serial-equivalence contract extends to pipelined CPs: with every
-// sink enabled and pipelining on, stable snapshots, trace events, CSV,
-// tsdb, SLO, and optrace streams are byte-identical at Workers=1 and 8.
+// sink enabled and pipelining on, stable snapshots, fragscan, tsdb, SLO,
+// pick and optrace streams are byte-identical at Workers=1 and 8.
 func TestPipelinedSerialEquivalence(t *testing.T) {
-	s1, _, tr1, csv1, frag1, cps1 := obsRunMode(t, 1, true)
-	s8, _, tr8, csv8, frag8, cps8 := obsRunMode(t, 8, true)
+	s1, frag1, cps1, _ := obsRunMode(t, 1, true)
+	s8, frag8, cps8, _ := obsRunMode(t, 8, true)
 
 	if len(cps1) != len(cps8) {
 		t.Fatalf("CP counts diverged: %d vs %d", len(cps1), len(cps8))
@@ -205,12 +205,6 @@ func TestPipelinedSerialEquivalence(t *testing.T) {
 	if n := snap1.Counter("cp.pipeline.generations"); n == 0 {
 		t.Fatal("cp.pipeline.generations = 0 in a pipelined run")
 	}
-	if !reflect.DeepEqual(tr1.Events(), tr8.Events()) {
-		t.Fatal("trace events diverged across worker counts")
-	}
-	if csv1.String() != csv8.String() {
-		t.Fatal("per-CP CSV output diverged across worker counts")
-	}
 	if !reflect.DeepEqual(frag1.Reports(), frag8.Reports()) {
 		t.Fatal("fragscan reports diverged across worker counts")
 	}
@@ -233,6 +227,16 @@ func TestPipelinedSerialEquivalence(t *testing.T) {
 	}
 	if sj1.String() != sj8.String() {
 		t.Fatal("slo status diverged across worker counts")
+	}
+	var pj1, pj8 strings.Builder
+	if err := s1.Agg.obsOpts.Picks.WriteJSON(&pj1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s8.Agg.obsOpts.Picks.WriteJSON(&pj8); err != nil {
+		t.Fatal(err)
+	}
+	if pj1.String() != pj8.String() {
+		t.Fatal("pick JSON diverged across worker counts")
 	}
 	var oj1, oj8 strings.Builder
 	if err := s1.Agg.obsOpts.OpTrace.WriteJSON(&oj1, optrace.Filter{}); err != nil {

@@ -86,7 +86,7 @@ func (ag *Aggregate) AddObjectPool(spec PoolSpec) *Pool {
 		ag.bm, ag.tun, ag.tun.AggregateCacheEnabled, ag.rng)
 	ag.pool = p
 	ag.spaces = append(ag.spaces, p.space)
-	ag.registerSpaceObs(p.space, "pool", poolShard)
+	ag.registerSpaceObs(p.space, "pool")
 	ag.reg.CounterFunc("pool.puts", func() uint64 { return p.puts })
 	ag.reg.CounterFunc("pool.gets", func() uint64 { return p.gets })
 	ag.reg.CounterFunc("pool.blocks_tiered", func() uint64 { return p.blocksTiered })

@@ -91,13 +91,6 @@ func (ag *Aggregate) Scrub() ScrubReport {
 	var r ScrubReport
 	r.Spaces = append(r.Spaces, groupResults...)
 	r.Spaces = append(r.Spaces, spaceResults...)
-	for _, s := range r.Spaces {
-		kind := "clean"
-		if s.Divergence != "" {
-			kind = "divergent"
-		}
-		ag.st.Emit("scrub.space", 0, kind, 0, int64(s.Checked))
-	}
 	ag.scrubTot.add(r)
 	return r
 }

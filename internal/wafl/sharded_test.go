@@ -8,19 +8,16 @@ import (
 
 	"waflfs/internal/aa"
 	"waflfs/internal/heapcache"
-	"waflfs/internal/obs"
 	"waflfs/internal/obs/picks"
+	"waflfs/internal/obs/tsdb"
 )
 
 // shardedRun drives a fill + churn + remount workload with the striped
 // allocator enabled (AllocShards > 1), every deterministic sink on, and the
 // watchdogs strict — any invariant violation panics the test. Mid-workload
 // scrubs exercise the ledger-aware invariant while deltas are pending.
-func shardedRun(t *testing.T, workers, shards, batch int) (*System, *obs.Tracer, *strings.Builder) {
+func shardedRun(t *testing.T, workers, shards, batch int) *System {
 	t.Helper()
-	tracer := obs.NewTracer()
-	var csv strings.Builder
-	rec := obs.NewCSVRecorder(&csv)
 	tun := DefaultTunables()
 	tun.Workers = workers
 	tun.AllocShards = shards
@@ -29,8 +26,7 @@ func shardedRun(t *testing.T, workers, shards, batch int) (*System, *obs.Tracer,
 	tun.DelayedVirtFrees = true
 	tun.Obs = &ObsOptions{
 		Name:      "striped",
-		Tracer:    tracer,
-		CSV:       rec,
+		TSDB:      tsdb.NewStore(tsdb.DefaultConfig()),
 		Picks:     picks.NewRecorder(picks.DefaultConfig()),
 		Watchdogs: true,
 	}
@@ -69,19 +65,16 @@ func shardedRun(t *testing.T, workers, shards, batch int) (*System, *obs.Tracer,
 	if r := s.Agg.Scrub(); !r.Clean() {
 		t.Fatalf("final scrub diverged: %s", r)
 	}
-	if err := rec.Flush(); err != nil {
-		t.Fatalf("csv flush: %v", err)
-	}
-	return s, tracer, &csv
+	return s
 }
 
 // The striped allocator preserves the worker-width determinism contract:
-// with AllocShards=8 every stable metric, trace event, CSV row, and
+// with AllocShards=8 every stable metric, per-CP sample, pick record, and
 // allocation profile is bit-identical at Workers=1 and Workers=8. The shard
 // assignment is keyed by (space, pick sequence), never by worker identity.
 func TestShardedSerialEquivalence(t *testing.T) {
-	s1, tr1, csv1 := shardedRun(t, 1, 8, 4)
-	s8, tr8, csv8 := shardedRun(t, 8, 8, 4)
+	s1 := shardedRun(t, 1, 8, 4)
+	s8 := shardedRun(t, 8, 8, 4)
 
 	snap1 := s1.Registry().StableSnapshot()
 	snap8 := s8.Registry().StableSnapshot()
@@ -95,25 +88,29 @@ func TestShardedSerialEquivalence(t *testing.T) {
 		t.Fatalf("stable snapshots diverged (%d vs %d metrics)", len(snap1.Metrics), len(snap8.Metrics))
 	}
 
-	ev1, ev8 := tr1.Events(), tr8.Events()
-	if len(ev1) == 0 {
-		t.Fatal("tracer recorded no events")
-	}
-	if !reflect.DeepEqual(ev1, ev8) {
-		n := len(ev1)
-		if len(ev8) < n {
-			n = len(ev8)
+	for _, sink := range []struct {
+		name  string
+		write func(s *System, w *strings.Builder) error
+	}{
+		{"tsdb", func(s *System, w *strings.Builder) error { return s.Agg.obsOpts.TSDB.WriteJSON(w) }},
+		{"picks", func(s *System, w *strings.Builder) error { return s.Agg.obsOpts.Picks.WriteJSON(w) }},
+	} {
+		var j1, j8 strings.Builder
+		if err := sink.write(s1, &j1); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if ev1[i] != ev8[i] {
-				t.Fatalf("event %d diverged:\nworkers=1: %+v\nworkers=8: %+v", i, ev1[i], ev8[i])
-			}
+		if err := sink.write(s8, &j8); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("event counts diverged: %d vs %d", len(ev1), len(ev8))
+		if j1.String() != j8.String() {
+			t.Fatalf("%s document diverged across worker counts", sink.name)
+		}
 	}
-
-	if csv1.String() != csv8.String() {
-		t.Fatal("per-CP CSV output diverged across worker counts")
+	if s1.Agg.obsOpts.TSDB.NumSeries() == 0 {
+		t.Fatal("tsdb recorded no series")
+	}
+	if n, _ := s1.Registry().Value("picks.recorded"); n == 0 {
+		t.Fatal("no pick records")
 	}
 
 	// The full allocation profile — per-shard busy vectors included — is

@@ -49,10 +49,6 @@ type System struct {
 	cpWall time.Duration
 	// pipe is the CP engine's sealed-generation state (see pipeline.go).
 	pipe cpPipeline
-	// obsMark is the (DeviceBusy + CPUTime) total already folded into the
-	// tracer's modeled clock; both terms are worker-count invariant, so
-	// trace timestamps are too.
-	obsMark time.Duration
 	// act is the closed-loop controller's knob surface (see actuator.go).
 	act sysActuator
 }

@@ -22,6 +22,16 @@ if grep -n 'waflfs/internal/obs/optrace\|waflfs/internal/obs/picks' internal/waf
     echo "internal/wafl/group.go and agnostic.go must not import obs/optrace or obs/picks" >&2
     exit 1
 fi
+# Structural gate, every per-CP stream is bounded (DESIGN.md §6): the CP
+# event tracer and the per-CP CSV recorder held everything until exit and had
+# no reader, so neither they, their JSON Lines writer and event type, nor the
+# waflbench flags that armed them may come back. (cmd/agesim's -csv-out is
+# fragscan's own report and stays.)
+if grep -rn -e 'SysTracer' -e 'NewTracer' -e 'CSVRecorder' -e 'WriteJSONL' -e 'obs\.Event' \
+    -e '"trace-out"' cmd internal examples || grep -rn '"csv-out"' cmd/waflbench; then
+    echo "the CP event tracer or the per-CP CSV recorder is back (see the matches above)" >&2
+    exit 1
+fi
 if grep -rn -e 'pickAASharded' -e 'pickSharded' -e 'heapcache\.Sharded' -e 'hbps\.Sharded' \
     cmd internal examples ./*.go ./*.md Makefile \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
@@ -240,9 +250,9 @@ go test -run '^$' -fuzz '^FuzzRefTable$' -fuzztime 5s ./internal/wafl
 go test -run '^$' -fuzz '^FuzzSnapshotOps$' -fuzztime 5s ./internal/wafl
 
 # Observability smoke test: a small bench run must serve /metrics (the bench
-# self-checks the endpoint and exits nonzero if it cannot fetch it) and
-# produce non-empty CSV and trace files. The default SLO portfolio and the
-# closed-loop controller ride along, and the audit that follows every run
+# self-checks the endpoint and exits nonzero if it cannot fetch it). The
+# default SLO portfolio and the closed-loop controller ride along, and the
+# audit that follows every run
 # with shared sinks exits nonzero unless the watchdogs ran clean, the clean
 # figure arms fired no warn or page and actuated nothing, and the latency
 # attribution reconciles.
@@ -269,16 +279,13 @@ trap cleanup EXIT
 go build -o "$tmpdir/waflbench" ./cmd/waflbench
 "$tmpdir/waflbench" -exp fig9 -scale 0.05 \
     -metrics-addr 127.0.0.1:0 \
-    -csv-out "$tmpdir/bench.csv" \
-    -trace-out "$tmpdir/bench.jsonl" \
     -slo default \
     -control default >/dev/null
-test -s "$tmpdir/bench.csv"
-test -s "$tmpdir/bench.jsonl"
 
 # Allocator pick-path smoke: the striped arm's modeled pick wall-clock at
 # 8 workers must beat the shared arm's, or the bench exits nonzero. Also
-# exercises -trace-collapse end to end.
+# exercises -trace-collapse end to end: alone, it arms the default op-trace
+# sampling and folds the sampled ops' critical paths.
 "$tmpdir/waflbench" -exp allocbench -scale 0.1 \
     -trace-collapse "$tmpdir/pick.folded" >/dev/null
 test -s "$tmpdir/pick.folded"
