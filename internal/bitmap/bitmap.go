@@ -135,6 +135,81 @@ func (b *Bitmap) Clear(v block.VBN) bool {
 	return true
 }
 
+// setWord marks the free blocks of mask m in word w allocated: one OR and one
+// count update for the whole word.
+func (b *Bitmap) setWord(w, m uint64) {
+	b.words[w] |= m
+	n := uint64(bits.OnesCount64(m))
+	b.used += n
+	b.pageUsed[w/wordsPerPage] += uint32(n)
+	b.markDirty(w / wordsPerPage)
+}
+
+// SetMask marks block start+i allocated for every bit i of mask, the inverse
+// of FreeWord: one OR per bitmap word the mask covers, two when start is not
+// word-aligned. It panics, changing nothing, if any of those blocks is already
+// allocated or lies past the bitmap's end.
+func (b *Bitmap) SetMask(start block.VBN, mask uint64) {
+	if mask == 0 {
+		return
+	}
+	pos := uint64(start)
+	b.check(block.VBN(pos + uint64(wordBits-1-bits.LeadingZeros64(mask))))
+	w, off := pos/wordBits, pos%wordBits
+	lo, hi := mask<<off, uint64(0)
+	if off != 0 {
+		hi = mask >> (wordBits - off)
+	}
+	if b.words[w]&lo != 0 || hi != 0 && b.words[w+1]&hi != 0 {
+		panic(fmt.Sprintf("bitmap: SetMask(%d, %#x) over allocated blocks", pos, mask))
+	}
+	if lo != 0 {
+		b.setWord(w, lo)
+	}
+	if hi != 0 {
+		b.setWord(w+1, hi)
+	}
+}
+
+// TakeFree allocates up to want free blocks of [from, r.End) — r clamped to
+// the bitmap, from raised to r.Start — in ascending order and appends them to
+// dst. It is NextFree and Set in a loop, a word at a time: one masked OR and
+// one count update per word it takes from. next is one past the last block
+// taken when all want were (from when want ≤ 0), and r.End when fewer were,
+// the range then being out of free blocks.
+func (b *Bitmap) TakeFree(dst []block.VBN, from block.VBN, r block.Range, want int) (out []block.VBN, next block.VBN) {
+	if want <= 0 {
+		return dst, from
+	}
+	c := b.clampRange(r)
+	start, end := uint64(max(from, c.Start)), uint64(c.End)
+	for w := start / wordBits; start < end && w <= (end-1)/wordBits; w++ {
+		f := b.freeIn(w, start, end)
+		if f == 0 {
+			continue
+		}
+		n := bits.OnesCount64(f)
+		if n >= want {
+			rest := f // the free blocks past the want-th
+			for range want {
+				rest &= rest - 1
+			}
+			f &^= rest
+			n = want
+		}
+		b.setWord(w, f)
+		base, last := w*wordBits, uint64(0)
+		for ; f != 0; f &= f - 1 {
+			last = base + uint64(bits.TrailingZeros64(f))
+			dst = append(dst, block.VBN(last))
+		}
+		if want -= n; want == 0 {
+			return dst, block.VBN(last + 1)
+		}
+	}
+	return dst, r.End
+}
+
 // SetRange marks every block in r allocated and returns the number of bits
 // that changed. It works a word at a time — the bulk path used when seeding
 // aged file systems and applying large free batches.

@@ -167,6 +167,15 @@ func (f *FTL) Write(lpn uint64) (relocated uint64) {
 	return f.gc()
 }
 
+// WriteRange implements Translator a page at a time: the greedy GC works per
+// page, so there is no bulk path to take.
+func (f *FTL) WriteRange(start, n uint64) (relocated uint64) {
+	for lpn := start; lpn < start+n; lpn++ {
+		relocated += f.Write(lpn)
+	}
+	return relocated
+}
+
 // Trim tells the FTL that logical page lpn no longer holds live data (e.g.
 // an UNMAP/deallocate from the host). The page's physical slot becomes
 // invalid immediately, so GC will not relocate it.

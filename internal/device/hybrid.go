@@ -1,12 +1,16 @@
 package device
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Translator is the interface both FTL models implement; SSD composes one.
 type Translator interface {
-	// Write records a host write of logical page lpn, returning the number
-	// of pages the FTL had to relocate/copy as a consequence.
-	Write(lpn uint64) (relocated uint64)
+	// WriteRange records host writes of the n logical pages from start, in
+	// order, returning the number of pages the FTL had to relocate/copy as a
+	// consequence.
+	WriteRange(start, n uint64) (relocated uint64)
 	// Trim invalidates logical page lpn.
 	Trim(lpn uint64)
 	// Stats returns lifetime accounting.
@@ -105,27 +109,60 @@ func (h *HybridFTL) LogicalBlocks() uint64 { return h.logicalBlocks }
 func (h *HybridFTL) EraseBlockPages() uint64 { return h.ebPages }
 
 func getBit(bs []uint64, i uint64) bool { return bs[i/64]&(1<<(i%64)) != 0 }
-func setBit(bs []uint64, i uint64)      { bs[i/64] |= 1 << (i % 64) }
 func clearBit(bs []uint64, i uint64)    { bs[i/64] &^= 1 << (i % 64) }
 
-// Write implements Translator.
-func (h *HybridFTL) Write(lpn uint64) (relocated uint64) {
-	if lpn >= h.logicalBlocks {
-		panic(fmt.Sprintf("device: LPN %d outside logical space %d", lpn, h.logicalBlocks))
+// wordMasks calls fn for every bitset word holding a page of [from, to), with
+// the mask of those pages in it.
+func wordMasks(from, to uint64, fn func(w int, m uint64)) {
+	for from < to {
+		w := from / 64
+		hi := min(to, (w+1)*64)
+		fn(int(w), ^uint64(0)>>(64-(hi-from))<<(from%64))
+		from = hi
 	}
-	h.hostWrites++
-	h.nandWrites++ // program into the log
-	leb := lpn / h.ebPages
-	if !getBit(h.dirty, lpn) {
-		setBit(h.dirty, lpn)
-		h.dirtyCount[leb]++
+}
+
+// Write records a host write of logical page lpn: a chain of one page.
+func (h *HybridFTL) Write(lpn uint64) (relocated uint64) { return h.WriteRange(lpn, 1) }
+
+// WriteRange implements Translator. While the log has room the chain is
+// programmed in bulk, up to an erase-block boundary at a time, with one
+// masked OR per bitset word; a bulk step ends at the page that overfills the
+// log. Once the log is full it goes a page at a time, merging after each page
+// exactly as a lone Write would: the victim depends on the log's occupancy at
+// that instant.
+func (h *HybridFTL) WriteRange(start, n uint64) (relocated uint64) {
+	if n == 0 {
+		return 0
 	}
-	h.logPages[leb]++
-	h.logUsed++
-	for h.logUsed > h.logCap {
-		relocated += h.merge(h.pickVictim())
+	if start >= h.logicalBlocks || n > h.logicalBlocks-start {
+		panic(fmt.Sprintf("device: LPN %d outside logical space %d", max(start, h.logicalBlocks), h.logicalBlocks))
+	}
+	for lpn, end := start, start+n; lpn < end; {
+		k := min(end-lpn, h.ebPages-lpn%h.ebPages, h.logCap-h.logUsed+1)
+		h.program(lpn, k)
+		for h.logUsed > h.logCap {
+			relocated += h.merge(h.pickVictim())
+		}
+		lpn += k
 	}
 	return relocated
+}
+
+// program appends k pages from lpn, all in one logical erase block, to the
+// log.
+func (h *HybridFTL) program(lpn, k uint64) {
+	var fresh int
+	wordMasks(lpn, lpn+k, func(w int, m uint64) {
+		fresh += bits.OnesCount64(m &^ h.dirty[w])
+		h.dirty[w] |= m
+	})
+	leb := lpn / h.ebPages
+	h.dirtyCount[leb] += uint32(fresh)
+	h.logPages[leb] += uint32(k)
+	h.logUsed += k
+	h.hostWrites += k
+	h.nandWrites += k // programs into the log
 }
 
 // pickVictim selects the logical erase block occupying the most log pages.
@@ -143,27 +180,22 @@ func (h *HybridFTL) pickVictim() int {
 }
 
 // merge folds logical erase block leb's log pages into a fresh home erase
-// block, copying every live page that is not superseded by the log.
+// block, copying every live page that is not superseded by the log. It walks
+// the block a bitset word at a time.
 func (h *HybridFTL) merge(leb int) (copied uint64) {
 	base := uint64(leb) * h.ebPages
-	end := base + h.ebPages
-	if end > h.logicalBlocks {
-		end = h.logicalBlocks
-	}
-	for lpn := base; lpn < end; lpn++ {
-		switch {
-		case getBit(h.dirty, lpn):
-			// Latest version comes from the log: it is rewritten into the
-			// new home block. (The program is charged, matching a real
-			// merge; a pure switch merge has no such pages copied from
-			// home, only log pages adopted — modeled below.)
-			clearBit(h.dirty, lpn)
-			setBit(h.live, lpn)
-		case getBit(h.live, lpn):
-			// Valid page only in the old home block: copy it.
-			copied++
-		}
-	}
+	end := min(base+h.ebPages, h.logicalBlocks)
+	wordMasks(base, end, func(w int, m uint64) {
+		// A valid page only in the old home block is copied. A page whose
+		// latest version is in the log is rewritten into the new home block
+		// (its program was charged when it entered the log; a pure switch
+		// merge has no pages copied from home, only log pages adopted —
+		// modeled below).
+		dirty := h.dirty[w] & m
+		copied += uint64(bits.OnesCount64(h.live[w] & m &^ dirty))
+		h.live[w] |= dirty
+		h.dirty[w] &^= m
+	})
 	if copied == 0 {
 		// Switch merge: the log block(s) become the home block; no data
 		// moves and no extra programs happen.

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -171,6 +172,146 @@ func TestSSDMappingSelection(t *testing.T) {
 	page := NewSSD(cfg)
 	if _, ok := page.FTL.(*FTL); !ok {
 		t.Fatalf("page mapping = %T, want *FTL", page.FTL)
+	}
+}
+
+// refWrite is the page-at-a-time Write and the bit-at-a-time merge that
+// WriteRange replaced, kept as its reference.
+func refWrite(h *HybridFTL, lpn uint64) (relocated uint64) {
+	h.hostWrites++
+	h.nandWrites++
+	leb := lpn / h.ebPages
+	if !getBit(h.dirty, lpn) {
+		h.dirty[lpn/64] |= 1 << (lpn % 64)
+		h.dirtyCount[leb]++
+	}
+	h.logPages[leb]++
+	h.logUsed++
+	for h.logUsed > h.logCap {
+		relocated += refMerge(h, h.pickVictim())
+	}
+	return relocated
+}
+
+func refMerge(h *HybridFTL, leb int) (copied uint64) {
+	base := uint64(leb) * h.ebPages
+	end := min(base+h.ebPages, h.logicalBlocks)
+	for lpn := base; lpn < end; lpn++ {
+		switch {
+		case getBit(h.dirty, lpn):
+			clearBit(h.dirty, lpn)
+			h.live[lpn/64] |= 1 << (lpn % 64)
+		case getBit(h.live, lpn):
+			copied++
+		}
+	}
+	if copied == 0 {
+		h.switchMrgs++
+	} else {
+		h.nandWrites += copied
+		h.relocated += copied
+	}
+	h.merges++
+	h.erases++
+	h.logUsed -= uint64(h.logPages[leb])
+	h.logPages[leb] = 0
+	h.dirtyCount[leb] = 0
+	return copied
+}
+
+// hybridState is everything two hybrid FTLs that saw the same host writes
+// must agree on.
+func hybridState(h *HybridFTL) string {
+	total, switches := h.Merges()
+	return fmt.Sprintf("%+v merges %d/%d log %d live %x dirty %x per-LEB %v %v",
+		h.Stats(), total, switches, h.LogUsed(), h.live, h.dirty, h.dirtyCount, h.logPages)
+}
+
+// FuzzHybridWriteRange: for any geometry — erase blocks that are not a
+// multiple of 64 pages, a log of one or two erase blocks so that merges land
+// in the middle of chains — and any sequence of write chains and trims,
+// WriteRange relocates what the page-at-a-time reference relocates, chain by
+// chain, and leaves the same counters, merges, log occupancy and bitsets.
+func FuzzHybridWriteRange(f *testing.F) {
+	// The tape: size, erase-block pages, overprovision, then the seed, the
+	// step count and the trim rate of the chain sequence.
+	f.Add([]byte{8, 63, 1, 1, 200, 8})
+	f.Add([]byte{40, 99, 3, 2, 255, 5})
+	f.Add([]byte{255, 127, 2, 3, 255, 0})
+	f.Add([]byte{3, 0, 0, 4, 100, 3})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() uint64 {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return uint64(b)
+		}
+		cfg := HybridFTLConfig{
+			LogicalBlocks:      1 + next()*16,
+			PagesPerEraseBlock: 1 + next(),
+			Overprovision:      0.01 * float64(1+next()%20),
+		}
+		got, want := NewHybridFTL(cfg), NewHybridFTL(cfg)
+		rng := rand.New(rand.NewSource(int64(next())))
+		steps, trims := int(next()), int(next())
+		for step := 0; step < steps; step++ {
+			start := uint64(rng.Int63n(int64(cfg.LogicalBlocks)))
+			n := min(1+uint64(rng.Intn(64)), cfg.LogicalBlocks-start)
+			if rng.Intn(16) < trims {
+				for lpn := start; lpn < start+n; lpn++ {
+					got.Trim(lpn)
+					want.Trim(lpn)
+				}
+				continue
+			}
+			var wantRel uint64
+			for lpn := start; lpn < start+n; lpn++ {
+				wantRel += refWrite(want, lpn)
+			}
+			if gotRel := got.WriteRange(start, n); gotRel != wantRel {
+				t.Fatalf("step %d: WriteRange(%d, %d) relocated %d, reference %d", step, start, n, gotRel, wantRel)
+			}
+			if g, w := hybridState(got), hybridState(want); g != w {
+				t.Fatalf("step %d: after WriteRange(%d, %d)\n%s\nreference\n%s", step, start, n, g, w)
+			}
+		}
+	})
+}
+
+// BenchmarkHybridChainWrite prices SSD.WriteChain's FTL work on the CP path:
+// chains of 1 to 64 pages at random starts on a full drive, so the log stays
+// near full and merges land inside chains, by WriteRange and by the
+// page-at-a-time reference it replaced.
+func BenchmarkHybridChainWrite(b *testing.B) {
+	const pages = 1 << 18
+	for _, arm := range []struct {
+		name  string
+		write func(h *HybridFTL, start, n uint64)
+	}{
+		{"range", func(h *HybridFTL, start, n uint64) { h.WriteRange(start, n) }},
+		{"reference", func(h *HybridFTL, start, n uint64) {
+			for lpn := start; lpn < start+n; lpn++ {
+				refWrite(h, lpn)
+			}
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			h := NewHybridFTL(HybridFTLConfig{LogicalBlocks: pages, PagesPerEraseBlock: 512, Overprovision: 0.1})
+			h.WriteRange(0, pages)
+			rng := rand.New(rand.NewSource(1))
+			var written uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 1 + uint64(rng.Intn(64))
+				start := uint64(rng.Intn(pages - int(n)))
+				arm.write(h, start, n)
+				written += n
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(written), "ns/page")
+		})
 	}
 }
 

@@ -81,10 +81,7 @@ func NewSSD(cfg SSDConfig) *SSD {
 // returns the service time, including any garbage-collection work the
 // writes triggered inside the drive.
 func (s *SSD) WriteChain(start, n uint64) time.Duration {
-	var relocated uint64
-	for lpn := start; lpn < start+n; lpn++ {
-		relocated += s.FTL.Write(lpn)
-	}
+	relocated := s.FTL.WriteRange(start, n)
 	d := s.CommandOverhead +
 		time.Duration(n)*s.ProgramPerBlock +
 		time.Duration(relocated)*(s.ReadPerBlock+s.ProgramPerBlock)

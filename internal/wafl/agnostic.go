@@ -201,8 +201,10 @@ func (s *agnosticSpace) replenish() {
 // allocate appends up to n free VBNs to dst, consuming the current AA
 // sequentially and moving to the next best AA as each drains ("the write
 // allocator picks an AA and then assigns all free VBNs from the AA in
-// sequential order", §3.1). It appends fewer than n only when the space is
-// out of free blocks.
+// sequential order", §3.1). Each visit to an AA takes its blocks a bitmap
+// word at a time and books one ledger entry; the cursor sweeps every position
+// up to the last block taken, or to the AA's end when the AA ran dry. It
+// appends fewer than n only when the space is out of free blocks.
 func (s *agnosticSpace) allocate(dst []block.VBN, n int) []block.VBN {
 	out, stop := dst, len(dst)+n
 	for len(out) < stop {
@@ -214,19 +216,17 @@ func (s *agnosticSpace) allocate(dst []block.VBN, n int) []block.VBN {
 				return out
 			}
 		}
-		seg := s.topo.Segment(s.curAA)
-		v, ok := s.bm.NextFree(s.cursor, seg)
-		if !ok {
-			s.scannedBlocks += uint64(seg.End - s.cursor)
-			s.curValid = false
-			continue
+		took := len(out)
+		var next block.VBN
+		out, next = s.bm.TakeFree(out, s.cursor, s.topo.Segment(s.curAA), stop-took)
+		k := len(out) - took
+		s.deltas.add(s.curAA, -int64(k))
+		s.allocatedBlocks += uint64(k)
+		s.scannedBlocks += uint64(next - s.cursor)
+		s.cursor = next
+		if len(out) < stop {
+			s.curValid = false // the AA ran dry
 		}
-		s.bm.Set(v)
-		s.deltas.add(s.curAA, -1)
-		s.scannedBlocks += uint64(v-s.cursor) + 1
-		s.allocatedBlocks++
-		s.cursor = v + 1
-		out = append(out, v)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package wafl
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -66,6 +67,8 @@ type Group struct {
 	curStripe uint64
 	curEnd    uint64
 	curWrote  bool // at least one block assigned from the current AA
+	// tetrisFree is allocateTetris's scratch: one free word per data device.
+	tetrisFree []uint64
 
 	// deltas accumulates per-AA free-count changes since the last CP
 	// (allocations negative, frees positive).
@@ -147,6 +150,7 @@ func buildGroup(index int, spec GroupSpec, startVBN block.VBN, tun Tunables, rng
 		topo:         topo,
 		cacheEnabled: tun.AggregateCacheEnabled,
 		azcs:         spec.AZCS,
+		tetrisFree:   make([]uint64, spec.DataDevices),
 		deltas:       newDeltaLedger(topo.NumAAs()),
 		flushDeltas:  newDeltaLedger(topo.NumAAs()),
 		as:           newAllocState(tun),
@@ -391,6 +395,13 @@ func (g *Group) finishAA(bm *bitmap.Bitmap) {
 // which yields full stripes and per-device chains), and returns the extended
 // slice; nothing appended with more==false means the group is exhausted for
 // now.
+//
+// The tetris is read as one free word per data device and taken with one
+// masked OR per device and one ledger entry. Where the max-th block lands
+// decides the cursor: on a device before the last, the next call resumes on
+// that stripe; on the last device, or when fewer than max blocks are free,
+// the cursor moves to the tetris's end, and whatever the tetris still holds
+// waits for the AA's next pick (DESIGN.md §14).
 func (g *Group) allocateTetris(bm *bitmap.Bitmap, dst []block.VBN, max int) (out []block.VBN, more bool) {
 	if max <= 0 {
 		return dst, true
@@ -401,29 +412,49 @@ func (g *Group) allocateTetris(bm *bitmap.Bitmap, dst []block.VBN, max int) (out
 		}
 	}
 	// One tetris: up to StripesPerTetris stripes from the cursor.
-	end := g.curStripe + block.StripesPerTetris
-	if end > g.curEnd {
-		end = g.curEnd
+	end := min(g.curStripe+block.StripesPerTetris, g.curEnd)
+	// free[d] bit s: block (d, curStripe+s) is free; dev(d) is its VBN at s 0.
+	free, union := g.tetrisFree, uint64(0)
+	first, per := g.geo.VBNOf(0, g.curStripe), block.VBN(g.geo.BlocksPerDevice)
+	dev := func(d int) block.VBN { return first + block.VBN(d)*per }
+	for d := range free {
+		free[d] = bm.FreeWord(dev(d), uint(end-g.curStripe))
+		union |= free[d]
 	}
-	out, stop := dst, len(dst)+max
-	for s := g.curStripe; s < end && len(out) < stop; s++ {
-		for d := 0; d < g.geo.DataDevices; d++ {
-			if len(out) >= stop {
-				// Mid-stripe stop: resume at this stripe next call.
-				end = s
-				break
+	out = dst
+cut:
+	for u := union; u != 0; u &= u - 1 {
+		s := uint64(bits.TrailingZeros64(u))
+		for d, f := range free {
+			if f>>s&1 == 0 {
+				continue
 			}
-			v := g.geo.VBNOf(d, s)
-			if bm.Set(v) {
-				out = append(out, v)
-				g.deltas.add(g.curAA, -1)
+			if out = append(out, dev(d)+block.VBN(s)); len(out)-len(dst) < max {
+				continue
 			}
+			// The max-th block: devices up to d keep stripe s, the rest stop
+			// before it.
+			for e := range free {
+				upto := s
+				if e <= d {
+					upto++
+				}
+				free[e] &= 1<<upto - 1
+			}
+			if d < len(free)-1 {
+				end = g.curStripe + s // mid-stripe stop: resume at this stripe
+			}
+			break cut
 		}
 	}
-	g.curStripe = end
-	if len(out) > len(dst) {
+	for d, f := range free {
+		bm.SetMask(dev(d), f)
+	}
+	if n := len(out) - len(dst); n > 0 {
+		g.deltas.add(g.curAA, -int64(n))
 		g.curWrote = true
 	}
+	g.curStripe = end
 	if g.curStripe >= g.curEnd {
 		g.finishAA(bm)
 	}

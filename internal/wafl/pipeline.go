@@ -315,12 +315,13 @@ func (s *System) allocGeneration() *cpGen {
 		if len(phys) < n {
 			panic("wafl: aggregate out of physical space")
 		}
-		// Blocks take their VBNs in ascending LBA order, in two passes: the
-		// pointer swaps first, alone in a loop short enough that the core
-		// has the next blocks' cache misses in flight while it finishes this
-		// one's, then the COW drops, in the same order: the old pointer goes
-		// into the newest snapshot's delta if that snapshot still holds it
-		// (an unwritten one as the unwritten marker), else the pair is freed.
+		// Blocks take their VBNs in ascending LBA order, in three passes: the
+		// drain lists the dirty LBAs, the pointer swaps run alone in a loop
+		// short enough that the core has the next blocks' cache misses in
+		// flight while it finishes this one's, then the COW drops, in the same
+		// order: the old pointer goes into the newest snapshot's delta if that
+		// snapshot still holds it (an unwritten one as the unwritten marker),
+		// else the pair is freed.
 		if cap(s.lbaBuf) < n {
 			s.lbaBuf, s.oldBuf = make([]uint64, n), make([]blockPtr, n)
 		}
@@ -328,16 +329,18 @@ func (s *System) allocGeneration() *cpGen {
 		i := 0
 		l.dirty.Drain(func(lba uint64) {
 			lbas[i] = lba
-			olds[i], l.blocks[lba] = l.blocks[lba], blockPtr{virt: virt[i], phys: phys[i]}
 			i++
 		})
-		for j, old := range olds[:i] {
-			s.dropActive(l, lbas[j], old)
-		}
-		vol.live += i
 		if i != n {
 			panic(fmt.Sprintf("wafl: LUN %q drained %d dirty blocks, counted %d", l.Name, i, n))
 		}
+		for j, lba := range lbas {
+			olds[j], l.blocks[lba] = l.blocks[lba], blockPtr{virt: virt[j], phys: phys[j]}
+		}
+		for j, old := range olds {
+			s.dropActive(l, lbas[j], old)
+		}
+		vol.live += n
 		s.c.BlocksWritten += uint64(n)
 	}
 	s.dirtyLUNs = s.dirtyLUNs[:0]

@@ -143,6 +143,29 @@ if grep -n 'cands\|candUp\|candDown' internal/heapcache/heapcache.go; then
     echo "heapcache's TopK candidate heap is back; AppendTopK selects over packed keys" >&2
     exit 1
 fi
+# Structural gate, the CP at word speed (DESIGN.md §14): both allocators take
+# free blocks a bitmap word at a time (bitmap.TakeFree, bitmap.SetMask) with
+# one ledger entry per call, and an SSD write chain reaches the FTL as one
+# range whose merges walk bitset words. The per-block loops survive only as
+# the references in _test.go files that the differential tests compare with.
+if body internal/wafl/group.go '(g \*Group) allocateTetris(' |
+    grep -n 'bm\.Set(\|NextFree(\|deltas\.add(.*, -1)'; then
+    echo "Group.allocateTetris takes blocks one at a time again; use bitmap.FreeWord and bitmap.SetMask" >&2
+    exit 1
+fi
+if body internal/wafl/agnostic.go '(s \*agnosticSpace) allocate(' |
+    grep -n 'bm\.Set(\|NextFree(\|deltas\.add(.*, -1)'; then
+    echo "agnosticSpace.allocate takes blocks one at a time again; use bitmap.TakeFree" >&2
+    exit 1
+fi
+if body internal/device/ssd.go '(s \*SSD) WriteChain(' | grep -n 'FTL\.Write('; then
+    echo "SSD.WriteChain writes its chain a page at a time again; call FTL.WriteRange once" >&2
+    exit 1
+fi
+if body internal/device/hybrid.go '(h \*HybridFTL) merge(' | grep -n 'getBit('; then
+    echo "HybridFTL.merge tests pages one bit at a time again; walk the bitset words" >&2
+    exit 1
+fi
 # Structural gate, snapshots that cost what they diverge (DESIGN.md §14): a
 # snapshot keeps a delta of the pointers the next newer image dropped, so it
 # holds no full image copy, the bit-sliced per-LBA counter of the copies is
@@ -184,6 +207,10 @@ test -n "$(body internal/bitmap/bitmap.go '(b \*Bitmap) ForEachFreeRun(')"
 test -n "$(body internal/obs/registry.go '(r \*Registry) snapshot(')"
 test -n "$(body internal/obs/tsdb/tsdb.go '(s \*Store) Sample(')"
 test -n "$(body internal/wafl/snapshot.go '(s \*System) CreateSnapshot(')"
+test -n "$(body internal/wafl/group.go '(g \*Group) allocateTetris(')"
+test -n "$(body internal/wafl/agnostic.go '(s \*agnosticSpace) allocate(')"
+test -n "$(body internal/device/ssd.go '(s \*SSD) WriteChain(')"
+test -n "$(body internal/device/hybrid.go '(h \*HybridFTL) merge(')"
 test -n "$(sed -n '/^type Snapshot struct/,/^}/p' internal/wafl/snapshot.go)"
 test -n "$(sed -n '/^type allocState struct/,/^}/p' internal/wafl/allocctx.go)"
 
@@ -224,6 +251,17 @@ go test -run '^$' -fuzz '^FuzzFreeRuns$' -fuzztime 5s ./internal/bitmap
 # run, stride and run count (word-aligned or not, runs holding whole pages or
 # reaching past the end) CountFreeStrided equals the sum of per-run CountFree.
 go test -run '^$' -fuzz '^FuzzCountFreeStrided$' -fuzztime 5s ./internal/bitmap
+# Word-at-a-time allocation fuzzer: for any bitmap size, fill, start, range
+# (unaligned, crossing a metafile page, past the end) and count (0 included),
+# TakeFree takes what a NextFree+Set loop takes and returns the same next, and
+# SetMask sets what per-bit Set sets or panics without a change; bits, used
+# and per-page counts and dirty pages agree.
+go test -run '^$' -fuzz '^FuzzTakeFree$' -fuzztime 5s ./internal/bitmap
+# Hybrid-FTL range-write fuzzer: on any geometry, with a log small enough that
+# merges land inside chains, WriteRange and the page-at-a-time reference kept
+# in the test file agree on relocations, counters, merges, log occupancy and
+# both bitsets after every chain.
+go test -run '^$' -fuzz '^FuzzHybridWriteRange$' -fuzztime 5s ./internal/device
 # Shared clause-grammar fuzzer: the field splitter hands out trimmed, unique,
 # comma-free fields that re-join and re-split to themselves; the fault-plan
 # parser rides along for its parse/format round trip.
