@@ -41,9 +41,10 @@
 // cells, the -faults scenario) paged the recovery SLI and kicked a scrub,
 // and per-stage latency attribution reconciles with the latency histograms.
 //
-// -parallel sets the deterministic work-pool width: experiment arms, MVA
-// sweep points, CP flushes, and mount walks fan out across N workers, with
-// bit-identical results at any N (0 selects min(GOMAXPROCS, 8)).
+// -parallel sets the deterministic work-pool width: experiment arms and MVA
+// sweep points fan out across N workers, with bit-identical results at any
+// N (0 selects min(GOMAXPROCS, 8)). Each simulated system runs on one
+// goroutine, its modeled flush concurrency fixed at 8 lanes.
 //
 // The observability flags wire every experiment arm into shared sinks:
 // -metrics-addr serves live introspection endpoints for the duration of the
@@ -169,7 +170,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.cores, "cores", 20, "storage-server CPU cores for the queueing model")
 	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
 	fs.IntVar(&o.workers, "parallel", 1,
-		"work-pool width for experiments, CP flushes, and mount walks (0 = min(GOMAXPROCS,8), 1 = serial)")
+		"work-pool width for experiment arms and sweep points (0 = min(GOMAXPROCS,8), 1 = serial)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "",
@@ -194,6 +195,9 @@ func newFlagSet(o *options) *flag.FlagSet {
 // check cross-validates the parsed flags; expSet reports whether the command
 // line gave -exp. Any error is a usage error.
 func (o *options) check(expSet bool) error {
+	if o.workers < 0 {
+		return errors.New("-parallel must be 0 (auto) or a positive width")
+	}
 	if o.hold > 0 && o.metricsAddr == "" {
 		return errors.New("-hold requires -metrics-addr")
 	}

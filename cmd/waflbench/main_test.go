@@ -30,6 +30,7 @@ func TestFlagCheck(t *testing.T) {
 		{name: "artifact of one experiment", o: options{exp: "fig9", benchJSON: "B.json"}, expSet: true},
 		{name: "exp and faults", o: options{exp: "fig9", faults: "phase=flush"}, expSet: true, want: "give one"},
 		{name: "faults and artifact", o: options{faults: "phase=flush", benchJSON: "B.json"}, want: "-faults runs none"},
+		{name: "negative width", o: options{workers: -3}, want: "-parallel must be 0"},
 	} {
 		err := tc.o.check(tc.expSet)
 		switch {

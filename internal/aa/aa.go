@@ -100,11 +100,27 @@ func Capacity(t Topology, id ID) uint64 {
 
 // ScoreAll computes the score of every AA in the topology, charging the
 // bitmap scan once over the whole space; this is the linear walk a cache
-// rebuild performs when no TopAA metafile is available (§3.4), and what
-// ScoreAllParallelObs computes at one worker.
+// rebuild performs when no TopAA metafile is available (§3.4).
 func ScoreAll(t Topology, bm *bitmap.Bitmap) []uint64 {
+	return ScoreAllInto(nil, t, bm)
+}
+
+// ScoreAllInto is ScoreAll scoring into dst when it has the capacity
+// (whatever it held is overwritten) and into a new slice otherwise, so a
+// space that rescans at every mount keeps one buffer:
+// scores = ScoreAllInto(scores, ...). The scan is charged whole-space once,
+// each bitmap page read once however many AAs share it.
+func ScoreAllInto(dst []uint64, t Topology, bm *bitmap.Bitmap) []uint64 {
 	bm.ChargeScan(t.Space())
-	scores := make([]uint64, t.NumAAs())
+	return scoresInto(dst, t, bm)
+}
+
+func scoresInto(dst []uint64, t Topology, bm *bitmap.Bitmap) []uint64 {
+	n := t.NumAAs()
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	scores := dst[:n]
 	for id := range scores {
 		scores[id] = Score(t, bm, ID(id))
 	}
@@ -240,11 +256,9 @@ func (s *Striped) BlocksPerAA() uint64 {
 // Space implements Topology.
 func (s *Striped) Space() block.Range { return s.geo.VBNRange() }
 
-// Scores computes every AA's score without charging any metafile reads,
-// sharding the popcount work across the deterministic work pool (one AA
-// per item, results keyed by AA id). The bitmap must not be mutated
-// concurrently; scores are pure reads of the bit words. Callers charge
-// scan I/O themselves, so the accounting never depends on the shard count.
-func Scores(t Topology, bm *bitmap.Bitmap, workers int) []uint64 {
-	return ScoresObs(nil, t, bm, workers, nil, nil)
+// Scores computes every AA's score without charging any metafile reads;
+// observers that must not move the modeled I/O score this way. The third
+// argument is ignored: scoring runs on the caller's goroutine.
+func Scores(t Topology, bm *bitmap.Bitmap, _ int) []uint64 {
+	return scoresInto(nil, t, bm)
 }

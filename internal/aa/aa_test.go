@@ -213,8 +213,10 @@ func TestSizing(t *testing.T) {
 	}
 }
 
-// ScoreAllParallelObs must agree exactly with the sequential walk.
-func TestScoreAllParallelMatchesSequential(t *testing.T) {
+// ScoreAllInto must score what ScoreAll scores and charge the scan once,
+// whatever dst holds: one too short to reuse, and one too long whose stale
+// contents must not leak into the result.
+func TestScoreAllIntoMatchesScoreAll(t *testing.T) {
 	geo := raid.Geometry{DataDevices: 5, ParityDevices: 1, BlocksPerDevice: 1 << 15, StartVBN: 100}
 	s := NewStriped(geo, 256)
 	bm := bitmap.New(uint64(geo.VBNRange().End))
@@ -224,27 +226,30 @@ func TestScoreAllParallelMatchesSequential(t *testing.T) {
 		r = r*6364136223846793005 + 1442695040888963407
 		bm.Set(geo.VBNRange().Start + block.VBN(r%geo.Blocks()))
 	}
-	want := ScoreAll(s, bm)
-	for _, workers := range []int{1, 2, 4, 7} {
-		got := ScoreAllParallelObs(nil, s, bm, workers, nil, nil)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: len %d", workers, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d AA %d: %d != %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-	// Linear topology too.
 	lt := NewLinearDefault(block.R(0, 8*RAIDAgnosticBlocks))
 	lbm := bitmap.New(8 * RAIDAgnosticBlocks)
 	lbm.SetRange(block.R(0, 40000))
-	seq := ScoreAll(lt, lbm)
-	par := ScoreAllParallelObs(nil, lt, lbm, 4, nil, nil)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("linear AA %d: %d != %d", i, seq[i], par[i])
+	for _, tc := range []struct {
+		name string
+		topo Topology
+		bm   *bitmap.Bitmap
+	}{{"striped", s, bm}, {"linear", lt, lbm}} {
+		before := tc.bm.Stats().PageReads
+		want := ScoreAll(tc.topo, tc.bm)
+		charge := tc.bm.Stats().PageReads - before
+		stale := make([]uint64, len(want)+5)
+		for i := range stale {
+			stale[i] = 1<<64 - 1
+		}
+		for _, dst := range [][]uint64{make([]uint64, 1), stale} {
+			before := tc.bm.Stats().PageReads
+			got := ScoreAllInto(dst, tc.topo, tc.bm)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, len(dst)=%d: ScoreAllInto differs from ScoreAll", tc.name, len(dst))
+			}
+			if r := tc.bm.Stats().PageReads - before; r != charge {
+				t.Fatalf("%s, len(dst)=%d: charged %d page reads, ScoreAll %d", tc.name, len(dst), r, charge)
+			}
 		}
 	}
 }
@@ -290,8 +295,7 @@ func TestScoreShortcutsMatchSegments(t *testing.T) {
 }
 
 // ScoreAll charges the metafile scan once over the whole space — each page is
-// read once, however many AAs or device segments share it — exactly as the
-// walk remount's ScoreAllParallelObs does at any worker count. It must score
+// read once, however many AAs or device segments share it. It must score
 // what ranging over Segments scores, and allocate only its result.
 func TestScoreAllChargesOnce(t *testing.T) {
 	geo := raid.Geometry{DataDevices: 5, ParityDevices: 1, BlocksPerDevice: 1 << 15, StartVBN: 100}
@@ -323,11 +327,6 @@ func TestScoreAllChargesOnce(t *testing.T) {
 		}
 		if r := bm.Stats().PageReads; r != tc.pageReads {
 			t.Fatalf("%s: ScoreAll charged %d page reads, want %d", tc.name, r, tc.pageReads)
-		}
-		par := ScoreAllParallelObs(nil, tc.topo, bm, 1, nil, nil)
-		if r := bm.Stats().PageReads; !slices.Equal(par, want) || r != 2*tc.pageReads {
-			t.Fatalf("%s: ScoreAllParallelObs at one worker charged %d page reads, want %d",
-				tc.name, r-tc.pageReads, tc.pageReads)
 		}
 		if n := testing.AllocsPerRun(10, func() { ScoreAll(tc.topo, bm) }); n != 1 {
 			t.Errorf("%s: ScoreAll allocates %.0f times, want only the result", tc.name, n)

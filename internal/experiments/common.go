@@ -41,10 +41,11 @@ type Config struct {
 	// services many commands at once): per-device demand is divided by it
 	// before queueing. 1 (or 0) means a single-server device.
 	DeviceParallel int
-	// Workers bounds the work-pool fan-out: independent experiment arms, MVA
-	// sweep points, and (via wafl.Tunables.Workers) CP flushes and mount
-	// walks run across this many workers. 0 selects min(GOMAXPROCS, 8),
-	// 1 forces serial execution; results are identical for every value.
+	// Workers bounds the work-pool fan-out: independent experiment arms and
+	// MVA sweep points run across this many goroutines. 0 selects
+	// min(GOMAXPROCS, 8), 1 forces serial execution; results are identical
+	// for every value. It never reaches wafl.Tunables.Workers, so the modeled
+	// lane count of every system stays at its default whatever the host.
 	Workers int
 	// Obs, when non-nil, is the template every System the experiments build
 	// takes its observability options from: the sinks are shared (and safe
@@ -66,15 +67,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// tunablesNamed returns the default tunables with the experiment's
-// parallelism knob applied and — when Config.Obs is set — a copy of the
-// observability template under the given arm name. Arms run concurrently,
+// tunablesNamed returns the default tunables with — when Config.Obs is
+// set — a copy of the observability template under the given arm name. Arms run concurrently,
 // so every call site must pass a distinct name: name collisions in a shared
 // export registry are resolved by construction order, which parallel arms
 // don't have.
 func (c Config) tunablesNamed(name string) wafl.Tunables {
 	tun := wafl.DefaultTunables()
-	tun.Workers = c.Workers
 	if c.Obs != nil {
 		o := *c.Obs
 		o.Name = name

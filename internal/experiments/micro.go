@@ -16,8 +16,7 @@ import (
 // MicroResult is the allocation microbenchmarks on one aged mid-size HDD
 // aggregate: the first-CP mount cost seeded from TopAA against a bitmap walk
 // (the Fig. 10 model), and one CP's flush — serial device time against its
-// makespan at a pinned 8-way width, so the number is comparable whatever
-// Config.Workers is.
+// makespan over 8 modeled lanes.
 type MicroResult struct {
 	// SeededReads / WalkPages are the metafile blocks each mount read, and
 	// SeededMount / WalkMount their modeled first-CP times.

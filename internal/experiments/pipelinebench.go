@@ -82,17 +82,14 @@ func RunPipelineBench(cfg Config, w io.Writer) PipelineBench {
 		tun := cfg.tunablesNamed(name)
 		tun.Pipeline = pipeline
 		tun.DelayedVirtFrees = true
-		// The overlap schedule is modeled at a pinned 8-way width (like the
-		// micro CP-flush makespan) so the gain is comparable across runs
-		// regardless of cfg.Workers.
-		tun.Workers = 8
 		// CPs are driven explicitly: one generation per round.
 		tun.CPEveryOps = 1 << 30
 		per := cfg.scaled(1<<16, 1<<14)
 		spec := wafl.GroupSpec{DataDevices: 3, ParityDevices: 1, BlocksPerDevice: per,
 			Media: aa.MediaHDD, StripesPerAA: 256}
-		// Several volumes keep the alloc side's makespan meaningful at 8
-		// workers: per-volume alloc work spreads, like the flush fan-out.
+		// Several volumes keep the alloc side's makespan meaningful over the
+		// default 8 modeled lanes: per-volume alloc work spreads like the
+		// groups' flushes.
 		vols := make([]wafl.VolSpec, 4)
 		for i := range vols {
 			vols[i] = wafl.VolSpec{Name: fmt.Sprintf("v%d", i), Blocks: 8 * aa.RAIDAgnosticBlocks}

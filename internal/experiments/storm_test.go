@@ -44,7 +44,7 @@ func TestRunStormGates(t *testing.T) {
 	}
 
 	// Worker-width invariance: the modeled walls and controller decisions
-	// must not move with the fan-out.
+	// must not move with the experiment pool's width.
 	cfg.Workers = 1
 	if b1 := RunStorm(cfg, io.Discard); b1 != b {
 		t.Fatalf("storm varies with worker count:\n%+v\n%+v", b, b1)

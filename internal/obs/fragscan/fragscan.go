@@ -83,8 +83,6 @@ type Target struct {
 	// histogram (hbps.BinSnapshot, or a bucketed heapcache.Entries view)
 	// to contrast the cache's coarse view with bitmap truth.
 	CacheBins []uint64
-	// Workers is the parallel width for AA scoring (0 = serial).
-	Workers int
 }
 
 // Report is one scan of one space at one CP.
@@ -146,9 +144,8 @@ func Scan(t Target, cp uint64) Report {
 		PickedFreeFrac: t.PickedFreeFrac,
 	}
 
-	// Per-AA free fractions: parallel popcount scoring (index-owned slots,
-	// deterministic at any width), then capacity-normalized.
-	scores := aa.Scores(t.Topo, t.Bits, t.Workers)
+	// Per-AA free fractions: popcount scoring, then capacity-normalized.
+	scores := aa.Scores(t.Topo, t.Bits, 1)
 	fracs := make([]float64, len(scores))
 	for id, s := range scores {
 		cap := aa.Capacity(t.Topo, aa.ID(id))

@@ -105,25 +105,6 @@ func TestScanStripeFullness(t *testing.T) {
 	}
 }
 
-// Scans must be identical at any worker width.
-func TestScanWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	bm := bitmap.New(1 << 16)
-	for i := 0; i < 1<<15; i++ {
-		bm.Set(block.VBN(rng.Intn(1 << 16)))
-	}
-	mk := func(workers int) Report {
-		return Scan(Target{
-			Space: "s", Kind: KindHBPS,
-			Topo: aa.NewLinear(block.R(0, 1<<16), 4096), Bits: bm,
-			Workers: workers,
-		}, 7)
-	}
-	if r1, r8 := mk(1), mk(8); !reflect.DeepEqual(r1, r8) {
-		t.Fatalf("worker divergence:\n1: %+v\n8: %+v", r1, r8)
-	}
-}
-
 // Recorder: canonical (Space, CP, Seq) ordering regardless of record order,
 // Seq assignment for same-(space,cp) scans, Last, and CSV shape.
 func TestRecorderOrderingAndCSV(t *testing.T) {
@@ -234,7 +215,7 @@ func refScan(t Target, cp uint64) Report {
 	}
 	rep.RunCounts = make([]uint64, len(rep.RunBounds)+1)
 
-	scores := aa.Scores(t.Topo, t.Bits, t.Workers)
+	scores := aa.Scores(t.Topo, t.Bits, 1)
 	fracs := make([]float64, len(scores))
 	for id, s := range scores {
 		cap := aa.Capacity(t.Topo, aa.ID(id))

@@ -13,8 +13,8 @@
 //   - Determinism. Snapshots are ordered by metric name, and counter and
 //     histogram updates are commutative atomics, so a run at Workers=8
 //     produces bit-identical stable snapshots to the same run at Workers=1.
-//     Metrics whose value legitimately depends on the worker count (modeled
-//     flush wall-clock, pool slot accounting) are registered as volatile and
+//     Metrics whose value legitimately depends on the modeled lane count
+//     (modeled flush and pick walls) are registered as volatile and
 //     excluded from StableSnapshot.
 package obs
 
@@ -138,9 +138,6 @@ var LatencyBuckets = []uint64{
 	100_000_000, 200_000_000, 500_000_000,
 	1_000_000_000, 2_000_000_000, 5_000_000_000, 10_000_000_000,
 }
-
-// FanoutBuckets is the standard bucket layout for work-pool fan-out widths.
-var FanoutBuckets = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}
 
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {

@@ -159,7 +159,7 @@ func TestRegistrySnapshotOrderedByConstruction(t *testing.T) {
 		case i%5 == 0:
 			r.VolatileCounter(name)
 		case i%5 == 1:
-			r.Histogram(name, FanoutBuckets)
+			r.Histogram(name, []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024})
 		case i%5 == 2:
 			r.GaugeFunc(name, func() int64 { return 1 })
 		default:

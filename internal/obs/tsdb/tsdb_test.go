@@ -225,7 +225,7 @@ func TestSampleMatchesReference(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, g := reg.Counter("ops"), reg.Gauge("depth")
 	lat := reg.Histogram("vol.a.lat_ns", obs.DurationBuckets)
-	width := reg.Histogram("fanout", obs.FanoutBuckets)
+	width := reg.Histogram("fanout", []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024})
 	reg.VolatileCounter("slots").Add(7)
 	got.Observe("other", 1, 1, 5)
 	want.Observe("other", 1, 1, 5)

@@ -1,7 +1,8 @@
 // Package parallel is the repo's single deterministic work-pool: every
-// concurrent fan-out — CP flushes across RAID groups, experiment arms,
-// MVA sweep points, mount-time bitmap walks — runs on these primitives
-// rather than ad-hoc goroutines.
+// concurrent fan-out — independent experiment arms and MVA sweep points —
+// runs on these primitives rather than ad-hoc goroutines. It also holds
+// Makespan, the model of concurrent work the simulator charges to the
+// modeled clock; the simulated file system itself runs on one goroutine.
 //
 // The pool's contract is determinism: callers hand it n independent work
 // items addressed by index, workers claim indexes from a shared counter,
@@ -16,14 +17,14 @@ package parallel
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// maxAutoWorkers caps the automatic worker count; fan-outs here are
-// popcount- and accounting-bound, and past 8 workers coordination overhead
-// outweighs the spread.
+// maxAutoWorkers caps the automatic worker count, and is the lane count
+// Makespan models when it is given none.
 const maxAutoWorkers = 8
 
 // Workers resolves a worker-count knob to a concrete count: w itself when
@@ -114,37 +115,38 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 }
 
 // Makespan models the wall-clock of executing tasks with the given
-// durations on `workers` parallel workers: tasks are assigned in order to
-// the worker that frees earliest (ties to the lowest worker). With one
-// worker this is the serial sum; with workers >= len(tasks) it is the max.
-// The CP engine uses it to report flush wall-clock as max-over-groups plus
-// merge rather than sum-over-groups, without making any measured counter
-// depend on the worker count.
-func Makespan(tasks []time.Duration, workers int) time.Duration {
-	workers = Workers(workers)
-	if workers > len(tasks) {
-		workers = len(tasks)
+// durations on `lanes` parallel lanes: tasks are assigned in order to the
+// lane that frees earliest (ties to the lowest lane). With one lane this is
+// the serial sum; with lanes >= len(tasks) it is the max. lanes <= 0 models
+// maxAutoWorkers lanes whatever the host, so a modeled wall never depends
+// on GOMAXPROCS. The CP engine uses it to report flush wall-clock as
+// max-over-groups plus merge rather than sum-over-groups, without making
+// any measured counter depend on the lane count. Up to maxAutoWorkers lanes
+// it allocates nothing.
+func Makespan(tasks []time.Duration, lanes int) time.Duration {
+	if lanes <= 0 {
+		lanes = maxAutoWorkers
 	}
-	if workers <= 0 {
+	lanes = min(lanes, len(tasks))
+	if lanes == 0 {
 		return 0
 	}
-	free := make([]time.Duration, workers)
+	var buf [maxAutoWorkers]time.Duration
+	free := buf[:]
+	if lanes > len(buf) {
+		free = make([]time.Duration, lanes)
+	}
+	free = free[:lanes]
 	for _, d := range tasks {
 		earliest := 0
-		for w := 1; w < workers; w++ {
+		for w := 1; w < lanes; w++ {
 			if free[w] < free[earliest] {
 				earliest = w
 			}
 		}
 		free[earliest] += d
 	}
-	var span time.Duration
-	for _, f := range free {
-		if f > span {
-			span = f
-		}
-	}
-	return span
+	return slices.Max(free)
 }
 
 // SplitSeed derives a statistically independent child seed for one shard

@@ -169,6 +169,8 @@ func TestMakespan(t *testing.T) {
 		{ms(3, 1, 1, 1), 2, 3},  // w0: 3, w1: 1+1+1
 		{ms(4, 4, 4, 4, 4, 4, 4, 4), 8, 4},
 		{ms(4, 4, 4, 4, 4, 4, 4, 4), 2, 16},
+		{ms(4, 4, 4, 4, 4, 4, 4, 4, 4), 0, 8}, // no lane count: 8 lanes, whatever the host
+		{ms(4, 4, 4, 4, 4, 4, 4, 4, 4), 9, 4}, // past the stack buffer
 	}
 	for _, c := range cases {
 		if got := Makespan(c.tasks, c.workers); got != c.want {
@@ -182,6 +184,11 @@ func TestMakespan(t *testing.T) {
 		if got < 9 || got > 32 {
 			t.Errorf("workers=%d: makespan %d outside [max, sum]", w, got)
 		}
+	}
+	// A CP models its flush wall with Makespan; up to 8 lanes that costs
+	// no allocation.
+	if n := testing.AllocsPerRun(10, func() { Makespan(tasks, 0) }); n != 0 {
+		t.Errorf("Makespan at the default lane count allocates %.0f times", n)
 	}
 }
 

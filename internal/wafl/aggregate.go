@@ -43,6 +43,10 @@ type Aggregate struct {
 
 	nextRR int // round-robin start position over groups
 
+	// flushBusy is commitSealed's scratch: each group's flush busy time,
+	// then the pool's, for the modeled flush wall.
+	flushBusy []time.Duration
+
 	// fresh holds the group VBNs that a boundary operation — the cleaner,
 	// Demote — allocated since the last seal. Their writes wait in the
 	// group's open write set like a CP's, but a punch, a snapshot delete or
@@ -57,7 +61,6 @@ type Aggregate struct {
 	// Observability (see obs.go). reg always exists.
 	reg       *obs.Registry
 	obsOpts   ObsOptions
-	pobs      *parallel.Obs
 	scoredAAs *obs.Counter
 	cpTot     cpTotals
 	mountTot  mountTotals
@@ -315,9 +318,10 @@ type CPStats struct {
 	// measured Counters and MVA demands.
 	DeviceBusy time.Duration
 	// FlushWall is the modeled wall-clock of the flush phase: the makespan
-	// of the per-group (and pool) flush times over Tunables.Workers. With
-	// one worker it equals DeviceBusy; with enough workers it approaches
-	// max-over-groups, the payoff of flushing RAID groups concurrently.
+	// of the per-group (and pool) flush times over Tunables.Workers modeled
+	// lanes (8 when unset). With one lane it equals DeviceBusy; with a lane
+	// per group it is max-over-groups, the payoff of flushing RAID groups
+	// concurrently. It depends on the lane count alone, never on the host.
 	FlushWall time.Duration
 	// TopAABlocks is the number of TopAA metafile blocks persisted.
 	TopAABlocks int
@@ -329,31 +333,27 @@ type CPStats struct {
 // bitmap-metafile pages, and persists the TopAA metafiles (§3.3, §3.4). The
 // open banks stay untouched, so at depth 2 the allocator keeps running.
 //
-// The per-group flush + delta fold fans out over the work pool: each
-// group's devices, tetris stats, cache, and delta banks are group-local, so
-// the items are independent and every counter merges to the same total at
-// any worker count. The aggregate-wide steps — TopAA saves, the shared
-// physical-bitmap write-back — run serially after the barrier, in group
-// order. Per-volume CP work (delta fold + virtual-bitmap write-back) fans
-// out the same way, since each volume owns its bitmap and HBPS.
+// It runs on the caller's goroutine, group by group and then volume by
+// volume. The concurrency of the paper's flush is modeled, not run: the
+// groups' busy times schedule over Tunables.Workers lanes (parallel.Makespan)
+// into FlushWall, and nothing else depends on the lane count.
 func (ag *Aggregate) commitSealed() CPStats {
 	var st CPStats
-	workers := ag.workers()
 
 	// Every TopAA save below stamps this CP's generation, so a crash that
 	// drops the saves leaves the previous images detectably stale.
 	ag.store.BeginGeneration()
 
 	ag.faults.EnterPhase(faultinject.PhaseFlush)
-	busy := make([]time.Duration, len(ag.groups))
-	parallel.ForEachObs(workers, len(ag.groups), ag.pobs, func(i int) {
-		g := ag.groups[i]
-		busy[i] = g.flushSealed()
+	busy := ag.flushBusy[:0]
+	for _, g := range ag.groups {
+		d := g.flushSealed()
 		g.foldSealed()
-	})
+		busy = append(busy, d)
+		st.DeviceBusy += d
+	}
 	ag.faults.EnterPhase(faultinject.PhaseTopAAGroups)
-	for i, g := range ag.groups {
-		st.DeviceBusy += busy[i]
+	for _, g := range ag.groups {
 		if err := ag.store.SaveRAIDAware(g.key, g.cache); err != nil {
 			// Unencodable cache: the save degraded to "no metafile"; the
 			// next mount walks the bitmap instead of crashing the CP here.
@@ -370,22 +370,20 @@ func (ag *Aggregate) commitSealed() CPStats {
 		ag.store.SaveAgnostic(poolTopAAKey, ag.pool.space.cache)
 		st.TopAABlocks += 2
 	}
-	st.FlushWall = parallel.Makespan(busy, workers)
+	ag.flushBusy = busy
+	st.FlushWall = parallel.Makespan(busy, ag.tun.Workers)
 	ag.faults.EnterPhase(faultinject.PhaseBitmapAgg)
 	st.MetafilePagesAggregate = ag.bm.Flush()
 
 	ag.faults.EnterPhase(faultinject.PhaseVolFold)
-	volPages := make([]int, len(ag.vols))
-	parallel.ForEachObs(workers, len(ag.vols), ag.pobs, func(i int) {
-		v := ag.vols[i]
+	for _, v := range ag.vols {
 		v.space.foldSealed()
-		volPages[i] = v.bm.Flush()
-	})
+		st.MetafilePagesVols += v.bm.Flush()
+	}
 	ag.faults.EnterPhase(faultinject.PhaseTopAAVols)
-	for i, v := range ag.vols {
+	for _, v := range ag.vols {
 		ag.store.SaveAgnostic(v.Name, v.space.cache)
 		st.TopAABlocks += 2
-		st.MetafilePagesVols += volPages[i]
 	}
 	ag.faults.EnterPhase(faultinject.PhaseCommit)
 	ag.cpTot.add(st)
@@ -491,16 +489,9 @@ func (ms *MountStats) note(o MountOutcome) {
 // Remount simulates a failover/reboot: all in-memory allocator state is
 // dropped, then the AA caches are rebuilt — from the TopAA metafiles when
 // useTopAA is true (falling back per space on damage), or by walking the
-// bitmap metafiles otherwise.
-//
-// Both rebuild passes fan out over the work pool: every group and every
-// agnostic space owns its cache, cursor, and delta ledgers, the TopAA store is
-// thread-safe, and bitmap scans only read bit words while charging an
-// atomic counter. Fallback walks additionally shard their own popcount
-// work (aa.ScoreAllParallelObs), so a single damaged space still spreads its
-// full-bitmap walk across workers. Per-item stats land in index-owned
-// slots and merge in order, keeping MountStats identical at any worker
-// count.
+// bitmap metafiles otherwise. Groups rebuild in index order, then the
+// agnostic spaces, all on the caller's goroutine; Tunables.Workers plays no
+// part.
 func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 	var ms MountStats
 	// A remount is the reboot after the crash (if any): the controller is
@@ -516,15 +507,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		preVolBM[i] = v.bm.Stats().PageReads
 	}
 
-	workers := ag.workers()
-	type rebuildStats struct {
-		inserts uint64
-		outcome MountOutcome
-	}
-
-	groupStats := make([]rebuildStats, len(ag.groups))
-	parallel.ForEachObs(workers, len(ag.groups), ag.pobs, func(i int) {
-		g := ag.groups[i]
+	for _, g := range ag.groups {
 		g.curValid = false
 		g.open.Reset()
 		g.deltas.clear()
@@ -549,8 +532,8 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 					g.cache.Reset()
 					for _, e := range entries {
 						g.cache.Insert(e.ID, e.Score)
-						groupStats[i].inserts++
 					}
+					ms.CacheInserts += uint64(len(entries))
 					g.seedOnly = true
 					rebuilt = true
 					outcome = MountCleanLoad
@@ -565,23 +548,16 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			}
 		}
 		if !rebuilt {
-			g.scores = aa.ScoreAllParallelObs(g.scores, g.topo, ag.bm, workers, ag.pobs, ag.scoredAAs)
+			ag.scoreAll(g)
 			g.cache.ResetFromScores(g.scores)
 			g.seedOnly = false
-			groupStats[i].inserts += uint64(len(g.scores))
+			ms.CacheInserts += uint64(len(g.scores))
 		}
 		g.q.Reset(g.cache)
-		groupStats[i].outcome = outcome
-	})
-	for _, st := range groupStats {
-		ms.CacheInserts += st.inserts
-		ms.note(st.outcome)
+		ms.note(outcome)
 	}
 
-	spaces := ag.agnosticSpaces()
-	spaceStats := make([]rebuildStats, len(spaces))
-	parallel.ForEachObs(workers, len(spaces), ag.pobs, func(i int) {
-		sp := spaces[i]
+	for _, sp := range ag.agnosticSpaces() {
 		sp.curValid = false
 		sp.deltas.clear()
 		sp.flushDeltas.clear()
@@ -610,14 +586,10 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		}
 		if !rebuilt {
 			sp.replenish()
-			spaceStats[i].inserts += uint64(sp.topo.NumAAs())
+			ms.CacheInserts += uint64(sp.topo.NumAAs())
 		}
 		sp.q.Reset(sp.cache)
-		spaceStats[i].outcome = outcome
-	})
-	for _, st := range spaceStats {
-		ms.CacheInserts += st.inserts
-		ms.note(st.outcome)
+		ms.note(outcome)
 	}
 
 	postReads, _ := ag.store.Stats()
@@ -630,20 +602,23 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 	return ms
 }
 
-// workers resolves the aggregate's parallelism knob (Tunables.Workers).
-func (ag *Aggregate) workers() int { return parallel.Workers(ag.tun.Workers) }
+// scoreAll rescores every AA of g from the physical bitmap into g.scores,
+// charging the scan once.
+func (ag *Aggregate) scoreAll(g *Group) {
+	g.scores = aa.ScoreAllInto(g.scores, g.topo, ag.bm)
+	ag.scoredAAs.Add(uint64(len(g.scores)))
+}
 
 // CompleteBackgroundFill finishes the post-mount background work for
 // seed-only RAID-aware caches: every AA absent from the seed is scored from
-// the bitmap (in parallel, as a controller spreads this walk across cores)
-// and inserted (§3.4). Returns the number of AAs inserted.
+// the bitmap and inserted (§3.4). Returns the number of AAs inserted.
 func (ag *Aggregate) CompleteBackgroundFill() uint64 {
 	var inserted uint64
 	for _, g := range ag.groups {
 		if !g.seedOnly {
 			continue
 		}
-		g.scores = aa.ScoreAllParallelObs(g.scores, g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
+		ag.scoreAll(g)
 		for id := 0; id < g.topo.NumAAs(); id++ {
 			if g.curValid && aa.ID(id) == g.curAA {
 				continue // held by the allocator; reinserted at finishAA
@@ -673,7 +648,7 @@ func (ag *Aggregate) RepairTopAA() int {
 	repaired := 0
 	for _, g := range ag.groups {
 		g.finishAA(ag.bm)
-		g.scores = aa.ScoreAllParallelObs(g.scores, g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
+		ag.scoreAll(g)
 		g.cache.ResetFromScores(g.scores)
 		g.seedOnly = false
 		g.deltas.clear()

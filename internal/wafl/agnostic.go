@@ -9,7 +9,6 @@ import (
 	"waflfs/internal/block"
 	"waflfs/internal/hbps"
 	"waflfs/internal/obs"
-	"waflfs/internal/parallel"
 	"waflfs/internal/shardq"
 )
 
@@ -24,7 +23,6 @@ type agnosticSpace struct {
 
 	cache        *hbps.HBPS
 	cacheEnabled bool
-	workers      int      // fan-out knob for replenish walks (Tunables.Workers)
 	scores       []uint64 // replenish's walk scores into this, every time
 
 	// The pick path (allocctx.go): q stages the HBPS list's front into
@@ -74,7 +72,6 @@ type agnosticSpace struct {
 
 	// Observability handles (nil-safe; set by Aggregate.registerSpaceObs).
 	stream string // metric prefix and stream name: "vol.<name>" or "pool"
-	pobs   *parallel.Obs
 	scored *obs.Counter
 	// lat is the per-volume modeled op-latency histogram feeding the SLO
 	// latency SLI (vol.<name>.lat_ns; nil for the pool). Reads observe
@@ -97,7 +94,6 @@ func newAgnosticSpace(name string, space block.Range, bm *bitmap.Bitmap, tun Tun
 		topo:         topo,
 		bm:           bm,
 		cacheEnabled: enabled,
-		workers:      tun.Workers,
 		as:           newAllocState(tun),
 		deltas:       newDeltaLedger(topo.NumAAs()),
 		flushDeltas:  newDeltaLedger(topo.NumAAs()),
@@ -179,17 +175,14 @@ func (s *agnosticSpace) pick() bool {
 }
 
 // replenish rebuilds the HBPS from a full bitmap walk — the background scan
-// of §3.3.2 — charging the metafile reads and discarding pending deltas
-// (the recomputed scores already include them). The popcount work shards
-// across the work pool; the scan is charged whole-space once up front, so
-// accounting does not depend on the shard count, and the scores feed the
-// HBPS in AA order regardless of which worker computed them.
+// of §3.3.2 — charging the metafile reads once and discarding pending
+// deltas (the recomputed scores already include them).
 func (s *agnosticSpace) replenish() {
 	s.replenishes++
-	s.bm.ChargeScan(s.topo.Space())
 	s.deltas.clear()
 	s.flushDeltas.clear()
-	s.scores = aa.ScoresObs(s.scores, s.topo, s.bm, s.workers, s.pobs, s.scored)
+	s.scores = aa.ScoreAllInto(s.scores, s.topo, s.bm)
+	s.scored.Add(uint64(len(s.scores)))
 	s.cache.Replenish(func(yield func(aa.ID, uint32)) {
 		for id, sc := range s.scores {
 			yield(aa.ID(id), uint32(sc))

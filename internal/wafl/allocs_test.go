@@ -19,36 +19,39 @@ import (
 
 // steadyStateCPAllocCeiling is the most heap allocations one steady-state
 // round — 4096 two-block overwrites and the CP that commits them — may make,
-// in either write-path mode below. It is twice what the round measures (8 at
-// depth 1, 10 sharded at depth 2: commitSealed's per-CP slices and fan-out
-// closures; the three TopAA saves rewrite their metafiles in place and
-// allocate nothing). The allocate-fresh saves made 37 of this round and the
-// map-backed substrate before them about 9300, so a per-CP or per-block
-// make() coming back fails here, in tier-1, rather than in the benchmark.
-const steadyStateCPAllocCeiling = 20
+// in either write-path mode below. The round allocates nothing: the CP runs
+// on one goroutine with its busy times in a scratch slice the aggregate
+// keeps, the flush wall is modeled on a stack array, and the three TopAA
+// saves rewrite their metafiles in place. Handing the groups and volumes to
+// a work pool made 8 at depth 1 and 10 sharded at depth 2, the
+// allocate-fresh saves 37 more, and the map-backed substrate before them
+// about 9300, so a per-CP or per-block make() coming back fails here, in
+// tier-1, rather than in the benchmark.
+const steadyStateCPAllocCeiling = 0
 
 // mountCycleAllocCeiling is the same gate for the benchmark's mount_cycle
 // round on its geometry (2 groups of 1024 AAs, 32 volumes): 1024 overwrites +
 // CP, a TopAA-seeded remount, 1024 overwrites + CP, the background fill, a
-// bitmap-walk remount. Twice the 90 the round measures. A remount rebuilds
-// every cache in the storage it already has, so what is left is what it
-// hands to the work pool and to Replenish, not what it keeps: the scoring
-// fan-out's closure per space and per group (and per group again in the
-// background fill), Replenish's closure per volume, Remount's own per-call
-// slices and closures (5 a call) and the two CPs as above. Building each
-// cache new made 268: per seeded mount a heap and a decoded seed per group
-// and an HBPS with its position index per volume, per walk mount a heap per
-// group and an enumeration record per volume. With allocate-fresh saves, the
-// map-indexed HBPS and a score slice per walk the round made 1411.
-const mountCycleAllocCeiling = 180
+// bitmap-walk remount. Twice the 34 the round measures. A remount rebuilds
+// every cache in the storage it already has, and scores into the slices
+// each space keeps, so what is left is the yield closure hbps.Replenish
+// hands each volume's walk (32) and Remount's slice of per-volume page
+// reads (one a call). The scoring fan-out's closures and Remount's per-call
+// result slots made it 90; building each cache new made 268 (per seeded
+// mount a heap and a decoded seed per group and an HBPS with its position
+// index per volume, per walk mount a heap per group and an enumeration
+// record per volume). With allocate-fresh saves, the map-indexed HBPS and a
+// score slice per walk the round made 1411.
+const mountCycleAllocCeiling = 68
 
 // armedCPAllocCeiling is the gate for the same round with every sink armed as
 // the benchmark's ssd_overwrite_obs arms them, averaged over 64 rounds because
-// an allocation-quality scan rides every eighth CP. The round measures 81;
-// it made 275 while tsdb.Sample built every series name at every CP and the
-// registry sorted its entries for every snapshot. What is left: the SLO
-// engine's window queries, the snapshots themselves (a slice and one value per
-// histogram), the scans' reports and the controller's evaluation.
+// an allocation-quality scan rides every eighth CP. The round measures 72,
+// so the ceiling is under twice that; it made 81 while the CP handed its
+// work to a pool, and 275 while tsdb.Sample built every series name at every
+// CP and the registry sorted its entries for every snapshot. What is left:
+// the SLO engine's window queries, the snapshots themselves (a slice and one
+// value per histogram), the scans' reports and the controller's evaluation.
 const armedCPAllocCeiling = 130
 
 // TestSteadyStateCPAllocs runs a system until its scratch buffers have

@@ -61,7 +61,6 @@ func (f *fragSpace) pickedDelta(sum float64, count uint64) (uint64, float64) {
 // numbers are deterministic, and returns each target's fragSpace beside it.
 func (ag *Aggregate) fragTargets() ([]fragscan.Target, []*fragSpace) {
 	name := ag.obsOpts.Name
-	workers := ag.workers()
 	n := len(ag.groups) + len(ag.agnosticSpaces())
 	out, spaces := make([]fragscan.Target, 0, n), make([]*fragSpace, 0, n)
 	for _, g := range ag.groups {
@@ -79,7 +78,6 @@ func (ag *Aggregate) fragTargets() ([]fragscan.Target, []*fragSpace) {
 			Bits:        ag.bm,
 			DeviceSpans: g.frag.spans,
 			CacheBins:   heapBins(g, fragscan.DefaultAABuckets),
-			Workers:     workers,
 		}
 		t.Picks, t.PickedFreeFrac = g.frag.pickedDelta(g.pickedScoreSum, g.pickedCount)
 		out, spaces = append(out, t), append(spaces, g.frag)
@@ -106,7 +104,6 @@ func (ag *Aggregate) agnosticTarget(s *agnosticSpace) fragscan.Target {
 		Topo:      s.topo,
 		Bits:      s.bm,
 		CacheBins: cacheBins,
-		Workers:   ag.workers(),
 	}
 	t.Picks, t.PickedFreeFrac = s.frag.pickedDelta(s.pickedScoreSum, s.pickedCount)
 	return t

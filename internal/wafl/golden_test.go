@@ -21,10 +21,10 @@ import (
 // its parent, so a CP-engine refactor that claims byte-identity has to show
 // it. A change that moves them on purpose re-records them and says why.
 var cpEngineGolden = map[string]string{
-	"pipeline=false,shards=0": "d287cdc96ce38b74e1bc830af0f6684988c648f903dd2f47fc3294f4c51a6b4f",
-	"pipeline=false,shards=4": "22cabfe3f4374edadb18b3568a4f1de6dba89067672c1c62a093e76872b875a5",
-	"pipeline=true,shards=0":  "b4ca4f9c0eef9a9ca124b11ae011ea126b100121ca69bce12a55f7fc3f2b077a",
-	"pipeline=true,shards=4":  "0ba655324d4a4c6fae5fb76d7248bb037e78567f8904392c5ffe889bd7c2859d",
+	"pipeline=false,shards=0": "fa456cbf863a53b6e2066f49c8c14ec9a16094d76ab78b4e0a8f9ecf9b12400c",
+	"pipeline=false,shards=4": "56c3dfcacf58a61a6c5921ed56cd6a3ff2e486e5610e6d4b51645ce5c13d1b3c",
+	"pipeline=true,shards=0":  "d474945b1c3201432069d7a06fb4459920c3c2f8a09381e65dc60ba551d2dd79",
+	"pipeline=true,shards=4":  "071bdfe6f3a3e281c6bf6904c33a351917df26604d4d98a61ac4dd5f82c2e538",
 }
 
 // cpEngineSections names the streams the whole-stream digest is built from,
@@ -36,32 +36,32 @@ var cpEngineSections = []string{"counters", "snapshot", "tsdb", "slo", "picks", 
 var cpEngineSectionGolden = map[string]map[string]string{
 	"pipeline=false,shards=0": {
 		"counters": "9dff0912e3474d2a6c7ca23deb4f1952b1159506713fdc664c848c800f5f6477",
-		"snapshot": "8386926f6fd788cffb804cb6eded93e69eb533df0b27b01f0a9fd56549127c84",
-		"tsdb":     "d859f7e66544a41857e95150141b45195164f586a76b0eb0e54038ef8ed9970f",
+		"snapshot": "67e7662a6c866a14259485c7b3761406935157e8b065d3305749e2fb61d19fea",
+		"tsdb":     "1a124a1cccb939d63cd6ae7bdd5ddf70567ad0cc65ac9360efbf672790a9eb3f",
 		"slo":      "afd755c886953ac6c12b4795077c4bfd5b21fd9941c26d0e2d171e5a2f10b6b8",
 		"picks":    "d547ef6dbe8874dfb16743f909af67488424cfef523ab837bf2923a94158b08c",
 		"optrace":  "aa428b11f4eebe47a1593e74bb200fdb2f128bc80bccedfadf594dbaa4ad1c57",
 	},
 	"pipeline=false,shards=4": {
 		"counters": "d770c15eb8747bdf6a6e7dfddae485d80263f110a7407052cc565903aa23fbbc",
-		"snapshot": "3c5d065fe6f452a1a6edeff35348ca8c9dd8433571f2c7f41793bd9f08e1af58",
-		"tsdb":     "3b82cf0d6de2a3ee8b9391fa9c0f9a790afc6e77077019c7adec86f42067b5c2",
+		"snapshot": "8aaa5d387facf9620312633cca63ed44c0d8d8824697d69a79cb7de55de7455c",
+		"tsdb":     "f5b588fa28c1435b25bcc373d13c9017580c65ee63a17ede2ec219a97291a08b",
 		"slo":      "c3fc7c20de7c8408091e30e1c3ae3d0c73a5483a50d81dd41cc8e8ca02b5189d",
 		"picks":    "d9eafdba31a2dc7a42f210ddc4f5f7df970677679bea7490245b5bdd8ce3ef3b",
 		"optrace":  "f19d643224ccfcba4ba5a607fc06e84961a50003f0f20b9512c0c7a8f8f306ec",
 	},
 	"pipeline=true,shards=0": {
 		"counters": "20c883718b6430876d030f0726cdd9e0c448611d2f7c1d4525782d8e671c65e7",
-		"snapshot": "d47f26b8018059cdcd2714acc457ce68ed723527c55cb8362e18642ae484fe47",
-		"tsdb":     "69720ad9fec2bb56788f472f1156b0ffcb3edbef5cb86853f0b2b38df3032447",
+		"snapshot": "c89898e14687d491863ebe52af073a6cd09efb78a67d90016e9705a01ab21e4e",
+		"tsdb":     "1d219bab8c7156f2db3497aa5ec6c5e4ae3f3b427579c5e457fdf523553635d5",
 		"slo":      "db39a1d940b1dfbe79a46bfb76abad52b08ea81492ea4ec0dda343290bbc1d1a",
 		"picks":    "d547ef6dbe8874dfb16743f909af67488424cfef523ab837bf2923a94158b08c",
 		"optrace":  "d02b16c75e013af3d5091fa4b283d7510038af49c6dfc74d66a764647857852a",
 	},
 	"pipeline=true,shards=4": {
 		"counters": "f3fbfe9c15289d0b95e45d5b8b04bb915c1508be4da1a74b4445237d6f4ef97e",
-		"snapshot": "d811d5647554f3f5ebc9aae129df07c9251b2876829cde7fe8b4bb1995270194",
-		"tsdb":     "77f352d4d1a6e2e5b5c7fdfbacdeac23c5756b574ae6a20a21f86491f7acc59b",
+		"snapshot": "49b416b55acfecfdeed62c365e27f23b04dac3f0ba773d5215c63c1cf010d0f5",
+		"tsdb":     "24e3c70a5f3d1be442807e271f1a02089517a78dd460b34b5be33d9937d50219",
 		"slo":      "45768f3f11e1b6580f1a9915b5f2ef9008d9fa242b40d04288336e9ee52e04c8",
 		"picks":    "d9eafdba31a2dc7a42f210ddc4f5f7df970677679bea7490245b5bdd8ce3ef3b",
 		"optrace":  "7331e9b8de32cffa2bc66e8a300c65672154c0ed2818987a045aad9563847f72",

@@ -80,8 +80,8 @@ type Group struct {
 	// into these while the open side keeps accumulating; the banks flush
 	// and fold when the sealed generation commits — at once at depth 1, a
 	// boundary later at depth 2 — and are empty in between. Remount empties
-	// them. The builders are the group's own because groups flush
-	// concurrently (commitSealed fans out over them).
+	// them. The builders are the group's own: each holds the group's
+	// writes, in its geometry, from seal to commit.
 	flushDeltas *deltaLedger
 	sealed      *raid.TetrisBuilder
 	flushCS     []uint64

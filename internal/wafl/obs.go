@@ -15,7 +15,6 @@ import (
 	"waflfs/internal/obs/picks"
 	"waflfs/internal/obs/slo"
 	"waflfs/internal/obs/tsdb"
-	"waflfs/internal/parallel"
 	"waflfs/internal/shardq"
 )
 
@@ -27,7 +26,7 @@ import (
 // cannot drift; CountersFromSnapshot plus the derived-view tests prove it.
 //
 // Determinism contract: all registered metrics except those marked volatile
-// (flush wall-clock, pool occupancy) are worker-count invariant, so
+// (the modeled flush and pick walls) are lane-count invariant, so
 // Registry().StableSnapshot() is DeepEqual across runs with different
 // Tunables.Workers, and so is every per-CP stream sampled from it (see
 // obs_test.go).
@@ -173,8 +172,8 @@ func (t *scrubTotals) add(r ScrubReport) {
 	t.divergent += uint64(len(r.Divergent()))
 }
 
-// initObs builds the aggregate's private registry and pool instruments, and
-// registers the aggregate-wide metric views. Called once from NewAggregate
+// initObs builds the aggregate's private registry and registers the
+// aggregate-wide metric views. Called once from NewAggregate
 // after the bitmap exists.
 func (ag *Aggregate) initObs() {
 	o := ag.tun.Obs.normalized()
@@ -185,12 +184,6 @@ func (ag *Aggregate) initObs() {
 	}
 
 	ag.scoredAAs = ag.reg.Counter("aa.scored")
-	ag.pobs = &parallel.Obs{
-		Fanouts:   ag.reg.Counter("parallel.fanouts"),
-		Items:     ag.reg.Counter("parallel.items"),
-		Width:     ag.reg.Histogram("parallel.fanout_width", obs.FanoutBuckets),
-		Occupancy: ag.reg.VolatileCounter("parallel.occupancy"),
-	}
 
 	ag.reg.CounterFunc("cp.count", func() uint64 { return ag.cpTot.cps })
 	ag.reg.CounterFunc("cp.metafile_pages_agg", func() uint64 { return ag.cpTot.pagesAgg })
@@ -278,11 +271,11 @@ func (ag *Aggregate) initObs() {
 	ag.reg.CounterFunc("topaa.damaged_loads", func() uint64 { return ag.store.Recovery().DamagedLoads })
 	ag.reg.CounterFunc("faults.crashes", func() uint64 { return ag.faults.Crashes() })
 
-	// Modeled pick wall at the configured worker width. Volatile: like
-	// cp.flush_wall_ns it shrinks as Workers grows, while every alloc.*
-	// input underneath it stays worker-invariant.
+	// Modeled pick wall over Tunables.Workers lanes. Volatile: like
+	// cp.flush_wall_ns it shrinks as the lane count grows, while every
+	// alloc.* input underneath it stays lane-invariant.
 	ag.reg.VolatileCounterFunc("alloc.pick_wall_ns", func() uint64 {
-		return uint64(ag.AllocPickWall(ag.workers()))
+		return uint64(ag.AllocPickWall(ag.tun.Workers))
 	})
 
 	// SLO engine: the CP tail calls Evaluate after the tsdb Sample for the
@@ -354,12 +347,11 @@ func (ag *Aggregate) registerGroupObs(g *Group) {
 
 // registerSpaceObs exposes one agnostic space's counters under its stream
 // name ("vol.<name>." or "pool." as the metric prefix) and hands it its
-// pick sink and scoring instruments. HBPS metrics read through the current
+// pick sink and scoring counter. HBPS metrics read through the current
 // cache object (reset on remount, like the heap metrics).
 func (ag *Aggregate) registerSpaceObs(sp *agnosticSpace, stream string) {
 	prefix := stream + "."
 	sp.stream = stream
-	sp.pobs = ag.pobs
 	sp.scored = ag.scoredAAs
 	if rec := ag.obsOpts.Picks; rec != nil {
 		sp.pr = rec.Space(ag.obsOpts.Name + "." + sp.stream)

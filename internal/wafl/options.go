@@ -106,11 +106,12 @@ type Tunables struct {
 	// thresholds; an op-count trigger is equivalent for steady workloads.
 	CPEveryOps int
 
-	// Workers bounds the fan-out of the deterministic work pool used for CP
-	// flushes, cache rebuilds, and mount-time bitmap walks: 0 selects
-	// min(GOMAXPROCS, 8), 1 forces serial execution. Every measured counter
-	// is identical for every value (see internal/parallel); only the modeled
-	// CPStats.FlushWall shrinks as workers increase.
+	// Workers is the modeled lane count: how many RAID groups (and volume
+	// alloc stages, and pick shards) the modeled clock lets run at once.
+	// 0 selects 8 lanes, whatever the host. The simulator itself runs on
+	// one goroutine; only the modeled walls — CPStats.FlushWall, the
+	// depth-2 alloc wall and AllocPickWall — depend on this, and every
+	// measured counter is identical for every value.
 	Workers int
 
 	// AllocShards is the depth of the staging queue every cached space

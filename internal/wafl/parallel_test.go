@@ -3,6 +3,7 @@ package wafl
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // lifecycleResult captures every observable of one full system lifecycle
-// that must be bit-identical at any worker count. FlushWall is excluded on
+// that must be bit-identical at any lane count. FlushWall is excluded on
 // purpose: it is the one quantity the Workers knob is supposed to change.
 type lifecycleResult struct {
 	Counters     Counters
@@ -58,10 +59,9 @@ func runLifecycle(workers int, seed int64) (lifecycleResult, time.Duration) {
 	return res, s.CPFlushWall()
 }
 
-// The determinism contract of the tentpole: every measured counter — CPU,
-// device busy, metafile pages, mount I/O, cache ops — is bit-identical
-// whether the CP flushes, cache rebuilds, and mount walks run serially or
-// across 8 workers.
+// The determinism contract: every measured counter — CPU, device busy,
+// metafile pages, mount I/O, cache ops — is bit-identical at every modeled
+// lane count; the lane count reaches nothing but the modeled walls.
 func TestCPAndMountSerialEquivalence(t *testing.T) {
 	serial, wall1 := runLifecycle(1, 42)
 	for _, workers := range []int{2, 8} {
@@ -94,11 +94,59 @@ func TestCPFlushWallShrinksWithWorkers(t *testing.T) {
 	}
 }
 
+// Tunables.Workers left at 0 models 8 lanes whatever the host, so no
+// modeled wall may move with GOMAXPROCS: not a CP's FlushWall, not the
+// depth-2 pipeline's walls, not the pick wall.
+func TestModeledWallsIgnoreGOMAXPROCS(t *testing.T) {
+	type walls struct {
+		CPs  []CPStats
+		Pipe PipelineStats
+		Pick time.Duration
+	}
+	run := func(procs int) walls {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		tun := DefaultTunables()
+		tun.Pipeline = true
+		tun.AllocShards = 4
+		tun.CPEveryOps = 1 << 30
+		vols := []VolSpec{
+			{Name: "v0", Blocks: 8 * aa.RAIDAgnosticBlocks},
+			{Name: "v1", Blocks: 8 * aa.RAIDAgnosticBlocks},
+			{Name: "v2", Blocks: 8 * aa.RAIDAgnosticBlocks},
+		}
+		s := NewSystem(testSpecs(), vols, tun, 23)
+		var luns []*LUN
+		for _, v := range s.Agg.Vols() {
+			luns = append(luns, v.CreateLUN("l", 40000))
+		}
+		rng := rand.New(rand.NewSource(23))
+		var w walls
+		for round := 0; round < 8; round++ {
+			for i := 0; i < 4000; i++ {
+				s.Write(luns[rng.Intn(len(luns))], uint64(rng.Intn(40000)), 1)
+			}
+			w.CPs = append(w.CPs, s.CP())
+		}
+		w.CPs = append(w.CPs, s.Drain())
+		w.Pipe = s.PipelineStats()
+		w.Pick = s.Agg.AllocPickWall(s.Agg.Tunables().Workers)
+		return w
+	}
+	one, four := run(1), run(4)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("modeled walls moved with GOMAXPROCS:\n1: %+v\n4: %+v", one, four)
+	}
+	if one.Pipe.FlushWall == 0 || one.Pick == 0 {
+		t.Fatalf("nothing modeled: %+v", one)
+	}
+}
+
 // benchmarkParallelCP drives repeated write-batch + CP cycles over an
 // 8-group aggregate and reports the modeled CP flush wall-clock and the
 // modeled speedup (serial device-busy sum over makespan). The host wall
-// times are dominated by write allocation, which is serial either way; the
-// modeled metrics isolate the flush fan-out the worker knob controls.
+// times are dominated by write allocation and do not depend on the lane
+// count; the modeled metrics isolate the flush concurrency the lane count
+// controls.
 func benchmarkParallelCP(b *testing.B, workers int) {
 	tun := DefaultTunables()
 	tun.Workers = workers

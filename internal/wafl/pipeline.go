@@ -250,8 +250,8 @@ func (s *System) chargeOverlap(allocWall, flushWall time.Duration) {
 
 // allocWall is the modeled wall-clock of a generation's alloc stage: each
 // volume's allocation work (its blocks at the base per-op cost) is
-// volume-local, so it fans out over the work pool the way the flush fans
-// out over groups.
+// volume-local, so it schedules over the modeled lanes the way the flush
+// schedules its groups.
 func (s *System) allocWall(gen *cpGen) time.Duration {
 	volBusy := s.pipe.volBusy[:0]
 	for _, n := range gen.volBlocks {
@@ -260,7 +260,7 @@ func (s *System) allocWall(gen *cpGen) time.Duration {
 		}
 	}
 	s.pipe.volBusy = volBusy
-	return parallel.Makespan(volBusy, s.Agg.workers())
+	return parallel.Makespan(volBusy, s.Agg.tun.Workers)
 }
 
 // allocGeneration is the alloc stage: write allocation + COW frees, volume

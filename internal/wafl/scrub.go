@@ -5,7 +5,6 @@ import (
 
 	"waflfs/internal/aa"
 	"waflfs/internal/heapcache"
-	"waflfs/internal/parallel"
 )
 
 // Mount-time scrub ("wafliron-lite", §3.4): after a Remount rebuilds the AA
@@ -70,27 +69,17 @@ func (r ScrubReport) String() string {
 		len(div), len(r.Spaces), div[0].Space, div[0].Divergence)
 }
 
-// Scrub verifies every AA cache against the bitmap metafiles. Results land in
-// index-owned slots and merge in order, so the report is identical at any
-// worker count. Spaces with caching disabled are reported with zero checks
-// (there is no cache to diverge).
+// Scrub verifies every AA cache against the bitmap metafiles, groups in
+// index order and then the agnostic spaces. Spaces with caching disabled are
+// reported with zero checks (there is no cache to diverge).
 func (ag *Aggregate) Scrub() ScrubReport {
-	workers := ag.workers()
-
-	groupResults := make([]SpaceScrub, len(ag.groups))
-	parallel.ForEachObs(workers, len(ag.groups), ag.pobs, func(i int) {
-		groupResults[i] = ag.scrubGroup(ag.groups[i])
-	})
-
-	spaces := ag.agnosticSpaces()
-	spaceResults := make([]SpaceScrub, len(spaces))
-	parallel.ForEachObs(workers, len(spaces), ag.pobs, func(i int) {
-		spaceResults[i] = ag.scrubSpace(spaces[i])
-	})
-
 	var r ScrubReport
-	r.Spaces = append(r.Spaces, groupResults...)
-	r.Spaces = append(r.Spaces, spaceResults...)
+	for _, g := range ag.groups {
+		r.Spaces = append(r.Spaces, ag.scrubGroup(g))
+	}
+	for _, sp := range ag.agnosticSpaces() {
+		r.Spaces = append(r.Spaces, ag.scrubSpace(sp))
+	}
 	ag.scrubTot.add(r)
 	return r
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: formatting, build, full test suite, the race detector
-# over every parallel path (CP flush fan-out, experiment arms, mount walks),
-# and an end-to-end observability smoke test of the bench binary.
+# over every parallel path (experiment arms, MVA sweep points, the shared
+# observability sinks), and an end-to-end observability smoke test of the
+# bench binary.
 # The race run uses -short to skip the slowest experiment reproductions;
 # every concurrency-bearing code path still executes under the detector.
 set -eux
@@ -210,6 +211,24 @@ if go list -deps ./internal/device | grep 'waflfs/internal/obs'; then
     echo "internal/device must not import waflfs/internal/obs" >&2
     exit 1
 fi
+# Structural gate, the core runs on one goroutine (DESIGN.md §14): the
+# concurrency of the paper's CP is modeled over Tunables.Workers lanes
+# (parallel.Makespan), not run, so internal/wafl and internal/aa start no
+# goroutine and hand nothing to the work pool, internal/aa scores without the
+# observability layer or the pool, and a CP allocates nothing of its own.
+if go list -deps ./internal/aa | grep 'waflfs/internal/obs\|waflfs/internal/parallel'; then
+    echo "internal/aa must not import waflfs/internal/obs or waflfs/internal/parallel" >&2
+    exit 1
+fi
+core=$(ls internal/wafl/*.go internal/aa/*.go | grep -v '_test\.go$')
+if grep -nE 'parallel\.ForEach|(^|[;{[:space:]])go[[:space:]]+(func[[:space:](]|[A-Za-z_][A-Za-z0-9_.]*\()' $core; then
+    echo "internal/wafl and internal/aa run on one goroutine: no go statement, no parallel.ForEach" >&2
+    exit 1
+fi
+if body internal/wafl/aggregate.go '(ag \*Aggregate) commitSealed(' | grep -n 'make('; then
+    echo "commitSealed allocates per CP again; keep its scratch on the Aggregate" >&2
+    exit 1
+fi
 
 # Structural gate, one driver and one audit (DESIGN.md §17): the experiment
 # registry is the only driver, each experiment owns its rows and its gate, and
@@ -238,6 +257,8 @@ test -n "$(sed -n '/^type Group struct/,/^}/p' internal/wafl/group.go)"
 test -n "$(body internal/wafl/aggregate.go '(ag \*Aggregate) FreePhysical(' | grep 'freePhysical(')"
 test -n "$(sed -n '/^type Snapshot struct/,/^}/p' internal/wafl/snapshot.go)"
 test -n "$(sed -n '/^type allocState struct/,/^}/p' internal/wafl/allocctx.go)"
+test -n "$(body internal/wafl/aggregate.go '(ag \*Aggregate) commitSealed(')"
+test -n "$core"
 
 go build ./...
 go vet ./...
