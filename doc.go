@@ -17,8 +17,8 @@
 //
 // This root package re-exports the library's primary API; the
 // implementation lives in the internal packages, one per subsystem. The
-// examples directory contains runnable programs, and cmd/waflbench
-// regenerates every evaluation figure of the paper.
+// Examples walk through the paper's mechanisms and go test checks what they
+// print; cmd/waflbench regenerates every evaluation figure of the paper.
 //
 // # Quick start
 //

@@ -50,14 +50,6 @@ const (
 	ChunksPerBlock = BlockSize / ChunkSize
 )
 
-// Common capacity units, in bytes.
-const (
-	KiB = 1 << 10
-	MiB = 1 << 20
-	GiB = 1 << 30
-	TiB = 1 << 40
-)
-
 // VBN is a volume block number: the index of a 4KiB block within a flat
 // block-number space. The same type names blocks in the physical space of an
 // aggregate ("physical VBN") and in the virtual space of a FlexVol volume

@@ -114,9 +114,6 @@ func NewFTL(cfg FTLConfig) *FTL {
 // LogicalBlocks returns the exported LBA-space size in pages.
 func (f *FTL) LogicalBlocks() uint64 { return f.logicalBlocks }
 
-// EraseBlockPages returns the erase-block size in pages.
-func (f *FTL) EraseBlockPages() uint64 { return f.ebPages }
-
 func (f *FTL) invalidate(lpn uint64) {
 	old := f.l2p[lpn]
 	if old < 0 {

@@ -105,9 +105,6 @@ func NewHybridFTL(cfg HybridFTLConfig) *HybridFTL {
 // LogicalBlocks implements Translator.
 func (h *HybridFTL) LogicalBlocks() uint64 { return h.logicalBlocks }
 
-// EraseBlockPages returns the merge granularity in pages.
-func (h *HybridFTL) EraseBlockPages() uint64 { return h.ebPages }
-
 func getBit(bs []uint64, i uint64) bool { return bs[i/64]&(1<<(i%64)) != 0 }
 func clearBit(bs []uint64, i uint64)    { bs[i/64] &^= 1 << (i % 64) }
 

@@ -425,51 +425,3 @@ func writeReportCSV(w io.Writer, rep Report) error {
 	}
 	return nil
 }
-
-// Summary condenses a space's report stream: final-scan state plus
-// pick-weighted quality across the whole stream.
-type Summary struct {
-	Space          string  `json:"space"`
-	Scans          int     `json:"scans"`
-	FreeFrac       float64 `json:"free_frac"`        // final scan
-	MeanRun        float64 `json:"mean_run"`         // final scan
-	LongestRun     uint64  `json:"longest_run"`      // final scan
-	FreeStripeFrac float64 `json:"free_stripe_frac"` // final scan (RAID)
-	MedianAAFrac   float64 `json:"median_aa_frac"`   // final scan decile 50
-	Picks          uint64  `json:"picks"`            // total across scans
-	PickedFreeFrac float64 `json:"picked_free_frac"` // pick-weighted mean
-}
-
-// Summaries returns one Summary per space, sorted by space name.
-func (r *Recorder) Summaries() []Summary {
-	byspace := map[string]*Summary{}
-	var order []string
-	for _, rep := range r.Reports() { // canonical order: last report wins
-		s := byspace[rep.Space]
-		if s == nil {
-			s = &Summary{Space: rep.Space}
-			byspace[rep.Space] = s
-			order = append(order, rep.Space)
-		}
-		s.Scans++
-		s.FreeFrac = rep.FreeFrac()
-		s.MeanRun = rep.MeanRun
-		s.LongestRun = rep.LongestRun
-		s.FreeStripeFrac = rep.FreeStripeFrac
-		s.MedianAAFrac = rep.Deciles[5]
-		s.Picks += rep.Picks
-		s.PickedFreeFrac += rep.PickedFreeFrac * float64(rep.Picks)
-	}
-	sort.Strings(order)
-	out := make([]Summary, 0, len(order))
-	for _, name := range order {
-		s := byspace[name]
-		if s.Picks > 0 {
-			s.PickedFreeFrac /= float64(s.Picks)
-		} else {
-			s.PickedFreeFrac = 0
-		}
-		out = append(out, *s)
-	}
-	return out
-}

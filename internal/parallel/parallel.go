@@ -9,9 +9,9 @@
 // and every result lands in the slot its index owns. Because no item reads
 // another item's output and merges happen in index order after the
 // barrier, the observable result is bit-identical for every worker count,
-// including 1. Randomized work keeps that property by giving each shard
-// its own rand.Rand derived from a root seed (SplitSeed) instead of
-// sharing one stream whose interleaving would depend on scheduling.
+// including 1. Randomized work keeps that property because each item seeds
+// its own rand.Rand from its configuration instead of sharing one stream
+// whose interleaving would depend on scheduling.
 package parallel
 
 import (
@@ -147,18 +147,4 @@ func Makespan(tasks []time.Duration, lanes int) time.Duration {
 		free[earliest] += d
 	}
 	return slices.Max(free)
-}
-
-// SplitSeed derives a statistically independent child seed for one shard
-// of a fan-out from a root seed (splitmix64 finalizer). Equal inputs give
-// equal outputs, so sharded randomness is reproducible and identical for
-// every worker count.
-func SplitSeed(root int64, shard int) int64 {
-	z := uint64(root) + (uint64(shard)+1)*0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
 }

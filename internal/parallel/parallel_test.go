@@ -191,17 +191,3 @@ func TestMakespan(t *testing.T) {
 		t.Errorf("Makespan at the default lane count allocates %.0f times", n)
 	}
 }
-
-func TestSplitSeedAndRandsDeterministic(t *testing.T) {
-	seen := make(map[int64]bool)
-	for shard := 0; shard < 100; shard++ {
-		s := SplitSeed(42, shard)
-		if s != SplitSeed(42, shard) {
-			t.Fatal("SplitSeed not deterministic")
-		}
-		if seen[s] {
-			t.Fatalf("duplicate child seed at shard %d", shard)
-		}
-		seen[s] = true
-	}
-}

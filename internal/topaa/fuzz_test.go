@@ -1,6 +1,7 @@
 package topaa
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,42 +52,60 @@ func sortedLoadRAIDAware(buf []byte) ([]heapcache.Entry, error) {
 	return out, nil
 }
 
+// raidBlock is the buffer FuzzLoadRAIDAware decodes: the first n slots (at
+// most RAIDAwareEntries) hold AAs 0, 1, 2, … at descending scores and the
+// rest terminators, in BlockSize+size bytes, with data laid over it from
+// byte at, lengthening it where data reaches further. Any byte string is one
+// such buffer (data itself, at 0, size -BlockSize), and a block of hundreds
+// of entries is a few bytes of data. That matters because the fuzzer
+// minimizes every input that finds new coverage by a pass quadratic in
+// data's length, during which the worker runs nothing new: with the whole
+// block as data, one such input held each worker for the rest of a 5 s run.
+func raidBlock(data []byte, at, n uint16, size int16) []byte {
+	buf := bytes.Repeat([]byte{0xff}, max(block.BlockSize+int(size), 0))
+	for i := 0; i < min(int(n), RAIDAwareEntries) && 8*i+8 <= len(buf); i++ {
+		binary.LittleEndian.PutUint32(buf[8*i:], uint32(i))
+		binary.LittleEndian.PutUint32(buf[8*i+4:], uint32(RAIDAwareEntries-i))
+	}
+	if end := int(at) + len(data); end > len(buf) {
+		buf = append(buf, make([]byte, end-len(buf))...)
+	}
+	copy(buf[at:], data)
+	return buf
+}
+
 // FuzzLoadRAIDAware holds the bounded decoder to the sort-based one it
 // replaced plus the id-range check mount used to make itself: for any bytes
 // and AA count it accepts exactly what they accepted, decoding the same
 // entries, through a decoder reused across calls as the store reuses one.
 // It never panics.
 func FuzzLoadRAIDAware(f *testing.F) {
-	good, err := MarshalRAIDAware(fullCache(300, 20).TopK(RAIDAwareEntries))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good, uint16(300))
-	empty, _ := MarshalRAIDAware(nil)
-	f.Add(empty, uint16(1))
-	f.Add([]byte{}, uint16(300))
-	f.Add(make([]byte, block.BlockSize), uint16(1024))
-	f.Add(make([]byte, block.BlockSize-1), uint16(1024))
-	f.Add(good, uint16(299))
-	duplicate := append([]byte(nil), good...)
-	copy(duplicate[8*400:8*400+4], duplicate[8*3:8*3+4])
-	f.Add(duplicate, uint16(300))
+	f.Add([]byte{}, uint16(0), uint16(300), int16(0), uint16(300))               // 300 entries
+	f.Add([]byte{}, uint16(0), uint16(0), int16(0), uint16(1))                   // none
+	f.Add([]byte{}, uint16(0), uint16(RAIDAwareEntries), int16(0), uint16(600))  // every slot
+	f.Add([]byte{}, uint16(0), uint16(0), int16(-block.BlockSize), uint16(300))  // no bytes
+	f.Add([]byte{}, uint16(0), uint16(300), int16(-1), uint16(1024))             // a byte short
+	f.Add([]byte{}, uint16(0), uint16(300), int16(0), uint16(299))               // AA 299 out of range
+	f.Add([]byte{3, 0, 0, 0}, uint16(8*10), uint16(300), int16(0), uint16(300))  // AA 3 twice
+	f.Add([]byte{0xff, 0xff}, uint16(8*5+4), uint16(300), int16(0), uint16(300)) // a score rises
+	f.Add([]byte{9, 0, 0, 0}, uint16(8*400), uint16(300), int16(0), uint16(600)) // an entry after the terminator
 	var d raidDecoder
-	f.Fuzz(func(t *testing.T, data []byte, numAAs uint16) {
-		want, wantErr := sortedLoadRAIDAware(data)
+	f.Fuzz(func(t *testing.T, data []byte, at, n uint16, size int16, numAAs uint16) {
+		buf := raidBlock(data, at, n, size)
+		want, wantErr := sortedLoadRAIDAware(buf)
 		for _, e := range want {
 			if int(e.ID) >= int(numAAs) {
 				wantErr = errors.New("out of range")
 			}
 		}
-		got, err := d.decode(data, int(numAAs))
+		got, err := d.decode(buf, int(numAAs))
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("%d AAs: bounded decoder says %v, oracle %v", numAAs, err, wantErr)
 		}
 		if err == nil && !slices.Equal(got, want) {
 			t.Fatalf("%d AAs: bounded decoder and oracle decode different entries", numAAs)
 		}
-		if pkg, err := LoadRAIDAware(data, int(numAAs)); (err == nil) != (wantErr == nil) || !slices.Equal(pkg, got) {
+		if pkg, err := LoadRAIDAware(buf, int(numAAs)); (err == nil) != (wantErr == nil) || !slices.Equal(pkg, got) {
 			t.Fatalf("%d AAs: LoadRAIDAware disagrees with a reused decoder: %v", numAAs, err)
 		}
 	})

@@ -53,7 +53,7 @@ func newFlexVol(index int, spec VolSpec, tun Tunables, rng *rand.Rand) *FlexVol 
 func (v *FlexVol) Blocks() uint64 { return v.bm.Size() }
 
 // Bitmap exposes the volume's bitmap metafile (read-mostly; used by
-// experiments and the fsinspect tool).
+// the benchmark harness and tests).
 func (v *FlexVol) Bitmap() *bitmap.Bitmap { return v.bm }
 
 // UsedFraction returns the fraction of virtual VBNs allocated.

@@ -23,7 +23,8 @@ import (
 // (System.Counters, group/space measurement fields, cache Metrics, device
 // stats). There is exactly one accounting path — the registry never stores a
 // second copy of any number — so CPStats/Counters and the metric snapshots
-// cannot drift; CountersFromSnapshot plus the derived-view tests prove it.
+// cannot drift; the derived-view tests prove it, rebuilding Counters from a
+// snapshot (CountersFromSnapshot in obs_test.go).
 //
 // Determinism contract: all registered metrics except those marked volatile
 // (the modeled flush and pick walls) are lane-count invariant, so
@@ -534,7 +535,7 @@ func (ag *Aggregate) registerAllocObs(prefix string, as *allocState, qm func() s
 }
 
 // registerSystemObs exposes the System's cumulative counters under wafl.*.
-// These are the derived views CountersFromSnapshot reconstructs.
+// These are the derived views obs_test.go's CountersFromSnapshot reconstructs.
 func (s *System) registerSystemObs() {
 	reg := s.Agg.reg
 	reg.CounterFunc("wafl.ops", func() uint64 { return s.c.Ops })
@@ -660,37 +661,5 @@ func (s *System) attributeWrites(gen *cpGen, deviceBusy, metaNS, foldCache time.
 				{Name: optrace.StageCache.String(), DurNS: cachePer},
 			},
 		})
-	}
-}
-
-// CountersFromSnapshot reconstructs the cumulative Counters from a registry
-// snapshot. The derived-view equivalence test asserts this equals
-// System.Counters() exactly — the registry and the struct can never drift
-// because both read the same storage.
-func CountersFromSnapshot(snap obs.Snapshot) Counters {
-	return Counters{
-		Ops:           snap.Counter("wafl.ops"),
-		ModOps:        snap.Counter("wafl.mod_ops"),
-		CPs:           snap.Counter("wafl.cps"),
-		CPUTime:       time.Duration(snap.Counter("wafl.cpu_ns")),
-		CacheCPUTime:  time.Duration(snap.Counter("wafl.cache_cpu_ns")),
-		MetafilePages: snap.Counter("wafl.metafile_pages"),
-		TopAABlocks:   snap.Counter("wafl.topaa_blocks"),
-		DeviceBusy:    time.Duration(snap.Counter("wafl.device_busy_ns")),
-		BlocksWritten: snap.Counter("wafl.blocks_written"),
-		BlocksFreed:   snap.Counter("wafl.blocks_freed"),
-	}
-}
-
-// CPStatsFromRegistry reconstructs the cumulative CP totals from the
-// registry — the sum of every CPStats a committed generation returned.
-func CPStatsFromRegistry(reg *obs.Registry) CPStats {
-	snap := reg.Snapshot()
-	return CPStats{
-		MetafilePagesAggregate: int(snap.Counter("cp.metafile_pages_agg")),
-		MetafilePagesVols:      int(snap.Counter("cp.metafile_pages_vols")),
-		DeviceBusy:             time.Duration(snap.Counter("cp.device_busy_ns")),
-		FlushWall:              time.Duration(snap.Counter("cp.flush_wall_ns")),
-		TopAABlocks:            int(snap.Counter("cp.topaa_blocks")),
 	}
 }

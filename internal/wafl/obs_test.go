@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"waflfs/internal/aa"
 	"waflfs/internal/control"
@@ -16,6 +17,38 @@ import (
 	"waflfs/internal/obs/slo"
 	"waflfs/internal/obs/tsdb"
 )
+
+// CountersFromSnapshot reconstructs the cumulative Counters from a registry
+// snapshot. The derived-view equivalence tests assert it equals
+// System.Counters() exactly — the registry and the struct can never drift
+// because both read the same storage.
+func CountersFromSnapshot(snap obs.Snapshot) Counters {
+	return Counters{
+		Ops:           snap.Counter("wafl.ops"),
+		ModOps:        snap.Counter("wafl.mod_ops"),
+		CPs:           snap.Counter("wafl.cps"),
+		CPUTime:       time.Duration(snap.Counter("wafl.cpu_ns")),
+		CacheCPUTime:  time.Duration(snap.Counter("wafl.cache_cpu_ns")),
+		MetafilePages: snap.Counter("wafl.metafile_pages"),
+		TopAABlocks:   snap.Counter("wafl.topaa_blocks"),
+		DeviceBusy:    time.Duration(snap.Counter("wafl.device_busy_ns")),
+		BlocksWritten: snap.Counter("wafl.blocks_written"),
+		BlocksFreed:   snap.Counter("wafl.blocks_freed"),
+	}
+}
+
+// CPStatsFromRegistry reconstructs the cumulative CP totals from the
+// registry — the sum of every CPStats a committed generation returned.
+func CPStatsFromRegistry(reg *obs.Registry) CPStats {
+	snap := reg.Snapshot()
+	return CPStats{
+		MetafilePagesAggregate: int(snap.Counter("cp.metafile_pages_agg")),
+		MetafilePagesVols:      int(snap.Counter("cp.metafile_pages_vols")),
+		DeviceBusy:             time.Duration(snap.Counter("cp.device_busy_ns")),
+		FlushWall:              time.Duration(snap.Counter("cp.flush_wall_ns")),
+		TopAABlocks:            int(snap.Counter("cp.topaa_blocks")),
+	}
+}
 
 // obsRun drives a moderate workload — fill, churn, CPs, delayed frees, a
 // seeded remount, and a fallback remount — with every observability sink

@@ -104,9 +104,6 @@ func (p *Pool) Range() block.Range { return p.space.topo.Space() }
 // Contains reports whether v lies in the pool.
 func (p *Pool) Contains(v block.VBN) bool { return p.Range().Contains(v) }
 
-// Busy returns the cumulative object-store service time.
-func (p *Pool) Busy() time.Duration { return p.busy }
-
 // PoolStats is the pool's lifetime accounting.
 type PoolStats struct {
 	Puts, Gets    uint64

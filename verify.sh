@@ -7,7 +7,7 @@
 # every concurrency-bearing code path still executes under the detector.
 set -eux
 
-fmt=$(gofmt -l cmd internal examples ./*.go)
+fmt=$(gofmt -l cmd internal ./*.go)
 if [ -n "$fmt" ]; then
     echo "gofmt needed on: $fmt" >&2
     exit 1
@@ -26,15 +26,14 @@ fi
 # Structural gate, every per-CP stream is bounded (DESIGN.md §6): the CP
 # event tracer and the per-CP CSV recorder held everything until exit and had
 # no reader, so neither they, their JSON Lines writer and event type, nor the
-# waflbench flags that armed them may come back. (cmd/agesim's -csv-out is
-# fragscan's own report and stays.)
+# waflbench flags that armed them may come back.
 if grep -rn -e 'SysTracer' -e 'NewTracer' -e 'CSVRecorder' -e 'WriteJSONL' -e 'obs\.Event' \
-    -e '"trace-out"' cmd internal examples || grep -rn '"csv-out"' cmd/waflbench; then
+    -e '"trace-out"' cmd internal ./*.go || grep -rn '"csv-out"' cmd/waflbench; then
     echo "the CP event tracer or the per-CP CSV recorder is back (see the matches above)" >&2
     exit 1
 fi
 if grep -rn -e 'pickAASharded' -e 'pickSharded' -e 'heapcache\.Sharded' -e 'hbps\.Sharded' \
-    cmd internal examples ./*.go ./*.md Makefile \
+    cmd internal ./*.go ./*.md Makefile \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
     echo "the second pick path is back (see the matches above)" >&2
     exit 1

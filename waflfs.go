@@ -8,9 +8,7 @@ import (
 	"waflfs/internal/experiments"
 	"waflfs/internal/hbps"
 	"waflfs/internal/heapcache"
-	"waflfs/internal/raid"
 	"waflfs/internal/sim"
-	"waflfs/internal/topaa"
 	"waflfs/internal/wafl"
 	"waflfs/internal/workload"
 )
@@ -20,36 +18,16 @@ type (
 	// System is the client-facing file system: LUN reads/writes buffered
 	// into consistency points over an aggregate of RAID groups.
 	System = wafl.System
-	// Aggregate is the shared physical storage pool hosting FlexVols.
-	Aggregate = wafl.Aggregate
-	// FlexVol is one virtualized volume with its own virtual VBN space.
-	FlexVol = wafl.FlexVol
 	// LUN is a block device exported from a FlexVol.
 	LUN = wafl.LUN
-	// Group is one RAID group runtime (geometry + AA cache + devices).
-	Group = wafl.Group
 	// GroupSpec configures a RAID group.
 	GroupSpec = wafl.GroupSpec
 	// VolSpec configures a FlexVol.
 	VolSpec = wafl.VolSpec
 	// Tunables holds the allocator policy switches.
 	Tunables = wafl.Tunables
-	// Counters are the cumulative measurement counters of a System.
-	Counters = wafl.Counters
-	// CPStats summarizes one consistency point.
-	CPStats = wafl.CPStats
-	// MountStats records the cache-rebuild work of a remount.
-	MountStats = wafl.MountStats
-	// CleanStats summarizes a segment-cleaning pass.
-	CleanStats = wafl.CleanStats
-	// Snapshot is a point-in-time image of one LUN.
-	Snapshot = wafl.Snapshot
-	// Pool is an object-store capacity tier (FabricPool).
-	Pool = wafl.Pool
-	// PoolSpec configures an object-store pool.
+	// PoolSpec configures an object-store pool (FabricPool).
 	PoolSpec = wafl.PoolSpec
-	// PoolStats is the pool's lifetime accounting.
-	PoolStats = wafl.PoolStats
 )
 
 // Typed failures of System operations (see internal/wafl): test with
@@ -63,8 +41,6 @@ var (
 	ErrSnapshotExists = wafl.ErrSnapshotExists
 	// ErrNoSnapshot: DeleteSnapshot or RestoreSnapshot of an unknown name.
 	ErrNoSnapshot = wafl.ErrNoSnapshot
-	// ErrTooManySnapshots: the LUN already holds 65 535 snapshots.
-	ErrTooManySnapshots = wafl.ErrTooManySnapshots
 )
 
 // NewSystem builds a System over a fresh aggregate; seed fixes all
@@ -102,10 +78,6 @@ const (
 	// RAIDAgnosticAABlocks is the default RAID-agnostic AA size (32k
 	// blocks, one bitmap-metafile block).
 	RAIDAgnosticAABlocks = aa.RAIDAgnosticBlocks
-	// DefaultHDDStripes is the historical HDD AA size in stripes.
-	DefaultHDDStripes = aa.DefaultHDDStripes
-	// InvalidVBN is the "no block" sentinel.
-	InvalidVBN = block.InvalidVBN
 )
 
 // Data-structure types, exported for direct library use.
@@ -116,14 +88,8 @@ type (
 	HBPSConfig = hbps.Config
 	// HeapCache is the RAID-aware AA cache: an indexed max-heap (§3.3.1).
 	HeapCache = heapcache.Cache
-	// HeapEntry pairs an AA with its score.
-	HeapEntry = heapcache.Entry
 	// Bitmap is a WAFL-style bitmap metafile.
 	Bitmap = bitmap.Bitmap
-	// RAIDGeometry describes one RAID group's layout.
-	RAIDGeometry = raid.Geometry
-	// TopAAStore simulates the persistent TopAA metafile (§3.4).
-	TopAAStore = topaa.Store
 	// AAID names an allocation area within one VBN space.
 	AAID = aa.ID
 )
@@ -134,9 +100,6 @@ func NewHBPS(cfg HBPSConfig) *HBPS { return hbps.New(cfg) }
 // DefaultHBPSConfig returns the RAID-agnostic AA-cache geometry: 32 bins of
 // 1k over scores up to 32k, with a 1000-entry list — exactly two 4KiB pages.
 func DefaultHBPSConfig() HBPSConfig { return hbps.DefaultConfig() }
-
-// NewHeapCache creates an empty RAID-aware AA cache for numAAs areas.
-func NewHeapCache(numAAs int) *HeapCache { return heapcache.New(numAAs) }
 
 // NewHeapCacheFromScores heapifies a full score table in O(n).
 func NewHeapCacheFromScores(scores []uint64) *HeapCache {
@@ -156,10 +119,6 @@ type (
 	HDD = device.HDD
 	// SMR is the drive-managed shingled-drive model.
 	SMR = device.SMR
-	// HybridFTL is the log+merge flash translation layer.
-	HybridFTL = device.HybridFTL
-	// PageFTL is the fully page-mapped flash translation layer.
-	PageFTL = device.FTL
 )
 
 // NewSSD builds an SSD model.
@@ -187,7 +146,7 @@ type (
 // DefaultHotCold returns the classic 80/20 skewed overwrite mix.
 func DefaultHotCold() HotCold { return workload.DefaultHotCold() }
 
-// Workload helpers re-exported for examples and downstream users.
+// Workload helpers re-exported for the Examples and downstream users.
 var (
 	// RandomOverwrite issues random LUN overwrites (worst-case COW
 	// fragmentation).
@@ -196,8 +155,6 @@ var (
 	SequentialFill = workload.SequentialFill
 	// Age fills and fragments a file system ahead of measurement.
 	Age = workload.Age
-	// FreeRandomFraction punches random holes in a LUN.
-	FreeRandomFraction = workload.FreeRandomFraction
 )
 
 // DefaultOLTP returns a 2:1 read/write 4KiB mix.
@@ -213,18 +170,6 @@ type (
 
 // SolveQueue runs exact MVA for the centers, think time, and client count.
 var SolveQueue = sim.Solve
-
-// Discrete-event simulation of the same closed network (per-op latency
-// distributions; cross-validates the MVA means).
-type (
-	// DESConfig configures one discrete-event simulation run.
-	DESConfig = sim.DESConfig
-	// DESResult summarizes a run (throughput, mean, P50/P95).
-	DESResult = sim.DESResult
-)
-
-// SimulateQueue runs the closed-loop discrete-event model.
-var SimulateQueue = sim.Simulate
 
 // Experiments: the paper's evaluation harness (see internal/experiments).
 type (

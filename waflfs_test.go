@@ -3,7 +3,11 @@ package waflfs
 import (
 	"bytes"
 	"errors"
+	"go/build"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -140,5 +144,48 @@ func TestPublicPoolAndTiering(t *testing.T) {
 	sys.CP()
 	if moved != 5000 || pool.Stats().BlocksTiered != 5000 {
 		t.Fatalf("tiered %d, stats %+v", moved, pool.Stats())
+	}
+}
+
+// TestEveryProgramHasATest walks the module and fails on any package main
+// without a _test.go file: what ships is what is tested. A demonstration
+// belongs in example_test.go as an Example with an Output block. Nested
+// modules (benchmark/) have their own go.mod and are not walked.
+func TestEveryProgramHasATest(t *testing.T) {
+	var programs int
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		pkg, err := build.ImportDir(path, 0)
+		if err != nil {
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
+			}
+			return err
+		}
+		if pkg.Name != "main" {
+			return nil
+		}
+		programs++
+		if len(pkg.TestGoFiles)+len(pkg.XTestGoFiles) == 0 {
+			t.Errorf("%s: package main has no _test.go file", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if programs == 0 {
+		t.Fatal("walked the module and found no package main")
 	}
 }
