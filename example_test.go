@@ -3,7 +3,6 @@ package waflfs_test
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"waflfs"
@@ -449,9 +448,7 @@ func Example_aging() {
 		s.CP()
 		report(step, float64(step)*churnStep)
 	}
-	for _, line := range strings.Split(tb.String(), "\n") {
-		fmt.Println(strings.TrimRight(line, " "))
-	}
+	fmt.Print(tb.String())
 	// Output:
 	// == aging on SSD (fill 55%, 0.25x churn per step) ==
 	// step  churn  longest free run  mean run  free-stripe frac  picked free frac  write amp

@@ -15,8 +15,16 @@
 //     blocks is the explicit goal of RAID-agnostic allocation (§2.5), so the
 //     experiments need this number.
 //
+// The words live in 4KiB pages, one per metafile block, and a page exists
+// only once something is written to it: every untouched page is one shared,
+// read-only zero page, so a thin volume that declares far more space than it
+// writes holds bitmap storage for what it wrote (the memory bound §3.3.2
+// sets for HBPS, applied to the bitmap). Pages are never released.
+//
 // A Bitmap is not safe for concurrent mutation; WAFL serializes bitmap
 // updates within a consistency point, and this library follows that model.
+// Distinct bitmaps may be mutated concurrently: nothing writes the shared
+// zero page.
 package bitmap
 
 import (
@@ -34,12 +42,22 @@ const (
 	wordsPerPage = block.BitsPerBitmapBlock / wordBits
 )
 
+// page is the words of one 4KiB metafile block.
+type page = [wordsPerPage]uint64
+
+// zeroPage stands for every page no write has reached, in every bitmap. It is
+// never written, not even with zeroes.
+var zeroPage page
+
 // Bitmap tracks the allocated/free state of every block in one flat VBN
 // space. Bit value 1 means allocated (in use); 0 means free, matching the
 // convention that a freshly created file system is all zeroes.
 type Bitmap struct {
 	nbits uint64
-	words []uint64
+	// pages holds the words, a metafile page each: &zeroPage until the first
+	// write to the page gives it storage of its own. held counts those.
+	pages []*page
+	held  uint64
 	used  uint64
 
 	// pageUsed counts the allocated blocks of each metafile page, maintained
@@ -64,11 +82,34 @@ type Bitmap struct {
 
 // New creates a bitmap covering n blocks, all free.
 func New(n uint64) *Bitmap {
-	b := &Bitmap{nbits: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
+	b := &Bitmap{nbits: n}
+	b.pages = grownPages(nil, b.Pages())
 	b.pageUsed = make([]uint32, b.Pages())
 	b.dirty = make([]uint64, (b.Pages()+wordBits-1)/wordBits)
 	return b
 }
+
+// grownPages returns ps extended to n pages with untouched ones.
+func grownPages(ps []*page, n uint64) []*page {
+	ps = slices.Grow(ps, int(n)-len(ps))
+	for uint64(len(ps)) < n {
+		ps = append(ps, &zeroPage)
+	}
+	return ps
+}
+
+// own returns page p for writing, giving it storage of its own on the first
+// write.
+func (b *Bitmap) own(p uint64) *page {
+	if b.pages[p] == &zeroPage {
+		b.pages[p] = new(page)
+		b.held++
+	}
+	return b.pages[p]
+}
+
+// word returns bitmap word w.
+func (b *Bitmap) word(w uint64) uint64 { return b.pages[w/wordsPerPage][w%wordsPerPage] }
 
 // Size returns the number of blocks tracked.
 func (b *Bitmap) Size() uint64 { return b.nbits }
@@ -93,7 +134,7 @@ func (b *Bitmap) check(v block.VBN) {
 // Test reports whether block v is allocated.
 func (b *Bitmap) Test(v block.VBN) bool {
 	b.check(v)
-	return b.words[uint64(v)/wordBits]&(1<<(uint64(v)%wordBits)) != 0
+	return b.word(uint64(v)/wordBits)&(1<<(uint64(v)%wordBits)) != 0
 }
 
 func (b *Bitmap) markDirty(page uint64) {
@@ -111,38 +152,36 @@ func (b *Bitmap) markDirty(page uint64) {
 func (b *Bitmap) Set(v block.VBN) bool {
 	b.check(v)
 	w, m := uint64(v)/wordBits, uint64(1)<<(uint64(v)%wordBits)
-	if b.words[w]&m != 0 {
+	if b.word(w)&m != 0 {
 		return false
 	}
-	b.words[w] |= m
-	b.used++
-	b.pageUsed[w/wordsPerPage]++
-	b.markDirty(w / wordsPerPage)
+	b.setWord(w/wordsPerPage, w%wordsPerPage, m)
 	return true
 }
 
 // Clear marks block v free. It returns true if the bit changed.
 func (b *Bitmap) Clear(v block.VBN) bool {
 	b.check(v)
-	w, m := uint64(v)/wordBits, uint64(1)<<(uint64(v)%wordBits)
-	if b.words[w]&m == 0 {
-		return false
+	p, i, m := uint64(v)/block.BitsPerBitmapBlock, uint64(v)/wordBits%wordsPerPage, uint64(1)<<(uint64(v)%wordBits)
+	pg := b.pages[p]
+	if pg[i]&m == 0 {
+		return false // so an untouched page is only read
 	}
-	b.words[w] &^= m
+	pg[i] &^= m
 	b.used--
-	b.pageUsed[w/wordsPerPage]--
-	b.markDirty(w / wordsPerPage)
+	b.pageUsed[p]--
+	b.markDirty(p)
 	return true
 }
 
-// setWord marks the free blocks of mask m in word w allocated: one OR and one
-// count update for the whole word.
-func (b *Bitmap) setWord(w, m uint64) {
-	b.words[w] |= m
+// setWord marks the free blocks of mask m, which is not zero, in word i of
+// page p allocated: one OR and one count update for the whole word.
+func (b *Bitmap) setWord(p, i, m uint64) {
+	b.own(p)[i] |= m
 	n := uint64(bits.OnesCount64(m))
 	b.used += n
-	b.pageUsed[w/wordsPerPage] += uint32(n)
-	b.markDirty(w / wordsPerPage)
+	b.pageUsed[p] += uint32(n)
+	b.markDirty(p)
 }
 
 // SetMask marks block start+i allocated for every bit i of mask, the inverse
@@ -160,14 +199,14 @@ func (b *Bitmap) SetMask(start block.VBN, mask uint64) {
 	if off != 0 {
 		hi = mask >> (wordBits - off)
 	}
-	if b.words[w]&lo != 0 || hi != 0 && b.words[w+1]&hi != 0 {
+	if b.word(w)&lo != 0 || hi != 0 && b.word(w+1)&hi != 0 {
 		panic(fmt.Sprintf("bitmap: SetMask(%d, %#x) over allocated blocks", pos, mask))
 	}
 	if lo != 0 {
-		b.setWord(w, lo)
+		b.setWord(w/wordsPerPage, w%wordsPerPage, lo)
 	}
 	if hi != 0 {
-		b.setWord(w+1, hi)
+		b.setWord((w+1)/wordsPerPage, (w+1)%wordsPerPage, hi)
 	}
 }
 
@@ -183,28 +222,37 @@ func (b *Bitmap) TakeFree(dst []block.VBN, from block.VBN, r block.Range, want i
 	}
 	c := b.clampRange(r)
 	start, end := uint64(max(from, c.Start)), uint64(c.End)
-	for w := start / wordBits; start < end && w <= (end-1)/wordBits; w++ {
-		f := b.freeIn(w, start, end)
-		if f == 0 {
-			continue
-		}
-		n := bits.OnesCount64(f)
-		if n >= want {
-			rest := f // the free blocks past the want-th
-			for range want {
-				rest &= rest - 1
+	if start >= end {
+		return dst, r.End
+	}
+	for w, lastW := start/wordBits, (end-1)/wordBits; w <= lastW; {
+		p, i := w/wordsPerPage, w%wordsPerPage
+		// pg is the page as it was: a take changes only the word it took
+		// from, also when it gives an untouched page storage of its own.
+		pg := b.pages[p]
+		for k := min(wordsPerPage, i+lastW+1-w); i < k; i, w = i+1, w+1 {
+			f := ^pg[i] & wordMask(w*wordBits, start, end)
+			if f == 0 {
+				continue
 			}
-			f &^= rest
-			n = want
-		}
-		b.setWord(w, f)
-		base, last := w*wordBits, uint64(0)
-		for ; f != 0; f &= f - 1 {
-			last = base + uint64(bits.TrailingZeros64(f))
-			dst = append(dst, block.VBN(last))
-		}
-		if want -= n; want == 0 {
-			return dst, block.VBN(last + 1)
+			n := bits.OnesCount64(f)
+			if n >= want {
+				rest := f // the free blocks past the want-th
+				for range want {
+					rest &= rest - 1
+				}
+				f &^= rest
+				n = want
+			}
+			b.setWord(p, i, f)
+			base, last := w*wordBits, uint64(0)
+			for ; f != 0; f &= f - 1 {
+				last = base + uint64(bits.TrailingZeros64(f))
+				dst = append(dst, block.VBN(last))
+			}
+			if want -= n; want == 0 {
+				return dst, block.VBN(last + 1)
+			}
 		}
 	}
 	return dst, r.End
@@ -224,7 +272,9 @@ func (b *Bitmap) ClearRange(r block.Range) uint64 {
 }
 
 // bulk applies one bit value across r word-at-a-time, maintaining the used
-// counts and dirty-page set from the per-word change masks.
+// counts and dirty-page set from the per-word change masks. A word it
+// changes nothing in is not stored to, so a clear over an untouched page
+// leaves it untouched.
 func (b *Bitmap) bulk(r block.Range, set bool) uint64 {
 	r = b.clampRange(r)
 	if r.Len() == 0 {
@@ -232,30 +282,30 @@ func (b *Bitmap) bulk(r block.Range, set bool) uint64 {
 	}
 	start, end := uint64(r.Start), uint64(r.End)
 	var changed uint64
-	for w := start / wordBits; w <= (end-1)/wordBits; w++ {
-		lo, hi := w*wordBits, (w+1)*wordBits
-		mask := ^uint64(0)
-		if start > lo {
-			mask &= maskFrom(start - lo)
-		}
-		if end < hi {
-			mask &= maskUpto(end - lo)
-		}
-		var n uint64
-		if set {
-			n = uint64(bits.OnesCount64(mask &^ b.words[w])) // bits that flip 0->1
-			b.words[w] |= mask
-			b.used += n
-			b.pageUsed[w/wordsPerPage] += uint32(n)
-		} else {
-			n = uint64(bits.OnesCount64(mask & b.words[w])) // bits that flip 1->0
-			b.words[w] &^= mask
-			b.used -= n
-			b.pageUsed[w/wordsPerPage] -= uint32(n)
-		}
-		if n != 0 {
+	for w, last := start/wordBits, (end-1)/wordBits; w <= last; {
+		p, i := w/wordsPerPage, w%wordsPerPage
+		pg := b.pages[p]
+		for k := min(wordsPerPage, i+last+1-w); i < k; i, w = i+1, w+1 {
+			mask := wordMask(w*wordBits, start, end)
+			var n uint64
+			if set {
+				if n = uint64(bits.OnesCount64(mask &^ pg[i])); n == 0 { // bits that flip 0->1
+					continue
+				}
+				pg = b.own(p)
+				pg[i] |= mask
+				b.used += n
+				b.pageUsed[p] += uint32(n)
+			} else {
+				if n = uint64(bits.OnesCount64(mask & pg[i])); n == 0 { // bits that flip 1->0
+					continue
+				}
+				pg[i] &^= mask
+				b.used -= n
+				b.pageUsed[p] -= uint32(n)
+			}
 			changed += n
-			b.markDirty(w / wordsPerPage)
+			b.markDirty(p)
 		}
 	}
 	return changed
@@ -314,14 +364,26 @@ func (b *Bitmap) popcount(start, end uint64) uint64 {
 	firstWord, lastWord := start/wordBits, (end-1)/wordBits
 	if firstWord == lastWord {
 		mask := maskRange(start%wordBits, (end-1)%wordBits+1)
-		return uint64(bits.OnesCount64(b.words[firstWord] & mask))
+		return uint64(bits.OnesCount64(b.word(firstWord) & mask))
 	}
-	n := uint64(bits.OnesCount64(b.words[firstWord] & maskFrom(start%wordBits)))
-	for _, w := range b.words[firstWord+1 : lastWord] {
-		n += uint64(bits.OnesCount64(w))
-	}
-	n += uint64(bits.OnesCount64(b.words[lastWord] & maskUpto((end-1)%wordBits+1)))
+	n := uint64(bits.OnesCount64(b.word(firstWord) & maskFrom(start%wordBits)))
+	n += b.ones(firstWord+1, lastWord)
+	n += uint64(bits.OnesCount64(b.word(lastWord) & maskUpto((end-1)%wordBits+1)))
 	return n
+}
+
+// ones counts the allocated blocks of words [from, to), a page at a time.
+func (b *Bitmap) ones(from, to uint64) uint64 {
+	n := 0
+	for from < to {
+		p, i := from/wordsPerPage, from%wordsPerPage
+		k := min(wordsPerPage, i+to-from)
+		for _, x := range b.pages[p][i:k] {
+			n += bits.OnesCount64(x)
+		}
+		from += k - i
+	}
+	return uint64(n)
 }
 
 // CountFree returns the number of free blocks in r. For an allocation area
@@ -351,13 +413,18 @@ func (b *Bitmap) CountFreeStrided(start block.VBN, run, stride uint64, n int) ui
 			free += b.CountFree(block.R(block.VBN(s+k*stride), block.VBN(s+k*stride+run)))
 		}
 	case (s|run|stride)%wordBits == 0 && s+uint64(n-1)*stride+run <= b.nbits:
-		used, words, step := 0, run/wordBits, stride/wordBits
+		var used uint64
+		words, step := run/wordBits, stride/wordBits
 		for k, w := 0, s/wordBits; k < n; k, w = k+1, w+step {
-			for _, x := range b.words[w : w+words] {
-				used += bits.OnesCount64(x)
+			if i := w % wordsPerPage; i+words <= wordsPerPage {
+				for _, x := range b.pages[w/wordsPerPage][i : i+words] {
+					used += uint64(bits.OnesCount64(x))
+				}
+			} else {
+				used += b.ones(w, w+words)
 			}
 		}
-		free = uint64(n)*run - uint64(used)
+		free = uint64(n)*run - used
 	default:
 		for k := uint64(0); k < uint64(n); k++ {
 			r := b.clampRange(block.R(block.VBN(s+k*stride), block.VBN(s+k*stride+run)))
@@ -381,6 +448,19 @@ func maskUpto(upto uint64) uint64 {
 // maskRange returns a word mask with bits [from, upto) set.
 func maskRange(from, upto uint64) uint64 { return maskFrom(from) & maskUpto(upto) }
 
+// wordMask returns a mask of the blocks of [start, end) in the word whose
+// first block is lo, which lies below end.
+func wordMask(lo, start, end uint64) uint64 {
+	m := ^uint64(0)
+	if start > lo {
+		m = maskFrom(start - lo)
+	}
+	if end-lo < wordBits {
+		m &= maskUpto(end - lo)
+	}
+	return m
+}
+
 // NextFree returns the first free block at or after v within r, or
 // (InvalidVBN, false) if none exists. The scan is word-at-a-time.
 func (b *Bitmap) NextFree(v block.VBN, r block.Range) (block.VBN, bool) {
@@ -400,39 +480,26 @@ func (b *Bitmap) scan(v block.VBN, r block.Range, wantSet bool) (block.VBN, bool
 	if v >= r.End {
 		return block.InvalidVBN, false
 	}
-	pos, end := uint64(v), uint64(r.End)
-	for pos < end {
-		w := b.words[pos/wordBits]
-		if !wantSet {
-			w = ^w
-		}
-		w &= maskFrom(pos % wordBits)
-		if rem := end - (pos / wordBits * wordBits); rem < wordBits {
-			w &= maskUpto(rem)
-		}
-		if w != 0 {
-			bit := uint64(bits.TrailingZeros64(w))
-			found := pos/wordBits*wordBits + bit
-			if found < end {
-				return block.VBN(found), true
+	flip := ^uint64(0) // a free block reads as a one
+	if wantSet {
+		flip = 0
+	}
+	start, end := uint64(v), uint64(r.End)
+	mask := maskFrom(start % wordBits)
+	for w, last := start/wordBits, (end-1)/wordBits; w <= last; {
+		i := w % wordsPerPage
+		for _, x := range b.pages[w/wordsPerPage][i:min(wordsPerPage, i+last+1-w)] {
+			if x = (x ^ flip) & mask; x != 0 {
+				if found := w*wordBits + uint64(bits.TrailingZeros64(x)); found < end {
+					return block.VBN(found), true
+				}
+				return block.InvalidVBN, false
 			}
-			return block.InvalidVBN, false
+			mask = ^uint64(0)
+			w++
 		}
-		pos = (pos/wordBits + 1) * wordBits
 	}
 	return block.InvalidVBN, false
-}
-
-// freeIn returns word w with a one for every free block of [start, end).
-func (b *Bitmap) freeIn(w, start, end uint64) uint64 {
-	f, lo := ^b.words[w], w*wordBits
-	if start > lo {
-		f &= maskFrom(start - lo)
-	}
-	if end-lo < wordBits {
-		f &= maskUpto(end - lo)
-	}
-	return f
 }
 
 // ForEachFreeRun calls fn for each maximal run of contiguous free blocks
@@ -446,29 +513,34 @@ func (b *Bitmap) ForEachFreeRun(r block.Range, fn func(run block.Range) bool) {
 	}
 	start, end := uint64(r.Start), uint64(r.End)
 	open, from := false, uint64(0) // a run that began at from reaches this word
-	for w := start / wordBits; w <= (end-1)/wordBits; w++ {
-		f, base := b.freeIn(w, start, end), w*wordBits
-		if open {
-			n := uint64(bits.TrailingZeros64(^f))
-			if n == wordBits {
-				continue
+	for w, last := start/wordBits, (end-1)/wordBits; w <= last; {
+		i := w % wordsPerPage
+		for _, x := range b.pages[w/wordsPerPage][i:min(wordsPerPage, i+last+1-w)] {
+			base := w * wordBits
+			f := ^x & wordMask(base, start, end)
+			w++
+			if open {
+				n := uint64(bits.TrailingZeros64(^f))
+				if n == wordBits {
+					continue
+				}
+				if !fn(block.Range{Start: block.VBN(from), End: block.VBN(base + n)}) {
+					return
+				}
+				open, f = false, f&^maskUpto(n)
 			}
-			if !fn(block.Range{Start: block.VBN(from), End: block.VBN(base + n)}) {
-				return
+			for f != 0 {
+				s := uint64(bits.TrailingZeros64(f))
+				n := uint64(bits.TrailingZeros64(^(f >> s)))
+				if s+n == wordBits {
+					open, from = true, base+s
+					break
+				}
+				if !fn(block.Range{Start: block.VBN(base + s), End: block.VBN(base + s + n)}) {
+					return
+				}
+				f &^= maskUpto(n) << s
 			}
-			open, f = false, f&^maskUpto(n)
-		}
-		for f != 0 {
-			s := uint64(bits.TrailingZeros64(f))
-			n := uint64(bits.TrailingZeros64(^(f >> s)))
-			if s+n == wordBits {
-				open, from = true, base+s
-				break
-			}
-			if !fn(block.Range{Start: block.VBN(base + s), End: block.VBN(base + s + n)}) {
-				return
-			}
-			f &^= maskUpto(n) << s
 		}
 	}
 	if open {
@@ -535,19 +607,23 @@ func (b *Bitmap) FreeRunHist(r block.Range, h *RunHist) {
 	}
 	start, end := uint64(r.Start), uint64(r.End)
 	var open uint64 // length so far of the run that reaches this word
-	for w := start / wordBits; w <= (end-1)/wordBits; w++ {
-		f := b.freeIn(w, start, end)
-		if f == ^uint64(0) {
-			open += wordBits
-			continue
-		}
-		if lead := uint64(bits.TrailingZeros64(^f)); open+lead != 0 {
-			h.add(open + lead)
-			f &^= maskUpto(lead)
-		}
-		open = uint64(bits.LeadingZeros64(^f))
-		if f &^= maskFrom(wordBits - open); f != 0 {
-			h.addWord(f)
+	for w, last := start/wordBits, (end-1)/wordBits; w <= last; {
+		i := w % wordsPerPage
+		for _, x := range b.pages[w/wordsPerPage][i:min(wordsPerPage, i+last+1-w)] {
+			f := ^x & wordMask(w*wordBits, start, end)
+			w++
+			if f == ^uint64(0) {
+				open += wordBits
+				continue
+			}
+			if lead := uint64(bits.TrailingZeros64(^f)); open+lead != 0 {
+				h.add(open + lead)
+				f &^= maskUpto(lead)
+			}
+			open = uint64(bits.LeadingZeros64(^f))
+			if f &^= maskFrom(wordBits - open); f != 0 {
+				h.addWord(f)
+			}
 		}
 	}
 	if open != 0 {
@@ -591,9 +667,9 @@ func (b *Bitmap) FreeWord(start block.VBN, n uint) uint64 {
 		return 0
 	}
 	off := pos % wordBits
-	w := ^b.words[pos/wordBits] >> off
-	if off != 0 && pos/wordBits+1 < uint64(len(b.words)) {
-		w |= ^b.words[pos/wordBits+1] << (wordBits - off)
+	w := ^b.word(pos/wordBits) >> off
+	if next := pos/wordBits + 1; off != 0 && next*wordBits < b.nbits {
+		w |= ^b.word(next) << (wordBits - off)
 	}
 	valid := uint64(n)
 	if pos+valid > b.nbits {
@@ -650,11 +726,12 @@ type Stats struct {
 	PagesDirtied uint64 // pages marked dirty over the bitmap's lifetime
 	PagesFlushed uint64 // pages written back by Flush
 	PageReads    uint64 // pages read by charged scans
+	PagesHeld    uint64 // pages with storage of their own: written at least once
 }
 
 // Stats returns the lifetime counters.
 func (b *Bitmap) Stats() Stats {
-	return Stats{PagesDirtied: b.totalDirtied, PagesFlushed: b.totalFlushed, PageReads: b.totalReads.Load()}
+	return Stats{PagesDirtied: b.totalDirtied, PagesFlushed: b.totalFlushed, PageReads: b.totalReads.Load(), PagesHeld: b.held}
 }
 
 // Grow extends the bitmap to track n blocks (n must not shrink it). The new
@@ -670,7 +747,7 @@ func (b *Bitmap) Grow(n uint64) {
 	}
 	oldPages := b.Pages()
 	b.nbits = n
-	b.words = grown(b.words, (n+wordBits-1)/wordBits)
+	b.pages = grownPages(b.pages, b.Pages())
 	b.pageUsed = grown(b.pageUsed, b.Pages())
 	b.dirty = grown(b.dirty, (b.Pages()+wordBits-1)/wordBits)
 	for p := oldPages; p < b.Pages(); p++ {
@@ -689,13 +766,23 @@ func grown[T any](s []T, n uint64) []T {
 // Clone returns a deep copy of the bitmap including dirty state. It exists
 // so experiments can snapshot an aged file system and replay different
 // policies against identical fragmentation.
+// The copy's held pages share one allocation.
 func (b *Bitmap) Clone() *Bitmap {
-	return &Bitmap{
+	c := &Bitmap{
 		nbits:    b.nbits,
-		words:    slices.Clone(b.words),
+		pages:    slices.Clone(b.pages),
+		held:     b.held,
 		used:     b.used,
 		pageUsed: slices.Clone(b.pageUsed),
 		dirty:    slices.Clone(b.dirty),
 		ndirty:   b.ndirty,
 	}
+	slab := make([]page, b.held)
+	for p, pg := range c.pages {
+		if pg != &zeroPage {
+			slab[0] = *pg
+			c.pages[p], slab = &slab[0], slab[1:]
+		}
+	}
+	return c
 }

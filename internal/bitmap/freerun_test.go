@@ -77,21 +77,54 @@ func (t *tape) next() uint64 {
 	return uint64(b)
 }
 
+// sparseBitmap draws a bitmap of 3 to 10 metafile pages, its last one
+// ragged, written on the pages a 16-bit mask selects and untouched on the
+// rest: the first and last pages are always written and the second never, so
+// untouched pages sit between written ones. A written page gets used runs of
+// 1 to 8 blocks with free gaps of up to gap blocks.
+func sparseBitmap(tp *tape) *bitmap.Bitmap {
+	pages := 3 + tp.next()%8
+	size := pages*block.BitsPerBitmapBlock - tp.next()<<7
+	mask := (tp.next()<<8 | tp.next() | 1 | 1<<(pages-1)) &^ 2
+	gap := 1 + tp.next()<<2
+	rng := rand.New(rand.NewSource(int64(tp.next())))
+	b := bitmap.New(size)
+	for p := uint64(0); p < pages; p++ {
+		if mask>>p&1 == 0 {
+			continue
+		}
+		end := min((p+1)*block.BitsPerBitmapBlock, size)
+		for v := p * block.BitsPerBitmapBlock; v < end; {
+			v += uint64(rng.Intn(int(gap)))
+			n := 1 + uint64(rng.Intn(8))
+			b.SetRange(block.R(block.VBN(v), block.VBN(min(v+n, end))))
+			v += n
+		}
+	}
+	return b
+}
+
 // FuzzFreeRuns: for any bitmap size, fill pattern and range — unaligned, empty
 // or running past the bitmap — the word-walking ForEachFreeRun, FreeRunHist
 // and a block-by-block Test loop agree on every run and on every RunHist
 // field, the NextFree/NextUsed walker too, and fn returning false stops the
-// walk.
+// walk. Pattern 7 is a sparseBitmap, with ranges over its first four pages.
 func FuzzFreeRuns(f *testing.F) {
 	for pattern := byte(0); pattern < 7; pattern++ {
 		f.Add([]byte{pattern, 3, 200, 0, 5, 1, 90, 7, 7, 7, 7})
 		f.Add([]byte{pattern, 255, 255, 0, 63, 255, 255, 130, 9, 250, 3})
 	}
+	f.Add([]byte{7, 0, 9, 0, 5, 3, 2, 0, 0, 255, 255, 255, 7})      // three pages, across the untouched one
+	f.Add([]byte{7, 7, 40, 255, 250, 200, 4, 128, 0, 250, 0, 9, 9}) // ten pages, a ragged last one
 	f.Add([]byte{0, 0, 64, 0, 0, 0, 64})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tp := tape(data)
-		pattern := tp.next() % 7
+		pattern := tp.next() % 8
+		if pattern == 7 {
+			checkFreeRuns(t, sparseBitmap(&tp), pattern, &tp)
+			return
+		}
 		// Up to 65790 blocks: past two metafile pages, most sizes multiples of
 		// neither 64 nor 32768.
 		size := 1 + tp.next()<<8 + tp.next() + tp.next()
@@ -128,59 +161,65 @@ func FuzzFreeRuns(f *testing.F) {
 				b.Set(block.VBN(v))
 			}
 		}
-		start := (tp.next()<<8 + tp.next()) % (size + 1)
-		r := block.R(block.VBN(start), block.VBN(start+tp.next()<<8+tp.next()+tp.next()))
-
-		want := bitRuns(b, r)
-		var got []block.Range
-		b.ForEachFreeRun(r, func(run block.Range) bool {
-			got = append(got, run)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("pattern %d size %d range %v: %d runs, want %d", pattern, size, r, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pattern %d size %d range %v: run %d = %v, want %v", pattern, size, r, i, got[i], want[i])
-			}
-		}
-		i := 0
-		refForEachFreeRun(b, r, func(run block.Range) bool {
-			if i >= len(want) || run != want[i] {
-				t.Fatalf("pattern %d size %d range %v: reference run %d = %v", pattern, size, r, i, run)
-			}
-			i++
-			return true
-		})
-		if i != len(want) {
-			t.Fatalf("pattern %d size %d range %v: reference made %d runs, want %d", pattern, size, r, i, len(want))
-		}
-		var whole bitmap.RunHist
-		b.FreeRunHist(r, &whole)
-		if wantH := histOf(want); whole != wantH {
-			t.Fatalf("pattern %d size %d range %v:\n got %+v\nwant %+v", pattern, size, r, whole, wantH)
-		}
-		// A RunHist accumulates: start from a nonzero one.
-		h := histOf(want[:len(want)/2])
-		split := want[len(want)/2:]
-		if len(split) > 0 {
-			b.FreeRunHist(block.Range{Start: split[0].Start, End: r.End}, &h)
-		}
-		if h != whole {
-			t.Fatalf("pattern %d size %d range %v: in two parts\n got %+v\nwant %+v", pattern, size, r, h, whole)
-		}
-		if got := b.LongestFreeRun(r); got != whole.Longest {
-			t.Fatalf("pattern %d size %d range %v: LongestFreeRun %d", pattern, size, r, got)
-		}
-		if len(want) > 1 {
-			stopAt, calls := int(tp.next())%(len(want)-1)+1, 0
-			b.ForEachFreeRun(r, func(block.Range) bool { calls++; return calls < stopAt })
-			if calls != stopAt {
-				t.Fatalf("pattern %d size %d range %v: fn said stop at call %d, walk made %d", pattern, size, r, stopAt, calls)
-			}
-		}
+		checkFreeRuns(t, b, pattern, &tp)
 	})
+}
+
+// checkFreeRuns is FuzzFreeRuns' check of one bitmap, over a range the tape
+// draws.
+func checkFreeRuns(t *testing.T, b *bitmap.Bitmap, pattern uint64, tp *tape) {
+	size := b.Size()
+	start := (tp.next()<<8 + tp.next()) % (size + 1)
+	r := block.R(block.VBN(start), block.VBN(start+tp.next()<<8+tp.next()+tp.next()))
+	want := bitRuns(b, r)
+	var got []block.Range
+	b.ForEachFreeRun(r, func(run block.Range) bool {
+		got = append(got, run)
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("pattern %d size %d range %v: %d runs, want %d", pattern, size, r, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pattern %d size %d range %v: run %d = %v, want %v", pattern, size, r, i, got[i], want[i])
+		}
+	}
+	i := 0
+	refForEachFreeRun(b, r, func(run block.Range) bool {
+		if i >= len(want) || run != want[i] {
+			t.Fatalf("pattern %d size %d range %v: reference run %d = %v", pattern, size, r, i, run)
+		}
+		i++
+		return true
+	})
+	if i != len(want) {
+		t.Fatalf("pattern %d size %d range %v: reference made %d runs, want %d", pattern, size, r, i, len(want))
+	}
+	var whole bitmap.RunHist
+	b.FreeRunHist(r, &whole)
+	if wantH := histOf(want); whole != wantH {
+		t.Fatalf("pattern %d size %d range %v:\n got %+v\nwant %+v", pattern, size, r, whole, wantH)
+	}
+	// A RunHist accumulates: start from a nonzero one.
+	h := histOf(want[:len(want)/2])
+	split := want[len(want)/2:]
+	if len(split) > 0 {
+		b.FreeRunHist(block.Range{Start: split[0].Start, End: r.End}, &h)
+	}
+	if h != whole {
+		t.Fatalf("pattern %d size %d range %v: in two parts\n got %+v\nwant %+v", pattern, size, r, h, whole)
+	}
+	if got := b.LongestFreeRun(r); got != whole.Longest {
+		t.Fatalf("pattern %d size %d range %v: LongestFreeRun %d", pattern, size, r, got)
+	}
+	if len(want) > 1 {
+		stopAt, calls := int(tp.next())%(len(want)-1)+1, 0
+		b.ForEachFreeRun(r, func(block.Range) bool { calls++; return calls < stopAt })
+		if calls != stopAt {
+			t.Fatalf("pattern %d size %d range %v: fn said stop at call %d, walk made %d", pattern, size, r, stopAt, calls)
+		}
+	}
 }
 
 // agedBitmap is ssd_overwrite's aggregate at an eighth of its size, filled and

@@ -22,10 +22,12 @@ func stridedRef(b *bitmap.Bitmap, start block.VBN, run, stride uint64, n int) ui
 // FuzzCountFreeStrided: for any bitmap size, fill pattern, start, run length,
 // stride and run count — word-aligned or not, runs crossing metafile pages or
 // holding whole ones, runs reaching past the bitmap's end — the strided count
-// equals the sum of the per-run CountFree calls it replaces.
+// equals the sum of the per-run CountFree calls it replaces. Pattern 5 is a
+// sparseBitmap, whose untouched pages the runs cross.
 func FuzzCountFreeStrided(f *testing.F) {
 	// The tape: pattern, aligned, size (2), fill seed, fill parameter, start
-	// (2), run (3), stride (3), n.
+	// (2), run (3), stride (3), n; for pattern 5, sparseBitmap's bytes in
+	// place of size.
 	for pattern := byte(0); pattern < 5; pattern++ {
 		f.Add([]byte{pattern, 1, 100, 0, 9, 128, 0, 70, 1, 7, 0, 16, 9, 0, 6})    // word-aligned runs
 		f.Add([]byte{pattern, 0, 100, 0, 9, 128, 0, 37, 100, 0, 0, 200, 5, 3, 5}) // mid-word starts
@@ -33,15 +35,22 @@ func FuzzCountFreeStrided(f *testing.F) {
 		f.Add([]byte{pattern, 0, 10, 0, 9, 128, 9, 0, 200, 4, 0, 255, 3, 0, 19})  // past the end
 		f.Add([]byte{pattern, 1, 10, 0, 9, 128, 9, 0, 200, 4, 0, 255, 3, 0, 19})  // aligned, past the end
 	}
+	f.Add([]byte{5, 1, 0, 0, 0, 5, 9, 3, 0, 0, 0, 0, 128, 8, 0, 128, 8, 0, 3})    // three pages, one run each
+	f.Add([]byte{5, 0, 7, 30, 1, 200, 9, 3, 9, 9, 1, 9, 200, 0, 3, 150, 9, 1, 4}) // ten pages, strided across them
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tp := tape(data)
-		pattern := tp.next() % 5
+		pattern := tp.next() % 6
 		aligned := tp.next()%2 == 1
-		// Up to 130816 blocks: four metafile pages, most sizes multiples of
-		// neither 64 nor 32768.
-		size := 1 + tp.next()<<9 + tp.next()
-		b := bitmap.New(size)
+		var b *bitmap.Bitmap
+		if pattern == 5 {
+			b = sparseBitmap(&tp)
+		} else {
+			// Up to 130816 blocks: four metafile pages, most sizes multiples
+			// of neither 64 nor 32768.
+			b = bitmap.New(1 + tp.next()<<9 + tp.next())
+		}
+		size := b.Size()
 		rng := rand.New(rand.NewSource(int64(tp.next())))
 		param := tp.next()
 		switch pattern {

@@ -77,11 +77,13 @@ func ageBy(b *bitmap.Bitmap, pattern, param uint64, rng *rand.Rand) {
 // ranges crossing metafile pages or reaching past the end, with want 0 or
 // more than the range holds. SetMask sets what per-bit Set sets, a mask
 // straddling two words or two pages included, and when a bit it names is
-// allocated or past the end it panics and changes nothing.
+// allocated or past the end it panics and changes nothing. Pattern 5 is a
+// sparseBitmap, whose untouched pages a take gives storage.
 func FuzzTakeFree(f *testing.F) {
 	// The tape: pattern, size (2), fill parameter, fill seed, from (3), range
 	// start (3), range length (2), want (2), mask seed, mask mode, mask start
-	// (3). A position is a<<9 + b<<1 + c&1.
+	// (3); for pattern 5, sparseBitmap's bytes in place of size, fill
+	// parameter and seed. A position is a<<9 + b<<1 + c&1.
 	for pattern := byte(0); pattern < 5; pattern++ {
 		f.Add([]byte{pattern, 100, 0, 128, 9, 0, 18, 1, 0, 15, 0, 1, 0, 9, 2, 7, 0, 0, 25, 1})              // mid-word start
 		f.Add([]byte{pattern, 255, 255, 100, 9, 127, 250, 0, 127, 240, 0, 2, 0, 255, 3, 3, 1, 127, 251, 0}) // across a page
@@ -89,16 +91,24 @@ func FuzzTakeFree(f *testing.F) {
 		f.Add([]byte{pattern, 10, 0, 128, 9, 9, 0, 0, 9, 0, 0, 255, 255, 255, 0, 4, 1, 9, 250, 1})          // past the end
 		f.Add([]byte{pattern, 10, 0, 128, 9, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 4, 0})                          // want 0
 	}
+	f.Add([]byte{5, 0, 0, 0, 0, 9, 9, 60, 0, 0, 60, 0, 0, 250, 0, 255, 8, 5, 2, 100, 0, 0})  // three pages, taken into the untouched one
+	f.Add([]byte{5, 5, 9, 1, 2, 1, 3, 127, 250, 0, 127, 250, 0, 9, 0, 99, 4, 9, 0, 0, 9, 1}) // eight pages, a take crossing pages
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tp := tape(data)
-		pattern := tp.next() % 5
-		// Up to 130816 blocks: four metafile pages, most sizes multiples of
-		// neither 64 nor 32768.
-		size := 1 + tp.next()<<9 + tp.next()
+		pattern := tp.next() % 6
+		var src *bitmap.Bitmap
+		if pattern == 5 {
+			src = sparseBitmap(&tp)
+			src.Flush()
+		} else {
+			// Up to 130816 blocks: four metafile pages, most sizes multiples
+			// of neither 64 nor 32768.
+			src = bitmap.New(1 + tp.next()<<9 + tp.next())
+			ageBy(src, pattern, tp.next(), rand.New(rand.NewSource(int64(tp.next()))))
+		}
+		size := src.Size()
 		pos := func(mod uint64) uint64 { return (tp.next()<<9 + tp.next()<<1 + tp.next()&1) % mod }
-		src := bitmap.New(size)
-		ageBy(src, pattern, tp.next(), rand.New(rand.NewSource(int64(tp.next()))))
 		from := block.VBN(pos(size + 100))
 		rs := pos(size + 100)
 		r := block.R(block.VBN(rs), block.VBN(rs+tp.next()<<8+tp.next()))

@@ -127,12 +127,34 @@ func TestHBPSOpsMatchReference(t *testing.T) {
 	}
 }
 
+// fuzzTape is the tape FuzzHBPSOps runs: n random bytes (at most 1024) from
+// seed with data laid over them from byte at, lengthening the tape where data
+// reaches further. Any tape is one (data, n 0), and a long tape is a few
+// bytes of input: the fuzzer minimizes an input that finds new coverage by a
+// pass quadratic in data's length, and here a shifted or dropped byte
+// changes every op after it, so nearly every candidate fails and the pass
+// ran past the end of a smoke.
+func fuzzTape(data []byte, at, n uint16, seed int64) []byte {
+	n = min(n, 1024)
+	tape := make([]byte, max(int(n), int(at)+len(data)))
+	rand.New(rand.NewSource(seed)).Read(tape[:n])
+	copy(tape[at:], data)
+	return tape
+}
+
 // FuzzHBPSOps is the same check under the fuzzer. The seeds reach each
 // operation, a list overflowing its capacity, and a replenish and a reload
 // of a structure with evictions behind it.
 func FuzzHBPSOps(f *testing.F) {
-	f.Add([]byte{0, 1, 63, 0, 1, 10, 3, 1, 0, 5, 2, 0, 4, 5, 3})
-	f.Add([]byte{0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 4, 64, 4, 3, 5, 3, 3})
-	f.Add([]byte{0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 61, 1, 2, 7, 5, 4, 2, 0, 3})
-	f.Fuzz(runOpsAgainstReference)
+	for _, tape := range [][]byte{
+		{0, 1, 63, 0, 1, 10, 3, 1, 0, 5, 2, 0, 4, 5, 3},
+		{0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 0, 8, 0, 4, 64, 4, 3, 5, 3, 3},
+		{0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 60, 0, 4, 61, 1, 2, 7, 5, 4, 2, 0, 3},
+	} {
+		f.Add(tape, uint16(0), uint16(0), int64(0))
+	}
+	f.Add([]byte{}, uint16(0), uint16(1024), int64(1)) // a long random tape
+	f.Fuzz(func(t *testing.T, data []byte, at, n uint16, seed int64) {
+		runOpsAgainstReference(t, fuzzTape(data, at, n, seed))
+	})
 }

@@ -733,6 +733,21 @@ func accumulate(tb *TetrisBuilder, g Geometry, vbns []block.VBN, rng *rand.Rand)
 	return out, ""
 }
 
+// fuzzTape is the tape FuzzTetrisBuild runs: n random bytes (at most 1024) from
+// seed with data laid over them from byte at, lengthening the tape where data
+// reaches further. Any tape is one (data, n 0), and a long tape is a few
+// bytes of input: the fuzzer minimizes an input that finds new coverage by a
+// pass quadratic in data's length, and here a shifted or dropped byte
+// changes every run after it and the hash that seeds the accumulate path, so
+// nearly every candidate fails and the pass ran past the end of a smoke.
+func fuzzTape(data []byte, at, n uint16, seed int64) []byte {
+	n = min(n, 1024)
+	tape := make([]byte, max(int(n), int(at)+len(data)))
+	rand.New(rand.NewSource(seed)).Read(tape[:n])
+	copy(tape[at:], data)
+	return tape
+}
+
 // FuzzTetrisBuild: for any geometry — one data device, more than a word of
 // them, a ragged last tetris — and a write list in allocator order, shuffled
 // or holding a duplicate, the bit-matrix builder returns exactly what the
@@ -742,13 +757,19 @@ func accumulate(tb *TetrisBuilder, g Geometry, vbns []block.VBN, rng *rand.Rand)
 // accumulate path — AddMask windows from any stripe with padding blocks
 // Removed again, then Take — on a fresh builder and on that reused one.
 func FuzzTetrisBuild(f *testing.F) {
-	f.Add([]byte{3, 1, 0, 200, 5, 0, 0, 10, 63, 0, 0, 40, 20, 3})
-	f.Add([]byte{0, 0, 1, 44, 0, 1, 2, 0, 63, 0, 1, 5, 9, 2, 0, 0, 7})          // D=1, shuffled
-	f.Add([]byte{6, 2, 0, 130, 1, 2, 1, 3, 30, 0, 1, 50, 30, 5, 0, 2, 9})       // D=65, duplicate inside a run
-	f.Add([]byte{7, 1, 19, 135, 9, 3, 2, 60, 63, 4, 0, 0, 5, 0, 2, 0, 5, 7, 1}) // D=100, duplicate across runs
+	for _, tape := range [][]byte{
+		{3, 1, 0, 200, 5, 0, 0, 10, 63, 0, 0, 40, 20, 3},
+		{0, 0, 1, 44, 0, 1, 2, 0, 63, 0, 1, 5, 9, 2, 0, 0, 7},          // D=1, shuffled
+		{6, 2, 0, 130, 1, 2, 1, 3, 30, 0, 1, 50, 30, 5, 0, 2, 9},       // D=65, duplicate inside a run
+		{7, 1, 19, 135, 9, 3, 2, 60, 63, 4, 0, 0, 5, 0, 2, 0, 5, 7, 1}, // D=100, duplicate across runs
+	} {
+		f.Add(tape, uint16(0), uint16(0), int64(0))
+	}
+	f.Add([]byte{5, 0, 0, 90, 0, 2}, uint16(0), uint16(512), int64(1)) // D=64, a hundred random runs
 	warmGeo := testGeo()
 	warm := randomWrites(warmGeo, rand.New(rand.NewSource(5)), 500)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, raw []byte, at, n uint16, seed int64) {
+		data := fuzzTape(raw, at, n, seed)
 		g, vbns := tapeWrites(data)
 		want, wantPanic := buildOutcome(new(sortBuilder).Build, g, vbns)
 		got, gotPanic := buildOutcome(BuildTetrises, g, vbns)
@@ -762,11 +783,11 @@ func FuzzTetrisBuild(f *testing.F) {
 		if gotPanic != wantPanic || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v, %d blocks: reused builder (panic %q) differs from the sort reference (panic %q)", g, len(vbns), gotPanic, wantPanic)
 		}
-		seed := int64(len(data))
+		hash := int64(len(data))
 		for _, b := range data {
-			seed = seed*31 + int64(b)
+			hash = hash*31 + int64(b)
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(rand.NewSource(hash))
 		for _, acc := range []struct {
 			name string
 			tb   *TetrisBuilder

@@ -1,6 +1,7 @@
 package shardq_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"waflfs/internal/aa"
@@ -179,6 +180,21 @@ func listRig() rig {
 	}
 }
 
+// fuzzTape is the tape FuzzQueueOps runs: n random bytes (at most 1024) from
+// seed with data laid over them from byte at, lengthening the tape where data
+// reaches further. Any tape is one (data, n 0), and a long tape is a few
+// bytes of input: the fuzzer minimizes an input that finds new coverage by a
+// pass quadratic in data's length, and here a shifted or dropped byte
+// changes every op after it, so nearly every candidate fails and the pass
+// ran past the end of a smoke.
+func fuzzTape(data []byte, at, n uint16, seed int64) []byte {
+	n = min(n, 1024)
+	tape := make([]byte, max(int(n), int(at)+len(data)))
+	rand.New(rand.NewSource(seed)).Read(tape[:n])
+	copy(tape[at:], data)
+	return tape
+}
+
 // FuzzQueueOps drives one arbitrary op tape over a staging queue on a heap
 // and on an HBPS: track/update/untrack mutations between picks (including
 // bin-migrating updates that re-list held HBPS IDs), direct pops off the
@@ -188,12 +204,19 @@ func listRig() rig {
 // hold (the queue's own CheckInvariants), held heap entries are never
 // tracked, and the HBPS's tracked set is preserved.
 func FuzzQueueOps(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 20, 0, 30, 4, 0, 4, 1, 1, 5, 5, 0, 3, 0})
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 4, 0, 4, 1, 4, 2, 5, 2, 2, 1})
-	f.Add([]byte{0, 63, 1, 62, 4, 0, 6, 0, 1, 2, 5, 1, 4, 2})
-	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 9, 0, 4, 0, 7, 0, 8, 5, 6, 1, 4, 1, 10, 2, 0, 1, 4, 2})
-	f.Add([]byte{0, 7, 0, 8, 0, 9, 9, 0, 8, 0, 4, 0, 4, 0, 4, 0, 10, 1, 7, 0, 9, 0, 3, 0})
-	f.Fuzz(func(t *testing.T, tape []byte) {
+	for _, tape := range [][]byte{
+		{0, 10, 0, 20, 0, 30, 4, 0, 4, 1, 1, 5, 5, 0, 3, 0},
+		{0, 0, 0, 1, 0, 2, 0, 3, 4, 0, 4, 1, 4, 2, 5, 2, 2, 1},
+		{0, 63, 1, 62, 4, 0, 6, 0, 1, 2, 5, 1, 4, 2},
+		{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 9, 0, 4, 0, 7, 0, 8, 5, 6, 1, 4, 1, 10, 2, 0, 1, 4, 2},
+		{0, 7, 0, 8, 0, 9, 9, 0, 8, 0, 4, 0, 4, 0, 4, 0, 10, 1, 7, 0, 9, 0, 3, 0},
+	} {
+		f.Add(tape, uint16(0), uint16(0), int64(0))
+	}
+	f.Add([]byte{}, uint16(0), uint16(600), int64(1))       // 300 random ops
+	f.Add([]byte{4, 0}, uint16(400), uint16(800), int64(2)) // a pick amid 400 random ops
+	f.Fuzz(func(t *testing.T, data []byte, at, n uint16, seed int64) {
+		tape := fuzzTape(data, at, n, seed)
 		for name, r := range map[string]rig{"heap": heapRig(), "hbps": listRig()} {
 			for i := 0; i+1 < len(tape); i += 2 {
 				op, arg := tape[i]%11, tape[i+1]

@@ -138,7 +138,9 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.Rows = append(t.Rows, row)
 }
 
-// String renders the table.
+// String renders the table: columns left-justified to their widest cell, two
+// spaces apart, and no line ending in a space, because the last cell of a
+// row is not padded.
 func (t *Table) String() string {
 	var b strings.Builder
 	if t.Title != "" {
@@ -160,7 +162,11 @@ func (t *Table) String() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			if i == len(cells)-1 {
+				b.WriteString(cell)
+			} else {
+				fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			}
 		}
 		b.WriteByte('\n')
 	}

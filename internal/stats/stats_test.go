@@ -104,6 +104,24 @@ func TestTable(t *testing.T) {
 	}
 }
 
+// No rendered line ends in a space: the last column, whose header or cells
+// are wider than some of its cells, is not padded.
+func TestTableNoTrailingSpace(t *testing.T) {
+	tb := Table{Title: "t", Columns: []string{"step", "write amp"}}
+	tb.AddRow(0, 1.0)
+	tb.AddRow("a much wider first cell", "x")
+	tb.AddRow(1)
+	out := tb.String()
+	for i, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, " ") {
+			t.Fatalf("line %d ends in a space: %q\n%s", i, line, out)
+		}
+	}
+	if want := "\n0                        1\n"; !strings.Contains(out, want) {
+		t.Fatalf("the last column is not aligned after a padded one:\n%s", out)
+	}
+}
+
 func TestRatios(t *testing.T) {
 	if Ratio(10, 4) != 2.5 || Ratio(1, 0) != 0 {
 		t.Fatal("Ratio wrong")

@@ -94,6 +94,11 @@ func NewAggregate(specs []GroupSpec, tun Tunables, seed int64) *Aggregate {
 	if len(specs) == 0 {
 		panic("wafl: aggregate needs at least one RAID group")
 	}
+	var blocks uint64
+	for _, spec := range specs {
+		blocks += uint64(spec.DataDevices) * spec.BlocksPerDevice
+	}
+	checkCap("aggregate", blocks)
 	tun = tun.Defaults()
 	rng := rand.New(rand.NewSource(seed))
 	ag := &Aggregate{store: topaa.NewStore(), tun: tun, rng: rng}
@@ -158,6 +163,7 @@ func (ag *Aggregate) AddGroup(spec GroupSpec) *Group {
 	if ag.pool != nil {
 		panic("wafl: add RAID groups before attaching the object pool")
 	}
+	checkCap("aggregate", uint64(ag.groupsEnd)+uint64(spec.DataDevices)*spec.BlocksPerDevice)
 	g := buildGroup(len(ag.groups), spec, ag.groupsEnd, ag.tun, ag.rng)
 	ag.appendGroup(g)
 	ag.bm.Grow(uint64(ag.groupsEnd))
@@ -263,7 +269,7 @@ func (ag *Aggregate) AllocatePhysical(dst []block.VBN, n int) []block.VBN {
 // FreePhysical returns a physical VBN to its group's — or the object
 // pool's — free space.
 func (ag *Aggregate) FreePhysical(v block.VBN) {
-	ag.freePhysical([]blockPtr{{phys: v}})
+	ag.freePhysical([]blockPtr{{phys: pack(v)}})
 }
 
 // freePhysical returns the physical half of every pair in ps to its group's
@@ -274,7 +280,7 @@ func (ag *Aggregate) FreePhysical(v block.VBN) {
 func (ag *Aggregate) freePhysical(ps []blockPtr) {
 	bm, pool, trim := ag.bm, ag.pool, ag.tun.TrimOnFree
 	for _, p := range ps {
-		v := p.phys
+		v := p.phys.vbn()
 		if pool != nil && pool.Contains(v) {
 			pool.space.free(v)
 			continue

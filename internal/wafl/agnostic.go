@@ -231,25 +231,27 @@ func (s *agnosticSpace) freeVirtual(ps []blockPtr) {
 	bm, topo := s.bm, s.topo
 	if q := s.delayed; q != nil {
 		for _, p := range ps {
-			if !bm.Test(p.virt) {
-				panic(fmt.Sprintf("wafl: double free of %v in %s", p.virt, s.name))
+			v := p.virt.vbn()
+			if !bm.Test(v) {
+				panic(fmt.Sprintf("wafl: double free of %v in %s", v, s.name))
 			}
-			q.add(topo.AAOf(p.virt), p.virt)
+			q.add(topo.AAOf(v), p.virt)
 		}
 		return
 	}
 	for _, p := range ps {
-		if !bm.Clear(p.virt) {
-			panic(fmt.Sprintf("wafl: double free of %v in %s", p.virt, s.name))
+		v := p.virt.vbn()
+		if !bm.Clear(v) {
+			panic(fmt.Sprintf("wafl: double free of %v in %s", v, s.name))
 		}
-		s.deltas.add(topo.AAOf(p.virt), 1)
+		s.deltas.add(topo.AAOf(v), 1)
 	}
 }
 
 // free returns one VBN to the space, as freeVirtual does a batch. The object
 // pool's physical blocks come back this way.
 func (s *agnosticSpace) free(v block.VBN) {
-	s.freeVirtual([]blockPtr{{virt: v}})
+	s.freeVirtual([]blockPtr{{virt: pack(v)}})
 }
 
 // sealCPDeltas closes the open generation's ledger: it swaps with the flush

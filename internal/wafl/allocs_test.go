@@ -32,7 +32,10 @@ const steadyStateCPAllocCeiling = 0
 // mountCycleAllocCeiling is the same gate for the benchmark's mount_cycle
 // round on its geometry (2 groups of 1024 AAs, 32 volumes): 1024 overwrites +
 // CP, a TopAA-seeded remount, 1024 overwrites + CP, the background fill, a
-// bitmap-walk remount. Twice the 34 the round measures. A remount rebuilds
+// bitmap-walk remount. It measures 40: 34, as it did before bitmap pages
+// were created on first write, and the first writes to about 6 pages a
+// round, which the 32 volumes' cursors keep reaching (no warm-up fills a
+// 2048-AA volume). The ceiling is twice the 34. A remount rebuilds
 // every cache in the storage it already has, and scores into the slices
 // each space keeps, so what is left is the yield closure hbps.Replenish
 // hands each volume's walk (32) and Remount's slice of per-volume page
@@ -134,20 +137,24 @@ func TestSteadyStateCPAllocs(t *testing.T) {
 		Picks:     picks.NewRecorder(picks.DefaultConfig()),
 		Control:   control.NewSet(control.DefaultPolicies()),
 	}
+	// The ssd rounds warm up for 60 rounds: their overwrites give the
+	// volume's bitmap a page of its own every four or five rounds (the first
+	// write to a page allocates its storage, once) until round 44 at depth 1
+	// and round 51 at depth 2, and the working sizes settle well before.
 	for _, mode := range []struct {
-		name    string
-		build   func() (*System, func())
-		runs    int
-		ceiling float64
+		name         string
+		build        func() (*System, func())
+		warmup, runs int
+		ceiling      float64
 	}{
-		{"depth1_unsharded", ssd(false, 0, nil), 10, steadyStateCPAllocCeiling},
-		{"depth2_shards4", ssd(true, 4, nil), 10, steadyStateCPAllocCeiling},
-		{"mount_cycle", mountCycle, 10, mountCycleAllocCeiling},
-		{"depth1_armed", ssd(false, 0, armed), 64, armedCPAllocCeiling},
+		{"depth1_unsharded", ssd(false, 0, nil), 60, 10, steadyStateCPAllocCeiling},
+		{"depth2_shards4", ssd(true, 4, nil), 60, 10, steadyStateCPAllocCeiling},
+		{"mount_cycle", mountCycle, 40, 10, mountCycleAllocCeiling},
+		{"depth1_armed", ssd(false, 0, armed), 60, 64, armedCPAllocCeiling},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			s, round := mode.build()
-			for i := 0; i < 40; i++ {
+			for i := 0; i < mode.warmup; i++ {
 				round()
 			}
 			if got := testing.AllocsPerRun(mode.runs, round); got > mode.ceiling {

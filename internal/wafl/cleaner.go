@@ -95,7 +95,7 @@ func (s *System) CleanBestAAs(g *Group, maxAAs int) CleanStats {
 			// Repoint every referent — the active image and any snapshots
 			// share the same physical block and move together.
 			for _, slot := range refs {
-				slot.phys = newPhys[i]
+				slot.phys = pack(newPhys[i])
 			}
 			delete(reverse, old)
 			reverse[newPhys[i]] = refs
@@ -126,7 +126,7 @@ func (s *System) indexSlots(m map[block.VBN][]*blockPtr, want *ordset.Bits) {
 	add := func(blocks []blockPtr) {
 		for i := range blocks {
 			// InvalidVBN lies beyond the bitmap.
-			if p := blocks[i].phys; uint64(p) < s.Agg.bm.Size() && want.Has(uint64(p)) {
+			if p := blocks[i].phys.vbn(); uint64(p) < s.Agg.bm.Size() && want.Has(uint64(p)) {
 				m[p] = append(m[p], &blocks[i])
 			}
 		}

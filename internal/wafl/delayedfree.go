@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"waflfs/internal/aa"
-	"waflfs/internal/block"
 	"waflfs/internal/hbps"
 	"waflfs/internal/ordset"
 )
@@ -29,7 +28,7 @@ type delayedFrees struct {
 	// not empty. An emptied queue keeps its storage for the next frees, so
 	// steady-state reclaim allocates nothing; each AA holds its peak in both
 	// generations' queues.
-	pending [][]block.VBN
+	pending [][]vbn32
 	queued  ordset.Bits
 	count   int
 	cache   *hbps.HBPS
@@ -37,7 +36,7 @@ type delayedFrees struct {
 
 func newDelayedFrees(numAAs int) *delayedFrees {
 	d := &delayedFrees{
-		pending: make([][]block.VBN, numAAs),
+		pending: make([][]vbn32, numAAs),
 		cache:   hbps.New(hbps.DefaultConfig()),
 	}
 	d.queued.Grow(uint64(numAAs))
@@ -46,7 +45,7 @@ func newDelayedFrees(numAAs int) *delayedFrees {
 
 // add queues vs behind id's pending frees and raises the AA's delayed-free
 // score by as many.
-func (d *delayedFrees) add(id aa.ID, vs ...block.VBN) {
+func (d *delayedFrees) add(id aa.ID, vs ...vbn32) {
 	old := len(d.pending[id])
 	d.pending[id] = append(d.pending[id], vs...)
 	d.count += len(vs)
@@ -60,7 +59,7 @@ func (d *delayedFrees) add(id aa.ID, vs ...block.VBN) {
 // pop removes and returns the AA with the most pending frees (within the
 // HBPS error margin) and its queued blocks, which stay valid until the next
 // add to that AA.
-func (d *delayedFrees) pop() (aa.ID, []block.VBN, bool) {
+func (d *delayedFrees) pop() (aa.ID, []vbn32, bool) {
 	for {
 		id, ok := d.cache.PopBest()
 		if !ok {
@@ -140,8 +139,8 @@ func (s *agnosticSpace) reclaimDelayedFrees(sealed bool, budget int) {
 		if !ok {
 			break
 		}
-		for _, v := range vs {
-			if !s.bm.Clear(v) {
+		for _, x := range vs {
+			if v := x.vbn(); !s.bm.Clear(v) {
 				panic(fmt.Sprintf("wafl: delayed free of unallocated %v in %s", v, s.name))
 			}
 		}

@@ -72,7 +72,7 @@ func (s *System) Demote(l *LUN, select_ func(lba uint64) bool) int {
 	var want ordset.Bits
 	want.Grow(s.Agg.bm.Size())
 	for lba := range l.blocks {
-		p := l.blocks[lba].phys
+		p := l.Phys(uint64(lba))
 		if p == block.InvalidVBN || !select_(uint64(lba)) {
 			continue
 		}
@@ -105,7 +105,7 @@ func (s *System) Demote(l *LUN, select_ func(lba uint64) bool) int {
 		_ = dbn
 		s.c.DeviceBusy += g.devices[d].Read(1)
 		for _, slot := range reverse[old] {
-			slot.phys = newVBNs[i]
+			slot.phys = pack(newVBNs[i])
 		}
 		s.Agg.FreePhysical(old)
 	}

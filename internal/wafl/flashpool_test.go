@@ -142,7 +142,7 @@ func TestDemoteWithSnapshotRepointsBoth(t *testing.T) {
 	s.CP()
 	img := snapImage(sn)
 	for lba := 0; lba < 5000; lba++ {
-		if img[lba].phys != lun.blocks[lba].phys || mediaOf(s, img[lba].phys) != aa.MediaHDD {
+		if img[lba].phys != lun.blocks[lba].phys || mediaOf(s, img[lba].phys.vbn()) != aa.MediaHDD {
 			t.Fatalf("lba %d snapshot/active diverged", lba)
 		}
 	}

@@ -34,6 +34,7 @@ func newFlexVol(index int, spec VolSpec, tun Tunables, rng *rand.Rand) *FlexVol 
 	if spec.Blocks == 0 {
 		panic("wafl: zero-size FlexVol")
 	}
+	checkCap("volume "+spec.Name, spec.Blocks)
 	bm := bitmap.New(spec.Blocks)
 	v := &FlexVol{
 		Name:  spec.Name,
@@ -67,6 +68,7 @@ func (v *FlexVol) CreateLUN(name string, blocks uint64) *LUN {
 	if _, dup := v.luns[name]; dup {
 		panic(fmt.Sprintf("wafl: duplicate LUN %q in %s", name, v.Name))
 	}
+	checkCap("LUN "+name, blocks)
 	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks)}
 	l.dirty.Grow(blocks)
 	for _, o := range v.luns { // take the name's place in rank order
@@ -77,9 +79,6 @@ func (v *FlexVol) CreateLUN(name string, blocks uint64) *LUN {
 			o.rank++
 		}
 	}
-	for i := range l.blocks {
-		l.blocks[i] = blockPtr{virt: block.InvalidVBN, phys: block.InvalidVBN}
-	}
 	v.luns[name] = l
 	return l
 }
@@ -89,10 +88,35 @@ func (v *FlexVol) LUN(name string) *LUN { return v.luns[name] }
 
 // blockPtr is the dual address of one written LUN block: its virtual VBN in
 // the volume and its physical VBN in the aggregate (§2.1: "it must allocate
-// both a physical block number and a virtual block number").
+// both a physical block number and a virtual block number"). The zero
+// blockPtr is an unwritten block.
 type blockPtr struct {
-	virt block.VBN
-	phys block.VBN
+	virt vbn32
+	phys vbn32
+}
+
+// vbn32 is a VBN stored in 32 bits as the VBN plus one, so zero holds
+// InvalidVBN. Block pointers, snapshot deltas and delayed-free queues store
+// it; everything else speaks block.VBN. It holds every VBN of a space of at
+// most maxSpaceBlocks blocks, the cap checkCap enforces.
+type vbn32 uint32
+
+// pack stores v, InvalidVBN or a VBN below maxSpaceBlocks.
+func pack(v block.VBN) vbn32 { return vbn32(v + 1) }
+
+// vbn returns the VBN x stores.
+func (x vbn32) vbn() block.VBN { return block.VBN(uint64(x) - 1) }
+
+// maxSpaceBlocks is the most blocks a volume, an aggregate (its object pool
+// included) or a LUN may hold: the most a vbn32 can address.
+const maxSpaceBlocks = 1<<32 - 1
+
+// checkCap panics if a space of the given size would not fit the 32-bit
+// block pointer. Constructors call it before they allocate anything.
+func checkCap(what string, blocks uint64) {
+	if blocks > maxSpaceBlocks {
+		panic(fmt.Sprintf("wafl: %s of %d blocks is over the cap of 2^32-1 blocks (16 TiB) a 32-bit block pointer addresses", what, blocks))
+	}
 }
 
 // LUN is a block device exported from a FlexVol: a flat array of logical
@@ -123,15 +147,13 @@ type LUN struct {
 func (l *LUN) Blocks() uint64 { return uint64(len(l.blocks)) }
 
 // Written reports whether logical block lba has ever been written.
-func (l *LUN) Written(lba uint64) bool {
-	return l.blocks[lba].virt != block.InvalidVBN
-}
+func (l *LUN) Written(lba uint64) bool { return l.blocks[lba].virt != 0 }
 
 // Phys returns the physical VBN backing lba (InvalidVBN if unwritten).
-func (l *LUN) Phys(lba uint64) block.VBN { return l.blocks[lba].phys }
+func (l *LUN) Phys(lba uint64) block.VBN { return l.blocks[lba].phys.vbn() }
 
 // Virt returns the virtual VBN backing lba (InvalidVBN if unwritten).
-func (l *LUN) Virt(lba uint64) block.VBN { return l.blocks[lba].virt }
+func (l *LUN) Virt(lba uint64) block.VBN { return l.blocks[lba].virt.vbn() }
 
 // Metrics returns the volume allocator's measurement counters.
 func (v *FlexVol) Metrics() SpaceMetrics { return v.space.metrics() }

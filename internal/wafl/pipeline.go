@@ -336,7 +336,7 @@ func (s *System) allocGeneration() *cpGen {
 			panic(fmt.Sprintf("wafl: LUN %q drained %d dirty blocks, counted %d", l.Name, i, n))
 		}
 		for j, lba := range lbas {
-			olds[j], l.blocks[lba] = l.blocks[lba], blockPtr{virt: virt[j], phys: phys[j]}
+			olds[j], l.blocks[lba] = l.blocks[lba], blockPtr{virt: pack(virt[j]), phys: pack(phys[j])}
 		}
 		frees := olds[:0]
 		for j, old := range olds {

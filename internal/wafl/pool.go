@@ -79,6 +79,7 @@ func (ag *Aggregate) AddObjectPool(spec PoolSpec) *Pool {
 	if spec.Blocks == 0 {
 		panic("wafl: zero-size object pool")
 	}
+	checkCap("aggregate with its object pool", ag.bm.Size()+spec.Blocks)
 	start := block.VBN(ag.bm.Size())
 	ag.bm.Grow(uint64(start) + spec.Blocks)
 	p := &Pool{spec: spec}
@@ -159,7 +160,7 @@ func (s *System) TierOut(l *LUN, select_ func(lba uint64) bool) int {
 	var want ordset.Bits
 	want.Grow(s.Agg.bm.Size())
 	for lba := range l.blocks {
-		p := l.blocks[lba].phys
+		p := l.Phys(uint64(lba))
 		if p == block.InvalidVBN || pool.Contains(p) || !select_(uint64(lba)) {
 			continue
 		}
@@ -184,7 +185,7 @@ func (s *System) TierOut(l *LUN, select_ func(lba uint64) bool) int {
 		s.c.DeviceBusy += g.devices[d].Read(1)
 		// Repoint every referent, then free the group copy.
 		for _, slot := range reverse[old] {
-			slot.phys = newVBNs[i]
+			slot.phys = pack(newVBNs[i])
 		}
 		s.Agg.FreePhysical(old)
 	}

@@ -187,9 +187,9 @@ func TestTierOutWithSnapshotsRepointsAll(t *testing.T) {
 	img := snapImage(lun.Snapshot("pin"))
 	for lba := 0; lba < 2000; lba++ {
 		if img[lba].phys != lun.blocks[lba].phys {
-			t.Fatalf("lba %d: snapshot %v != active %v", lba, img[lba].phys, lun.blocks[lba].phys)
+			t.Fatalf("lba %d: snapshot %v != active %v", lba, img[lba].phys.vbn(), lun.Phys(uint64(lba)))
 		}
-		if !pool.Contains(img[lba].phys) {
+		if !pool.Contains(img[lba].phys.vbn()) {
 			t.Fatalf("lba %d not tiered", lba)
 		}
 	}

@@ -124,7 +124,7 @@ func (r *oracleRig) cp() {
 		}
 		slices.Sort(lbas)
 		for _, lba := range lbas {
-			v := l.blocks[lba].virt
+			v := l.Virt(lba)
 			if r.o.rc[v] != 0 || r.delayed && r.o.owed[v] {
 				r.t.Fatalf("%s[%d] was given virtual %v, which has %d holders (owed a free: %v)", l.Name, lba, v, r.o.rc[v], r.o.owed[v])
 			}
@@ -252,21 +252,22 @@ func (r *oracleRig) check(step string) {
 	physOf, pairOf := map[block.VBN]block.VBN{}, map[block.VBN]block.VBN{}
 	same := func(what string, got []blockPtr, want []block.VBN) {
 		for lba, p := range got {
-			if p.virt != want[lba] {
-				t.Fatalf("after %s: %s[%d] holds virtual %v, oracle %v", step, what, lba, p.virt, want[lba])
+			virt, phys := p.virt.vbn(), p.phys.vbn()
+			if virt != want[lba] {
+				t.Fatalf("after %s: %s[%d] holds virtual %v, oracle %v", step, what, lba, virt, want[lba])
 			}
-			if p.virt == block.InvalidVBN {
+			if virt == block.InvalidVBN {
 				continue
 			}
-			if q, seen := physOf[p.virt]; seen && q != p.phys {
-				t.Fatalf("after %s: %s[%d] holds pair %v at physical %v, another holder at %v", step, what, lba, p.virt, p.phys, q)
+			if q, seen := physOf[virt]; seen && q != phys {
+				t.Fatalf("after %s: %s[%d] holds pair %v at physical %v, another holder at %v", step, what, lba, virt, phys, q)
 			}
-			if q, taken := pairOf[p.phys]; taken && q != p.virt {
-				t.Fatalf("after %s: physical %v backs pairs %v and %v", step, p.phys, q, p.virt)
+			if q, taken := pairOf[phys]; taken && q != virt {
+				t.Fatalf("after %s: physical %v backs pairs %v and %v", step, phys, q, virt)
 			}
-			physOf[p.virt], pairOf[p.phys] = p.phys, p.virt
-			if !s.Agg.bm.Test(p.phys) {
-				t.Fatalf("after %s: %s[%d] holds freed physical %v", step, what, lba, p.phys)
+			physOf[virt], pairOf[phys] = phys, virt
+			if !s.Agg.bm.Test(phys) {
+				t.Fatalf("after %s: %s[%d] holds freed physical %v", step, what, lba, phys)
 			}
 		}
 	}

@@ -81,14 +81,14 @@ func (l *LUN) releases(lba uint64, old blockPtr) bool {
 	if n := len(l.chain); n > 0 && l.chain[n-1].d.add(lba, old) {
 		return false
 	}
-	return old.virt != block.InvalidVBN && l.lastEntry(old)
+	return old.virt != 0 && l.lastEntry(old)
 }
 
 // lastEntry drops one entry of l's pair p: a count a restore left loses one,
 // and without one the entry was the last, reported true.
 func (l *LUN) lastEntry(p blockPtr) bool {
-	if l.rcPairs > 0 && l.vol.rc.get(p.virt) != 0 {
-		if l.vol.rc.unref(p.virt) {
+	if l.rcPairs > 0 && l.vol.rc.get(p.virt.vbn()) != 0 {
+		if l.vol.rc.unref(p.virt.vbn()) {
 			l.rcPairs--
 		}
 		return false
@@ -122,8 +122,9 @@ type Snapshot struct {
 type snapDelta struct {
 	lbas ordset.Bits
 	// ptrs[k] is the pair at LBA at[k], in the order the entries arrived.
+	// An LBA fits 32 bits because a LUN does (checkCap).
 	ptrs []blockPtr
-	at   []uint64
+	at   []uint32
 }
 
 // add records p at lba unless the delta already has the LBA, and reports
@@ -132,7 +133,7 @@ func (d *snapDelta) add(lba uint64, p blockPtr) bool {
 	if !d.lbas.Add(lba) {
 		return false
 	}
-	d.ptrs, d.at = append(d.ptrs, p), append(d.at, lba)
+	d.ptrs, d.at = append(d.ptrs, p), append(d.at, uint32(lba))
 	return true
 }
 
@@ -140,7 +141,7 @@ func (d *snapDelta) add(lba uint64, p blockPtr) bool {
 // and a rank table.
 type deltaScratch struct {
 	ptrs []blockPtr
-	at   []uint64
+	at   []uint32
 	base []uint32
 }
 
@@ -152,7 +153,7 @@ func (d *snapDelta) sort(sc *deltaScratch) {
 	n := len(d.at)
 	ptrs, at := slices.Grow(sc.ptrs[:0], n)[:n], slices.Grow(sc.at[:0], n)[:n]
 	for k, lba := range d.at {
-		r := d.lbas.Rank(sc.base, lba)
+		r := d.lbas.Rank(sc.base, uint64(lba))
 		ptrs[r], at[r] = d.ptrs[k], lba
 	}
 	sc.ptrs, sc.at = d.ptrs[:0], d.at[:0]
@@ -176,7 +177,7 @@ func (l *LUN) resolve(sn *Snapshot, fn func(lba uint64, p blockPtr)) {
 	union.Grow(l.Blocks())
 	for _, o := range l.chain[from:] {
 		for _, lba := range o.d.at {
-			union.Add(lba)
+			union.Add(uint64(lba))
 		}
 	}
 	base := union.Ranks(nil)
@@ -184,7 +185,7 @@ func (l *LUN) resolve(sn *Snapshot, fn func(lba uint64, p blockPtr)) {
 	for j := len(l.chain) - 1; j >= from; j-- {
 		d := &l.chain[j].d
 		for k, lba := range d.at {
-			img[union.Rank(base, lba)] = d.ptrs[k]
+			img[union.Rank(base, uint64(lba))] = d.ptrs[k]
 		}
 	}
 	k := 0
@@ -203,15 +204,15 @@ func (sn *Snapshot) Blocks() int {
 	}
 	n := 0
 	for _, p := range l.blocks {
-		if p.virt != block.InvalidVBN {
+		if p.virt != 0 {
 			n++
 		}
 	}
 	l.resolve(sn, func(lba uint64, p blockPtr) {
-		if p.virt != block.InvalidVBN {
+		if p.virt != 0 {
 			n++
 		}
-		if l.blocks[lba].virt != block.InvalidVBN {
+		if l.blocks[lba].virt != 0 {
 			n--
 		}
 	})
@@ -288,9 +289,9 @@ func (s *System) DeleteSnapshot(l *LUN, name string) (int, error) {
 	frees := d.ptrs[:0]
 	for k, lba := range d.at {
 		switch p := d.ptrs[k]; {
-		case older != nil && older.add(lba, p):
+		case older != nil && older.add(uint64(lba), p):
 			// The next older snapshot saw this pointer through sn.
-		case p.virt != block.InvalidVBN && l.lastEntry(p):
+		case p.virt != 0 && l.lastEntry(p):
 			frees = append(frees, p)
 		}
 	}
@@ -328,17 +329,18 @@ func (s *System) RestoreSnapshot(l *LUN, name string) error {
 		if l.releases(lba, out) {
 			s.freePairs(l.vol, []blockPtr{out})
 		}
-		if in.virt != block.InvalidVBN {
+		if in.virt != 0 {
 			// The pair stays in its delta and is now in the active image
 			// too: one more entry. A count past MaxUint16 wraps to zero,
 			// which set refuses.
-			n := rc.get(in.virt)
+			v := in.virt.vbn()
+			n := rc.get(v)
 			if n == 0 {
 				l.rcPairs++
 			} else {
-				rc.remove(in.virt)
+				rc.remove(v)
 			}
-			rc.set(in.virt, n+1)
+			rc.set(v, n+1)
 		}
 		l.blocks[lba] = in
 	})
@@ -371,17 +373,19 @@ func (v *FlexVol) CheckRefcounts() error {
 	}
 	slices.SortFunc(luns, func(a, b *LUN) int { return cmp.Compare(a.rank, b.rank) })
 	visit := func(li int, lba uint64, p blockPtr) error {
-		switch l := luns[li]; {
-		case p.virt == block.InvalidVBN:
+		if p.virt == 0 {
 			return nil
-		case uint64(p.virt) >= v.bm.Size() || !v.bm.Test(p.virt):
-			return fmt.Errorf("virtual %v held at %s[%d] but not allocated", p.virt, l.Name, lba)
-		case v.rc.get(p.virt) != 0:
-			counted = append(counted, entry{p.virt, li, lba})
-		case census.Has(uint64(p.virt)):
-			return fmt.Errorf("virtual %v held again at %s[%d] with no count", p.virt, l.Name, lba)
 		}
-		if census.Add(uint64(p.virt)) {
+		l, virt := luns[li], p.virt.vbn()
+		switch {
+		case uint64(virt) >= v.bm.Size() || !v.bm.Test(virt):
+			return fmt.Errorf("virtual %v held at %s[%d] but not allocated", virt, l.Name, lba)
+		case v.rc.get(virt) != 0:
+			counted = append(counted, entry{virt, li, lba})
+		case census.Has(uint64(virt)):
+			return fmt.Errorf("virtual %v held again at %s[%d] with no count", virt, l.Name, lba)
+		}
+		if census.Add(uint64(virt)) {
 			pairs++
 		}
 		return nil
@@ -399,14 +403,14 @@ func (v *FlexVol) CheckRefcounts() error {
 			if len(d.at) != d.lbas.Len() || len(d.ptrs) != len(d.at) {
 				return fmt.Errorf("%s@%s: %d LBAs in the delta's set, %d listed, %d pairs", l.Name, sn.Name, d.lbas.Len(), len(d.at), len(d.ptrs))
 			}
-			for k, lba := range d.at {
-				switch {
+			for k, at := range d.at {
+				switch lba := uint64(at); {
 				case lba >= l.Blocks():
 					return fmt.Errorf("%s@%s holds LBA %d of a %d-block LUN", l.Name, sn.Name, lba, l.Blocks())
 				case !d.lbas.Has(lba) || !listed.Add(lba):
 					return fmt.Errorf("%s@%s lists LBA %d twice or outside its set", l.Name, sn.Name, lba)
 				}
-				if err := visit(li, lba, d.ptrs[k]); err != nil {
+				if err := visit(li, uint64(at), d.ptrs[k]); err != nil {
 					return err
 				}
 			}

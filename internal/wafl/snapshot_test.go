@@ -7,8 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"testing"
-
-	"waflfs/internal/block"
 )
 
 func snapFixture(t *testing.T) (*System, *LUN) {
@@ -244,7 +242,7 @@ func TestNoSnapshotNoCounts(t *testing.T) {
 // moved into y's delta by the overwrite) and one count each.
 func TestCheckRefcountsCatches(t *testing.T) {
 	for name, corrupt := range map[string]func(s *System, a, b *LUN){
-		"a pair in two deltas with no count": func(s *System, a, b *LUN) { a.vol.rc.remove(a.Snapshot("x").d.ptrs[3].virt) },
+		"a pair in two deltas with no count": func(s *System, a, b *LUN) { a.vol.rc.remove(a.Snapshot("x").d.ptrs[3].virt.vbn()) },
 		"a delta entry at a second LBA": func(s *System, a, b *LUN) {
 			d := &a.Snapshot("y").d
 			d.lbas.Delete(3)
@@ -253,13 +251,13 @@ func TestCheckRefcountsCatches(t *testing.T) {
 		},
 		"a second holder on another LUN":   func(s *System, a, b *LUN) { b.blocks[7] = a.Snapshot("x").d.ptrs[7] },
 		"a second holder in the active":    func(s *System, a, b *LUN) { a.blocks[9] = a.blocks[8] },
-		"a count on a pair stored once":    func(s *System, a, b *LUN) { a.vol.rc.set(a.blocks[20].virt, 1) },
+		"a count on a pair stored once":    func(s *System, a, b *LUN) { a.vol.rc.set(a.Virt(20), 1) },
 		"a count nobody holds":             func(s *System, a, b *LUN) { a.vol.rc.set(4000, 2) },
 		"a LUN's claim of counts drifted":  func(s *System, a, b *LUN) { a.rcPairs-- },
-		"a delta LBA beyond the LUN":       func(s *System, a, b *LUN) { a.Snapshot("x").d.add(250, blockPtr{block.InvalidVBN, block.InvalidVBN}) },
+		"a delta LBA beyond the LUN":       func(s *System, a, b *LUN) { a.Snapshot("x").d.add(250, blockPtr{}) },
 		"a delta LBA missing from its set": func(s *System, a, b *LUN) { a.Snapshot("x").d.lbas.Delete(5) },
 		"a live count that drifted":        func(s *System, a, b *LUN) { a.vol.live++ },
-		"a held pair freed":                func(s *System, a, b *LUN) { a.vol.bm.Clear(a.blocks[20].virt) },
+		"a held pair freed":                func(s *System, a, b *LUN) { a.vol.bm.Clear(a.Virt(20)) },
 	} {
 		s := testSystem(t, DefaultTunables())
 		vol := s.Agg.Vols()[0]
@@ -348,11 +346,11 @@ func TestTooManySnapshots(t *testing.T) {
 	s.Write(lun, 68, 2)
 	s.CP()
 	newest := lun.Snapshot(strconv.Itoa(math.MaxUint16 - 1))
-	if d := newest.d; len(d.at) != 2 || d.ptrs[0] != old || d.ptrs[1].virt != block.InvalidVBN || vol.rc.Len() != 0 {
+	if d := newest.d; len(d.at) != 2 || d.ptrs[0] != old || d.ptrs[1].virt != 0 || vol.rc.Len() != 0 {
 		t.Fatalf("newest delta holds %v at LBAs %v, rc %d pairs; want the old pair and the unwritten marker", d.ptrs, d.at, vol.rc.Len())
 	}
 	first := lun.Snapshot("0")
-	if img := snapImage(first); img[68] != old || img[69].virt != block.InvalidVBN || first.Blocks() != 66 {
+	if img := snapImage(first); img[68] != old || img[69].virt != 0 || first.Blocks() != 66 {
 		t.Fatalf("the oldest snapshot reads %v and %v at LBAs 68–69 and holds %d blocks", img[68], img[69], first.Blocks())
 	}
 	if freed, err := s.DeleteSnapshot(lun, "17"); freed != 0 || err != nil {
@@ -438,8 +436,8 @@ func TestCleanerRelocatesSnapshotBlocks(t *testing.T) {
 	// Snapshot pointers must have followed any relocations: every snapshot
 	// physical block is still allocated.
 	for _, p := range snapImage(lun.Snapshot("pinned")) {
-		if p.phys != block.InvalidVBN && !s.Agg.bm.Test(p.phys) {
-			t.Fatalf("snapshot references freed physical %v", p.phys)
+		if p.phys != 0 && !s.Agg.bm.Test(p.phys.vbn()) {
+			t.Fatalf("snapshot references freed physical %v", p.phys.vbn())
 		}
 	}
 	if err := s.Agg.Vols()[0].CheckRefcounts(); err != nil {

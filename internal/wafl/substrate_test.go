@@ -300,10 +300,10 @@ func TestWriteBufferMatchesSortedList(t *testing.T) {
 			last := block.VBN(0)
 			for i, lba := range list {
 				p := lun.blocks[lba]
-				if p == before[lba] || p.virt == block.InvalidVBN || (i > 0 && p.virt <= last) {
+				if p == before[lba] || p.virt == 0 || (i > 0 && p.virt.vbn() <= last) {
 					t.Fatalf("%d blocks, %s: LBA %d got %+v after %v (was %+v)", blocks, round, lba, p, last, before[lba])
 				}
-				last = p.virt
+				last = p.virt.vbn()
 			}
 			for lba, p := range lun.blocks {
 				if !seen[uint64(lba)] && p != before[lba] {

@@ -98,6 +98,9 @@ func (c Counters) CPUPerOp() time.Duration {
 
 // NewSystem builds a System over a fresh aggregate.
 func NewSystem(specs []GroupSpec, vols []VolSpec, tun Tunables, seed int64) *System {
+	for _, vs := range vols {
+		checkCap("volume "+vs.Name, vs.Blocks)
+	}
 	ag := NewAggregate(specs, tun, seed)
 	for _, vs := range vols {
 		ag.AddVolume(vs)
@@ -317,7 +320,7 @@ func (s *System) PunchHoles(l *LUN, select_ func(lba uint64) bool) (int, error) 
 	frees, freed := batch[:0], 0
 	for lba := range l.blocks {
 		p := l.blocks[lba]
-		if p.phys == block.InvalidVBN || !select_(uint64(lba)) {
+		if p.phys == 0 || !select_(uint64(lba)) {
 			continue
 		}
 		if l.releases(uint64(lba), p) {
@@ -326,7 +329,7 @@ func (s *System) PunchHoles(l *LUN, select_ func(lba uint64) bool) (int, error) 
 				frees, freed = frees[:0], freed+len(frees)
 			}
 		}
-		l.blocks[lba] = blockPtr{virt: block.InvalidVBN, phys: block.InvalidVBN}
+		l.blocks[lba] = blockPtr{}
 	}
 	s.freePairs(l.vol, frees)
 	return freed + len(frees), nil

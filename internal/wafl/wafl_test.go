@@ -36,14 +36,14 @@ func checkConsistency(t *testing.T, s *System) {
 		var volHeld uint64
 		for _, l := range v.luns {
 			for _, p := range l.blocks {
-				if p.phys != block.InvalidVBN {
+				if p.phys != 0 {
 					held++
 					volHeld++
-					if !ag.bm.Test(p.phys) {
-						t.Fatalf("LUN holds unallocated physical %v", p.phys)
+					if !ag.bm.Test(p.phys.vbn()) {
+						t.Fatalf("LUN holds unallocated physical %v", p.phys.vbn())
 					}
-					if !v.bm.Test(p.virt) {
-						t.Fatalf("LUN holds unallocated virtual %v", p.virt)
+					if !v.bm.Test(p.virt.vbn()) {
+						t.Fatalf("LUN holds unallocated virtual %v", p.virt.vbn())
 					}
 				}
 			}
@@ -371,7 +371,7 @@ func TestFragmentationBiasDirectsWritesToEmptierGroup(t *testing.T) {
 		if g1range.Contains(p) || rng.Intn(2) == 0 {
 			vol.space.freeVirtual(lun.blocks[lba : lba+1])
 			s.Agg.FreePhysical(p)
-			lun.blocks[lba] = blockPtr{virt: block.InvalidVBN, phys: block.InvalidVBN}
+			lun.blocks[lba] = blockPtr{}
 		}
 	}
 	s.CP()

@@ -183,7 +183,7 @@ if sed -n '/^type Group struct/,/^}/p' internal/wafl/group.go | grep -n 'cpWrite
     echo "Group keeps VBN write sets again; its write sets are the open and sealed tetris builders" >&2
     exit 1
 fi
-if body internal/wafl/aggregate.go '(ag \*Aggregate) FreePhysical(' | grep -v '^func\|^}$\|^	ag\.freePhysical(\[\]blockPtr{{phys: v}})$'; then
+if body internal/wafl/aggregate.go '(ag \*Aggregate) FreePhysical(' | grep -v '^func\|^}$\|^	ag\.freePhysical(\[\]blockPtr{{phys: pack(v)}})$'; then
     echo "Aggregate.FreePhysical has a body of its own again; it is freePhysical on one block" >&2
     exit 1
 fi
